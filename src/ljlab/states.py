@@ -19,7 +19,7 @@ from .errors import (
     NotInSpan,
     ValidationError,
 )
-from .linalg import as_matrix, random_density, spectral_norm
+from .linalg import as_matrix, random_density
 from .products import jordan, lie
 from .subspace import RealSubspace, derived_algebra, require_closed
 
@@ -197,14 +197,19 @@ def is_classical_center(
 ) -> ClassicalityVerdict:
     """The state, seen as an algebra element, centralizes [L, L].
 
-    Requires rho inside span(L) (NotInSpan otherwise). ``derived`` may carry
-    a precomputed derived algebra to amortize sweeps over many states.
+    Requires rho inside span(L) (NotInSpan otherwise). ``derived`` overrides
+    the derived algebra; it is not needed to amortize sweeps over many
+    states, since ``derived_algebra(L)`` is memoized on L.
     """
     _check_dims(s, L)
     if not L.contains(s.rho):
         raise NotInSpan("state is not an element of the subalgebra's span")
     d = derived if derived is not None else derived_algebra(L)
-    vals = np.array([spectral_norm(lie(s.rho, m)) for m in d.basis])
+    if d.dim_span == 0:
+        return _verdict("center", np.zeros(0), d.basis, rtol)
+    # spectral norms of the brackets [rho, d_k], batched over the basis of d
+    dk = d._stacked
+    vals = np.linalg.norm(0.5j * (s.rho @ dk - dk @ s.rho), 2, axis=(1, 2))
     return _verdict("center", vals, d.basis, rtol)
 
 

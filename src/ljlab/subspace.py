@@ -5,12 +5,16 @@ sequential Gram-Schmidt. On top of that sit product closures, derived
 algebras, centralizers, commutativity and associativity tests, a Killing
 form nondegeneracy test, generation experiments, and the realization of a
 commuting associative subalgebra as functions on its joint spectrum.
+
+Basis-pair products of ``jordan`` and ``lie`` are formed in one stacked
+matmul. Closedness verdicts and derived algebras are memoized on the
+(immutable) subspace, so an algebra queried many times is proven closed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -76,11 +80,14 @@ class RealSubspace:
     """Real span of Hermitian matrices with an orthonormal basis.
 
     ``basis`` is Hilbert-Schmidt orthonormal; ``dim_span`` may be zero.
-    Instances are immutable and the basis arrays are read-only.
+    Instances are immutable and the basis arrays are read-only, which makes
+    ``_memo`` sound: it holds closedness verdicts under ``jordan``/``lie``
+    keyed by ``(product, rtol)`` and the derived algebra keyed by ``rtol``.
     """
 
     dim_ambient: int
     basis: tuple[np.ndarray, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim_span(self) -> int:
@@ -99,7 +106,14 @@ class RealSubspace:
             raise DimensionMismatch(
                 f"matrix dim {a.shape[0]} does not match ambient dim {self.dim_ambient}"
             )
-        return np.einsum("kab,ba->k", self._stacked, a).real
+        return self._coords(a)
+
+    def _coords(self, mats: np.ndarray) -> np.ndarray:
+        """``coeffs`` of every matrix in a (..., n, n) stack, as (..., r)."""
+        n2 = self.dim_ambient**2
+        # Re Tr(e_k m) = Re sum_ab e_k[a, b] m[b, a]
+        flat = mats.swapaxes(-1, -2).reshape(*mats.shape[:-2], n2)
+        return (flat @ self._stacked.reshape(self.dim_span, n2).T).real
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coeffs(m), self._stacked, axes=1)
@@ -228,11 +242,43 @@ def close_under(
     return closed
 
 
+def _pair_products(s: RealSubspace, product: Product) -> np.ndarray:
+    """``product(e_i, e_j)`` for every basis pair, as one (r, r, n, n) array.
+
+    Only for ``jordan`` and ``lie``, whose symmetry makes one stacked matmul
+    ``e_i @ e_j`` enough for both orders.
+    """
+    e = s._stacked
+    p = e[:, None] @ e[None, :]
+    pt = p.swapaxes(0, 1)
+    if product is jordan:
+        return 0.5 * (p + pt)
+    return 0.5j * (p - pt)
+
+
+def _pairs_in_span(s: RealSubspace, product: Product, rtol: float) -> bool:
+    # the decision s.contains makes, for all pairs _product_pairs would visit
+    i, j = np.triu_indices(s.dim_span, 0 if product is jordan else 1)
+    p = _pair_products(s, product)[i, j]
+    res = np.linalg.norm(p - np.tensordot(s._coords(p), s._stacked, axes=1), axis=(1, 2))
+    return bool(np.all(res <= rtol * np.maximum(1.0, np.linalg.norm(p, axis=(1, 2)))))
+
+
 def is_closed_under(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> bool:
-    return all(
-        s.contains(product(s.basis[i], s.basis[j]), rtol)
-        for i, j in _product_pairs(s.dim_span, product)
-    )
+    """Whether every basis-pair product p passes ``s.contains(p, rtol)``.
+
+    Verdicts for ``jordan`` and ``lie`` are memoized on s; any other product
+    callable is evaluated pair by pair on every call.
+    """
+    if product is not jordan and product is not lie:
+        return all(
+            s.contains(product(s.basis[i], s.basis[j]), rtol)
+            for i, j in _product_pairs(s.dim_span, product)
+        )
+    key = (product, rtol)
+    if key not in s._memo:
+        s._memo[key] = _pairs_in_span(s, product, rtol)
+    return s._memo[key]
 
 
 def require_closed(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> None:
@@ -242,15 +288,21 @@ def require_closed(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -
 
 
 def derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
-    """Span of all brackets of L, the derived algebra [L, L]."""
+    """Span of all brackets of L, the derived algebra [L, L]. Memoized on L."""
     require_closed(L, lie, rtol)
+    key = ("derived", rtol)
+    if key in L._memo:
+        return L._memo[key]
     r = L.dim_span
-    brackets = [lie(L.basis[i], L.basis[j]) for i in range(r) for j in range(i + 1, r)]
-    if not brackets:
-        return RealSubspace(dim_ambient=L.dim_ambient, basis=())
-    d0 = span(brackets, rtol)
-    # brackets of basis pairs already span [L, L]; one closure round confirms
-    return close_under(d0, lie, rtol=rtol)
+    if r < 2:
+        d = RealSubspace(dim_ambient=L.dim_ambient, basis=())
+    else:
+        i, j = np.triu_indices(r, 1)
+        brackets = _pair_products(L, lie)[i, j]
+        # brackets of basis pairs already span [L, L]; one closure round confirms
+        d = close_under(span(list(brackets), rtol), lie, rtol=rtol)
+    L._memo[key] = d
+    return d
 
 
 def centralizer(
@@ -277,8 +329,7 @@ def centralizer(
             parts.append(br.real.ravel())
             parts.append(br.imag.ravel())
         cols[:, i] = np.concatenate(parts)
-    sv = np.linalg.svd(cols, compute_uv=False)
-    vh = np.linalg.svd(cols, full_matrices=False)[2]
+    _, sv, vh = np.linalg.svd(cols, full_matrices=False)
     cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
     mats = []
     for i in range(vh.shape[0]):
@@ -346,10 +397,8 @@ def is_semisimple_lie(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     r = L.dim_span
     if r == 0:
         return True
-    ad = np.empty((r, r, r))
-    for x in range(r):
-        for j in range(r):
-            ad[x, :, j] = L.coeffs(lie(L.basis[x], L.basis[j]))
+    # ad[x, k, j] = coefficient of e_k in [e_x, e_j]
+    ad = L._coords(_pair_products(L, lie)).swapaxes(1, 2)
     killing = np.einsum("xij,yji->xy", ad, ad)
     sv = np.linalg.svd(killing, compute_uv=False)
     return float(sv[-1]) > tol.zero_tol * float(sv[0])

@@ -40,8 +40,10 @@ from ljlab import (
     span,
     traceless,
 )
+from ljlab import subspace as subspace_mod
 from ljlab.products import associator
-from ljlab.subspace import RealSubspace
+from ljlab.states import classify, random_state
+from ljlab.subspace import SPAN_RTOL, RealSubspace, require_closed
 
 
 # ---------------------------------------------------------------- bases
@@ -449,3 +451,120 @@ def test_positivity_report_on_zero_subspace():
     z = RealSubspace(dim_ambient=2, basis=())
     rep = check_positivity_closure(z, samples=10, seed=0)
     assert not rep.any_violation
+
+
+# ---------------------------------------------------------------- closedness proofs and memo
+
+
+def _pairwise_closed(s: RealSubspace, product) -> bool:
+    """Oracle: every ordered basis pair, one ``contains`` call each."""
+    return all(s.contains(product(a, b)) for a in s.basis for b in s.basis)
+
+
+def _count_calls(monkeypatch, name: str) -> list[int]:
+    calls = [0]
+    original = getattr(subspace_mod, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(subspace_mod, name, counted)
+    return calls
+
+
+def _near_closed(product, factor: float) -> RealSubspace:
+    """Orthonormal basis with one pair product off the span by factor * SPAN_RTOL.
+
+    The tilt phi turns the last basis direction away from sz (lie) or from
+    the identity (jordan). The product of the first basis pair, -sz / 2 or
+    I / 2, then has norm below 1 and residual sin(phi) / sqrt(2).
+    """
+    phi = np.arcsin(np.sqrt(2.0) * SPAN_RTOL * factor)
+    if product is lie:
+        mats = [SX, SY, np.cos(phi) * SZ + np.sin(phi) * I2]
+    else:
+        mats = [SX, np.cos(phi) * I2 + np.sin(phi) * SZ]
+    basis = []
+    for m in mats:
+        u = m / np.sqrt(2.0)
+        u.setflags(write=False)
+        basis.append(u)
+    return RealSubspace(dim_ambient=2, basis=tuple(basis))
+
+
+def test_batched_closedness_matches_pairwise_oracle():
+    closed = [full_hermitian_space(n) for n in (2, 3, 4)]
+    closed += [block_2_1_algebra()] + [commutative_algebra(3, seed=k) for k in range(4)]
+    for alg in closed:
+        for product in (jordan, lie):
+            assert _pairwise_closed(alg, product)
+            assert is_closed_under(alg, product)
+    for k in range(6):
+        alg = span([random_hermitian(3, seed=100 + 3 * k + j) for j in range(2 + k % 2)])
+        for product in (jordan, lie):
+            assert not _pairwise_closed(alg, product)
+            assert not is_closed_under(alg, product)
+
+
+@pytest.mark.parametrize("product", [jordan, lie])
+def test_closedness_decision_at_the_span_tolerance(product):
+    inside = _near_closed(product, 1.0 - 1e-3)
+    outside = _near_closed(product, 1.0 + 1e-3)
+    assert _pairwise_closed(inside, product)
+    assert is_closed_under(inside, product)
+    assert not _pairwise_closed(outside, product)
+    assert not is_closed_under(outside, product)
+
+
+def test_derived_algebra_is_memoized():
+    full = full_hermitian_space(3)
+    d = derived_algebra(full)
+    assert derived_algebra(full) is d
+    assert derived_algebra(full_hermitian_space(3)) is not d
+    assert derived_algebra(full, rtol=1e-7) is not d
+
+
+def test_second_classify_forms_no_pair_products(monkeypatch):
+    full = full_hermitian_space(3)
+    pairs = _count_calls(monkeypatch, "_pair_products")
+    rounds = _count_calls(monkeypatch, "_close_rounds")
+    first = classify(random_state(3, seed=5), full)
+    assert pairs[0] > 0 and rounds[0] > 0
+    pairs[0] = rounds[0] = 0
+    second = classify(random_state(3, seed=6), full)
+    assert pairs[0] == 0 and rounds[0] == 0
+    assert not first.classical and not second.classical
+
+
+def test_not_closed_raises_on_every_call(monkeypatch):
+    open_alg = span([SX, SY])
+    pairs = _count_calls(monkeypatch, "_pair_products")
+    for _ in range(3):
+        with pytest.raises(NotClosed):
+            require_closed(open_alg, lie)
+        with pytest.raises(NotClosed):
+            derived_algebra(open_alg)
+        with pytest.raises(NotClosed):
+            is_semisimple_lie(open_alg)
+    assert pairs[0] == 1  # the False verdict is proven once and reused
+
+
+def test_closedness_memo_is_per_object_and_skips_custom_products(monkeypatch):
+    mats = [I2, SZ]
+    a, b = span(mats), span(mats)
+    pairs = _count_calls(monkeypatch, "_pair_products")
+    assert is_closed_under(a, jordan) and is_closed_under(a, jordan)
+    assert pairs[0] == 1
+    assert is_closed_under(b, jordan)
+    assert pairs[0] == 2
+    seen = [0]
+
+    def custom(x, y):
+        seen[0] += 1
+        return jordan(x, y)
+
+    for _ in range(2):
+        assert is_closed_under(a, custom)
+    assert seen[0] == 2 * a.dim_span**2
+    assert pairs[0] == 2
