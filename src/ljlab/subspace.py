@@ -1,10 +1,17 @@
 """Real-linear subspaces of Hermitian matrices and closure machinery.
 
-A subspace is stored as a Hilbert-Schmidt-orthonormal basis built by
-sequential Gram-Schmidt. On top of that sit product closures, derived
-algebras, centralizers, commutativity and associativity tests, a Killing
-form nondegeneracy test, generation experiments, and the realization of a
+A subspace is stored as a Hilbert-Schmidt-orthonormal basis built by one
+blocked rank kernel (``_extend``) that works on real row views of the
+matrices. On top of that sit product closures, derived algebras,
+centralizers, commutativity and associativity tests, a Killing form
+nondegeneracy test, generation experiments, and the realization of a
 commuting associative subalgebra as functions on its joint spectrum.
+
+Closures run semi-naive rounds: the basis only grows, and each round ranks
+just the products that involve a direction added in the previous round, in
+fixed-size blocks. A round that starts at the dimension bound (all n^2
+Hermitian matrices, or su(n) under the bracket) confirms closure without
+forming products.
 
 Basis-pair products of ``jordan`` and ``lie`` are formed in one stacked
 matmul. Closedness verdicts and derived algebras are memoized on the
@@ -26,6 +33,7 @@ from .errors import (
     MaxRoundsExceeded,
     NotAssociative,
     NotClosed,
+    ValidationError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -159,33 +167,72 @@ def full_hermitian_space(n: int) -> RealSubspace:
     return RealSubspace(dim_ambient=n, basis=tuple(full_hermitian_basis(n)))
 
 
-def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspace:
-    """Orthonormal basis of the real span, by sequential Gram-Schmidt.
+def _rows(mats: np.ndarray) -> np.ndarray:
+    """Real rows (k, 2n^2) of a (k, n, n) stack; a view when it is contiguous complex.
 
-    Input order is preserved: each matrix is orthogonalized against the
-    basis so far (two projection passes for numerical stability) and kept
-    when its residual exceeds ``rtol * max(1, ||input||)``. Raises
-    EmptyInput for an empty list; an all-zero list yields dim_span 0.
+    The dot product of two rows is Re Tr(a^H b), the Hilbert-Schmidt inner
+    product on Hermitian matrices.
+    """
+    return np.ascontiguousarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
+
+
+def _subspace(n: int, rows: np.ndarray) -> RealSubspace:
+    mats = rows.view(complex).reshape(len(rows), n, n).copy()
+    mats.setflags(write=False)
+    return RealSubspace(dim_ambient=n, basis=tuple(mats))
+
+
+def _extend(basis: np.ndarray, cand: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal rows that extend the orthonormal ``basis`` to also span ``cand``.
+
+    The rank kernel behind ``span`` and the closure rounds. Candidates are
+    judged greedily in input order: one is kept when its residual against
+    ``basis`` and the rows kept before it exceeds ``rtol * max(1, ||c||)``.
+    The whole block is first projected off ``basis`` twice (BLAS-3) and rows
+    already under their threshold are dropped; each survivor is then
+    reorthogonalized, kept or dropped, and a kept row is removed from the
+    survivors after it by a rank-1 update. Raises ValidationError on
+    non-finite candidates, whose residual test would silently fail.
+    """
+    if not np.isfinite(cand).all():
+        raise ValidationError("span input contains NaN or infinite entries")
+    thr = rtol * np.maximum(1.0, np.linalg.norm(cand, axis=1))
+    v = np.array(cand)
+    for _ in range(2):
+        v -= (v @ basis.T) @ basis
+    alive = np.linalg.norm(v, axis=1) > thr
+    v, thr = v[alive], thr[alive]
+    out = np.empty_like(v)
+    k = 0
+    while len(v):
+        x, t, v, thr = v[0], thr[0], v[1:], thr[1:]
+        x = x - (basis @ x) @ basis
+        x = x - (out[:k] @ x) @ out[:k]
+        res = float(np.linalg.norm(x))
+        if res <= t:
+            continue
+        out[k] = x / res
+        k += 1
+        if len(v):
+            v = v - np.outer(v @ out[k - 1], out[k - 1])
+            alive = np.linalg.norm(v, axis=1) > thr
+            v, thr = v[alive], thr[alive]
+    return out[:k]
+
+
+def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspace:
+    """Orthonormal basis of the real span, by the blocked rank kernel.
+
+    Input order is preserved: a matrix is kept when its residual against
+    the span of the matrices kept before it exceeds ``rtol * max(1,
+    ||input||)``. Raises EmptyInput for an empty list and ValidationError
+    for NaN or infinite entries; an all-zero list yields dim_span 0.
     """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
         raise EmptyInput("span of an empty list is undefined; pass at least one matrix")
     n = same_dim(*mats)
-    basis: list[np.ndarray] = []
-    for m in mats:
-        norm_in = hs_norm(m)
-        v = m.astype(complex, copy=True)
-        if basis:
-            stacked = np.stack(basis)
-            for _ in range(2):
-                c = np.einsum("kab,ba->k", stacked, v).real
-                v = v - np.tensordot(c, stacked, axes=1)
-        res = float(np.linalg.norm(v))
-        if res > rtol * max(1.0, norm_in):
-            u = v / res
-            u.setflags(write=False)
-            basis.append(u)
-    return RealSubspace(dim_ambient=n, basis=tuple(basis))
+    return _subspace(n, _extend(np.empty((0, 2 * n * n)), _rows(np.stack(mats)), rtol))
 
 
 def _product_pairs(r: int, product: Product) -> Iterable[tuple[int, int]]:
@@ -197,34 +244,95 @@ def _product_pairs(r: int, product: Product) -> Iterable[tuple[int, int]]:
     return ((i, j) for i in range(r) for j in range(r))
 
 
+#: Products formed and ranked together in a closure round; bounds peak memory.
+_BLOCK = 512
+
+
+def _products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product: Product) -> np.ndarray:
+    """``product(e[i_k], e[j_k])`` for each index pair, as a (k, n, n) stack.
+
+    For ``jordan`` and ``lie`` one stacked matmul gives ``e_i e_j``; its
+    conjugate transpose is ``e_j e_i`` because the basis is Hermitian.
+    """
+    if product is jordan or product is lie:
+        p = e[i] @ e[j]
+        ph = p.conj().swapaxes(1, 2)
+        return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
+    mats = [as_matrix(product(e[a], e[b])) for a, b in zip(i, j)]
+    same_dim(e[0], *mats)
+    return np.stack(mats)
+
+
+def _round_products(e: np.ndarray, new: int, product: Product) -> Iterable[np.ndarray]:
+    """Blocks of the products that involve a basis row ``>= new`` (semi-naive).
+
+    Pairs of older rows were formed in an earlier round, so their products
+    already lie in the span. ``jordan`` and ``lie`` need one order per pair.
+    """
+    r = len(e)
+    if product is jordan or product is lie:
+        i, j = np.tril_indices(r, 0 if product is jordan else -1)
+        fresh = i >= new
+    else:
+        i, j = np.indices((r, r)).reshape(2, -1)
+        fresh = np.maximum(i, j) >= new
+    i, j = i[fresh], j[fresh]
+    for s in range(0, len(i), _BLOCK):
+        yield _products(e, i[s : s + _BLOCK], j[s : s + _BLOCK], product)
+
+
+def _at_dimension_bound(rows: np.ndarray, n: int, product: Product, rtol: float) -> bool:
+    """Whether the span is closed by its dimension alone.
+
+    True at n^2 (every Hermitian matrix) and, for ``lie``, at n^2 - 1 when
+    I / sqrt(n) is orthogonal to the span to ``rtol``: the span is then
+    su(n), and every bracket is traceless.
+    """
+    r = len(rows)
+    if r >= n * n:
+        return True
+    if product is not lie or r != n * n - 1:
+        return False
+    unit = _rows(np.eye(n, dtype=complex)[None])[0] / math.sqrt(n)
+    return float(np.linalg.norm(rows @ unit)) <= rtol
+
+
 def _close_rounds(
     s: RealSubspace,
     product: Product,
     max_rounds: int | None,
     rtol: float,
 ) -> tuple[RealSubspace, int, list[int]]:
+    n = s.dim_ambient
     if max_rounds is None:
         # dim grows by >= 1 per non-final round and is capped by n^2
-        max_rounds = s.dim_ambient**2 + 1
+        max_rounds = n * n + 1
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    trajectory = [s.dim_span]
-    cur = s
+    if s.dim_span == 0:
+        return s, 0, [0]
+    rows = _rows(s._stacked)
+    trajectory = [len(rows)]
     rounds = 0
-    while rounds < max_rounds:
-        if cur.dim_span == 0:
-            return cur, rounds, trajectory
+    new = 0  # rows added by the previous round start here
+    while True:
+        if rounds == max_rounds:
+            raise MaxRoundsExceeded(f"closure still growing after {max_rounds} rounds")
         rounds += 1
-        prods = [
-            product(cur.basis[i], cur.basis[j])
-            for i, j in _product_pairs(cur.dim_span, product)
-        ]
-        nxt = span(list(cur.basis) + prods, rtol)
-        trajectory.append(nxt.dim_span)
-        if nxt.dim_span == cur.dim_span:
-            return nxt, rounds, trajectory
-        cur = nxt
-    raise MaxRoundsExceeded(f"closure still growing after {max_rounds} rounds")
+        r = len(rows)
+        e = rows.view(complex).reshape(r, n, n)
+        # at the bound the round confirms closure without forming products
+        if not _at_dimension_bound(rows, n, product, rtol):
+            for block in _round_products(e, new, product):
+                kept = _extend(rows, _rows(block), rtol)
+                if len(kept):
+                    rows = np.concatenate((rows, kept))
+                    if _at_dimension_bound(rows, n, product, rtol):
+                        break
+        trajectory.append(len(rows))
+        if len(rows) == r:
+            return _subspace(n, rows), rounds, trajectory
+        new = r
 
 
 def close_under(
@@ -235,8 +343,12 @@ def close_under(
 ) -> RealSubspace:
     """Smallest subspace containing s and closed under the given product.
 
-    Breadth-first: each round adjoins all pairwise products of the current
-    basis and re-spans, stopping when the dimension stabilizes. Idempotent.
+    Breadth-first and semi-naive: each round ranks only the products that
+    involve a basis element added in the previous round, appending the new
+    directions to the basis, and the loop stops when a round adds none.
+    Once the span is all Hermitian matrices (or su(n) under ``lie``) the
+    final round forms no products. ``product`` must map Hermitian pairs to
+    Hermitian matrices. Idempotent.
     """
     closed, _, _ = _close_rounds(s, product, max_rounds, rtol)
     return closed

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the package's own span/closure machinery:
 ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
-the quadratic formula.
+the quadratic formula, spans from per-matrix Gram-Schmidt and closures from
+the all-pairs round loop.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import math
 
 import numpy as np
 
-from ljlab import close_under, jordan, span
-from ljlab.subspace import RealSubspace
+from ljlab import EmptyInput, MaxRoundsExceeded, close_under, jordan, lie, span
+from ljlab.linalg import as_matrix, hs_norm, same_dim
+from ljlab.subspace import SPAN_RTOL, RealSubspace
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,3 +82,68 @@ def embed_block(small: np.ndarray) -> np.ndarray:
     m = np.zeros((3, 3), dtype=complex)
     m[:2, :2] = small
     return m
+
+
+def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspace:
+    """Per-matrix Gram-Schmidt span: the reference for the blocked rank kernel.
+
+    Input order is preserved: each matrix is orthogonalized against the
+    basis so far (two projection passes) and kept when its residual exceeds
+    ``rtol * max(1, ||input||)``.
+    """
+    mats = [as_matrix(m) for m in matrices]
+    if not mats:
+        raise EmptyInput("span of an empty list is undefined; pass at least one matrix")
+    n = same_dim(*mats)
+    basis: list[np.ndarray] = []
+    for m in mats:
+        norm_in = hs_norm(m)
+        v = m.astype(complex, copy=True)
+        if basis:
+            stacked = np.stack(basis)
+            for _ in range(2):
+                c = np.einsum("kab,ba->k", stacked, v).real
+                v = v - np.tensordot(c, stacked, axes=1)
+        res = float(np.linalg.norm(v))
+        if res > rtol * max(1.0, norm_in):
+            u = v / res
+            u.setflags(write=False)
+            basis.append(u)
+    return RealSubspace(dim_ambient=n, basis=tuple(basis))
+
+
+def _all_product_pairs(r: int, product) -> list[tuple[int, int]]:
+    if product is jordan:
+        return [(i, j) for i in range(r) for j in range(i, r)]
+    if product is lie:
+        return [(i, j) for i in range(r) for j in range(i + 1, r)]
+    return [(i, j) for i in range(r) for j in range(r)]
+
+
+def naive_close(
+    s: RealSubspace, product, max_rounds: int | None = None, rtol: float = SPAN_RTOL
+) -> tuple[RealSubspace, int, list[int]]:
+    """All-pairs closure rounds on ``sequential_span``: (closure, rounds, trajectory).
+
+    Every round re-spans the basis with all its pairwise products and the
+    loop stops at the first round that does not grow the dimension.
+    """
+    if max_rounds is None:
+        max_rounds = s.dim_ambient**2 + 1
+    trajectory = [s.dim_span]
+    cur = s
+    rounds = 0
+    while rounds < max_rounds:
+        if cur.dim_span == 0:
+            return cur, rounds, trajectory
+        rounds += 1
+        prods = [
+            product(cur.basis[i], cur.basis[j])
+            for i, j in _all_product_pairs(cur.dim_span, product)
+        ]
+        nxt = sequential_span(list(cur.basis) + prods, rtol)
+        trajectory.append(nxt.dim_span)
+        if nxt.dim_span == cur.dim_span:
+            return nxt, rounds, trajectory
+        cur = nxt
+    raise MaxRoundsExceeded(f"closure still growing after {max_rounds} rounds")

@@ -1,0 +1,229 @@
+"""The blocked rank kernel and semi-naive closure against independent oracles.
+
+``sequential_span`` (per-matrix Gram-Schmidt) and ``naive_close`` (all-pairs
+rounds on it) in ``helpers`` are the references: every keep/drop decision,
+closure dimension, round count and trajectory must match them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from helpers import SX, SY, naive_close, rank_of, sequential_span
+from ljlab import (
+    MaxRoundsExceeded,
+    ValidationError,
+    full_hermitian_basis,
+    full_hermitian_space,
+    jordan,
+    jordan_generate_three,
+    lie,
+    lie_generate,
+    random_hermitian,
+    span,
+    traceless,
+)
+from ljlab import subspace as subspace_mod
+from ljlab.subspace import SPAN_RTOL
+
+
+def _custom(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A Hermitian-valued bilinear product that is neither symmetric nor antisymmetric."""
+    return jordan(a, b) + 0.5 * lie(a, b)
+
+
+def _one_sided(k: np.ndarray):
+    """Bilinear product Tr(a) k b k^H. Basis elements after the first are
+    traceless, so later rounds grow only through products with an old
+    element on the left: a closure that formed one order would stall."""
+    return lambda a, b: np.trace(a).real * (k @ b @ k.conj().T)
+
+
+def _record_products(monkeypatch) -> list[int]:
+    """Round-start basis size of every product-kernel call."""
+    sizes: list[int] = []
+    original = subspace_mod._products
+
+    def recorded(e, i, j, product):
+        sizes.append(len(e))
+        return original(e, i, j, product)
+
+    monkeypatch.setattr(subspace_mod, "_products", recorded)
+    return sizes
+
+
+def _block_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    k = n // 2
+    out = []
+    for t in range(2):
+        m = np.zeros((n, n), dtype=complex)
+        m[:k, :k] = random_hermitian(k, seed=seed + 2 * t)
+        m[k:, k:] = random_hermitian(n - k, seed=seed + 2 * t + 1)
+        out.append(m)
+    return out[0], out[1]
+
+
+def _commuting_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    u = np.linalg.eigh(random_hermitian(n, seed=seed))[1]
+    rng = np.random.default_rng(seed)
+    return tuple(u @ np.diag(rng.standard_normal(n)) @ u.conj().T for _ in range(2))
+
+
+# ---------------------------------------------------------------- span
+
+
+def test_span_matches_sequential_oracle_on_well_conditioned_inputs():
+    for n in range(2, 9):
+        for trial in range(4):
+            rng = np.random.default_rng(100 * n + trial)
+            k = int(rng.integers(1, min(n * n, 12) + 1))
+            pool = [random_hermitian(n, seed=1000 * n + 10 * trial + j) for j in range(k)]
+            mats = []
+            for p in pool:
+                mats.append(p)
+                if rng.random() < 0.5:
+                    c = rng.standard_normal(len(mats))
+                    mats.append(sum(x * m for x, m in zip(c, mats)))
+            got, ref = span(mats), sequential_span(mats)
+            assert got.dim_span == ref.dim_span == k
+            for u, v in zip(got.basis, ref.basis):
+                np.testing.assert_allclose(u, v, rtol=0, atol=1e-12)
+
+
+def test_span_decisions_match_sequential_oracle_near_the_tolerance():
+    """Residuals swept from 1e-12 to 1e-5 of the input norm, across SPAN_RTOL."""
+    kept = dropped = 0
+    for trial in range(300):
+        rng = np.random.default_rng(trial)
+        n = int(rng.integers(2, 6))
+        k = int(rng.integers(1, min(n * n - 1, 6) + 1))
+        pool = [random_hermitian(n, seed=7000 + 10 * trial + j) for j in range(k)]
+        # a unit direction orthogonal to the pool, from an SVD of real vectorizations
+        rows = np.stack([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in pool])
+        extra = random_hermitian(n, seed=9000 + trial)
+        x = np.concatenate([extra.real.ravel(), extra.imag.ravel()])
+        q = np.linalg.svd(rows, full_matrices=False)[2]
+        x = x - q.T @ (q @ x)
+        w = (x[: n * n] + 1j * x[n * n :]).reshape(n, n)
+        w = w / np.linalg.norm(w)
+        inside = sum(c * p for c, p in zip(rng.standard_normal(k), pool))
+        inside = inside * (10.0 ** rng.uniform(-1, 1) / np.linalg.norm(inside))
+        rel = 10.0 ** rng.uniform(-12, -5)
+        near = inside + rel * np.linalg.norm(inside) * w
+        mats = list(pool)
+        mats.insert(int(rng.integers(0, k + 1)), near)
+        got, ref = span(mats), sequential_span(mats)
+        assert got.dim_span == ref.dim_span, f"trial {trial}: rel residual {rel:.3e}"
+        # the same decisions when a prefix is already the kernel's basis
+        cut = int(rng.integers(1, k + 1))
+        head = span(mats[:cut])
+        tail = np.stack([np.asarray(m, dtype=complex) for m in mats[cut:]])
+        added = subspace_mod._extend(subspace_mod._rows(head._stacked), subspace_mod._rows(tail), SPAN_RTOL)
+        assert head.dim_span + len(added) == ref.dim_span, f"trial {trial}: split at {cut}"
+        if got.dim_span > k:
+            kept += 1
+        else:
+            dropped += 1
+    assert kept > 50 and dropped > 50  # the sweep really straddles SPAN_RTOL
+
+
+def test_span_rejects_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = SX.copy()
+        m[0, 1] = bad
+        with pytest.raises(ValidationError):
+            span([SX, m])
+        with pytest.raises(ValidationError):
+            lie_generate(m, SY)
+        with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
+            jordan_generate_three(SX, m)
+
+
+# ---------------------------------------------------------------- closure
+
+
+def _closure_cases():
+    """(label, product, seed matrices): the seeds the generation experiments span."""
+    for n in range(2, 7):
+        a, b = random_hermitian(n, seed=40 + n), random_hermitian(n, seed=60 + n)
+        yield f"lie-traceless-n{n}", lie, [traceless(a), traceless(b)]
+        yield f"lie-trace-n{n}", lie, [a, b]
+        yield f"jordan3-n{n}", jordan, [a, b, lie(a, b), np.eye(n, dtype=complex)]
+    for n in (4, 5, 6):
+        for label, (a, b) in (("block", _block_pair(n, 80 + n)), ("commuting", _commuting_pair(n, 90 + n))):
+            yield f"lie-{label}-n{n}", lie, [a, b]
+            yield f"jordan3-{label}-n{n}", jordan, [a, b, lie(a, b), np.eye(n, dtype=complex)]
+    for n in (2, 3, 4):
+        a, b = random_hermitian(n, seed=20 + n), random_hermitian(n, seed=30 + n)
+        yield f"custom-n{n}", _custom, [a, b]
+        yield f"custom-block-n{n}", _custom, list(_block_pair(n, 50 + n))
+        k = random_hermitian(n, seed=70 + n) + 1j * random_hermitian(n, seed=80 + n)
+        yield f"one-sided-n{n}", _one_sided(k), [np.eye(n, dtype=complex), random_hermitian(n, seed=90 + n)]
+
+
+@pytest.mark.parametrize("label,product,seeds", list(_closure_cases()))
+def test_closure_matches_naive_all_pairs_rounds(label, product, seeds):
+    closed, rounds, trajectory = subspace_mod._close_rounds(span(seeds), product, None, SPAN_RTOL)
+    ref, ref_rounds, ref_trajectory = naive_close(sequential_span(seeds), product)
+    assert (closed.dim_span, rounds, trajectory) == (ref.dim_span, ref_rounds, ref_trajectory)
+    assert rank_of(list(closed.basis) + list(ref.basis), tol=1e-10) == ref.dim_span
+    # the round budget fails at exactly the same count
+    subspace_mod._close_rounds(span(seeds), product, rounds, SPAN_RTOL)
+    if rounds > 1:
+        with pytest.raises(MaxRoundsExceeded):
+            subspace_mod._close_rounds(span(seeds), product, rounds - 1, SPAN_RTOL)
+        with pytest.raises(MaxRoundsExceeded):
+            naive_close(sequential_span(seeds), product, rounds - 1)
+
+
+def test_generation_reports_match_naive_rounds():
+    for n in range(2, 7):
+        a, b = random_hermitian(n, seed=2 * n), random_hermitian(n, seed=2 * n + 1)
+        x, y = traceless(a), traceless(b)
+        rep = lie_generate(x, y)
+        _, rounds, trajectory = naive_close(sequential_span([x, y]), lie)
+        assert rep.generated and (rep.rounds, list(rep.trajectory)) == (rounds, trajectory)
+        rep = jordan_generate_three(a, b)
+        seeds = [a, b, lie(a, b), np.eye(n, dtype=complex)]
+        _, rounds, trajectory = naive_close(sequential_span(seeds), jordan)
+        assert rep.generated and (rep.rounds, list(rep.trajectory)) == (rounds, trajectory)
+
+
+def test_confirming_round_at_the_dimension_bound_forms_no_products(monkeypatch):
+    sizes = _record_products(monkeypatch)
+    for n in (2, 3, 4, 5):
+        a, b = random_hermitian(n, seed=300 + n), random_hermitian(n, seed=400 + n)
+        sizes.clear()
+        rep = jordan_generate_three(a, b)
+        assert rep.closure_dim == n * n and rep.trajectory[-2:] == (n * n, n * n)
+        assert max(sizes, default=0) < n * n
+        sizes.clear()
+        rep = lie_generate(traceless(a), traceless(b))  # stops at su(n)
+        assert rep.closure_dim == n * n - 1 and rep.trajectory[-2:] == (n * n - 1,) * 2
+        assert sizes and max(sizes) < n * n - 1
+
+
+def test_closure_starting_at_the_bound_forms_no_products(monkeypatch):
+    sizes = _record_products(monkeypatch)
+    calls = [0]
+
+    def custom(x, y):
+        calls[0] += 1
+        return _custom(x, y)
+
+    full = full_hermitian_space(3)
+    su3 = span([traceless(m) for m in full_hermitian_basis(3)])
+    assert su3.dim_span == 8
+    for s, product in ((full, jordan), (full, lie), (full, custom), (su3, lie)):
+        _, rounds, trajectory = subspace_mod._close_rounds(s, product, None, SPAN_RTOL)
+        assert (rounds, trajectory) == (1, [s.dim_span] * 2)
+    assert sizes == [] and calls[0] == 0
+    # su(3) is not Jordan-closed, and n^2 - 1 with the identity inside is not su(n)
+    almost = span([np.eye(2, dtype=complex), SX, SY])
+    for s, product in ((su3, jordan), (almost, lie)):
+        got = subspace_mod._close_rounds(s, product, None, SPAN_RTOL)
+        ref = naive_close(s, product)
+        assert (got[0].dim_span, got[1], got[2]) == (ref[0].dim_span, ref[1], ref[2])
+        assert got[0].dim_span == s.dim_ambient**2
+    assert sizes

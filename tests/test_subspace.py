@@ -91,15 +91,16 @@ def test_span_empty_input_raises():
 
 
 def test_span_rank_matches_svd_oracle():
-    for i in range(50):
-        rng = np.random.default_rng(i)
-        k = int(rng.integers(1, 8))
-        mats = []
-        pool = [random_hermitian(3, seed=100 * i + j) for j in range(4)]
-        for _ in range(k):
-            coeff = rng.standard_normal(4)
-            mats.append(sum(c * p for c, p in zip(coeff, pool)))
-        assert span(mats).dim_span == rank_of(mats)
+    for n in range(2, 9):
+        for i in range(50):
+            rng = np.random.default_rng(i)
+            k = int(rng.integers(1, 8))
+            mats = []
+            pool = [random_hermitian(n, seed=100 * i + j) for j in range(4)]
+            for _ in range(k):
+                coeff = rng.standard_normal(4)
+                mats.append(sum(c * p for c, p in zip(coeff, pool)))
+            assert span(mats).dim_span == rank_of(mats)
 
 
 def test_span_is_deterministic():
