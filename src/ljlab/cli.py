@@ -42,13 +42,12 @@ from .jsonio import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    dagger,
     derive_seed,
-    gaussian_complex,
     random_hermitian,
     traceless,
 )
 from .products import (
+    IdentityReport,
     check_associator_identity,
     check_jacobi,
     check_leibniz,
@@ -224,43 +223,31 @@ def _config_from_args(args: argparse.Namespace) -> SessionConfig:
     )
 
 
-def _rand_herm(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = gaussian_complex(rng, n)
-    return 0.5 * (g + dagger(g))
-
-
-_CHECKERS: tuple[tuple[str, int], ...] = (
-    ("jacobi", 3),
-    ("leibniz", 3),
-    ("associator-identity", 3),
-    ("weak-associativity", 2),
-    ("norm-axioms", 2),
+_CHECKERS: tuple[tuple[str, Callable[..., IdentityReport], int], ...] = (
+    ("jacobi", check_jacobi, 3),
+    ("leibniz", check_leibniz, 3),
+    ("associator-identity", check_associator_identity, 3),
+    ("weak-associativity", check_weak_associativity, 2),
+    ("norm-axioms", check_norm_axioms, 2),
 )
 
 
 def cmd_verify(cfg: SessionConfig) -> tuple[Report, bool]:
     dims = (cfg.dim,) if cfg.dim is not None else SWEEP_DIMS
-    fns = {
-        "jacobi": check_jacobi,
-        "leibniz": check_leibniz,
-        "associator-identity": check_associator_identity,
-        "weak-associativity": check_weak_associativity,
-        "norm-axioms": check_norm_axioms,
-    }
     checks: list[dict[str, Any]] = []
     trial_index = 0
     for n in dims:
-        worst = {name: 0.0 for name, _ in _CHECKERS}
-        ok = {name: True for name, _ in _CHECKERS}
+        worst = {name: 0.0 for name, _, _ in _CHECKERS}
+        ok = {name: True for name, _, _ in _CHECKERS}
         for _ in range(cfg.trials):
             rng = np.random.default_rng(derive_seed(cfg.seed, trial_index))
             trial_index += 1
-            a, b, c = (_rand_herm(rng, n) for _ in range(3))
-            for name, arity in _CHECKERS:
-                rep = fns[name](a, b, c, cfg.tol) if arity == 3 else fns[name](a, b, cfg.tol)
+            abc = tuple(random_hermitian(n, rng) for _ in range(3))
+            for name, check, arity in _CHECKERS:
+                rep = check(*abc[:arity], cfg.tol)
                 worst[name] = max(worst[name], rep.residual)
                 ok[name] = ok[name] and rep.passed
-        for name, _ in _CHECKERS:
+        for name, _, _ in _CHECKERS:
             checks.append(
                 {
                     "name": name,
@@ -462,6 +449,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         report, ok = _COMMANDS[args.command](cfg)
+        text = dumps_report(report.to_json())
+        if cfg.out is not None:
+            # written before stdout, so a failed write leaves no partial report
+            try:
+                with open(cfg.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValidationError(f"cannot write {cfg.out}: {exc}") from exc
     except (ValidationError, DimensionMismatch, NotHermitian, NotInSpan, EmptyInput) as exc:
         # bad input data, same footing as bad flags
         print(f"error: {exc}", file=sys.stderr)
@@ -469,11 +464,7 @@ def main(argv: list[str] | None = None) -> int:
     except CriteriaDisagree as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = dumps_report(report.to_json())
     print(text)
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
     elapsed = time.perf_counter() - start
     print(f"{args.command}: done in {elapsed:.2f}s", file=sys.stderr)
     return 0 if ok else 1

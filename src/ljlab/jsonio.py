@@ -74,7 +74,10 @@ def subspace_from_json(obj: Any) -> tuple[int, list[np.ndarray]]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("subspace payload needs a nonempty 'matrices' list")
     mats = [matrix_from_json(item) for item in raw]
-    dim = int(obj.get("dim", mats[0].shape[0]))
+    try:
+        dim = int(obj.get("dim", mats[0].shape[0]))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"subspace dim not an integer: {exc}") from exc
     for m in mats:
         if m.shape[0] != dim:
             raise ValidationError(
@@ -89,6 +92,8 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 

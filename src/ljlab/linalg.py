@@ -177,8 +177,8 @@ def gaussian_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_hermitian(n: int, seed: int) -> np.ndarray:
-    """GUE-style sample: (G + G^dagger) / 2 for Gaussian G."""
+def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """GUE-style sample (G + G^dagger) / 2; ``seed`` may also be a Generator."""
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
     g = gaussian_complex(np.random.default_rng(seed), n)

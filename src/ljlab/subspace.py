@@ -13,9 +13,13 @@ fixed-size blocks. A round that starts at the dimension bound (all n^2
 Hermitian matrices, or su(n) under the bracket) confirms closure without
 forming products.
 
-Basis-pair products of ``jordan`` and ``lie`` are formed in one stacked
-matmul. Closedness verdicts and derived algebras are memoized on the
-(immutable) subspace, so an algebra queried many times is proven closed once.
+Closure rounds and the pair queries (closedness, derived algebra, Killing
+form, commutator defect, centralizer) form basis-pair products with one
+batched kernel (``_products``). A subspace is closed under a product exactly
+when a closure round from it would add nothing: closedness is decided by the
+round's own pair rule (``_product_pairs``) and rank test (``_extend``).
+Closedness verdicts and derived algebras are memoized on the (immutable)
+subspace, so an algebra queried many times is proven closed once.
 """
 
 from __future__ import annotations
@@ -235,13 +239,17 @@ def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspac
     return _subspace(n, _extend(np.empty((0, 2 * n * n)), _rows(np.stack(mats)), rtol))
 
 
-def _product_pairs(r: int, product: Product) -> Iterable[tuple[int, int]]:
-    # exploit symmetry of the named products; arbitrary callables get all pairs
-    if product is jordan:
-        return ((i, j) for i in range(r) for j in range(i, r))
-    if product is lie:
-        return ((i, j) for i in range(r) for j in range(i + 1, r))
-    return ((i, j) for i in range(r) for j in range(r))
+def _product_pairs(r: int, product: Product) -> np.ndarray:
+    """Basis index pairs ``(i, j)`` whose products a closure round forms, as (k, 2).
+
+    ``jordan`` is symmetric and ``lie`` antisymmetric with ``[e, e] = 0``,
+    so they need i >= j and i > j; any other callable gets every ordered
+    pair, row-major. Closure rounds and ``is_closed_under`` share this rule,
+    so closedness is exactly "a closure round adds nothing".
+    """
+    if product is jordan or product is lie:
+        return np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
+    return np.indices((r, r)).reshape(2, -1).T
 
 
 #: Products formed and ranked together in a closure round; bounds peak memory.
@@ -267,15 +275,10 @@ def _round_products(e: np.ndarray, new: int, product: Product) -> Iterable[np.nd
     """Blocks of the products that involve a basis row ``>= new`` (semi-naive).
 
     Pairs of older rows were formed in an earlier round, so their products
-    already lie in the span. ``jordan`` and ``lie`` need one order per pair.
+    already lie in the span.
     """
-    r = len(e)
-    if product is jordan or product is lie:
-        i, j = np.tril_indices(r, 0 if product is jordan else -1)
-        fresh = i >= new
-    else:
-        i, j = np.indices((r, r)).reshape(2, -1)
-        fresh = np.maximum(i, j) >= new
+    i, j = _product_pairs(len(e), product).T
+    fresh = np.maximum(i, j) >= new
     i, j = i[fresh], j[fresh]
     for s in range(0, len(i), _BLOCK):
         yield _products(e, i[s : s + _BLOCK], j[s : s + _BLOCK], product)
@@ -354,43 +357,26 @@ def close_under(
     return closed
 
 
-def _pair_products(s: RealSubspace, product: Product) -> np.ndarray:
-    """``product(e_i, e_j)`` for every basis pair, as one (r, r, n, n) array.
-
-    Only for ``jordan`` and ``lie``, whose symmetry makes one stacked matmul
-    ``e_i @ e_j`` enough for both orders.
-    """
-    e = s._stacked
-    p = e[:, None] @ e[None, :]
-    pt = p.swapaxes(0, 1)
-    if product is jordan:
-        return 0.5 * (p + pt)
-    return 0.5j * (p - pt)
-
-
-def _pairs_in_span(s: RealSubspace, product: Product, rtol: float) -> bool:
-    # the decision s.contains makes, for all pairs _product_pairs would visit
-    i, j = np.triu_indices(s.dim_span, 0 if product is jordan else 1)
-    p = _pair_products(s, product)[i, j]
-    res = np.linalg.norm(p - np.tensordot(s._coords(p), s._stacked, axes=1), axis=(1, 2))
-    return bool(np.all(res <= rtol * np.maximum(1.0, np.linalg.norm(p, axis=(1, 2)))))
-
-
 def is_closed_under(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> bool:
-    """Whether every basis-pair product p passes ``s.contains(p, rtol)``.
+    """Whether a closure round from s would add nothing.
 
-    Verdicts for ``jordan`` and ``lie`` are memoized on s; any other product
-    callable is evaluated pair by pair on every call.
+    Every product of ``_product_pairs`` is ranked against the basis by the
+    closure rounds' own keep test (``_extend``): it lies in the span when
+    its residual is at most ``rtol * max(1, ||p||)``, the rule ``contains``
+    applies to a single matrix. Verdicts for ``jordan`` and ``lie`` are
+    memoized on s; any other product callable is evaluated on every call.
     """
-    if product is not jordan and product is not lie:
-        return all(
-            s.contains(product(s.basis[i], s.basis[j]), rtol)
-            for i, j in _product_pairs(s.dim_span, product)
-        )
     key = (product, rtol)
-    if key not in s._memo:
-        s._memo[key] = _pairs_in_span(s, product, rtol)
-    return s._memo[key]
+    if key in s._memo:
+        return s._memo[key]
+    # a 0-dimensional s yields no blocks, so _rows never sees an empty stack
+    closed = not any(
+        len(_extend(_rows(s._stacked), _rows(block), rtol))
+        for block in _round_products(s._stacked, 0, product)
+    )
+    if product is jordan or product is lie:
+        s._memo[key] = closed
+    return closed
 
 
 def require_closed(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> None:
@@ -410,7 +396,7 @@ def derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
         d = RealSubspace(dim_ambient=L.dim_ambient, basis=())
     else:
         i, j = np.triu_indices(r, 1)
-        brackets = _pair_products(L, lie)[i, j]
+        brackets = _products(L._stacked, i, j, lie)
         # brackets of basis pairs already span [L, L]; one closure round confirms
         d = close_under(span(list(brackets), rtol), lie, rtol=rtol)
     L._memo[key] = d
@@ -433,14 +419,10 @@ def centralizer(
     if L.dim_span == 0 or S.dim_span == 0:
         return L
     n = L.dim_ambient
-    cols = np.empty((2 * n * n * S.dim_span, L.dim_span))
-    for i, e in enumerate(L.basis):
-        parts = []
-        for s in S.basis:
-            br = lie(e, s)
-            parts.append(br.real.ravel())
-            parts.append(br.imag.ravel())
-        cols[:, i] = np.concatenate(parts)
+    # column i: Re and Im of [e_i, s_j] for each j in turn
+    i, j = np.divmod(np.arange(L.dim_span * S.dim_span), S.dim_span)
+    br = _products(np.concatenate((L._stacked, S._stacked)), i, L.dim_span + j, lie)
+    cols = np.stack((br.real, br.imag), axis=1).reshape(L.dim_span, -1).T
     _, sv, vh = np.linalg.svd(cols, full_matrices=False)
     cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
     mats = []
@@ -454,16 +436,17 @@ def centralizer(
 
 
 def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
-    """Largest bracket norm over basis pairs and the index pair attaining it."""
-    best = 0.0
-    arg: tuple[int, int] | None = None
-    r = L.dim_span
-    for i in range(r):
-        for j in range(i + 1, r):
-            v = spectral_norm(lie(L.basis[i], L.basis[j]))
-            if v > best:
-                best, arg = v, (i, j)
-    return best, arg
+    """Largest bracket norm over basis pairs and the index pair attaining it.
+
+    Ties go to the first pair in row-major i < j order; (0.0, None) when
+    every bracket vanishes.
+    """
+    i, j = np.triu_indices(L.dim_span, 1)
+    norms = np.linalg.norm(_products(L._stacked, i, j, lie), 2, axis=(1, 2))
+    if not (norms > 0.0).any():
+        return 0.0, None
+    k = int(np.argmax(norms))
+    return float(norms[k]), (int(i[k]), int(j[k]))
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
@@ -510,7 +493,8 @@ def is_semisimple_lie(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     if r == 0:
         return True
     # ad[x, k, j] = coefficient of e_k in [e_x, e_j]
-    ad = L._coords(_pair_products(L, lie)).swapaxes(1, 2)
+    x, j = np.indices((r, r)).reshape(2, -1)
+    ad = L._coords(_products(L._stacked, x, j, lie)).reshape(r, r, r).swapaxes(1, 2)
     killing = np.einsum("xij,yji->xy", ad, ad)
     sv = np.linalg.svd(killing, compute_uv=False)
     return float(sv[-1]) > tol.zero_tol * float(sv[0])

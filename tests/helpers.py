@@ -2,8 +2,8 @@
 
 Oracles here deliberately avoid the package's own span/closure machinery:
 ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
-the quadratic formula, spans from per-matrix Gram-Schmidt and closures from
-the all-pairs round loop.
+the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
+the all-pairs round loop, and bracket queries from per-pair loops.
 """
 
 from __future__ import annotations
@@ -12,8 +12,16 @@ import math
 
 import numpy as np
 
-from ljlab import EmptyInput, MaxRoundsExceeded, close_under, jordan, lie, span
-from ljlab.linalg import as_matrix, hs_norm, same_dim
+from ljlab import (
+    DimensionMismatch,
+    EmptyInput,
+    MaxRoundsExceeded,
+    close_under,
+    jordan,
+    lie,
+    span,
+)
+from ljlab.linalg import DEFAULT_TOL, Tolerance, as_matrix, hs_norm, same_dim, spectral_norm
 from ljlab.subspace import SPAN_RTOL, RealSubspace
 
 I2 = np.eye(2, dtype=complex)
@@ -147,3 +155,47 @@ def naive_close(
             return nxt, rounds, trajectory
         cur = nxt
     raise MaxRoundsExceeded(f"closure still growing after {max_rounds} rounds")
+
+
+def loop_commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
+    """Per-pair loop reference for ``commutator_defect``."""
+    best = 0.0
+    arg: tuple[int, int] | None = None
+    r = L.dim_span
+    for i in range(r):
+        for j in range(i + 1, r):
+            v = spectral_norm(lie(L.basis[i], L.basis[j]))
+            if v > best:
+                best, arg = v, (i, j)
+    return best, arg
+
+
+def loop_centralizer(
+    L: RealSubspace, S: RealSubspace, tol: Tolerance = DEFAULT_TOL
+) -> RealSubspace:
+    """Per-pair loop reference for ``centralizer``: one column per basis element of L."""
+    if L.dim_ambient != S.dim_ambient:
+        raise DimensionMismatch(
+            f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}"
+        )
+    if L.dim_span == 0 or S.dim_span == 0:
+        return L
+    n = L.dim_ambient
+    cols = np.empty((2 * n * n * S.dim_span, L.dim_span))
+    for i, e in enumerate(L.basis):
+        parts = []
+        for s in S.basis:
+            br = lie(e, s)
+            parts.append(br.real.ravel())
+            parts.append(br.imag.ravel())
+        cols[:, i] = np.concatenate(parts)
+    _, sv, vh = np.linalg.svd(cols, full_matrices=False)
+    cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
+    mats = []
+    for i in range(vh.shape[0]):
+        if i < sv.size and sv[i] > cut:
+            continue
+        m = np.tensordot(vh[i], L._stacked, axes=1)
+        m.setflags(write=False)
+        mats.append(m)
+    return RealSubspace(dim_ambient=n, basis=tuple(mats))

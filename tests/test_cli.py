@@ -138,6 +138,29 @@ def test_classify_rejects_dim_mismatch(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("dim", ["x", None])
+def test_classify_rejects_malformed_algebra_dim(tmp_path, dim):
+    state = write_json(tmp_path / "s.json", mixed_state_payload(2))
+    payload = diag_algebra_payload(2)
+    payload["dim"] = dim
+    algebra = write_json(tmp_path / "alg.json", payload)
+    res = run_cli("classify", "--in", state, "--algebra", algebra)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_classify_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b'{"dim": 2, "re": "\xff\xfe"}')
+    res = run_cli("classify", "--in", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "UTF-8" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_generate_rejects_mismatched_pair(tmp_path):
     payload = {
         "a": matrix_to_json(np.eye(2, dtype=complex)),
@@ -185,6 +208,15 @@ def test_witness_out_file_matches_stdout(tmp_path):
     )
     assert res.returncode == 0
     assert out.read_text().strip() == res.stdout.strip()
+
+
+def test_out_to_unwritable_path_exits_two_with_no_report(tmp_path):
+    out = tmp_path / "missing-dir" / "report.json"
+    res = run_cli("witness", "--kind", "avr", "--dim", "2", "--budget", "20", "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""  # no partial report
+    assert res.stderr.startswith(f"error: cannot write {out}: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- generate

@@ -75,6 +75,12 @@ def test_subspace_validation():
         subspace_from_json(mixed)
 
 
+@pytest.mark.parametrize("dim", ["x", None, [2]])
+def test_subspace_dim_must_be_an_integer(dim):
+    with pytest.raises(ValidationError, match="dim"):
+        subspace_from_json({"dim": dim, "matrices": [matrix_to_json(np.eye(2))]})
+
+
 def test_dumps_report_is_canonical():
     a = dumps_report({"b": 1, "a": {"z": 2, "y": 3}})
     b = dumps_report({"a": {"y": 3, "z": 2}, "b": 1})
@@ -88,4 +94,11 @@ def test_load_json_file_missing(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
+        load_json_file(str(bad))
+
+
+def test_load_json_file_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"dim": "\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ValidationError, match="UTF-8"):
         load_json_file(str(bad))

@@ -127,6 +127,16 @@ def test_random_hermitian_properties():
         assert is_hermitian(m)
 
 
+def test_random_hermitian_draws_from_a_generator():
+    rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(3):
+        g = ref.standard_normal((4, 4)) + 1j * ref.standard_normal((4, 4))
+        np.testing.assert_array_equal(random_hermitian(4, rng), 0.5 * (g + g.conj().T))
+    np.testing.assert_array_equal(
+        random_hermitian(4, np.random.default_rng(9)), random_hermitian(4, seed=9)
+    )
+
+
 def test_random_density_properties():
     np.testing.assert_allclose(random_density(1, seed=0), [[1.0]])
     for i in range(50):

@@ -10,6 +10,9 @@ from helpers import (
     SZ,
     block_2_1_algebra,
     commutative_algebra,
+    loop_centralizer,
+    loop_commutator_defect,
+    random_unitary,
     rank_of,
 )
 from ljlab import (
@@ -222,6 +225,39 @@ def test_centralizer_basis_is_orthonormal():
     assert c.dim_span == 5
 
 
+def _projector(s: RealSubspace) -> np.ndarray:
+    """Orthogonal projector onto s in real (Re | Im) vectorization coordinates."""
+    n2 = s.dim_ambient**2
+    rows = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in s.basis])
+    return rows.T @ rows if len(rows) else np.zeros((2 * n2, 2 * n2))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_centralizer_matches_loop_oracle(n):
+    rng = np.random.default_rng(60 + n)
+    u = random_unitary(n, rng)
+    degenerate = u @ np.diag([1.0] * (n - 1) + [2.0]) @ u.conj().T
+    rand = [random_hermitian(n, seed=200 + 10 * n + k) for k in range(6)]
+    full = full_hermitian_space(n)
+    comm = commutative_algebra(n, seed=n)
+    cases = [
+        (full, span(rand[:1])),
+        (full, span(rand[:2])),
+        (full, span([degenerate])),
+        (full, comm),
+        (comm, comm),
+        (span(rand[:5]), span(rand[5:])),
+        (span(rand[:4] + [degenerate]), span([degenerate])),
+    ]
+    dims = set()
+    for L, S in cases:
+        got, want = centralizer(L, S), loop_centralizer(L, S)
+        assert got.dim_span == want.dim_span
+        np.testing.assert_allclose(_projector(got), _projector(want), atol=1e-10)
+        dims.add(got.dim_span)
+    assert dims >= {0, 1, n}
+
+
 # ---------------------------------------------------------------- commutativity / associativity
 
 
@@ -248,6 +284,23 @@ def test_defect_certificates_are_reproducible():
     direct = associator(full.basis[i], full.basis[j], full.basis[k])
     assert np.linalg.norm(direct, 2) == pytest.approx(ares)
     assert ares > 0.1
+
+
+def test_commutator_defect_matches_loop_oracle():
+    exact = [full_hermitian_space(n) for n in (2, 3, 4)] + [block_2_1_algebra()]
+    commuting = [commutative_algebra(n, seed=k) for n in (3, 4) for k in range(4)]
+    for alg in exact + commuting:
+        value, pair = commutator_defect(alg)
+        ref_value, ref_pair = loop_commutator_defect(alg)
+        assert value == pytest.approx(ref_value, abs=1e-12)
+        if alg in exact:
+            # many pairs tie at the maximum; both take the first in i < j order
+            assert pair == ref_pair
+        else:
+            # every bracket is roundoff, so which pair is largest is noise
+            assert value <= 1e-12
+    assert commutator_defect(span([SZ])) == (0.0, None)
+    assert commutator_defect(span([I2, SZ])) == loop_commutator_defect(span([I2, SZ]))
 
 
 def test_commutativity_checks_require_closure():
@@ -508,6 +561,32 @@ def test_batched_closedness_matches_pairwise_oracle():
             assert not is_closed_under(alg, product)
 
 
+def test_custom_product_closedness_matches_pairwise_oracle():
+    def jordan_copy(a, b):
+        return jordan(a, b)
+
+    def lie_copy(a, b):
+        return lie(a, b)
+
+    def mixed(a, b):
+        return jordan(a, b) + 0.5 * lie(a, b)
+
+    algs = [full_hermitian_space(n) for n in (2, 3, 4)]
+    algs += [block_2_1_algebra()] + [commutative_algebra(3, seed=k) for k in range(4)]
+    algs += [
+        span([random_hermitian(3, seed=100 + 3 * k + j) for j in range(2 + k % 2)])
+        for k in range(6)
+    ]
+    verdicts = set()
+    for alg in algs:
+        for product in (jordan_copy, lie_copy, mixed):
+            verdict = is_closed_under(alg, product)
+            assert verdict == _pairwise_closed(alg, product)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert is_closed_under(RealSubspace(dim_ambient=2, basis=()), mixed)
+
+
 @pytest.mark.parametrize("product", [jordan, lie])
 def test_closedness_decision_at_the_span_tolerance(product):
     inside = _near_closed(product, 1.0 - 1e-3)
@@ -528,7 +607,7 @@ def test_derived_algebra_is_memoized():
 
 def test_second_classify_forms_no_pair_products(monkeypatch):
     full = full_hermitian_space(3)
-    pairs = _count_calls(monkeypatch, "_pair_products")
+    pairs = _count_calls(monkeypatch, "_products")
     rounds = _count_calls(monkeypatch, "_close_rounds")
     first = classify(random_state(3, seed=5), full)
     assert pairs[0] > 0 and rounds[0] > 0
@@ -540,7 +619,7 @@ def test_second_classify_forms_no_pair_products(monkeypatch):
 
 def test_not_closed_raises_on_every_call(monkeypatch):
     open_alg = span([SX, SY])
-    pairs = _count_calls(monkeypatch, "_pair_products")
+    pairs = _count_calls(monkeypatch, "_products")
     for _ in range(3):
         with pytest.raises(NotClosed):
             require_closed(open_alg, lie)
@@ -554,7 +633,7 @@ def test_not_closed_raises_on_every_call(monkeypatch):
 def test_closedness_memo_is_per_object_and_skips_custom_products(monkeypatch):
     mats = [I2, SZ]
     a, b = span(mats), span(mats)
-    pairs = _count_calls(monkeypatch, "_pair_products")
+    pairs = _count_calls(monkeypatch, "_products")
     assert is_closed_under(a, jordan) and is_closed_under(a, jordan)
     assert pairs[0] == 1
     assert is_closed_under(b, jordan)
@@ -568,4 +647,4 @@ def test_closedness_memo_is_per_object_and_skips_custom_products(monkeypatch):
     for _ in range(2):
         assert is_closed_under(a, custom)
     assert seen[0] == 2 * a.dim_span**2
-    assert pairs[0] == 2
+    assert not any(key[0] is custom for key in a._memo)
