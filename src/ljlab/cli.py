@@ -194,9 +194,10 @@ def _config_from_args(args: argparse.Namespace) -> SessionConfig:
     tol = DEFAULT_TOL
     tol_arg = getattr(args, "tol", None)
     if tol_arg is not None:
-        if not tol_arg > 0.0:
-            raise ValidationError(f"tol must be positive, got {tol_arg}")
-        tol = Tolerance(zero_tol=tol_arg)
+        try:
+            tol = Tolerance(zero_tol=tol_arg)
+        except ValueError as exc:
+            raise ValidationError(f"tol must be positive and finite, got {tol_arg}") from exc
 
     dim = getattr(args, "dim", None)
     if dim is not None and dim < 1:

@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; ``2.0``, ``"2"`` and ``true`` are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     a = np.asarray(m, dtype=complex)
     return {
@@ -40,8 +47,8 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     missing = {"dim", "re", "im"} - obj.keys()
     if missing:
         raise ValidationError(f"matrix payload missing keys: {sorted(missing)}")
+    dim = _json_int(obj["dim"], "matrix dim")
     try:
-        dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -74,10 +81,7 @@ def subspace_from_json(obj: Any) -> tuple[int, list[np.ndarray]]:
     if not isinstance(raw, list) or not raw:
         raise ValidationError("subspace payload needs a nonempty 'matrices' list")
     mats = [matrix_from_json(item) for item in raw]
-    try:
-        dim = int(obj.get("dim", mats[0].shape[0]))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"subspace dim not an integer: {exc}") from exc
+    dim = _json_int(obj.get("dim", mats[0].shape[0]), "subspace dim")
     for m in mats:
         if m.shape[0] != dim:
             raise ValidationError(

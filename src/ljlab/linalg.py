@@ -51,8 +51,8 @@ class Tolerance:
     rel: bool = True
 
     def __post_init__(self) -> None:
-        if not self.zero_tol > 0.0:
-            raise ValueError(f"zero_tol must be positive, got {self.zero_tol!r}")
+        if not 0.0 < self.zero_tol < np.inf:
+            raise ValueError(f"zero_tol must be positive and finite, got {self.zero_tol!r}")
 
     def threshold(self, scale: float = 1.0) -> float:
         """Effective threshold for a comparison at the given norm scale."""

@@ -14,9 +14,9 @@ Hermitian matrices, or su(n) under the bracket) confirms closure without
 forming products.
 
 Closure rounds and the pair queries (closedness, derived algebra, Killing
-form, commutator defect, centralizer) form basis-pair products with one
-batched kernel (``_products``). A subspace is closed under a product exactly
-when a closure round from it would add nothing: closedness is decided by the
+form, both defects, centralizer) form basis-pair products with one batched
+kernel (``_products``). A subspace is closed under a product exactly when a
+closure round from it would add nothing: closedness is decided by the
 round's own pair rule (``_product_pairs``) and rank test (``_extend``).
 Closedness verdicts and derived algebras are memoized on the (immutable)
 subspace, so an algebra queried many times is proven closed once.
@@ -450,19 +450,24 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
-    """Largest Jordan associator norm over basis triples, with its indices."""
-    best = 0.0
-    arg: tuple[int, int, int] | None = None
-    r = L.dim_span
-    E = L.basis
+    """Largest Jordan associator norm over basis triples, with its indices.
+
+    Ties go to the first triple in row-major (i, j, k) order; (0.0, None)
+    when every associator vanishes. Triples are batched one first index at a
+    time, so memory stays at r^2 n^2.
+    """
+    e, r = L._stacked, L.dim_span
+    j, k = np.divmod(np.arange(r * r), r)
+    # row r + r * j + k of the stack holds e_j o e_k
+    ejk = np.concatenate((e, _products(e, j, k, jordan)))
+    best, arg = 0.0, None
     for i in range(r):
-        for j in range(r):
-            left = jordan(E[i], E[j])
-            for k in range(r):
-                d = jordan(left, E[k]) - jordan(E[i], jordan(E[j], E[k]))
-                v = spectral_norm(d)
-                if v > best:
-                    best, arg = v, (i, j, k)
+        left = _products(ejk, r + r * i + j, k, jordan)
+        right = _products(ejk, np.full(r * r, i), r + r * j + k, jordan)
+        norms = np.linalg.norm(left - right, 2, axis=(1, 2))
+        m = int(np.argmax(norms))
+        if norms[m] > best:
+            best, arg = float(norms[m]), (i, int(j[m]), int(k[m]))
     return best, arg
 
 

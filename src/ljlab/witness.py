@@ -2,14 +2,15 @@
 
 A witness is an observable whose behavior is impossible in a commutative
 algebra: a nonzero Jordan associator, its PSD square, or a Jordan product
-of two PSD observables with a negative eigenvalue. Searches are multistart
-over seeded random candidates followed by greedy coordinate refinement;
-results are deterministic functions of (n, seed, budget).
+of two PSD observables with a negative eigenvalue. Both searches share one
+seeded multistart-and-refine schedule (``_search``) and differ only in draw,
+perturbation and score; results are deterministic in (n, seed, budget).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .linalg import (
     dagger,
     derive_seed,
     gaussian_complex,
+    random_hermitian,
     spectral_norm,
 )
 from .products import associator, jordan
@@ -91,11 +93,55 @@ def _unit_psd(g: np.ndarray) -> np.ndarray:
     return w / nrm if nrm > 0.0 else w
 
 
-def _validate_search_args(n: int, budget: int) -> None:
+def _search(
+    n: int,
+    seed: int,
+    budget: int,
+    draw: Callable[[np.random.Generator], tuple[np.ndarray, ...]],
+    perturb: Callable[[np.ndarray, float, np.random.Generator], np.ndarray | None],
+    score: Callable[..., float],
+) -> tuple[np.ndarray, ...] | None:
+    """Seeded multistart, then greedy refinement; returns the candidate of least score.
+
+    Trial ``t`` draws a candidate tuple from ``derive_seed(seed, t)``; the
+    first strictly best trial wins. Refinement draws from
+    ``derive_seed(seed, budget)``: each of at most 6000 steps picks a slot and
+    perturbs that factor (``None`` skips the step); a strictly lower score is
+    kept. Twenty rejects in a row halve the step, 0.1 at first, until it is
+    below 1e-6. None for ``n == 1``, where all observables commute.
+    """
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
+    if n == 1:
+        return None
+    best_val = np.inf
+    best: tuple[np.ndarray, ...] = ()
+    for t in range(budget):
+        cand = draw(np.random.default_rng(derive_seed(seed, t)))
+        val = score(*cand)
+        if val < best_val:
+            best_val, best = val, cand
+    rng = np.random.default_rng(derive_seed(seed, budget))
+    step, rejects = 0.1, 0
+    for _ in range(6000):
+        if step < 1e-6:
+            break
+        slot = int(rng.integers(len(best)))
+        factor = perturb(best[slot], step, rng)
+        if factor is None:
+            continue
+        cand = best[:slot] + (factor,) + best[slot + 1 :]
+        val = score(*cand)
+        if val < best_val:
+            best_val, best, rejects = val, cand, 0
+        else:
+            rejects += 1
+            if rejects >= 20:
+                step *= 0.5
+                rejects = 0
+    return best
 
 
 def avr_witness_search(
@@ -108,51 +154,24 @@ def avr_witness_search(
     entries with a shrinking step. Dimension 1 is commutative, so the report
     comes back with found False.
     """
-    _validate_search_args(n, budget)
-    if n == 1:
-        return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
+
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        return gaussian_complex(rng, n), gaussian_complex(rng, n)
+
+    def perturb(factor: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:
+        i, j = int(rng.integers(n)), int(rng.integers(n))
+        bump = step * rng.standard_normal()
+        cand = factor.copy()
+        cand[i, j] += 1j * bump if rng.integers(2) == 1 else bump
+        return cand
 
     def score(g: np.ndarray, h: np.ndarray) -> float:
         return _min_eig(jordan(_unit_psd(g), _unit_psd(h)))
 
-    best_val = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    for t in range(budget):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        g = gaussian_complex(rng, n)
-        h = gaussian_complex(rng, n)
-        val = score(g, h)
-        if val < best_val:
-            best_val, best = val, (g, h)
-    assert best is not None
-    g, h = best
-    cur = best_val
-    rng = np.random.default_rng(derive_seed(seed, budget))
-    step = 0.1
-    rejects = 0
-    for _ in range(6000):
-        if step < 1e-6:
-            break
-        target = g if rng.integers(2) == 0 else h
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        bump = step * rng.standard_normal()
-        if rng.integers(2) == 1:
-            bump = 1j * bump
-        cand = target.copy()
-        cand[i, j] += bump
-        cand_g, cand_h = (cand, h) if target is g else (g, cand)
-        val = score(cand_g, cand_h)
-        if val < cur:
-            g, h, cur = cand_g, cand_h, val
-            rejects = 0
-        else:
-            rejects += 1
-            if rejects >= 20:
-                step *= 0.5
-                rejects = 0
-    a = _unit_psd(g)
-    b = _unit_psd(h)
+    best = _search(n, seed, budget, draw, perturb, score)
+    if best is None:
+        return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
+    a, b = (_unit_psd(g) for g in best)
     witness = jordan(a, b)
     violation = _min_eig(witness)
     return WitnessReport(
@@ -172,57 +191,27 @@ def associator_witness_search(
     Trials draw unit-norm Hermitian triples; refinement perturbs along the
     canonical Hermitian basis directions, renormalizing after each step.
     """
-    _validate_search_args(n, budget)
-    if n == 1:
-        return WitnessReport(
-            kind="associator", witness=None, inputs=(), violation=0.0, found=False
-        )
-    dirs = full_hermitian_basis(n)
+    # only for n > 1: _search must raise ValidationError for n < 1 first
+    dirs = full_hermitian_basis(n) if n > 1 else []
 
-    def unit_herm(rng: np.random.Generator) -> np.ndarray:
-        g = gaussian_complex(rng, n)
-        m = 0.5 * (g + dagger(g))
-        return m / spectral_norm(m)
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        ms = [random_hermitian(n, rng) for _ in range(3)]
+        return tuple(m / spectral_norm(m) for m in ms)
 
-    def score(triple: list[np.ndarray]) -> float:
-        return spectral_norm(associator(*triple))
-
-    best_val = -np.inf
-    best: list[np.ndarray] | None = None
-    for t in range(budget):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        triple = [unit_herm(rng) for _ in range(3)]
-        val = score(triple)
-        if val > best_val:
-            best_val, best = val, triple
-    assert best is not None
-    triple = best
-    cur = best_val
-    rng = np.random.default_rng(derive_seed(seed, budget))
-    step = 0.1
-    rejects = 0
-    for _ in range(6000):
-        if step < 1e-6:
-            break
-        slot = int(rng.integers(3))
+    def perturb(factor: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray | None:
         direction = dirs[int(rng.integers(len(dirs)))]
-        cand = triple[slot] + (step * rng.standard_normal()) * direction
+        cand = factor + (step * rng.standard_normal()) * direction
         nrm = spectral_norm(cand)
-        if nrm == 0.0:
-            continue
-        cand = cand / nrm
-        cand_triple = list(triple)
-        cand_triple[slot] = cand
-        val = score(cand_triple)
-        if val > cur:
-            triple, cur = cand_triple, val
-            rejects = 0
-        else:
-            rejects += 1
-            if rejects >= 20:
-                step *= 0.5
-                rejects = 0
-    a, b, c = triple
+        return None if nrm == 0.0 else cand / nrm
+
+    def score(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+        # _search minimizes; IEEE negation is exact, so the ranking is the norm's
+        return -spectral_norm(associator(a, b, c))
+
+    best = _search(n, seed, budget, draw, perturb, score)
+    if best is None:
+        return WitnessReport(kind="associator", witness=None, inputs=(), violation=0.0, found=False)
+    a, b, c = best
     witness = associator(a, b, c)
     violation = spectral_norm(witness)
     return WitnessReport(

@@ -71,6 +71,15 @@ def test_verify_rejects_bad_tol():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_verify_rejects_non_finite_tol(tol):
+    res = run_cli("verify", "--dim", "2", "--trials", "1", "--tol", tol)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: tol must be positive and finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_env_seed_matches_flag_seed():
     via_flag = run_cli("verify", "--dim", "2", "--trials", "10", "--seed", "5")
     via_env = run_cli("verify", "--dim", "2", "--trials", "10", env={"LJLAB_SEED": "5"})
@@ -138,7 +147,7 @@ def test_classify_rejects_dim_mismatch(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("dim", ["x", None])
+@pytest.mark.parametrize("dim", ["x", None, 2.7])
 def test_classify_rejects_malformed_algebra_dim(tmp_path, dim):
     state = write_json(tmp_path / "s.json", mixed_state_payload(2))
     payload = diag_algebra_payload(2)

@@ -81,6 +81,16 @@ def test_subspace_dim_must_be_an_integer(dim):
         subspace_from_json({"dim": dim, "matrices": [matrix_to_json(np.eye(2))]})
 
 
+@pytest.mark.parametrize("dim", [2.7, 2.0, "2", True])
+def test_dim_must_be_a_json_integer(dim):
+    # sized as int() would read dim, so only the type check can reject it
+    m = matrix_to_json(np.eye(int(dim)))
+    with pytest.raises(ValidationError, match="dim must be an integer"):
+        matrix_from_json({**m, "dim": dim})
+    with pytest.raises(ValidationError, match="dim must be an integer"):
+        subspace_from_json({"dim": dim, "matrices": [m]})
+
+
 def test_dumps_report_is_canonical():
     a = dumps_report({"b": 1, "a": {"z": 2, "y": 3}})
     b = dumps_report({"a": {"y": 3, "z": 2}, "b": 1})

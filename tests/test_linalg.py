@@ -39,6 +39,12 @@ def test_tolerance_rejects_nonpositive():
         Tolerance(zero_tol=-1e-9)
 
 
+@pytest.mark.parametrize("zero_tol", [np.inf, np.nan])
+def test_tolerance_rejects_non_finite(zero_tol):
+    with pytest.raises(ValueError, match="finite"):
+        Tolerance(zero_tol=zero_tol)
+
+
 def test_is_hermitian_basics():
     assert is_hermitian(SX)
     assert is_hermitian(SY)

@@ -10,6 +10,7 @@ from helpers import (
     SZ,
     block_2_1_algebra,
     commutative_algebra,
+    loop_associator_defect,
     loop_centralizer,
     loop_commutator_defect,
     random_unitary,
@@ -301,6 +302,23 @@ def test_commutator_defect_matches_loop_oracle():
             assert value <= 1e-12
     assert commutator_defect(span([SZ])) == (0.0, None)
     assert commutator_defect(span([I2, SZ])) == loop_commutator_defect(span([I2, SZ]))
+
+
+def test_associator_defect_matches_loop_oracle():
+    exact = [full_hermitian_space(n) for n in (2, 3, 4)] + [block_2_1_algebra()]
+    commuting = [commutative_algebra(n, seed=k) for n in (3, 4) for k in range(4)]
+    for alg in exact + commuting:
+        value, triple = associator_defect(alg)
+        ref_value, ref_triple = loop_associator_defect(alg)
+        assert value == pytest.approx(ref_value, abs=1e-12)
+        if alg in exact:
+            # many triples tie at the maximum; both take the first in (i, j, k) order
+            assert triple == ref_triple
+        else:
+            # every associator is roundoff, so which triple is largest is noise
+            assert value <= 1e-12
+    assert associator_defect(span([SZ])) == (0.0, None)
+    assert associator_defect(span([I2, SZ])) == loop_associator_defect(span([I2, SZ]))
 
 
 def test_commutativity_checks_require_closure():

@@ -3,7 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import AVR_B, P0, SQ_A, SQ_B, SX, SZ, eig2_oracle
+from helpers import (
+    AVR_B,
+    P0,
+    SQ_A,
+    SQ_B,
+    SX,
+    SZ,
+    eig2_oracle,
+    loop_associator_witness_search,
+    loop_avr_witness_search,
+)
 from ljlab import (
     ValidationError,
     associator,
@@ -15,6 +25,7 @@ from ljlab import (
     min_eigenvalue,
     squared_witness,
 )
+from ljlab.witness import _search
 
 AVR_FIXTURE_MIN = (1.0 - np.sqrt(2.0)) / 4.0
 SQUARE_ORDER_MIN = (2.0 - np.sqrt(5.0)) / 2.0
@@ -115,3 +126,68 @@ def test_search_argument_validation():
         avr_witness_search(2, seed=0, budget=0)
     with pytest.raises(ValidationError):
         associator_witness_search(-1, seed=0, budget=10)
+    # arguments are checked before dimension 1 short-circuits
+    with pytest.raises(ValidationError):
+        avr_witness_search(1, seed=0, budget=0)
+    with pytest.raises(ValidationError):
+        associator_witness_search(0, seed=0, budget=10)
+
+
+def _bytes(m: np.ndarray | None) -> bytes | None:
+    return None if m is None else m.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "search, reference",
+    [
+        (avr_witness_search, loop_avr_witness_search),
+        (associator_witness_search, loop_associator_witness_search),
+    ],
+    ids=["avr", "associator"],
+)
+def test_search_matches_own_loop_reference_bit_for_bit(search, reference, n):
+    # the identities benchmark accepts any witness at least as good, so only
+    # this comparison catches a drift in the shared schedule or draw order
+    for seed in range(6):
+        for budget in (1, 7, 100):
+            got, ref = search(n, seed, budget), reference(n, seed, budget)
+            assert (got.kind, got.violation, got.found) == (ref.kind, ref.violation, ref.found)
+            assert _bytes(got.witness) == _bytes(ref.witness)
+            assert [_bytes(m) for m in got.inputs] == [_bytes(m) for m in ref.inputs]
+
+
+def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
+    drawn, steps = [], []
+
+    def draw(rng):
+        drawn.append((np.zeros(1),))
+        return drawn[-1]
+
+    def perturb(x, step, rng):
+        steps.append(step)
+        return x + 1.0
+
+    # every score ties, so every refinement step is a reject
+    best = _search(2, seed=0, budget=5, draw=draw, perturb=perturb, score=lambda x: 0.0)
+    assert best is drawn[0]
+    assert len(steps) == 17 * 20  # 0.1 * 0.5**17 < 1e-6
+    assert steps[::20] == [0.1 * 0.5**k for k in range(17)]
+
+
+def test_search_counts_skipped_steps_toward_the_step_cap_but_not_as_rejects():
+    def run(delta):
+        calls = []
+
+        def perturb(x, step, rng):
+            calls.append(step)
+            return None if len(calls) % 2 else x + delta
+
+        draw = lambda rng: (np.zeros(1),)
+        best = _search(2, seed=0, budget=1, draw=draw, perturb=perturb, score=lambda x: x[0])
+        return best[0][0], len(calls)
+
+    # every proposal improves, so only the 6000-step cap ends refinement
+    assert run(-1.0) == (-3000.0, 6000)
+    # no proposal improves; only the 340 proposals that are not skipped are rejects
+    assert run(+1.0) == (0.0, 2 * 17 * 20)
