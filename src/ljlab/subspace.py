@@ -19,7 +19,9 @@ kernel (``_products``). A subspace is closed under a product exactly when a
 closure round from it would add nothing: closedness is decided by the
 round's own pair rule (``_product_pairs``) and rank test (``_extend``).
 Closedness verdicts and derived algebras are memoized on the (immutable)
-subspace, so an algebra queried many times is proven closed once.
+subspace, so an algebra queried many times is proven closed once. The Lie
+structure constants (``_structure_constants``) give the Killing form and,
+memoized by the associator criterion, its per-state contraction.
 """
 
 from __future__ import annotations
@@ -94,7 +96,9 @@ class RealSubspace:
     ``basis`` is Hilbert-Schmidt orthonormal; ``dim_span`` may be zero.
     Instances are immutable and the basis arrays are read-only, which makes
     ``_memo`` sound: it holds closedness verdicts under ``jordan``/``lie``
-    keyed by ``(product, rtol)`` and the derived algebra keyed by ``rtol``.
+    keyed by ``(product, rtol)``, the derived algebra keyed by ``("derived",
+    rtol)`` and, once the associator criterion has run, the Lie structure
+    constants with their residual under ``"structure"``.
     """
 
     dim_ambient: int
@@ -186,7 +190,9 @@ def _subspace(n: int, rows: np.ndarray) -> RealSubspace:
     return RealSubspace(dim_ambient=n, basis=tuple(mats))
 
 
-def _extend(basis: np.ndarray, cand: np.ndarray, rtol: float) -> np.ndarray:
+def _extend(
+    basis: np.ndarray, cand: np.ndarray, rtol: float, *, first: bool = False
+) -> np.ndarray:
     """Orthonormal rows that extend the orthonormal ``basis`` to also span ``cand``.
 
     The rank kernel behind ``span`` and the closure rounds. Candidates are
@@ -195,8 +201,10 @@ def _extend(basis: np.ndarray, cand: np.ndarray, rtol: float) -> np.ndarray:
     The whole block is first projected off ``basis`` twice (BLAS-3) and rows
     already under their threshold are dropped; each survivor is then
     reorthogonalized, kept or dropped, and a kept row is removed from the
-    survivors after it by a rank-1 update. Raises ValidationError on
-    non-finite candidates, whose residual test would silently fail.
+    survivors after it by a rank-1 update. With ``first`` the walk stops at
+    the first kept row, which is all a closedness verdict needs. Raises
+    ValidationError on non-finite candidates, whose residual test would
+    silently fail.
     """
     if not np.isfinite(cand).all():
         raise ValidationError("span input contains NaN or infinite entries")
@@ -217,6 +225,8 @@ def _extend(basis: np.ndarray, cand: np.ndarray, rtol: float) -> np.ndarray:
             continue
         out[k] = x / res
         k += 1
+        if first:
+            break
         if len(v):
             v = v - np.outer(v @ out[k - 1], out[k - 1])
             alive = np.linalg.norm(v, axis=1) > thr
@@ -371,7 +381,7 @@ def is_closed_under(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) 
         return s._memo[key]
     # a 0-dimensional s yields no blocks, so _rows never sees an empty stack
     closed = not any(
-        len(_extend(_rows(s._stacked), _rows(block), rtol))
+        len(_extend(_rows(s._stacked), _rows(block), rtol, first=True))
         for block in _round_products(s._stacked, 0, product)
     )
     if product is jordan or product is lie:
@@ -435,26 +445,37 @@ def centralizer(
     return RealSubspace(dim_ambient=n, basis=tuple(mats))
 
 
+#: Defects at or below this are roundoff, so the defect queries name no
+#: index for them; it is the threshold ``is_commutative`` and
+#: ``is_jordan_associative`` apply under the default tolerance.
+_DEFECT_FLOOR = DEFAULT_TOL.threshold(1.0)
+
+
 def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     """Largest bracket norm over basis pairs and the index pair attaining it.
 
-    Ties go to the first pair in row-major i < j order; (0.0, None) when
-    every bracket vanishes.
+    Ties go to the first pair in row-major i < j order. The pair is None
+    when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
+    value is still returned): below that every bracket is roundoff and
+    which one is largest is noise. Earlier versions named a pair for any
+    nonzero norm.
     """
     i, j = np.triu_indices(L.dim_span, 1)
     norms = np.linalg.norm(_products(L._stacked, i, j, lie), 2, axis=(1, 2))
-    if not (norms > 0.0).any():
-        return 0.0, None
+    best = float(norms.max(initial=0.0))
+    if best <= _DEFECT_FLOOR:
+        return best, None
     k = int(np.argmax(norms))
-    return float(norms[k]), (int(i[k]), int(j[k]))
+    return best, (int(i[k]), int(j[k]))
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
     """Largest Jordan associator norm over basis triples, with its indices.
 
-    Ties go to the first triple in row-major (i, j, k) order; (0.0, None)
-    when every associator vanishes. Triples are batched one first index at a
-    time, so memory stays at r^2 n^2.
+    Ties go to the first triple in row-major (i, j, k) order. The triple is
+    None when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)``
+    (the value is still returned), as in ``commutator_defect``. Triples are
+    batched one first index at a time, so memory stays at r^2 n^2.
     """
     e, r = L._stacked, L.dim_span
     j, k = np.divmod(np.arange(r * r), r)
@@ -468,7 +489,42 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
         m = int(np.argmax(norms))
         if norms[m] > best:
             best, arg = float(norms[m]), (i, int(j[m]), int(k[m]))
-    return best, arg
+    return best, arg if best > _DEFECT_FLOOR else None
+
+
+def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
+    """Lie structure constants ``F`` of L and how far its brackets leave L.
+
+    ``F[k, i]`` holds the coordinates of ``lie(e_k, e_i)``; only the i < k
+    brackets are formed (in ``_BLOCK``-sized batches) and the table is
+    antisymmetrized, so ``F[k, i] == -F[i, k]`` exactly. The second value
+    is the largest Hilbert-Schmidt residual of a basis bracket off L,
+    taken from the explicit difference: ``||p||^2 - ||coords||^2`` loses
+    everything below about 1e-8, the size of the thresholds it serves.
+    """
+    r = L.dim_span
+    rows = _rows(L._stacked)
+    F = np.zeros((r, r, r))
+    delta = 0.0
+    i, k = np.triu_indices(r, 1)
+    for s in range(0, len(i), _BLOCK):
+        a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
+        p = _products(L._stacked, a, b, lie)
+        c = L._coords(p)
+        F[a, b] = c
+        F[b, a] = -c
+        delta = max(delta, float(np.linalg.norm(_rows(p) - c @ rows, axis=1).max()))
+    return F, delta
+
+
+def _killing_matrix(L: RealSubspace) -> np.ndarray:
+    """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, with ad_x[k, j] = F[x, j, k].
+
+    The structure constants are not memoized here: closures are often kept
+    alive, and each would keep its r^3 table.
+    """
+    F, _ = _structure_constants(L)
+    return np.einsum("xjk,ykj->xy", F, F)
 
 
 def is_commutative(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -494,13 +550,9 @@ def is_semisimple_lie(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
     orthonormal basis: semisimple iff smallest > zero_tol * largest.
     """
     require_closed(L, lie)
-    r = L.dim_span
-    if r == 0:
+    if L.dim_span == 0:
         return True
-    # ad[x, k, j] = coefficient of e_k in [e_x, e_j]
-    x, j = np.indices((r, r)).reshape(2, -1)
-    ad = L._coords(_products(L._stacked, x, j, lie)).reshape(r, r, r).swapaxes(1, 2)
-    killing = np.einsum("xij,yji->xy", ad, ad)
+    killing = _killing_matrix(L)
     sv = np.linalg.svd(killing, compute_uv=False)
     return float(sv[-1]) > tol.zero_tol * float(sv[0])
 

@@ -4,7 +4,9 @@ Oracles here deliberately avoid the package's own span/closure machinery:
 ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
 the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
-loops, and witness searches from their own multistart and refinement loops.
+loops, witness searches from their own multistart and refinement loops, the
+associator criterion from its Jordan-tensor einsum and the Killing matrix
+from the full grid of ad operators.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from ljlab.linalg import (
     same_dim,
     spectral_norm,
 )
-from ljlab.subspace import SPAN_RTOL, RealSubspace
+from ljlab.subspace import SPAN_RTOL, RealSubspace, _products
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -98,6 +100,25 @@ def block_2_1_algebra() -> RealSubspace:
     e22[2, 2] = 1.0
     mats.append(e22)
     return span(mats)
+
+
+def block_algebra(sizes: tuple[int, ...]) -> RealSubspace:
+    """All block-diagonal Hermitian matrices with the given block sizes."""
+    n = sum(sizes)
+    mats = []
+    off = 0
+    for k in sizes:
+        for small in full_hermitian_basis(k):
+            m = np.zeros((n, n), dtype=complex)
+            m[off : off + k, off : off + k] = small
+            mats.append(m)
+        off += k
+    return span(mats)
+
+
+def conjugated(L: RealSubspace, u: np.ndarray) -> RealSubspace:
+    """The span of u e u^H over the basis of L."""
+    return span([u @ e @ u.conj().T for e in L.basis])
 
 
 def embed_block(small: np.ndarray) -> np.ndarray:
@@ -231,6 +252,38 @@ def loop_centralizer(
         m.setflags(write=False)
         mats.append(m)
     return RealSubspace(dim_ambient=n, basis=tuple(mats))
+
+
+def einsum_associator_values(s, L: RealSubspace) -> np.ndarray:
+    """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) by the Jordan-tensor einsum.
+
+    Verbatim body of ``is_classical_associator`` before it became a
+    contraction of the Lie structure constants.
+    """
+    stacked = L._stacked
+    rho = s.rho
+    # srho[k] = rho o e_k; Tr(rho (x o y)) = Tr((rho o x) y) by cyclicity
+    srho = 0.5 * (
+        np.einsum("ab,kbc->kac", rho, stacked) + np.einsum("kab,bc->kac", stacked, rho)
+    )
+    t1 = np.einsum("iab,jbc->ijac", stacked, stacked)
+    jprod = 0.5 * (t1 + t1.transpose(1, 0, 2, 3))
+    term1 = np.einsum("ijab,kba->ijk", jprod, srho)
+    term2 = np.einsum("iab,jkba->ijk", srho, jprod)
+    return np.real(term1 - term2)
+
+
+def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
+    """Killing matrix from the full r x r grid of ad operators.
+
+    Verbatim body of ``is_semisimple_lie`` before it took the structure
+    constants of the i < k brackets.
+    """
+    r = L.dim_span
+    # ad[x, k, j] = coefficient of e_k in [e_x, e_j]
+    x, j = np.indices((r, r)).reshape(2, -1)
+    ad = L._coords(_products(L._stacked, x, j, lie)).reshape(r, r, r).swapaxes(1, 2)
+    return np.einsum("xij,yji->xy", ad, ad)
 
 
 # Verbatim copies of the two witness searches from before they shared one

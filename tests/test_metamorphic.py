@@ -1,0 +1,155 @@
+"""Metamorphic tests on the invariances of the paper's constructions.
+
+Unitary conjugation is an automorphism of both products, positive scaling
+of the generators does not change the spans they generate, and a pair of
+block-diagonal generators generates the direct sum of what its blocks
+generate. Verdicts and closure dimensions must respect all three. The
+tests are seeded parametrizations, so every case is reproducible.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from helpers import block_algebra, commutative_algebra, conjugated, random_unitary
+from ljlab import (
+    State,
+    classify,
+    close_under,
+    full_hermitian_space,
+    jordan,
+    jordan_generate_three,
+    lie,
+    lie_generate,
+    random_hermitian,
+    random_state,
+    span,
+    traceless,
+)
+
+ALGEBRAS = ("full2", "full3", "full4", "block21", "block22", "comm3", "comm4")
+
+
+def _algebra(name: str):
+    if name.startswith("full"):
+        return full_hermitian_space(int(name[4:]))
+    if name.startswith("block"):
+        return block_algebra(tuple(int(c) for c in name[5:]))
+    return commutative_algebra(int(name[4:]), seed=17)
+
+
+def _states(n: int, seed: int) -> list[np.ndarray]:
+    """A mixed, a pure, the maximally mixed and a block-scalar state."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    h = n // 2
+    block_scalar = np.diag([0.7 / h] * h + [0.3 / (n - h)] * (n - h)).astype(complex)
+    return [
+        random_state(n, seed).rho,
+        np.outer(v, v.conj()) / np.vdot(v, v).real,
+        np.eye(n, dtype=complex) / n,
+        block_scalar,
+    ]
+
+
+def _pair(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A generic, a block-diagonal or a commuting generator pair."""
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        return random_hermitian(n, rng), random_hermitian(n, rng)
+    if kind == "block":
+        h = n // 2
+        out = []
+        for _ in range(2):
+            m = np.zeros((n, n), dtype=complex)
+            m[:h, :h] = random_hermitian(h, rng)
+            m[h:, h:] = random_hermitian(n - h, rng)
+            out.append(m)
+        return out[0], out[1]
+    u = random_unitary(n, rng)
+    return tuple(u @ np.diag(rng.standard_normal(n)) @ u.conj().T for _ in range(2))
+
+
+def _closure_dims(a: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
+    return (
+        lie_generate(a, b).closure_dim,
+        jordan_generate_three(a, b).closure_dim,
+        close_under(span([a, b]), jordan).dim_span,
+        close_under(span([a, b]), lie).dim_span,
+    )
+
+
+def _same_verdict(first, second) -> None:
+    assert first.classical == second.classical
+    assert first.criterion == second.criterion
+    assert second.max_violation == pytest.approx(first.max_violation, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_classify_is_invariant_under_unitary_conjugation(name, seed):
+    L = _algebra(name)
+    n = L.dim_ambient
+    u = random_unitary(n, np.random.default_rng(1000 + seed))
+    UL = conjugated(L, u)
+    assert UL.dim_span == L.dim_span
+    for rho in _states(n, seed):
+        _same_verdict(classify(State(rho), L), classify(State(u @ rho @ u.conj().T), UL))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("generic", "block", "commuting"))
+def test_closure_dims_are_invariant_under_unitary_conjugation(kind, n, seed):
+    a, b = _pair(kind, n, seed)
+    u = random_unitary(n, np.random.default_rng(2000 + seed))
+    ua, ub = (u @ m @ u.conj().T for m in (a, b))
+    assert _closure_dims(ua, ub) == _closure_dims(a, b)
+
+
+@pytest.mark.parametrize("scale", ((0.05, 1.0), (3.0, 0.2), (40.0, 40.0)))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("kind", ("generic", "block", "commuting"))
+def test_closures_and_verdicts_are_invariant_under_positive_scaling(kind, n, scale):
+    a, b = _pair(kind, n, seed=n)
+    sa, sb = scale[0] * a, scale[1] * b
+    assert _closure_dims(sa, sb) == _closure_dims(a, b)
+    L = jordan_generate_three(a, b).closure
+    SL = jordan_generate_three(sa, sb).closure
+    for rho in _states(n, seed=n):
+        _same_verdict(classify(State(rho), L), classify(State(rho), SL))
+
+
+def _block_diag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    n1, n2 = len(x), len(y)
+    m = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+    m[:n1, :n1] = x
+    m[n1:, n1:] = y
+    return m
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes", ((1, 2), (2, 2), (1, 3), (2, 3), (3, 3)))
+def test_block_diagonal_pairs_close_to_the_direct_sum(sizes, seed):
+    rng = np.random.default_rng(3000 + seed)
+    blocks = [[random_hermitian(k, rng) for _ in range(2)] for k in sizes]
+    (a1, b1), (a2, b2) = blocks
+    a, b = _block_diag(a1, a2), _block_diag(b1, b2)
+    # Jordan: the spectral projections of a split the blocks, so each block
+    # generates its own full Hermitian algebra
+    expected = sum(jordan_generate_three(x, y).closure_dim for x, y in blocks)
+    assert expected == sizes[0] ** 2 + sizes[1] ** 2
+    assert jordan_generate_three(a, b).closure_dim == expected
+    # bracket: traceless blocks generate su(n1) + su(n2)
+    ta, tb = _block_diag(traceless(a1), traceless(a2)), _block_diag(traceless(b1), traceless(b2))
+    expected = sum(lie_generate(traceless(x), traceless(y)).closure_dim for x, y in blocks)
+    assert expected == sizes[0] ** 2 + sizes[1] ** 2 - 2
+    assert lie_generate(ta, tb).closure_dim == expected
+    # the Jordan closure is the block algebra, so classify agrees on it (the
+    # violations themselves depend on the basis)
+    L = jordan_generate_three(a, b).closure
+    B = block_algebra(sizes)
+    assert all(L.contains(m) for m in B.basis)
+    for rho in _states(sum(sizes), seed):
+        assert classify(State(rho), L).classical == classify(State(rho), B).classical

@@ -3,7 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import SX, SZ, I2, block_2_1_algebra, commutative_algebra
+from helpers import (
+    SX,
+    SZ,
+    I2,
+    block_2_1_algebra,
+    block_algebra,
+    commutative_algebra,
+    conjugated,
+    einsum_associator_values,
+    random_unitary,
+)
 from ljlab import (
     CriteriaDisagree,
     DimensionMismatch,
@@ -17,11 +27,15 @@ from ljlab import (
     is_classical_associator,
     is_classical_center,
     is_classical_commutator,
+    is_semisimple_lie,
     jordan,
     lie,
     random_state,
 )
+from ljlab import states as states_mod
 from ljlab.products import associator
+from ljlab.states import CLASSICALITY_RTOL, _associator_expectations
+from ljlab.subspace import _structure_constants
 
 
 def diag_state(*entries: float) -> State:
@@ -251,3 +265,137 @@ def test_criteria_disagree_is_importable():
     # the exception type is part of the public contract even though a sound
     # implementation never raises it on closed subalgebras
     assert issubclass(CriteriaDisagree, Exception)
+
+
+# ---------------------------------------------------------------- associator criterion vs its einsum oracle
+
+
+def _oracle_algebras():
+    algs = [(f"full{n}", full_hermitian_space(n), None) for n in range(2, 7)]
+    algs += [(f"block{a}{b}", block_algebra((a, b)), (a, b)) for a, b in ((2, 1), (2, 2), (3, 1))]
+    algs += [(f"comm{n}.{k}", commutative_algebra(n, seed=k), None) for n in (3, 4) for k in range(2)]
+    u = random_unitary(6, np.random.default_rng(33))
+    algs.append(("rot33", conjugated(block_algebra((3, 3)), u), (3, 3)))
+    return algs
+
+
+def _block_scalar(sizes, p: float) -> np.ndarray:
+    weights = [p / sizes[0]] * sizes[0] + [(1.0 - p) / sizes[1]] * sizes[1]
+    return np.diag(weights).astype(complex)
+
+
+def _oracle_states(n: int, seed: int) -> list[State]:
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return [random_state(n, seed), State(np.outer(v, v.conj()) / np.vdot(v, v).real)]
+
+
+def _first_top_triple(vals: np.ndarray) -> tuple[tuple[int, int, int], float]:
+    """Largest |vals| with its (i, j, k), i < k, and the gap to the next triple.
+
+    vals is antisymmetric in (i, k), so a triple and its mirror (k, j, i)
+    count as one.
+    """
+    a = np.abs(vals)
+    a = np.maximum(a, a.transpose(2, 1, 0))
+    i, _, k = np.indices(a.shape)
+    flat = np.where(i < k, a, -1.0).ravel()
+    order = np.argsort(flat, kind="stable")[::-1]
+    top = np.unravel_index(order[0], a.shape)
+    return tuple(int(x) for x in top), float(flat[order[0]] - flat[order[1]])
+
+
+def test_associator_values_match_einsum_oracle():
+    gaps = 0
+    for seed, (name, alg, _) in enumerate(_oracle_algebras()):
+        for s in _oracle_states(alg.dim_ambient, seed=500 + seed):
+            vals = _associator_expectations(s, alg, CLASSICALITY_RTOL)
+            ref = einsum_associator_values(s, alg)
+            np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12, err_msg=name)
+            top, gap = _first_top_triple(ref)
+            if gap > 1e-12:
+                # the first row-major maximum of the antisymmetric vals has i < k
+                arg = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+                assert tuple(int(x) for x in arg) == top, name
+                gaps += 1
+            verdict = is_classical_associator(s, alg)
+            assert verdict.max_violation == pytest.approx(np.abs(ref).max(), abs=1e-12)
+    assert gaps >= 12  # the triple comparison is not vacuous
+
+
+def test_associator_values_vanish_where_brackets_do():
+    for name, alg, sizes in _oracle_algebras():
+        n = alg.dim_ambient
+        rhos = [np.eye(n, dtype=complex) / n]
+        if sizes is not None:
+            rhos += [_block_scalar(sizes, p) for p in (0.2, 0.65)]
+            if name == "rot33":
+                u = random_unitary(6, np.random.default_rng(33))
+                rhos[1:] = [u @ rho @ u.conj().T for rho in rhos[1:]]
+        for rho in rhos:
+            vals = _associator_expectations(State(rho), alg, CLASSICALITY_RTOL)
+            assert np.abs(vals).max() <= 1e-15, name
+            assert is_classical_associator(State(rho), alg).classical
+
+
+def _count_direct(monkeypatch) -> list[int]:
+    calls = [0]
+
+    def counted(a, b, c):
+        calls[0] += 1
+        return associator(a, b, c)
+
+    monkeypatch.setattr(states_mod, "associator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["full3", "block22", "rot33"])
+def test_large_residual_bound_takes_the_direct_path(monkeypatch, name):
+    alg = {a: L for a, L, _ in _oracle_algebras()}[name]
+    s = _oracle_states(alg.dim_ambient, seed=7)[0]
+    fast = is_classical_associator(s, alg)
+    F, _ = alg._memo["structure"]
+    alg._memo["structure"] = (F, 1.0)
+    calls = _count_direct(monkeypatch)
+    direct = is_classical_associator(s, alg)
+    r = alg.dim_span
+    assert calls[0] == r**3
+    vals = _associator_expectations(s, alg, CLASSICALITY_RTOL)
+    np.testing.assert_allclose(vals, einsum_associator_values(s, alg), rtol=0, atol=1e-12)
+    assert direct.classical == fast.classical
+    assert direct.max_violation == pytest.approx(fast.max_violation, abs=1e-12)
+
+
+def test_direct_path_runs_only_when_the_bound_reaches_the_threshold(monkeypatch):
+    alg = full_hermitian_space(3)
+    s = random_state(3, seed=12)
+    ref = einsum_associator_values(s, alg)
+    peak = float(np.abs(ref).max())
+    calls = _count_direct(monkeypatch)
+    F, _ = _structure_constants(alg)
+    for rtol in (peak * (1 - 1e-3), peak * (1 + 1e-3)):
+        margin = abs(peak - rtol)
+        alg._memo["structure"] = (F, 0.5 * margin)
+        calls[0] = 0
+        v = is_classical_associator(s, alg, rtol)
+        assert calls[0] == 0
+        assert v.classical == (rtol > peak)
+        delta = 2.0 * margin
+        alg._memo["structure"] = (F, delta)
+        v = is_classical_associator(s, alg, rtol)
+        assert calls[0] == int(np.sum(np.abs(ref) > rtol - delta)) > 0
+        assert v.classical == (rtol > peak)
+        assert v.max_violation == pytest.approx(peak, abs=1e-12)
+
+
+def test_structure_constants_are_memoized_by_the_associator_criterion_only():
+    alg = full_hermitian_space(3)
+    assert is_semisimple_lie(alg) is False
+    assert "structure" not in alg._memo
+    is_classical_associator(random_state(3, seed=1), alg)
+    memo = alg._memo["structure"]
+    classify(random_state(3, seed=2), alg)
+    assert alg._memo["structure"] is memo
+    F, delta = memo
+    assert np.array_equal(F, -F.transpose(1, 0, 2))
+    assert delta <= 1e-15

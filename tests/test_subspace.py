@@ -8,7 +8,9 @@ from helpers import (
     SX,
     SY,
     SZ,
+    ad_killing_matrix,
     block_2_1_algebra,
+    block_algebra,
     commutative_algebra,
     loop_associator_defect,
     loop_centralizer,
@@ -47,7 +49,16 @@ from ljlab import (
 from ljlab import subspace as subspace_mod
 from ljlab.products import associator
 from ljlab.states import classify, random_state
-from ljlab.subspace import SPAN_RTOL, RealSubspace, require_closed
+from ljlab.linalg import DEFAULT_TOL
+from ljlab.subspace import (
+    SPAN_RTOL,
+    RealSubspace,
+    _extend,
+    _killing_matrix,
+    _round_products,
+    _rows,
+    require_closed,
+)
 
 
 # ---------------------------------------------------------------- bases
@@ -321,6 +332,28 @@ def test_associator_defect_matches_loop_oracle():
     assert associator_defect(span([I2, SZ])) == loop_associator_defect(span([I2, SZ]))
 
 
+def test_defects_name_no_index_for_roundoff():
+    floor = DEFAULT_TOL.threshold(1.0)
+    for n in (3, 4):
+        for k in range(4):
+            alg = commutative_algebra(n, seed=k)
+            cval, pair = commutator_defect(alg)
+            aval, triple = associator_defect(alg)
+            assert pair is None and triple is None
+            assert cval == pytest.approx(loop_commutator_defect(alg)[0], abs=1e-12)
+            assert aval == pytest.approx(loop_associator_defect(alg)[0], abs=1e-12)
+            assert cval <= floor and aval <= floor
+    # the bracket of the two basis elements is sin(phi) / 2 * (-sy)
+    for factor, named in ((0.5, False), (1.0, False), (2.0, True)):
+        phi = np.arcsin(2.0 * factor * floor)
+        mats = [SZ / np.sqrt(2.0), (np.cos(phi) * I2 + np.sin(phi) * SX) / np.sqrt(2.0)]
+        for m in mats:
+            m.setflags(write=False)
+        value, pair = commutator_defect(RealSubspace(dim_ambient=2, basis=tuple(mats)))
+        assert value == pytest.approx(factor * floor, rel=1e-6)
+        assert pair == ((0, 1) if named else None)
+
+
 def test_commutativity_checks_require_closure():
     with pytest.raises(NotClosed):
         is_commutative(span([SX, SY]))
@@ -356,6 +389,32 @@ def test_is_semisimple_lie_fixtures():
     assert su3.dim_span == 8
     assert is_semisimple_lie(su3)
     assert is_semisimple_lie(span([np.zeros((2, 2))]))  # vacuous
+
+
+def test_killing_matrix_matches_ad_grid_oracle():
+    algs = [
+        span([SX, SY, SZ]),
+        span([I2, SX, SY, SZ]),
+        span([np.diag([1.0, 2.0]).astype(complex), I2]),
+        span([traceless(m) for m in full_hermitian_basis(3)]),
+        full_hermitian_space(4),
+        block_algebra((2, 1)),
+    ]
+    for n in (2, 3, 4):
+        for k in range(3):
+            a, b = (random_hermitian(n, seed=900 + 10 * n + 2 * k + j) for j in range(2))
+            algs.append(lie_generate(traceless(a), traceless(b)).closure)
+            algs.append(close_under(span([a, b]), lie))
+    semisimple = set()
+    for alg in algs:
+        killing = _killing_matrix(alg)
+        ref = ad_killing_matrix(alg)
+        np.testing.assert_allclose(killing, ref, rtol=0, atol=1e-12)
+        sv = np.linalg.svd(ref, compute_uv=False)
+        expected = float(sv[-1]) > DEFAULT_TOL.zero_tol * float(sv[0])
+        assert is_semisimple_lie(alg) == expected
+        semisimple.add(expected)
+    assert semisimple == {True, False}
 
 
 def test_semisimple_requires_closure():
@@ -603,6 +662,29 @@ def test_custom_product_closedness_matches_pairwise_oracle():
             verdicts.add(verdict)
     assert verdicts == {True, False}
     assert is_closed_under(RealSubspace(dim_ambient=2, basis=()), mixed)
+
+
+def test_first_keep_walk_decides_closedness_like_the_full_walk():
+    algs = [full_hermitian_space(n) for n in (2, 3)] + [block_algebra((2, 2))]
+    algs += [commutative_algebra(4, seed=k) for k in range(2)]
+    algs += [
+        span([random_hermitian(n, seed=700 + 5 * n + k + j) for j in range(2 + k)])
+        for n in (3, 4, 6)
+        for k in range(3)
+    ]
+    verdicts = set()
+    for alg in algs:
+        rows = _rows(alg._stacked)
+        for product in (jordan, lie):
+            for block in _round_products(alg._stacked, 0, product):
+                full = _extend(rows, _rows(block), SPAN_RTOL)
+                first = _extend(rows, _rows(block), SPAN_RTOL, first=True)
+                assert len(first) == min(1, len(full))
+                assert np.array_equal(first, full[:1])
+            verdict = is_closed_under(alg, product)
+            assert verdict == _pairwise_closed(alg, product)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("product", [jordan, lie])
