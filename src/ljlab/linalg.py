@@ -54,10 +54,15 @@ class Tolerance:
         if not 0.0 < self.zero_tol < np.inf:
             raise ValueError(f"zero_tol must be positive and finite, got {self.zero_tol!r}")
 
-    def threshold(self, scale: float = 1.0) -> float:
-        """Effective threshold for a comparison at the given norm scale."""
+    def threshold(self, scale: float | np.ndarray = 1.0) -> float | np.ndarray:
+        """Effective threshold for a comparison at the given norm scale.
+
+        An array of scales gives an array of thresholds, a float scale a
+        float. A NaN scale gets the floor, as with the builtin ``max``.
+        """
         if self.rel:
-            return self.zero_tol * max(1.0, float(scale))
+            t = self.zero_tol * np.fmax(1.0, scale)
+            return float(t) if t.ndim == 0 else t
         return self.zero_tol
 
 
@@ -93,12 +98,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
+def _opnorm(x: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix, or of each matrix in an (..., n, n) stack.
+
+    The same LAPACK call as ``np.linalg.norm(x, 2)``, without its axis
+    handling; the singular values come back sorted, so the first is the
+    largest. Matrices of size 0 have norm 0.
+    """
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-2])
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value. Valid for any square matrix."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(_opnorm(as_matrix(m)))
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:

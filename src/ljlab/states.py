@@ -30,7 +30,7 @@ from .errors import (
     NotInSpan,
     ValidationError,
 )
-from .linalg import as_matrix, random_density
+from .linalg import _opnorm, as_matrix, random_density
 from .products import associator, jordan, lie
 from .subspace import (
     RealSubspace,
@@ -162,14 +162,16 @@ def _verdict(
 
 
 def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
-    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of a nonempty L."""
+    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L."""
     stacked = L._stacked
     t = np.einsum("ab,ibc,jca->ij", s.rho, stacked, stacked)
     return np.real(0.5j * (t - t.T))
 
 
-def _associator_expectations(s: State, L: RealSubspace, rtol: float) -> np.ndarray:
-    """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) on a nonempty L.
+def _associator_expectations(
+    s: State, L: RealSubspace, rtol: float, C: np.ndarray
+) -> np.ndarray:
+    """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) on a nonempty L, given C.
 
     See ``is_classical_associator`` for the formula and the direct recheck.
     """
@@ -177,13 +179,29 @@ def _associator_expectations(s: State, L: RealSubspace, rtol: float) -> np.ndarr
         L._memo["structure"] = _structure_constants(L)
     F, delta = L._memo["structure"]
     r = L.dim_span
-    vals = (F.reshape(r * r, r) @ _bracket_expectations(s, L).T).reshape(r, r, r)
+    vals = (F.reshape(r * r, r) @ C.T).reshape(r, r, r)
     vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
     if abs(float(np.abs(vals).max()) - rtol) <= delta:
         E = L.basis
         for i, j, k in np.argwhere(np.abs(vals) > rtol - delta):
             vals[i, j, k] = expect(s, associator(E[i], E[j], E[k]))
     return vals
+
+
+def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
+    """The checks both bracket criteria make, then their shared tensor C."""
+    _check_dims(s, L)
+    require_closed(L, jordan)
+    require_closed(L, lie)
+    return _bracket_expectations(s, L)
+
+
+def _associator_verdict(
+    s: State, L: RealSubspace, rtol: float, C: np.ndarray
+) -> ClassicalityVerdict:
+    # the zero algebra has no triples: C is then empty, and so are the values
+    vals = _associator_expectations(s, L, rtol, C) if L.dim_span else C
+    return _verdict("associator", vals, L.basis, rtol)
 
 
 def is_classical_associator(
@@ -201,24 +219,14 @@ def is_classical_associator(
     recomputed directly from ``associator``, so no verdict rests on that
     error.
     """
-    _check_dims(s, L)
-    require_closed(L, jordan)
-    require_closed(L, lie)
-    if L.dim_span == 0:
-        return _verdict("associator", np.zeros(0), L.basis, rtol)
-    return _verdict("associator", _associator_expectations(s, L, rtol), L.basis, rtol)
+    return _associator_verdict(s, L, rtol, _bracket_tensor(s, L))
 
 
 def is_classical_commutator(
     s: State, L: RealSubspace, rtol: float = CLASSICALITY_RTOL
 ) -> ClassicalityVerdict:
     """Expectation of every basis bracket vanishes."""
-    _check_dims(s, L)
-    require_closed(L, jordan)
-    require_closed(L, lie)
-    if L.dim_span == 0:
-        return _verdict("commutator", np.zeros(0), L.basis, rtol)
-    return _verdict("commutator", _bracket_expectations(s, L), L.basis, rtol)
+    return _verdict("commutator", _bracket_tensor(s, L), L.basis, rtol)
 
 
 def is_classical_center(
@@ -242,7 +250,7 @@ def is_classical_center(
         return _verdict("center", np.zeros(0), d.basis, rtol)
     # spectral norms of the brackets [rho, d_k], batched over the basis of d
     dk = d._stacked
-    vals = np.linalg.norm(0.5j * (s.rho @ dk - dk @ s.rho), 2, axis=(1, 2))
+    vals = _opnorm(0.5j * (s.rho @ dk - dk @ s.rho))
     return _verdict("center", vals, d.basis, rtol)
 
 
@@ -253,12 +261,11 @@ def classify(
 
     The center criterion participates only when rho lies in span(L). Any
     disagreement raises CriteriaDisagree; otherwise the commutator verdict
-    (pair certificate) is returned.
+    (pair certificate) is returned. The bracket tensor C that the
+    associator and commutator criteria share is built once.
     """
-    verdicts = [
-        is_classical_associator(s, L, rtol),
-        is_classical_commutator(s, L, rtol),
-    ]
+    C = _bracket_tensor(s, L)
+    verdicts = [_associator_verdict(s, L, rtol, C), _verdict("commutator", C, L.basis, rtol)]
     if L.contains(s.rho):
         verdicts.append(is_classical_center(s, L, rtol))
     flags = {v.classical for v in verdicts}

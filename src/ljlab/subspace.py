@@ -44,6 +44,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _opnorm,
     as_matrix,
     derive_seed,
     hs_norm,
@@ -461,7 +462,7 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     nonzero norm.
     """
     i, j = np.triu_indices(L.dim_span, 1)
-    norms = np.linalg.norm(_products(L._stacked, i, j, lie), 2, axis=(1, 2))
+    norms = _opnorm(_products(L._stacked, i, j, lie))
     best = float(norms.max(initial=0.0))
     if best <= _DEFECT_FLOOR:
         return best, None
@@ -485,7 +486,7 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     for i in range(r):
         left = _products(ejk, r + r * i + j, k, jordan)
         right = _products(ejk, np.full(r * r, i), r + r * j + k, jordan)
-        norms = np.linalg.norm(left - right, 2, axis=(1, 2))
+        norms = _opnorm(left - right)
         m = int(np.argmax(norms))
         if norms[m] > best:
             best, arg = float(norms[m]), (i, int(j[m]), int(k[m]))

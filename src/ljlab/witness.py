@@ -10,7 +10,7 @@ perturbation and score; results are deterministic in (n, seed, budget).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -18,13 +18,14 @@ from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _opnorm,
     dagger,
     derive_seed,
     gaussian_complex,
     random_hermitian,
     spectral_norm,
 )
-from .products import associator, jordan
+from .products import _associate, associator, jordan
 from .subspace import full_hermitian_basis
 
 __all__ = [
@@ -99,7 +100,7 @@ def _search(
     budget: int,
     draw: Callable[[np.random.Generator], tuple[np.ndarray, ...]],
     perturb: Callable[[np.ndarray, float, np.random.Generator], np.ndarray | None],
-    score: Callable[..., float],
+    score: Callable[[tuple[np.ndarray, ...], int | None, Any], tuple[float, Any]],
 ) -> tuple[np.ndarray, ...] | None:
     """Seeded multistart, then greedy refinement; returns the candidate of least score.
 
@@ -109,6 +110,11 @@ def _search(
     perturbs that factor (``None`` skips the step); a strictly lower score is
     kept. Twenty rejects in a row halve the step, 0.1 at first, until it is
     below 1e-6. None for ``n == 1``, where all observables commute.
+
+    ``score(cand, slot, memo)`` returns the score and a memo of its work on
+    ``cand``. A drawn trial is scored with ``slot`` and ``memo`` None; a
+    refinement step passes the slot it changed and the memo of the current
+    best, so work on the factors it did not change is reused, not redone.
     """
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
@@ -118,11 +124,12 @@ def _search(
         return None
     best_val = np.inf
     best: tuple[np.ndarray, ...] = ()
+    memo: Any = None
     for t in range(budget):
         cand = draw(np.random.default_rng(derive_seed(seed, t)))
-        val = score(*cand)
+        val, cand_memo = score(cand, None, None)
         if val < best_val:
-            best_val, best = val, cand
+            best_val, best, memo = val, cand, cand_memo
     rng = np.random.default_rng(derive_seed(seed, budget))
     step, rejects = 0.1, 0
     for _ in range(6000):
@@ -133,9 +140,9 @@ def _search(
         if factor is None:
             continue
         cand = best[:slot] + (factor,) + best[slot + 1 :]
-        val = score(*cand)
+        val, cand_memo = score(cand, slot, memo)
         if val < best_val:
-            best_val, best, rejects = val, cand, 0
+            best_val, best, memo, rejects = val, cand, cand_memo, 0
         else:
             rejects += 1
             if rejects >= 20:
@@ -165,8 +172,13 @@ def avr_witness_search(
         cand[i, j] += 1j * bump if rng.integers(2) == 1 else bump
         return cand
 
-    def score(g: np.ndarray, h: np.ndarray) -> float:
-        return _min_eig(jordan(_unit_psd(g), _unit_psd(h)))
+    def score(cand, slot, memo):
+        # memo: the unit PSD forms of the factors
+        units = tuple(
+            memo[i] if slot is not None and i != slot else _unit_psd(g)
+            for i, g in enumerate(cand)
+        )
+        return _min_eig(jordan(*units)), units
 
     best = _search(n, seed, budget, draw, perturb, score)
     if best is None:
@@ -204,9 +216,13 @@ def associator_witness_search(
         nrm = spectral_norm(cand)
         return None if nrm == 0.0 else cand / nrm
 
-    def score(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    def score(cand, slot, memo):
+        # memo: (a o b, b o c); changing a keeps b o c, changing c keeps a o b
+        a, b, c = cand
+        ab = memo[0] if slot == 2 else jordan(a, b)
+        bc = memo[1] if slot == 0 else jordan(b, c)
         # _search minimizes; IEEE negation is exact, so the ranking is the norm's
-        return -spectral_norm(associator(a, b, c))
+        return -float(_opnorm(_associate(a, ab, bc, c))), (ab, bc)
 
     best = _search(n, seed, budget, draw, perturb, score)
     if best is None:

@@ -5,8 +5,9 @@ ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
 the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, witness searches from their own multistart and refinement loops, the
-associator criterion from its Jordan-tensor einsum and the Killing matrix
-from the full grid of ad operators.
+associator criterion from its Jordan-tensor einsum, the Killing matrix
+from the full grid of ad operators, ``verify`` reports from the per-trial
+loop, and operator norms from ``np.linalg.norm(a, 2)``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from ljlab import (
     DimensionMismatch,
     EmptyInput,
+    IdentityReport,
     MaxRoundsExceeded,
     ValidationError,
     WitnessReport,
@@ -36,8 +38,8 @@ from ljlab.linalg import (
     derive_seed,
     gaussian_complex,
     hs_norm,
+    random_hermitian,
     same_dim,
-    spectral_norm,
 )
 from ljlab.subspace import SPAN_RTOL, RealSubspace, _products
 
@@ -53,6 +55,19 @@ AVR_B = 0.5 * (I2 + SX)
 # a >= b >= 0 but a@a - b@b is indefinite
 SQ_A = np.array([[1.5, 0.5], [0.5, 0.5]], dtype=complex)
 SQ_B = P0
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value, as ``np.linalg.norm(a, 2)`` computes it.
+
+    Verbatim body of ``ljlab.linalg.spectral_norm`` before it took the first
+    singular value from ``np.linalg.svd``, so the oracles here do not share
+    the package's norm kernel.
+    """
+    a = as_matrix(m)
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.norm(a, 2))
 
 
 def rank_of(mats: list[np.ndarray], tol: float | None = None) -> int:
@@ -441,3 +456,104 @@ def loop_associator_witness_search(
         violation=violation,
         found=violation > tol.zero_tol,
     )
+
+
+# Verbatim copies of the identity checkers and the per-trial ``cmd_verify``
+# loop from before ``verify`` evaluated its trials as stacks: the bit-for-bit
+# reference for the stacked identity kernels. Thresholds follow
+# ``Tolerance.threshold`` as it was then, with the builtin ``max``.
+
+
+def _loop_threshold(tol: Tolerance, scale: float) -> float:
+    if tol.rel:
+        return tol.zero_tol * max(1.0, float(scale))
+    return tol.zero_tol
+
+
+def _report(name: str, defect: np.ndarray, scale: float, tol: Tolerance) -> IdentityReport:
+    residual = spectral_norm(defect)
+    threshold = _loop_threshold(tol, scale)
+    return IdentityReport(name=name, residual=residual, threshold=threshold, passed=residual <= threshold)
+
+
+def loop_check_jacobi(a, b, c, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
+    defect = lie(lie(a, b), c) + lie(lie(b, c), a) + lie(lie(c, a), b)
+    scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
+    return _report("jacobi", defect, scale, tol)
+
+
+def loop_check_leibniz(a, b, c, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
+    defect = lie(a, jordan(b, c)) - jordan(lie(a, b), c) - jordan(b, lie(a, c))
+    scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
+    return _report("leibniz", defect, scale, tol)
+
+
+def loop_check_associator_identity(a, b, c, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
+    defect = associator(a, b, c) - lie(b, lie(c, a))
+    scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
+    return _report("associator-identity", defect, scale, tol)
+
+
+def loop_check_weak_associativity(a, b, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
+    sq = jordan(a, a)
+    defect = jordan(jordan(sq, b), a) - jordan(sq, jordan(b, a))
+    na = spectral_norm(a)
+    scale = na**3 * spectral_norm(b)
+    return _report("weak-associativity", defect, scale, tol)
+
+
+def loop_check_norm_axioms(a, b, tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
+    na = spectral_norm(a)
+    nb = spectral_norm(b)
+    sq_a = jordan(a, a)
+    sq_b = jordan(b, b)
+    v_sub = spectral_norm(jordan(a, b)) - na * nb
+    v_square = abs(spectral_norm(sq_a) - na * na)
+    v_dominance = spectral_norm(sq_a) - spectral_norm(sq_a + sq_b)
+    residual = max(v_sub, v_square, v_dominance)
+    scale = max(na * nb, na * na, nb * nb)
+    threshold = _loop_threshold(tol, scale)
+    return IdentityReport(
+        name="norm-axioms",
+        residual=residual,
+        threshold=threshold,
+        passed=residual <= threshold,
+    )
+
+
+LOOP_CHECKERS = (
+    ("jacobi", loop_check_jacobi, 3),
+    ("leibniz", loop_check_leibniz, 3),
+    ("associator-identity", loop_check_associator_identity, 3),
+    ("weak-associativity", loop_check_weak_associativity, 2),
+    ("norm-axioms", loop_check_norm_axioms, 2),
+)
+
+
+def loop_verify_checks(
+    dims: tuple[int, ...], trials: int, seed: int, tol: Tolerance = DEFAULT_TOL
+) -> list[dict]:
+    """The ``checks`` list of a ``verify`` report, one trial and one identity at a time."""
+    checks = []
+    trial_index = 0
+    for n in dims:
+        worst = {name: 0.0 for name, _, _ in LOOP_CHECKERS}
+        ok = {name: True for name, _, _ in LOOP_CHECKERS}
+        for _ in range(trials):
+            rng = np.random.default_rng(derive_seed(seed, trial_index))
+            trial_index += 1
+            abc = tuple(random_hermitian(n, rng) for _ in range(3))
+            for name, check, arity in LOOP_CHECKERS:
+                rep = check(*abc[:arity], tol)
+                worst[name] = max(worst[name], rep.residual)
+                ok[name] = ok[name] and rep.passed
+        for name, _, _ in LOOP_CHECKERS:
+            checks.append(
+                {
+                    "name": name,
+                    "dim": n,
+                    "max_residual": worst[name],
+                    "passed": ok[name],
+                }
+            )
+    return checks

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import SX, SY
+from helpers import SX, SY, loop_verify_checks
+from ljlab.cli import SWEEP_DIMS, SessionConfig, cmd_verify
 from ljlab.jsonio import matrix_to_json, subspace_to_json
+from ljlab.linalg import DEFAULT_TOL, Tolerance
 
 
 def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -57,6 +59,32 @@ def test_verify_sweeps_dims_when_unset():
     rep = json.loads(res.stdout)
     assert rep["summary"]["dims"] == [2, 3, 4, 5, 6]
     assert len(rep["checks"]) == 25
+
+
+def _fields(checks: list[dict]) -> list[tuple]:
+    # max_residual by its bits, and the exact types json.dumps will see
+    return [
+        (c["name"], c["dim"], type(c["max_residual"]), c["max_residual"].hex(), type(c["passed"]), c["passed"])
+        for c in checks
+    ]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(zero_tol=1e-18)], ids=["default", "tiny"])
+@pytest.mark.parametrize("dim", [None, 1, 2, 3, 4, 5, 6])
+def test_verify_report_equals_per_trial_loop_bit_for_bit(dim, tol):
+    # both paths run here, on this BLAS: recorded bytes would not carry over
+    dims = SWEEP_DIMS if dim is None else (dim,)
+    failed = 0
+    for trials in (1, 2, 25):
+        for seed in (0, 7, 2**40 + 3):
+            cfg = SessionConfig(command="verify", dim=dim, trials=trials, seed=seed, tol=tol)
+            report, all_passed = cmd_verify(cfg)
+            ref = loop_verify_checks(dims, trials, seed, tol)
+            assert _fields(report.checks) == _fields(ref), (trials, seed)
+            assert all_passed == all(c["passed"] for c in ref)
+            failed += sum(not c["passed"] for c in ref)
+    if tol.zero_tol < 1e-17 and dim != 1:
+        assert failed > 0  # the tiny tolerance really runs the failing branches
 
 
 def test_verify_rejects_zero_trials():

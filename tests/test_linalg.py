@@ -22,6 +22,7 @@ from ljlab import (
     spectral_norm,
     traceless,
 )
+from ljlab.linalg import _opnorm
 
 
 def test_tolerance_threshold_scaling():
@@ -170,3 +171,64 @@ def test_traceless_removes_identity_component():
     for i in range(20):
         m = traceless(random_hermitian(4, seed=i))
         assert abs(np.trace(m)) < 1e-12
+
+
+def _norm_fixtures(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return [g, 0.5 * (g + g.conj().T), np.zeros((n, n), dtype=complex), np.outer(u, v.conj())]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectral_norm_is_bit_equal_to_numpy_two_norm(n):
+    rng = np.random.default_rng(900 + n)
+    for _ in range(10):
+        for m in _norm_fixtures(n, rng):
+            got, ref = spectral_norm(m), float(np.linalg.norm(m, 2))
+            assert type(got) is float
+            assert got.hex() == ref.hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "everywhere"])
+def test_spectral_norm_on_non_finite_input_behaves_as_numpy_two_norm(bad, where):
+    m = random_hermitian(3, seed=5)
+    if where == "diagonal":
+        m[1, 1] = bad
+    elif where == "off-diagonal":
+        m[0, 2] = bad
+    else:
+        m[:] = bad
+
+    def outcome(f):
+        try:
+            return "value", float(f(m)).hex()
+        except Exception as exc:  # the kind of failure is what is compared
+            return "raised", type(exc)
+
+    assert outcome(spectral_norm) == outcome(lambda x: np.linalg.norm(x, 2))
+
+
+def test_opnorm_of_a_stack_equals_per_slice_calls():
+    rng = np.random.default_rng(77)
+    for n in range(1, 9):
+        stack = np.stack([m for _ in range(3) for m in _norm_fixtures(n, rng)])
+        got = _opnorm(stack)
+        assert got.shape == (len(stack),)
+        assert got.tobytes() == np.array([spectral_norm(m) for m in stack]).tobytes()
+        nested = _opnorm(stack.reshape(2, -1, n, n))
+        assert nested.tobytes() == got.tobytes()
+    assert _opnorm(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
+def test_threshold_broadcasts_over_scales():
+    tol = Tolerance(zero_tol=1e-9)
+    scales = np.array([0.0, 0.5, 1.0, 3.0, 1e6, np.nan])
+    got = tol.threshold(scales)
+    assert got.tolist() == [tol.threshold(float(s)) for s in scales]
+    assert type(tol.threshold(3.0)) is float
+    # a NaN scale falls back to the floor, as the builtin max did
+    assert tol.threshold(np.nan) == 1e-9
+    assert Tolerance(zero_tol=1e-6, rel=False).threshold(scales) == 1e-6

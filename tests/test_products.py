@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import AVR_B, I2, P0, SX, SY, SZ
+from helpers import AVR_B, I2, LOOP_CHECKERS, P0, SX, SY, SZ
 from ljlab import (
     DimensionMismatch,
     NotInSpan,
@@ -22,6 +22,14 @@ from ljlab import (
     random_hermitian,
     recover_associative,
     span,
+)
+from ljlab.linalg import _opnorm
+from ljlab.products import (
+    _associator_identity,
+    _jacobi,
+    _leibniz,
+    _norm_axioms,
+    _weak_associativity,
 )
 
 
@@ -157,3 +165,99 @@ def test_jordan_commute_errors():
         jordan_commute(SX, SZ, small)
     with pytest.raises(DimensionMismatch):
         jordan_commute(SX, SZ, full_hermitian_space(3))
+
+
+def _stack(n: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return 0.5 * (g + g.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_products_equal_per_slice_calls_bit_for_bit(n):
+    a, b, c = (_stack(n, 9, 40 * n + k) for k in range(3))
+    for fn, operands in ((jordan, (a, b)), (lie, (a, b)), (associator, (a, b, c))):
+        got = fn(*operands)
+        assert got.shape == a.shape
+        ref = np.stack([fn(*(m[t] for m in operands)) for t in range(len(a))])
+        assert got.tobytes() == ref.tobytes(), fn.__name__
+        # a single matrix broadcasts against a stack, and leading axes nest
+        mixed = fn(operands[0][0], *operands[1:])
+        ref = np.stack([fn(operands[0][0], *(m[t] for m in operands[1:])) for t in range(len(a))])
+        assert mixed.tobytes() == ref.tobytes(), fn.__name__
+        nested = fn(*(m.reshape(3, 3, n, n) for m in operands))
+        assert nested.tobytes() == got.tobytes(), fn.__name__
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (np.zeros((2, 3)), np.zeros((2, 2))),
+        (np.zeros((4, 2, 3)), np.zeros((4, 2, 2))),
+        (np.zeros(4), np.zeros((2, 2))),
+        (np.zeros((4, 2, 2)), np.zeros((4, 3, 3))),
+        (np.zeros((4, 2, 2)), np.zeros((3, 2, 2))),
+    ],
+    ids=["non-square", "non-square-stack", "vector", "mismatched-n", "mismatched-stacks"],
+)
+def test_products_reject_non_square_and_mismatched_stacks(x, y):
+    for fn in (jordan, lie):
+        with pytest.raises(DimensionMismatch):
+            fn(x, y)
+        with pytest.raises(DimensionMismatch):
+            fn(y, x)
+    with pytest.raises(DimensionMismatch):
+        associator(x, y, y)
+
+
+def test_checkers_keep_their_single_matrix_contract():
+    stack = _stack(2, 3, 0)
+    for fn in (check_jacobi, check_leibniz, check_associator_identity):
+        with pytest.raises(DimensionMismatch):
+            fn(stack, stack, stack)
+    for fn in (check_weak_associativity, check_norm_axioms):
+        with pytest.raises(DimensionMismatch):
+            fn(stack, stack)
+        rep = fn(stack[0], stack[1])
+        assert type(rep.residual) is float and type(rep.threshold) is float
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_identity_defects_and_scales_equal_per_slice_calls(n):
+    a, b, c = (_stack(n, 25, 70 * n + k) for k in range(3))
+    for identity, arity in (
+        (_jacobi, 3),
+        (_leibniz, 3),
+        (_associator_identity, 3),
+        (_weak_associativity, 2),
+        (_norm_axioms, 2),
+    ):
+        operands = (a, b, c)[:arity]
+        norms = [_opnorm(m) for m in operands]
+        residual, scale = identity(*operands, *norms)
+        per_slice = [
+            identity(*(m[t] for m in operands), *(_opnorm(m[t]) for m in operands))
+            for t in range(len(a))
+        ]
+        assert residual.tobytes() == np.array([r for r, _ in per_slice]).tobytes()
+        assert scale.tobytes() == np.array([s for _, s in per_slice]).tobytes()
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(zero_tol=1e-18), Tolerance(rel=False)])
+def test_checkers_equal_their_per_matrix_reference_bit_for_bit(tol):
+    public = {
+        "jacobi": check_jacobi,
+        "leibniz": check_leibniz,
+        "associator-identity": check_associator_identity,
+        "weak-associativity": check_weak_associativity,
+        "norm-axioms": check_norm_axioms,
+    }
+    for n in range(1, 7):
+        a, b, c = (_stack(n, 25, 90 * n + k) for k in range(3))
+        for t in range(25):
+            for name, reference, arity in LOOP_CHECKERS:
+                operands = (a[t], b[t], c[t])[:arity]
+                got, ref = public[name](*operands, tol), reference(*operands, tol)
+                assert got.name == ref.name
+                assert (got.residual.hex(), got.threshold.hex()) == (ref.residual.hex(), ref.threshold.hex()), (name, n, t)
+                assert got.passed is ref.passed

@@ -34,7 +34,7 @@ from ljlab import (
 )
 from ljlab import states as states_mod
 from ljlab.products import associator
-from ljlab.states import CLASSICALITY_RTOL, _associator_expectations
+from ljlab.states import CLASSICALITY_RTOL, _associator_expectations, _bracket_expectations
 from ljlab.subspace import _structure_constants
 
 
@@ -305,11 +305,15 @@ def _first_top_triple(vals: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return tuple(int(x) for x in top), float(flat[order[0]] - flat[order[1]])
 
 
+def _associator_values(s, alg):
+    return _associator_expectations(s, alg, CLASSICALITY_RTOL, _bracket_expectations(s, alg))
+
+
 def test_associator_values_match_einsum_oracle():
     gaps = 0
     for seed, (name, alg, _) in enumerate(_oracle_algebras()):
         for s in _oracle_states(alg.dim_ambient, seed=500 + seed):
-            vals = _associator_expectations(s, alg, CLASSICALITY_RTOL)
+            vals = _associator_values(s, alg)
             ref = einsum_associator_values(s, alg)
             np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12, err_msg=name)
             top, gap = _first_top_triple(ref)
@@ -333,7 +337,7 @@ def test_associator_values_vanish_where_brackets_do():
                 u = random_unitary(6, np.random.default_rng(33))
                 rhos[1:] = [u @ rho @ u.conj().T for rho in rhos[1:]]
         for rho in rhos:
-            vals = _associator_expectations(State(rho), alg, CLASSICALITY_RTOL)
+            vals = _associator_values(State(rho), alg)
             assert np.abs(vals).max() <= 1e-15, name
             assert is_classical_associator(State(rho), alg).classical
 
@@ -360,7 +364,7 @@ def test_large_residual_bound_takes_the_direct_path(monkeypatch, name):
     direct = is_classical_associator(s, alg)
     r = alg.dim_span
     assert calls[0] == r**3
-    vals = _associator_expectations(s, alg, CLASSICALITY_RTOL)
+    vals = _associator_values(s, alg)
     np.testing.assert_allclose(vals, einsum_associator_values(s, alg), rtol=0, atol=1e-12)
     assert direct.classical == fast.classical
     assert direct.max_violation == pytest.approx(fast.max_violation, abs=1e-12)
@@ -399,3 +403,25 @@ def test_structure_constants_are_memoized_by_the_associator_criterion_only():
     F, delta = memo
     assert np.array_equal(F, -F.transpose(1, 0, 2))
     assert delta <= 1e-15
+
+
+def test_classify_builds_the_bracket_tensor_once_per_state(monkeypatch):
+    calls = [0]
+    original = states_mod._bracket_expectations
+
+    def counted(s, L):
+        calls[0] += 1
+        return original(s, L)
+
+    monkeypatch.setattr(states_mod, "_bracket_expectations", counted)
+    for n in (2, 3, 4):
+        L = full_hermitian_space(n)
+        for seed in range(3):
+            s = random_state(n, seed)
+            before = calls[0]
+            verdict = classify(s, L)
+            assert calls[0] - before == 1
+            # the shared tensor gives the verdicts the public criteria give alone
+            alone = is_classical_commutator(s, L)
+            assert (verdict.classical, verdict.max_violation) == (alone.classical, alone.max_violation)
+            assert is_classical_associator(s, L).classical == verdict.classical

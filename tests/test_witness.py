@@ -169,7 +169,7 @@ def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
         return x + 1.0
 
     # every score ties, so every refinement step is a reject
-    best = _search(2, seed=0, budget=5, draw=draw, perturb=perturb, score=lambda x: 0.0)
+    best = _search(2, seed=0, budget=5, draw=draw, perturb=perturb, score=lambda c, s, m: (0.0, None))
     assert best is drawn[0]
     assert len(steps) == 17 * 20  # 0.1 * 0.5**17 < 1e-6
     assert steps[::20] == [0.1 * 0.5**k for k in range(17)]
@@ -184,7 +184,8 @@ def test_search_counts_skipped_steps_toward_the_step_cap_but_not_as_rejects():
             return None if len(calls) % 2 else x + delta
 
         draw = lambda rng: (np.zeros(1),)
-        best = _search(2, seed=0, budget=1, draw=draw, perturb=perturb, score=lambda x: x[0])
+        score = lambda cand, slot, memo: (cand[0][0], None)
+        best = _search(2, seed=0, budget=1, draw=draw, perturb=perturb, score=score)
         return best[0][0], len(calls)
 
     # every proposal improves, so only the 6000-step cap ends refinement
