@@ -254,7 +254,7 @@ def cmd_verify(cfg: SessionConfig) -> tuple[Report, bool]:
                 {
                     "name": name,
                     "dim": n,
-                    "max_residual": max(0.0, float(residual.max())),
+                    "max_residual": float(residual.max()),
                     "passed": bool(np.all(residual <= cfg.tol.threshold(scale))),
                 }
             )

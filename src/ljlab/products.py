@@ -187,7 +187,9 @@ def check_norm_axioms(
 
     Checks submultiplicativity ||a o b|| <= ||a|| ||b||, the square identity
     ||a^2|| = ||a||^2, and positivity dominance ||a^2|| <= ||a^2 + b^2||.
-    The residual is the worst signed violation; negative slack passes.
+    The residual is the largest of the three violations, signed for the two
+    inequalities; the square identity enters as an absolute difference, so
+    the residual is never below +0.
     """
     return _check("norm-axioms", _norm_axioms, (a, b), tol)
 
@@ -196,8 +198,9 @@ def jordan_commute(a, b, ambient, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the Jordan multiplication operators of a and b commute.
 
     Tests a o (b o e) = b o (a o e) on every basis element e of the ambient
-    subspace. Equivalent to [a, b] = 0 whenever the ambient space is closed
-    under the products. Raises NotInSpan when a or b leaves the ambient span.
+    subspace, as one stacked defect. Equivalent to [a, b] = 0 whenever the
+    ambient space is closed under the products. Raises NotInSpan when a or b
+    leaves the ambient span.
     """
     x = as_matrix(a)
     y = as_matrix(b)
@@ -210,8 +213,7 @@ def jordan_commute(a, b, ambient, tol: Tolerance = DEFAULT_TOL) -> bool:
         if not ambient.contains(m):
             raise NotInSpan(f"operand {label} is not in the ambient subspace")
     threshold = tol.threshold(spectral_norm(x) * spectral_norm(y))
-    for e in ambient.basis:
-        defect = jordan(x, jordan(y, e)) - jordan(y, jordan(x, e))
-        if spectral_norm(defect) > threshold:
-            return False
-    return True
+    e = ambient._stacked
+    defect = jordan(x, jordan(y, e)) - jordan(y, jordan(x, e))
+    # "none above" rather than "all at or below", so a NaN defect passes
+    return not (_opnorm(defect) > threshold).any()

@@ -1,11 +1,12 @@
 """Real-linear subspaces of Hermitian matrices and closure machinery.
 
-A subspace is stored as a Hilbert-Schmidt-orthonormal basis built by one
-blocked rank kernel (``_extend``) that works on real row views of the
-matrices. On top of that sit product closures, derived algebras,
-centralizers, commutativity and associativity tests, a Killing form
-nondegeneracy test, generation experiments, and the realization of a
-commuting associative subalgebra as functions on its joint spectrum.
+A subspace is stored once, as Hilbert-Schmidt-orthonormal real rows (the
+matrices viewed as interleaved real and imaginary parts) built by one
+blocked rank kernel (``_extend``); its basis matrices are views of them.
+On top of that sit product closures, derived algebras, centralizers,
+commutativity and associativity tests, a Killing form nondegeneracy test,
+generation experiments, and the realization of a commuting associative
+subalgebra as functions on its joint spectrum.
 
 Closures run semi-naive rounds: the basis only grows, and each round ranks
 just the products that involve a direction added in the previous round, in
@@ -92,29 +93,47 @@ POINT_MERGE_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class RealSubspace:
-    """Real span of Hermitian matrices with an orthonormal basis.
+    """Real span of Hermitian matrices, stored as orthonormal real rows.
 
-    ``basis`` is Hilbert-Schmidt orthonormal; ``dim_span`` may be zero.
-    Instances are immutable and the basis arrays are read-only, which makes
-    ``_memo`` sound: it holds closedness verdicts under ``jordan``/``lie``
-    keyed by ``(product, rtol)``, the derived algebra keyed by ``("derived",
-    rtol)`` and, once the associator criterion has run, the Lie structure
-    constants with their residual under ``"structure"``.
+    Row k of the ``(r, 2n^2)`` float array ``rows`` is basis element e_k with
+    its real and imaginary parts interleaved (``_rows``); ``dim_span`` r may
+    be zero. The constructor keeps a read-only C-contiguous copy. It raises
+    DimensionMismatch for any other row length, and ValidationError for
+    complex rows, whose imaginary parts a float copy would drop. ``_stacked``
+    (r, n, n) and ``basis`` are views of the copy. Immutability makes
+    ``_memo`` sound: it holds closedness verdicts keyed by ``(product,
+    rtol)``, the derived algebra by ``("derived", rtol)`` and the Lie
+    structure constants by ``"structure"``.
     """
 
     dim_ambient: int
-    basis: tuple[np.ndarray, ...]
+    rows: np.ndarray
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.dim_ambient
+        shape = np.shape(self.rows)
+        if len(shape) != 2 or shape[1] != 2 * n * n:
+            raise DimensionMismatch(
+                f"rows of ambient dim {n} need shape (r, {2 * n * n}), got {shape}"
+            )
+        if np.iscomplexobj(self.rows):
+            raise ValidationError("rows must be real, with each matrix's Re and Im interleaved")
+        rows = np.array(self.rows, dtype=float, order="C")
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim_span(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
     def _stacked(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, self.dim_ambient, self.dim_ambient), dtype=complex)
-        return np.stack(self.basis)
+        return self.rows.view(complex).reshape(-1, self.dim_ambient, self.dim_ambient)
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._stacked)
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Real coordinates of m against the basis (its projection's coordinates)."""
@@ -127,10 +146,7 @@ class RealSubspace:
 
     def _coords(self, mats: np.ndarray) -> np.ndarray:
         """``coeffs`` of every matrix in a (..., n, n) stack, as (..., r)."""
-        n2 = self.dim_ambient**2
-        # Re Tr(e_k m) = Re sum_ab e_k[a, b] m[b, a]
-        flat = mats.swapaxes(-1, -2).reshape(*mats.shape[:-2], n2)
-        return (flat @ self._stacked.reshape(self.dim_span, n2).T).real
+        return _rows(mats) @ self.rows.T
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return np.tensordot(self.coeffs(m), self._stacked, axes=1)
@@ -147,48 +163,35 @@ def full_hermitian_basis(n: int) -> list[np.ndarray]:
     """Canonical orthonormal basis of the n x n Hermitian matrices.
 
     Diagonal units first, then for each i < j the symmetric and the
-    antisymmetric (imaginary) unit, both scaled by 1/sqrt(2).
+    antisymmetric (imaginary) unit, both scaled by 1/sqrt(2). The matrices
+    are read-only views of one stack.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    mats: list[np.ndarray] = []
-    for k in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[k, k] = 1.0
-        mats.append(m)
+    mats = np.zeros((n * n, n, n), dtype=complex)
+    d = np.arange(n)
+    mats[d, d, d] = 1.0
+    i, j = np.triu_indices(n, 1)
+    s = n + 2 * np.arange(len(i))
     inv = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[i, j] = inv
-            s[j, i] = inv
-            mats.append(s)
-            y = np.zeros((n, n), dtype=complex)
-            y[i, j] = -1j * inv
-            y[j, i] = 1j * inv
-            mats.append(y)
-    for m in mats:
-        m.setflags(write=False)
-    return mats
+    mats[s, i, j] = mats[s, j, i] = inv
+    mats[s + 1, i, j], mats[s + 1, j, i] = -1j * inv, 1j * inv
+    mats.setflags(write=False)
+    return list(mats)
 
 
 def full_hermitian_space(n: int) -> RealSubspace:
-    return RealSubspace(dim_ambient=n, basis=tuple(full_hermitian_basis(n)))
+    return RealSubspace(dim_ambient=n, rows=_rows(full_hermitian_basis(n)))
 
 
 def _rows(mats: np.ndarray) -> np.ndarray:
-    """Real rows (k, 2n^2) of a (k, n, n) stack; a view when it is contiguous complex.
+    """Real rows (..., 2n^2) of a (..., n, n) stack; a view when it is contiguous complex.
 
     The dot product of two rows is Re Tr(a^H b), the Hilbert-Schmidt inner
-    product on Hermitian matrices.
+    product, which for a Hermitian a is Re Tr(a b).
     """
-    return np.ascontiguousarray(mats, dtype=complex).reshape(len(mats), -1).view(float)
-
-
-def _subspace(n: int, rows: np.ndarray) -> RealSubspace:
-    mats = rows.view(complex).reshape(len(rows), n, n).copy()
-    mats.setflags(write=False)
-    return RealSubspace(dim_ambient=n, basis=tuple(mats))
+    a = np.ascontiguousarray(mats, dtype=complex)
+    return a.reshape(*a.shape[:-2], -1).view(float)
 
 
 def _extend(
@@ -247,7 +250,7 @@ def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspac
     if not mats:
         raise EmptyInput("span of an empty list is undefined; pass at least one matrix")
     n = same_dim(*mats)
-    return _subspace(n, _extend(np.empty((0, 2 * n * n)), _rows(np.stack(mats)), rtol))
+    return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(np.stack(mats)), rtol))
 
 
 def _product_pairs(r: int, product: Product) -> np.ndarray:
@@ -307,7 +310,7 @@ def _at_dimension_bound(rows: np.ndarray, n: int, product: Product, rtol: float)
         return True
     if product is not lie or r != n * n - 1:
         return False
-    unit = _rows(np.eye(n, dtype=complex)[None])[0] / math.sqrt(n)
+    unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
     return float(np.linalg.norm(rows @ unit)) <= rtol
 
 
@@ -325,7 +328,7 @@ def _close_rounds(
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if s.dim_span == 0:
         return s, 0, [0]
-    rows = _rows(s._stacked)
+    rows = s.rows
     trajectory = [len(rows)]
     rounds = 0
     new = 0  # rows added by the previous round start here
@@ -345,7 +348,7 @@ def _close_rounds(
                         break
         trajectory.append(len(rows))
         if len(rows) == r:
-            return _subspace(n, rows), rounds, trajectory
+            return RealSubspace(n, rows), rounds, trajectory
         new = r
 
 
@@ -380,9 +383,8 @@ def is_closed_under(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) 
     key = (product, rtol)
     if key in s._memo:
         return s._memo[key]
-    # a 0-dimensional s yields no blocks, so _rows never sees an empty stack
     closed = not any(
-        len(_extend(_rows(s._stacked), _rows(block), rtol, first=True))
+        len(_extend(s.rows, _rows(block), rtol, first=True))
         for block in _round_products(s._stacked, 0, product)
     )
     if product is jordan or product is lie:
@@ -404,7 +406,7 @@ def derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
         return L._memo[key]
     r = L.dim_span
     if r < 2:
-        d = RealSubspace(dim_ambient=L.dim_ambient, basis=())
+        d = RealSubspace(L.dim_ambient, L.rows[:0])
     else:
         i, j = np.triu_indices(r, 1)
         brackets = _products(L._stacked, i, j, lie)
@@ -421,7 +423,8 @@ def centralizer(
 
     Solved as a null space: stack the real and imaginary parts of
     [e_i, s_j] for each basis element e_i of L, then read the null space
-    off an SVD. The returned basis is orthonormal because L's basis is.
+    off an SVD. Its vectors are coordinates against L's orthonormal rows,
+    so the returned rows are orthonormal too.
     """
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(
@@ -429,21 +432,13 @@ def centralizer(
         )
     if L.dim_span == 0 or S.dim_span == 0:
         return L
-    n = L.dim_ambient
     # column i: Re and Im of [e_i, s_j] for each j in turn
     i, j = np.divmod(np.arange(L.dim_span * S.dim_span), S.dim_span)
     br = _products(np.concatenate((L._stacked, S._stacked)), i, L.dim_span + j, lie)
     cols = np.stack((br.real, br.imag), axis=1).reshape(L.dim_span, -1).T
     _, sv, vh = np.linalg.svd(cols, full_matrices=False)
     cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
-    mats = []
-    for i in range(vh.shape[0]):
-        if i < sv.size and sv[i] > cut:
-            continue
-        m = np.tensordot(vh[i], L._stacked, axes=1)
-        m.setflags(write=False)
-        mats.append(m)
-    return RealSubspace(dim_ambient=n, basis=tuple(mats))
+    return RealSubspace(L.dim_ambient, vh[~(sv > cut)] @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
@@ -504,7 +499,6 @@ def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
     everything below about 1e-8, the size of the thresholds it serves.
     """
     r = L.dim_span
-    rows = _rows(L._stacked)
     F = np.zeros((r, r, r))
     delta = 0.0
     i, k = np.triu_indices(r, 1)
@@ -514,7 +508,7 @@ def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
         c = L._coords(p)
         F[a, b] = c
         F[b, a] = -c
-        delta = max(delta, float(np.linalg.norm(_rows(p) - c @ rows, axis=1).max()))
+        delta = max(delta, float(np.linalg.norm(_rows(p) - c @ L.rows, axis=1).max()))
     return F, delta
 
 
@@ -645,20 +639,21 @@ class FunctionRepresentation:
         return len(self.projectors)
 
     def evaluate(self, m: np.ndarray) -> np.ndarray:
-        """Function values Tr(P_x m) / rank(P_x) of an ambient matrix."""
+        """Function values Tr(P_x m) / rank(P_x) of an ambient matrix.
+
+        Raises DimensionMismatch when m is not dim_ambient x dim_ambient.
+        """
         a = as_matrix(m)
-        out = np.empty(self.num_points)
-        for x, p in enumerate(self.projectors):
-            rank = max(1, round(float(np.real(np.trace(p)))))
-            out[x] = float(np.real(np.sum(p * a.T))) / rank
-        return out
+        n = self.subspace.dim_ambient
+        if a.shape[0] != n:
+            raise DimensionMismatch(f"matrix dim {a.shape[0]} does not match ambient dim {n}")
+        p = np.reshape(self.projectors, (-1, n, n))
+        rank = np.maximum(1.0, np.rint(np.einsum("xaa->x", p).real))
+        return np.einsum("xab,ba->x", p, a).real / rank
 
     def reconstruct(self, i: int) -> np.ndarray:
         """Rebuild basis element i as sum_x points[x, i] * projectors[x]."""
-        out = np.zeros((self.subspace.dim_ambient,) * 2, dtype=complex)
-        for x, p in enumerate(self.projectors):
-            out += self.points[x, i] * p
-        return out
+        return np.einsum("x,xab->ab", self.points[:, i], self.projectors)
 
 
 def function_representation(L: RealSubspace) -> FunctionRepresentation:
@@ -690,9 +685,8 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
         _, vec = np.linalg.eigh(np.tensordot(c, stacked, axes=1))
         rot = np.einsum("ak,iab,bl->ikl", vec.conj(), stacked, vec)
         diag = np.einsum("ikk->ik", rot).real
-        off = np.abs(rot.copy())
-        for k in range(n):
-            off[:, k, k] = 0.0
+        off = np.abs(rot)
+        off[:, np.arange(n), np.arange(n)] = 0.0
         if float(off.max()) > 1e-10 * max(1.0, float(np.max(np.abs(diag)))):
             continue
         groups: list[list[int]] = []

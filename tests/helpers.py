@@ -7,7 +7,8 @@ the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, witness searches from their own multistart and refinement loops, the
 associator criterion from its Jordan-tensor einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
-loop, and operator norms from ``np.linalg.norm(a, 2)``.
+loop, the batched subspace helpers from their per-basis loops, and
+operator norms from ``np.linalg.norm(a, 2)``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from ljlab import (
     EmptyInput,
     IdentityReport,
     MaxRoundsExceeded,
+    NotInSpan,
     ValidationError,
     WitnessReport,
     associator,
@@ -168,7 +170,7 @@ def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> Real
             u = v / res
             u.setflags(write=False)
             basis.append(u)
-    return RealSubspace(dim_ambient=n, basis=tuple(basis))
+    return RealSubspace(dim_ambient=n, rows=np.array(basis, dtype=complex).reshape(len(basis), n * n).view(float))
 
 
 def _all_product_pairs(r: int, product) -> list[tuple[int, int]]:
@@ -266,7 +268,98 @@ def loop_centralizer(
         m = np.tensordot(vh[i], L._stacked, axes=1)
         m.setflags(write=False)
         mats.append(m)
-    return RealSubspace(dim_ambient=n, basis=tuple(mats))
+    return RealSubspace(dim_ambient=n, rows=np.array(mats, dtype=complex).reshape(len(mats), n * n).view(float))
+
+
+# Verbatim copies of the per-basis loops from before ``RealSubspace`` stored
+# one row array: the references for their batched forms. The two
+# ``FunctionRepresentation`` methods take the representation as ``fr``.
+
+
+def loop_full_hermitian_basis(n: int) -> list[np.ndarray]:
+    if n < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+    mats: list[np.ndarray] = []
+    for k in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[k, k] = 1.0
+        mats.append(m)
+    inv = 1.0 / math.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = np.zeros((n, n), dtype=complex)
+            s[i, j] = inv
+            s[j, i] = inv
+            mats.append(s)
+            y = np.zeros((n, n), dtype=complex)
+            y[i, j] = -1j * inv
+            y[j, i] = 1j * inv
+            mats.append(y)
+    for m in mats:
+        m.setflags(write=False)
+    return mats
+
+
+def loop_jordan_commute(a, b, ambient, tol: Tolerance = DEFAULT_TOL) -> bool:
+    x = as_matrix(a)
+    y = as_matrix(b)
+    n = same_dim(x, y)
+    if ambient.dim_ambient != n:
+        raise DimensionMismatch(
+            f"ambient dimension {ambient.dim_ambient} does not match operands of dim {n}"
+        )
+    for label, m in (("a", x), ("b", y)):
+        if not ambient.contains(m):
+            raise NotInSpan(f"operand {label} is not in the ambient subspace")
+    threshold = tol.threshold(spectral_norm(x) * spectral_norm(y))
+    for e in ambient.basis:
+        defect = jordan(x, jordan(y, e)) - jordan(y, jordan(x, e))
+        if spectral_norm(defect) > threshold:
+            return False
+    return True
+
+
+def loop_evaluate(fr, m: np.ndarray) -> np.ndarray:
+    a = as_matrix(m)
+    out = np.empty(fr.num_points)
+    for x, p in enumerate(fr.projectors):
+        rank = max(1, round(float(np.real(np.trace(p)))))
+        out[x] = float(np.real(np.sum(p * a.T))) / rank
+    return out
+
+
+def loop_reconstruct(fr, i: int) -> np.ndarray:
+    out = np.zeros((fr.subspace.dim_ambient,) * 2, dtype=complex)
+    for x, p in enumerate(fr.projectors):
+        out += fr.points[x, i] * p
+    return out
+
+
+def vector_loop_centralizer(
+    L: RealSubspace, S: RealSubspace, tol: Tolerance = DEFAULT_TOL
+) -> RealSubspace:
+    """``centralizer`` with its batched columns and its per-null-vector loop."""
+    if L.dim_ambient != S.dim_ambient:
+        raise DimensionMismatch(
+            f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}"
+        )
+    if L.dim_span == 0 or S.dim_span == 0:
+        return L
+    n = L.dim_ambient
+    # column i: Re and Im of [e_i, s_j] for each j in turn
+    i, j = np.divmod(np.arange(L.dim_span * S.dim_span), S.dim_span)
+    br = _products(np.concatenate((L._stacked, S._stacked)), i, L.dim_span + j, lie)
+    cols = np.stack((br.real, br.imag), axis=1).reshape(L.dim_span, -1).T
+    _, sv, vh = np.linalg.svd(cols, full_matrices=False)
+    cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
+    mats = []
+    for i in range(vh.shape[0]):
+        if i < sv.size and sv[i] > cut:
+            continue
+        m = np.tensordot(vh[i], L._stacked, axes=1)
+        m.setflags(write=False)
+        mats.append(m)
+    return RealSubspace(dim_ambient=n, rows=np.array(mats, dtype=complex).reshape(len(mats), n * n).view(float))
 
 
 def einsum_associator_values(s, L: RealSubspace) -> np.ndarray:

@@ -3,8 +3,10 @@
 Unitary conjugation is an automorphism of both products, positive scaling
 of the generators does not change the spans they generate, and a pair of
 block-diagonal generators generates the direct sum of what its blocks
-generate. Verdicts and closure dimensions must respect all three. The
-tests are seeded parametrizations, so every case is reproducible.
+generate. Verdicts and closure dimensions must respect all three, and
+witness values must be unitarily invariant and homogeneous of the degree
+of their product. The tests are seeded parametrizations, so every case is
+reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from helpers import block_algebra, commutative_algebra, conjugated, random_unitary
 from ljlab import (
     State,
+    associator_witness,
     classify,
     close_under,
     full_hermitian_space,
@@ -25,6 +28,7 @@ from ljlab import (
     random_hermitian,
     random_state,
     span,
+    squared_witness,
     traceless,
 )
 
@@ -153,3 +157,58 @@ def test_block_diagonal_pairs_close_to_the_direct_sum(sizes, seed):
     assert all(L.contains(m) for m in B.basis)
     for rho in _states(sum(sizes), seed):
         assert classify(State(rho), L).classical == classify(State(rho), B).classical
+
+
+def _conj(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return u @ m @ u.conj().T
+
+
+def _psd_pair(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Two PSD matrices, g g^H for complex Gaussian g, as the avr search draws them."""
+    out = []
+    for _ in range(2):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out.append(g @ g.conj().T)
+    return out[0], out[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", (2, 3, 4, 6))
+def test_witness_values_are_invariant_under_unitary_conjugation(n, seed):
+    rng = np.random.default_rng(4000 + 10 * n + seed)
+    u = random_unitary(n, rng)
+    a, b, c = (random_hermitian(n, rng) for _ in range(3))
+    w, uw = associator_witness(a, b, c), associator_witness(*(_conj(u, m) for m in (a, b, c)))
+    assert uw.violation == pytest.approx(w.violation, rel=1e-12)
+    assert uw.found == w.found
+    q, uq = squared_witness(a), squared_witness(_conj(u, a))
+    assert uq.violation == pytest.approx(q.violation, rel=1e-12)
+    assert uq.found == q.found
+    # the avr value: the smallest eigenvalue of the Jordan product of a PSD pair
+    p, r = _psd_pair(n, rng)
+    lam = np.linalg.eigvalsh(jordan(p, r))[0]
+    ulam = np.linalg.eigvalsh(jordan(_conj(u, p), _conj(u, r)))[0]
+    scale = np.linalg.norm(p, 2) * np.linalg.norm(r, 2)
+    assert ulam == pytest.approx(lam, rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("t", (0.05, 0.5, 3.0, 40.0))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("seed", range(3))
+def test_witness_values_scale_with_the_degree_of_their_product(seed, n, t):
+    rng = np.random.default_rng(5000 + 10 * n + seed)
+    a, b, c = (random_hermitian(n, rng) for _ in range(3))
+    w, tw = associator_witness(a, b, c), associator_witness(t * a, t * b, t * c)
+    assert tw.violation == pytest.approx(t**3 * w.violation, rel=1e-12)
+    assert tw.found == w.found
+    q, tq = squared_witness(a), squared_witness(t * a)
+    assert tq.violation == pytest.approx(t**2 * q.violation, rel=1e-12)
+    assert tq.found == q.found
+    # a commuting triple has no associator at any scale, and zero squares to zero
+    u = random_unitary(n, rng)
+    d = [u @ np.diag(rng.standard_normal(n)) @ u.conj().T for _ in range(3)]
+    assert not associator_witness(*d).found
+    assert not associator_witness(*(t * m for m in d)).found
+    z = np.zeros((n, n), dtype=complex)
+    assert squared_witness(t * z).violation == squared_witness(z).violation == 0.0
+    assert not squared_witness(t * z).found

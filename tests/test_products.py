@@ -3,7 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import AVR_B, I2, LOOP_CHECKERS, P0, SX, SY, SZ
+from helpers import (
+    AVR_B,
+    I2,
+    LOOP_CHECKERS,
+    P0,
+    SX,
+    SY,
+    SZ,
+    block_algebra,
+    commutative_algebra,
+    loop_jordan_commute,
+)
 from ljlab import (
     DimensionMismatch,
     NotInSpan,
@@ -157,6 +168,31 @@ def test_jordan_commute_random_agreement():
             np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
         )
         assert jordan_commute(a, b, ambient) == bracket_zero
+
+
+def test_jordan_commute_verdicts_equal_the_per_basis_loop():
+    ambients = [full_hermitian_space(n) for n in (1, 2, 3, 4)]
+    ambients += [block_algebra((2, 1)), block_algebra((2, 2)), commutative_algebra(3, seed=4)]
+    verdicts = []
+    for k, ambient in enumerate(ambients):
+        rng = np.random.default_rng(500 + k)
+        e, r = ambient._stacked, ambient.dim_span
+        a = np.tensordot(rng.standard_normal(r), e, axes=1)
+        h = np.tensordot(rng.standard_normal(r), e, axes=1)
+        pairs = [(a, h), (a, a @ a), (h, 3.0 * h)]
+        # a Jordan-closed ambient holds a o a; the bracket with it sweeps across the threshold
+        pairs += [(a, jordan(a, a) + t * h) for t in np.logspace(-13, -5, 17)]
+        for x, y in pairs:
+            if not ambient.contains(y):
+                continue
+            got = jordan_commute(x, y, ambient)
+            assert got == loop_jordan_commute(x, y, ambient)
+            verdicts.append(got)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+    # the zero subspace: an empty stack of defects
+    z = np.zeros((2, 2), dtype=complex)
+    assert jordan_commute(z, z, span([z]))
+    assert loop_jordan_commute(z, z, span([z]))
 
 
 def test_jordan_commute_errors():

@@ -255,7 +255,7 @@ def test_classicality_is_convex():
 def test_zero_dimensional_algebra_is_trivially_classical():
     from ljlab.subspace import RealSubspace
 
-    z = RealSubspace(dim_ambient=2, basis=())
+    z = RealSubspace(dim_ambient=2, rows=np.empty((0, 8)))
     s = diag_state(0.5, 0.5)
     assert is_classical_associator(s, z).classical
     assert is_classical_commutator(s, z).classical

@@ -15,14 +15,20 @@ from helpers import (
     loop_associator_defect,
     loop_centralizer,
     loop_commutator_defect,
+    loop_evaluate,
+    loop_full_hermitian_basis,
+    loop_reconstruct,
     random_unitary,
     rank_of,
+    vector_loop_centralizer,
 )
 from ljlab import (
+    DimensionMismatch,
     EmptyInput,
     MaxRoundsExceeded,
     NotAssociative,
     NotClosed,
+    ValidationError,
     associator_defect,
     centralizer,
     check_positivity_closure,
@@ -244,15 +250,14 @@ def _projector(s: RealSubspace) -> np.ndarray:
     return rows.T @ rows if len(rows) else np.zeros((2 * n2, 2 * n2))
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_centralizer_matches_loop_oracle(n):
+def _centralizer_cases(n: int) -> list[tuple[RealSubspace, RealSubspace]]:
     rng = np.random.default_rng(60 + n)
     u = random_unitary(n, rng)
     degenerate = u @ np.diag([1.0] * (n - 1) + [2.0]) @ u.conj().T
     rand = [random_hermitian(n, seed=200 + 10 * n + k) for k in range(6)]
     full = full_hermitian_space(n)
     comm = commutative_algebra(n, seed=n)
-    cases = [
+    return [
         (full, span(rand[:1])),
         (full, span(rand[:2])),
         (full, span([degenerate])),
@@ -261,13 +266,25 @@ def test_centralizer_matches_loop_oracle(n):
         (span(rand[:5]), span(rand[5:])),
         (span(rand[:4] + [degenerate]), span([degenerate])),
     ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_centralizer_matches_loop_oracle(n):
     dims = set()
-    for L, S in cases:
+    for L, S in _centralizer_cases(n):
         got, want = centralizer(L, S), loop_centralizer(L, S)
         assert got.dim_span == want.dim_span
         np.testing.assert_allclose(_projector(got), _projector(want), atol=1e-10)
         dims.add(got.dim_span)
     assert dims >= {0, 1, n}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_centralizer_rows_equal_its_per_vector_loop(n):
+    for L, S in _centralizer_cases(n):
+        got, want = centralizer(L, S), vector_loop_centralizer(L, S)
+        assert got.dim_span == want.dim_span
+        np.testing.assert_allclose(got.rows, want.rows, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- commutativity / associativity
@@ -349,7 +366,7 @@ def test_defects_name_no_index_for_roundoff():
         mats = [SZ / np.sqrt(2.0), (np.cos(phi) * I2 + np.sin(phi) * SX) / np.sqrt(2.0)]
         for m in mats:
             m.setflags(write=False)
-        value, pair = commutator_defect(RealSubspace(dim_ambient=2, basis=tuple(mats)))
+        value, pair = commutator_defect(RealSubspace(dim_ambient=2, rows=_rows(mats)))
         assert value == pytest.approx(factor * floor, rel=1e-6)
         assert pair == ((0, 1) if named else None)
 
@@ -537,6 +554,47 @@ def test_function_representation_homomorphism_random():
                 np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
 
+def _representations() -> list:
+    """Commutative algebras at n = 2..5, some with degenerate joint eigenspaces."""
+    algs = [commutative_algebra(n, seed=300 + n) for n in (2, 3, 4, 5)]
+    for n in (3, 4, 5):
+        u = random_unitary(n, np.random.default_rng(310 + n))
+        d = np.diag([1.0, 1.0] + [2.0 + k for k in range(n - 2)])
+        algs.append(close_under(span([u @ d @ u.conj().T]), jordan))
+    algs.append(span([np.eye(4)]))
+    return [function_representation(alg) for alg in algs]
+
+
+def test_evaluate_and_reconstruct_equal_their_per_point_loops():
+    ranks = set()
+    for fr in _representations():
+        n = fr.subspace.dim_ambient
+        rng = np.random.default_rng(320 + n)
+        probes = list(fr.subspace.basis) + [
+            random_hermitian(n, rng),
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+            np.eye(n),
+        ]
+        for m in probes:
+            np.testing.assert_allclose(fr.evaluate(m), loop_evaluate(fr, m), rtol=0, atol=1e-12)
+        for i in range(fr.subspace.dim_span):
+            got = fr.reconstruct(i)
+            assert got.dtype == complex and got.shape == (n, n)
+            np.testing.assert_allclose(got, loop_reconstruct(fr, i), rtol=0, atol=1e-12)
+        ranks.update(round(float(np.trace(p).real)) for p in fr.projectors)
+    assert ranks >= {1, 2, 4}
+
+
+def test_evaluate_rejects_a_matrix_of_another_dimension():
+    d = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    fr = function_representation(span([d, d @ d, np.eye(3)]))
+    assert fr.num_points == 3
+    # a 1 x 1 input used to broadcast against every projector
+    for m in (5.0 * np.eye(1), np.eye(2), np.eye(4)):
+        with pytest.raises(DimensionMismatch):
+            fr.evaluate(m)
+
+
 def test_function_representation_rejects_noncommutative():
     with pytest.raises(NotAssociative):
         function_representation(full_hermitian_space(2))
@@ -579,7 +637,7 @@ def test_positivity_closure_requires_jordan_closure():
 
 
 def test_positivity_report_on_zero_subspace():
-    z = RealSubspace(dim_ambient=2, basis=())
+    z = RealSubspace(dim_ambient=2, rows=np.empty((0, 8)))
     rep = check_positivity_closure(z, samples=10, seed=0)
     assert not rep.any_violation
 
@@ -621,7 +679,7 @@ def _near_closed(product, factor: float) -> RealSubspace:
         u = m / np.sqrt(2.0)
         u.setflags(write=False)
         basis.append(u)
-    return RealSubspace(dim_ambient=2, basis=tuple(basis))
+    return RealSubspace(dim_ambient=2, rows=_rows(basis))
 
 
 def test_batched_closedness_matches_pairwise_oracle():
@@ -661,7 +719,7 @@ def test_custom_product_closedness_matches_pairwise_oracle():
             assert verdict == _pairwise_closed(alg, product)
             verdicts.add(verdict)
     assert verdicts == {True, False}
-    assert is_closed_under(RealSubspace(dim_ambient=2, basis=()), mixed)
+    assert is_closed_under(RealSubspace(dim_ambient=2, rows=np.empty((0, 8))), mixed)
 
 
 def test_first_keep_walk_decides_closedness_like_the_full_walk():
@@ -748,3 +806,79 @@ def test_closedness_memo_is_per_object_and_skips_custom_products(monkeypatch):
         assert is_closed_under(a, custom)
     assert seen[0] == 2 * a.dim_span**2
     assert not any(key[0] is custom for key in a._memo)
+
+
+# ---------------------------------------------------------------- row representation
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [np.zeros((2, 7)), np.zeros((2, 9)), np.zeros((1, 4), dtype=complex), np.zeros(8), np.zeros((1, 2, 8))],
+)
+def test_rows_of_the_wrong_shape_raise(rows):
+    with pytest.raises(DimensionMismatch):
+        RealSubspace(dim_ambient=2, rows=rows)
+
+
+def test_complex_rows_raise_rather_than_lose_their_imaginary_parts():
+    rows = _rows(full_hermitian_basis(2))
+    with pytest.raises(ValidationError):
+        RealSubspace(dim_ambient=2, rows=rows.astype(complex))
+
+
+def test_rows_are_copied_once_and_read_only():
+    want = full_hermitian_space(3).rows
+    given = want.copy()
+    L = RealSubspace(dim_ambient=3, rows=given)
+    given[:] = 7.0
+    assert np.array_equal(L.rows, want)
+    assert not L.rows.flags.writeable
+    with pytest.raises(ValueError):
+        L.rows[0, 0] = 1.0
+    # a Fortran-ordered input is stored C-contiguous, with the same values
+    F = RealSubspace(dim_ambient=3, rows=np.asfortranarray(want))
+    assert F.rows.flags.c_contiguous and np.array_equal(F.rows, want)
+
+
+@pytest.mark.parametrize("name", ["full3", "comm4", "block21"])
+def test_basis_and_stack_are_views_of_the_rows(name):
+    L = {
+        "full3": lambda: full_hermitian_space(3),
+        "comm4": lambda: commutative_algebra(4, seed=5),
+        "block21": block_2_1_algebra,
+    }[name]()
+    n, r = L.dim_ambient, L.dim_span
+    assert L.rows.shape == (r, 2 * n * n)
+    assert np.shares_memory(L.rows, L._stacked)
+    assert np.shares_memory(L.rows, L.basis[0])
+    assert L._stacked.shape == (r, n, n) and len(L.basis) == r
+    for row, e in zip(L.rows, L.basis):
+        assert not e.flags.writeable
+        # a row interleaves the real and imaginary parts of its matrix
+        assert np.array_equal(row, np.stack((e.real, e.imag), axis=-1).ravel())
+    np.testing.assert_allclose(L.rows @ L.rows.T, np.eye(r), atol=1e-12)
+
+
+def test_empty_rows_give_the_zero_subspace():
+    z = RealSubspace(dim_ambient=3, rows=np.empty((0, 18)))
+    assert z.dim_span == 0 and z.basis == ()
+    assert z._stacked.shape == (0, 3, 3)
+    assert z.coeffs(np.eye(3)).shape == (0,)
+    assert z.contains(np.zeros((3, 3))) and not z.contains(np.eye(3))
+    assert close_under(z, jordan).dim_span == 0
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_full_hermitian_basis_equals_its_loop_bit_for_bit(n):
+    got, want = full_hermitian_basis(n), loop_full_hermitian_basis(n)
+    assert len(got) == len(want) == n * n
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()  # signed zeros included
+        assert not g.flags.writeable
+
+
+def test_full_hermitian_basis_rejects_a_nonpositive_dimension():
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            full_hermitian_basis(n)
