@@ -13,6 +13,7 @@ criteria disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -175,6 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", **kw)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process; parsing leaves it unchanged."""
+    return build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> SessionConfig:
@@ -446,7 +453,7 @@ _COMMANDS: dict[str, Callable[[SessionConfig], tuple[Report, bool]]] = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         cfg = _config_from_args(args)

@@ -40,6 +40,7 @@ from .errors import (
     MaxRoundsExceeded,
     NotAssociative,
     NotClosed,
+    NotHermitian,
     ValidationError,
 )
 from .linalg import (
@@ -243,14 +244,25 @@ def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspac
 
     Input order is preserved: a matrix is kept when its residual against
     the span of the matrices kept before it exceeds ``rtol * max(1,
-    ||input||)``. Raises EmptyInput for an empty list and ValidationError
-    for NaN or infinite entries; an all-zero list yields dim_span 0.
+    ||input||)``. Raises EmptyInput for an empty list, NotHermitian when
+    a matrix m has ``max|m - m^H| > DEFAULT_TOL.threshold(||m||_HS)`` (the
+    HS norm bounds the operator norm, so whatever ``is_hermitian`` accepts
+    passes), and ValidationError for NaN or infinite entries; an all-zero
+    list yields dim_span 0.
     """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
         raise EmptyInput("span of an empty list is undefined; pass at least one matrix")
     n = same_dim(*mats)
-    return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(np.stack(mats)), rtol))
+    stack = np.stack(mats)
+    # non-finite input passes this test (its comparisons are False) and is
+    # rejected by _extend, as before
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(stack - np.conj(stack).swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        scale = np.linalg.norm(stack, axis=(1, 2))
+    if np.any(defect > DEFAULT_TOL.threshold(scale)):
+        raise NotHermitian("span input is not Hermitian within tolerance")
+    return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(stack), rtol))
 
 
 def _product_pairs(r: int, product: Product) -> np.ndarray:
@@ -627,12 +639,22 @@ class FunctionRepresentation:
 
     ``points[x, i]`` is the value of basis element i at joint-spectrum
     point x and ``projectors[x]`` the orthogonal projector onto that point's
-    joint eigenspace. At most dim_ambient points exist.
+    joint eigenspace. At most dim_ambient points exist. The constructor
+    keeps one read-only ``(x, n, n)`` copy of the projectors (``_stacked``);
+    ``projectors`` is the tuple of its slices.
     """
 
     subspace: RealSubspace
     points: np.ndarray
     projectors: tuple[np.ndarray, ...]
+    _stacked: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.subspace.dim_ambient
+        stacked = np.array(self.projectors, dtype=complex).reshape(-1, n, n)
+        stacked.setflags(write=False)
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "projectors", tuple(stacked))
 
     @property
     def num_points(self) -> int:
@@ -647,13 +669,13 @@ class FunctionRepresentation:
         n = self.subspace.dim_ambient
         if a.shape[0] != n:
             raise DimensionMismatch(f"matrix dim {a.shape[0]} does not match ambient dim {n}")
-        p = np.reshape(self.projectors, (-1, n, n))
+        p = self._stacked
         rank = np.maximum(1.0, np.rint(np.einsum("xaa->x", p).real))
         return np.einsum("xab,ba->x", p, a).real / rank
 
     def reconstruct(self, i: int) -> np.ndarray:
         """Rebuild basis element i as sum_x points[x, i] * projectors[x]."""
-        return np.einsum("x,xab->ab", self.points[:, i], self.projectors)
+        return np.einsum("x,xab->ab", self.points[:, i], self._stacked)
 
 
 def function_representation(L: RealSubspace) -> FunctionRepresentation:
@@ -700,20 +722,13 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
             else:
                 groups.append([k])
                 reps.append(t)
-        projectors = []
-        for idx in groups:
-            cols = vec[:, idx]
-            p = cols @ cols.conj().T
-            p.setflags(write=False)
-            projectors.append(p)
+        projectors = np.stack([vec[:, idx] @ vec[:, idx].conj().T for idx in groups])
         points = np.stack([diag[:, idx].mean(axis=1) for idx in groups])
-        recon = np.einsum("xi,xab->iab", points, np.stack(projectors))
+        recon = np.einsum("xi,xab->iab", points, projectors)
         err = float(np.max(np.linalg.norm(recon - stacked, axis=(1, 2))))
         if err <= 1e-8:
             points.setflags(write=False)
-            return FunctionRepresentation(
-                subspace=L, points=points, projectors=tuple(projectors)
-            )
+            return FunctionRepresentation(subspace=L, points=points, projectors=projectors)
         last_err = min(last_err, err)
     raise NotAssociative(
         f"joint diagonalization did not converge (best residual {last_err:.3e})"

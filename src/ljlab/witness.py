@@ -4,7 +4,10 @@ A witness is an observable whose behavior is impossible in a commutative
 algebra: a nonzero Jordan associator, its PSD square, or a Jordan product
 of two PSD observables with a negative eigenvalue. Both searches share one
 seeded multistart-and-refine schedule (``_search``) and differ only in draw,
-perturbation and score; results are deterministic in (n, seed, budget).
+move, perturbation and score. The trials are scored as one stack, and the
+refinement is speculative and batched: it consumes its rng stream in the
+same order as a one-step-at-a-time loop and returns the same candidate,
+bit for bit. Results are deterministic in (n, seed, budget).
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _opnorm,
-    dagger,
     derive_seed,
     gaussian_complex,
     random_hermitian,
@@ -88,33 +90,62 @@ def squared_witness(q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> WitnessRepor
     )
 
 
+def _unit(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a (..., n, n) stack over its operator norm, and whether that norm is positive.
+
+    A zero-norm matrix comes back unchanged, with no division warning.
+    """
+    nrm = _opnorm(m)[..., None, None]
+    ok = nrm > 0.0
+    return np.divide(m, nrm, out=np.array(m), where=ok), ok[..., 0, 0]
+
+
 def _unit_psd(g: np.ndarray) -> np.ndarray:
-    w = g @ dagger(g)
-    nrm = spectral_norm(w)
-    return w / nrm if nrm > 0.0 else w
+    """The PSD form g g^H of each factor in a (..., n, n) stack, at unit operator norm."""
+    return _unit(g @ np.conj(g).swapaxes(-1, -2))[0]
+
+
+#: Refinement schedule: at most 6000 steps, the first at step 0.1, halved
+#: after 20 rejects in a row, stopping below 1e-6.
+_MAX_STEPS, _FIRST_STEP, _MIN_STEP, _HALVE_AFTER = 6000, 0.1, 1e-6, 20
+#: Proposals scored as one stack: 8 after an accept, doubling up to 32.
+_WIDTH, _MAX_WIDTH = 8, 32
+#: Trials drawn and scored as one stack, which bounds the memory a large budget takes.
+_TRIAL_CHUNK = 1024
 
 
 def _search(
     n: int,
     seed: int,
     budget: int,
-    draw: Callable[[np.random.Generator], tuple[np.ndarray, ...]],
-    perturb: Callable[[np.ndarray, float, np.random.Generator], np.ndarray | None],
-    score: Callable[[tuple[np.ndarray, ...], int | None, Any], tuple[float, Any]],
-) -> tuple[np.ndarray, ...] | None:
+    draw: Callable[[list[np.random.Generator]], np.ndarray],
+    move: Callable[[np.random.Generator], Any],
+    perturb: Callable[[np.ndarray, np.ndarray, list[Any]], tuple[np.ndarray, np.ndarray]],
+    score: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray | None:
     """Seeded multistart, then greedy refinement; returns the candidate of least score.
 
-    Trial ``t`` draws a candidate tuple from ``derive_seed(seed, t)``; the
-    first strictly best trial wins. Refinement draws from
-    ``derive_seed(seed, budget)``: each of at most 6000 steps picks a slot and
-    perturbs that factor (``None`` skips the step); a strictly lower score is
-    kept. Twenty rejects in a row halve the step, 0.1 at first, until it is
-    below 1e-6. None for ``n == 1``, where all observables commute.
+    A candidate is an array with one factor per slot along its first axis.
+    ``draw(rngs)`` returns a stack of trials, trial ``t`` drawn from
+    ``derive_seed(seed, t)``, and the first strictly lowest score wins.
+    Refinement draws from ``derive_seed(seed, budget)``: each of at most
+    6000 steps draws a slot and a ``move(rng)``, and perturbs that factor of
+    the current best; a strictly lower score is kept. Twenty rejects in a
+    row halve the step, 0.1 at first, until it is below 1e-6.
+    ``perturb(factors, steps, moves)`` returns the perturbed factors and
+    which of them are usable (a step with an unusable one is skipped: it
+    counts toward the 6000 but not as a reject). ``score`` maps a stack of
+    k candidates to k scores; NaN is never kept. None for ``n == 1``, where
+    all observables commute.
 
-    ``score(cand, slot, memo)`` returns the score and a memo of its work on
-    ``cand``. A drawn trial is scored with ``slot`` and ``memo`` None; a
-    refinement step passes the slot it changed and the memo of the current
-    best, so work on the factors it did not change is reused, not redone.
+    The refinement is speculative and batched, and its result is the
+    sequential loop's, bit for bit. Slot and move draws never depend on the
+    current best, and after a reject only the step size changes, by the
+    fixed halving rule. So the next proposals are drawn from the rng in the
+    sequential order, built with the step sizes they would have if every
+    one were rejected, and scored as one stack. Steps are committed up to
+    the first accept or skip; the moves drawn after it wait in a queue and
+    are rebuilt on the new best.
     """
     if n < 1:
         raise ValidationError(f"dimension must be >= 1, got {n}")
@@ -122,32 +153,46 @@ def _search(
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if n == 1:
         return None
-    best_val = np.inf
-    best: tuple[np.ndarray, ...] = ()
-    memo: Any = None
-    for t in range(budget):
-        cand = draw(np.random.default_rng(derive_seed(seed, t)))
-        val, cand_memo = score(cand, None, None)
-        if val < best_val:
-            best_val, best, memo = val, cand, cand_memo
+    best, best_val = None, np.inf
+    for lo in range(0, budget, _TRIAL_CHUNK):
+        ts = range(lo, min(lo + _TRIAL_CHUNK, budget))
+        trials = draw([np.random.default_rng(derive_seed(seed, t)) for t in ts])
+        vals = score(trials)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        first = int(np.argmin(vals))
+        if best is None or vals[first] < best_val:
+            best, best_val = trials[first], vals[first]
     rng = np.random.default_rng(derive_seed(seed, budget))
-    step, rejects = 0.1, 0
-    for _ in range(6000):
-        if step < 1e-6:
-            break
-        slot = int(rng.integers(len(best)))
-        factor = perturb(best[slot], step, rng)
-        if factor is None:
-            continue
-        cand = best[:slot] + (factor,) + best[slot + 1 :]
-        val, cand_memo = score(cand, slot, memo)
-        if val < best_val:
-            best_val, best, memo, rejects = val, cand, cand_memo, 0
-        else:
+    step, rejects, done, width = _FIRST_STEP, 0, 0, _WIDTH
+    queue: list[tuple[int, Any]] = []
+    while done < _MAX_STEPS and step >= _MIN_STEP:
+        # the step sizes of the next proposals if each one is rejected
+        steps, s, r, limit = [], step, rejects, min(width, _MAX_STEPS - done)
+        while len(steps) < limit and s >= _MIN_STEP:
+            steps.append(s)
+            r += 1
+            if r >= _HALVE_AFTER:
+                s, r = s * 0.5, 0
+        while len(queue) < len(steps):
+            queue.append((int(rng.integers(len(best))), move(rng)))
+        batch, queue = queue[: len(steps)], queue[len(steps) :]
+        slots = np.array([slot for slot, _ in batch])
+        factors, usable = perturb(best[slots], np.array(steps), [m for _, m in batch])
+        cands = np.repeat(best[None], len(batch), axis=0)
+        cands[np.arange(len(batch)), slots] = factors
+        vals = score(cands)
+        width = min(2 * width, _MAX_WIDTH)
+        for k in range(len(batch)):
+            done += 1
+            if not usable[k]:
+                break
+            if vals[k] < best_val:
+                best, best_val, rejects, width = cands[k], vals[k], 0, _WIDTH
+                break
             rejects += 1
-            if rejects >= 20:
-                step *= 0.5
-                rejects = 0
+            if rejects >= _HALVE_AFTER:
+                step, rejects = step * 0.5, 0
+        queue = batch[k + 1 :] + queue
     return best
 
 
@@ -162,28 +207,30 @@ def avr_witness_search(
     comes back with found False.
     """
 
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        return gaussian_complex(rng, n), gaussian_complex(rng, n)
+    # a slot holds a factor g and its unit PSD form, so each form is computed once
+    def draw(rngs: list[np.random.Generator]) -> np.ndarray:
+        g = np.array([[gaussian_complex(rng, n), gaussian_complex(rng, n)] for rng in rngs])
+        return np.stack([g, _unit_psd(g)], axis=2)
 
-    def perturb(factor: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray:
+    def move(rng: np.random.Generator) -> tuple[int, int, float, bool]:
+        # entry (i, j), bump, and whether the bump is imaginary, in draw order
         i, j = int(rng.integers(n)), int(rng.integers(n))
-        bump = step * rng.standard_normal()
-        cand = factor.copy()
-        cand[i, j] += 1j * bump if rng.integers(2) == 1 else bump
-        return cand
+        return i, j, rng.standard_normal(), rng.integers(2) == 1
 
-    def score(cand, slot, memo):
-        # memo: the unit PSD forms of the factors
-        units = tuple(
-            memo[i] if slot is not None and i != slot else _unit_psd(g)
-            for i, g in enumerate(cand)
-        )
-        return _min_eig(jordan(*units)), units
+    def perturb(factors, steps, moves):
+        i, j, z, imag = (np.array(v) for v in zip(*moves))
+        bump = steps * z
+        g = factors[:, 0].copy()
+        g[np.arange(len(g)), i, j] += np.where(imag, 1j * bump, bump)
+        return np.stack([g, _unit_psd(g)], axis=1), np.ones(len(g), dtype=bool)
 
-    best = _search(n, seed, budget, draw, perturb, score)
+    def score(cands: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(jordan(cands[:, 0, 1], cands[:, 1, 1]))[:, 0]
+
+    best = _search(n, seed, budget, draw, move, perturb, score)
     if best is None:
         return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
-    a, b = (_unit_psd(g) for g in best)
+    a, b = best[:, 1]
     witness = jordan(a, b)
     violation = _min_eig(witness)
     return WitnessReport(
@@ -204,27 +251,24 @@ def associator_witness_search(
     canonical Hermitian basis directions, renormalizing after each step.
     """
     # only for n > 1: _search must raise ValidationError for n < 1 first
-    dirs = full_hermitian_basis(n) if n > 1 else []
+    dirs = np.array(full_hermitian_basis(n)) if n > 1 else None
 
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        ms = [random_hermitian(n, rng) for _ in range(3)]
-        return tuple(m / spectral_norm(m) for m in ms)
+    def draw(rngs: list[np.random.Generator]) -> np.ndarray:
+        return _unit(np.array([[random_hermitian(n, rng) for _ in range(3)] for rng in rngs]))[0]
 
-    def perturb(factor: np.ndarray, step: float, rng: np.random.Generator) -> np.ndarray | None:
-        direction = dirs[int(rng.integers(len(dirs)))]
-        cand = factor + (step * rng.standard_normal()) * direction
-        nrm = spectral_norm(cand)
-        return None if nrm == 0.0 else cand / nrm
+    def move(rng: np.random.Generator) -> tuple[int, float]:
+        return int(rng.integers(len(dirs))), rng.standard_normal()
 
-    def score(cand, slot, memo):
-        # memo: (a o b, b o c); changing a keeps b o c, changing c keeps a o b
-        a, b, c = cand
-        ab = memo[0] if slot == 2 else jordan(a, b)
-        bc = memo[1] if slot == 0 else jordan(b, c)
+    def perturb(factors, steps, moves):
+        d, z = (np.array(v) for v in zip(*moves))
+        return _unit(factors + (steps * z)[:, None, None] * dirs[d])
+
+    def score(cands: np.ndarray) -> np.ndarray:
+        a, b, c = cands.swapaxes(0, 1)
         # _search minimizes; IEEE negation is exact, so the ranking is the norm's
-        return -float(_opnorm(_associate(a, ab, bc, c))), (ab, bc)
+        return -_opnorm(_associate(a, jordan(a, b), jordan(b, c), c))
 
-    best = _search(n, seed, budget, draw, perturb, score)
+    best = _search(n, seed, budget, draw, move, perturb, score)
     if best is None:
         return WitnessReport(kind="associator", witness=None, inputs=(), violation=0.0, found=False)
     a, b, c = best

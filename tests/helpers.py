@@ -5,6 +5,7 @@ ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
 the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, witness searches from their own multistart and refinement loops, the
+batched search driver from its one-step-at-a-time loop, the
 associator criterion from its Jordan-tensor einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
 loop, the batched subspace helpers from their per-basis loops, and
@@ -549,6 +550,40 @@ def loop_associator_witness_search(
         violation=violation,
         found=violation > tol.zero_tol,
     )
+
+
+def loop_search(n, seed, budget, draw, move, perturb, score):
+    """``witness._search`` as the one-step-at-a-time loop it was before it
+    scored proposals in batches, calling its callbacks on stacks of one."""
+    _validate_search_args(n, budget)
+    if n == 1:
+        return None
+    best_val, best = np.inf, None
+    for t in range(budget):
+        cand = draw([np.random.default_rng(derive_seed(seed, t))])[0]
+        val = score(cand[None])[0]
+        if val < best_val:
+            best_val, best = val, cand
+    rng = np.random.default_rng(derive_seed(seed, budget))
+    step, rejects = 0.1, 0
+    for _ in range(6000):
+        if step < 1e-6:
+            break
+        slot = int(rng.integers(len(best)))
+        factor, usable = perturb(best[slot][None], np.array([step]), [move(rng)])
+        if not usable[0]:
+            continue
+        cand = best.copy()
+        cand[slot] = factor[0]
+        val = score(cand[None])[0]
+        if val < best_val:
+            best_val, best, rejects = val, cand, 0
+        else:
+            rejects += 1
+            if rejects >= 20:
+                step *= 0.5
+                rejects = 0
+    return best
 
 
 # Verbatim copies of the identity checkers and the per-trial ``cmd_verify``

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import SX, SY, loop_verify_checks
-from ljlab.cli import SWEEP_DIMS, SessionConfig, cmd_verify
+from ljlab import __version__, cli
+from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
 from ljlab.linalg import DEFAULT_TOL, Tolerance
 
@@ -354,3 +359,100 @@ def test_reports_contain_no_timing():
     assert "duration" not in text and "elapsed" not in text
     # timing goes to stderr instead
     assert "done in" in res.stderr
+
+
+def test_classify_and_repr_reject_a_non_hermitian_algebra_file(tmp_path):
+    # the nilpotent's real span was once taken as a closed 1-dim algebra
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    algebra = write_json(tmp_path / "nil.json", subspace_to_json(2, [nil]))
+    state = write_json(tmp_path / "rho.json", mixed_state_payload(2))
+    for args in (("classify", "--in", state, "--algebra", algebra), ("repr", "--algebra", algebra)):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "not Hermitian" in res.stderr
+
+
+# ---------------------------------------------------------------- parser cache
+
+
+def _main_output(argv: list[str]) -> tuple[int | str | None, str]:
+    """Exit code (or SystemExit code) and stdout of one in-process ``main`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(monkeypatch, fresh_parser):
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    first = _main_output(["verify", "--dim", "2", "--trials", "3", "--seed", "1"])
+    second = _main_output(["witness", "--kind", "avr", "--dim", "2", "--budget", "2"])
+    assert first[0] == 0 and second[0] == 0
+    assert len(built) == 1
+
+
+def test_a_bad_flag_does_not_affect_the_next_call(fresh_parser):
+    argv = ["verify", "--dim", "2", "--trials", "3", "--seed", "1"]
+    before = _main_output(argv)
+    assert _main_output(["verify", "--bogus"])[0] == 2
+    assert _main_output(["witness", "--kind", "nope"])[0] == 2
+    assert _main_output(argv) == before
+    assert before == (0, run_cli(*argv).stdout)
+
+
+def test_help_and_version_output_are_those_of_a_fresh_parser(monkeypatch, fresh_parser):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["--help"], ["verify", "--help"], ["witness", "--help"], ["--version"]):
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected), pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        # twice: the second call parses with the cached parser
+        assert _main_output(argv) == (0, expected.getvalue())
+        assert _main_output(argv) == (0, expected.getvalue())
+    assert _main_output(["--version"])[1] == f"ljlab {__version__}\n"
+
+
+# ---------------------------------------------------------------- golden report bytes
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_stdout_sha256.json").read_text())
+
+
+def kernel_digest() -> str:
+    """sha256 of products, singular values and eigenvalues of fixed small stacks.
+
+    The report bytes depend on these BLAS and LAPACK results, which may differ
+    in the last bit on another numpy build or CPU.
+    """
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    for n in (2, 3, 4):
+        g = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        w = g @ np.conj(g).swapaxes(1, 2)
+        for a in (w, np.linalg.svd(g, compute_uv=False), np.linalg.eigvalsh(w)):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["commands"]))
+def test_cli_stdout_matches_its_recorded_sha256(command):
+    if kernel_digest() != GOLDEN["kernels"]:
+        pytest.skip("the recorded digests come from other BLAS/LAPACK kernels")
+    code, out = _main_output(command.split())
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == GOLDEN["commands"][command]

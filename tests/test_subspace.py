@@ -28,6 +28,7 @@ from ljlab import (
     MaxRoundsExceeded,
     NotAssociative,
     NotClosed,
+    NotHermitian,
     ValidationError,
     associator_defect,
     centralizer,
@@ -55,9 +56,10 @@ from ljlab import (
 from ljlab import subspace as subspace_mod
 from ljlab.products import associator
 from ljlab.states import classify, random_state
-from ljlab.linalg import DEFAULT_TOL
+from ljlab.linalg import DEFAULT_TOL, spectral_norm
 from ljlab.subspace import (
     SPAN_RTOL,
+    FunctionRepresentation,
     RealSubspace,
     _extend,
     _killing_matrix,
@@ -109,6 +111,33 @@ def test_span_discards_dependent_inputs():
 def test_span_empty_input_raises():
     with pytest.raises(EmptyInput):
         span([])
+
+
+def test_span_rejects_non_hermitian_input():
+    nil = np.array([[0, 1], [0, 0]], dtype=complex)
+    for mats in ([nil], [SX, nil], [SX, 1j * SX], [np.eye(2), SX + 1e-6j * np.eye(2)]):
+        with pytest.raises(NotHermitian):
+            span(mats)
+    with pytest.raises(NotHermitian):
+        lie_generate(nil, SX)
+    with pytest.raises(NotHermitian):
+        lie_generate(SX, nil.T)
+
+
+def test_span_accepts_whatever_is_hermitian_accepts():
+    # a defect just under the operator-norm threshold of is_hermitian passes
+    # span, whose threshold is taken at the larger HS norm
+    for n in (2, 3, 5):
+        for scale in (0.1, 1.0, 1e3, 1e6):
+            m = scale * random_hermitian(n, seed=n)
+            thr = DEFAULT_TOL.threshold(spectral_norm(m))
+            m[0, 1] += 0.99 * thr
+            assert is_hermitian(m)
+            assert span([m]).dim_span == 1
+            m[0, 1] += 2.0 * DEFAULT_TOL.threshold(np.linalg.norm(m))
+            assert not is_hermitian(m)
+            with pytest.raises(NotHermitian):
+                span([m])
 
 
 def test_span_rank_matches_svd_oracle():
@@ -583,6 +612,29 @@ def test_evaluate_and_reconstruct_equal_their_per_point_loops():
             np.testing.assert_allclose(got, loop_reconstruct(fr, i), rtol=0, atol=1e-12)
         ranks.update(round(float(np.trace(p).real)) for p in fr.projectors)
     assert ranks >= {1, 2, 4}
+
+
+def test_representation_keeps_one_read_only_projector_stack():
+    for fr in _representations():
+        n = fr.subspace.dim_ambient
+        stacked = fr._stacked
+        assert stacked.shape == (fr.num_points, n, n) and not stacked.flags.writeable
+        assert len(fr.projectors) == fr.num_points
+        for x, p in enumerate(fr.projectors):
+            assert np.shares_memory(p, stacked) and p.tobytes() == stacked[x].tobytes()
+            with pytest.raises(ValueError):
+                p[0, 0] = 0.0
+        rng = np.random.default_rng(330 + n)
+        # bit-equal to the same formulas on a stack rebuilt from the tuple
+        restacked = np.stack(fr.projectors)
+        for m in list(fr.subspace.basis) + [random_hermitian(n, rng)]:
+            rank = np.maximum(1.0, np.rint(np.einsum("xaa->x", restacked).real))
+            want = np.einsum("xab,ba->x", restacked, m).real / rank
+            assert fr.evaluate(m).tobytes() == want.tobytes()
+        for i in range(fr.subspace.dim_span):
+            assert fr.reconstruct(i).tobytes() == loop_reconstruct(fr, i).tobytes()
+    empty = FunctionRepresentation(full_hermitian_space(3), np.zeros((0, 0)), ())
+    assert empty._stacked.shape == (0, 3, 3) and empty.projectors == ()
 
 
 def test_evaluate_rejects_a_matrix_of_another_dimension():

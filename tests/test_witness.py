@@ -13,7 +13,9 @@ from helpers import (
     eig2_oracle,
     loop_associator_witness_search,
     loop_avr_witness_search,
+    loop_search,
 )
+from helpers import _unit_psd as loop_unit_psd
 from ljlab import (
     ValidationError,
     associator,
@@ -25,7 +27,9 @@ from ljlab import (
     min_eigenvalue,
     squared_witness,
 )
-from ljlab.witness import _search
+from ljlab import witness
+from ljlab.linalg import derive_seed, spectral_norm
+from ljlab.witness import _search, _unit, _unit_psd
 
 AVR_FIXTURE_MIN = (1.0 - np.sqrt(2.0)) / 4.0
 SQUARE_ORDER_MIN = (2.0 - np.sqrt(5.0)) / 2.0
@@ -158,19 +162,18 @@ def test_search_matches_own_loop_reference_bit_for_bit(search, reference, n):
 
 
 def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
-    drawn, steps = [], []
+    steps = []
 
-    def draw(rng):
-        drawn.append((np.zeros(1),))
-        return drawn[-1]
+    def perturb(factors, step, moves):
+        steps.extend(step.tolist())
+        return factors + 1.0, np.ones(len(factors), dtype=bool)
 
-    def perturb(x, step, rng):
-        steps.append(step)
-        return x + 1.0
-
-    # every score ties, so every refinement step is a reject
-    best = _search(2, seed=0, budget=5, draw=draw, perturb=perturb, score=lambda c, s, m: (0.0, None))
-    assert best is drawn[0]
+    # trials are told apart by a value the score ignores: every score ties,
+    # so every refinement step is a reject
+    draw = lambda rngs: np.arange(len(rngs), dtype=float).reshape(-1, 1, 1)
+    score = lambda cands: np.zeros(len(cands))
+    best = _search(2, seed=0, budget=5, draw=draw, move=lambda rng: None, perturb=perturb, score=score)
+    assert best.tolist() == [[0.0]]
     assert len(steps) == 17 * 20  # 0.1 * 0.5**17 < 1e-6
     assert steps[::20] == [0.1 * 0.5**k for k in range(17)]
 
@@ -179,16 +182,158 @@ def test_search_counts_skipped_steps_toward_the_step_cap_but_not_as_rejects():
     def run(delta):
         calls = []
 
-        def perturb(x, step, rng):
-            calls.append(step)
-            return None if len(calls) % 2 else x + delta
+        def move(rng):
+            calls.append(None)
+            return len(calls)
 
-        draw = lambda rng: (np.zeros(1),)
-        score = lambda cand, slot, memo: (cand[0][0], None)
-        best = _search(2, seed=0, budget=1, draw=draw, perturb=perturb, score=score)
-        return best[0][0], len(calls)
+        def perturb(factors, step, moves):
+            # the odd-numbered proposals are skipped
+            return factors + delta, np.array(moves) % 2 == 0
+
+        draw = lambda rngs: np.zeros((len(rngs), 1, 1))
+        score = lambda cands: cands[:, 0, 0]
+        best = _search(2, seed=0, budget=1, draw=draw, move=move, perturb=perturb, score=score)
+        return best[0, 0], len(calls)
 
     # every proposal improves, so only the 6000-step cap ends refinement
     assert run(-1.0) == (-3000.0, 6000)
     # no proposal improves; only the 340 proposals that are not skipped are rejects
     assert run(+1.0) == (0.0, 2 * 17 * 20)
+
+
+def _scripted(accept=(), skip=(), nan=()):
+    """One-slot search callbacks that script each proposal's fate by its draw index.
+
+    A factor is ``[k, step, accepts, sum of accepted k]`` for the proposal k
+    that made it. Proposal k is skipped when k is in ``skip``, scores NaN
+    when in ``nan``, and improves on every earlier score when in ``accept``;
+    all others tie with the trial, which is a reject. Also returns the list
+    of drawn moves.
+    """
+    drawn = []
+    accept, skip, nan = (np.array(sorted(x), dtype=float) for x in (accept, skip, nan))
+
+    def move(rng):
+        drawn.append(len(drawn))
+        return drawn[-1]
+
+    def perturb(factors, step, moves):
+        k = np.array(moves, dtype=float)
+        out = factors.copy()
+        out[:, 0], out[:, 1] = k, step
+        out[:, 2] += 1.0
+        out[:, 3] += k
+        return out, ~np.isin(k, skip)
+
+    def score(cands):
+        k = cands[:, 0, 0]
+        return np.where(np.isin(k, nan), np.nan, np.where(np.isin(k, accept), -(k + 2.0), 0.0))
+
+    draw = lambda rngs: np.tile([-1.0, 0.0, 0.0, 0.0], (len(rngs), 1, 1))
+    return (draw, move, perturb, score), drawn
+
+
+def _run_both(**script):
+    """The driver's and the one-step reference's result and drawn-move count."""
+    (callbacks, drawn), (ref_callbacks, ref_drawn) = _scripted(**script), _scripted(**script)
+    got = _search(2, 0, 1, *callbacks)
+    ref = loop_search(2, 0, 1, *ref_callbacks)
+    assert got.tobytes() == ref.tobytes()
+    assert len(drawn) == len(ref_drawn)
+    return got[0].tolist(), len(drawn)
+
+
+# batches are 8 wide from an accept, then 16 and 32 while nothing is accepted
+@pytest.mark.parametrize("k", list(range(8)) + [8, 15, 16, 23, 24, 31, 40, 55, 56, 87])
+def test_search_accept_at_each_batch_position_matches_the_one_step_loop(k):
+    best, drawn = _run_both(accept={k})
+    assert best == [k, 0.1 * 0.5 ** (k // 20), 1.0, k]
+    # an accept resets the reject count, not the step
+    assert drawn == k + 1 + 20 * (17 - k // 20)
+
+
+@pytest.mark.parametrize(
+    "accept",
+    [{0, 1, 2, 3}, {3, 5, 6, 40}, {7, 8, 23, 24}, set(range(0, 600, 3)), {100, 101, 300}],
+)
+def test_search_accept_runs_match_the_one_step_loop(accept):
+    best, _ = _run_both(accept=accept)
+    k = max(accept)
+    assert best[0] == k and best[2:] == [len(accept), sum(accept)]
+
+
+def test_search_rebuilds_the_proposals_after_a_mid_batch_skip():
+    # five rejects, a skip and 14 rejects leave proposal 20 at step 0.1
+    best, drawn = _run_both(skip={5}, accept={20})
+    assert best == [20.0, 0.1, 1.0, 20.0]
+    # the same inside the 32-wide batch of proposals 24..55: after the first
+    # halving, 10 rejects, a skip and 9 rejects leave proposal 40 at step 0.05
+    best, drawn = _run_both(skip={30}, accept={40})
+    assert best == [40.0, 0.05, 1.0, 40.0]
+    # more skips, across the halving points and batch edges
+    # more skips, across a halving point and batch edges: 16 rejects before
+    # proposal 22, then 36 before 60, so one halving
+    best, drawn = _run_both(skip={3, 7, 8, 19, 20, 21, 50}, accept={22, 60})
+    assert best == [60.0, 0.05, 2.0, 82.0]
+    assert drawn == 61 + 16 * 20
+
+
+def test_search_stops_at_the_step_cap_in_mid_batch():
+    # an accept every 10 proposals keeps the step at 0.1, so only the cap ends
+    # refinement; it falls on the one proposal left after 5991..5998 fail
+    accept = set(range(0, 6000, 10))
+    best, drawn = _run_both(accept=accept)
+    assert best == [5990.0, 0.1, 600.0, float(sum(accept))]
+    assert drawn == 6000
+
+
+def test_search_never_keeps_a_nan_score():
+    # NaN proposals are rejects, even where they would otherwise improve
+    best, drawn = _run_both(nan={0, 1, 2, 5}, accept={1, 5, 9})
+    assert best == [9.0, 0.1, 1.0, 9.0]
+    assert drawn == 10 + 340
+    # a NaN trial never wins; the first strictly lowest does
+    for scores in ([np.nan, 1.0, 0.5, 0.5], [np.nan, np.nan, 2.0, np.nan]):
+
+        def score(cands):
+            # refinement proposals carry index 4 and score NaN
+            return np.array([(scores + [np.nan])[int(t)] for t in cands[:, 0, 0]])
+
+        draw = lambda rngs: np.arange(len(rngs), dtype=float).reshape(-1, 1, 1)
+        perturb = lambda factors, step, moves: (factors * 0.0 + 4.0, np.ones(len(factors), bool))
+        best = _search(2, 0, 4, draw, lambda rng: None, perturb, score)
+        assert best.tolist() == [[2.0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_unit_forms_equal_the_per_matrix_forms_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((6, 2, n, n)) + 1j * rng.standard_normal((6, 2, n, n))
+    g[2, 1] = 0.0  # zero-norm slices come back unchanged
+    g[4] = 0.0
+    units = _unit_psd(g)
+    for idx in np.ndindex(g.shape[:2]):
+        assert units[idx].tobytes() == loop_unit_psd(g[idx]).tobytes()
+    h = 0.5 * (g + np.conj(g).swapaxes(-1, -2))
+    normed, usable = _unit(h)
+    for idx in np.ndindex(h.shape[:2]):
+        nrm = spectral_norm(h[idx])
+        assert usable[idx] == (nrm != 0.0)
+        assert normed[idx].tobytes() == (h[idx] / nrm if nrm != 0.0 else h[idx]).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_search_scores_trials_in_chunks_with_the_same_winner(monkeypatch, chunk):
+    # budgets across several chunks keep the first strictly lowest trial
+    monkeypatch.setattr(witness, "_TRIAL_CHUNK", chunk)
+    for n, seed, budget in ((2, 0, 7), (3, 1, 100), (2, 4, 5)):
+        got, ref = avr_witness_search(n, seed, budget), loop_avr_witness_search(n, seed, budget)
+        assert got.witness.tobytes() == ref.witness.tobytes()
+        got = associator_witness_search(n, seed, budget)
+        ref = loop_associator_witness_search(n, seed, budget)
+        assert got.witness.tobytes() == ref.witness.tobytes()
+    draw = lambda rngs: np.array([[[rng.random()]] for rng in rngs])
+    # every trial scores the same: the first one drawn wins
+    score = lambda cands: np.zeros(len(cands))
+    best = _search(2, 9, 10, draw, lambda rng: None, lambda f, s, m: (f, np.ones(len(f), bool)), score)
+    assert best[0, 0] == np.random.default_rng(derive_seed(9, 0)).random()
