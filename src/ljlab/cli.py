@@ -133,11 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
         "out": dict(default=None, help="also write the JSON report to this file"),
     }
 
+    def add_common(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(f"--{name}", **common[name])
+
     p = sub.add_parser("verify", help="check product identities on random observables")
     p.add_argument("--dim", type=int, default=None, help="dimension; omit to sweep 2..6")
     p.add_argument("--trials", type=int, default=1000, help="random tuples per dimension")
-    for name, kw in common.items():
-        p.add_argument(f"--{name}", **kw)
+    add_common(p, "seed", "tol", "out")
 
     p = sub.add_parser("classify", help="test a state for classicality")
     p.add_argument("--in", dest="in_path", required=True, help="state matrix JSON file")
@@ -147,15 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="observable subspace JSON file (default: full Hermitian algebra)",
     )
-    for name, kw in common.items():
-        p.add_argument(f"--{name}", **kw)
+    add_common(p, "seed", "out")
 
     p = sub.add_parser("witness", help="search for a quantumness witness")
     p.add_argument("--kind", choices=("avr", "associator"), required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--budget", type=int, default=1000, help="random trials before refinement")
-    for name, kw in common.items():
-        p.add_argument(f"--{name}", **kw)
+    add_common(p, "seed", "tol", "out")
 
     p = sub.add_parser("generate", help="run generation experiments")
     p.add_argument("--mode", choices=("lie2", "jordan3"), required=True)
@@ -167,13 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON file with a fixed generator pair {\"a\": ..., \"b\": ...}",
     )
-    for name, kw in common.items():
-        p.add_argument(f"--{name}", **kw)
+    add_common(p, "seed", "out")
 
     p = sub.add_parser("repr", help="function representation of a commuting subalgebra")
     p.add_argument("--algebra", dest="algebra_path", required=True)
-    for name, kw in common.items():
-        p.add_argument(f"--{name}", **kw)
+    add_common(p, "seed", "out")
 
     return parser
 
@@ -322,7 +321,7 @@ def cmd_classify(cfg: SessionConfig) -> tuple[Report, bool]:
 
 
 def cmd_witness(cfg: SessionConfig) -> tuple[Report, bool]:
-    n = cfg.dim if cfg.dim is not None else 2
+    n = cfg.dim
     search = avr_witness_search if cfg.kind == "avr" else associator_witness_search
     rep = search(n, cfg.seed, cfg.budget, cfg.tol)
     report = Report(
@@ -348,7 +347,7 @@ def cmd_witness(cfg: SessionConfig) -> tuple[Report, bool]:
 
 
 def cmd_generate(cfg: SessionConfig) -> tuple[Report, bool]:
-    n = cfg.dim if cfg.dim is not None else 3
+    n = cfg.dim
     runner = lie_generate if cfg.mode == "lie2" else jordan_generate_three
     results: list[dict[str, Any]] = []
 

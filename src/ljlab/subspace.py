@@ -8,21 +8,23 @@ commutativity and associativity tests, a Killing form nondegeneracy test,
 generation experiments, and the realization of a commuting associative
 subalgebra as functions on its joint spectrum.
 
-Closures run semi-naive rounds: the basis only grows, and each round ranks
-just the products that involve a direction added in the previous round, in
-fixed-size blocks. A round that starts at the dimension bound (all n^2
-Hermitian matrices, or su(n) under the bracket) confirms closure without
-forming products.
+Closures take the two products ``jordan`` and ``lie``, and run semi-naive
+rounds: the basis only grows, and each round ranks just the products that
+involve a direction added in the previous round, in fixed-size blocks. The
+dimension bound comes from the seeds: n^2, or su(n)'s n^2 - 1 under the
+bracket of seeds orthogonal to the identity. A round that starts at the
+bound forms no products; one that ends above it raises ValidationError.
 
-Closure rounds and the pair queries (closedness, derived algebra, Killing
-form, both defects, centralizer) form basis-pair products with one batched
-kernel (``_products``). A subspace is closed under a product exactly when a
-closure round from it would add nothing: closedness is decided by the
-round's own pair rule (``_product_pairs``) and rank test (``_extend``).
-Closedness verdicts and derived algebras are memoized on the (immutable)
-subspace, so an algebra queried many times is proven closed once. The Lie
-structure constants (``_structure_constants``) give the Killing form and,
-memoized by the associator criterion, its per-state contraction.
+Closure rounds and the pair queries (closedness, both defects, centralizer,
+structure constants) form products with one Hermitian pair kernel
+(``_products``) on operand stacks. A subspace is closed under a product
+exactly when a closure round from it would add nothing: closedness is
+decided by the round's own pair rule (``_product_pairs``) and rank test
+(``_extend``). Closedness verdicts and derived algebras are memoized on the
+(immutable) subspace, so an algebra queried many times is proven closed
+once. The Lie structure constants (``_structure_constants``) give the
+derived algebra, the Killing form and, memoized by the associator
+criterion, its per-state contraction.
 """
 
 from __future__ import annotations
@@ -265,36 +267,34 @@ def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspac
     return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(stack), rtol))
 
 
+def _check_product(product: Product) -> None:
+    if product is not jordan and product is not lie:
+        raise ValidationError(f"closures take the products jordan and lie, got {product!r}")
+
+
 def _product_pairs(r: int, product: Product) -> np.ndarray:
     """Basis index pairs ``(i, j)`` whose products a closure round forms, as (k, 2).
 
     ``jordan`` is symmetric and ``lie`` antisymmetric with ``[e, e] = 0``,
-    so they need i >= j and i > j; any other callable gets every ordered
-    pair, row-major. Closure rounds and ``is_closed_under`` share this rule,
-    so closedness is exactly "a closure round adds nothing".
+    so they need i >= j and i > j. Closure rounds and ``is_closed_under``
+    share this rule, so closedness is exactly "a closure round adds nothing".
     """
-    if product is jordan or product is lie:
-        return np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
-    return np.indices((r, r)).reshape(2, -1).T
+    return np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
 
 
 #: Products formed and ranked together in a closure round; bounds peak memory.
 _BLOCK = 512
 
 
-def _products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product: Product) -> np.ndarray:
-    """``product(e[i_k], e[j_k])`` for each index pair, as a (k, n, n) stack.
+def _products(a: np.ndarray, b: np.ndarray, product: Product) -> np.ndarray:
+    """``product(a, b)`` of two Hermitian (..., n, n) stacks whose lead axes broadcast.
 
-    For ``jordan`` and ``lie`` one stacked matmul gives ``e_i e_j``; its
-    conjugate transpose is ``e_j e_i`` because the basis is Hermitian.
+    One matmul gives ``a b``; its conjugate transpose is ``b a`` because
+    both operands are Hermitian.
     """
-    if product is jordan or product is lie:
-        p = e[i] @ e[j]
-        ph = p.conj().swapaxes(1, 2)
-        return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
-    mats = [as_matrix(product(e[a], e[b])) for a, b in zip(i, j)]
-    same_dim(e[0], *mats)
-    return np.stack(mats)
+    p = a @ b
+    ph = p.conj().swapaxes(-1, -2)
+    return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
 
 
 def _round_products(e: np.ndarray, new: int, product: Product) -> Iterable[np.ndarray]:
@@ -307,23 +307,7 @@ def _round_products(e: np.ndarray, new: int, product: Product) -> Iterable[np.nd
     fresh = np.maximum(i, j) >= new
     i, j = i[fresh], j[fresh]
     for s in range(0, len(i), _BLOCK):
-        yield _products(e, i[s : s + _BLOCK], j[s : s + _BLOCK], product)
-
-
-def _at_dimension_bound(rows: np.ndarray, n: int, product: Product, rtol: float) -> bool:
-    """Whether the span is closed by its dimension alone.
-
-    True at n^2 (every Hermitian matrix) and, for ``lie``, at n^2 - 1 when
-    I / sqrt(n) is orthogonal to the span to ``rtol``: the span is then
-    su(n), and every bracket is traceless.
-    """
-    r = len(rows)
-    if r >= n * n:
-        return True
-    if product is not lie or r != n * n - 1:
-        return False
-    unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
-    return float(np.linalg.norm(rows @ unit)) <= rtol
+        yield _products(e[i[s : s + _BLOCK]], e[j[s : s + _BLOCK]], product)
 
 
 def _close_rounds(
@@ -332,6 +316,7 @@ def _close_rounds(
     max_rounds: int | None,
     rtol: float,
 ) -> tuple[RealSubspace, int, list[int]]:
+    _check_product(product)
     n = s.dim_ambient
     if max_rounds is None:
         # dim grows by >= 1 per non-final round and is capped by n^2
@@ -341,6 +326,10 @@ def _close_rounds(
     if s.dim_span == 0:
         return s, 0, [0]
     rows = s.rows
+    bound = n * n
+    unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
+    if product is lie and float(np.linalg.norm(rows @ unit)) <= rtol:
+        bound -= 1  # brackets are traceless: the closure stays in su(n)
     trajectory = [len(rows)]
     rounds = 0
     new = 0  # rows added by the previous round start here
@@ -351,13 +340,17 @@ def _close_rounds(
         r = len(rows)
         e = rows.view(complex).reshape(r, n, n)
         # at the bound the round confirms closure without forming products
-        if not _at_dimension_bound(rows, n, product, rtol):
+        if r < bound:
             for block in _round_products(e, new, product):
                 kept = _extend(rows, _rows(block), rtol)
                 if len(kept):
                     rows = np.concatenate((rows, kept))
-                    if _at_dimension_bound(rows, n, product, rtol):
+                    if len(rows) >= bound:
                         break
+        if len(rows) > bound:  # roundoff kept a direction, e.g. I from traceless seeds
+            raise ValidationError(
+                f"closure reached dim {len(rows)}, above its bound {bound}: ill-conditioned seeds"
+            )
         trajectory.append(len(rows))
         if len(rows) == r:
             return RealSubspace(n, rows), rounds, trajectory
@@ -370,62 +363,58 @@ def close_under(
     max_rounds: int | None = None,
     rtol: float = SPAN_RTOL,
 ) -> RealSubspace:
-    """Smallest subspace containing s and closed under the given product.
+    """Smallest subspace containing s and closed under ``jordan`` or ``lie``.
 
     Breadth-first and semi-naive: each round ranks only the products that
     involve a basis element added in the previous round, appending the new
     directions to the basis, and the loop stops when a round adds none.
-    Once the span is all Hermitian matrices (or su(n) under ``lie``) the
-    final round forms no products. ``product`` must map Hermitian pairs to
-    Hermitian matrices. Idempotent.
+    Once the span reaches its dimension bound (n^2, or n^2 - 1 under ``lie``
+    from seeds orthogonal to the identity) the final round forms no
+    products. Raises ValidationError for any other product, and when a
+    round ends above the bound, which only roundoff can cause. Idempotent.
     """
     closed, _, _ = _close_rounds(s, product, max_rounds, rtol)
     return closed
 
 
 def is_closed_under(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> bool:
-    """Whether a closure round from s would add nothing.
+    """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
     Every product of ``_product_pairs`` is ranked against the basis by the
     closure rounds' own keep test (``_extend``): it lies in the span when
     its residual is at most ``rtol * max(1, ||p||)``, the rule ``contains``
-    applies to a single matrix. Verdicts for ``jordan`` and ``lie`` are
-    memoized on s; any other product callable is evaluated on every call.
+    applies to a single matrix. Verdicts are memoized on s. Raises
+    ValidationError for any other product.
     """
+    _check_product(product)
     key = (product, rtol)
-    if key in s._memo:
-        return s._memo[key]
-    closed = not any(
-        len(_extend(s.rows, _rows(block), rtol, first=True))
-        for block in _round_products(s._stacked, 0, product)
-    )
-    if product is jordan or product is lie:
-        s._memo[key] = closed
-    return closed
+    if key not in s._memo:
+        s._memo[key] = not any(
+            len(_extend(s.rows, _rows(block), rtol, first=True))
+            for block in _round_products(s._stacked, 0, product)
+        )
+    return s._memo[key]
 
 
 def require_closed(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> None:
     if not is_closed_under(s, product, rtol):
-        name = getattr(product, "__name__", str(product))
-        raise NotClosed(f"subspace of dim {s.dim_span} is not closed under {name}")
+        raise NotClosed(f"subspace of dim {s.dim_span} is not closed under {product.__name__}")
 
 
 def derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
-    """Span of all brackets of L, the derived algebra [L, L]. Memoized on L."""
+    """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
+
+    The i < k rows of the structure constants are the basis brackets'
+    coordinates: their row space, ranked in coordinates, is [L, L].
+    """
     require_closed(L, lie, rtol)
     key = ("derived", rtol)
-    if key in L._memo:
-        return L._memo[key]
-    r = L.dim_span
-    if r < 2:
-        d = RealSubspace(L.dim_ambient, L.rows[:0])
-    else:
-        i, j = np.triu_indices(r, 1)
-        brackets = _products(L._stacked, i, j, lie)
-        # brackets of basis pairs already span [L, L]; one closure round confirms
-        d = close_under(span(list(brackets), rtol), lie, rtol=rtol)
-    L._memo[key] = d
-    return d
+    if key not in L._memo:
+        F, _ = _structure_constants(L)
+        i, k = np.triu_indices(L.dim_span, 1)
+        coords = _extend(np.empty((0, L.dim_span)), F[i, k], rtol)
+        L._memo[key] = RealSubspace(L.dim_ambient, coords @ L.rows)
+    return L._memo[key]
 
 
 def centralizer(
@@ -445,9 +434,8 @@ def centralizer(
     if L.dim_span == 0 or S.dim_span == 0:
         return L
     # column i: Re and Im of [e_i, s_j] for each j in turn
-    i, j = np.divmod(np.arange(L.dim_span * S.dim_span), S.dim_span)
-    br = _products(np.concatenate((L._stacked, S._stacked)), i, L.dim_span + j, lie)
-    cols = np.stack((br.real, br.imag), axis=1).reshape(L.dim_span, -1).T
+    br = _products(L._stacked[:, None], S._stacked[None], lie)
+    cols = np.stack((br.real, br.imag), axis=2).reshape(L.dim_span, -1).T
     _, sv, vh = np.linalg.svd(cols, full_matrices=False)
     cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
     return RealSubspace(L.dim_ambient, vh[~(sv > cut)] @ L.rows)
@@ -469,7 +457,7 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     nonzero norm.
     """
     i, j = np.triu_indices(L.dim_span, 1)
-    norms = _opnorm(_products(L._stacked, i, j, lie))
+    norms = _opnorm(_products(L._stacked[i], L._stacked[j], lie))
     best = float(norms.max(initial=0.0))
     if best <= _DEFECT_FLOOR:
         return best, None
@@ -486,17 +474,14 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     batched one first index at a time, so memory stays at r^2 n^2.
     """
     e, r = L._stacked, L.dim_span
-    j, k = np.divmod(np.arange(r * r), r)
-    # row r + r * j + k of the stack holds e_j o e_k
-    ejk = np.concatenate((e, _products(e, j, k, jordan)))
+    ejk = _products(e[:, None], e[None], jordan)  # ejk[j, k] = e_j o e_k
     best, arg = 0.0, None
     for i in range(r):
-        left = _products(ejk, r + r * i + j, k, jordan)
-        right = _products(ejk, np.full(r * r, i), r + r * j + k, jordan)
-        norms = _opnorm(left - right)
-        m = int(np.argmax(norms))
-        if norms[m] > best:
-            best, arg = float(norms[m]), (i, int(j[m]), int(k[m]))
+        left = _products(ejk[i, :, None], e[None], jordan)
+        norms = _opnorm(left - _products(e[i], ejk, jordan))
+        j, k = np.unravel_index(int(np.argmax(norms)), (r, r))
+        if norms[j, k] > best:
+            best, arg = float(norms[j, k]), (i, int(j), int(k))
     return best, arg if best > _DEFECT_FLOOR else None
 
 
@@ -508,15 +493,19 @@ def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
     antisymmetrized, so ``F[k, i] == -F[i, k]`` exactly. The second value
     is the largest Hilbert-Schmidt residual of a basis bracket off L,
     taken from the explicit difference: ``||p||^2 - ||coords||^2`` loses
-    everything below about 1e-8, the size of the thresholds it serves.
+    everything below about 1e-8, the size of the thresholds it serves. Only
+    the associator criterion stores the pair in ``L._memo`` (reused here), so
+    closures kept alive do not each keep an r^3 table.
     """
+    if "structure" in L._memo:
+        return L._memo["structure"]
     r = L.dim_span
     F = np.zeros((r, r, r))
     delta = 0.0
     i, k = np.triu_indices(r, 1)
     for s in range(0, len(i), _BLOCK):
         a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
-        p = _products(L._stacked, a, b, lie)
+        p = _products(L._stacked[a], L._stacked[b], lie)
         c = L._coords(p)
         F[a, b] = c
         F[b, a] = -c
@@ -525,11 +514,7 @@ def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
 
 
 def _killing_matrix(L: RealSubspace) -> np.ndarray:
-    """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, with ad_x[k, j] = F[x, j, k].
-
-    The structure constants are not memoized here: closures are often kept
-    alive, and each would keep its r^3 table.
-    """
+    """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, with ad_x[k, j] = F[x, j, k]."""
     F, _ = _structure_constants(L)
     return np.einsum("xjk,ykj->xy", F, F)
 

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the package's own span/closure machinery:
 ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
 the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
-loops, witness searches from their own multistart and refinement loops, the
+loops, the pair kernel and the derived algebra from their index-form and
+re-spanning copies, witness searches from their own multistart and refinement loops, the
 batched search driver from its one-step-at-a-time loop, the
 associator criterion from its Jordan-tensor einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
@@ -44,7 +45,7 @@ from ljlab.linalg import (
     random_hermitian,
     same_dim,
 )
-from ljlab.subspace import SPAN_RTOL, RealSubspace, _products
+from ljlab.subspace import SPAN_RTOL, RealSubspace, require_closed
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -177,9 +178,7 @@ def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> Real
 def _all_product_pairs(r: int, product) -> list[tuple[int, int]]:
     if product is jordan:
         return [(i, j) for i in range(r) for j in range(i, r)]
-    if product is lie:
-        return [(i, j) for i in range(r) for j in range(i + 1, r)]
-    return [(i, j) for i in range(r) for j in range(r)]
+    return [(i, j) for i in range(r) for j in range(i + 1, r)]
 
 
 def naive_close(
@@ -349,7 +348,7 @@ def vector_loop_centralizer(
     n = L.dim_ambient
     # column i: Re and Im of [e_i, s_j] for each j in turn
     i, j = np.divmod(np.arange(L.dim_span * S.dim_span), S.dim_span)
-    br = _products(np.concatenate((L._stacked, S._stacked)), i, L.dim_span + j, lie)
+    br = lie(L._stacked[i], S._stacked[j])
     cols = np.stack((br.real, br.imag), axis=1).reshape(L.dim_span, -1).T
     _, sv, vh = np.linalg.svd(cols, full_matrices=False)
     cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
@@ -391,8 +390,43 @@ def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
     r = L.dim_span
     # ad[x, k, j] = coefficient of e_k in [e_x, e_j]
     x, j = np.indices((r, r)).reshape(2, -1)
-    ad = L._coords(_products(L._stacked, x, j, lie)).reshape(r, r, r).swapaxes(1, 2)
+    ad = L._coords(lie(L._stacked[x], L._stacked[j])).reshape(r, r, r).swapaxes(1, 2)
     return np.einsum("xij,yji->xy", ad, ad)
+
+
+# Verbatim copies of the index-form pair kernel and of ``derived_algebra``
+# from before the kernel took operand stacks and the derived algebra was read
+# off the structure constants: the references for both. The derived algebra
+# copy leaves out the memo, which would hand its result to the code it judges.
+
+
+def index_products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product) -> np.ndarray:
+    """``product(e[i_k], e[j_k])`` for each index pair, as a (k, n, n) stack.
+
+    For ``jordan`` and ``lie`` one stacked matmul gives ``e_i e_j``; its
+    conjugate transpose is ``e_j e_i`` because the basis is Hermitian.
+    """
+    if product is jordan or product is lie:
+        p = e[i] @ e[j]
+        ph = p.conj().swapaxes(1, 2)
+        return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
+    mats = [as_matrix(product(e[a], e[b])) for a, b in zip(i, j)]
+    same_dim(e[0], *mats)
+    return np.stack(mats)
+
+
+def respan_derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
+    """Span of all brackets of L, the derived algebra [L, L]."""
+    require_closed(L, lie, rtol)
+    r = L.dim_span
+    if r < 2:
+        d = RealSubspace(L.dim_ambient, L.rows[:0])
+    else:
+        i, j = np.triu_indices(r, 1)
+        brackets = index_products(L._stacked, i, j, lie)
+        # brackets of basis pairs already span [L, L]; one closure round confirms
+        d = close_under(span(list(brackets), rtol), lie, rtol=rtol)
+    return d
 
 
 # Verbatim copies of the two witness searches from before they shared one

@@ -429,6 +429,39 @@ def test_help_and_version_output_are_those_of_a_fresh_parser(monkeypatch, fresh_
     assert _main_output(["--version"])[1] == f"ljlab {__version__}\n"
 
 
+def _tol_free_argvs(tmp_path) -> dict[str, list[str]]:
+    state = write_json(tmp_path / "state.json", mixed_state_payload(2))
+    algebra = write_json(tmp_path / "algebra.json", diag_algebra_payload(2))
+    return {
+        "classify": ["classify", "--in", state],
+        "generate": ["generate", "--mode", "lie2", "--dim", "2", "--trials", "1"],
+        "repr": ["repr", "--algebra", algebra],
+    }
+
+
+def test_tol_is_a_flag_of_verify_and_witness_only(tmp_path, fresh_parser):
+    for command, argv in _tol_free_argvs(tmp_path).items():
+        code, out = _main_output(argv)
+        assert code == 0 and json.loads(out)["config"]["tol"]["zero_tol"] == DEFAULT_TOL.zero_tol
+        assert _main_output(argv + ["--tol", "1e-3"]) == (2, "")
+        assert "--tol" not in _main_output([command, "--help"])[1]
+    path = _tol_free_argvs(tmp_path)["classify"][2]
+    assert run_cli("classify", "--in", path, "--tol", "1e-3").returncode == 2
+    for command in ("verify", "witness"):
+        assert "--tol" in _main_output([command, "--help"])[1]
+
+
+def test_verify_and_witness_honour_tol(fresh_parser):
+    verify = ["verify", "--dim", "3", "--trials", "5"]
+    assert _main_output(verify)[0] == 0
+    code, out = _main_output(verify + ["--tol", "1e-30"])
+    assert code == 1 and json.loads(out)["config"]["tol"]["zero_tol"] == 1e-30
+    witness = ["witness", "--kind", "avr", "--dim", "2", "--budget", "20"]
+    assert _main_output(witness)[0] == 0
+    code, out = _main_output(witness + ["--tol", "10"])
+    assert code == 1 and json.loads(out)["summary"]["found"] is False
+
+
 # ---------------------------------------------------------------- golden report bytes
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_stdout_sha256.json").read_text())

@@ -395,6 +395,7 @@ def test_direct_path_runs_only_when_the_bound_reaches_the_threshold(monkeypatch)
 def test_structure_constants_are_memoized_by_the_associator_criterion_only():
     alg = full_hermitian_space(3)
     assert is_semisimple_lie(alg) is False
+    assert derived_algebra(alg).dim_span == 8
     assert "structure" not in alg._memo
     is_classical_associator(random_state(3, seed=1), alg)
     memo = alg._memo["structure"]
