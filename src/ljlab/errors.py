@@ -10,7 +10,6 @@ __all__ = [
     "NotClosed",
     "NotAssociative",
     "EmptyInput",
-    "MaxRoundsExceeded",
     "CriteriaDisagree",
     "ValidationError",
 ]
@@ -42,10 +41,6 @@ class NotAssociative(LJLabError):
 
 class EmptyInput(LJLabError):
     """An operation received an empty input list."""
-
-
-class MaxRoundsExceeded(LJLabError):
-    """A closure loop failed to stabilize within its round budget."""
 
 
 class CriteriaDisagree(LJLabError):

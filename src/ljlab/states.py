@@ -34,7 +34,7 @@ from .linalg import _opnorm, as_matrix, random_density
 from .products import associator, jordan, lie
 from .subspace import (
     RealSubspace,
-    _structure_constants,
+    _stored_structure_constants,
     derived_algebra,
     require_closed,
 )
@@ -104,7 +104,7 @@ def expect(s: State, a: np.ndarray) -> float:
     m = as_matrix(a)
     if m.shape[0] != s.dim:
         raise DimensionMismatch(f"observable dim {m.shape[0]} != state dim {s.dim}")
-    return float(np.real(np.einsum("ab,ba->", s.rho, m)))
+    return float(np.real(np.sum(s.rho * m.T)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +162,13 @@ def _verdict(
 
 
 def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
-    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L."""
-    stacked = L._stacked
-    t = np.einsum("ab,ibc,jca->ij", s.rho, stacked, stacked)
+    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L.
+
+    The pair table ``t[i, j] = Tr(rho e_i e_j)`` is one matrix product:
+    row i holds ``rho e_i`` flattened, column j ``e_j`` transposed.
+    """
+    e, r, n = L._stacked, L.dim_span, L.dim_ambient
+    t = (s.rho @ e).reshape(r, n * n) @ e.transpose(0, 2, 1).reshape(r, n * n).T
     return np.real(0.5j * (t - t.T))
 
 
@@ -175,9 +179,7 @@ def _associator_expectations(
 
     See ``is_classical_associator`` for the formula and the direct recheck.
     """
-    if "structure" not in L._memo:
-        L._memo["structure"] = _structure_constants(L)
-    F, delta = L._memo["structure"]
+    F, delta = _stored_structure_constants(L)
     r = L.dim_span
     vals = (F.reshape(r * r, r) @ C.T).reshape(r, r, r)
     vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
@@ -266,8 +268,10 @@ def classify(
     """
     C = _bracket_tensor(s, L)
     verdicts = [_associator_verdict(s, L, rtol, C), _verdict("commutator", C, L.basis, rtol)]
-    if L.contains(s.rho):
+    try:
         verdicts.append(is_classical_center(s, L, rtol))
+    except NotInSpan:
+        pass
     flags = {v.classical for v in verdicts}
     if len(flags) > 1:
         detail = ", ".join(

@@ -8,23 +8,24 @@ commutativity and associativity tests, a Killing form nondegeneracy test,
 generation experiments, and the realization of a commuting associative
 subalgebra as functions on its joint spectrum.
 
-Closures take the two products ``jordan`` and ``lie``, and run semi-naive
-rounds: the basis only grows, and each round ranks just the products that
-involve a direction added in the previous round, in fixed-size blocks. The
-dimension bound comes from the seeds: n^2, or su(n)'s n^2 - 1 under the
-bracket of seeds orthogonal to the identity. A round that starts at the
-bound forms no products; one that ends above it raises ValidationError.
+Closures take the two products ``jordan`` and ``lie`` and run semi-naive
+rounds (``_round``): the basis only grows, and each round ranks just the
+products that involve a direction added in the previous round, in
+fixed-size blocks. The dimension bound (``_bound``) comes from the seeds:
+n^2, or su(n)'s n^2 - 1 under the bracket of seeds orthogonal to the
+identity. A round at the bound forms no products; one that ends above it
+raises ValidationError. A subspace is closed exactly when such a round adds
+nothing, and ``is_closed_under`` runs that round up to its first kept row.
 
-Closure rounds and the pair queries (closedness, both defects, centralizer,
-structure constants) form products with one Hermitian pair kernel
-(``_products``) on operand stacks. A subspace is closed under a product
-exactly when a closure round from it would add nothing: closedness is
-decided by the round's own pair rule (``_product_pairs``) and rank test
-(``_extend``). Closedness verdicts and derived algebras are memoized on the
-(immutable) subspace, so an algebra queried many times is proven closed
-once. The Lie structure constants (``_structure_constants``) give the
-derived algebra, the Killing form and, memoized by the associator
-criterion, its per-state contraction.
+Rounds and the pair queries (defects, centralizer, structure constants)
+form products with one Hermitian pair kernel (``_products``). Closedness
+verdicts and derived algebras are memoized on the (immutable) subspace. The
+Lie structure constants (``_structure_constants``) give the derived
+algebra, the Killing form and the associator criterion's contraction.
+
+``SPAN_RTOL`` is the one rank threshold; ``DEFAULT_TOL`` decides
+tracelessness, vanishing defects, the centralizer's null space, the Killing
+form's rank and positivity.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     EmptyInput,
-    MaxRoundsExceeded,
     NotAssociative,
     NotClosed,
     NotHermitian,
@@ -47,7 +47,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    Tolerance,
     _opnorm,
     as_matrix,
     derive_seed,
@@ -104,9 +103,10 @@ class RealSubspace:
     DimensionMismatch for any other row length, and ValidationError for
     complex rows, whose imaginary parts a float copy would drop. ``_stacked``
     (r, n, n) and ``basis`` are views of the copy. Immutability makes
-    ``_memo`` sound: it holds closedness verdicts keyed by ``(product,
-    rtol)``, the derived algebra by ``("derived", rtol)`` and the Lie
-    structure constants by ``"structure"``.
+    ``_memo`` sound: it holds closedness verdicts keyed by the product
+    (``jordan``, ``lie``), the derived algebra by ``"derived"`` and, once
+    the associator criterion has asked for them, the Lie structure
+    constants by ``"structure"``.
     """
 
     dim_ambient: int
@@ -158,8 +158,8 @@ class RealSubspace:
         """Distance from m to the subspace in Hilbert-Schmidt norm."""
         return hs_norm(as_matrix(m) - self.project(m))
 
-    def contains(self, m: np.ndarray, rtol: float = SPAN_RTOL) -> bool:
-        return self.residual(m) <= rtol * max(1.0, hs_norm(m))
+    def contains(self, m: np.ndarray) -> bool:
+        return self.residual(m) <= SPAN_RTOL * max(1.0, hs_norm(m))
 
 
 def full_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -197,25 +197,21 @@ def _rows(mats: np.ndarray) -> np.ndarray:
     return a.reshape(*a.shape[:-2], -1).view(float)
 
 
-def _extend(
-    basis: np.ndarray, cand: np.ndarray, rtol: float, *, first: bool = False
-) -> np.ndarray:
+def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Orthonormal rows that extend the orthonormal ``basis`` to also span ``cand``.
 
     The rank kernel behind ``span`` and the closure rounds. Candidates are
     judged greedily in input order: one is kept when its residual against
-    ``basis`` and the rows kept before it exceeds ``rtol * max(1, ||c||)``.
-    The whole block is first projected off ``basis`` twice (BLAS-3) and rows
-    already under their threshold are dropped; each survivor is then
-    reorthogonalized, kept or dropped, and a kept row is removed from the
-    survivors after it by a rank-1 update. With ``first`` the walk stops at
-    the first kept row, which is all a closedness verdict needs. Raises
-    ValidationError on non-finite candidates, whose residual test would
-    silently fail.
+    ``basis`` and the rows kept before it exceeds ``SPAN_RTOL * max(1,
+    ||c||)``. The whole block is first projected off ``basis`` twice (BLAS-3)
+    and rows already under their threshold are dropped; each survivor is
+    then reorthogonalized, kept or dropped, and a kept row is removed from
+    the survivors after it by a rank-1 update. Raises ValidationError on
+    non-finite candidates, whose residual test would silently fail.
     """
     if not np.isfinite(cand).all():
         raise ValidationError("span input contains NaN or infinite entries")
-    thr = rtol * np.maximum(1.0, np.linalg.norm(cand, axis=1))
+    thr = SPAN_RTOL * np.maximum(1.0, np.linalg.norm(cand, axis=1))
     v = np.array(cand)
     for _ in range(2):
         v -= (v @ basis.T) @ basis
@@ -232,8 +228,6 @@ def _extend(
             continue
         out[k] = x / res
         k += 1
-        if first:
-            break
         if len(v):
             v = v - np.outer(v @ out[k - 1], out[k - 1])
             alive = np.linalg.norm(v, axis=1) > thr
@@ -241,11 +235,11 @@ def _extend(
     return out[:k]
 
 
-def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspace:
+def span(matrices: Sequence[np.ndarray]) -> RealSubspace:
     """Orthonormal basis of the real span, by the blocked rank kernel.
 
     Input order is preserved: a matrix is kept when its residual against
-    the span of the matrices kept before it exceeds ``rtol * max(1,
+    the span of the matrices kept before it exceeds ``SPAN_RTOL * max(1,
     ||input||)``. Raises EmptyInput for an empty list, NotHermitian when
     a matrix m has ``max|m - m^H| > DEFAULT_TOL.threshold(||m||_HS)`` (the
     HS norm bounds the operator norm, so whatever ``is_hermitian`` accepts
@@ -264,7 +258,7 @@ def span(matrices: Sequence[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspac
         scale = np.linalg.norm(stack, axis=(1, 2))
     if np.any(defect > DEFAULT_TOL.threshold(scale)):
         raise NotHermitian("span input is not Hermitian within tolerance")
-    return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(stack), rtol))
+    return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(stack)))
 
 
 def _check_product(product: Product) -> None:
@@ -310,59 +304,71 @@ def _round_products(e: np.ndarray, new: int, product: Product) -> Iterable[np.nd
         yield _products(e[i[s : s + _BLOCK]], e[j[s : s + _BLOCK]], product)
 
 
-def _close_rounds(
-    s: RealSubspace,
-    product: Product,
-    max_rounds: int | None,
-    rtol: float,
-) -> tuple[RealSubspace, int, list[int]]:
-    _check_product(product)
+def _bound(s: RealSubspace, product: Product) -> int:
+    """Largest dimension a closure of s under ``product`` can reach.
+
+    n^2, or su(n)'s n^2 - 1 under ``lie`` when s is orthogonal to I/sqrt(n)
+    within ``SPAN_RTOL``: brackets are traceless, so the closure stays there.
+    """
     n = s.dim_ambient
-    if max_rounds is None:
-        # dim grows by >= 1 per non-final round and is capped by n^2
-        max_rounds = n * n + 1
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+    unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
+    if product is lie and float(np.linalg.norm(s.rows @ unit)) <= SPAN_RTOL:
+        return n * n - 1
+    return n * n
+
+
+def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
+    """The rows one closure round from ``rows`` adds, yielded block by block.
+
+    The round ranks the products that involve a row ``>= new`` against the
+    basis and the rows kept before them. It forms no product when ``rows``
+    is at ``bound`` already, and stops once the kept rows reach it. Lazy: a
+    caller that only asks whether anything is added stops at the first kept
+    block.
+    """
+    r = len(rows)
+    if r >= bound:
+        return
+    n = math.isqrt(rows.shape[1] // 2)
+    for block in _round_products(rows.view(complex).reshape(r, n, n), new, product):
+        kept = _extend(rows, _rows(block))
+        if len(kept):
+            yield kept
+            rows = np.concatenate((rows, kept))
+            if len(rows) >= bound:
+                return
+
+
+def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int, list[int]]:
+    """``close_under`` with its round count and the dimension after each round.
+
+    Every round but the last adds a row and the dimension is bounded, so the
+    loop ends. The last round added nothing, which is the closedness verdict
+    ``is_closed_under`` would reach, so the closure carries it in its memo.
+    """
+    _check_product(product)
     if s.dim_span == 0:
         return s, 0, [0]
+    bound = _bound(s, product)
     rows = s.rows
-    bound = n * n
-    unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
-    if product is lie and float(np.linalg.norm(rows @ unit)) <= rtol:
-        bound -= 1  # brackets are traceless: the closure stays in su(n)
     trajectory = [len(rows)]
-    rounds = 0
     new = 0  # rows added by the previous round start here
     while True:
-        if rounds == max_rounds:
-            raise MaxRoundsExceeded(f"closure still growing after {max_rounds} rounds")
-        rounds += 1
         r = len(rows)
-        e = rows.view(complex).reshape(r, n, n)
-        # at the bound the round confirms closure without forming products
-        if r < bound:
-            for block in _round_products(e, new, product):
-                kept = _extend(rows, _rows(block), rtol)
-                if len(kept):
-                    rows = np.concatenate((rows, kept))
-                    if len(rows) >= bound:
-                        break
+        rows = np.concatenate((rows, *_round(rows, new, product, bound)))
         if len(rows) > bound:  # roundoff kept a direction, e.g. I from traceless seeds
             raise ValidationError(
                 f"closure reached dim {len(rows)}, above its bound {bound}: ill-conditioned seeds"
             )
         trajectory.append(len(rows))
         if len(rows) == r:
-            return RealSubspace(n, rows), rounds, trajectory
+            closed = RealSubspace(s.dim_ambient, rows)
+            closed._memo[product] = True
+            return closed, len(trajectory) - 1, trajectory
         new = r
 
 
-def close_under(
-    s: RealSubspace,
-    product: Product,
-    max_rounds: int | None = None,
-    rtol: float = SPAN_RTOL,
-) -> RealSubspace:
+def close_under(s: RealSubspace, product: Product) -> RealSubspace:
     """Smallest subspace containing s and closed under ``jordan`` or ``lie``.
 
     Breadth-first and semi-naive: each round ranks only the products that
@@ -371,61 +377,58 @@ def close_under(
     Once the span reaches its dimension bound (n^2, or n^2 - 1 under ``lie``
     from seeds orthogonal to the identity) the final round forms no
     products. Raises ValidationError for any other product, and when a
-    round ends above the bound, which only roundoff can cause. Idempotent.
+    round ends above the bound, which only roundoff can cause. Idempotent;
+    the closure is proven closed by its last round, so ``is_closed_under``
+    answers for it from the memo.
     """
-    closed, _, _ = _close_rounds(s, product, max_rounds, rtol)
+    closed, _, _ = _close_rounds(s, product)
     return closed
 
 
-def is_closed_under(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> bool:
+def is_closed_under(s: RealSubspace, product: Product) -> bool:
     """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
-    Every product of ``_product_pairs`` is ranked against the basis by the
-    closure rounds' own keep test (``_extend``): it lies in the span when
-    its residual is at most ``rtol * max(1, ||p||)``, the rule ``contains``
-    applies to a single matrix. Verdicts are memoized on s. Raises
+    Runs that round (``_round``) until its first kept row: a product lies in
+    the span when its residual is at most ``SPAN_RTOL * max(1, ||p||)``, the
+    rule ``contains`` applies to a single matrix. A span at its dimension
+    bound is closed without a product formed: the full algebra under both
+    products, su(n) under ``lie``. Verdicts are memoized on s. Raises
     ValidationError for any other product.
     """
     _check_product(product)
-    key = (product, rtol)
-    if key not in s._memo:
-        s._memo[key] = not any(
-            len(_extend(s.rows, _rows(block), rtol, first=True))
-            for block in _round_products(s._stacked, 0, product)
-        )
-    return s._memo[key]
+    if product not in s._memo:
+        s._memo[product] = next(_round(s.rows, 0, product, _bound(s, product)), None) is None
+    return s._memo[product]
 
 
-def require_closed(s: RealSubspace, product: Product, rtol: float = SPAN_RTOL) -> None:
-    if not is_closed_under(s, product, rtol):
+def require_closed(s: RealSubspace, product: Product) -> None:
+    if not is_closed_under(s, product):
         raise NotClosed(f"subspace of dim {s.dim_span} is not closed under {product.__name__}")
 
 
-def derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
+def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
     The i < k rows of the structure constants are the basis brackets'
     coordinates: their row space, ranked in coordinates, is [L, L].
     """
-    require_closed(L, lie, rtol)
-    key = ("derived", rtol)
-    if key not in L._memo:
+    require_closed(L, lie)
+    if "derived" not in L._memo:
         F, _ = _structure_constants(L)
         i, k = np.triu_indices(L.dim_span, 1)
-        coords = _extend(np.empty((0, L.dim_span)), F[i, k], rtol)
-        L._memo[key] = RealSubspace(L.dim_ambient, coords @ L.rows)
-    return L._memo[key]
+        coords = _extend(np.empty((0, L.dim_span)), F[i, k])
+        L._memo["derived"] = RealSubspace(L.dim_ambient, coords @ L.rows)
+    return L._memo["derived"]
 
 
-def centralizer(
-    L: RealSubspace, S: RealSubspace, tol: Tolerance = DEFAULT_TOL
-) -> RealSubspace:
+def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     """Elements of L whose bracket with every element of S vanishes.
 
     Solved as a null space: stack the real and imaginary parts of
     [e_i, s_j] for each basis element e_i of L, then read the null space
-    off an SVD. Its vectors are coordinates against L's orthonormal rows,
-    so the returned rows are orthonormal too.
+    off an SVD: singular values at most ``DEFAULT_TOL.zero_tol`` times the
+    largest (floored at 1) count as zero. Its vectors are coordinates
+    against L's orthonormal rows, so the returned rows are orthonormal too.
     """
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(
@@ -437,13 +440,13 @@ def centralizer(
     br = _products(L._stacked[:, None], S._stacked[None], lie)
     cols = np.stack((br.real, br.imag), axis=2).reshape(L.dim_span, -1).T
     _, sv, vh = np.linalg.svd(cols, full_matrices=False)
-    cut = tol.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
+    cut = DEFAULT_TOL.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
     return RealSubspace(L.dim_ambient, vh[~(sv > cut)] @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
-#: index for them; it is the threshold ``is_commutative`` and
-#: ``is_jordan_associative`` apply under the default tolerance.
+#: index for them, and ``is_commutative`` and ``is_jordan_associative``
+#: count them as zero.
 _DEFECT_FLOOR = DEFAULT_TOL.threshold(1.0)
 
 
@@ -494,8 +497,9 @@ def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
     is the largest Hilbert-Schmidt residual of a basis bracket off L,
     taken from the explicit difference: ``||p||^2 - ||coords||^2`` loses
     everything below about 1e-8, the size of the thresholds it serves. Only
-    the associator criterion stores the pair in ``L._memo`` (reused here), so
-    closures kept alive do not each keep an r^3 table.
+    the associator criterion stores the pair on L
+    (``_stored_structure_constants``, reused here), so closures kept alive
+    do not each keep an r^3 table.
     """
     if "structure" in L._memo:
         return L._memo["structure"]
@@ -513,29 +517,35 @@ def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
     return F, delta
 
 
+def _stored_structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
+    """``_structure_constants(L)``, stored on L for the per-state criteria."""
+    L._memo["structure"] = pair = _structure_constants(L)  # the stored pair, once there is one
+    return pair
+
+
 def _killing_matrix(L: RealSubspace) -> np.ndarray:
     """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, with ad_x[k, j] = F[x, j, k]."""
     F, _ = _structure_constants(L)
     return np.einsum("xjk,ykj->xy", F, F)
 
 
-def is_commutative(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_commutative(L: RealSubspace) -> bool:
     """Whether all brackets vanish on L. Requires closure under both products."""
     require_closed(L, jordan)
     require_closed(L, lie)
     defect, _ = commutator_defect(L)
-    return defect <= tol.threshold(1.0)
+    return defect <= _DEFECT_FLOOR
 
 
-def is_jordan_associative(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_jordan_associative(L: RealSubspace) -> bool:
     """Whether the Jordan associator vanishes on L. Same closure requirements."""
     require_closed(L, jordan)
     require_closed(L, lie)
     defect, _ = associator_defect(L)
-    return defect <= tol.threshold(1.0)
+    return defect <= _DEFECT_FLOOR
 
 
-def is_semisimple_lie(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_semisimple_lie(L: RealSubspace) -> bool:
     """Nondegeneracy of the Killing form K(x, y) = Tr(ad_x ad_y) on L.
 
     Judged by the singular value ratio of the Killing matrix in the
@@ -546,7 +556,7 @@ def is_semisimple_lie(L: RealSubspace, tol: Tolerance = DEFAULT_TOL) -> bool:
         return True
     killing = _killing_matrix(L)
     sv = np.linalg.svd(killing, compute_uv=False)
-    return float(sv[-1]) > tol.zero_tol * float(sv[0])
+    return float(sv[-1]) > DEFAULT_TOL.zero_tol * float(sv[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,17 +572,12 @@ class GenerationReport:
     closure: RealSubspace
 
 
-def _is_traceless(m: np.ndarray, tol: Tolerance) -> bool:
+def _is_traceless(m: np.ndarray) -> bool:
     n = m.shape[0]
-    return abs(complex(np.trace(m))) <= tol.threshold(hs_norm(m) * math.sqrt(n))
+    return abs(complex(np.trace(m))) <= DEFAULT_TOL.threshold(hs_norm(m) * math.sqrt(n))
 
 
-def lie_generate(
-    a: np.ndarray,
-    b: np.ndarray,
-    max_rounds: int | None = None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> GenerationReport:
+def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     """Bracket closure of span{a, b}.
 
     Target dimension is n^2 - 1 (the traceless Hermitian space) when both
@@ -583,8 +588,8 @@ def lie_generate(
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
-    closed, rounds, trajectory = _close_rounds(span([x, y]), lie, max_rounds, SPAN_RTOL)
-    target = n * n - 1 if (_is_traceless(x, tol) and _is_traceless(y, tol)) else n * n
+    closed, rounds, trajectory = _close_rounds(span([x, y]), lie)
+    target = n * n - 1 if (_is_traceless(x) and _is_traceless(y)) else n * n
     return GenerationReport(
         generators=(x, y),
         closure_dim=closed.dim_span,
@@ -596,17 +601,13 @@ def lie_generate(
     )
 
 
-def jordan_generate_three(
-    a: np.ndarray,
-    b: np.ndarray,
-    max_rounds: int | None = None,
-) -> GenerationReport:
+def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     """Jordan closure of span{a, b, [a, b], I}; target is the full n^2."""
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
     seeds = [x, y, lie(x, y), np.eye(n, dtype=complex)]
-    closed, rounds, trajectory = _close_rounds(span(seeds), jordan, max_rounds, SPAN_RTOL)
+    closed, rounds, trajectory = _close_rounds(span(seeds), jordan)
     return GenerationReport(
         generators=(x, y),
         closure_dim=closed.dim_span,
@@ -741,12 +742,7 @@ class PositivityReport:
         return self.jordan_violations > 0 or self.square_order_violations > 0
 
 
-def check_positivity_closure(
-    L: RealSubspace,
-    samples: int,
-    seed: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> PositivityReport:
+def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> PositivityReport:
     """Sample PSD elements of a Jordan-closed subspace and test positivity.
 
     Candidates are squares x @ x of random basis combinations, so they are
@@ -770,13 +766,13 @@ def check_positivity_closure(
         a = x @ x
         b = y @ y
         lam = float(np.linalg.eigvalsh(jordan(a, b))[0])
-        if lam < -tol.threshold(spectral_norm(a) * spectral_norm(b)):
+        if lam < -DEFAULT_TOL.threshold(spectral_norm(a) * spectral_norm(b)):
             jordan_count += 1
             if lam < best_j:
                 best_j, worst_jordan = lam, (a, b, lam)
         big = b + z @ z
         lam2 = float(np.linalg.eigvalsh(big @ big - b @ b)[0])
-        if lam2 < -tol.threshold(spectral_norm(big) ** 2 + spectral_norm(b) ** 2):
+        if lam2 < -DEFAULT_TOL.threshold(spectral_norm(big) ** 2 + spectral_norm(b) ** 2):
             square_count += 1
             if lam2 < best_s:
                 best_s, worst_square = lam2, (big, b, lam2)

@@ -7,7 +7,8 @@ the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, the pair kernel and the derived algebra from their index-form and
 re-spanning copies, witness searches from their own multistart and refinement loops, the
 batched search driver from its one-step-at-a-time loop, the
-associator criterion from its Jordan-tensor einsum, the Killing matrix
+associator criterion from its Jordan-tensor einsum, the bracket tensor
+from its three-operand einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
 loop, the batched subspace helpers from their per-basis loops, and
 operator norms from ``np.linalg.norm(a, 2)``.
@@ -23,7 +24,6 @@ from ljlab import (
     DimensionMismatch,
     EmptyInput,
     IdentityReport,
-    MaxRoundsExceeded,
     NotInSpan,
     ValidationError,
     WitnessReport,
@@ -181,20 +181,16 @@ def _all_product_pairs(r: int, product) -> list[tuple[int, int]]:
     return [(i, j) for i in range(r) for j in range(i + 1, r)]
 
 
-def naive_close(
-    s: RealSubspace, product, max_rounds: int | None = None, rtol: float = SPAN_RTOL
-) -> tuple[RealSubspace, int, list[int]]:
+def naive_close(s: RealSubspace, product) -> tuple[RealSubspace, int, list[int]]:
     """All-pairs closure rounds on ``sequential_span``: (closure, rounds, trajectory).
 
     Every round re-spans the basis with all its pairwise products and the
     loop stops at the first round that does not grow the dimension.
     """
-    if max_rounds is None:
-        max_rounds = s.dim_ambient**2 + 1
     trajectory = [s.dim_span]
     cur = s
     rounds = 0
-    while rounds < max_rounds:
+    while True:
         if cur.dim_span == 0:
             return cur, rounds, trajectory
         rounds += 1
@@ -202,12 +198,11 @@ def naive_close(
             product(cur.basis[i], cur.basis[j])
             for i, j in _all_product_pairs(cur.dim_span, product)
         ]
-        nxt = sequential_span(list(cur.basis) + prods, rtol)
+        nxt = sequential_span(list(cur.basis) + prods)
         trajectory.append(nxt.dim_span)
         if nxt.dim_span == cur.dim_span:
             return nxt, rounds, trajectory
         cur = nxt
-    raise MaxRoundsExceeded(f"closure still growing after {max_rounds} rounds")
 
 
 def loop_commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
@@ -381,6 +376,17 @@ def einsum_associator_values(s, L: RealSubspace) -> np.ndarray:
     return np.real(term1 - term2)
 
 
+def einsum_bracket_expectations(s, L: RealSubspace) -> np.ndarray:
+    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L, by a three-operand einsum.
+
+    Verbatim body of ``states._bracket_expectations`` before the pair table
+    became one matrix product.
+    """
+    stacked = L._stacked
+    t = np.einsum("ab,ibc,jca->ij", s.rho, stacked, stacked)
+    return np.real(0.5j * (t - t.T))
+
+
 def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
     """Killing matrix from the full r x r grid of ad operators.
 
@@ -415,9 +421,9 @@ def index_products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product) -> np.n
     return np.stack(mats)
 
 
-def respan_derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubspace:
+def respan_derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]."""
-    require_closed(L, lie, rtol)
+    require_closed(L, lie)
     r = L.dim_span
     if r < 2:
         d = RealSubspace(L.dim_ambient, L.rows[:0])
@@ -425,7 +431,7 @@ def respan_derived_algebra(L: RealSubspace, rtol: float = SPAN_RTOL) -> RealSubs
         i, j = np.triu_indices(r, 1)
         brackets = index_products(L._stacked, i, j, lie)
         # brackets of basis pairs already span [L, L]; one closure round confirms
-        d = close_under(span(list(brackets), rtol), lie, rtol=rtol)
+        d = close_under(span(list(brackets)), lie)
     return d
 
 

@@ -12,10 +12,11 @@ import pytest
 
 from helpers import SX, SY, naive_close, rank_of, sequential_span
 from ljlab import (
-    MaxRoundsExceeded,
     ValidationError,
+    close_under,
     full_hermitian_basis,
     full_hermitian_space,
+    is_closed_under,
     jordan,
     jordan_generate_three,
     lie,
@@ -25,7 +26,7 @@ from ljlab import (
     traceless,
 )
 from ljlab import subspace as subspace_mod
-from ljlab.subspace import SPAN_RTOL
+from ljlab.subspace import SPAN_RTOL, RealSubspace
 
 
 def _record_products(monkeypatch) -> list[int]:
@@ -108,7 +109,7 @@ def test_span_decisions_match_sequential_oracle_near_the_tolerance():
         cut = int(rng.integers(1, k + 1))
         head = span(mats[:cut])
         tail = np.stack([np.asarray(m, dtype=complex) for m in mats[cut:]])
-        added = subspace_mod._extend(subspace_mod._rows(head._stacked), subspace_mod._rows(tail), SPAN_RTOL)
+        added = subspace_mod._extend(subspace_mod._rows(head._stacked), subspace_mod._rows(tail))
         assert head.dim_span + len(added) == ref.dim_span, f"trial {trial}: split at {cut}"
         if got.dim_span > k:
             kept += 1
@@ -147,17 +148,27 @@ def _closure_cases():
 
 @pytest.mark.parametrize("label,product,seeds", list(_closure_cases()))
 def test_closure_matches_naive_all_pairs_rounds(label, product, seeds):
-    closed, rounds, trajectory = subspace_mod._close_rounds(span(seeds), product, None, SPAN_RTOL)
+    closed, rounds, trajectory = subspace_mod._close_rounds(span(seeds), product)
     ref, ref_rounds, ref_trajectory = naive_close(sequential_span(seeds), product)
     assert (closed.dim_span, rounds, trajectory) == (ref.dim_span, ref_rounds, ref_trajectory)
     assert rank_of(list(closed.basis) + list(ref.basis), tol=1e-10) == ref.dim_span
-    # the round budget fails at exactly the same count
-    subspace_mod._close_rounds(span(seeds), product, rounds, SPAN_RTOL)
-    if rounds > 1:
-        with pytest.raises(MaxRoundsExceeded):
-            subspace_mod._close_rounds(span(seeds), product, rounds - 1, SPAN_RTOL)
-        with pytest.raises(MaxRoundsExceeded):
-            naive_close(sequential_span(seeds), product, rounds - 1)
+
+
+@pytest.mark.parametrize("label,product,seeds", list(_closure_cases()))
+def test_a_closure_is_closed_without_a_new_product(monkeypatch, label, product, seeds):
+    closed = close_under(span(seeds), product)
+    formed = [0]
+    original = subspace_mod._products
+
+    def counted(a, b, p):
+        formed[0] += 1
+        return original(a, b, p)
+
+    monkeypatch.setattr(subspace_mod, "_products", counted)
+    assert is_closed_under(closed, product)
+    assert formed[0] == 0
+    # the memo agrees with a proof from scratch on a copy of the rows
+    assert is_closed_under(RealSubspace(closed.dim_ambient, closed.rows), product)
 
 
 def test_generation_reports_match_naive_rounds():
@@ -221,19 +232,38 @@ def test_confirming_round_at_the_dimension_bound_forms_no_products(monkeypatch):
         assert sizes and max(sizes) < n * n - 1
 
 
+def test_a_round_stops_ranking_once_it_reaches_the_bound(monkeypatch):
+    """At n = 8 the last growing round spans several product blocks and
+    reaches the bound in one of them; the blocks after it are not ranked."""
+    bases: list[int] = []
+    original = subspace_mod._extend
+
+    def recorded(basis, cand):
+        bases.append(len(basis))
+        return original(basis, cand)
+
+    monkeypatch.setattr(subspace_mod, "_extend", recorded)
+    a, b = random_hermitian(8, seed=308), random_hermitian(8, seed=408)
+    for generate, x, y, bound in ((jordan_generate_three, a, b, 64), (lie_generate, traceless(a), traceless(b), 63)):
+        bases.clear()
+        rep = generate(x, y)
+        assert rep.closure_dim == bound and rep.trajectory[-2:] == (bound, bound)
+        assert max(bases) < bound
+
+
 def test_closure_starting_at_the_bound_forms_no_products(monkeypatch):
     sizes = _record_products(monkeypatch)
     full = full_hermitian_space(3)
     su3 = span([traceless(m) for m in full_hermitian_basis(3)])
     assert su3.dim_span == 8
     for s, product in ((full, jordan), (full, lie), (su3, lie)):
-        _, rounds, trajectory = subspace_mod._close_rounds(s, product, None, SPAN_RTOL)
+        _, rounds, trajectory = subspace_mod._close_rounds(s, product)
         assert (rounds, trajectory) == (1, [s.dim_span] * 2)
     assert sizes == []
     # su(3) is not Jordan-closed, and n^2 - 1 with the identity inside is not su(n)
     almost = span([np.eye(2, dtype=complex), SX, SY])
     for s, product in ((su3, jordan), (almost, lie)):
-        got = subspace_mod._close_rounds(s, product, None, SPAN_RTOL)
+        got = subspace_mod._close_rounds(s, product)
         ref = naive_close(s, product)
         assert (got[0].dim_span, got[1], got[2]) == (ref[0].dim_span, ref[1], ref[2])
         assert got[0].dim_span == s.dim_ambient**2

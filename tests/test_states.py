@@ -12,6 +12,7 @@ from helpers import (
     commutative_algebra,
     conjugated,
     einsum_associator_values,
+    einsum_bracket_expectations,
     random_unitary,
 )
 from ljlab import (
@@ -35,7 +36,7 @@ from ljlab import (
 from ljlab import states as states_mod
 from ljlab.products import associator
 from ljlab.states import CLASSICALITY_RTOL, _associator_expectations, _bracket_expectations
-from ljlab.subspace import _structure_constants
+from ljlab.subspace import RealSubspace, _structure_constants
 
 
 def diag_state(*entries: float) -> State:
@@ -279,6 +280,19 @@ def _oracle_algebras():
     return algs
 
 
+def test_bracket_tensor_matches_its_einsum_oracle():
+    algs = [full_hermitian_space(n) for n in range(1, 9)]
+    algs += [block_2_1_algebra(), block_algebra((2, 2)), block_algebra((1, 2, 3))]
+    algs += [commutative_algebra(n, seed=n) for n in (2, 3, 4)]
+    algs += [RealSubspace(dim_ambient=n, rows=np.empty((0, 2 * n * n))) for n in (1, 3)]
+    for k, alg in enumerate(algs):
+        n, r = alg.dim_ambient, alg.dim_span
+        for s in _oracle_states(n, seed=800 + k) + [State(np.eye(n, dtype=complex) / n)]:
+            got, want = _bracket_expectations(s, alg), einsum_bracket_expectations(s, alg)
+            assert got.shape == want.shape == (r, r)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
 def _block_scalar(sizes, p: float) -> np.ndarray:
     weights = [p / sizes[0]] * sizes[0] + [(1.0 - p) / sizes[1]] * sizes[1]
     return np.diag(weights).astype(complex)
@@ -404,6 +418,29 @@ def test_structure_constants_are_memoized_by_the_associator_criterion_only():
     F, delta = memo
     assert np.array_equal(F, -F.transpose(1, 0, 2))
     assert delta <= 1e-15
+
+
+def test_classify_tests_membership_in_the_span_once(monkeypatch):
+    calls = [0]
+    original = RealSubspace.contains
+
+    def counted(self, m):
+        calls[0] += 1
+        return original(self, m)
+
+    monkeypatch.setattr(RealSubspace, "contains", counted)
+    block = block_2_1_algebra()
+    inside, outside = diag_state(0.25, 0.25, 0.5), State(np.full((3, 3), 1 / 3, dtype=complex))
+    for s, L, criteria in ((inside, block, 3), (outside, block, 2), (random_state(3, 4), full_hermitian_space(3), 3)):
+        verdict = classify(s, L)
+        assert calls[0] == 1
+        assert verdict.classical == is_classical_commutator(s, L).classical
+        if criteria == 3:
+            assert is_classical_center(s, L).classical == verdict.classical
+        else:
+            with pytest.raises(NotInSpan):
+                is_classical_center(s, L)
+        calls[0] = 0
 
 
 def test_classify_builds_the_bracket_tensor_once_per_state(monkeypatch):

@@ -28,7 +28,6 @@ from helpers import (
 from ljlab import (
     DimensionMismatch,
     EmptyInput,
-    MaxRoundsExceeded,
     NotAssociative,
     NotClosed,
     NotHermitian,
@@ -64,10 +63,8 @@ from ljlab.subspace import (
     SPAN_RTOL,
     FunctionRepresentation,
     RealSubspace,
-    _extend,
     _killing_matrix,
     _products,
-    _round_products,
     _rows,
     require_closed,
 )
@@ -205,12 +202,6 @@ def test_close_under_lie_from_two_paulis():
     closed = close_under(span([SX, SY]), lie)
     assert closed.dim_span == 3
     assert closed.contains(SZ / np.sqrt(2))
-
-
-def test_close_under_round_budget():
-    seed_mat = random_hermitian(3, seed=3)
-    with pytest.raises(MaxRoundsExceeded):
-        close_under(span([seed_mat, random_hermitian(3, seed=4)]), lie, max_rounds=1)
 
 
 def test_zero_dimensional_closure():
@@ -802,32 +793,29 @@ def test_every_closure_entry_point_rejects_other_products(monkeypatch):
             with pytest.raises(ValidationError):
                 require_closed(s, product)
             with pytest.raises(ValidationError):
-                subspace_mod._close_rounds(s, product, None, SPAN_RTOL)
+                subspace_mod._close_rounds(s, product)
         assert not s._memo
     assert pairs[0] == 0
 
 
-def test_first_keep_walk_decides_closedness_like_the_full_walk():
-    algs = [full_hermitian_space(n) for n in (2, 3)] + [block_algebra((2, 2))]
-    algs += [commutative_algebra(4, seed=k) for k in range(2)]
-    algs += [
-        span([random_hermitian(n, seed=700 + 5 * n + k + j) for j in range(2 + k)])
-        for n in (3, 4, 6)
-        for k in range(3)
-    ]
-    verdicts = set()
-    for alg in algs:
-        rows = _rows(alg._stacked)
-        for product in (jordan, lie):
-            for block in _round_products(alg._stacked, 0, product):
-                full = _extend(rows, _rows(block), SPAN_RTOL)
-                first = _extend(rows, _rows(block), SPAN_RTOL, first=True)
-                assert len(first) == min(1, len(full))
-                assert np.array_equal(first, full[:1])
-            verdict = is_closed_under(alg, product)
-            assert verdict == _pairwise_closed(alg, product)
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
+def test_closedness_at_the_dimension_bound_forms_no_products(monkeypatch):
+    """The full algebra (both products) and su(n) (``lie``) sit at their bound."""
+    pairs = _count_calls(monkeypatch, "_products")
+    for n in (2, 3, 4, 5):
+        full = full_hermitian_space(n)
+        su = span([traceless(m) for m in full_hermitian_basis(n)])
+        assert su.dim_span == n * n - 1
+        for s, product in ((full, jordan), (full, lie), (su, lie)):
+            assert is_closed_under(s, product) and _pairwise_closed(s, product)
+        assert pairs[0] == 0
+        # su(n) is not Jordan-closed: below its Jordan bound n^2 the round runs
+        assert not is_closed_under(su, jordan) and not _pairwise_closed(su, jordan)
+        assert pairs[0] > 0
+        pairs[0] = 0
+    # n^2 - 1 directions with the identity among them are not su(n): the bound stays n^2
+    almost = span([I2, SX, SY])
+    assert not is_closed_under(almost, lie) and not _pairwise_closed(almost, lie)
+    assert pairs[0] > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -865,7 +853,6 @@ def test_derived_algebra_is_memoized():
     d = derived_algebra(full)
     assert derived_algebra(full) is d
     assert derived_algebra(full_hermitian_space(3)) is not d
-    assert derived_algebra(full, rtol=1e-7) is not d
 
 
 def test_second_classify_forms_no_pair_products(monkeypatch):
