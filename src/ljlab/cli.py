@@ -133,6 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
         "out": dict(default=None, help="also write the JSON report to this file"),
     }
 
+    # classify and repr draw nothing at random: they take --seed only to echo it
+    echoed_seed = dict(
+        common["seed"], help="not used; only echoed in the report's config (default: $LJLAB_SEED or 0)"
+    )
+
     def add_common(p: argparse.ArgumentParser, *names: str) -> None:
         for name in names:
             p.add_argument(f"--{name}", **common[name])
@@ -150,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="observable subspace JSON file (default: full Hermitian algebra)",
     )
-    add_common(p, "seed", "out")
+    p.add_argument("--seed", **echoed_seed)
+    add_common(p, "out")
 
     p = sub.add_parser("witness", help="search for a quantumness witness")
     p.add_argument("--kind", choices=("avr", "associator"), required=True)
@@ -172,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repr", help="function representation of a commuting subalgebra")
     p.add_argument("--algebra", dest="algebra_path", required=True)
-    add_common(p, "seed", "out")
+    p.add_argument("--seed", **echoed_seed)
+    add_common(p, "out")
 
     return parser
 

@@ -9,18 +9,22 @@ all applicable ones and raises CriteriaDisagree if they ever split.
 The associator criterion needs no Jordan products. By the Jordan-Lie
 identity ``(a o b) o c - a o (b o c) = [b, [c, a]]``, on a Lie-closed L
 
-    Tr(rho assoc(e_i, e_j, e_k)) = sum_m F[k, i, m] C[j, m],
+    Tr(rho assoc(e_i, e_j, e_k)) = -sum_m c_p[m] C[j, m],
 
-where ``F[k, i]`` are the coordinates of ``[e_k, e_i]`` (the Lie structure
-constants, built once per algebra and memoized on it) and ``C[j, m] =
-Tr(rho [e_j, e_m])`` is the tensor of the commutator criterion. So a state
-with C = 0 is associator-classical exactly, and per state the criterion is
-one real matrix product.
+where ``c_p`` are the coordinates of ``[e_i, e_k]``, i < k, and ``C[j, m] =
+Tr(rho [e_j, e_m])`` is the tensor of the commutator criterion. The rows
+``c_p`` form the algebra's bracket table (``subspace._structure_constants``,
+built once and memoized on L): only pairs whose bracket is not roundoff
+have one, so in the canonical basis most of the r^3 triples are zero
+without being formed. Swapping i and k flips the sign, and a state with
+C = 0 is associator-classical exactly. Per state the criterion is one real
+matrix product per block of table rows, reduced to a running maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,7 +37,9 @@ from .errors import (
 from .linalg import _opnorm, as_matrix, random_density
 from .products import associator, jordan, lie
 from .subspace import (
+    _BLOCK,
     RealSubspace,
+    _BracketTable,
     _stored_structure_constants,
     derived_algebra,
     require_closed,
@@ -134,14 +140,26 @@ def _verdict(
     basis: tuple[np.ndarray, ...],
     rtol: float,
 ) -> ClassicalityVerdict:
+    """The verdict on an array of values, at its first row-major maximum."""
     if vals.size == 0:
         return ClassicalityVerdict(
             classical=True, criterion=criterion, max_violation=0.0, certificate=None
         )
     flat = np.abs(vals).ravel()
     arg = int(np.argmax(flat))
-    max_violation = float(flat[arg])
     idx = np.unravel_index(arg, vals.shape)
+    return _ruling(criterion, float(flat[arg]), idx, float(vals[idx]), basis, rtol)
+
+
+def _ruling(
+    criterion: str,
+    max_violation: float,
+    idx: tuple[int, ...],
+    value: float,
+    basis: tuple[np.ndarray, ...],
+    rtol: float,
+) -> ClassicalityVerdict:
+    """The verdict given the largest |value|, its basis indices and its signed value."""
     if max_violation <= rtol:
         return ClassicalityVerdict(
             classical=True,
@@ -151,7 +169,7 @@ def _verdict(
         )
     cert = Certificate(
         observables=tuple(basis[i] for i in idx),
-        value=float(vals[idx]),
+        value=value,
     )
     return ClassicalityVerdict(
         classical=False,
@@ -172,22 +190,72 @@ def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
     return np.real(0.5j * (t - t.T))
 
 
-def _associator_expectations(
-    s: State, L: RealSubspace, rtol: float, C: np.ndarray
-) -> np.ndarray:
-    """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) on a nonempty L, given C.
+#: A block of associator values: ``vals[p, j] = Tr(rho assoc(e_i[p], e_j, e_k[p]))``.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    See ``is_classical_associator`` for the formula and the direct recheck.
+
+def _pair_values(table: _BracketTable, C: np.ndarray) -> Iterator[_Block]:
+    """The values of the triples ``(i, j, k)``, i < k, over the table's pairs, block by block."""
+    minus_ct = -C.T  # negating the r x r factor negates each product exactly
+    for s in range(0, len(table.i), _BLOCK):
+        rows = slice(s, s + _BLOCK)
+        yield table.coords[rows] @ minus_ct, table.i[rows], table.k[rows]
+
+
+def _first_max(blocks: Iterable[_Block]) -> tuple[float, tuple[int, int, int], float]:
+    """Largest |value| over the blocks, its first row-major (i, j, k) and its signed value.
+
+    Each block's rows must run in row-major (i, k) order. Triples in no
+    block are 0.0, as ``(0, 0, 0)`` always is (``[e_0, e_0] = 0``), so the
+    scan starts there. A block's first maximum in row order, in row p, has
+    the smallest i of its ties, and no row before p has a tie; among the
+    rows from p with the same i, the first tie in (j, k) order is the
+    block's first row-major maximum.
     """
-    F, delta = _stored_structure_constants(L)
-    r = L.dim_span
-    vals = (F.reshape(r * r, r) @ C.T).reshape(r, r, r)
-    vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
-    if abs(float(np.abs(vals).max()) - rtol) <= delta:
-        E = L.basis
-        for i, j, k in np.argwhere(np.abs(vals) > rtol - delta):
-            vals[i, j, k] = expect(s, associator(E[i], E[j], E[k]))
-    return vals
+    best, idx, value = 0.0, (0, 0, 0), 0.0
+    for vals, i, k in blocks:
+        a = np.abs(vals)
+        flat = int(a.argmax())
+        p, top = flat // a.shape[1], float(a.flat[flat])
+        if top < best or top == 0.0:
+            continue
+        hi = int(i.searchsorted(i[p], "right"))
+        j, q = divmod(int((a[p:hi].T == top).argmax()), hi - p)
+        cand = (int(i[p]), j, int(k[p + q]))
+        if top > best or cand < idx:
+            best, idx, value = top, cand, float(vals[p + q, j])
+    return best, idx, value
+
+
+def _rechecked(
+    s: State, L: RealSubspace, table: _BracketTable, C: np.ndarray, thr: float
+) -> Iterator[_Block]:
+    """The values of all r^3 triples, each one above ``thr`` recomputed from ``associator``.
+
+    Both orientations of a table pair come as their own block, since direct
+    values need not be exact negatives. With ``thr < 0`` the triples without
+    a table row (value 0.0) are recomputed too.
+    """
+    E = L.basis
+
+    def direct(vals: np.ndarray, i: np.ndarray, k: np.ndarray) -> _Block:
+        vals = vals.copy()
+        for p, j in np.argwhere(np.abs(vals) > thr):
+            vals[p, j] = expect(s, associator(E[i[p]], E[j], E[k[p]]))
+        return vals, i, k
+
+    for vals, i, k in _pair_values(table, C):
+        yield direct(vals, i, k)
+        mirror = np.lexsort((i, k))  # the (k, j, i) triples, in row-major (k, i) order
+        yield direct(-vals[mirror], k[mirror], i[mirror])
+    if thr < 0:
+        r = L.dim_span
+        untabled = np.ones((r, r), dtype=bool)
+        untabled[table.i, table.k] = untabled[table.k, table.i] = False
+        i, k = np.nonzero(untabled)
+        for b in range(0, len(i), _BLOCK):
+            ib, kb = i[b : b + _BLOCK], k[b : b + _BLOCK]
+            yield direct(np.zeros((len(ib), r)), ib, kb)
 
 
 def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
@@ -201,9 +269,13 @@ def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
 def _associator_verdict(
     s: State, L: RealSubspace, rtol: float, C: np.ndarray
 ) -> ClassicalityVerdict:
-    # the zero algebra has no triples: C is then empty, and so are the values
-    vals = _associator_expectations(s, L, rtol, C) if L.dim_span else C
-    return _verdict("associator", vals, L.basis, rtol)
+    if not L.dim_span:  # the zero algebra has no triples: C is then empty
+        return _verdict("associator", C, L.basis, rtol)
+    table = _stored_structure_constants(L)
+    top = _first_max(_pair_values(table, C))
+    if abs(top[0] - rtol) <= table.delta:
+        top = _first_max(_rechecked(s, L, table, C, rtol - table.delta))
+    return _ruling("associator", *top, L.basis, rtol)
 
 
 def is_classical_associator(
@@ -212,12 +284,16 @@ def is_classical_associator(
     """Expectation of every basis Jordan associator vanishes.
 
     Evaluates Tr(rho * ((e_i o e_j) o e_k - e_i o (e_j o e_k))) over all
-    basis triples as ``sum_m F[k, i, m] C[j, m]`` (module docstring); the
-    certificate is the argmax triple. The structure constants F and delta,
-    the largest Hilbert-Schmidt residual of a basis bracket off L, are
-    memoized on L. Since ``|Tr(rho [e_j, R])| <= ||R||_HS``, each value is
-    within delta of the exact one; when the largest value lies within delta
-    of ``rtol``, every triple whose value exceeds ``rtol - delta`` is
+    basis triples from the bracket table (module docstring), as a running
+    maximum over blocks of table rows; no r^3 array is formed. Triples
+    whose pair has no table row read 0.0, as do i == k. The certificate is
+    the first row-major maximum, which by antisymmetry in (i, k) has i < k.
+    The table and its ``delta``, the largest HS norm of a bracket part it
+    leaves out (the residual off L of a kept bracket, or a dropped bracket
+    whole), are memoized on L. Since ``|Tr(rho [e_j, R])| <= ||R||_HS``,
+    each value is within delta of the exact one; when the largest value
+    lies within delta of ``rtol``, every triple, in either orientation and
+    with or without a table row, whose value exceeds ``rtol - delta`` is
     recomputed directly from ``associator``, so no verdict rests on that
     error.
     """

@@ -17,11 +17,14 @@ identity. A round at the bound forms no products; one that ends above it
 raises ValidationError. A subspace is closed exactly when such a round adds
 nothing, and ``is_closed_under`` runs that round up to its first kept row.
 
-Rounds and the pair queries (defects, centralizer, structure constants)
-form products with one Hermitian pair kernel (``_products``). Closedness
+Rounds and the pair queries (defects, centralizer, bracket table) form
+products with one Hermitian pair kernel (``_products``). Closedness
 verdicts and derived algebras are memoized on the (immutable) subspace. The
-Lie structure constants (``_structure_constants``) give the derived
-algebra, the Killing form and the associator criterion's contraction.
+bracket table (``_structure_constants``) holds the coordinates of the basis
+brackets ``[e_i, e_k]``, i < k, that are not roundoff: the nonzero rows of
+the Lie structure constants, which in the canonical basis are a fraction of
+them. It gives the derived algebra, the Killing form, the triples
+``associator_defect`` forms and the associator criterion's contraction.
 
 ``SPAN_RTOL`` is the one rank threshold; ``DEFAULT_TOL`` decides
 tracelessness, vanishing defects, the centralizer's null space, the Killing
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,8 +108,8 @@ class RealSubspace:
     (r, n, n) and ``basis`` are views of the copy. Immutability makes
     ``_memo`` sound: it holds closedness verdicts keyed by the product
     (``jordan``, ``lie``), the derived algebra by ``"derived"`` and, once
-    the associator criterion has asked for them, the Lie structure
-    constants by ``"structure"``.
+    the associator criterion has asked for it, the bracket table
+    (``_structure_constants``) by ``"structure"``.
     """
 
     dim_ambient: int
@@ -213,7 +216,7 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
         raise ValidationError("span input contains NaN or infinite entries")
     thr = SPAN_RTOL * np.maximum(1.0, np.linalg.norm(cand, axis=1))
     v = np.array(cand)
-    for _ in range(2):
+    for _ in range(2 if len(basis) else 0):
         v -= (v @ basis.T) @ basis
     alive = np.linalg.norm(v, axis=1) > thr
     v, thr = v[alive], thr[alive]
@@ -229,7 +232,7 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
         out[k] = x / res
         k += 1
         if len(v):
-            v = v - np.outer(v @ out[k - 1], out[k - 1])
+            v -= np.outer(v @ out[k - 1], out[k - 1])
             alive = np.linalg.norm(v, axis=1) > thr
             v, thr = v[alive], thr[alive]
     return out[:k]
@@ -409,14 +412,12 @@ def require_closed(s: RealSubspace, product: Product) -> None:
 def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
-    The i < k rows of the structure constants are the basis brackets'
-    coordinates: their row space, ranked in coordinates, is [L, L].
+    The bracket table's rows are the coordinates of the basis brackets that
+    are not roundoff: their row space, ranked in coordinates, is [L, L].
     """
     require_closed(L, lie)
     if "derived" not in L._memo:
-        F, _ = _structure_constants(L)
-        i, k = np.triu_indices(L.dim_span, 1)
-        coords = _extend(np.empty((0, L.dim_span)), F[i, k])
+        coords = _extend(np.empty((0, L.dim_span)), _structure_constants(L).coords)
         L._memo["derived"] = RealSubspace(L.dim_ambient, coords @ L.rows)
     return L._memo["derived"]
 
@@ -473,60 +474,97 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
 
     Ties go to the first triple in row-major (i, j, k) order. The triple is
     None when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)``
-    (the value is still returned), as in ``commutator_defect``. Triples are
-    batched one first index at a time, so memory stays at r^2 n^2.
+    (the value is still returned), as in ``commutator_defect``. By the
+    Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``, only
+    triples whose pair {i, k} is in the bracket table are formed: every
+    other one has norm at most half the floor, so the value and the triple
+    are those of all r^3 triples whenever a triple is named, and 0.0 stands
+    for roundoff otherwise. Triples are batched one first index at a time.
     """
     e, r = L._stacked, L.dim_span
+    table = _structure_constants(L)
+    if not len(table.i):  # a commuting algebra forms no triple
+        return 0.0, None
+    partners = np.zeros((r, r), dtype=bool)
+    partners[table.i, table.k] = partners[table.k, table.i] = True
     ejk = _products(e[:, None], e[None], jordan)  # ejk[j, k] = e_j o e_k
     best, arg = 0.0, None
-    for i in range(r):
-        left = _products(ejk[i, :, None], e[None], jordan)
-        norms = _opnorm(left - _products(e[i], ejk, jordan))
-        j, k = np.unravel_index(int(np.argmax(norms)), (r, r))
+    for i in np.flatnonzero(partners.any(axis=1)):
+        ks = np.flatnonzero(partners[i])
+        left = _products(ejk[i, :, None], e[None, ks], jordan)
+        norms = _opnorm(left - _products(e[i], ejk[:, ks], jordan))
+        j, k = np.unravel_index(int(np.argmax(norms)), norms.shape)
         if norms[j, k] > best:
-            best, arg = float(norms[j, k]), (i, int(j), int(k))
+            best, arg = float(norms[j, k]), (int(i), int(j), int(ks[k]))
     return best, arg if best > _DEFECT_FLOOR else None
 
 
-def _structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
-    """Lie structure constants ``F`` of L and how far its brackets leave L.
+class _BracketTable(NamedTuple):
+    """The basis brackets of L that are not roundoff, as coordinates against L.
 
-    ``F[k, i]`` holds the coordinates of ``lie(e_k, e_i)``; only the i < k
-    brackets are formed (in ``_BLOCK``-sized batches) and the table is
-    antisymmetrized, so ``F[k, i] == -F[i, k]`` exactly. The second value
-    is the largest Hilbert-Schmidt residual of a basis bracket off L,
-    taken from the explicit difference: ``||p||^2 - ||coords||^2`` loses
-    everything below about 1e-8, the size of the thresholds it serves. Only
-    the associator criterion stores the pair on L
-    (``_stored_structure_constants``, reused here), so closures kept alive
-    do not each keep an r^3 table.
+    Row p of ``coords`` (P, r) holds the coordinates of ``lie(e_i, e_k)`` for
+    the pair ``i = i[p] < k = k[p]``; pairs run in row-major (i, k) order.
+    ``delta`` bounds the HS norm of every bracket part the rows leave out.
+    """
+
+    i: np.ndarray
+    k: np.ndarray
+    coords: np.ndarray
+    delta: float
+
+
+def _structure_constants(L: RealSubspace) -> _BracketTable:
+    """The bracket table of L: the Lie structure constants' nonzero rows.
+
+    The i < k brackets are formed in ``_BLOCK``-sized batches; a pair is
+    kept when its bracket's HS norm exceeds ``_DEFECT_FLOOR / 2``, and only
+    kept brackets are given coordinates. In the canonical basis most pairs
+    drop out (``E_ab E_cd = delta_bc E_ad``): 812 of 2016 are kept at n=8.
+    The dense structure constants are ``F[i, k] = coords[p] = -F[k, i]``,
+    zero elsewhere. ``delta`` is the largest HS norm of a bracket part the
+    table leaves out: the residual off L of a kept bracket, taken from the
+    explicit difference (``||p||^2 - ||coords||^2`` loses everything below
+    about 1e-8, the size of the thresholds it serves), or a dropped bracket
+    whole. Only the associator criterion stores the table on L
+    (``_stored_structure_constants``, reused here): on a dense closure it
+    still has r^2 (r - 1) / 2 entries.
     """
     if "structure" in L._memo:
         return L._memo["structure"]
     r = L.dim_span
-    F = np.zeros((r, r, r))
-    delta = 0.0
     i, k = np.triu_indices(r, 1)
+    kept, coords, delta = [np.zeros(0, dtype=int)], [np.empty((0, r))], 0.0
     for s in range(0, len(i), _BLOCK):
         a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
-        p = _products(L._stacked[a], L._stacked[b], lie)
-        c = L._coords(p)
-        F[a, b] = c
-        F[b, a] = -c
-        delta = max(delta, float(np.linalg.norm(_rows(p) - c @ L.rows, axis=1).max()))
-    return F, delta
+        p = _rows(_products(L._stacked[a], L._stacked[b], lie))
+        norms = np.linalg.norm(p, axis=1)
+        keep = norms > 0.5 * _DEFECT_FLOOR
+        p = p[keep]
+        c = p @ L.rows.T
+        residual = np.linalg.norm(p - c @ L.rows, axis=1)
+        delta = max(delta, float(norms[~keep].max(initial=0.0)), float(residual.max(initial=0.0)))
+        kept.append(s + np.flatnonzero(keep))
+        coords.append(c)
+    sel = np.concatenate(kept)
+    return _BracketTable(i[sel], k[sel], np.concatenate(coords), delta)
 
 
-def _stored_structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
+def _stored_structure_constants(L: RealSubspace) -> _BracketTable:
     """``_structure_constants(L)``, stored on L for the per-state criteria."""
-    L._memo["structure"] = pair = _structure_constants(L)  # the stored pair, once there is one
-    return pair
+    L._memo["structure"] = table = _structure_constants(L)  # the stored table, once there is one
+    return table
 
 
 def _killing_matrix(L: RealSubspace) -> np.ndarray:
-    """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, with ad_x[k, j] = F[x, j, k]."""
-    F, _ = _structure_constants(L)
-    return np.einsum("xjk,ykj->xy", F, F)
+    """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, as ``-2 T^T T`` over the table rows T.
+
+    With ``ad_x[k, j] = F[x, j, k]``, K[x, y] = sum_jk F[x, j, k] F[y, k, j].
+    HS-orthonormal structure constants are totally antisymmetric, because
+    ``Tr([a, b] c) = Tr(a [b, c])``, so this is ``-sum_jk F[j, k, x] F[j, k,
+    y]``, and each i < k row of F appears twice in that sum.
+    """
+    T = _structure_constants(L).coords
+    return -2.0 * (T.T @ T)
 
 
 def is_commutative(L: RealSubspace) -> bool:

@@ -29,6 +29,7 @@ from ljlab import (
     WitnessReport,
     associator,
     close_under,
+    expect,
     full_hermitian_basis,
     jordan,
     lie,
@@ -45,7 +46,7 @@ from ljlab.linalg import (
     random_hermitian,
     same_dim,
 )
-from ljlab.subspace import SPAN_RTOL, RealSubspace, require_closed
+from ljlab.subspace import _BLOCK, SPAN_RTOL, RealSubspace, _products, _rows, require_closed
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -398,6 +399,53 @@ def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
     x, j = np.indices((r, r)).reshape(2, -1)
     ad = L._coords(lie(L._stacked[x], L._stacked[j])).reshape(r, r, r).swapaxes(1, 2)
     return np.einsum("xij,yji->xy", ad, ad)
+
+
+# Verbatim copies of the dense structure constants and of the associator
+# criterion's contraction with them, from before both became the bracket
+# table: the reference for the table and its consumers. The structure
+# constants copy leaves out the memo, which would hand it the table it judges.
+
+
+def dense_structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
+    """Lie structure constants ``F`` of L and how far its brackets leave L.
+
+    ``F[k, i]`` holds the coordinates of ``lie(e_k, e_i)``; only the i < k
+    brackets are formed (in ``_BLOCK``-sized batches) and the table is
+    antisymmetrized, so ``F[k, i] == -F[i, k]`` exactly. The second value
+    is the largest Hilbert-Schmidt residual of a basis bracket off L,
+    taken from the explicit difference: ``||p||^2 - ||coords||^2`` loses
+    everything below about 1e-8, the size of the thresholds it serves.
+    """
+    r = L.dim_span
+    F = np.zeros((r, r, r))
+    delta = 0.0
+    i, k = np.triu_indices(r, 1)
+    for s in range(0, len(i), _BLOCK):
+        a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
+        p = _products(L._stacked[a], L._stacked[b], lie)
+        c = L._coords(p)
+        F[a, b] = c
+        F[b, a] = -c
+        delta = max(delta, float(np.linalg.norm(_rows(p) - c @ L.rows, axis=1).max()))
+    return F, delta
+
+
+def dense_associator_expectations(s, L: RealSubspace, rtol: float, C: np.ndarray) -> np.ndarray:
+    """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) on a nonempty L, given C.
+
+    Within delta of ``rtol`` the triples above ``rtol - delta`` are
+    recomputed directly, as the criterion does.
+    """
+    F, delta = dense_structure_constants(L)
+    r = L.dim_span
+    vals = (F.reshape(r * r, r) @ C.T).reshape(r, r, r)
+    vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
+    if abs(float(np.abs(vals).max()) - rtol) <= delta:
+        E = L.basis
+        for i, j, k in np.argwhere(np.abs(vals) > rtol - delta):
+            vals[i, j, k] = expect(s, associator(E[i], E[j], E[k]))
+    return vals
 
 
 # Verbatim copies of the index-form pair kernel and of ``derived_algebra``

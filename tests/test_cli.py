@@ -451,6 +451,22 @@ def test_tol_is_a_flag_of_verify_and_witness_only(tmp_path, fresh_parser):
         assert "--tol" in _main_output([command, "--help"])[1]
 
 
+def test_classify_and_repr_say_their_seed_is_only_echoed(tmp_path, fresh_parser, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    argvs = _tol_free_argvs(tmp_path)
+    for command in ("classify", "repr"):
+        assert "only echoed in the report's config" in _main_output([command, "--help"])[1]
+        code, out = _main_output(argvs[command] + ["--seed", "5"])
+        assert code == 0 and json.loads(out)["config"]["seed"] == 5
+        # the seed changes the echo and nothing else
+        _, plain = _main_output(argvs[command])
+        echoed, seeded = json.loads(plain), json.loads(out)
+        echoed["config"]["seed"] = 5
+        assert echoed == seeded
+    for command in ("verify", "witness", "generate"):
+        assert "only echoed" not in _main_output([command, "--help"])[1]
+
+
 def test_verify_and_witness_honour_tol(fresh_parser):
     verify = ["verify", "--dim", "3", "--trials", "5"]
     assert _main_output(verify)[0] == 0

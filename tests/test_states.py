@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from helpers import (
     block_algebra,
     commutative_algebra,
     conjugated,
+    dense_associator_expectations,
+    dense_structure_constants,
     einsum_associator_values,
     einsum_bracket_expectations,
     random_unitary,
@@ -30,13 +34,23 @@ from ljlab import (
     is_classical_commutator,
     is_semisimple_lie,
     jordan,
+    jordan_generate_three,
     lie,
+    lie_generate,
+    random_hermitian,
     random_state,
+    span,
 )
 from ljlab import states as states_mod
 from ljlab.products import associator
-from ljlab.states import CLASSICALITY_RTOL, _associator_expectations, _bracket_expectations
-from ljlab.subspace import RealSubspace, _structure_constants
+from ljlab.states import (
+    CLASSICALITY_RTOL,
+    _bracket_expectations,
+    _first_max,
+    _pair_values,
+    _rechecked,
+)
+from ljlab.subspace import _DEFECT_FLOOR, RealSubspace, _structure_constants
 
 
 def diag_state(*entries: float) -> State:
@@ -319,8 +333,21 @@ def _first_top_triple(vals: np.ndarray) -> tuple[tuple[int, int, int], float]:
     return tuple(int(x) for x in top), float(flat[order[0]] - flat[order[1]])
 
 
+def _assembled(blocks, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r^3 values the blocks give, zero where none does, and how often each triple came."""
+    vals, seen = np.zeros((r, r, r)), np.zeros((r, r, r), dtype=int)
+    for v, i, k in blocks:
+        vals[i, :, k] = v
+        seen[i, :, k] += 1
+    return vals, seen
+
+
 def _associator_values(s, alg):
-    return _associator_expectations(s, alg, CLASSICALITY_RTOL, _bracket_expectations(s, alg))
+    """vals[i, j, k] from the bracket table's blocks, each i < k pair in both orientations."""
+    blocks = list(_pair_values(_structure_constants(alg), _bracket_expectations(s, alg)))
+    vals, seen = _assembled(blocks + [(-v, k, i) for v, i, k in blocks], alg.dim_span)
+    assert seen.max(initial=0) <= 1
+    return vals
 
 
 def test_associator_values_match_einsum_oracle():
@@ -372,13 +399,16 @@ def test_large_residual_bound_takes_the_direct_path(monkeypatch, name):
     alg = {a: L for a, L, _ in _oracle_algebras()}[name]
     s = _oracle_states(alg.dim_ambient, seed=7)[0]
     fast = is_classical_associator(s, alg)
-    F, _ = alg._memo["structure"]
-    alg._memo["structure"] = (F, 1.0)
+    table = alg._memo["structure"]
+    alg._memo["structure"] = table._replace(delta=1.0)
     calls = _count_direct(monkeypatch)
     direct = is_classical_associator(s, alg)
     r = alg.dim_span
     assert calls[0] == r**3
-    vals = _associator_values(s, alg)
+    # the values the direct path scanned: every triple once, each recomputed
+    C = _bracket_expectations(s, alg)
+    vals, seen = _assembled(_rechecked(s, alg, table, C, CLASSICALITY_RTOL - 1.0), r)
+    assert np.all(seen == 1)
     np.testing.assert_allclose(vals, einsum_associator_values(s, alg), rtol=0, atol=1e-12)
     assert direct.classical == fast.classical
     assert direct.max_violation == pytest.approx(fast.max_violation, abs=1e-12)
@@ -390,16 +420,16 @@ def test_direct_path_runs_only_when_the_bound_reaches_the_threshold(monkeypatch)
     ref = einsum_associator_values(s, alg)
     peak = float(np.abs(ref).max())
     calls = _count_direct(monkeypatch)
-    F, _ = _structure_constants(alg)
+    table = _structure_constants(alg)
     for rtol in (peak * (1 - 1e-3), peak * (1 + 1e-3)):
         margin = abs(peak - rtol)
-        alg._memo["structure"] = (F, 0.5 * margin)
+        alg._memo["structure"] = table._replace(delta=0.5 * margin)
         calls[0] = 0
         v = is_classical_associator(s, alg, rtol)
         assert calls[0] == 0
         assert v.classical == (rtol > peak)
         delta = 2.0 * margin
-        alg._memo["structure"] = (F, delta)
+        alg._memo["structure"] = table._replace(delta=delta)
         v = is_classical_associator(s, alg, rtol)
         assert calls[0] == int(np.sum(np.abs(ref) > rtol - delta)) > 0
         assert v.classical == (rtol > peak)
@@ -415,9 +445,159 @@ def test_structure_constants_are_memoized_by_the_associator_criterion_only():
     memo = alg._memo["structure"]
     classify(random_state(3, seed=2), alg)
     assert alg._memo["structure"] is memo
-    F, delta = memo
-    assert np.array_equal(F, -F.transpose(1, 0, 2))
-    assert delta <= 1e-15
+    # the table is the dense structure constants' nonzero i < k rows, bit for bit
+    i, k, coords, delta = memo
+    assert np.all(i < k) and np.all(np.diff(i * alg.dim_span + k) > 0)
+    F, ref_delta = dense_structure_constants(alg)
+    dense = np.zeros_like(F)
+    dense[i, k], dense[k, i] = coords, -coords
+    assert np.array_equal(dense, F)
+    assert delta == ref_delta and delta <= 1e-15
+
+
+# ---------------------------------------------------------------- bracket table vs the dense structure constants
+
+
+def _table_algebra(name: str) -> RealSubspace:
+    kind, arg = name.split(":")
+    if kind == "full":
+        return full_hermitian_space(int(arg))
+    if kind == "block":
+        return block_algebra(tuple(int(c) for c in arg))
+    if kind == "comm":
+        return commutative_algebra(int(arg), seed=60 + int(arg))
+    if kind == "rot":  # a conjugated basis: every bracket has a row
+        return conjugated(full_hermitian_space(4), random_unitary(4, np.random.default_rng(44)))
+    n = int(arg)
+    a, b = random_hermitian(n, seed=70 + 2 * n), random_hermitian(n, seed=71 + 2 * n)
+    # both closures are the whole algebra, in a basis with every bracket nonzero
+    # (su(n), from traceless seeds, is not Jordan-closed)
+    if kind == "lie":
+        return lie_generate(a, b).closure
+    return jordan_generate_three(a, b).closure
+
+
+_TABLE_ALGEBRAS = (
+    [f"full:{n}" for n in range(1, 9)]
+    + ["block:21", "block:22", "block:31", "block:122"]
+    + [f"comm:{n}" for n in (3, 4, 6)]
+    + [f"{kind}:{n}" for kind in ("lie", "jordan") for n in (3, 4, 5)]
+    + ["rot:4"]
+)
+
+
+def _table_state(name: str, n: int, kind: str) -> State:
+    rng = np.random.default_rng([n, ord(kind[0])])
+    if kind == "wishart":
+        return random_state(n, seed=int(rng.integers(1 << 16)))
+    if kind == "pure":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return State(np.outer(v, v.conj()) / np.vdot(v, v).real)
+    if kind == "block-scalar":
+        sizes = [int(c) for c in name.split(":")[1]] if name.startswith("block") else [n - n // 2, n // 2][: min(n, 2)]
+        w = np.repeat(rng.uniform(0.1, 1.0, len(sizes)) / sizes, sizes)
+        return State(np.diag(w / w.sum()).astype(complex))
+    return State(np.eye(n, dtype=complex) / n)
+
+
+@pytest.mark.parametrize("kind", ["wishart", "pure", "block-scalar", "mixed"])
+@pytest.mark.parametrize("name", _TABLE_ALGEBRAS)
+def test_associator_verdict_matches_the_dense_structure_constants(name, kind):
+    alg = _table_algebra(name)
+    s = _table_state(name, alg.dim_ambient, kind)
+    got = is_classical_associator(s, alg)
+    ref_vals = dense_associator_expectations(s, alg, CLASSICALITY_RTOL, _bracket_expectations(s, alg))
+    flat = np.abs(ref_vals).ravel()
+    arg = int(np.argmax(flat))
+    ref_max, ref_idx = float(flat[arg]), np.unravel_index(arg, ref_vals.shape)
+    assert got.classical == (ref_max <= CLASSICALITY_RTOL)
+    if name.startswith("full"):
+        assert got.max_violation == ref_max
+    elif ref_max > _DEFECT_FLOOR:
+        assert got.max_violation == pytest.approx(ref_max, rel=1e-14, abs=0)
+    else:  # roundoff: pairs without a table row read 0.0
+        assert got.max_violation <= ref_max * (1 + 1e-14)
+    if not got.classical:
+        basis = alg.basis
+        idx = tuple(next(q for q, e in enumerate(basis) if e is m) for m in got.certificate.observables)
+        assert idx == tuple(int(x) for x in ref_idx)
+        assert got.certificate.value == pytest.approx(float(ref_vals[ref_idx]), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_running_maximum_finds_the_first_row_major_maximum_among_ties(seed):
+    """Small integer values tie often; the scan must pick what a dense argmax picks."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 7))
+    i, k = np.triu_indices(r, 1)
+    rows = np.sort(rng.choice(len(i), size=int(rng.integers(1, len(i) + 1)), replace=False))
+    vals = rng.integers(-2, 3, size=(len(rows), r)).astype(float)
+    cuts = np.sort(rng.integers(0, len(rows) + 1, size=2))
+    blocks = [(vals[a:b], i[rows][a:b], k[rows][a:b]) for a, b in zip((0, *cuts), (*cuts, len(rows)))]
+    blocks = [b for b in blocks if len(b[1])]
+    dense, _ = _assembled(blocks + [(-v, kb, ib) for v, ib, kb in blocks], r)
+    arg = int(np.argmax(np.abs(dense)))
+    idx = np.unravel_index(arg, dense.shape)
+    best, got_idx, value = _first_max(blocks)
+    assert best == np.abs(dense).max()
+    if best > 0:
+        assert got_idx == tuple(int(x) for x in idx) and value == dense[idx]
+
+
+def test_the_table_oracle_sees_both_verdicts():
+    verdicts = set()
+    for name in ("full:3", "block:21", "lie:4"):
+        alg = _table_algebra(name)
+        for kind in ("pure", "mixed"):
+            verdicts.add(is_classical_associator(_table_state(name, alg.dim_ambient, kind), alg).classical)
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------- no r^3 array
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-6, 1e-2])
+def test_bracket_table_delta_bounds_what_the_table_leaves_out(eps):
+    """span{diag(1, -1, 0), diag(0, 0, 1) + eps X_01}: its one bracket, of
+    norm about eps, points along Y_01, off the span. Below the cut it is
+    dropped whole; above it, it is kept with zero coordinates and its whole
+    norm as the residual. Either way delta is its HS norm."""
+    x01 = np.zeros((3, 3), dtype=complex)
+    x01[0, 1] = x01[1, 0] = 1.0
+    alg = span([np.diag([1.0, -1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]) + eps * x01])
+    e0, e1 = alg.basis
+    norm = float(np.linalg.norm(lie(e0, e1)))
+    table = _structure_constants(alg)
+    assert len(table.i) == (1 if norm > 0.5 * _DEFECT_FLOOR else 0)
+    assert table.delta == pytest.approx(norm, rel=1e-6)
+    assert np.abs(table.coords).max(initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("n,rows", [(8, 812), (12, 2970)])
+def test_bracket_table_of_the_full_algebra_holds_its_nonzero_brackets_only(n, rows):
+    alg = full_hermitian_space(n)
+    assert not classify(random_state(n, seed=n), alg).classical
+    table = alg._memo["structure"]
+    assert len(table.i) == len(table.k) == len(table.coords) == rows
+    r = alg.dim_span
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if isinstance(value, RealSubspace):
+            return [value.rows]
+        if isinstance(value, tuple):
+            return [a for v in value for a in arrays(v)]
+        return []
+
+    sizes = [a.size for v in alg._memo.values() for a in arrays(v)]
+    assert sizes and max(sizes) < r**3
+
+
+def test_no_source_file_allocates_the_dense_structure_constants():
+    src = Path(states_mod.__file__).parent
+    for path in src.glob("*.py"):
+        assert "np.zeros((r, r, r))" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_classify_tests_membership_in_the_span_once(monkeypatch):

@@ -13,6 +13,7 @@ from helpers import (
     block_algebra,
     commutative_algebra,
     conjugated,
+    dense_structure_constants,
     index_products,
     loop_associator_defect,
     loop_centralizer,
@@ -486,6 +487,62 @@ def test_killing_matrix_matches_ad_grid_oracle():
         assert is_semisimple_lie(alg) == expected
         semisimple.add(expected)
     assert semisimple == {True, False}
+
+
+def _generated_closures(n: int) -> list[RealSubspace]:
+    a, b = random_hermitian(n, seed=950 + 2 * n), random_hermitian(n, seed=951 + 2 * n)
+    return [
+        lie_generate(traceless(a), traceless(b)).closure,
+        lie_generate(a, b).closure,
+        jordan_generate_three(a, b).closure,
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_structure_constants_are_totally_antisymmetric(n):
+    """F[x, j, k] = F[j, k, x], from Tr([a, b] c) = Tr(a [b, c]): the
+    identity behind the Killing matrix ``-2 T^T T``."""
+    for alg in _generated_closures(n):
+        F, _ = dense_structure_constants(alg)
+        np.testing.assert_allclose(F, F.transpose(1, 2, 0), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            _killing_matrix(alg), np.einsum("xjk,ykj->xy", F, F), rtol=0, atol=1e-12
+        )
+
+
+def test_derived_algebra_ranks_the_dense_structure_constants_rows_bit_for_bit():
+    algs = [full_hermitian_space(n) for n in (2, 3, 5)] + [block_algebra((1, 2, 2))]
+    algs += _generated_closures(3) + [commutative_algebra(4, seed=3)]
+    for alg in algs:
+        F, _ = dense_structure_constants(alg)
+        i, k = np.triu_indices(alg.dim_span, 1)
+        want = subspace_mod._extend(np.empty((0, alg.dim_span)), F[i, k]) @ alg.rows
+        assert derived_algebra(alg).rows.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_commuting_algebra_forms_no_jordan_triple(monkeypatch, n):
+    alg = commutative_algebra(n, seed=80 + n)
+    formed = []
+    original = subspace_mod._products
+
+    def counted(a, b, product):
+        formed.append(product)
+        return original(a, b, product)
+
+    monkeypatch.setattr(subspace_mod, "_products", counted)
+    assert associator_defect(alg) == (0.0, None)
+    assert jordan not in formed and lie in formed  # the table's brackets only
+    assert is_jordan_associative(alg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_a_commuting_algebra_is_not_semisimple(n):
+    # its Killing form vanishes; the dense form read roundoff ratios instead
+    alg = commutative_algebra(n, seed=90 + n, count=n)
+    assert alg.dim_span == n
+    assert not is_semisimple_lie(alg)
+    assert np.all(_killing_matrix(alg) == 0.0)
 
 
 def test_semisimple_requires_closure():
