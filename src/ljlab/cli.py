@@ -92,7 +92,8 @@ class SessionConfig:
             "trials": self.trials,
             "seed": self.seed,
             "budget": self.budget,
-            "tol": {"zero_tol": self.tol.zero_tol, "rel": self.tol.rel},
+            # thresholds always scale with the operand norms; the key keeps reports byte-stable
+            "tol": {"zero_tol": self.tol.zero_tol, "rel": True},
             "kind": self.kind,
             "mode": self.mode,
             "in": self.in_path,

@@ -4,6 +4,10 @@ Hermitian spectral queries, Hilbert-Schmidt geometry, and seeded random
 ensembles. Everything works on plain square numpy arrays with complex dtype.
 All functions are pure; random draws take an explicit integer seed, so
 results are reproducible and independent of call order.
+
+``DEFAULT_TOL`` is the package's zero threshold. Every threshold the
+package uses, with its value, whether it scales with a norm and the
+decision it makes, is listed in the README's tolerance table.
 """
 
 from __future__ import annotations
@@ -41,14 +45,12 @@ __all__ = [
 class Tolerance:
     """Zero threshold for residual comparisons.
 
-    With ``rel=True`` (the default) a residual measured against operands of
-    combined norm ``s`` passes when it is at most ``zero_tol * max(1, s)``;
-    the floor keeps tiny operands from demanding impossible absolute
-    accuracy. With ``rel=False`` the threshold is ``zero_tol`` flat.
+    A residual measured against operands of combined norm ``s`` passes when
+    it is at most ``zero_tol * max(1, s)``; the floor keeps tiny operands
+    from demanding impossible absolute accuracy.
     """
 
     zero_tol: float = 1e-9
-    rel: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.zero_tol < np.inf:
@@ -60,10 +62,8 @@ class Tolerance:
         An array of scales gives an array of thresholds, a float scale a
         float. A NaN scale gets the floor, as with the builtin ``max``.
         """
-        if self.rel:
-            t = self.zero_tol * np.fmax(1.0, scale)
-            return float(t) if t.ndim == 0 else t
-        return self.zero_tol
+        t = self.zero_tol * np.fmax(1.0, scale)
+        return float(t) if t.ndim == 0 else t
 
 
 #: Default tolerance. Dense Hermitian eigensolvers land near 1e-13 relative
@@ -115,46 +115,40 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(_opnorm(as_matrix(m)))
 
 
-def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the max entry of m - m^dagger is within tolerance."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when the max entry of m - m^dagger is at most ``DEFAULT_TOL`` at the spectral norm."""
     a = as_matrix(m)
     defect = float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-    return defect <= tol.threshold(spectral_norm(a))
+    return defect <= DEFAULT_TOL.threshold(spectral_norm(a))
 
 
-def require_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     a = as_matrix(m)
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return a
 
 
-def eig_hermitian(
-    m: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending real eigenvalues and orthonormal eigenvector columns."""
-    a = require_hermitian(m, tol)
-    return np.linalg.eigh(a)
+    return np.linalg.eigh(require_hermitian(m))
 
 
-def min_eigenvalue(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
-    a = require_hermitian(m, tol)
-    return float(np.linalg.eigvalsh(a)[0])
+def min_eigenvalue(m: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(require_hermitian(m))[0])
 
 
-def operator_norm(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
+def operator_norm(m: np.ndarray) -> float:
     """Largest absolute eigenvalue of a Hermitian matrix."""
-    a = require_hermitian(m, tol)
-    w = np.linalg.eigvalsh(a)
+    w = np.linalg.eigvalsh(require_hermitian(m))
     return float(np.max(np.abs(w)))
 
 
-def is_psd(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when every eigenvalue is >= -threshold at the matrix's own scale."""
-    a = require_hermitian(m, tol)
-    w = np.linalg.eigvalsh(a)
+def is_psd(m: np.ndarray) -> bool:
+    """True when every eigenvalue is >= -``DEFAULT_TOL`` at the matrix's own scale."""
+    w = np.linalg.eigvalsh(require_hermitian(m))
     scale = float(np.max(np.abs(w)))
-    return float(w[0]) >= -tol.threshold(scale)
+    return float(w[0]) >= -DEFAULT_TOL.threshold(scale)
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:

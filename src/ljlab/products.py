@@ -8,8 +8,9 @@ against this bracket.
 
 Each ``check_*`` function evaluates one algebraic identity on concrete
 operands and reports the residual (operator norm of the defect) together
-with the threshold it was judged against. Thresholds scale with the product
-of the operand norms, one factor per slot of the identity.
+with the threshold it was judged against: ``DEFAULT_TOL`` scaled by the
+product of the operand norms, one factor per slot of the identity.
+``ljlab verify --tol`` judges the same formulas at its own zero tolerance.
 
 The products and the identity defects broadcast over leading axes: operands
 may be ``(..., n, n)`` stacks, and each identity has one formula, which
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotInSpan
-from .linalg import DEFAULT_TOL, Tolerance, _opnorm, as_matrix, same_dim, spectral_norm
+from .linalg import DEFAULT_TOL, _opnorm, as_matrix, same_dim, spectral_norm
 
 __all__ = [
     "jordan",
@@ -143,46 +144,36 @@ def _norm_axioms(a, b, na, nb):
     return residual, scale
 
 
-def _check(name: str, identity, operands: tuple, tol: Tolerance) -> IdentityReport:
-    """Judge one identity on single matrices."""
+def _check(name: str, identity, operands: tuple) -> IdentityReport:
+    """Judge one identity on single matrices, against ``DEFAULT_TOL`` at its norm scale."""
     xs = [as_matrix(m) for m in operands]
     residual, scale = identity(*xs, *(_opnorm(x) for x in xs))
     residual = float(residual)
-    threshold = tol.threshold(scale)
+    threshold = DEFAULT_TOL.threshold(scale)
     return IdentityReport(name=name, residual=residual, threshold=threshold, passed=residual <= threshold)
 
 
-def check_jacobi(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> IdentityReport:
+def check_jacobi(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0."""
-    return _check("jacobi", _jacobi, (a, b, c), tol)
+    return _check("jacobi", _jacobi, (a, b, c))
 
 
-def check_leibniz(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> IdentityReport:
+def check_leibniz(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:
     """[a, b o c] = [a, b] o c + b o [a, c]."""
-    return _check("leibniz", _leibniz, (a, b, c), tol)
+    return _check("leibniz", _leibniz, (a, b, c))
 
 
-def check_associator_identity(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> IdentityReport:
+def check_associator_identity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:
     """(a o b) o c - a o (b o c) = [b, [c, a]]."""
-    return _check("associator-identity", _associator_identity, (a, b, c), tol)
+    return _check("associator-identity", _associator_identity, (a, b, c))
 
 
-def check_weak_associativity(
-    a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> IdentityReport:
+def check_weak_associativity(a: np.ndarray, b: np.ndarray) -> IdentityReport:
     """(a^2 o b) o a = a^2 o (b o a), with a^2 = a o a."""
-    return _check("weak-associativity", _weak_associativity, (a, b), tol)
+    return _check("weak-associativity", _weak_associativity, (a, b))
 
 
-def check_norm_axioms(
-    a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> IdentityReport:
+def check_norm_axioms(a: np.ndarray, b: np.ndarray) -> IdentityReport:
     """Operator-norm axioms of the symmetrized product.
 
     Checks submultiplicativity ||a o b|| <= ||a|| ||b||, the square identity
@@ -191,16 +182,17 @@ def check_norm_axioms(
     inequalities; the square identity enters as an absolute difference, so
     the residual is never below +0.
     """
-    return _check("norm-axioms", _norm_axioms, (a, b), tol)
+    return _check("norm-axioms", _norm_axioms, (a, b))
 
 
-def jordan_commute(a, b, ambient, tol: Tolerance = DEFAULT_TOL) -> bool:
+def jordan_commute(a, b, ambient) -> bool:
     """Whether the Jordan multiplication operators of a and b commute.
 
     Tests a o (b o e) = b o (a o e) on every basis element e of the ambient
-    subspace, as one stacked defect. Equivalent to [a, b] = 0 whenever the
-    ambient space is closed under the products. Raises NotInSpan when a or b
-    leaves the ambient span.
+    subspace, as one stacked defect, each against ``DEFAULT_TOL`` at the
+    scale ``||a|| ||b||``. Equivalent to [a, b] = 0 whenever the ambient
+    space is closed under the products. Raises NotInSpan when a or b leaves
+    the ambient span.
     """
     x = as_matrix(a)
     y = as_matrix(b)
@@ -212,7 +204,7 @@ def jordan_commute(a, b, ambient, tol: Tolerance = DEFAULT_TOL) -> bool:
     for label, m in (("a", x), ("b", y)):
         if not ambient.contains(m):
             raise NotInSpan(f"operand {label} is not in the ambient subspace")
-    threshold = tol.threshold(spectral_norm(x) * spectral_norm(y))
+    threshold = DEFAULT_TOL.threshold(spectral_norm(x) * spectral_norm(y))
     e = ambient._stacked
     defect = jordan(x, jordan(y, e)) - jordan(y, jordan(x, e))
     # "none above" rather than "all at or below", so a NaN defect passes

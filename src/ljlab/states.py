@@ -62,9 +62,9 @@ __all__ = [
 #: Absolute slack for state validation: Hermiticity, positivity, unit trace.
 STATE_ATOL = 1e-10
 
-#: Violation threshold for classicality criteria, applied at the scale of
-#: witnesses built from orthonormal basis elements (operator norm <= 1, so
-#: the max(1, .) floor makes this effectively flat).
+#: Violation threshold of all three classicality criteria: a state is
+#: classical when no value exceeds it. The values come from orthonormal
+#: basis elements (operator norm <= 1), so it is applied flat.
 CLASSICALITY_RTOL = 1e-8
 
 
@@ -134,12 +134,7 @@ def _check_dims(s: State, L: RealSubspace) -> None:
         raise DimensionMismatch(f"state dim {s.dim} != ambient dim {L.dim_ambient}")
 
 
-def _verdict(
-    criterion: str,
-    vals: np.ndarray,
-    basis: tuple[np.ndarray, ...],
-    rtol: float,
-) -> ClassicalityVerdict:
+def _verdict(criterion: str, vals: np.ndarray, basis: tuple[np.ndarray, ...]) -> ClassicalityVerdict:
     """The verdict on an array of values, at its first row-major maximum."""
     if vals.size == 0:
         return ClassicalityVerdict(
@@ -148,7 +143,7 @@ def _verdict(
     flat = np.abs(vals).ravel()
     arg = int(np.argmax(flat))
     idx = np.unravel_index(arg, vals.shape)
-    return _ruling(criterion, float(flat[arg]), idx, float(vals[idx]), basis, rtol)
+    return _ruling(criterion, float(flat[arg]), idx, float(vals[idx]), basis)
 
 
 def _ruling(
@@ -157,10 +152,12 @@ def _ruling(
     idx: tuple[int, ...],
     value: float,
     basis: tuple[np.ndarray, ...],
-    rtol: float,
 ) -> ClassicalityVerdict:
-    """The verdict given the largest |value|, its basis indices and its signed value."""
-    if max_violation <= rtol:
+    """The verdict given the largest |value|, its basis indices and its signed value.
+
+    Classical when the largest |value| is at most ``CLASSICALITY_RTOL``.
+    """
+    if max_violation <= CLASSICALITY_RTOL:
         return ClassicalityVerdict(
             classical=True,
             criterion=criterion,
@@ -266,21 +263,17 @@ def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
     return _bracket_expectations(s, L)
 
 
-def _associator_verdict(
-    s: State, L: RealSubspace, rtol: float, C: np.ndarray
-) -> ClassicalityVerdict:
+def _associator_verdict(s: State, L: RealSubspace, C: np.ndarray) -> ClassicalityVerdict:
     if not L.dim_span:  # the zero algebra has no triples: C is then empty
-        return _verdict("associator", C, L.basis, rtol)
+        return _verdict("associator", C, L.basis)
     table = _stored_structure_constants(L)
     top = _first_max(_pair_values(table, C))
-    if abs(top[0] - rtol) <= table.delta:
-        top = _first_max(_rechecked(s, L, table, C, rtol - table.delta))
-    return _ruling("associator", *top, L.basis, rtol)
+    if abs(top[0] - CLASSICALITY_RTOL) <= table.delta:
+        top = _first_max(_rechecked(s, L, table, C, CLASSICALITY_RTOL - table.delta))
+    return _ruling("associator", *top, L.basis)
 
 
-def is_classical_associator(
-    s: State, L: RealSubspace, rtol: float = CLASSICALITY_RTOL
-) -> ClassicalityVerdict:
+def is_classical_associator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """Expectation of every basis Jordan associator vanishes.
 
     Evaluates Tr(rho * ((e_i o e_j) o e_k - e_i o (e_j o e_k))) over all
@@ -292,27 +285,21 @@ def is_classical_associator(
     leaves out (the residual off L of a kept bracket, or a dropped bracket
     whole), are memoized on L. Since ``|Tr(rho [e_j, R])| <= ||R||_HS``,
     each value is within delta of the exact one; when the largest value
-    lies within delta of ``rtol``, every triple, in either orientation and
-    with or without a table row, whose value exceeds ``rtol - delta`` is
-    recomputed directly from ``associator``, so no verdict rests on that
-    error.
+    lies within delta of ``CLASSICALITY_RTOL``, every triple, in either
+    orientation and with or without a table row, whose value exceeds
+    ``CLASSICALITY_RTOL - delta`` is recomputed directly from
+    ``associator``, so no verdict rests on that error.
     """
-    return _associator_verdict(s, L, rtol, _bracket_tensor(s, L))
+    return _associator_verdict(s, L, _bracket_tensor(s, L))
 
 
-def is_classical_commutator(
-    s: State, L: RealSubspace, rtol: float = CLASSICALITY_RTOL
-) -> ClassicalityVerdict:
+def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """Expectation of every basis bracket vanishes."""
-    return _verdict("commutator", _bracket_tensor(s, L), L.basis, rtol)
+    return _verdict("commutator", _bracket_tensor(s, L), L.basis)
 
 
 def is_classical_center(
-    s: State,
-    L: RealSubspace,
-    rtol: float = CLASSICALITY_RTOL,
-    *,
-    derived: RealSubspace | None = None,
+    s: State, L: RealSubspace, *, derived: RealSubspace | None = None
 ) -> ClassicalityVerdict:
     """The state, seen as an algebra element, centralizes [L, L].
 
@@ -325,16 +312,14 @@ def is_classical_center(
         raise NotInSpan("state is not an element of the subalgebra's span")
     d = derived if derived is not None else derived_algebra(L)
     if d.dim_span == 0:
-        return _verdict("center", np.zeros(0), d.basis, rtol)
+        return _verdict("center", np.zeros(0), d.basis)
     # spectral norms of the brackets [rho, d_k], batched over the basis of d
     dk = d._stacked
     vals = _opnorm(0.5j * (s.rho @ dk - dk @ s.rho))
-    return _verdict("center", vals, d.basis, rtol)
+    return _verdict("center", vals, d.basis)
 
 
-def classify(
-    s: State, L: RealSubspace, rtol: float = CLASSICALITY_RTOL
-) -> ClassicalityVerdict:
+def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """Run all applicable criteria and cross-check them.
 
     The center criterion participates only when rho lies in span(L). Any
@@ -343,9 +328,9 @@ def classify(
     associator and commutator criteria share is built once.
     """
     C = _bracket_tensor(s, L)
-    verdicts = [_associator_verdict(s, L, rtol, C), _verdict("commutator", C, L.basis, rtol)]
+    verdicts = [_associator_verdict(s, L, C), _verdict("commutator", C, L.basis)]
     try:
-        verdicts.append(is_classical_center(s, L, rtol))
+        verdicts.append(is_classical_center(s, L))
     except NotInSpan:
         pass
     flags = {v.classical for v in verdicts}

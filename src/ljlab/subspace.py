@@ -95,6 +95,13 @@ SPAN_RTOL = 1e-8
 #: enough to absorb eigensolver jitter, far below generic point spacing.
 POINT_MERGE_TOL = 1e-6
 
+#: ``function_representation``: the rotated basis is diagonal when no
+#: off-diagonal entry exceeds ``_DIAGONAL_TOL`` times the largest diagonal
+#: one (floored at 1), and the projector table must rebuild every basis
+#: element to within ``_RECONSTRUCTION_TOL`` in HS norm.
+_DIAGONAL_TOL = 1e-10
+_RECONSTRUCTION_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class RealSubspace:
@@ -427,9 +434,9 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
 
     Solved as a null space: stack the real and imaginary parts of
     [e_i, s_j] for each basis element e_i of L, then read the null space
-    off an SVD: singular values at most ``DEFAULT_TOL.zero_tol`` times the
-    largest (floored at 1) count as zero. Its vectors are coordinates
-    against L's orthonormal rows, so the returned rows are orthonormal too.
+    off an SVD: singular values at most ``DEFAULT_TOL.threshold`` of the
+    largest count as zero. Its vectors are coordinates against L's
+    orthonormal rows, so the returned rows are orthonormal too.
     """
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(
@@ -441,7 +448,7 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     br = _products(L._stacked[:, None], S._stacked[None], lie)
     cols = np.stack((br.real, br.imag), axis=2).reshape(L.dim_span, -1).T
     _, sv, vh = np.linalg.svd(cols, full_matrices=False)
-    cut = DEFAULT_TOL.zero_tol * max(1.0, float(sv[0]) if sv.size else 0.0)
+    cut = DEFAULT_TOL.threshold(sv[0])
     return RealSubspace(L.dim_ambient, vh[~(sv > cut)] @ L.rows)
 
 
@@ -458,15 +465,20 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned): below that every bracket is roundoff and
     which one is largest is noise. Earlier versions named a pair for any
-    nonzero norm.
+    nonzero norm. The brackets are formed in ``_BLOCK``-sized batches, so
+    memory stays flat in r; a later batch takes over only with a strictly
+    larger norm.
     """
+    e = L._stacked
     i, j = np.triu_indices(L.dim_span, 1)
-    norms = _opnorm(_products(L._stacked[i], L._stacked[j], lie))
-    best = float(norms.max(initial=0.0))
-    if best <= _DEFECT_FLOOR:
-        return best, None
-    k = int(np.argmax(norms))
-    return best, (int(i[k]), int(j[k]))
+    best, arg = 0.0, None
+    for s in range(0, len(i), _BLOCK):
+        a, b = i[s : s + _BLOCK], j[s : s + _BLOCK]
+        norms = _opnorm(_products(e[a], e[b], lie))
+        k = int(np.argmax(norms))
+        if norms[k] > best:
+            best, arg = float(norms[k]), (int(a[k]), int(b[k]))
+    return best, arg if best > _DEFECT_FLOOR else None
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
@@ -708,9 +720,9 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
     Diagonalizes a generic random combination of the basis, verifies that it
     diagonalizes every basis element, merges eigencolumns whose joint value
     tuples agree within POINT_MERGE_TOL, and checks that the projector table
-    reconstructs each basis element to 1e-8. Retries with a fresh generic
-    combination on failure; the internal seeds are fixed, so the output is
-    deterministic. Raises NotAssociative when the subalgebra is not
+    reconstructs each basis element to ``_RECONSTRUCTION_TOL``. Retries with
+    a fresh generic combination on failure; the internal seeds are fixed, so
+    the output is deterministic. Raises NotAssociative when the subalgebra is not
     commuting and associative (also if diagonalization cannot converge).
     """
     try:
@@ -733,7 +745,7 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
         diag = np.einsum("ikk->ik", rot).real
         off = np.abs(rot)
         off[:, np.arange(n), np.arange(n)] = 0.0
-        if float(off.max()) > 1e-10 * max(1.0, float(np.max(np.abs(diag)))):
+        if float(off.max()) > _DIAGONAL_TOL * max(1.0, float(np.max(np.abs(diag)))):
             continue
         groups: list[list[int]] = []
         reps: list[np.ndarray] = []
@@ -750,7 +762,7 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
         points = np.stack([diag[:, idx].mean(axis=1) for idx in groups])
         recon = np.einsum("xi,xab->iab", points, projectors)
         err = float(np.max(np.linalg.norm(recon - stacked, axis=(1, 2))))
-        if err <= 1e-8:
+        if err <= _RECONSTRUCTION_TOL:
             points.setflags(write=False)
             return FunctionRepresentation(subspace=L, points=points, projectors=projectors)
         last_err = min(last_err, err)

@@ -60,10 +60,11 @@ def _min_eig(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def associator_witness(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance = DEFAULT_TOL
-) -> WitnessReport:
-    """Witness q = (a o b) o c - a o (b o c); violation is its norm."""
+def associator_witness(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> WitnessReport:
+    """Witness q = (a o b) o c - a o (b o c); violation is its norm.
+
+    Found when the norm exceeds ``DEFAULT_TOL`` at the scale ``||a|| ||b|| ||c||``.
+    """
     q = associator(a, b, c)
     violation = spectral_norm(q)
     scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
@@ -72,12 +73,15 @@ def associator_witness(
         witness=q,
         inputs=(a, b, c),
         violation=violation,
-        found=violation > tol.threshold(scale),
+        found=violation > DEFAULT_TOL.threshold(scale),
     )
 
 
-def squared_witness(q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> WitnessReport:
-    """PSD witness q o q; vanishes exactly when q does."""
+def squared_witness(q: np.ndarray) -> WitnessReport:
+    """PSD witness q o q; vanishes exactly when q does.
+
+    Found when its norm exceeds ``DEFAULT_TOL`` at the scale ``||q||^2``.
+    """
     w = jordan(q, q)
     violation = spectral_norm(w)
     scale = spectral_norm(q) ** 2
@@ -86,7 +90,7 @@ def squared_witness(q: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> WitnessRepor
         witness=w,
         inputs=(q,),
         violation=violation,
-        found=violation > tol.threshold(scale),
+        found=violation > DEFAULT_TOL.threshold(scale),
     )
 
 
@@ -203,8 +207,9 @@ def avr_witness_search(
 
     Candidates are unit-norm Wishart factors; the best trial (most negative
     eigenvalue of a o b) is refined by greedy perturbation of single factor
-    entries with a shrinking step. Dimension 1 is commutative, so the report
-    comes back with found False.
+    entries with a shrinking step. Found when the most negative eigenvalue
+    is below ``-tol.zero_tol``, flat: the inputs have unit norm. Dimension 1
+    is commutative, so the report comes back with found False.
     """
 
     # a slot holds a factor g and its unit PSD form, so each form is computed once
@@ -249,6 +254,8 @@ def associator_witness_search(
 
     Trials draw unit-norm Hermitian triples; refinement perturbs along the
     canonical Hermitian basis directions, renormalizing after each step.
+    Found when the associator's norm exceeds ``tol.zero_tol``, flat: the
+    inputs have unit norm.
     """
     # only for n > 1: _search must raise ValidationError for n < 1 first
     dirs = np.array(full_hermitian_basis(n)) if n > 1 else None

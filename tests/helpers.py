@@ -681,9 +681,7 @@ def loop_search(n, seed, budget, draw, move, perturb, score):
 
 
 def _loop_threshold(tol: Tolerance, scale: float) -> float:
-    if tol.rel:
-        return tol.zero_tol * max(1.0, float(scale))
-    return tol.zero_tol
+    return tol.zero_tol * max(1.0, float(scale))
 
 
 def _report(name: str, defect: np.ndarray, scale: float, tol: Tolerance) -> IdentityReport:

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+import ljlab
+import ljlab.linalg
 from helpers import SX, SY, SZ, I2, eig2_oracle
 from ljlab import (
     DEFAULT_TOL,
@@ -26,11 +31,32 @@ from ljlab.linalg import _opnorm
 
 
 def test_tolerance_threshold_scaling():
-    tol = Tolerance(zero_tol=1e-9, rel=True)
+    tol = Tolerance(zero_tol=1e-9)
     assert tol.threshold(0.5) == 1e-9          # floor at scale 1
     assert tol.threshold(100.0) == pytest.approx(1e-7)
-    flat = Tolerance(zero_tol=1e-6, rel=False)
-    assert flat.threshold(1e12) == 1e-6
+
+
+def test_the_cli_sets_the_only_public_tolerance_parameters():
+    """Each decision has one threshold; the knobs left are the ones ``--tol`` sets."""
+    knob = re.compile(r"(^|_)[ar]?tol$|^rel$")
+    found = set()
+    for module in (ljlab, ljlab.linalg):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            for p in params:
+                if knob.search(p.name) or "Tolerance" in str(p.annotation):
+                    found.add((name, p.name))
+    assert found == {
+        ("Tolerance", "zero_tol"),
+        ("avr_witness_search", "tol"),
+        ("associator_witness_search", "tol"),
+    }
 
 
 def test_tolerance_rejects_nonpositive():
@@ -59,7 +85,6 @@ def test_is_hermitian_scales_with_norm():
     big = 1e9 * SZ.astype(complex)
     big = big + 1e-4 * np.array([[0, 1j], [1j, 0]])  # asymmetry tiny vs norm
     assert is_hermitian(big)
-    assert not is_hermitian(big, Tolerance(zero_tol=1e-9, rel=False))
 
 
 def test_non_square_rejected():
@@ -231,4 +256,3 @@ def test_threshold_broadcasts_over_scales():
     assert type(tol.threshold(3.0)) is float
     # a NaN scale falls back to the floor, as the builtin max did
     assert tol.threshold(np.nan) == 1e-9
-    assert Tolerance(zero_tol=1e-6, rel=False).threshold(scales) == 1e-6

@@ -422,15 +422,16 @@ def test_direct_path_runs_only_when_the_bound_reaches_the_threshold(monkeypatch)
     calls = _count_direct(monkeypatch)
     table = _structure_constants(alg)
     for rtol in (peak * (1 - 1e-3), peak * (1 + 1e-3)):
+        monkeypatch.setattr(states_mod, "CLASSICALITY_RTOL", rtol)
         margin = abs(peak - rtol)
         alg._memo["structure"] = table._replace(delta=0.5 * margin)
         calls[0] = 0
-        v = is_classical_associator(s, alg, rtol)
+        v = is_classical_associator(s, alg)
         assert calls[0] == 0
         assert v.classical == (rtol > peak)
         delta = 2.0 * margin
         alg._memo["structure"] = table._replace(delta=delta)
-        v = is_classical_associator(s, alg, rtol)
+        v = is_classical_associator(s, alg)
         assert calls[0] == int(np.sum(np.abs(ref) > rtol - delta)) > 0
         assert v.classical == (rtol > peak)
         assert v.max_violation == pytest.approx(peak, abs=1e-12)

@@ -59,7 +59,7 @@ from ljlab import (
 from ljlab import subspace as subspace_mod
 from ljlab.products import associator
 from ljlab.states import classify, random_state
-from ljlab.linalg import DEFAULT_TOL, spectral_norm
+from ljlab.linalg import DEFAULT_TOL, _opnorm, spectral_norm
 from ljlab.subspace import (
     SPAN_RTOL,
     FunctionRepresentation,
@@ -424,6 +424,48 @@ def test_defects_name_no_index_for_roundoff():
         value, pair = commutator_defect(RealSubspace(dim_ambient=2, rows=_rows(mats)))
         assert value == pytest.approx(factor * floor, rel=1e-6)
         assert pair == ((0, 1) if named else None)
+
+
+def _all_pairs_commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
+    """``commutator_defect`` as one stack of all r(r-1)/2 brackets: the bit-for-bit reference."""
+    i, j = np.triu_indices(L.dim_span, 1)
+    norms = _opnorm(_products(L._stacked[i], L._stacked[j], lie))
+    best = float(norms.max(initial=0.0))
+    if best <= DEFAULT_TOL.threshold(1.0):
+        return best, None
+    k = int(np.argmax(norms))
+    return best, (int(i[k]), int(j[k]))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("full", n) for n in range(1, 8)]
+    + [("closures", n) for n in (3, 4, 5)]
+    + [("commuting", n) for n in (3, 6, 34)],
+)
+def test_commutator_defect_forms_brackets_in_blocks_with_the_all_pairs_result(monkeypatch, kind, n):
+    if kind == "full":
+        algs = [full_hermitian_space(n)]
+    elif kind == "closures":
+        algs = _generated_closures(n)
+    else:  # 34 basis elements give 561 pairs, more than one block
+        algs = [commutative_algebra(n, seed=70 + n, count=n)]
+    original = subspace_mod._products
+    pairs: list[int] = []
+
+    def counted(a, b, product):
+        pairs.append(int(np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))))
+        return original(a, b, product)
+
+    monkeypatch.setattr(subspace_mod, "_products", counted)
+    for alg in algs:
+        pairs.clear()
+        value, pair = commutator_defect(alg)
+        want_value, want_pair = _all_pairs_commutator_defect(alg)
+        assert (value.hex(), pair) == (want_value.hex(), want_pair)
+        r = alg.dim_span
+        assert max(pairs, default=0) <= subspace_mod._BLOCK
+        assert sum(pairs) == r * (r - 1) // 2
 
 
 def test_commutativity_checks_require_closure():
