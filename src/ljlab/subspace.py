@@ -15,7 +15,8 @@ fixed-size blocks. The dimension bound (``_bound``) comes from the seeds:
 n^2, or su(n)'s n^2 - 1 under the bracket of seeds orthogonal to the
 identity. A round at the bound forms no products; one that ends above it
 raises ValidationError. A subspace is closed exactly when such a round adds
-nothing, and ``is_closed_under`` runs that round up to its first kept row.
+nothing, and ``is_closed_under`` runs that round up to the first product
+block that keeps a row.
 
 Rounds and the pair queries (defects, centralizer, bracket table) form
 products with one Hermitian pair kernel (``_products``). Closedness
@@ -207,42 +208,78 @@ def _rows(mats: np.ndarray) -> np.ndarray:
     return a.reshape(*a.shape[:-2], -1).view(float)
 
 
+#: ``_extend`` removes its kept rows from the unvisited candidates as one
+#: panel of up to ``_PANEL`` rows, applied early when ``_DROP_RUN``
+#: candidates in a row were dropped: the rest of the block is then likely
+#: spanned too, and one panel update drops it without visiting each row.
+_PANEL = 32
+_DROP_RUN = 4
+
+
 def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Orthonormal rows that extend the orthonormal ``basis`` to also span ``cand``.
 
-    The rank kernel behind ``span`` and the closure rounds. Candidates are
-    judged greedily in input order: one is kept when its residual against
-    ``basis`` and the rows kept before it exceeds ``SPAN_RTOL * max(1,
-    ||c||)``. The whole block is first projected off ``basis`` twice (BLAS-3)
-    and rows already under their threshold are dropped; each survivor is
-    then reorthogonalized, kept or dropped, and a kept row is removed from
-    the survivors after it by a rank-1 update. Raises ValidationError on
-    non-finite candidates, whose residual test would silently fail.
+    The rank kernel behind ``span``, the closure rounds and the derived
+    algebra. Candidates are judged greedily in input order: one is kept
+    when its residual against ``basis`` and the rows kept before it exceeds
+    ``SPAN_RTOL * max(1, ||c||)``. The whole block is first projected off
+    ``basis`` twice (BLAS-3) and rows already under their threshold are
+    dropped. Survivors are then visited in order: each is projected off
+    the pending panel (the rows kept since the last panel update), then
+    reorthogonalized against ``basis`` and every kept row, and kept or
+    dropped. Once the panel holds ``_PANEL`` rows, or after ``_DROP_RUN``
+    drops in a row, it is removed from the unvisited survivors as one
+    BLAS-3 update ``v -= (v @ P^T) @ P`` (block Gram-Schmidt), and those
+    left under their threshold are dropped together (``_sweep``). The kept
+    rows are at most the rank bound ``min(len(cand), cand.shape[1])``.
+    Raises ValidationError on non-finite candidates, whose residual test
+    would silently fail.
     """
     if not np.isfinite(cand).all():
         raise ValidationError("span input contains NaN or infinite entries")
-    thr = SPAN_RTOL * np.maximum(1.0, np.linalg.norm(cand, axis=1))
+    thr = SPAN_RTOL * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", cand, cand)))
     v = np.array(cand)
     for _ in range(2 if len(basis) else 0):
         v -= (v @ basis.T) @ basis
-    alive = np.linalg.norm(v, axis=1) > thr
-    v, thr = v[alive], thr[alive]
-    out = np.empty_like(v)
-    k = 0
-    while len(v):
-        x, t, v, thr = v[0], thr[0], v[1:], thr[1:]
-        x = x - (basis @ x) @ basis
-        x = x - (out[:k] @ x) @ out[:k]
-        res = float(np.linalg.norm(x))
-        if res <= t:
-            continue
-        out[k] = x / res
-        k += 1
-        if len(v):
-            v -= np.outer(v @ out[k - 1], out[k - 1])
-            alive = np.linalg.norm(v, axis=1) > thr
-            v, thr = v[alive], thr[alive]
-    return out[:k]
+    out = np.empty((min(len(v), v.shape[1]), v.shape[1]))
+    k = applied = 0  # out[:k] are kept, out[:applied] already removed from v
+    while True:
+        v, thr = _sweep(v, thr, out[applied:k])
+        applied, run = k, 0
+        for i, x in enumerate(v):
+            x = x - (out[applied:k] @ x) @ out[applied:k]
+            x = x - (basis @ x) @ basis
+            x = x - (out[:k] @ x) @ out[:k]
+            res = math.sqrt(x @ x)
+            if res > thr[i]:
+                out[k] = x / res
+                k, run = k + 1, 0
+            else:
+                run += 1
+            if k - applied == _PANEL or (run == _DROP_RUN and k > applied):
+                break
+        else:  # every survivor visited
+            return out[:k]
+        v, thr = v[i + 1 :], thr[i + 1 :]
+
+
+def _sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Remove ``panel`` from the rows of v and drop those at or under ``thr``.
+
+    Works in place, ``_BLOCK`` rows at a time, moving the rows it keeps to
+    the front, so no temporary grows with v. Returns the views of v and
+    ``thr`` that hold them.
+    """
+    m = 0
+    for s in range(0, len(v), _BLOCK):
+        w, t = v[s : s + _BLOCK], thr[s : s + _BLOCK]
+        if len(panel):
+            w -= (w @ panel.T) @ panel
+        keep = np.sqrt(np.einsum("ij,ij->i", w, w)) > t
+        c = int(np.count_nonzero(keep))
+        v[m : m + c], thr[m : m + c] = w[keep], t[keep]
+        m += c
+    return v[:m], thr[:m]
 
 
 def span(matrices: Sequence[np.ndarray]) -> RealSubspace:
@@ -286,7 +323,8 @@ def _product_pairs(r: int, product: Product) -> np.ndarray:
     return np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
 
 
-#: Products formed and ranked together in a closure round; bounds peak memory.
+#: Products formed and ranked together in a closure round, and rows ``_sweep``
+#: updates at a time; bounds peak memory.
 _BLOCK = 512
 
 
@@ -398,12 +436,13 @@ def close_under(s: RealSubspace, product: Product) -> RealSubspace:
 def is_closed_under(s: RealSubspace, product: Product) -> bool:
     """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
-    Runs that round (``_round``) until its first kept row: a product lies in
-    the span when its residual is at most ``SPAN_RTOL * max(1, ||p||)``, the
-    rule ``contains`` applies to a single matrix. A span at its dimension
-    bound is closed without a product formed: the full algebra under both
-    products, su(n) under ``lie``. Verdicts are memoized on s. Raises
-    ValidationError for any other product.
+    Runs that round (``_round``) up to the first product block that keeps a
+    row; that block is ranked whole, up to ``_BLOCK`` products. A product
+    lies in the span when its residual is at most ``SPAN_RTOL * max(1,
+    ||p||)``, the rule ``contains`` applies to a single matrix. A span at
+    its dimension bound is closed without a product formed: the full
+    algebra under both products, su(n) under ``lie``. Verdicts are memoized
+    on s. Raises ValidationError for any other product.
     """
     _check_product(product)
     if product not in s._memo:

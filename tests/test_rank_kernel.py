@@ -14,6 +14,7 @@ from helpers import SX, SY, naive_close, rank_of, sequential_span
 from ljlab import (
     ValidationError,
     close_under,
+    derived_algebra,
     full_hermitian_basis,
     full_hermitian_space,
     is_closed_under,
@@ -116,6 +117,95 @@ def test_span_decisions_match_sequential_oracle_near_the_tolerance():
         else:
             dropped += 1
     assert kept > 50 and dropped > 50  # the sweep really straddles SPAN_RTOL
+
+
+def _panel_boundary_candidates(n: int, seed: int) -> tuple[list[np.ndarray], list[bool]]:
+    """Matrices with known keep/drop decisions, and those decisions.
+
+    Fresh directions come from a random orthonormal basis of the n x n
+    Hermitian matrices. Kept rows fill two full panels of ``_extend`` and a
+    remainder; exactly dependent candidates and near-threshold ones
+    (residual 0.3x and 3x ``SPAN_RTOL * max(1, ||c||)`` along an unused
+    direction) sit right before and after each full-panel update, and after
+    a run of ``_DROP_RUN`` drops that triggers an early update. Later
+    candidates combine only the directions of well-separated rows: a row
+    kept at 3x the threshold carries its roundoff amplified about 3e7
+    times, so a combination that leans on it is no longer exactly
+    dependent.
+    """
+    rng = np.random.default_rng(seed)
+    e = np.stack(full_hermitian_basis(n))
+    q = np.tensordot(np.linalg.qr(rng.standard_normal((n * n, n * n)))[0], e, axes=1)
+    fresh, used = iter(range(n * n)), []
+    mats, keep = [], []
+
+    def inside(scale):
+        m = np.tensordot(rng.standard_normal(len(used)), q[used], axes=1)
+        return m * (scale / np.linalg.norm(m))
+
+    def new():
+        used.append(next(fresh))
+        mats.append(q[used[-1]] + inside(rng.uniform(0.5, 2.0)))
+        keep.append(True)
+
+    def dependent():
+        mats.append(inside(10.0 ** rng.uniform(-1, 1)))
+        keep.append(False)
+
+    def near(factor):
+        s, j = 10.0 ** rng.uniform(-1, 1), next(fresh)
+        mats.append(inside(s) + factor * SPAN_RTOL * max(1.0, s) * q[j])
+        keep.append(factor > 1)
+
+    around = (dependent, lambda: near(0.3), lambda: near(3.0), lambda: near(0.3), dependent)
+    for _ in range(2):  # rows 1..31 of a panel, two drops, a near 32nd row, two drops after the update
+        while sum(keep) % subspace_mod._PANEL != subspace_mod._PANEL - 1:
+            new()
+        for make in around:
+            make()
+    for _ in range(5):
+        new()
+    for _ in range(subspace_mod._DROP_RUN):
+        dependent()
+    for make in around[2:]:
+        make()
+    for _ in range(6):
+        new()
+    near(3.0)
+    return mats, keep
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extend_decisions_around_panel_updates_match_sequential_oracle(monkeypatch, seed):
+    mats, keep = _panel_boundary_candidates(10, seed)
+    cand = subspace_mod._rows(np.stack(mats))
+    empty = np.empty((0, cand.shape[1]))
+    panels: list[int] = []
+    original = subspace_mod._sweep
+
+    def recorded(v, thr, panel):
+        panels.append(len(panel))
+        return original(v, thr, panel)
+
+    monkeypatch.setattr(subspace_mod, "_sweep", recorded)
+    out = subspace_mod._extend(empty, cand)
+    assert sum(keep) > 2 * subspace_mod._PANEL and len(out) == sum(keep)
+    assert panels.count(subspace_mod._PANEL) == 2
+    assert any(0 < p < subspace_mod._PANEL for p in panels)  # the drop run's early update
+    np.testing.assert_allclose(out @ out.T, np.eye(len(out)), rtol=0, atol=1e-12)
+    # per-candidate decisions: the growth of the kept count along the prefixes
+    got = [len(subspace_mod._extend(empty, cand[: j + 1])) for j in range(len(mats))]
+    ref = [sequential_span(mats[: j + 1]).dim_span for j in range(len(mats))]
+    assert np.diff([0] + got).astype(bool).tolist() == keep
+    assert np.diff([0] + ref).astype(bool).tolist() == keep
+
+
+def test_derived_algebra_of_the_full_algebra_at_n10_is_su10():
+    """One kernel call over every nonzero bracket row, across many panels."""
+    d = derived_algebra(full_hermitian_space(10))
+    assert d.dim_span == 99
+    np.testing.assert_allclose(d.rows @ d.rows.T, np.eye(99), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("kaa->k", d._stacked), 0.0, rtol=0, atol=1e-12)
 
 
 def test_span_rejects_non_finite_input():
