@@ -12,6 +12,7 @@ decision it makes, is listed in the README's tolerance table.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,17 +181,57 @@ def derive_seed(seed: int, index: int) -> int:
     return (int(seed) ^ int(index)) & 0xFFFFFFFFFFFFFFFF
 
 
+#: Trials drawn and evaluated as one stack by ``verify`` and the witness
+#: searches, which bounds the memory a large trial count takes.
+_TRIAL_CHUNK = 1024
+
+
+def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[list[np.random.Generator]]:
+    """The generators of trials start to stop - 1, at most ``_TRIAL_CHUNK`` a list.
+
+    Trial t draws from ``default_rng(derive_seed(seed, t))``.
+    """
+    for lo in range(start, stop, _TRIAL_CHUNK):
+        ts = range(lo, min(lo + _TRIAL_CHUNK, stop))
+        yield [np.random.default_rng(derive_seed(seed, t)) for t in ts]
+
+
+def _gaussian_stack(rngs: list[np.random.Generator], n: int, k: int) -> np.ndarray:
+    """(len(rngs), k, n, n) stack of standard complex Gaussian matrices, k per generator.
+
+    Each generator makes one ``standard_normal((k, 2, n, n))`` call, and
+    matrix j is its real slice ``[j, 0]`` plus 1j times ``[j, 1]``: the
+    stream of k ``gaussian_complex`` calls, bit for bit.
+    """
+    z = np.empty((len(rngs), k, 2, n, n))
+    for t, rng in enumerate(rngs):
+        rng.standard_normal(out=z[t])
+    return z[:, :, 0] + 1j * z[:, :, 1]
+
+
+def _hermitian_part(g: np.ndarray) -> np.ndarray:
+    """(G + G^dagger) / 2 of each matrix in a (..., n, n) stack."""
+    return 0.5 * (g + np.conj(g).swapaxes(-1, -2))
+
+
 def gaussian_complex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n x n matrix with independent standard complex Gaussian entries."""
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    """n x n matrix with independent standard complex Gaussian entries.
+
+    One ``standard_normal((1, 2, n, n))`` call: the real part, then the
+    imaginary part, in C order.
+    """
+    return _gaussian_stack([rng], n, 1)[0, 0]
 
 
 def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
-    """GUE-style sample (G + G^dagger) / 2; ``seed`` may also be a Generator."""
+    """GUE-style sample (G + G^dagger) / 2; ``seed`` may also be a Generator.
+
+    G is ``gaussian_complex(default_rng(seed), n)``, so k calls on one
+    Generator give the Hermitian parts of ``_gaussian_stack([rng], n, k)[0]``.
+    """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    g = gaussian_complex(np.random.default_rng(seed), n)
-    return 0.5 * (g + dagger(g))
+    return _hermitian_part(gaussian_complex(np.random.default_rng(seed), n))
 
 
 def random_density(n: int, seed: int) -> np.ndarray:

@@ -21,10 +21,11 @@ from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _gaussian_stack,
+    _hermitian_part,
     _opnorm,
+    _trial_rngs,
     derive_seed,
-    gaussian_complex,
-    random_hermitian,
     spectral_norm,
 )
 from .products import _associate, associator, jordan
@@ -114,8 +115,6 @@ def _unit_psd(g: np.ndarray) -> np.ndarray:
 _MAX_STEPS, _FIRST_STEP, _MIN_STEP, _HALVE_AFTER = 6000, 0.1, 1e-6, 20
 #: Proposals scored as one stack: 8 after an accept, doubling up to 32.
 _WIDTH, _MAX_WIDTH = 8, 32
-#: Trials drawn and scored as one stack, which bounds the memory a large budget takes.
-_TRIAL_CHUNK = 1024
 
 
 def _search(
@@ -130,8 +129,10 @@ def _search(
     """Seeded multistart, then greedy refinement; returns the candidate of least score.
 
     A candidate is an array with one factor per slot along its first axis.
-    ``draw(rngs)`` returns a stack of trials, trial ``t`` drawn from
-    ``derive_seed(seed, t)``, and the first strictly lowest score wins.
+    ``draw(rngs)`` returns a stack of trials, one per generator, for
+    ``rngs`` from ``_trial_rngs`` (trial ``t`` draws from
+    ``derive_seed(seed, t)``, at most ``_TRIAL_CHUNK`` trials a call), and
+    the first strictly lowest score wins.
     Refinement draws from ``derive_seed(seed, budget)``: each of at most
     6000 steps draws a slot and a ``move(rng)``, and perturbs that factor of
     the current best; a strictly lower score is kept. Twenty rejects in a
@@ -158,9 +159,8 @@ def _search(
     if n == 1:
         return None
     best, best_val = None, np.inf
-    for lo in range(0, budget, _TRIAL_CHUNK):
-        ts = range(lo, min(lo + _TRIAL_CHUNK, budget))
-        trials = draw([np.random.default_rng(derive_seed(seed, t)) for t in ts])
+    for rngs in _trial_rngs(seed, 0, budget):
+        trials = draw(rngs)
         vals = score(trials)
         vals = np.where(np.isnan(vals), np.inf, vals)
         first = int(np.argmin(vals))
@@ -214,7 +214,7 @@ def avr_witness_search(
 
     # a slot holds a factor g and its unit PSD form, so each form is computed once
     def draw(rngs: list[np.random.Generator]) -> np.ndarray:
-        g = np.array([[gaussian_complex(rng, n), gaussian_complex(rng, n)] for rng in rngs])
+        g = _gaussian_stack(rngs, n, 2)
         return np.stack([g, _unit_psd(g)], axis=2)
 
     def move(rng: np.random.Generator) -> tuple[int, int, float, bool]:
@@ -261,7 +261,7 @@ def associator_witness_search(
     dirs = np.array(full_hermitian_basis(n)) if n > 1 else None
 
     def draw(rngs: list[np.random.Generator]) -> np.ndarray:
-        return _unit(np.array([[random_hermitian(n, rng) for _ in range(3)] for rng in rngs]))[0]
+        return _unit(_hermitian_part(_gaussian_stack(rngs, n, 3)))[0]
 
     def move(rng: np.random.Generator) -> tuple[int, float]:
         return int(rng.integers(len(dirs))), rng.standard_normal()

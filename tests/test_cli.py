@@ -16,7 +16,7 @@ from helpers import SX, SY, loop_verify_checks
 from ljlab import __version__, cli
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
-from ljlab.linalg import DEFAULT_TOL, Tolerance
+from ljlab.linalg import _TRIAL_CHUNK, DEFAULT_TOL, Tolerance
 
 
 def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -90,6 +90,22 @@ def test_verify_report_equals_per_trial_loop_bit_for_bit(dim, tol):
             failed += sum(not c["passed"] for c in ref)
     if tol.zero_tol < 1e-17 and dim != 1:
         assert failed > 0  # the tiny tolerance really runs the failing branches
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [DEFAULT_TOL, Tolerance(zero_tol=1e-16), Tolerance(zero_tol=1e-18)],
+    ids=["default", "mixed", "tiny"],
+)
+def test_verify_across_a_trial_chunk_boundary_equals_per_trial_loop_bit_for_bit(tol):
+    # the trials run in chunks of _TRIAL_CHUNK: maxima and verdicts combine
+    # across them; at 1e-16 some identities fail in the first chunk only
+    trials = _TRIAL_CHUNK + 3
+    cfg = SessionConfig(command="verify", dim=2, trials=trials, seed=5, tol=tol)
+    report, all_passed = cmd_verify(cfg)
+    ref = loop_verify_checks((2,), trials, 5, tol)
+    assert _fields(report.checks) == _fields(ref)
+    assert all_passed == all(c["passed"] for c in ref)
 
 
 def test_verify_rejects_zero_trials():

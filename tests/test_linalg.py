@@ -27,7 +27,7 @@ from ljlab import (
     spectral_norm,
     traceless,
 )
-from ljlab.linalg import _opnorm
+from ljlab.linalg import _gaussian_stack, _hermitian_part, _opnorm
 
 
 def test_tolerance_threshold_scaling():
@@ -167,6 +167,36 @@ def test_random_hermitian_draws_from_a_generator():
     np.testing.assert_array_equal(
         random_hermitian(4, np.random.default_rng(9)), random_hermitian(4, seed=9)
     )
+
+
+def _raw_draws(seed: int, n: int, k: int) -> list[np.ndarray]:
+    # the stream contract written out: k pairs of (n, n) draws, real part first
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        out.append(a + 1j * b)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_gaussian_draws_follow_the_stream_contract_bit_for_bit(n):
+    seeds = [0, 1, 31, 2**40 + 3]
+    for k in (1, 2, 3):
+        got = _gaussian_stack([np.random.default_rng(s) for s in seeds], n, k)
+        assert got.shape == (len(seeds), k, n, n)
+        for t, seed in enumerate(seeds):
+            raw = _raw_draws(seed, n, k)
+            rng, herm_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for j in range(k):
+                herm = 0.5 * (raw[j] + raw[j].conj().T)
+                assert got[t, j].tobytes() == raw[j].tobytes()
+                assert _hermitian_part(got[t, j]).tobytes() == herm.tobytes()
+                assert ljlab.linalg.gaussian_complex(rng, n).tobytes() == raw[j].tobytes()
+                assert random_hermitian(n, herm_rng).tobytes() == herm.tobytes()
+            assert _hermitian_part(got[t]).tobytes() == _hermitian_part(np.array(raw)).tobytes()
+            assert random_hermitian(n, seed).tobytes() == _hermitian_part(raw[0]).tobytes()
 
 
 def test_random_density_properties():
