@@ -4,7 +4,10 @@ A state is classical for an observable subalgebra when it cannot see any
 quantum structure: expectation zero on all Jordan associators, expectation
 zero on all brackets, or membership in the centralizer of the derived
 algebra. The three criteria agree on closed subalgebras; ``classify`` runs
-all applicable ones and raises CriteriaDisagree if they ever split.
+all applicable ones and raises CriteriaDisagree if they ever split. It
+reports the commutator verdict, so it settles the other two as yes-or-no
+flags from certified norm bounds and forms their full maxima only to
+report a split.
 
 The associator criterion needs no Jordan products. By the Jordan-Lie
 identity ``(a o b) o c - a o (b o c) = [b, [c, a]]``, on a Lie-closed L
@@ -23,6 +26,7 @@ matrix product per block of table rows, reduced to a running maximum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -40,6 +44,7 @@ from .subspace import (
     _BLOCK,
     RealSubspace,
     _BracketTable,
+    _rows,
     _stored_structure_constants,
     derived_algebra,
     require_closed,
@@ -298,6 +303,21 @@ def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     return _verdict("commutator", _bracket_tensor(s, L), L.basis)
 
 
+def _derived_brackets(
+    s: State, L: RealSubspace, derived: RealSubspace | None = None
+) -> tuple[RealSubspace, np.ndarray]:
+    """The derived algebra d and the brackets ``[rho, d_k]`` over its basis, as (r_d, n, n).
+
+    Raises NotInSpan when rho is not in span(L).
+    """
+    _check_dims(s, L)
+    if not L.contains(s.rho):
+        raise NotInSpan("state is not an element of the subalgebra's span")
+    d = derived if derived is not None else derived_algebra(L)
+    dk = d._stacked
+    return d, 0.5j * (s.rho @ dk - dk @ s.rho)
+
+
 def is_classical_center(
     s: State, L: RealSubspace, *, derived: RealSubspace | None = None
 ) -> ClassicalityVerdict:
@@ -305,18 +325,68 @@ def is_classical_center(
 
     Requires rho inside span(L) (NotInSpan otherwise). ``derived`` overrides
     the derived algebra; it is not needed to amortize sweeps over many
-    states, since ``derived_algebra(L)`` is memoized on L.
+    states, since ``derived_algebra(L)`` is memoized on L. The values are
+    the spectral norms of the brackets ``[rho, d_k]``, batched over the
+    basis of the derived algebra.
     """
-    _check_dims(s, L)
-    if not L.contains(s.rho):
-        raise NotInSpan("state is not an element of the subalgebra's span")
-    d = derived if derived is not None else derived_algebra(L)
-    if d.dim_span == 0:
-        return _verdict("center", np.zeros(0), d.basis)
-    # spectral norms of the brackets [rho, d_k], batched over the basis of d
-    dk = d._stacked
-    vals = _opnorm(0.5j * (s.rho @ dk - dk @ s.rho))
-    return _verdict("center", vals, d.basis)
+    d, brackets = _derived_brackets(s, L, derived)
+    return _verdict("center", _opnorm(brackets), d.basis)
+
+
+#: Rounding slack of the flags' bounds: the relative error allowed for a
+#: computed norm or inner product against its exact value on the computed
+#: inputs. SVDs, sums of squares and dot products are accurate to a few
+#: hundred ulps at the sizes the package handles, far inside it.
+_NORM_SLACK = 1e-6
+
+
+def _associator_flag(s: State, L: RealSubspace, C: np.ndarray) -> bool:
+    """``_associator_verdict(s, L, C).classical``, settled by the first certificate.
+
+    Each value is ``<c_p, C[j]>``, at most ``||c_p|| ||C[j]||`` (Cauchy-
+    Schwarz): when ``max_p ||c_p|| max_j ||C[j]||`` is below
+    ``CLASSICALITY_RTOL - delta`` every value is, and the verdict is
+    classical with no contraction. Otherwise the table's blocks are
+    contracted in order, and the first block maximum above
+    ``CLASSICALITY_RTOL + delta`` proves the verdict quantum, since the
+    verdict's largest value is at least that and lies outside the recheck
+    band. A scan without that certificate falls back to the verdict itself.
+    """
+    table = _stored_structure_constants(L)
+    if "structure_norm" not in L._memo:
+        L._memo["structure_norm"] = _max_row_norm(table.coords)
+    bound = L._memo["structure_norm"] * _max_row_norm(C)
+    if bound * (1 + _NORM_SLACK) < CLASSICALITY_RTOL - table.delta:
+        return True
+    for vals, _, _ in _pair_values(table, C):
+        if float(np.abs(vals).max()) > CLASSICALITY_RTOL + table.delta:
+            return False
+    return _associator_verdict(s, L, C).classical
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _max_row_norm(a: np.ndarray) -> float:
+    return float(_row_norms(a).max(initial=0.0))
+
+
+def _center_flag(s: State, L: RealSubspace) -> bool:
+    """``is_classical_center(s, L).classical``, settled by Hilbert-Schmidt bounds.
+
+    ``||X||_HS / sqrt(n) <= ||X||_op <= ||X||_HS``: a bracket of HS norm
+    above ``sqrt(n) * CLASSICALITY_RTOL`` proves the verdict quantum, and
+    brackets of HS norm below ``CLASSICALITY_RTOL`` are classical. Only the
+    brackets between the two get a spectral norm. Raises NotInSpan as the
+    criterion does.
+    """
+    _, brackets = _derived_brackets(s, L)
+    hs = _row_norms(_rows(brackets))
+    if np.any(hs > math.sqrt(s.dim) * CLASSICALITY_RTOL * (1 + _NORM_SLACK)):
+        return False
+    band = hs >= CLASSICALITY_RTOL * (1 - _NORM_SLACK)
+    return not band.any() or float(_opnorm(brackets[band]).max()) <= CLASSICALITY_RTOL
 
 
 def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
@@ -325,19 +395,25 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     The center criterion participates only when rho lies in span(L). Any
     disagreement raises CriteriaDisagree; otherwise the commutator verdict
     (pair certificate) is returned. The bracket tensor C that the
-    associator and commutator criteria share is built once.
+    associator and commutator criteria share is built once. The associator
+    and center criteria enter only through their ``classical`` flags, which
+    ``_associator_flag`` and ``_center_flag`` settle from certified bounds;
+    their full verdicts are computed only to report a disagreement.
     """
     C = _bracket_tensor(s, L)
-    verdicts = [_associator_verdict(s, L, C), _verdict("commutator", C, L.basis)]
+    verdict = _verdict("commutator", C, L.basis)
+    flags = [_associator_flag(s, L, C)]
     try:
-        verdicts.append(is_classical_center(s, L))
+        flags.append(_center_flag(s, L))
     except NotInSpan:
         pass
-    flags = {v.classical for v in verdicts}
-    if len(flags) > 1:
-        detail = ", ".join(
-            f"{v.criterion}={v.classical} (violation {v.max_violation:.3e})"
-            for v in verdicts
-        )
-        raise CriteriaDisagree(f"classicality criteria disagree: {detail}")
-    return verdicts[1]
+    if all(f == verdict.classical for f in flags):
+        return verdict
+    verdicts = [_associator_verdict(s, L, C), verdict]
+    if len(flags) == 2:  # rho is in span(L)
+        verdicts.append(is_classical_center(s, L))
+    detail = ", ".join(
+        f"{v.criterion}={v.classical} (violation {v.max_violation:.3e})"
+        for v in verdicts
+    )
+    raise CriteriaDisagree(f"classicality criteria disagree: {detail}")

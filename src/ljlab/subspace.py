@@ -117,7 +117,8 @@ class RealSubspace:
     ``_memo`` sound: it holds closedness verdicts keyed by the product
     (``jordan``, ``lie``), the derived algebra by ``"derived"`` and, once
     the associator criterion has asked for it, the bracket table
-    (``_structure_constants``) by ``"structure"``.
+    (``_structure_constants``) by ``"structure"`` and the largest HS norm
+    of its rows by ``"structure_norm"``.
     """
 
     dim_ambient: int
@@ -163,7 +164,7 @@ class RealSubspace:
         return _rows(mats) @ self.rows.T
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        return np.tensordot(self.coeffs(m), self._stacked, axes=1)
+        return _combination(self.coeffs(m), self._stacked)
 
     def residual(self, m: np.ndarray) -> float:
         """Distance from m to the subspace in Hilbert-Schmidt norm."""
@@ -171,6 +172,16 @@ class RealSubspace:
 
     def contains(self, m: np.ndarray) -> bool:
         return self.residual(m) <= SPAN_RTOL * max(1.0, hs_norm(m))
+
+
+def _combination(c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """``sum_k c[k] stacked[k]`` for an (r, n, n) stack.
+
+    The one matrix product ``np.tensordot(c, stacked, axes=1)`` makes,
+    without its axis bookkeeping, so the result is the same bit for bit.
+    """
+    r, n, _ = stacked.shape
+    return np.dot(c.reshape(1, r), stacked.reshape(r, n * n)).reshape(n, n)
 
 
 def full_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -205,7 +216,7 @@ def _rows(mats: np.ndarray) -> np.ndarray:
     product, which for a Hermitian a is Re Tr(a b).
     """
     a = np.ascontiguousarray(mats, dtype=complex)
-    return a.reshape(*a.shape[:-2], -1).view(float)
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1]).view(float)
 
 
 #: ``_extend`` removes its kept rows from the unvisited candidates as one
@@ -520,33 +531,48 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     return best, arg if best > _DEFECT_FLOOR else None
 
 
+def _associator_norms(L: RealSubspace) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
+    """Blocks ``(norms, i, j, k)`` of Jordan associator norms, in row-major (i, j, k) order.
+
+    By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
+    only triples whose pair {i, k} is in the bracket table are formed: every
+    other one has norm at most half of ``_DEFECT_FLOOR``. Each first index's
+    (j, k) pairs come in blocks of at most ``_BLOCK``, so memory stays flat
+    in r.
+    """
+    e, r = L._stacked, L.dim_span
+    table = _structure_constants(L)
+    partners = np.zeros((r, r), dtype=bool)
+    partners[table.i, table.k] = partners[table.k, table.i] = True
+    for i in np.flatnonzero(partners.any(axis=1)):
+        ks = np.flatnonzero(partners[i])
+        eij = _products(e[i], e, jordan)  # eij[j] = e_i o e_j
+        j, q = np.divmod(np.arange(r * len(ks)), len(ks))
+        k = ks[q]
+        for s in range(0, len(j), _BLOCK):
+            a, b = j[s : s + _BLOCK], k[s : s + _BLOCK]
+            left = _products(eij[a], e[b], jordan)
+            right = _products(e[i], _products(e[a], e[b], jordan), jordan)
+            yield _opnorm(left - right), int(i), a, b
+
+
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
     """Largest Jordan associator norm over basis triples, with its indices.
 
     Ties go to the first triple in row-major (i, j, k) order. The triple is
     None when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)``
-    (the value is still returned), as in ``commutator_defect``. By the
-    Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``, only
-    triples whose pair {i, k} is in the bracket table are formed: every
-    other one has norm at most half the floor, so the value and the triple
-    are those of all r^3 triples whenever a triple is named, and 0.0 stands
-    for roundoff otherwise. Triples are batched one first index at a time.
+    (the value is still returned), as in ``commutator_defect``. Only triples
+    whose pair {i, k} is in the bracket table are formed (``_associator_norms``):
+    every other one has norm at most half the floor, so the value and the
+    triple are those of all r^3 triples whenever a triple is named, and 0.0
+    stands for roundoff otherwise. A later block takes over only with a
+    strictly larger norm.
     """
-    e, r = L._stacked, L.dim_span
-    table = _structure_constants(L)
-    if not len(table.i):  # a commuting algebra forms no triple
-        return 0.0, None
-    partners = np.zeros((r, r), dtype=bool)
-    partners[table.i, table.k] = partners[table.k, table.i] = True
-    ejk = _products(e[:, None], e[None], jordan)  # ejk[j, k] = e_j o e_k
     best, arg = 0.0, None
-    for i in np.flatnonzero(partners.any(axis=1)):
-        ks = np.flatnonzero(partners[i])
-        left = _products(ejk[i, :, None], e[None, ks], jordan)
-        norms = _opnorm(left - _products(e[i], ejk[:, ks], jordan))
-        j, k = np.unravel_index(int(np.argmax(norms)), norms.shape)
-        if norms[j, k] > best:
-            best, arg = float(norms[j, k]), (int(i), int(j), int(ks[k]))
+    for norms, i, j, k in _associator_norms(L):
+        q = int(np.argmax(norms))
+        if norms[q] > best:
+            best, arg = float(norms[q]), (i, int(j[q]), int(k[q]))
     return best, arg if best > _DEFECT_FLOOR else None
 
 
@@ -627,11 +653,14 @@ def is_commutative(L: RealSubspace) -> bool:
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:
-    """Whether the Jordan associator vanishes on L. Same closure requirements."""
+    """Whether the Jordan associator vanishes on L. Same closure requirements.
+
+    ``associator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
+    block of associator norms above the floor.
+    """
     require_closed(L, jordan)
     require_closed(L, lie)
-    defect, _ = associator_defect(L)
-    return defect <= _DEFECT_FLOOR
+    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _, _ in _associator_norms(L))
 
 
 def is_semisimple_lie(L: RealSubspace) -> bool:
@@ -779,7 +808,7 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
     for attempt in range(8):
         rng = np.random.default_rng(24251 + attempt)
         c = rng.standard_normal(r)
-        _, vec = np.linalg.eigh(np.tensordot(c, stacked, axes=1))
+        _, vec = np.linalg.eigh(_combination(c, stacked))
         rot = np.einsum("ak,iab,bl->ikl", vec.conj(), stacked, vec)
         diag = np.einsum("ikk->ik", rot).real
         off = np.abs(rot)
@@ -849,9 +878,9 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     best_s = 0.0
     for t in range(samples if r > 0 else 0):
         rng = np.random.default_rng(derive_seed(seed, t))
-        x = np.tensordot(rng.standard_normal(r), stacked, axes=1)
-        y = np.tensordot(rng.standard_normal(r), stacked, axes=1)
-        z = np.tensordot(rng.standard_normal(r), stacked, axes=1)
+        x = _combination(rng.standard_normal(r), stacked)
+        y = _combination(rng.standard_normal(r), stacked)
+        z = _combination(rng.standard_normal(r), stacked)
         a = x @ x
         b = y @ y
         lam = float(np.linalg.eigvalsh(jordan(a, b))[0])

@@ -4,14 +4,16 @@ Oracles here deliberately avoid the package's own span/closure machinery:
 ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
 the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
-loops, the pair kernel and the derived algebra from their index-form and
-re-spanning copies, witness searches from their own multistart and refinement loops, the
+loops, the blocked associator defect from its whole-stack form, the pair
+kernel and the derived algebra from their index-form and re-spanning copies,
+witness searches from their own multistart and refinement loops, the
 batched search driver from its one-step-at-a-time loop, the
 associator criterion from its Jordan-tensor einsum, the bracket tensor
 from its three-operand einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
-loop, the batched subspace helpers from their per-basis loops, and
-operator norms from ``np.linalg.norm(a, 2)``.
+loop, the batched subspace helpers from their per-basis loops,
+operator norms from ``np.linalg.norm(a, 2)``, and ``classify``'s
+disagreement report from the three public verdicts.
 """
 
 from __future__ import annotations
@@ -21,16 +23,21 @@ import math
 import numpy as np
 
 from ljlab import (
+    ClassicalityVerdict,
     DimensionMismatch,
     EmptyInput,
     IdentityReport,
     NotInSpan,
+    State,
     ValidationError,
     WitnessReport,
     associator,
     close_under,
     expect,
     full_hermitian_basis,
+    is_classical_associator,
+    is_classical_center,
+    is_classical_commutator,
     jordan,
     lie,
     span,
@@ -38,6 +45,7 @@ from ljlab import (
 from ljlab.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _opnorm,
     as_matrix,
     dagger,
     derive_seed,
@@ -46,7 +54,16 @@ from ljlab.linalg import (
     random_hermitian,
     same_dim,
 )
-from ljlab.subspace import _BLOCK, SPAN_RTOL, RealSubspace, _products, _rows, require_closed
+from ljlab.subspace import (
+    _BLOCK,
+    _DEFECT_FLOOR,
+    SPAN_RTOL,
+    RealSubspace,
+    _products,
+    _rows,
+    _structure_constants,
+    require_closed,
+)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -234,6 +251,30 @@ def loop_associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int]
                 if v > best:
                     best, arg = v, (i, j, k)
     return best, arg
+
+
+def stacked_associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
+    """``associator_defect`` as it was with the whole r^2 n^2 Jordan stack ``ejk``.
+
+    The reference for the blocked query, bit for bit: the same products
+    and norms, one first index at a time, read off the stack.
+    """
+    e, r = L._stacked, L.dim_span
+    table = _structure_constants(L)
+    if not len(table.i):
+        return 0.0, None
+    partners = np.zeros((r, r), dtype=bool)
+    partners[table.i, table.k] = partners[table.k, table.i] = True
+    ejk = _products(e[:, None], e[None], jordan)  # ejk[j, k] = e_j o e_k
+    best, arg = 0.0, None
+    for i in np.flatnonzero(partners.any(axis=1)):
+        ks = np.flatnonzero(partners[i])
+        left = _products(ejk[i, :, None], e[None, ks], jordan)
+        norms = _opnorm(left - _products(e[i], ejk[:, ks], jordan))
+        j, k = np.unravel_index(int(np.argmax(norms)), norms.shape)
+        if norms[j, k] > best:
+            best, arg = float(norms[j, k]), (int(i), int(j), int(ks[k]))
+    return best, arg if best > _DEFECT_FLOOR else None
 
 
 def loop_centralizer(
@@ -771,3 +812,34 @@ def loop_verify_checks(
                 }
             )
     return checks
+
+
+def _zero_tensor(s, L):
+    return np.zeros((L.dim_span, L.dim_span))
+
+
+def _no_derived(L):
+    return RealSubspace(L.dim_ambient, np.empty((0, 2 * L.dim_ambient**2)))
+
+
+#: Patches that make the criteria split on a random state of the full
+#: algebra: a zero bracket tensor C makes the associator and commutator
+#: criteria classical, an empty derived algebra the center criterion.
+DISAGREEMENTS = {
+    "zero-tensor": ("_bracket_expectations", _zero_tensor),
+    "no-derived": ("derived_algebra", _no_derived),
+}
+
+
+def disagreement_message(s: State, L: RealSubspace, patch: str) -> str:
+    """The CriteriaDisagree message the full verdicts give under a patch."""
+    va, vc, vz = (f(s, L) for f in (is_classical_associator, is_classical_commutator, is_classical_center))
+    if patch == "zero-tensor":
+        va = vc = ClassicalityVerdict(True, "", 0.0, None)
+    else:
+        vz = ClassicalityVerdict(True, "", 0.0, None)
+    detail = ", ".join(
+        f"{name}={v.classical} (violation {v.max_violation:.3e})"
+        for name, v in zip(("associator", "commutator", "center"), (va, vc, vz))
+    )
+    return f"classicality criteria disagree: {detail}"

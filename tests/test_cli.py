@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SX, SY, loop_verify_checks
-from ljlab import __version__, cli
+from helpers import DISAGREEMENTS, SX, SY, disagreement_message, loop_verify_checks
+from ljlab import __version__, cli, full_hermitian_space, random_state
+from ljlab import states as states_mod
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
 from ljlab.linalg import _TRIAL_CHUNK, DEFAULT_TOL, Tolerance
@@ -521,3 +522,14 @@ def test_cli_stdout_matches_its_recorded_sha256(command):
         pytest.skip("the recorded digests come from other BLAS/LAPACK kernels")
     code, out = _main_output(command.split())
     assert [code, hashlib.sha256(out.encode()).hexdigest()] == GOLDEN["commands"][command]
+
+
+@pytest.mark.parametrize("patch", DISAGREEMENTS)
+def test_classify_disagreement_exits_three_with_the_full_verdicts_message(tmp_path, monkeypatch, capsys, patch):
+    s = random_state(3, seed=5)
+    want = disagreement_message(s, full_hermitian_space(3), patch)
+    path = write_json(tmp_path / "s.json", matrix_to_json(s.rho))
+    monkeypatch.setattr(states_mod, *DISAGREEMENTS[patch])
+    assert main(["classify", "--in", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {want}\n"

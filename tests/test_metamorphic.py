@@ -3,7 +3,8 @@
 Unitary conjugation is an automorphism of both products, positive scaling
 of the generators does not change the spans they generate, and a pair of
 block-diagonal generators generates the direct sum of what its blocks
-generate. Verdicts and closure dimensions must respect all three, and
+generate. Verdicts and closure dimensions must respect all three, a
+block state on a direct sum of full blocks is classified block by block, and
 witness values must be unitarily invariant and homogeneous of the degree
 of their product. The tests are seeded parametrizations, so every case is
 reproducible.
@@ -16,6 +17,7 @@ import pytest
 
 from helpers import block_algebra, commutative_algebra, conjugated, random_unitary
 from ljlab import (
+    DEFAULT_TOL,
     State,
     associator_witness,
     classify,
@@ -157,6 +159,29 @@ def test_block_diagonal_pairs_close_to_the_direct_sum(sizes, seed):
     assert all(L.contains(m) for m in B.basis)
     for rho in _states(sum(sizes), seed):
         assert classify(State(rho), L).classical == classify(State(rho), B).classical
+
+
+def _block_states(n: int, seed: int) -> list[np.ndarray]:
+    return [np.ones((1, 1), dtype=complex)] if n == 1 else _states(n, seed)
+
+
+@pytest.mark.parametrize("p", (0.3, 0.5, 0.8))
+@pytest.mark.parametrize("sizes", ((1, 2), (2, 2), (3, 1), (2, 3)))
+def test_classify_on_a_direct_sum_is_decided_block_by_block(sizes, p):
+    """On L1 + L2 (full blocks) the state p rho1 + (1 - p) rho2 is classical
+    exactly when both blocks are, and its violation is the larger of the
+    blocks' violations, each scaled by its weight: brackets across the
+    blocks vanish, and within block 1 Tr(rho [e_i, e_j]) = p Tr(rho1 [e_i, e_j])."""
+    n1, n2 = sizes
+    L, L1, L2 = block_algebra(sizes), full_hermitian_space(n1), full_hermitian_space(n2)
+    for rho1 in _block_states(n1, seed=n1):
+        v1 = classify(State(rho1), L1)
+        for rho2 in _block_states(n2, seed=10 + n2):
+            v2 = classify(State(rho2), L2)
+            v = classify(State(_block_diag(p * rho1, (1.0 - p) * rho2)), L)
+            assert v.classical == (v1.classical and v2.classical)
+            want = max(p * v1.max_violation, (1.0 - p) * v2.max_violation)
+            assert v.max_violation == pytest.approx(want, rel=0, abs=DEFAULT_TOL.zero_tol)
 
 
 def _conj(u: np.ndarray, m: np.ndarray) -> np.ndarray:

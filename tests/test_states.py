@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
+    DISAGREEMENTS,
     SX,
     SZ,
     I2,
@@ -15,6 +17,7 @@ from helpers import (
     conjugated,
     dense_associator_expectations,
     dense_structure_constants,
+    disagreement_message,
     einsum_associator_values,
     einsum_bracket_expectations,
     random_unitary,
@@ -644,3 +647,93 @@ def test_classify_builds_the_bracket_tensor_once_per_state(monkeypatch):
             alone = is_classical_commutator(s, L)
             assert (verdict.classical, verdict.max_violation) == (alone.classical, alone.max_violation)
             assert is_classical_associator(s, L).classical == verdict.classical
+
+
+# ---------------------------------------------------------------- classify's flags vs the public criteria
+
+
+_FLAG_ALGEBRAS = (
+    [f"full:{n}" for n in range(2, 7)]
+    + ["block:21", "block:22", "block:31", "block:122"]
+    + ["comm:3", "comm:4"]
+    + [f"{kind}:{n}" for kind in ("lie", "jordan") for n in (3, 4)]
+    + ["rot:4"]
+)
+
+
+def _in_span_state(alg: RealSubspace, seed: int) -> State:
+    """x^2 / Tr(x^2) for a random x in the Jordan-closed alg: a full-rank state in its span."""
+    x = np.tensordot(np.random.default_rng(seed).standard_normal(alg.dim_span), alg._stacked, axes=1)
+    x2 = x @ x
+    return State(0.5 * (x2 + x2.conj().T) / np.trace(x2).real)
+
+
+def _near_mixed(sigma: State, t: float) -> State:
+    n = sigma.dim
+    return State((1.0 - t) * np.eye(n, dtype=complex) / n + t * sigma.rho)
+
+
+def _check_flags(monkeypatch, name: str) -> tuple[int, int, int]:
+    """Each flag against its public criterion, on the oracle states and on
+    rho_t = (1 - t) I / n + t sigma, whose values cross the threshold as t
+    runs over 1e-12..1e-4 and so land in the bands the bounds cannot settle.
+
+    Returns the spectral-norm calls the center flag made in its band, the
+    associator flags that fell back to the verdict, and the state count.
+    """
+    alg = _table_algebra(name)
+    n = alg.dim_ambient
+    states = [_table_state(name, n, kind) for kind in ("wishart", "pure", "block-scalar", "mixed")]
+    sigmas = [random_state(n, seed=n), _in_span_state(alg, seed=n)]
+    states += [_near_mixed(sigma, t) for sigma in sigmas for t in np.logspace(-12, -4, 17)]
+    calls: Counter[str] = Counter()
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    band = fallback = 0
+    with monkeypatch.context() as m:
+        for fn in ("_opnorm", "_associator_verdict"):
+            m.setattr(states_mod, fn, counted(fn, getattr(states_mod, fn)))
+        for s in states:
+            want = is_classical_associator(s, alg).classical
+            before = calls["_associator_verdict"]
+            assert states_mod._associator_flag(s, alg, _bracket_expectations(s, alg)) == want, name
+            fallback += calls["_associator_verdict"] - before
+            try:
+                want = is_classical_center(s, alg).classical
+            except NotInSpan:
+                with pytest.raises(NotInSpan):
+                    states_mod._center_flag(s, alg)
+                continue
+            before = calls["_opnorm"]
+            assert states_mod._center_flag(s, alg) == want, name
+            band += calls["_opnorm"] - before
+    return band, fallback, len(states)
+
+
+@pytest.mark.parametrize("name", _FLAG_ALGEBRAS)
+def test_each_flag_is_its_criterions_verdict(monkeypatch, name):
+    _check_flags(monkeypatch, name)
+
+
+def test_the_flag_oracle_reaches_both_fallbacks(monkeypatch):
+    """Both bands are reached, and they are thin: most flags settle from a bound."""
+    band, fallback, total = np.sum([_check_flags(monkeypatch, name) for name in _FLAG_ALGEBRAS], axis=0)
+    assert band > 0 and fallback > 0
+    assert band + fallback < total // 4
+
+
+@pytest.mark.parametrize("patch", DISAGREEMENTS)
+def test_a_disagreement_raises_the_full_verdicts_message(monkeypatch, patch):
+    L = full_hermitian_space(3)
+    s = random_state(3, seed=5)
+    want = disagreement_message(s, L, patch)
+    monkeypatch.setattr(states_mod, *DISAGREEMENTS[patch])
+    with pytest.raises(CriteriaDisagree) as exc:
+        classify(s, L)
+    assert str(exc.value) == want

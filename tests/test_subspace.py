@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from helpers import (
     loop_full_hermitian_basis,
     loop_reconstruct,
     random_unitary,
+    stacked_associator_defect,
     rank_of,
     respan_derived_algebra,
     vector_loop_centralizer,
@@ -61,6 +64,7 @@ from ljlab.products import associator
 from ljlab.states import classify, random_state
 from ljlab.linalg import DEFAULT_TOL, _opnorm, spectral_norm
 from ljlab.subspace import (
+    _DEFECT_FLOOR,
     SPAN_RTOL,
     FunctionRepresentation,
     RealSubspace,
@@ -576,6 +580,71 @@ def test_commuting_algebra_forms_no_jordan_triple(monkeypatch, n):
     assert associator_defect(alg) == (0.0, None)
     assert jordan not in formed and lie in formed  # the table's brackets only
     assert is_jordan_associative(alg)
+
+
+def _defect_algebras(kind: str, n: int) -> list[RealSubspace]:
+    if kind == "full":
+        return [full_hermitian_space(n)]
+    if kind == "block":
+        return [block_algebra(sizes) for sizes in ((2, 1), (2, 2), (1, 2, 3))]
+    return _generated_closures(n)
+
+
+@pytest.mark.parametrize("block", [7, 512])
+@pytest.mark.parametrize(
+    "kind, n", [("full", n) for n in range(1, 7)] + [("block", 0)] + [("closures", n) for n in (3, 4)]
+)
+def test_associator_defect_is_the_whole_stack_formula_bit_for_bit(monkeypatch, kind, n, block):
+    """Blocks of 7 pairs split each first index's (j, k) pairs, so ties at
+    the maximum (the full algebra has many) span block boundaries."""
+    monkeypatch.setattr(subspace_mod, "_BLOCK", block)
+    for alg in _defect_algebras(kind, n):
+        value, triple = associator_defect(alg)
+        want_value, want_triple = stacked_associator_defect(alg)
+        assert (value.hex(), triple) == (want_value.hex(), want_triple)
+        if is_closed_under(alg, jordan):  # su(n) is not
+            assert is_jordan_associative(alg) == (want_value <= _DEFECT_FLOOR)
+
+
+def test_is_jordan_associative_stops_at_the_first_block_above_the_floor(monkeypatch):
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return _opnorm(x)
+
+    monkeypatch.setattr(subspace_mod, "_opnorm", counted)
+    assert not is_jordan_associative(full_hermitian_space(6))
+    assert calls[0] == 1
+    calls[0] = 0
+    associator_defect(full_hermitian_space(6))
+    assert calls[0] > 1
+
+
+def test_associator_defect_forms_no_r2_n2_jordan_stack():
+    """The whole-stack form peaked at about 47 MB here; its stack alone is
+    r^2 n^2 complex entries (16 MB at n = 10)."""
+    alg = full_hermitian_space(10)
+    subspace_mod._stored_structure_constants(alg)  # the table is not what is measured
+    tracemalloc.start()
+    try:
+        associator_defect(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_basis_combination_is_tensordot_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    algs = [full_hermitian_space(n) for n in range(1, 6)]
+    algs += [span([random_hermitian(n, rng) for _ in range(k)]) for n, k in ((2, 3), (4, 5), (6, 9))]
+    algs.append(conjugated(full_hermitian_space(3), random_unitary(3, rng)))
+    for alg in algs:
+        c = rng.standard_normal(alg.dim_span)
+        got = subspace_mod._combination(c, alg._stacked)
+        assert got.tobytes() == np.tensordot(c, alg._stacked, axes=1).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
