@@ -5,9 +5,11 @@ Five subcommands: ``verify`` (identity checks on random observables),
 ``generate`` (two- and three-element generation experiments), and ``repr``
 (function representation of a commuting subalgebra). Every command prints a
 JSON report with sorted keys to stdout, so identical invocations produce
-byte-identical output; timing goes to stderr only. Exit codes: 0 success,
-1 a check or search failed, 2 validation or config error, 3 classicality
-criteria disagreement.
+byte-identical output; timing goes to stderr only. ``main`` builds every
+report from five keys: ``command``, ``version``, ``config`` (``echo``), and
+the ``checks`` and ``summary`` that the command's ``cmd_*`` returns. Exit
+codes: 0 success, 1 a check or search failed, 2 validation or config error,
+3 classicality criteria disagreement.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -60,6 +62,7 @@ from .products import (
 )
 from .states import State, classify
 from .subspace import (
+    RealSubspace,
     full_hermitian_space,
     function_representation,
     jordan_generate_three,
@@ -68,9 +71,12 @@ from .subspace import (
 )
 from .witness import associator_witness_search, avr_witness_search
 
-__all__ = ["SessionConfig", "Report", "build_parser", "main"]
+__all__ = ["SessionConfig", "build_parser", "main"]
 
 SWEEP_DIMS = (2, 3, 4, 5, 6)
+
+#: What a ``cmd_*`` returns: the report's checks and summary, and whether it passed.
+Outcome = tuple[list[dict[str, Any]], dict[str, Any], bool]
 
 
 @dataclass(frozen=True)
@@ -101,25 +107,6 @@ class SessionConfig:
             "mode": self.mode,
             "in": self.in_path,
             "algebra": self.algebra_path,
-        }
-
-
-@dataclass
-class Report:
-    """JSON-serializable command outcome; no timing fields by design."""
-
-    command: str
-    config: dict[str, Any]
-    checks: list[dict[str, Any]] = field(default_factory=list)
-    summary: dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "version": __version__,
-            "config": self.config,
-            "checks": self.checks,
-            "summary": self.summary,
         }
 
 
@@ -195,6 +182,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> SessionConfig:
+    """The flags as a SessionConfig; a flag the command lacks keeps its field default."""
     seed = getattr(args, "seed", None)
     if seed is None:
         env = os.environ.get("LJLAB_SEED")
@@ -216,29 +204,13 @@ def _config_from_args(args: argparse.Namespace) -> SessionConfig:
         except ValueError as exc:
             raise ValidationError(f"tol must be positive and finite, got {tol_arg}") from exc
 
-    dim = getattr(args, "dim", None)
-    if dim is not None and dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    trials = getattr(args, "trials", 1000)
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    budget = getattr(args, "budget", 1000)
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-
-    return SessionConfig(
-        command=args.command,
-        dim=dim,
-        trials=trials,
-        seed=seed,
-        budget=budget,
-        tol=tol,
-        kind=getattr(args, "kind", None),
-        mode=getattr(args, "mode", None),
-        in_path=getattr(args, "in_path", None),
-        algebra_path=getattr(args, "algebra_path", None),
-        out=getattr(args, "out", None),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(SessionConfig) if hasattr(args, f.name)}
+    cfg = SessionConfig(**{**given, "seed": seed, "tol": tol})
+    for name in ("dim", "trials", "budget"):
+        value = getattr(cfg, name)
+        if value is not None and value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
+    return cfg
 
 
 #: Identities in report order: name, defect-and-scale function of the
@@ -252,7 +224,7 @@ _IDENTITIES: tuple[tuple[str, Callable[..., tuple[np.ndarray, np.ndarray]], int]
 )
 
 
-def cmd_verify(cfg: SessionConfig) -> tuple[Report, bool]:
+def cmd_verify(cfg: SessionConfig) -> Outcome:
     dims = (cfg.dim,) if cfg.dim is not None else SWEEP_DIMS
     checks: list[dict[str, Any]] = []
     for d, n in enumerate(dims):
@@ -273,26 +245,26 @@ def cmd_verify(cfg: SessionConfig) -> tuple[Report, bool]:
             for i, (name, _, _) in enumerate(_IDENTITIES)
         ]
     all_passed = all(c["passed"] for c in checks)
-    report = Report(
-        command="verify",
-        config=cfg.echo(),
-        checks=checks,
-        summary={
-            "dims": list(dims),
-            "trials_per_dim": cfg.trials,
-            "checks_total": len(checks),
-            "checks_passed": sum(1 for c in checks if c["passed"]),
-            "all_passed": all_passed,
-        },
-    )
-    return report, all_passed
+    summary = {
+        "dims": list(dims),
+        "trials_per_dim": cfg.trials,
+        "checks_total": len(checks),
+        "checks_passed": sum(1 for c in checks if c["passed"]),
+        "all_passed": all_passed,
+    }
+    return checks, summary, all_passed
 
 
-def cmd_classify(cfg: SessionConfig) -> tuple[Report, bool]:
+def _load_algebra(path: str) -> RealSubspace:
+    """The span of the matrices in a subspace JSON file."""
+    _, mats = subspace_from_json(load_json_file(path))
+    return span(mats)
+
+
+def cmd_classify(cfg: SessionConfig) -> Outcome:
     state = State(matrix_from_json(load_json_file(cfg.in_path)))
     if cfg.algebra_path is not None:
-        _, mats = subspace_from_json(load_json_file(cfg.algebra_path))
-        algebra = span(mats)
+        algebra = _load_algebra(cfg.algebra_path)
     else:
         algebra = full_hermitian_space(state.dim)
     try:
@@ -313,67 +285,63 @@ def cmd_classify(cfg: SessionConfig) -> tuple[Report, bool]:
             "passed": True,
         }
     ]
-    report = Report(
-        command="classify",
-        config=cfg.echo(),
-        checks=checks,
-        summary={
-            "classical": verdict.classical,
-            "criterion": verdict.criterion,
-            "max_violation": verdict.max_violation,
-            "certificate": cert,
-            "algebra_dim": algebra.dim_span,
-        },
-    )
-    return report, True
+    summary = {
+        "classical": verdict.classical,
+        "criterion": verdict.criterion,
+        "max_violation": verdict.max_violation,
+        "certificate": cert,
+        "algebra_dim": algebra.dim_span,
+    }
+    return checks, summary, True
 
 
-def cmd_witness(cfg: SessionConfig) -> tuple[Report, bool]:
+def cmd_witness(cfg: SessionConfig) -> Outcome:
     n = cfg.dim
     search = avr_witness_search if cfg.kind == "avr" else associator_witness_search
     rep = search(n, cfg.seed, cfg.budget, cfg.tol)
-    report = Report(
-        command="witness",
-        config=cfg.echo(),
-        checks=[
-            {
-                "name": f"witness-{rep.kind}",
-                "dim": n,
-                "violation": rep.violation,
-                "passed": rep.found or n == 1,
-            }
-        ],
-        summary={
-            "kind": rep.kind,
-            "found": rep.found,
-            "violation": rep.violation,
-            "witness": None if rep.witness is None else matrix_to_json(rep.witness),
-            "inputs": [matrix_to_json(m) for m in rep.inputs],
-        },
-    )
-    return report, rep.found or n == 1
+    ok = rep.found or n == 1
+    checks = [{"name": f"witness-{rep.kind}", "dim": n, "violation": rep.violation, "passed": ok}]
+    summary = {
+        "kind": rep.kind,
+        "found": rep.found,
+        "violation": rep.violation,
+        "witness": None if rep.witness is None else matrix_to_json(rep.witness),
+        "inputs": [matrix_to_json(m) for m in rep.inputs],
+    }
+    return checks, summary, ok
 
 
-def cmd_generate(cfg: SessionConfig) -> tuple[Report, bool]:
-    n = cfg.dim
+def cmd_generate(cfg: SessionConfig) -> Outcome:
+    """Generation from fixed or random pairs; a failed random pair is retried once.
+
+    Random pair t is ``draw(2t)`` and its one retry ``draw(0x10000 + 2t)``;
+    a fixed ``--in`` pair is never retried.
+    """
     runner = lie_generate if cfg.mode == "lie2" else jordan_generate_three
-    results: list[dict[str, Any]] = []
 
-    def run_pair(a: np.ndarray, b: np.ndarray, label: str, allow_retry: bool, t: int):
+    def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Generators from seeds ``derive_seed(seed, k)`` and ``k + 1``; traceless for lie2."""
+        a, b = (random_hermitian(cfg.dim, derive_seed(cfg.seed, k + i)) for i in (0, 1))
+        return (traceless(a), traceless(b)) if cfg.mode == "lie2" else (a, b)
+
+    if cfg.in_path is not None:
+        obj = load_json_file(cfg.in_path)
+        if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
+            raise ValidationError("generator pair file needs keys 'a' and 'b'")
+        pairs = [("pair-fixed", (matrix_from_json(obj["a"]), matrix_from_json(obj["b"])), None)]
+    else:
+        pairs = ((f"pair-{t}", draw(2 * t), 0x10000 + 2 * t) for t in range(cfg.trials))
+
+    checks: list[dict[str, Any]] = []
+    for label, (a, b), retry in pairs:
         rep = runner(a, b)
-        retried = False
-        if not rep.generated and allow_retry:
-            retried = True
-            sa = derive_seed(cfg.seed, 0x10000 + 2 * t)
-            sb = derive_seed(cfg.seed, 0x10000 + 2 * t + 1)
-            a2, b2 = random_hermitian(n, sa), random_hermitian(n, sb)
-            if cfg.mode == "lie2":
-                a2, b2 = traceless(a2), traceless(b2)
-            rep = runner(a2, b2)
-        results.append(
+        retried = not rep.generated and retry is not None
+        if retried:
+            rep = runner(*draw(retry))
+        checks.append(
             {
                 "name": label,
-                "dim": n,
+                "dim": a.shape[0],
                 "closure_dim": rep.closure_dim,
                 "target_dim": rep.target_dim,
                 "rounds": rep.rounds,
@@ -382,75 +350,34 @@ def cmd_generate(cfg: SessionConfig) -> tuple[Report, bool]:
                 "passed": rep.generated,
             }
         )
-
-    if cfg.in_path is not None:
-        obj = load_json_file(cfg.in_path)
-        if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
-            raise ValidationError("generator pair file needs keys 'a' and 'b'")
-        a = matrix_from_json(obj["a"])
-        b = matrix_from_json(obj["b"])
-        n = a.shape[0]
-        run_pair(a, b, "pair-fixed", allow_retry=False, t=0)
-    else:
-        for t in range(cfg.trials):
-            a = random_hermitian(n, derive_seed(cfg.seed, 2 * t))
-            b = random_hermitian(n, derive_seed(cfg.seed, 2 * t + 1))
-            if cfg.mode == "lie2":
-                a, b = traceless(a), traceless(b)
-            run_pair(a, b, f"pair-{t}", allow_retry=True, t=t)
-
-    all_generated = all(r["passed"] for r in results)
-    report = Report(
-        command="generate",
-        config=cfg.echo(),
-        checks=results,
-        summary={
-            "mode": cfg.mode,
-            "pairs": len(results),
-            "generated": sum(1 for r in results if r["passed"]),
-            "all_generated": all_generated,
-        },
-    )
-    return report, all_generated
+    all_generated = all(c["passed"] for c in checks)
+    summary = {
+        "mode": cfg.mode,
+        "pairs": len(checks),
+        "generated": sum(1 for c in checks if c["passed"]),
+        "all_generated": all_generated,
+    }
+    return checks, summary, all_generated
 
 
-def cmd_repr(cfg: SessionConfig) -> tuple[Report, bool]:
-    _, mats = subspace_from_json(load_json_file(cfg.algebra_path))
-    algebra = span(mats)
-    base = Report(command="repr", config=cfg.echo())
+def cmd_repr(cfg: SessionConfig) -> Outcome:
+    algebra = _load_algebra(cfg.algebra_path)
     try:
         fr = function_representation(algebra)
     except (NotClosed, NotAssociative) as exc:
-        base.checks = [
-            {
-                "name": "function-representation",
-                "dim": algebra.dim_ambient,
-                "passed": False,
-            }
-        ]
-        base.summary = {
-            "error": type(exc).__name__,
-            "detail": str(exc),
-            "algebra_dim": algebra.dim_span,
+        summary: dict[str, Any] = {"error": type(exc).__name__, "detail": str(exc)}
+    else:
+        summary = {
+            "num_points": fr.num_points,
+            "points": fr.points.tolist(),
+            "projectors": [matrix_to_json(p) for p in fr.projectors],
         }
-        return base, False
-    base.checks = [
-        {
-            "name": "function-representation",
-            "dim": algebra.dim_ambient,
-            "passed": True,
-        }
-    ]
-    base.summary = {
-        "algebra_dim": algebra.dim_span,
-        "num_points": fr.num_points,
-        "points": fr.points.tolist(),
-        "projectors": [matrix_to_json(p) for p in fr.projectors],
-    }
-    return base, True
+    ok = "error" not in summary
+    summary["algebra_dim"] = algebra.dim_span
+    return [{"name": "function-representation", "dim": algebra.dim_ambient, "passed": ok}], summary, ok
 
 
-_COMMANDS: dict[str, Callable[[SessionConfig], tuple[Report, bool]]] = {
+_COMMANDS: dict[str, Callable[[SessionConfig], Outcome]] = {
     "verify": cmd_verify,
     "classify": cmd_classify,
     "witness": cmd_witness,
@@ -464,8 +391,16 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         cfg = _config_from_args(args)
-        report, ok = _COMMANDS[args.command](cfg)
-        text = dumps_report(report.to_json())
+        checks, summary, ok = _COMMANDS[cfg.command](cfg)
+        text = dumps_report(
+            {
+                "command": cfg.command,
+                "version": __version__,
+                "config": cfg.echo(),
+                "checks": checks,
+                "summary": summary,
+            }
+        )
         if cfg.out is not None:
             # written before stdout, so a failed write leaves no partial report
             try:

@@ -112,9 +112,11 @@ class RealSubspace:
     its real and imaginary parts interleaved (``_rows``); ``dim_span`` r may
     be zero. The constructor keeps a read-only C-contiguous copy. It raises
     DimensionMismatch for any other row length, and ValidationError for
-    complex rows, whose imaginary parts a float copy would drop. ``_stacked``
-    (r, n, n) and ``basis`` are views of the copy. Immutability makes
-    ``_memo`` sound: it holds closedness verdicts keyed by the product
+    complex rows, whose imaginary parts a float copy would drop, and for
+    NaN or infinite entries, which the closedness and classicality tests
+    would misjudge without a word. ``_stacked`` (r, n, n) and ``basis`` are
+    views of the copy. Immutability makes ``_memo`` sound: it holds
+    closedness verdicts keyed by the product
     (``jordan``, ``lie``), the derived algebra by ``"derived"`` and, once
     the associator criterion has asked for it, the bracket table
     (``_structure_constants``) by ``"structure"`` and the largest HS norm
@@ -135,6 +137,8 @@ class RealSubspace:
         if np.iscomplexobj(self.rows):
             raise ValidationError("rows must be real, with each matrix's Re and Im interleaved")
         rows = np.array(self.rows, dtype=float, order="C")
+        if not np.isfinite(rows).all():
+            raise ValidationError("rows contain NaN or infinite entries")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
 
@@ -150,14 +154,18 @@ class RealSubspace:
     def basis(self) -> tuple[np.ndarray, ...]:
         return tuple(self._stacked)
 
-    def coeffs(self, m: np.ndarray) -> np.ndarray:
-        """Real coordinates of m against the basis (its projection's coordinates)."""
+    def _row(self, m: np.ndarray) -> np.ndarray:
+        """The real row (2n^2,) of one ambient matrix; DimensionMismatch for any other."""
         a = as_matrix(m)
         if a.shape[0] != self.dim_ambient:
             raise DimensionMismatch(
                 f"matrix dim {a.shape[0]} does not match ambient dim {self.dim_ambient}"
             )
-        return self._coords(a)
+        return _rows(a)
+
+    def coeffs(self, m: np.ndarray) -> np.ndarray:
+        """Real coordinates of m against the basis (its projection's coordinates)."""
+        return self._row(m) @ self.rows.T
 
     def _coords(self, mats: np.ndarray) -> np.ndarray:
         """``coeffs`` of every matrix in a (..., n, n) stack, as (..., r)."""
@@ -166,12 +174,17 @@ class RealSubspace:
     def project(self, m: np.ndarray) -> np.ndarray:
         return _combination(self.coeffs(m), self._stacked)
 
+    def _distance(self, row: np.ndarray) -> float:
+        d = row - (row @ self.rows.T) @ self.rows
+        return math.sqrt(d @ d)
+
     def residual(self, m: np.ndarray) -> float:
         """Distance from m to the subspace in Hilbert-Schmidt norm."""
-        return hs_norm(as_matrix(m) - self.project(m))
+        return self._distance(self._row(m))
 
     def contains(self, m: np.ndarray) -> bool:
-        return self.residual(m) <= SPAN_RTOL * max(1.0, hs_norm(m))
+        row = self._row(m)
+        return self._distance(row) <= SPAN_RTOL * max(1.0, math.sqrt(row @ row))
 
 
 def _combination(c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -695,6 +708,20 @@ def _is_traceless(m: np.ndarray) -> bool:
     return abs(complex(np.trace(m))) <= DEFAULT_TOL.threshold(hs_norm(m) * math.sqrt(n))
 
 
+def _generation_report(seeds: list[np.ndarray], product: Product, target: int) -> GenerationReport:
+    """Close span(seeds) under product; the generators are the first two seeds."""
+    closed, rounds, trajectory = _close_rounds(span(seeds), product)
+    return GenerationReport(
+        generators=tuple(seeds[:2]),
+        closure_dim=closed.dim_span,
+        target_dim=target,
+        generated=closed.dim_span == target,
+        rounds=rounds,
+        trajectory=tuple(trajectory),
+        closure=closed,
+    )
+
+
 def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     """Bracket closure of span{a, b}.
 
@@ -706,17 +733,8 @@ def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
-    closed, rounds, trajectory = _close_rounds(span([x, y]), lie)
     target = n * n - 1 if (_is_traceless(x) and _is_traceless(y)) else n * n
-    return GenerationReport(
-        generators=(x, y),
-        closure_dim=closed.dim_span,
-        target_dim=target,
-        generated=closed.dim_span == target,
-        rounds=rounds,
-        trajectory=tuple(trajectory),
-        closure=closed,
-    )
+    return _generation_report([x, y], lie, target)
 
 
 def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
@@ -724,17 +742,7 @@ def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
-    seeds = [x, y, lie(x, y), np.eye(n, dtype=complex)]
-    closed, rounds, trajectory = _close_rounds(span(seeds), jordan)
-    return GenerationReport(
-        generators=(x, y),
-        closure_dim=closed.dim_span,
-        target_dim=n * n,
-        generated=closed.dim_span == n * n,
-        rounds=rounds,
-        trajectory=tuple(trajectory),
-        closure=closed,
-    )
+    return _generation_report([x, y, lie(x, y), np.eye(n, dtype=complex)], jordan, n * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -865,8 +873,11 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
 
     Candidates are squares x @ x of random basis combinations, so they are
     PSD and stay inside the subspace. Associative subalgebras produce no
-    violations; the full Hermitian algebra produces both kinds.
+    violations; the full Hermitian algebra produces both kinds. Raises
+    ValidationError for ``samples < 0``.
     """
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
     require_closed(L, jordan)
     r = L.dim_span
     stacked = L._stacked

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 
 from helpers import DISAGREEMENTS, SX, SY, disagreement_message, loop_verify_checks
-from ljlab import __version__, cli, full_hermitian_space, random_state
+from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, random_state
 from ljlab import states as states_mod
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
-from ljlab.linalg import _TRIAL_CHUNK, DEFAULT_TOL, Tolerance
+from ljlab.linalg import _TRIAL_CHUNK, DEFAULT_TOL, Tolerance, derive_seed, random_hermitian, traceless
 
 
 def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -84,9 +85,9 @@ def test_verify_report_equals_per_trial_loop_bit_for_bit(dim, tol):
     for trials in (1, 2, 25):
         for seed in (0, 7, 2**40 + 3):
             cfg = SessionConfig(command="verify", dim=dim, trials=trials, seed=seed, tol=tol)
-            report, all_passed = cmd_verify(cfg)
+            checks, _, all_passed = cmd_verify(cfg)
             ref = loop_verify_checks(dims, trials, seed, tol)
-            assert _fields(report.checks) == _fields(ref), (trials, seed)
+            assert _fields(checks) == _fields(ref), (trials, seed)
             assert all_passed == all(c["passed"] for c in ref)
             failed += sum(not c["passed"] for c in ref)
     if tol.zero_tol < 1e-17 and dim != 1:
@@ -103,9 +104,9 @@ def test_verify_across_a_trial_chunk_boundary_equals_per_trial_loop_bit_for_bit(
     # across them; at 1e-16 some identities fail in the first chunk only
     trials = _TRIAL_CHUNK + 3
     cfg = SessionConfig(command="verify", dim=2, trials=trials, seed=5, tol=tol)
-    report, all_passed = cmd_verify(cfg)
+    checks, _, all_passed = cmd_verify(cfg)
     ref = loop_verify_checks((2,), trials, 5, tol)
-    assert _fields(report.checks) == _fields(ref)
+    assert _fields(checks) == _fields(ref)
     assert all_passed == all(c["passed"] for c in ref)
 
 
@@ -316,6 +317,52 @@ def test_generate_random_pairs():
         assert chk["trajectory"][-1] == 8
 
 
+def _failing_runner(monkeypatch, mode: str, fails) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Replace ``mode``'s runner in ``cli`` by one whose k-th call (from 1) fails when ``fails(k)``.
+
+    Returns the list of generator pairs the runner is called with.
+    """
+    name = "lie_generate" if mode == "lie2" else "jordan_generate_three"
+    real = getattr(cli, name)
+    seen: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def runner(a, b):
+        seen.append((a, b))
+        rep = real(a, b)
+        return dataclasses.replace(rep, generated=False) if fails(len(seen)) else rep
+
+    monkeypatch.setattr(cli, name, runner)
+    return seen
+
+
+@pytest.mark.parametrize("retry_fails", [False, True], ids=["retry-passes", "retry-fails"])
+@pytest.mark.parametrize("mode", ["lie2", "jordan3"])
+def test_generate_retries_a_failed_random_pair_once_with_its_own_seeds(monkeypatch, fresh_parser, mode, retry_fails):
+    seen = _failing_runner(monkeypatch, mode, lambda k: k % 2 == 1 or retry_fails)
+    n, seed, trials = 3, 11, 2
+    code, out = _main_output(["generate", "--mode", mode, "--dim", str(n), "--trials", str(trials), "--seed", str(seed)])
+    assert code == (1 if retry_fails else 0)
+    rep = json.loads(out)
+    assert [c["retried"] for c in rep["checks"]] == [True] * trials
+    assert [c["passed"] for c in rep["checks"]] == [not retry_fails] * trials
+    assert rep["summary"]["all_generated"] is not retry_fails
+    assert len(seen) == 2 * trials
+    prep = traceless if mode == "lie2" else (lambda m: m)
+    for t in range(trials):
+        for k, base in ((2 * t, 2 * t), (2 * t + 1, 0x10000 + 2 * t)):
+            a, b = seen[k]
+            np.testing.assert_array_equal(a, prep(random_hermitian(n, derive_seed(seed, base))))
+            np.testing.assert_array_equal(b, prep(random_hermitian(n, derive_seed(seed, base + 1))))
+
+
+def test_generate_does_not_retry_a_fixed_pair(tmp_path, monkeypatch, fresh_parser):
+    seen = _failing_runner(monkeypatch, "lie2", lambda k: True)
+    path = write_json(tmp_path / "pair.json", {"a": matrix_to_json(SX), "b": matrix_to_json(SY)})
+    code, out = _main_output(["generate", "--mode", "lie2", "--in", path])
+    assert code == 1 and len(seen) == 1
+    assert json.loads(out)["checks"][0]["retried"] is False
+
+
 # ---------------------------------------------------------------- repr
 
 
@@ -516,8 +563,47 @@ def kernel_digest() -> str:
     return h.hexdigest()
 
 
+def _block3() -> list[np.ndarray]:
+    """Basis of the closed algebra ``herm(2) + R`` inside the 3x3 Hermitian matrices."""
+    mats = [np.pad(m, ((0, 1), (0, 1))) for m in full_hermitian_basis(2)]
+    return mats + [np.diag([0.0, 0.0, 1.0]).astype(complex)]
+
+
+def golden_inputs() -> dict[str, dict]:
+    """Input files of the golden commands, by name; their contents are literals."""
+    rho3 = np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.3, 0.05], [0.0, 0.05, 0.2]])
+    gen_a = np.array([[1.0, 0.5, 0.0], [0.5, -1.0, 0.25j], [0.0, -0.25j, 0.0]])
+    gen_b = np.array([[0.0, 1.0, 0.5], [1.0, 0.5, 0.0], [0.5, 0.0, -0.5]])
+    return {
+        "mixed2.json": mixed_state_payload(2),
+        "mixed3.json": mixed_state_payload(3),
+        "pure2.json": matrix_to_json(np.diag([1.0, 0.0])),
+        "pure3.json": matrix_to_json(np.diag([1.0, 0.0, 0.0])),
+        "rho3.json": matrix_to_json(rho3),
+        "diag3.json": diag_algebra_payload(3),
+        "full2.json": subspace_to_json(2, full_hermitian_basis(2)),
+        "block3.json": subspace_to_json(3, _block3()),
+        "pair-generating.json": {"a": matrix_to_json(gen_a), "b": matrix_to_json(gen_b)},
+        "pair-commuting.json": {
+            "a": matrix_to_json(np.diag([1.0, 2.0, 0.0])),
+            "b": matrix_to_json(np.diag([3.0, 4.0, 1.0])),
+        },
+    }
+
+
+@pytest.fixture
+def in_golden_dir(tmp_path, monkeypatch):
+    """Run in a directory that holds ``golden_inputs()`` under their names.
+
+    ``config`` echoes the input paths, so the commands name them relatively.
+    """
+    for name, payload in golden_inputs().items():
+        write_json(tmp_path / name, payload)
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN["commands"]))
-def test_cli_stdout_matches_its_recorded_sha256(command):
+def test_cli_stdout_matches_its_recorded_sha256(command, in_golden_dir):
     if kernel_digest() != GOLDEN["kernels"]:
         pytest.skip("the recorded digests come from other BLAS/LAPACK kernels")
     code, out = _main_output(command.split())

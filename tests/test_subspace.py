@@ -881,6 +881,13 @@ def test_positivity_closure_requires_jordan_closure():
         check_positivity_closure(span([SX]), samples=10, seed=0)
 
 
+@pytest.mark.parametrize("samples", [-1, -3])
+def test_positivity_closure_rejects_negative_samples(samples):
+    with pytest.raises(ValidationError, match="samples must be >= 0"):
+        check_positivity_closure(full_hermitian_space(2), samples=samples, seed=0)
+    assert check_positivity_closure(full_hermitian_space(2), samples=0, seed=0).samples == 0
+
+
 def test_positivity_report_on_zero_subspace():
     z = RealSubspace(dim_ambient=2, rows=np.empty((0, 8)))
     rep = check_positivity_closure(z, samples=10, seed=0)
@@ -1077,6 +1084,16 @@ def test_complex_rows_raise_rather_than_lose_their_imaginary_parts():
         RealSubspace(dim_ambient=2, rows=rows.astype(complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_raise(bad):
+    # a NaN row once sat at the dimension bound, so closedness and the
+    # classicality criteria answered without a product or with a NaN
+    rows = full_hermitian_space(2).rows.copy()
+    rows[1, 3] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        RealSubspace(dim_ambient=2, rows=rows)
+
+
 def test_rows_are_copied_once_and_read_only():
     want = full_hermitian_space(3).rows
     given = want.copy()
@@ -1117,6 +1134,30 @@ def test_empty_rows_give_the_zero_subspace():
     assert z.coeffs(np.eye(3)).shape == (0,)
     assert z.contains(np.zeros((3, 3))) and not z.contains(np.eye(3))
     assert close_under(z, jordan).dim_span == 0
+
+
+@pytest.mark.parametrize("name", ["full3", "comm4", "block21", "sx"])
+def test_residual_and_contains_agree_with_the_projection(name):
+    L = {
+        "full3": lambda: full_hermitian_space(3),
+        "comm4": lambda: commutative_algebra(4, seed=5),
+        "block21": block_2_1_algebra,
+        "sx": lambda: span([SX]),
+    }[name]()
+    n = L.dim_ambient
+    rng = np.random.default_rng(3)
+    for k in range(20):
+        inside = sum(c * e for c, e in zip(rng.standard_normal(L.dim_span), L.basis))
+        scale = 10.0 ** rng.integers(-3, 4)
+        # at an off-span offset of eps * max(1, ||m||) the verdict flips at SPAN_RTOL
+        eps = [0.0, 1e-12, 1e-6, 1.0][k % 4]
+        m = scale * (inside + eps * random_hermitian(n, k))
+        res = float(np.linalg.norm(m - L.project(m)))
+        assert L.residual(m) == pytest.approx(res, rel=1e-9, abs=1e-14 * max(1.0, scale))
+        assert L.contains(m) == (res <= SPAN_RTOL * max(1.0, float(np.linalg.norm(m))))
+    for method in (L.residual, L.contains, L.coeffs):
+        with pytest.raises(DimensionMismatch):
+            method(np.eye(n + 1))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
