@@ -78,12 +78,7 @@ def lie(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def associator(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Jordan associator (a o b) o c - a o (b o c)."""
-    return _associate(a, jordan(a, b), jordan(b, c), c)
-
-
-def _associate(a, ab, bc, c):
-    """The associator of (a, b, c) from its pair products ab = a o b and bc = b o c."""
-    return jordan(ab, c) - jordan(a, bc)
+    return jordan(jordan(a, b), c) - jordan(a, jordan(b, c))
 
 
 def recover_associative(a: np.ndarray, b: np.ndarray) -> np.ndarray:

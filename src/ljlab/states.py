@@ -39,11 +39,12 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _opnorm, as_matrix, random_density
-from .products import associator, jordan, lie
+from .products import jordan, lie
 from .subspace import (
     _BLOCK,
     RealSubspace,
     _BracketTable,
+    _products,
     _rows,
     _stored_structure_constants,
     derived_algebra,
@@ -84,6 +85,8 @@ class State:
             a = as_matrix(self.rho)
         except DimensionMismatch as exc:
             raise ValidationError(str(exc)) from exc
+        if not a.size:
+            raise ValidationError("a state needs dimension >= 1, got a 0 x 0 matrix")
         a = a.copy()
         if not np.isfinite(a).all():
             raise ValidationError("state entries must be finite")
@@ -142,9 +145,7 @@ def _check_dims(s: State, L: RealSubspace) -> None:
 def _verdict(criterion: str, vals: np.ndarray, basis: tuple[np.ndarray, ...]) -> ClassicalityVerdict:
     """The verdict on an array of values, at its first row-major maximum."""
     if vals.size == 0:
-        return ClassicalityVerdict(
-            classical=True, criterion=criterion, max_violation=0.0, certificate=None
-        )
+        return _ruling(criterion, 0.0, (), 0.0, basis)
     flat = np.abs(vals).ravel()
     arg = int(np.argmax(flat))
     idx = np.unravel_index(arg, vals.shape)
@@ -162,23 +163,9 @@ def _ruling(
 
     Classical when the largest |value| is at most ``CLASSICALITY_RTOL``.
     """
-    if max_violation <= CLASSICALITY_RTOL:
-        return ClassicalityVerdict(
-            classical=True,
-            criterion=criterion,
-            max_violation=max_violation,
-            certificate=None,
-        )
-    cert = Certificate(
-        observables=tuple(basis[i] for i in idx),
-        value=value,
-    )
-    return ClassicalityVerdict(
-        classical=False,
-        criterion=criterion,
-        max_violation=max_violation,
-        certificate=cert,
-    )
+    classical = max_violation <= CLASSICALITY_RTOL
+    cert = None if classical else Certificate(tuple(basis[i] for i in idx), value)
+    return ClassicalityVerdict(classical, criterion, max_violation, cert)
 
 
 def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
@@ -229,35 +216,21 @@ def _first_max(blocks: Iterable[_Block]) -> tuple[float, tuple[int, int, int], f
     return best, idx, value
 
 
-def _rechecked(
-    s: State, L: RealSubspace, table: _BracketTable, C: np.ndarray, thr: float
-) -> Iterator[_Block]:
-    """The values of all r^3 triples, each one above ``thr`` recomputed from ``associator``.
+def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
+    """The values of the triples ``(i, j, k)``, i < k, over every pair, block by block.
 
-    Both orientations of a table pair come as their own block, since direct
-    values need not be exact negatives. With ``thr < 0`` the triples without
-    a table row (value 0.0) are recomputed too.
+    By the Jordan-Lie identity and ``Tr(a [b, c]) = Tr([a, b] c)``, for any
+    Hermitian matrices ``Tr(rho assoc(e_i, e_j, e_k)) = -<[rho, e_j], [e_i,
+    e_k]>_HS``: each value is one inner product of two brackets, with
+    roundoff as its only error, and the (k, j, i) value is its exact negative.
     """
-    E = L.basis
-
-    def direct(vals: np.ndarray, i: np.ndarray, k: np.ndarray) -> _Block:
-        vals = vals.copy()
-        for p, j in np.argwhere(np.abs(vals) > thr):
-            vals[p, j] = expect(s, associator(E[i[p]], E[j], E[k[p]]))
-        return vals, i, k
-
-    for vals, i, k in _pair_values(table, C):
-        yield direct(vals, i, k)
-        mirror = np.lexsort((i, k))  # the (k, j, i) triples, in row-major (k, i) order
-        yield direct(-vals[mirror], k[mirror], i[mirror])
-    if thr < 0:
-        r = L.dim_span
-        untabled = np.ones((r, r), dtype=bool)
-        untabled[table.i, table.k] = untabled[table.k, table.i] = False
-        i, k = np.nonzero(untabled)
-        for b in range(0, len(i), _BLOCK):
-            ib, kb = i[b : b + _BLOCK], k[b : b + _BLOCK]
-            yield direct(np.zeros((len(ib), r)), ib, kb)
+    e = L._stacked
+    # rho is Hermitian only within STATE_ATOL, so both of its products are formed
+    minus_bt = -_rows(0.5j * (s.rho @ e - e @ s.rho)).T
+    i, k = np.triu_indices(L.dim_span, 1)
+    for b in range(0, len(i), _BLOCK):
+        ib, kb = i[b : b + _BLOCK], k[b : b + _BLOCK]
+        yield _rows(_products(e[ib], e[kb], lie)) @ minus_bt, ib, kb
 
 
 def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
@@ -269,12 +242,10 @@ def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
 
 
 def _associator_verdict(s: State, L: RealSubspace, C: np.ndarray) -> ClassicalityVerdict:
-    if not L.dim_span:  # the zero algebra has no triples: C is then empty
-        return _verdict("associator", C, L.basis)
     table = _stored_structure_constants(L)
     top = _first_max(_pair_values(table, C))
     if abs(top[0] - CLASSICALITY_RTOL) <= table.delta:
-        top = _first_max(_rechecked(s, L, table, C, CLASSICALITY_RTOL - table.delta))
+        top = _first_max(_exact_values(s, L))
     return _ruling("associator", *top, L.basis)
 
 
@@ -290,10 +261,10 @@ def is_classical_associator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     leaves out (the residual off L of a kept bracket, or a dropped bracket
     whole), are memoized on L. Since ``|Tr(rho [e_j, R])| <= ||R||_HS``,
     each value is within delta of the exact one; when the largest value
-    lies within delta of ``CLASSICALITY_RTOL``, every triple, in either
-    orientation and with or without a table row, whose value exceeds
-    ``CLASSICALITY_RTOL - delta`` is recomputed directly from
-    ``associator``, so no verdict rests on that error.
+    lies within delta of ``CLASSICALITY_RTOL``, the maximum is taken again
+    over every i < k pair from the brackets ``[rho, e_j]`` and ``[e_i,
+    e_k]`` (``_exact_values``), whose values carry roundoff only, so no
+    verdict rests on that error.
     """
     return _associator_verdict(s, L, _bracket_tensor(s, L))
 
@@ -303,9 +274,7 @@ def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     return _verdict("commutator", _bracket_tensor(s, L), L.basis)
 
 
-def _derived_brackets(
-    s: State, L: RealSubspace, derived: RealSubspace | None = None
-) -> tuple[RealSubspace, np.ndarray]:
+def _derived_brackets(s: State, L: RealSubspace) -> tuple[RealSubspace, np.ndarray]:
     """The derived algebra d and the brackets ``[rho, d_k]`` over its basis, as (r_d, n, n).
 
     Raises NotInSpan when rho is not in span(L).
@@ -313,23 +282,20 @@ def _derived_brackets(
     _check_dims(s, L)
     if not L.contains(s.rho):
         raise NotInSpan("state is not an element of the subalgebra's span")
-    d = derived if derived is not None else derived_algebra(L)
+    d = derived_algebra(L)
     dk = d._stacked
     return d, 0.5j * (s.rho @ dk - dk @ s.rho)
 
 
-def is_classical_center(
-    s: State, L: RealSubspace, *, derived: RealSubspace | None = None
-) -> ClassicalityVerdict:
+def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """The state, seen as an algebra element, centralizes [L, L].
 
-    Requires rho inside span(L) (NotInSpan otherwise). ``derived`` overrides
-    the derived algebra; it is not needed to amortize sweeps over many
-    states, since ``derived_algebra(L)`` is memoized on L. The values are
-    the spectral norms of the brackets ``[rho, d_k]``, batched over the
+    Requires rho inside span(L) (NotInSpan otherwise). The derived algebra
+    is memoized on L, so sweeps over many states build it once. The values
+    are the spectral norms of the brackets ``[rho, d_k]``, batched over the
     basis of the derived algebra.
     """
-    d, brackets = _derived_brackets(s, L, derived)
+    d, brackets = _derived_brackets(s, L)
     return _verdict("center", _opnorm(brackets), d.basis)
 
 
@@ -344,18 +310,16 @@ def _associator_flag(s: State, L: RealSubspace, C: np.ndarray) -> bool:
     """``_associator_verdict(s, L, C).classical``, settled by the first certificate.
 
     Each value is ``<c_p, C[j]>``, at most ``||c_p|| ||C[j]||`` (Cauchy-
-    Schwarz): when ``max_p ||c_p|| max_j ||C[j]||`` is below
-    ``CLASSICALITY_RTOL - delta`` every value is, and the verdict is
-    classical with no contraction. Otherwise the table's blocks are
+    Schwarz): when the table's ``norm`` (``max_p ||c_p||``) times ``max_j
+    ||C[j]||`` is below ``CLASSICALITY_RTOL - delta`` every value is, and
+    the verdict is classical with no contraction. Otherwise the table's blocks are
     contracted in order, and the first block maximum above
     ``CLASSICALITY_RTOL + delta`` proves the verdict quantum, since the
     verdict's largest value is at least that and lies outside the recheck
     band. A scan without that certificate falls back to the verdict itself.
     """
     table = _stored_structure_constants(L)
-    if "structure_norm" not in L._memo:
-        L._memo["structure_norm"] = _max_row_norm(table.coords)
-    bound = L._memo["structure_norm"] * _max_row_norm(C)
+    bound = table.norm * _max_row_norm(C)
     if bound * (1 + _NORM_SLACK) < CLASSICALITY_RTOL - table.delta:
         return True
     for vals, _, _ in _pair_values(table, C):

@@ -111,16 +111,15 @@ class RealSubspace:
     Row k of the ``(r, 2n^2)`` float array ``rows`` is basis element e_k with
     its real and imaginary parts interleaved (``_rows``); ``dim_span`` r may
     be zero. The constructor keeps a read-only C-contiguous copy. It raises
-    DimensionMismatch for any other row length, and ValidationError for
-    complex rows, whose imaginary parts a float copy would drop, and for
-    NaN or infinite entries, which the closedness and classicality tests
-    would misjudge without a word. ``_stacked`` (r, n, n) and ``basis`` are
-    views of the copy. Immutability makes ``_memo`` sound: it holds
-    closedness verdicts keyed by the product
+    DimensionMismatch for an ambient dimension below 1 and for any other
+    row length, and ValidationError for complex rows, whose imaginary parts
+    a float copy would drop, and for NaN or infinite entries, which the
+    closedness and classicality tests would misjudge without a word.
+    ``_stacked`` (r, n, n) and ``basis`` are views of the copy. Immutability
+    makes ``_memo`` sound: it holds closedness verdicts keyed by the product
     (``jordan``, ``lie``), the derived algebra by ``"derived"`` and, once
     the associator criterion has asked for it, the bracket table
-    (``_structure_constants``) by ``"structure"`` and the largest HS norm
-    of its rows by ``"structure_norm"``.
+    (``_structure_constants``) by ``"structure"``.
     """
 
     dim_ambient: int
@@ -129,6 +128,8 @@ class RealSubspace:
 
     def __post_init__(self) -> None:
         n = self.dim_ambient
+        if n < 1:
+            raise DimensionMismatch(f"ambient dimension must be >= 1, got {n}")
         shape = np.shape(self.rows)
         if len(shape) != 2 or shape[1] != 2 * n * n:
             raise DimensionMismatch(
@@ -166,10 +167,6 @@ class RealSubspace:
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Real coordinates of m against the basis (its projection's coordinates)."""
         return self._row(m) @ self.rows.T
-
-    def _coords(self, mats: np.ndarray) -> np.ndarray:
-        """``coeffs`` of every matrix in a (..., n, n) stack, as (..., r)."""
-        return _rows(mats) @ self.rows.T
 
     def project(self, m: np.ndarray) -> np.ndarray:
         return _combination(self.coeffs(m), self._stacked)
@@ -323,7 +320,7 @@ def span(matrices: Sequence[np.ndarray]) -> RealSubspace:
     n = same_dim(*mats)
     stack = np.stack(mats)
     # non-finite input passes this test (its comparisons are False) and is
-    # rejected by _extend, as before
+    # rejected by _extend
     with np.errstate(invalid="ignore"):
         defect = np.abs(stack - np.conj(stack).swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
         scale = np.linalg.norm(stack, axis=(1, 2))
@@ -527,10 +524,9 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     Ties go to the first pair in row-major i < j order. The pair is None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned): below that every bracket is roundoff and
-    which one is largest is noise. Earlier versions named a pair for any
-    nonzero norm. The brackets are formed in ``_BLOCK``-sized batches, so
-    memory stays flat in r; a later batch takes over only with a strictly
-    larger norm.
+    which one is largest is noise. The brackets are formed in
+    ``_BLOCK``-sized batches, so memory stays flat in r; a later batch takes
+    over only with a strictly larger norm.
     """
     e = L._stacked
     i, j = np.triu_indices(L.dim_span, 1)
@@ -594,13 +590,15 @@ class _BracketTable(NamedTuple):
 
     Row p of ``coords`` (P, r) holds the coordinates of ``lie(e_i, e_k)`` for
     the pair ``i = i[p] < k = k[p]``; pairs run in row-major (i, k) order.
-    ``delta`` bounds the HS norm of every bracket part the rows leave out.
+    ``delta`` bounds the HS norm of every bracket part the rows leave out,
+    and ``norm`` is the largest HS norm of a row of ``coords``.
     """
 
     i: np.ndarray
     k: np.ndarray
     coords: np.ndarray
     delta: float
+    norm: float
 
 
 def _structure_constants(L: RealSubspace) -> _BracketTable:
@@ -636,7 +634,9 @@ def _structure_constants(L: RealSubspace) -> _BracketTable:
         kept.append(s + np.flatnonzero(keep))
         coords.append(c)
     sel = np.concatenate(kept)
-    return _BracketTable(i[sel], k[sel], np.concatenate(coords), delta)
+    coords = np.concatenate(coords)
+    norm = float(np.sqrt(np.einsum("ij,ij->i", coords, coords)).max(initial=0.0))
+    return _BracketTable(i[sel], k[sel], coords, delta, norm)
 
 
 def _stored_structure_constants(L: RealSubspace) -> _BracketTable:

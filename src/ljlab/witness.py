@@ -28,7 +28,7 @@ from .linalg import (
     derive_seed,
     spectral_norm,
 )
-from .products import _associate, associator, jordan
+from .products import associator, jordan
 from .subspace import full_hermitian_basis
 
 __all__ = [
@@ -273,7 +273,7 @@ def associator_witness_search(
     def score(cands: np.ndarray) -> np.ndarray:
         a, b, c = cands.swapaxes(0, 1)
         # _search minimizes; IEEE negation is exact, so the ranking is the norm's
-        return -_opnorm(_associate(a, jordan(a, b), jordan(b, c), c))
+        return -_opnorm(associator(a, b, c))
 
     best = _search(n, seed, budget, draw, move, perturb, score)
     if best is None:

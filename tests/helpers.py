@@ -438,7 +438,7 @@ def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
     r = L.dim_span
     # ad[x, k, j] = coefficient of e_k in [e_x, e_j]
     x, j = np.indices((r, r)).reshape(2, -1)
-    ad = L._coords(lie(L._stacked[x], L._stacked[j])).reshape(r, r, r).swapaxes(1, 2)
+    ad = (_rows(lie(L._stacked[x], L._stacked[j])) @ L.rows.T).reshape(r, r, r).swapaxes(1, 2)
     return np.einsum("xij,yji->xy", ad, ad)
 
 
@@ -465,7 +465,7 @@ def dense_structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
     for s in range(0, len(i), _BLOCK):
         a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
         p = _products(L._stacked[a], L._stacked[b], lie)
-        c = L._coords(p)
+        c = _rows(p) @ L.rows.T
         F[a, b] = c
         F[b, a] = -c
         delta = max(delta, float(np.linalg.norm(_rows(p) - c @ L.rows, axis=1).max()))
@@ -476,7 +476,8 @@ def dense_associator_expectations(s, L: RealSubspace, rtol: float, C: np.ndarray
     """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) on a nonempty L, given C.
 
     Within delta of ``rtol`` the triples above ``rtol - delta`` are
-    recomputed directly, as the criterion does.
+    recomputed directly from ``associator``, so that the verdict, like the
+    criterion's, does not rest on the structure constants' error.
     """
     F, delta = dense_structure_constants(L)
     r = L.dim_span

@@ -133,7 +133,7 @@ def test_acceptance_04_classicality_equivalence():
             flags = (
                 is_classical_associator(s, full).classical,
                 is_classical_commutator(s, full).classical,
-                is_classical_center(s, full, derived=dfull).classical,
+                is_classical_center(s, full).classical,
             )
             if len(set(flags)) > 1:
                 disagreements += 1
@@ -158,14 +158,14 @@ def test_acceptance_05_block_classicality():
         flags = [
             is_classical_associator(s, L).classical,
             is_classical_commutator(s, L).classical,
-            is_classical_center(s, L, derived=d).classical,
+            is_classical_center(s, L).classical,
         ]
         ok = ok and all(flags)
     q = State(np.diag([0.3, 0.2, 0.5]).astype(complex))
     qflags = [
         is_classical_associator(q, L).classical,
         is_classical_commutator(q, L).classical,
-        is_classical_center(q, L, derived=d).classical,
+        is_classical_center(q, L).classical,
     ]
     ok = ok and not any(qflags)
     _line(5, ok, "block-diag(2,1): diag(p/2,p/2,1-p) classical for 5 values of p, diag(.3,.2,.5) quantum, all criteria")

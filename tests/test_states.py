@@ -35,6 +35,7 @@ from ljlab import (
     is_classical_associator,
     is_classical_center,
     is_classical_commutator,
+    is_closed_under,
     is_semisimple_lie,
     jordan,
     jordan_generate_three,
@@ -49,9 +50,9 @@ from ljlab.products import associator
 from ljlab.states import (
     CLASSICALITY_RTOL,
     _bracket_expectations,
+    _exact_values,
     _first_max,
     _pair_values,
-    _rechecked,
 )
 from ljlab.subspace import _DEFECT_FLOOR, RealSubspace, _structure_constants
 
@@ -90,6 +91,11 @@ def test_state_validation_rejects_nonfinite():
     m = np.array([[np.nan, 0], [0, 1.0]], dtype=complex)
     with pytest.raises(ValidationError):
         State(m)
+
+
+def test_state_validation_rejects_empty_matrix():
+    with pytest.raises(ValidationError):
+        State(np.zeros((0, 0)))
 
 
 def test_state_is_immutable():
@@ -175,7 +181,7 @@ def test_criteria_agree_on_random_states():
         s = random_state(3, seed=i)
         va = is_classical_associator(s, full)
         vc = is_classical_commutator(s, full)
-        vz = is_classical_center(s, full, derived=d)
+        vz = is_classical_center(s, full)
         assert va.classical == vc.classical == vz.classical
         classify(s, full)  # must not raise CriteriaDisagree
 
@@ -386,58 +392,79 @@ def test_associator_values_vanish_where_brackets_do():
             assert is_classical_associator(State(rho), alg).classical
 
 
-def _count_direct(monkeypatch) -> list[int]:
+def _count_exact(monkeypatch) -> list[int]:
     calls = [0]
 
-    def counted(a, b, c):
+    def counted(s, L):
         calls[0] += 1
-        return associator(a, b, c)
+        return _exact_values(s, L)
 
-    monkeypatch.setattr(states_mod, "associator", counted)
+    monkeypatch.setattr(states_mod, "_exact_values", counted)
     return calls
 
 
 @pytest.mark.parametrize("name", ["full3", "block22", "rot33"])
-def test_large_residual_bound_takes_the_direct_path(monkeypatch, name):
+def test_large_residual_bound_takes_the_exact_pass(monkeypatch, name):
     alg = {a: L for a, L, _ in _oracle_algebras()}[name]
     s = _oracle_states(alg.dim_ambient, seed=7)[0]
     fast = is_classical_associator(s, alg)
-    table = alg._memo["structure"]
-    alg._memo["structure"] = table._replace(delta=1.0)
-    calls = _count_direct(monkeypatch)
-    direct = is_classical_associator(s, alg)
+    alg._memo["structure"] = alg._memo["structure"]._replace(delta=1.0)
+    calls = _count_exact(monkeypatch)
+    exact = is_classical_associator(s, alg)
+    assert calls[0] == 1
+    # the values the exact pass scans, with their negatives: every i != k triple once
     r = alg.dim_span
-    assert calls[0] == r**3
-    # the values the direct path scanned: every triple once, each recomputed
-    C = _bracket_expectations(s, alg)
-    vals, seen = _assembled(_rechecked(s, alg, table, C, CLASSICALITY_RTOL - 1.0), r)
-    assert np.all(seen == 1)
+    blocks = list(_exact_values(s, alg))
+    vals, seen = _assembled(blocks + [(-v, k, i) for v, i, k in blocks], r)
+    i, _, k = np.indices((r, r, r))
+    assert np.array_equal(seen, (i != k).astype(int))
     np.testing.assert_allclose(vals, einsum_associator_values(s, alg), rtol=0, atol=1e-12)
-    assert direct.classical == fast.classical
-    assert direct.max_violation == pytest.approx(fast.max_violation, abs=1e-12)
+    assert exact.classical == fast.classical
+    assert exact.max_violation == pytest.approx(fast.max_violation, abs=1e-12)
 
 
-def test_direct_path_runs_only_when_the_bound_reaches_the_threshold(monkeypatch):
+def test_exact_pass_runs_only_when_the_bound_reaches_the_threshold(monkeypatch):
     alg = full_hermitian_space(3)
     s = random_state(3, seed=12)
-    ref = einsum_associator_values(s, alg)
-    peak = float(np.abs(ref).max())
-    calls = _count_direct(monkeypatch)
+    peak = float(np.abs(einsum_associator_values(s, alg)).max())
+    calls = _count_exact(monkeypatch)
     table = _structure_constants(alg)
     for rtol in (peak * (1 - 1e-3), peak * (1 + 1e-3)):
         monkeypatch.setattr(states_mod, "CLASSICALITY_RTOL", rtol)
         margin = abs(peak - rtol)
-        alg._memo["structure"] = table._replace(delta=0.5 * margin)
-        calls[0] = 0
-        v = is_classical_associator(s, alg)
-        assert calls[0] == 0
-        assert v.classical == (rtol > peak)
-        delta = 2.0 * margin
-        alg._memo["structure"] = table._replace(delta=delta)
-        v = is_classical_associator(s, alg)
-        assert calls[0] == int(np.sum(np.abs(ref) > rtol - delta)) > 0
-        assert v.classical == (rtol > peak)
-        assert v.max_violation == pytest.approx(peak, abs=1e-12)
+        for delta, runs in ((0.5 * margin, 0), (2.0 * margin, 1)):
+            alg._memo["structure"] = table._replace(delta=delta)
+            calls[0] = 0
+            v = is_classical_associator(s, alg)
+            assert calls[0] == runs
+            assert v.classical == (rtol > peak)
+            assert v.max_violation == pytest.approx(peak, abs=1e-12)
+
+
+def test_a_barely_closed_algebra_reaches_the_exact_pass():
+    """The (2, 2) block basis plus 1e-9 Hermitian noise is closed under both
+    products, but its brackets leave the span by a few 1e-9, so the table's
+    delta is about 0.3 ``CLASSICALITY_RTOL``. On rho_t = (1 - t) I / n +
+    t sigma every value is t times sigma's (I / n sees no associator), so t
+    puts the largest value at ``CLASSICALITY_RTOL (1 +- 0.05)``: inside the
+    band on both sides of the threshold, where the verdict is the exact pass's."""
+    noisy = [e + 1e-9 * random_hermitian(4, seed=90 + q) for q, e in enumerate(block_algebra((2, 2)).basis)]
+    alg = span(noisy)
+    assert is_closed_under(alg, jordan) and is_closed_under(alg, lie)
+    table = _structure_constants(alg)
+    assert 0.05 * CLASSICALITY_RTOL < table.delta < 0.5 * CLASSICALITY_RTOL
+    sigma = random_state(4, seed=3)
+    peak = float(np.abs(einsum_associator_values(sigma, alg)).max())
+    for f in (0.95, 1.05):
+        t = CLASSICALITY_RTOL * f / peak
+        s = State((1.0 - t) * np.eye(4, dtype=complex) / 4 + t * sigma.rho)
+        want = float(np.abs(einsum_associator_values(s, alg)).max())
+        top, _, _ = _first_max(_pair_values(table, _bracket_expectations(s, alg)))
+        assert abs(top - CLASSICALITY_RTOL) <= table.delta
+        got = is_classical_associator(s, alg)
+        assert got.classical == (want <= CLASSICALITY_RTOL) == (f < 1)
+        assert got.max_violation == _first_max(_exact_values(s, alg))[0]
+        assert got.max_violation == pytest.approx(want, rel=1e-9)
 
 
 def test_structure_constants_are_memoized_by_the_associator_criterion_only():
@@ -450,7 +477,7 @@ def test_structure_constants_are_memoized_by_the_associator_criterion_only():
     classify(random_state(3, seed=2), alg)
     assert alg._memo["structure"] is memo
     # the table is the dense structure constants' nonzero i < k rows, bit for bit
-    i, k, coords, delta = memo
+    i, k, coords, delta, norm = memo
     assert np.all(i < k) and np.all(np.diff(i * alg.dim_span + k) > 0)
     F, ref_delta = dense_structure_constants(alg)
     dense = np.zeros_like(F)

@@ -1078,6 +1078,12 @@ def test_rows_of_the_wrong_shape_raise(rows):
         RealSubspace(dim_ambient=2, rows=rows)
 
 
+@pytest.mark.parametrize("n,rows", [(-1, np.zeros((1, 2))), (0, np.zeros((1, 0))), (0, np.empty((0, 0)))])
+def test_ambient_dimensions_below_one_raise(n, rows):
+    with pytest.raises(DimensionMismatch):
+        RealSubspace(dim_ambient=n, rows=rows)
+
+
 def test_complex_rows_raise_rather_than_lose_their_imaginary_parts():
     rows = _rows(full_hermitian_basis(2))
     with pytest.raises(ValidationError):
