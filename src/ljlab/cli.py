@@ -53,13 +53,7 @@ from .linalg import (
     random_hermitian,
     traceless,
 )
-from .products import (
-    _associator_identity,
-    _jacobi,
-    _leibniz,
-    _norm_axioms,
-    _weak_associativity,
-)
+from .products import _IDENTITIES
 from .states import State, classify
 from .subspace import (
     RealSubspace,
@@ -211,17 +205,6 @@ def _config_from_args(args: argparse.Namespace) -> SessionConfig:
         if value is not None and value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
     return cfg
-
-
-#: Identities in report order: name, defect-and-scale function of the
-#: operands and their norms (``products``), arity.
-_IDENTITIES: tuple[tuple[str, Callable[..., tuple[np.ndarray, np.ndarray]], int], ...] = (
-    ("jacobi", _jacobi, 3),
-    ("leibniz", _leibniz, 3),
-    ("associator-identity", _associator_identity, 3),
-    ("weak-associativity", _weak_associativity, 2),
-    ("norm-axioms", _norm_axioms, 2),
-)
 
 
 def cmd_verify(cfg: SessionConfig) -> Outcome:

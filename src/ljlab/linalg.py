@@ -2,8 +2,9 @@
 
 Hermitian spectral queries, Hilbert-Schmidt geometry, and seeded random
 ensembles. Everything works on plain square numpy arrays with complex dtype.
-All functions are pure; random draws take an explicit integer seed, so
-results are reproducible and independent of call order.
+All functions are pure; random draws take an explicit non-negative integer
+seed, so results are reproducible and independent of call order, and any
+other seed raises ValidationError.
 
 ``DEFAULT_TOL`` is the package's zero threshold. Every threshold the
 package uses, with its value, whether it scales with a norm and the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotHermitian, ValidationError
 
 __all__ = [
     "Tolerance",
@@ -223,21 +224,31 @@ def gaussian_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return _gaussian_stack([rng], n, 1)[0, 0]
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """``default_rng(seed)``; ValidationError unless seed is a non-negative integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """GUE-style sample (G + G^dagger) / 2; ``seed`` may also be a Generator.
 
     G is ``gaussian_complex(default_rng(seed), n)``, so k calls on one
     Generator give the Hermitian parts of ``_gaussian_stack([rng], n, k)[0]``.
+    Any other seed than a non-negative integer or a Generator raises
+    ValidationError.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    return _hermitian_part(gaussian_complex(np.random.default_rng(seed), n))
+    rng = seed if isinstance(seed, np.random.Generator) else _seeded_rng(seed)
+    return _hermitian_part(gaussian_complex(rng, n))
 
 
 def random_density(n: int, seed: int) -> np.ndarray:
     """Wishart-normalized density matrix G G^dagger / Tr(G G^dagger)."""
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    g = gaussian_complex(np.random.default_rng(seed), n)
+    g = gaussian_complex(_seeded_rng(seed), n)
     w = g @ dagger(g)
     return w / float(np.real(np.trace(w)))

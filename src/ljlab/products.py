@@ -13,8 +13,9 @@ product of the operand norms, one factor per slot of the identity.
 ``ljlab verify --tol`` judges the same formulas at its own zero tolerance.
 
 The products and the identity defects broadcast over leading axes: operands
-may be ``(..., n, n)`` stacks, and each identity has one formula, which
-``ljlab verify`` evaluates on stacks of random trials. The tests require a
+may be ``(..., n, n)`` stacks, and each identity has one formula, listed
+with its report name and arity in ``_IDENTITIES``, which ``ljlab verify``
+evaluates on stacks of random trials. The tests require a
 stacked result to be bit-equal, slice by slice, to the same call on single
 matrices.
 """
@@ -139,8 +140,20 @@ def _norm_axioms(a, b, na, nb):
     return residual, scale
 
 
-def _check(name: str, identity, operands: tuple) -> IdentityReport:
-    """Judge one identity on single matrices, against ``DEFAULT_TOL`` at its norm scale."""
+#: The identities in ``ljlab verify``'s report order: report name, defect
+#: formula, arity. The ``check_*`` functions take their names from here.
+_IDENTITIES = (
+    ("jacobi", _jacobi, 3),
+    ("leibniz", _leibniz, 3),
+    ("associator-identity", _associator_identity, 3),
+    ("weak-associativity", _weak_associativity, 2),
+    ("norm-axioms", _norm_axioms, 2),
+)
+
+
+def _check(row: int, operands: tuple) -> IdentityReport:
+    """Judge ``_IDENTITIES[row]`` on single matrices, against ``DEFAULT_TOL`` at its norm scale."""
+    name, identity, _ = _IDENTITIES[row]
     xs = [as_matrix(m) for m in operands]
     residual, scale = identity(*xs, *(_opnorm(x) for x in xs))
     residual = float(residual)
@@ -150,22 +163,22 @@ def _check(name: str, identity, operands: tuple) -> IdentityReport:
 
 def check_jacobi(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:
     """[[a,b],c] + [[b,c],a] + [[c,a],b] = 0."""
-    return _check("jacobi", _jacobi, (a, b, c))
+    return _check(0, (a, b, c))
 
 
 def check_leibniz(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:
     """[a, b o c] = [a, b] o c + b o [a, c]."""
-    return _check("leibniz", _leibniz, (a, b, c))
+    return _check(1, (a, b, c))
 
 
 def check_associator_identity(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:
     """(a o b) o c - a o (b o c) = [b, [c, a]]."""
-    return _check("associator-identity", _associator_identity, (a, b, c))
+    return _check(2, (a, b, c))
 
 
 def check_weak_associativity(a: np.ndarray, b: np.ndarray) -> IdentityReport:
     """(a^2 o b) o a = a^2 o (b o a), with a^2 = a o a."""
-    return _check("weak-associativity", _weak_associativity, (a, b))
+    return _check(3, (a, b))
 
 
 def check_norm_axioms(a: np.ndarray, b: np.ndarray) -> IdentityReport:
@@ -177,7 +190,7 @@ def check_norm_axioms(a: np.ndarray, b: np.ndarray) -> IdentityReport:
     inequalities; the square identity enters as an absolute difference, so
     the residual is never below +0.
     """
-    return _check("norm-axioms", _norm_axioms, (a, b))
+    return _check(4, (a, b))
 
 
 def jordan_commute(a, b, ambient) -> bool:

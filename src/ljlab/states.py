@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -43,8 +43,11 @@ from .products import jordan, lie
 from .subspace import (
     _BLOCK,
     RealSubspace,
+    _Block,
+    _brackets,
     _BracketTable,
-    _products,
+    _first_max,
+    _row_norms,
     _rows,
     _stored_structure_constants,
     derived_algebra,
@@ -179,10 +182,6 @@ def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
     return np.real(0.5j * (t - t.T))
 
 
-#: A block of associator values: ``vals[p, j] = Tr(rho assoc(e_i[p], e_j, e_k[p]))``.
-_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _pair_values(table: _BracketTable, C: np.ndarray) -> Iterator[_Block]:
     """The values of the triples ``(i, j, k)``, i < k, over the table's pairs, block by block."""
     minus_ct = -C.T  # negating the r x r factor negates each product exactly
@@ -191,29 +190,9 @@ def _pair_values(table: _BracketTable, C: np.ndarray) -> Iterator[_Block]:
         yield table.coords[rows] @ minus_ct, table.i[rows], table.k[rows]
 
 
-def _first_max(blocks: Iterable[_Block]) -> tuple[float, tuple[int, int, int], float]:
-    """Largest |value| over the blocks, its first row-major (i, j, k) and its signed value.
-
-    Each block's rows must run in row-major (i, k) order. Triples in no
-    block are 0.0, as ``(0, 0, 0)`` always is (``[e_0, e_0] = 0``), so the
-    scan starts there. A block's first maximum in row order, in row p, has
-    the smallest i of its ties, and no row before p has a tie; among the
-    rows from p with the same i, the first tie in (j, k) order is the
-    block's first row-major maximum.
-    """
-    best, idx, value = 0.0, (0, 0, 0), 0.0
-    for vals, i, k in blocks:
-        a = np.abs(vals)
-        flat = int(a.argmax())
-        p, top = flat // a.shape[1], float(a.flat[flat])
-        if top < best or top == 0.0:
-            continue
-        hi = int(i.searchsorted(i[p], "right"))
-        j, q = divmod(int((a[p:hi].T == top).argmax()), hi - p)
-        cand = (int(i[p]), j, int(k[p + q]))
-        if top > best or cand < idx:
-            best, idx, value = top, cand, float(vals[p + q, j])
-    return best, idx, value
+def _rho_brackets(s: State, e: np.ndarray) -> np.ndarray:
+    """``[rho, e_k]`` over an (r, n, n) stack; rho is Hermitian within ``STATE_ATOL``, so both products."""
+    return 0.5j * (s.rho @ e - e @ s.rho)
 
 
 def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
@@ -224,13 +203,8 @@ def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
     e_k]>_HS``: each value is one inner product of two brackets, with
     roundoff as its only error, and the (k, j, i) value is its exact negative.
     """
-    e = L._stacked
-    # rho is Hermitian only within STATE_ATOL, so both of its products are formed
-    minus_bt = -_rows(0.5j * (s.rho @ e - e @ s.rho)).T
-    i, k = np.triu_indices(L.dim_span, 1)
-    for b in range(0, len(i), _BLOCK):
-        ib, kb = i[b : b + _BLOCK], k[b : b + _BLOCK]
-        yield _rows(_products(e[ib], e[kb], lie)) @ minus_bt, ib, kb
+    minus_bt = -_rows(_rho_brackets(s, L._stacked)).T
+    return _brackets(L, lambda br: _rows(br) @ minus_bt)
 
 
 def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
@@ -253,18 +227,14 @@ def is_classical_associator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """Expectation of every basis Jordan associator vanishes.
 
     Evaluates Tr(rho * ((e_i o e_j) o e_k - e_i o (e_j o e_k))) over all
-    basis triples from the bracket table (module docstring), as a running
-    maximum over blocks of table rows; no r^3 array is formed. Triples
-    whose pair has no table row read 0.0, as do i == k. The certificate is
-    the first row-major maximum, which by antisymmetry in (i, k) has i < k.
-    The table and its ``delta``, the largest HS norm of a bracket part it
-    leaves out (the residual off L of a kept bracket, or a dropped bracket
-    whole), are memoized on L. Since ``|Tr(rho [e_j, R])| <= ||R||_HS``,
-    each value is within delta of the exact one; when the largest value
-    lies within delta of ``CLASSICALITY_RTOL``, the maximum is taken again
-    over every i < k pair from the brackets ``[rho, e_j]`` and ``[e_i,
-    e_k]`` (``_exact_values``), whose values carry roundoff only, so no
-    verdict rests on that error.
+    basis triples from the bracket table (module docstring), memoized on L,
+    block by block into ``_first_max``, whose tie rule picks the certificate
+    (i < k, by antisymmetry); no r^3 array is formed. Triples whose pair has
+    no table row read 0.0, as do i == k. Since ``|Tr(rho [e_j, R])| <=
+    ||R||_HS``, each value is within the table's ``delta`` of the exact one;
+    when the largest lies within delta of ``CLASSICALITY_RTOL``, the maximum
+    is taken again from ``_exact_values``, whose values carry roundoff only,
+    so no verdict rests on that error.
     """
     return _associator_verdict(s, L, _bracket_tensor(s, L))
 
@@ -283,8 +253,7 @@ def _derived_brackets(s: State, L: RealSubspace) -> tuple[RealSubspace, np.ndarr
     if not L.contains(s.rho):
         raise NotInSpan("state is not an element of the subalgebra's span")
     d = derived_algebra(L)
-    dk = d._stacked
-    return d, 0.5j * (s.rho @ dk - dk @ s.rho)
+    return d, _rho_brackets(s, d._stacked)
 
 
 def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
@@ -309,31 +278,21 @@ _NORM_SLACK = 1e-6
 def _associator_flag(s: State, L: RealSubspace, C: np.ndarray) -> bool:
     """``_associator_verdict(s, L, C).classical``, settled by the first certificate.
 
-    Each value is ``<c_p, C[j]>``, at most ``||c_p|| ||C[j]||`` (Cauchy-
-    Schwarz): when the table's ``norm`` (``max_p ||c_p||``) times ``max_j
-    ||C[j]||`` is below ``CLASSICALITY_RTOL - delta`` every value is, and
-    the verdict is classical with no contraction. Otherwise the table's blocks are
-    contracted in order, and the first block maximum above
-    ``CLASSICALITY_RTOL + delta`` proves the verdict quantum, since the
-    verdict's largest value is at least that and lies outside the recheck
-    band. A scan without that certificate falls back to the verdict itself.
+    Each value is ``<c_p, C[j]>``, so by Cauchy-Schwarz the table's ``norm``
+    (``max_p ||c_p||``) times ``max_j ||C[j]||``, below ``CLASSICALITY_RTOL
+    - delta``, proves classical with no contraction. Otherwise the first
+    table block with a value above ``CLASSICALITY_RTOL + delta`` proves
+    quantum: the verdict's largest value is at least that, outside the
+    recheck band. Without either certificate the verdict itself decides.
     """
     table = _stored_structure_constants(L)
-    bound = table.norm * _max_row_norm(C)
+    bound = table.norm * float(_row_norms(C).max(initial=0.0))
     if bound * (1 + _NORM_SLACK) < CLASSICALITY_RTOL - table.delta:
         return True
     for vals, _, _ in _pair_values(table, C):
         if float(np.abs(vals).max()) > CLASSICALITY_RTOL + table.delta:
             return False
     return _associator_verdict(s, L, C).classical
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
-
-
-def _max_row_norm(a: np.ndarray) -> float:
-    return float(_row_norms(a).max(initial=0.0))
 
 
 def _center_flag(s: State, L: RealSubspace) -> bool:

@@ -19,9 +19,12 @@ nothing, and ``is_closed_under`` runs that round up to the first product
 block that keeps a row.
 
 Rounds and the pair queries (defects, centralizer, bracket table) form
-products with one Hermitian pair kernel (``_products``). Closedness
-verdicts and derived algebras are memoized on the (immutable) subspace. The
-bracket table (``_structure_constants``) holds the coordinates of the basis
+products with one Hermitian pair kernel (``_products``), and the i < k
+basis brackets come from one stream (``_brackets``). The defects and the
+associator criterion take their maxima from one running first maximum
+(``_first_max``), which holds the one tie rule. Closedness verdicts and
+derived algebras are memoized on the (immutable) subspace. The bracket
+table (``_structure_constants``) holds the coordinates of the basis
 brackets ``[e_i, e_k]``, i < k, that are not roundoff: the nonzero rows of
 the Lie structure constants, which in the canonical basis are a fraction of
 them. It gives the derived algebra, the Killing form, the triples
@@ -219,6 +222,10 @@ def full_hermitian_space(n: int) -> RealSubspace:
     return RealSubspace(dim_ambient=n, rows=_rows(full_hermitian_basis(n)))
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
 def _rows(mats: np.ndarray) -> np.ndarray:
     """Real rows (..., 2n^2) of a (..., n, n) stack; a view when it is contiguous complex.
 
@@ -258,7 +265,7 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(cand).all():
         raise ValidationError("span input contains NaN or infinite entries")
-    thr = SPAN_RTOL * np.maximum(1.0, np.sqrt(np.einsum("ij,ij->i", cand, cand)))
+    thr = SPAN_RTOL * np.maximum(1.0, _row_norms(cand))
     v = np.array(cand)
     for _ in range(2 if len(basis) else 0):
         v -= (v @ basis.T) @ basis
@@ -296,7 +303,7 @@ def _sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np.ndarra
         w, t = v[s : s + _BLOCK], thr[s : s + _BLOCK]
         if len(panel):
             w -= (w @ panel.T) @ panel
-        keep = np.sqrt(np.einsum("ij,ij->i", w, w)) > t
+        keep = _row_norms(w) > t
         c = int(np.count_nonzero(keep))
         v[m : m + c], thr[m : m + c] = w[keep], t[keep]
         m += c
@@ -518,71 +525,95 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
 _DEFECT_FLOOR = DEFAULT_TOL.threshold(1.0)
 
 
+#: A block of values over index triples: ``vals[p, j]`` belongs to ``(i[p], j, k[p])``.
+_Block = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _brackets(L: RealSubspace, f: Callable[[np.ndarray], np.ndarray]) -> Iterator[_Block]:
+    """Blocks ``(f(brackets), i, k)`` of the basis brackets ``[e_i, e_k]``, i < k.
+
+    The one bracket stream of the defects, the bracket table and the exact
+    pass: row-major (i, k) order, ``_BLOCK`` pairs a block. ``f`` maps each
+    block before it is yielded, so no bracket block outlives its step.
+    """
+    e = L._stacked
+    i, k = np.triu_indices(L.dim_span, 1)
+    for s in range(0, len(i), _BLOCK):
+        a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
+        yield f(_products(e[a], e[b], lie)), a, b
+
+
+def _first_max(blocks: Iterable[_Block]) -> tuple[float, tuple[int, int, int], float]:
+    """Largest |value| over the blocks, its first row-major (i, j, k) and its signed value.
+
+    The one tie rule of the pair and triple queries: the first in row-major
+    (i, j, k) order wins. One ``np.lexsort`` orders a block's ties, so
+    neither block nor row order matters. Triples in no block are 0.0, as
+    ``(0, 0, 0)`` is (``[e_0, e_0] = 0``), where the scan starts.
+    """
+    best, idx, value = 0.0, (0, 0, 0), 0.0
+    for vals, i, k in blocks:
+        a = np.abs(vals).ravel()
+        first = int(a.argmax())  # ties lie at or after it
+        top = float(a[first])
+        if top < best or top == 0.0:
+            continue
+        p, j = np.divmod(first + np.flatnonzero(a[first:] == top), vals.shape[1])
+        q = int(np.lexsort((k[p], j, i[p]))[0])
+        cand = (int(i[p[q]]), int(j[q]), int(k[p[q]]))
+        if top > best or cand < idx:
+            best, idx, value = top, cand, float(vals[p[q], j[q]])
+    return best, idx, value
+
+
 def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     """Largest bracket norm over basis pairs and the index pair attaining it.
 
-    Ties go to the first pair in row-major i < j order. The pair is None
+    The pair is the first largest by ``_first_max``'s tie rule, and None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned): below that every bracket is roundoff and
-    which one is largest is noise. The brackets are formed in
-    ``_BLOCK``-sized batches, so memory stays flat in r; a later batch takes
-    over only with a strictly larger norm.
+    which one is largest is noise.
     """
-    e = L._stacked
-    i, j = np.triu_indices(L.dim_span, 1)
-    best, arg = 0.0, None
-    for s in range(0, len(i), _BLOCK):
-        a, b = i[s : s + _BLOCK], j[s : s + _BLOCK]
-        norms = _opnorm(_products(e[a], e[b], lie))
-        k = int(np.argmax(norms))
-        if norms[k] > best:
-            best, arg = float(norms[k]), (int(a[k]), int(b[k]))
-    return best, arg if best > _DEFECT_FLOOR else None
+    best, (i, _, k), _ = _first_max(_brackets(L, lambda br: _opnorm(br)[:, None]))
+    return best, (i, k) if best > _DEFECT_FLOOR else None
 
 
-def _associator_norms(L: RealSubspace) -> Iterator[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
-    """Blocks ``(norms, i, j, k)`` of Jordan associator norms, in row-major (i, j, k) order.
+def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
+    """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``.
 
     By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
     only triples whose pair {i, k} is in the bracket table are formed: every
-    other one has norm at most half of ``_DEFECT_FLOOR``. Each first index's
-    (j, k) pairs come in blocks of at most ``_BLOCK``, so memory stays flat
-    in r.
+    other one has norm at most half of ``_DEFECT_FLOOR``. A block holds one
+    i, a chunk of its partners k and every j: at most max(``_BLOCK``, r) triples.
     """
     e, r = L._stacked, L.dim_span
     table = _structure_constants(L)
     partners = np.zeros((r, r), dtype=bool)
     partners[table.i, table.k] = partners[table.k, table.i] = True
+    step = max(1, _BLOCK // max(r, 1))
     for i in np.flatnonzero(partners.any(axis=1)):
         ks = np.flatnonzero(partners[i])
         eij = _products(e[i], e, jordan)  # eij[j] = e_i o e_j
-        j, q = np.divmod(np.arange(r * len(ks)), len(ks))
-        k = ks[q]
-        for s in range(0, len(j), _BLOCK):
-            a, b = j[s : s + _BLOCK], k[s : s + _BLOCK]
-            left = _products(eij[a], e[b], jordan)
-            right = _products(e[i], _products(e[a], e[b], jordan), jordan)
-            yield _opnorm(left - right), int(i), a, b
+        for s in range(0, len(ks), step):
+            k = ks[s : s + step]
+            ek = e[k, None]
+            right = _products(e[i], _products(e, ek, jordan), jordan)
+            yield _opnorm(_products(eij, ek, jordan) - right), np.full(len(k), i), k
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
     """Largest Jordan associator norm over basis triples, with its indices.
 
-    Ties go to the first triple in row-major (i, j, k) order. The triple is
-    None when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)``
-    (the value is still returned), as in ``commutator_defect``. Only triples
+    The triple is the first largest by ``_first_max``'s tie rule, and None
+    when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
+    value is still returned), as in ``commutator_defect``. Only triples
     whose pair {i, k} is in the bracket table are formed (``_associator_norms``):
     every other one has norm at most half the floor, so the value and the
     triple are those of all r^3 triples whenever a triple is named, and 0.0
-    stands for roundoff otherwise. A later block takes over only with a
-    strictly larger norm.
+    stands for roundoff otherwise.
     """
-    best, arg = 0.0, None
-    for norms, i, j, k in _associator_norms(L):
-        q = int(np.argmax(norms))
-        if norms[q] > best:
-            best, arg = float(norms[q]), (i, int(j[q]), int(k[q]))
-    return best, arg if best > _DEFECT_FLOOR else None
+    best, idx, _ = _first_max(_associator_norms(L))
+    return best, idx if best > _DEFECT_FLOOR else None
 
 
 class _BracketTable(NamedTuple):
@@ -604,9 +635,9 @@ class _BracketTable(NamedTuple):
 def _structure_constants(L: RealSubspace) -> _BracketTable:
     """The bracket table of L: the Lie structure constants' nonzero rows.
 
-    The i < k brackets are formed in ``_BLOCK``-sized batches; a pair is
-    kept when its bracket's HS norm exceeds ``_DEFECT_FLOOR / 2``, and only
-    kept brackets are given coordinates. In the canonical basis most pairs
+    The i < k brackets come from ``_brackets``; a pair is kept when its
+    bracket's HS norm exceeds ``_DEFECT_FLOOR / 2``, and only kept brackets
+    are given coordinates. In the canonical basis most pairs
     drop out (``E_ab E_cd = delta_bc E_ad``): 812 of 2016 are kept at n=8.
     The dense structure constants are ``F[i, k] = coords[p] = -F[k, i]``,
     zero elsewhere. ``delta`` is the largest HS norm of a bracket part the
@@ -620,23 +651,20 @@ def _structure_constants(L: RealSubspace) -> _BracketTable:
     if "structure" in L._memo:
         return L._memo["structure"]
     r = L.dim_span
-    i, k = np.triu_indices(r, 1)
-    kept, coords, delta = [np.zeros(0, dtype=int)], [np.empty((0, r))], 0.0
-    for s in range(0, len(i), _BLOCK):
-        a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
-        p = _rows(_products(L._stacked[a], L._stacked[b], lie))
+    pairs, coords, delta = [np.zeros((2, 0), dtype=int)], [np.empty((0, r))], 0.0
+    for p, a, b in _brackets(L, _rows):
         norms = np.linalg.norm(p, axis=1)
         keep = norms > 0.5 * _DEFECT_FLOOR
         p = p[keep]
         c = p @ L.rows.T
         residual = np.linalg.norm(p - c @ L.rows, axis=1)
         delta = max(delta, float(norms[~keep].max(initial=0.0)), float(residual.max(initial=0.0)))
-        kept.append(s + np.flatnonzero(keep))
+        pairs.append(np.stack((a[keep], b[keep])))
         coords.append(c)
-    sel = np.concatenate(kept)
+    i, k = np.concatenate(pairs, axis=1)
     coords = np.concatenate(coords)
-    norm = float(np.sqrt(np.einsum("ij,ij->i", coords, coords)).max(initial=0.0))
-    return _BracketTable(i[sel], k[sel], coords, delta, norm)
+    norm = float(_row_norms(coords).max(initial=0.0))
+    return _BracketTable(i, k, coords, delta, norm)
 
 
 def _stored_structure_constants(L: RealSubspace) -> _BracketTable:
@@ -673,7 +701,7 @@ def is_jordan_associative(L: RealSubspace) -> bool:
     """
     require_closed(L, jordan)
     require_closed(L, lie)
-    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _, _ in _associator_norms(L))
+    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _associator_norms(L))
 
 
 def is_semisimple_lie(L: RealSubspace) -> bool:

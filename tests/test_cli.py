@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -403,6 +404,29 @@ def test_repeat_runs_are_byte_identical(args):
     assert first.returncode == second.returncode
     assert first.stdout == second.stdout
     assert first.stdout.strip()
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    """The stack is numpy plus the standard library: every absolute import
+    in ``src/ljlab`` names ``numpy``, ``ljlab`` or a standard module."""
+    allowed = {"numpy", "ljlab"} | set(sys.stdlib_module_names)
+    src = Path(cli.__file__).parent
+    seen, outside = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                seen.add(top)
+                if top not in allowed:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []
+    assert {"numpy", "dataclasses"} <= seen  # the scan reads the imports
 
 
 def test_version_flag():

@@ -14,6 +14,7 @@ from ljlab import (
     DimensionMismatch,
     NotHermitian,
     Tolerance,
+    ValidationError,
     derive_seed,
     eig_hermitian,
     hs_inner,
@@ -207,6 +208,19 @@ def test_random_density_properties():
         assert is_psd(rho)
         assert np.real(np.trace(rho)) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(random_density(3, seed=9), random_density(3, seed=9))
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", None, True, False, np.float64(1.0), np.int64(-2)])
+@pytest.mark.parametrize("sampler", [random_hermitian, random_density, ljlab.random_state])
+def test_samplers_reject_a_seed_that_is_not_a_non_negative_integer(sampler, seed):
+    with pytest.raises(ValidationError, match="non-negative integer"):
+        sampler(3, seed)
+
+
+@pytest.mark.parametrize("sampler", [random_hermitian, random_density])
+def test_samplers_take_numpy_integer_seeds_as_their_value(sampler):
+    assert sampler(3, np.int64(5)).tobytes() == sampler(3, 5).tobytes()
+    assert sampler(3, np.uint64(2**64 - 1)).tobytes() == sampler(3, 2**64 - 1).tobytes()
 
 
 def test_random_rejects_bad_dim():

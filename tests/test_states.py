@@ -51,10 +51,9 @@ from ljlab.states import (
     CLASSICALITY_RTOL,
     _bracket_expectations,
     _exact_values,
-    _first_max,
     _pair_values,
 )
-from ljlab.subspace import _DEFECT_FLOOR, RealSubspace, _structure_constants
+from ljlab.subspace import _DEFECT_FLOOR, RealSubspace, _first_max, _structure_constants
 
 
 def diag_state(*entries: float) -> State:
@@ -555,9 +554,8 @@ def test_associator_verdict_matches_the_dense_structure_constants(name, kind):
         assert got.certificate.value == pytest.approx(float(ref_vals[ref_idx]), rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_running_maximum_finds_the_first_row_major_maximum_among_ties(seed):
-    """Small integer values tie often; the scan must pick what a dense argmax picks."""
+def _tie_blocks(seed: int) -> tuple[list, int]:
+    """Up to three row-major blocks of small integer values over random i < k pairs, and r."""
     rng = np.random.default_rng(seed)
     r = int(rng.integers(2, 7))
     i, k = np.triu_indices(r, 1)
@@ -565,7 +563,13 @@ def test_running_maximum_finds_the_first_row_major_maximum_among_ties(seed):
     vals = rng.integers(-2, 3, size=(len(rows), r)).astype(float)
     cuts = np.sort(rng.integers(0, len(rows) + 1, size=2))
     blocks = [(vals[a:b], i[rows][a:b], k[rows][a:b]) for a, b in zip((0, *cuts), (*cuts, len(rows)))]
-    blocks = [b for b in blocks if len(b[1])]
+    return [b for b in blocks if len(b[1])], r
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_running_maximum_finds_the_first_row_major_maximum_among_ties(seed):
+    """Small integer values tie often; the scan must pick what a dense argmax picks."""
+    blocks, r = _tie_blocks(seed)
     dense, _ = _assembled(blocks + [(-v, kb, ib) for v, ib, kb in blocks], r)
     arg = int(np.argmax(np.abs(dense)))
     idx = np.unravel_index(arg, dense.shape)
@@ -573,6 +577,22 @@ def test_running_maximum_finds_the_first_row_major_maximum_among_ties(seed):
     assert best == np.abs(dense).max()
     if best > 0:
         assert got_idx == tuple(int(x) for x in idx) and value == dense[idx]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_running_maximum_does_not_depend_on_block_or_row_order(seed):
+    """The associator defect's blocks hold one first index and a chunk of
+    its partners, so its (i, k) pairs do not arrive in row-major order."""
+    blocks, _ = _tie_blocks(seed)
+    want = _first_max(blocks)
+    rng = np.random.default_rng(1000 + seed)
+    for _ in range(4):
+        shuffled = []
+        for q in rng.permutation(len(blocks)):
+            v, i, k = blocks[q]
+            p = rng.permutation(len(i))
+            shuffled.append((v[p], i[p], k[p]))
+        assert _first_max(shuffled) == want
 
 
 def test_the_table_oracle_sees_both_verdicts():
