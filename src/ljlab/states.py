@@ -6,8 +6,16 @@ zero on all brackets, or membership in the centralizer of the derived
 algebra. The three criteria agree on closed subalgebras; ``classify`` runs
 all applicable ones and raises CriteriaDisagree if they ever split. It
 reports the commutator verdict, so it settles the other two as yes-or-no
-flags from certified norm bounds and forms their full maxima only to
-report a split.
+flags and forms their full maxima only to report a split. A flag is
+settled in two steps. The first reads only the tensor C, rho's
+coordinates x against L and the r brackets ``R_j = [rho, e_j]``. Its
+four certified bounds (``_associator_classical``, ``_associator_quantum``,
+``_center_classical``, ``_center_quantum``) use ``SPAN_RTOL`` as the
+distance of a basis bracket from the closed L, and settle a clear state
+with no bracket table and no derived algebra. Only a state near a
+threshold reaches the second step (``_associator_flag``,
+``_center_flag``), which builds them once per algebra. Every flag equals
+its criterion's ``classical``.
 
 The associator criterion needs no Jordan products. By the Jordan-Lie
 identity ``(a o b) o c - a o (b o c) = [b, [c, a]]``, on a Lie-closed L
@@ -42,6 +50,8 @@ from .linalg import _opnorm, as_matrix, random_density
 from .products import jordan, lie
 from .subspace import (
     _BLOCK,
+    _DEFECT_FLOOR,
+    SPAN_RTOL,
     RealSubspace,
     _Block,
     _brackets,
@@ -244,13 +254,14 @@ def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     return _verdict("commutator", _bracket_tensor(s, L), L.basis)
 
 
-def _derived_brackets(s: State, L: RealSubspace) -> tuple[RealSubspace, np.ndarray]:
+def _derived_brackets(s: State, L: RealSubspace, in_span: bool = False) -> tuple[RealSubspace, np.ndarray]:
     """The derived algebra d and the brackets ``[rho, d_k]`` over its basis, as (r_d, n, n).
 
-    Raises NotInSpan when rho is not in span(L).
+    Raises NotInSpan when rho is not in span(L). ``in_span`` says the
+    caller has found it there already, so the test is not run again.
     """
     _check_dims(s, L)
-    if not L.contains(s.rho):
+    if not (in_span or L.contains(s.rho)):
         raise NotInSpan("state is not an element of the subalgebra's span")
     d = derived_algebra(L)
     return d, _rho_brackets(s, d._stacked)
@@ -295,21 +306,122 @@ def _associator_flag(s: State, L: RealSubspace, C: np.ndarray) -> bool:
     return _associator_verdict(s, L, C).classical
 
 
-def _center_flag(s: State, L: RealSubspace) -> bool:
+def _center_flag(s: State, L: RealSubspace, in_span: bool = False) -> bool:
     """``is_classical_center(s, L).classical``, settled by Hilbert-Schmidt bounds.
 
     ``||X||_HS / sqrt(n) <= ||X||_op <= ||X||_HS``: a bracket of HS norm
     above ``sqrt(n) * CLASSICALITY_RTOL`` proves the verdict quantum, and
     brackets of HS norm below ``CLASSICALITY_RTOL`` are classical. Only the
     brackets between the two get a spectral norm. Raises NotInSpan as the
-    criterion does.
+    criterion does, unless ``in_span`` says rho is in span(L).
     """
-    _, brackets = _derived_brackets(s, L)
+    _, brackets = _derived_brackets(s, L, in_span)
     hs = _row_norms(_rows(brackets))
     if np.any(hs > math.sqrt(s.dim) * CLASSICALITY_RTOL * (1 + _NORM_SLACK)):
         return False
     band = hs >= CLASSICALITY_RTOL * (1 - _NORM_SLACK)
     return not band.any() or float(_opnorm(brackets[band]).max()) <= CLASSICALITY_RTOL
+
+
+# classify's first step: four bounds that settle a flag from the tensor C
+# (through its row norms ``cn[j] = ||C[j]||``), rho's coordinates x against
+# L and the brackets ``R_j = [rho, e_j]``, with no basis bracket formed.
+# Their premises: ``require_closed(L, lie)`` has passed, so each ``[e_i,
+# e_k]`` (HS norm at most 1 for orthonormal e) lies within d = ``SPAN_RTOL``
+# of span(L), and d bounds the table's ``delta``; and ``||rho||_HS <= 1``.
+# j* maximizes ``||C[j]||``; each bound is widened by ``1 + _NORM_SLACK``.
+
+
+def _associator_classical(cn: np.ndarray, hs: np.ndarray) -> bool:
+    """Whether ``max ||C[j]|| + max ||R_j|| d`` proves the associator flag classical.
+
+    A table value ``<c_p, C[j]>`` is at most ``||C[j]||``, since ``||c_p||
+    <= 1``. An exact-pass value ``<R_j, [e_i, e_k]>`` is at most ``||C[j]||
+    + ||R_j|| d``: C[j] holds the coordinates of R_j against L, and the
+    bracket's part off L is at most d. Below ``CLASSICALITY_RTOL`` that
+    bounds whichever maximum the verdict takes, in the recheck band or out.
+    ``hs[j]`` is ``||R_j||_HS``.
+    """
+    top = float(cn.max(initial=0.0)) + float(hs.max(initial=0.0)) * SPAN_RTOL
+    return top * (1 + _NORM_SLACK) < CLASSICALITY_RTOL
+
+
+def _associator_quantum(cn: np.ndarray, x1: float) -> bool:
+    """Whether ``(||C[j*]||^2 - eta ||C[j*]||) / ||x||_1`` proves the associator flag quantum.
+
+    With ``t(i, j, k)`` the table's values, ``sum_i x_i t(i, j*, j*) = -<g,
+    C[j*]>``, where g sums x_i times the table row of ``[e_i, e_j*]`` (zero
+    for a pair not in the table). Exactly, ``g[m] = Tr(P rho [e_j*, e_m])``
+    for the projection P onto L, while ``C[j*, m] = Tr(rho [e_j*, e_m])``:
+    they differ by rho's part off L against the bracket's part off L, at
+    most d each, and a pair left out of the table has norm at most
+    ``_DEFECT_FLOOR / 2``. So ``||g - C[j*]|| <= eta = sqrt(r) d + ||x||_1
+    _DEFECT_FLOOR / 2``, and the table's maximum is at least the quotient.
+    Above ``CLASSICALITY_RTOL + d``, which is at least the threshold plus
+    ``delta``, the verdict is quantum outside the recheck band. x1 is
+    ``||x||_1``.
+    """
+    c = float(cn.max(initial=0.0))
+    eta = math.sqrt(len(cn)) * SPAN_RTOL + x1 * _DEFECT_FLOOR / 2
+    return x1 > 0.0 and (c * c - eta * c) / x1 > (CLASSICALITY_RTOL + SPAN_RTOL) * (1 + _NORM_SLACK)
+
+
+def _center_classical(hs: np.ndarray) -> bool:
+    """Whether ``||R||_F`` proves the center flag classical, for rho in span(L).
+
+    Each basis element of the derived algebra is a unit coordinate row a
+    times ``L.rows``, so its bracket with rho is ``sum_k a_k R_k``, of HS
+    norm, hence operator norm, at most ``||R||_F``. At most
+    ``CLASSICALITY_RTOL`` settles classical. ``hs[j]`` is ``||R_j||_HS``.
+    """
+    return math.sqrt(float(hs @ hs)) * (1 + _NORM_SLACK) <= CLASSICALITY_RTOL
+
+
+def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> bool:
+    """Whether ``||[rho, y]||_HS / sqrt(n)``, ``y = R_j*``, proves the center flag quantum.
+
+    For rho in span(L). y lies within ``eps = (2 ||x||_1 + 1) d`` of span [L, L]. rho lies
+    within d of ``P rho = sum_i x_i e_i`` (``contains``' rule), which moves
+    y by at most d. Each ``[e_i, e_j*]`` lies within d of L (closedness, the
+    table's ``delta``), and its coordinates within d of the derived
+    algebra's (``_extend``'s drop rule). If every ``||[rho, d_k]||_op`` were
+    at most ``CLASSICALITY_RTOL``, ``z = [rho, y]`` would have operator norm
+    at most ``sqrt(r) (||y|| + eps) CLASSICALITY_RTOL + eps``: y's part in
+    [L, L] has at most r coordinates, of total square at most ``(||y|| +
+    eps)^2``, and its other part, at most eps, moves z by at most eps. As
+    ``||z||_HS / sqrt(n) <= ||z||_op``, a larger value proves quantum, from
+    four matrix products. x1 is ``||x||_1``.
+    """
+    y = _rho_brackets(s, L._stacked[int(cn.argmax())])
+    z = _rho_brackets(s, y)
+    eps = (2 * x1 + 1) * SPAN_RTOL
+    bound = math.sqrt(len(cn)) * (math.sqrt(np.vdot(y, y).real) + eps) * CLASSICALITY_RTOL + eps
+    return math.sqrt(np.vdot(z, z).real / s.dim) > bound * (1 + _NORM_SLACK)
+
+
+def _flags(s: State, L: RealSubspace, C: np.ndarray) -> list[bool]:
+    """The associator flag, then the center flag when rho is in span(L).
+
+    The first step tries the quantum bounds, which need no bracket stack,
+    then forms the r brackets ``[rho, e_j]`` only for a classical bound
+    still needed. A flag no bound settles goes to the second step
+    (``_associator_flag``, ``_center_flag``). ``contains`` runs once, and
+    both steps use its result.
+    """
+    in_span = L.contains(s.rho)
+    cn, x1 = _row_norms(C), float(np.abs(L.coeffs(s.rho)).sum())
+    assoc = False if _associator_quantum(cn, x1) else None
+    center = False if in_span and _center_quantum(s, L, cn, x1) else None
+    if assoc is None or (in_span and center is None):
+        hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
+        if assoc is None and _associator_classical(cn, hs):
+            assoc = True
+        if in_span and center is None and _center_classical(hs):
+            center = True
+    flags = [_associator_flag(s, L, C) if assoc is None else assoc]
+    if in_span:
+        flags.append(_center_flag(s, L, in_span=True) if center is None else center)
+    return flags
 
 
 def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
@@ -319,17 +431,16 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     disagreement raises CriteriaDisagree; otherwise the commutator verdict
     (pair certificate) is returned. The bracket tensor C that the
     associator and commutator criteria share is built once. The associator
-    and center criteria enter only through their ``classical`` flags, which
-    ``_associator_flag`` and ``_center_flag`` settle from certified bounds;
-    their full verdicts are computed only to report a disagreement.
+    and center criteria enter only through their ``classical`` flags
+    (``_flags``), settled in two steps: four certified bounds from C, rho's
+    coordinates and the brackets ``[rho, e_j]``, then, for a state near a
+    threshold, the bracket table and the derived algebra
+    (``_associator_flag``, ``_center_flag``). Their full verdicts are
+    computed only to report a disagreement.
     """
     C = _bracket_tensor(s, L)
     verdict = _verdict("commutator", C, L.basis)
-    flags = [_associator_flag(s, L, C)]
-    try:
-        flags.append(_center_flag(s, L))
-    except NotInSpan:
-        pass
+    flags = _flags(s, L, C)
     if all(f == verdict.classical for f in flags):
         return verdict
     verdicts = [_associator_verdict(s, L, C), verdict]

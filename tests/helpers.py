@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from ljlab import (
-    ClassicalityVerdict,
     DimensionMismatch,
     EmptyInput,
     IdentityReport,
@@ -819,28 +818,26 @@ def _zero_tensor(s, L):
     return np.zeros((L.dim_span, L.dim_span))
 
 
-def _no_derived(L):
-    return RealSubspace(L.dim_ambient, np.empty((0, 2 * L.dim_ambient**2)))
+def _zero_brackets(s, e):
+    return np.zeros(np.shape(e), dtype=complex)
 
 
 #: Patches that make the criteria split on a random state of the full
 #: algebra: a zero bracket tensor C makes the associator and commutator
-#: criteria classical, an empty derived algebra the center criterion.
+#: criteria classical; zero brackets ``[rho, e]`` leave C intact and make
+#: the center criterion classical, in classify's bounds and in the full
+#: verdict alike.
 DISAGREEMENTS = {
     "zero-tensor": ("_bracket_expectations", _zero_tensor),
-    "no-derived": ("derived_algebra", _no_derived),
+    "zero-brackets": ("_rho_brackets", _zero_brackets),
 }
 
 
-def disagreement_message(s: State, L: RealSubspace, patch: str) -> str:
-    """The CriteriaDisagree message the full verdicts give under a patch."""
-    va, vc, vz = (f(s, L) for f in (is_classical_associator, is_classical_commutator, is_classical_center))
-    if patch == "zero-tensor":
-        va = vc = ClassicalityVerdict(True, "", 0.0, None)
-    else:
-        vz = ClassicalityVerdict(True, "", 0.0, None)
+def disagreement_message(s: State, L: RealSubspace) -> str:
+    """The CriteriaDisagree message the public verdicts give, under whatever patch is in place."""
+    verdicts = (f(s, L) for f in (is_classical_associator, is_classical_commutator, is_classical_center))
     detail = ", ".join(
         f"{name}={v.classical} (violation {v.max_violation:.3e})"
-        for name, v in zip(("associator", "commutator", "center"), (va, vc, vz))
+        for name, v in zip(("associator", "commutator", "center"), verdicts)
     )
     return f"classicality criteria disagree: {detail}"

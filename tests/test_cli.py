@@ -637,9 +637,9 @@ def test_cli_stdout_matches_its_recorded_sha256(command, in_golden_dir):
 @pytest.mark.parametrize("patch", DISAGREEMENTS)
 def test_classify_disagreement_exits_three_with_the_full_verdicts_message(tmp_path, monkeypatch, capsys, patch):
     s = random_state(3, seed=5)
-    want = disagreement_message(s, full_hermitian_space(3), patch)
     path = write_json(tmp_path / "s.json", matrix_to_json(s.rho))
     monkeypatch.setattr(states_mod, *DISAGREEMENTS[patch])
+    want = disagreement_message(s, full_hermitian_space(3))
     assert main(["classify", "--in", path]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {want}\n"

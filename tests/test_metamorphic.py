@@ -104,6 +104,29 @@ def test_classify_is_invariant_under_unitary_conjugation(name, seed):
         _same_verdict(classify(State(rho), L), classify(State(u @ rho @ u.conj().T), UL))
 
 
+@pytest.mark.parametrize("kind", ["pure", "wishart", "mixed"])
+def test_classify_on_the_full_12x12_algebra_is_invariant_under_unitary_conjugation(kind):
+    """At n = 12 the bracket table would hold 2970 rows in the canonical
+    basis and 10296 in the conjugated one; classify settles both cross-checks
+    from its bounds on either basis and builds neither."""
+    n = 12
+    rng = np.random.default_rng(1200)
+    L = full_hermitian_space(n)
+    if kind == "pure":
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    else:
+        rho = random_state(n, seed=12).rho if kind == "wishart" else np.eye(n, dtype=complex) / n
+    u = random_unitary(n, rng)
+    UL = conjugated(L, u)
+    first, second = classify(State(rho), L), classify(State(u @ rho @ u.conj().T), UL)
+    assert first.classical == second.classical == (kind == "mixed")
+    assert first.criterion == second.criterion
+    assert abs(second.max_violation - first.max_violation) <= DEFAULT_TOL.threshold(first.max_violation)
+    for alg in (L, UL):
+        assert "structure" not in alg._memo and "derived" not in alg._memo
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("kind", ("generic", "block", "commuting"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from ljlab.states import (
     _exact_values,
     _pair_values,
 )
-from ljlab.subspace import _DEFECT_FLOOR, RealSubspace, _first_max, _structure_constants
+from ljlab.subspace import _DEFECT_FLOOR, SPAN_RTOL, RealSubspace, _first_max, _structure_constants
 
 
 def diag_state(*entries: float) -> State:
@@ -282,6 +283,38 @@ def test_zero_dimensional_algebra_is_trivially_classical():
     s = diag_state(0.5, 0.5)
     assert is_classical_associator(s, z).classical
     assert is_classical_commutator(s, z).classical
+
+
+def _orthogonal_algebra() -> RealSubspace:
+    return span([np.diag([1.0, 0.0, 0.0]).astype(complex)])
+
+
+@pytest.mark.parametrize(
+    "alg,rho",
+    [
+        (RealSubspace(dim_ambient=1, rows=np.empty((0, 2))), np.eye(1)),
+        (RealSubspace(dim_ambient=3, rows=np.empty((0, 18))), np.eye(3) / 3),
+        (RealSubspace(dim_ambient=3, rows=np.empty((0, 18))), np.diag([1.0, 0.0, 0.0])),
+        (full_hermitian_space(1), np.eye(1)),
+        (_orthogonal_algebra(), np.diag([0.0, 0.5, 0.5])),  # rho's coordinates are all zero
+        (_orthogonal_algebra(), np.diag([0.0, 0.0, 1.0])),
+    ],
+    ids=["empty:1", "empty:3-mixed", "empty:3-pure", "full:1", "orthogonal-mixed", "orthogonal-pure"],
+)
+def test_classify_where_the_bounds_have_no_tensor_or_no_coordinates(alg, rho):
+    """An empty C (r = 0, so ||x||_1 = 0 and rho is in no span) and rho
+    orthogonal to L (||x||_1 = 0): the verdicts are classical with no
+    violation, as the public criteria say."""
+    s = State(rho.astype(complex))
+    verdict = classify(s, alg)
+    assert (verdict.classical, verdict.criterion, verdict.max_violation, verdict.certificate) == (
+        True,
+        "commutator",
+        0.0,
+        None,
+    )
+    assert states_mod._flags(s, alg, _bracket_expectations(s, alg)) == _public_flags(s, alg)
+    assert all(_public_flags(s, alg))
 
 
 def test_criteria_disagree_is_importable():
@@ -627,7 +660,10 @@ def test_bracket_table_delta_bounds_what_the_table_leaves_out(eps):
 @pytest.mark.parametrize("n,rows", [(8, 812), (12, 2970)])
 def test_bracket_table_of_the_full_algebra_holds_its_nonzero_brackets_only(n, rows):
     alg = full_hermitian_space(n)
-    assert not classify(random_state(n, seed=n), alg).classical
+    s = random_state(n, seed=n)
+    assert not classify(s, alg).classical
+    assert "structure" not in alg._memo  # classify settled its flags from bounds
+    assert not is_classical_associator(s, alg).classical
     table = alg._memo["structure"]
     assert len(table.i) == len(table.k) == len(table.coords) == rows
     r = alg.dim_span
@@ -720,6 +756,19 @@ def _near_mixed(sigma: State, t: float) -> State:
     return State((1.0 - t) * np.eye(n, dtype=complex) / n + t * sigma.rho)
 
 
+#: The clear states of ``_flag_states``: its first four.
+_CLEAR_KINDS = ("wishart", "pure", "block-scalar", "mixed")
+
+
+def _flag_states(name: str, alg: RealSubspace) -> list[State]:
+    """The four clear states, then rho_t = (1 - t) I / n + t sigma for two
+    sigmas (one in span(alg)) and 17 values of t over 1e-12..1e-4: 38 states."""
+    n = alg.dim_ambient
+    states = [_table_state(name, n, kind) for kind in _CLEAR_KINDS]
+    sigmas = [random_state(n, seed=n), _in_span_state(alg, seed=n)]
+    return states + [_near_mixed(sigma, t) for sigma in sigmas for t in np.logspace(-12, -4, 17)]
+
+
 def _check_flags(monkeypatch, name: str) -> tuple[int, int, int]:
     """Each flag against its public criterion, on the oracle states and on
     rho_t = (1 - t) I / n + t sigma, whose values cross the threshold as t
@@ -729,10 +778,7 @@ def _check_flags(monkeypatch, name: str) -> tuple[int, int, int]:
     associator flags that fell back to the verdict, and the state count.
     """
     alg = _table_algebra(name)
-    n = alg.dim_ambient
-    states = [_table_state(name, n, kind) for kind in ("wishart", "pure", "block-scalar", "mixed")]
-    sigmas = [random_state(n, seed=n), _in_span_state(alg, seed=n)]
-    states += [_near_mixed(sigma, t) for sigma in sigmas for t in np.logspace(-12, -4, 17)]
+    states = _flag_states(name, alg)
     calls: Counter[str] = Counter()
 
     def counted(key, fn):
@@ -775,12 +821,144 @@ def test_the_flag_oracle_reaches_both_fallbacks(monkeypatch):
     assert band + fallback < total // 4
 
 
+# ---------------------------------------------------------------- classify's first step: bounds with no table
+
+
+def _public_flags(s: State, alg: RealSubspace) -> list[bool]:
+    flags = [is_classical_associator(s, alg).classical]
+    try:
+        flags.append(is_classical_center(s, alg).classical)
+    except NotInSpan:
+        pass
+    return flags
+
+
+def _classify_agrees(s: State, alg: RealSubspace) -> list[bool]:
+    """classify's flags; classify returns the commutator verdict when they
+    agree with it and raises CriteriaDisagree otherwise, as near a threshold
+    the criteria, with their different scales, may."""
+    commutator = is_classical_commutator(s, alg)
+    try:
+        verdict = classify(s, alg)
+    except CriteriaDisagree:
+        verdict = None
+    flags = states_mod._flags(s, alg, _bracket_expectations(s, alg))
+    if all(flag == commutator.classical for flag in flags):
+        assert (verdict.classical, verdict.max_violation) == (commutator.classical, commutator.max_violation)
+    else:
+        assert verdict is None
+    return flags
+
+
+@pytest.mark.parametrize("name", _FLAG_ALGEBRAS)
+def test_classifys_flags_are_the_public_criteria_verdicts(name):
+    """On the 38 states of ``_flag_states``, each on a fresh algebra object."""
+    for q, s in enumerate(_flag_states(name, _table_algebra(name))):
+        alg = _table_algebra(name)
+        assert _classify_agrees(s, alg) == _public_flags(s, alg), (name, q)
+
+
+def test_the_first_step_leaves_only_the_sweep_to_the_second(monkeypatch):
+    """Of the 608 states of ``_flag_states`` on the 16 algebras, 199
+    associator and 192 center flags reach the second step (numpy 2.4 on
+    OpenBLAS): all from the rho_t sweep, none from a clear state, which
+    ``test_clear_states_build_no_table_and_no_derived_algebra`` checks."""
+    calls: Counter[str] = Counter()
+    for fn in ("_associator_flag", "_center_flag"):
+
+        def counted(*args, fn=fn, original=getattr(states_mod, fn), **kwargs):
+            calls[fn] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(states_mod, fn, counted)
+    for name in _FLAG_ALGEBRAS:
+        alg = _table_algebra(name)
+        for s in _flag_states(name, alg)[len(_CLEAR_KINDS) :]:
+            states_mod._flags(s, alg, _bracket_expectations(s, alg))
+    sweep = len(_FLAG_ALGEBRAS) * 34
+    assert 0 < calls["_associator_flag"] < sweep // 2
+    assert 0 < calls["_center_flag"] < sweep // 2
+
+
+@pytest.mark.parametrize("kind", _CLEAR_KINDS)
+@pytest.mark.parametrize("name", _FLAG_ALGEBRAS)
+def test_clear_states_build_no_table_and_no_derived_algebra(monkeypatch, name, kind):
+    alg = _table_algebra(name)
+    s = _table_state(name, alg.dim_ambient, kind)
+
+    def forbidden(*args):
+        raise AssertionError("built in the second step")
+
+    for fn in ("_stored_structure_constants", "derived_algebra", "_associator_flag", "_center_flag"):
+        monkeypatch.setattr(states_mod, fn, forbidden)
+    verdict = classify(s, alg)
+    assert "structure" not in alg._memo and "derived" not in alg._memo
+    monkeypatch.undo()
+    assert verdict.classical == is_classical_commutator(s, alg).classical
+    assert set(_public_flags(s, alg)) == {verdict.classical}
+
+
+def test_classifys_flags_on_a_barely_closed_algebra():
+    """The algebra of ``test_a_barely_closed_algebra_reaches_the_exact_pass``,
+    whose table ``delta`` is about 0.3 ``CLASSICALITY_RTOL``. On rho_t =
+    (1 - t) I / n + t sigma with the associator values (sigma outside the
+    span) or the center values (sigma inside it) at ``CLASSICALITY_RTOL
+    (1 +- 0.05)``, classify's flags are the public criteria's, and classify
+    returns the commutator verdict exactly when they agree with it."""
+    noisy = [e + 1e-9 * random_hermitian(4, seed=90 + q) for q, e in enumerate(block_algebra((2, 2)).basis)]
+    alg = span(noisy)
+    outside, inside = random_state(4, seed=3), _in_span_state(alg, seed=3)
+    seen = set()
+    for sigma, criterion in ((outside, is_classical_associator), (inside, is_classical_center)):
+        peak = criterion(sigma, alg).max_violation
+        for f in (0.95, 1.05):
+            s = _near_mixed(sigma, CLASSICALITY_RTOL * f / peak)
+            assert _classify_agrees(s, span(noisy)) == _public_flags(s, alg)
+            seen.add((criterion.__name__, criterion(s, alg).classical))
+    assert len(seen) == 4
+
+
+def test_the_first_step_bounds_settle_up_to_their_documented_edges():
+    """Each of the four first-step bounds on inputs that put its documented
+    quantity 0.1% either side of its edge, where the terms that no test
+    state makes large (the brackets' ``SPAN_RTOL`` margins, ``1 /
+    ||x||_1``, ``sqrt(n)``, eps, ``||R||_F`` against ``max ||R_j||``)
+    decide the side."""
+    slack, d, rtol = 1 + states_mod._NORM_SLACK, SPAN_RTOL, CLASSICALITY_RTOL
+    L = full_hermitian_space(4)
+    r, n = L.dim_span, L.dim_ambient
+    s = random_state(n, seed=21)
+    y = lie(s.rho, L.basis[7])
+    z = float(np.linalg.norm(lie(s.rho, y))) / math.sqrt(n)
+    for side in (-1, 1):
+        f = 1 + side * 1e-3
+        # associator, classical: max ||C[j]|| is half the threshold, the brackets' margin the rest
+        cn = np.full(r, 0.25 * rtol)
+        cn[3] = 0.5 * rtol
+        hs = np.full(r, 0.1)
+        hs[5] = (rtol * f / slack - 0.5 * rtol) / d
+        assert states_mod._associator_classical(cn, hs) is (side < 0)
+        # associator, quantum: (top^2 - eta top) / ||x||_1 at f (threshold + d) (1 + _NORM_SLACK)
+        eta = math.sqrt(r) * d + 3.0 * _DEFECT_FLOOR / 2
+        q = 3.0 * (rtol + d) * slack * f
+        top = (eta + math.sqrt(eta * eta + 4 * q)) / 2
+        cn = np.full(r, 0.5 * top)
+        cn[7] = top
+        assert states_mod._associator_quantum(cn, 3.0) is (side > 0)
+        # center, classical: ||R||_F (1 + _NORM_SLACK) at f times the threshold; each ||R_j|| is a quarter of it
+        assert states_mod._center_classical(np.full(r, rtol * f / slack / math.sqrt(r))) is (side < 0)
+        # center, quantum: ||x||_1 sets eps so that ||[rho, y]||_HS / sqrt(n), y = [rho, e_7],
+        # is f times (sqrt(r) (||y|| + eps) threshold + eps) (1 + _NORM_SLACK)
+        eps = (z / (slack * f) - math.sqrt(r) * float(np.linalg.norm(y)) * rtol) / (1 + math.sqrt(r) * rtol)
+        assert states_mod._center_quantum(s, L, cn, (eps / d - 1) / 2) is (side > 0)
+
+
 @pytest.mark.parametrize("patch", DISAGREEMENTS)
 def test_a_disagreement_raises_the_full_verdicts_message(monkeypatch, patch):
     L = full_hermitian_space(3)
     s = random_state(3, seed=5)
-    want = disagreement_message(s, L, patch)
     monkeypatch.setattr(states_mod, *DISAGREEMENTS[patch])
+    want = disagreement_message(s, full_hermitian_space(3))
     with pytest.raises(CriteriaDisagree) as exc:
         classify(s, L)
     assert str(exc.value) == want

@@ -61,7 +61,7 @@ from ljlab import (
 )
 from ljlab import subspace as subspace_mod
 from ljlab.products import associator
-from ljlab.states import classify, random_state
+from ljlab.states import State, classify, random_state
 from ljlab.linalg import DEFAULT_TOL, _opnorm, spectral_norm
 from ljlab.subspace import (
     _DEFECT_FLOOR,
@@ -1034,13 +1034,23 @@ def test_second_classify_forms_no_pair_products(monkeypatch):
     full = full_hermitian_space(3)
     pairs = _count_calls(monkeypatch, "_products")
     rounds = _count_calls(monkeypatch, "_close_rounds")
-    first = classify(random_state(3, seed=5), full)
-    # the derived algebra comes from the structure constants, not a closure
-    assert pairs[0] > 0 and rounds[0] == 0
-    pairs[0] = 0
-    second = classify(random_state(3, seed=6), full)
+    # a clear state is settled by classify's bounds: no pair product at all
+    clear = classify(random_state(3, seed=5), full)
     assert pairs[0] == 0 and rounds[0] == 0
-    assert not first.classical and not second.classical
+    assert "structure" not in full._memo and "derived" not in full._memo
+
+    def near_mixed(seed):
+        # 1e-6 of a random state: its values are about 1e-7, between the bounds
+        return State((1 - 1e-6) * np.eye(3, dtype=complex) / 3 + 1e-6 * random_state(3, seed=seed).rho)
+
+    first = classify(near_mixed(5), full)
+    # the table and the derived algebra come from the structure constants, not a closure
+    assert pairs[0] > 0 and rounds[0] == 0
+    assert "structure" in full._memo and "derived" in full._memo
+    pairs[0] = 0
+    second = classify(near_mixed(6), full)
+    assert pairs[0] == 0 and rounds[0] == 0
+    assert not clear.classical and not first.classical and not second.classical
 
 
 def test_not_closed_raises_on_every_call(monkeypatch):
