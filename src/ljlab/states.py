@@ -6,16 +6,15 @@ zero on all brackets, or membership in the centralizer of the derived
 algebra. The three criteria agree on closed subalgebras; ``classify`` runs
 all applicable ones and raises CriteriaDisagree if they ever split. It
 reports the commutator verdict, so it settles the other two as yes-or-no
-flags and forms their full maxima only to report a split. A flag is
-settled in two steps. The first reads only the tensor C, rho's
-coordinates x against L and the r brackets ``R_j = [rho, e_j]``. Its
-four certified bounds (``_associator_classical``, ``_associator_quantum``,
-``_center_classical``, ``_center_quantum``) use ``SPAN_RTOL`` as the
-distance of a basis bracket from the closed L, and settle a clear state
-with no bracket table and no derived algebra. Only a state near a
-threshold reaches the second step (``_associator_flag``,
-``_center_flag``), which builds them once per algebra. Every flag equals
-its criterion's ``classical``.
+flags and forms their full maxima only to report a split. A flag first
+tries bounds that read only the tensor C, rho's coordinates x against L
+and the r brackets ``R_j = [rho, e_j]``. These four certified bounds
+(``_associator_classical``, ``_associator_quantum``, ``_center_classical``,
+``_center_quantum``) use ``SPAN_RTOL`` as the distance of a basis bracket
+from the closed L, and settle a clear state with no bracket table and no
+derived algebra. A flag no bound settles, for a state near a threshold,
+is its criterion's own verdict, so every flag equals its criterion's
+``classical``.
 
 The associator criterion needs no Jordan products. By the Jordan-Lie
 identity ``(a o b) o c - a o (b o c) = [b, [c, a]]``, on a Lie-closed L
@@ -254,17 +253,10 @@ def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     return _verdict("commutator", _bracket_tensor(s, L), L.basis)
 
 
-def _derived_brackets(s: State, L: RealSubspace, in_span: bool = False) -> tuple[RealSubspace, np.ndarray]:
-    """The derived algebra d and the brackets ``[rho, d_k]`` over its basis, as (r_d, n, n).
-
-    Raises NotInSpan when rho is not in span(L). ``in_span`` says the
-    caller has found it there already, so the test is not run again.
-    """
-    _check_dims(s, L)
-    if not (in_span or L.contains(s.rho)):
-        raise NotInSpan("state is not an element of the subalgebra's span")
+def _center_verdict(s: State, L: RealSubspace) -> ClassicalityVerdict:
+    """The center verdict for rho in span(L), from the brackets ``[rho, d_k]`` over the derived algebra d."""
     d = derived_algebra(L)
-    return d, _rho_brackets(s, d._stacked)
+    return _verdict("center", _opnorm(_rho_brackets(s, d._stacked)), d.basis)
 
 
 def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
@@ -275,52 +267,18 @@ def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
     are the spectral norms of the brackets ``[rho, d_k]``, batched over the
     basis of the derived algebra.
     """
-    d, brackets = _derived_brackets(s, L)
-    return _verdict("center", _opnorm(brackets), d.basis)
+    _check_dims(s, L)
+    if not L.contains(s.rho):
+        raise NotInSpan("state is not an element of the subalgebra's span")
+    return _center_verdict(s, L)
 
 
-#: Rounding slack of the flags' bounds: the relative error allowed for a
-#: computed norm or inner product against its exact value on the computed
-#: inputs. SVDs, sums of squares and dot products are accurate to a few
-#: hundred ulps at the sizes the package handles, far inside it.
+#: Rounding slack of classify's first-step bounds, each widened by ``1 +
+#: _NORM_SLACK``: the relative error allowed for a computed norm or inner
+#: product against its exact value on the computed inputs. SVDs, sums of
+#: squares and dot products are accurate to a few hundred ulps at the sizes
+#: the package handles, far inside it.
 _NORM_SLACK = 1e-6
-
-
-def _associator_flag(s: State, L: RealSubspace, C: np.ndarray) -> bool:
-    """``_associator_verdict(s, L, C).classical``, settled by the first certificate.
-
-    Each value is ``<c_p, C[j]>``, so by Cauchy-Schwarz the table's ``norm``
-    (``max_p ||c_p||``) times ``max_j ||C[j]||``, below ``CLASSICALITY_RTOL
-    - delta``, proves classical with no contraction. Otherwise the first
-    table block with a value above ``CLASSICALITY_RTOL + delta`` proves
-    quantum: the verdict's largest value is at least that, outside the
-    recheck band. Without either certificate the verdict itself decides.
-    """
-    table = _stored_structure_constants(L)
-    bound = table.norm * float(_row_norms(C).max(initial=0.0))
-    if bound * (1 + _NORM_SLACK) < CLASSICALITY_RTOL - table.delta:
-        return True
-    for vals, _, _ in _pair_values(table, C):
-        if float(np.abs(vals).max()) > CLASSICALITY_RTOL + table.delta:
-            return False
-    return _associator_verdict(s, L, C).classical
-
-
-def _center_flag(s: State, L: RealSubspace, in_span: bool = False) -> bool:
-    """``is_classical_center(s, L).classical``, settled by Hilbert-Schmidt bounds.
-
-    ``||X||_HS / sqrt(n) <= ||X||_op <= ||X||_HS``: a bracket of HS norm
-    above ``sqrt(n) * CLASSICALITY_RTOL`` proves the verdict quantum, and
-    brackets of HS norm below ``CLASSICALITY_RTOL`` are classical. Only the
-    brackets between the two get a spectral norm. Raises NotInSpan as the
-    criterion does, unless ``in_span`` says rho is in span(L).
-    """
-    _, brackets = _derived_brackets(s, L, in_span)
-    hs = _row_norms(_rows(brackets))
-    if np.any(hs > math.sqrt(s.dim) * CLASSICALITY_RTOL * (1 + _NORM_SLACK)):
-        return False
-    band = hs >= CLASSICALITY_RTOL * (1 - _NORM_SLACK)
-    return not band.any() or float(_opnorm(brackets[band]).max()) <= CLASSICALITY_RTOL
 
 
 # classify's first step: four bounds that settle a flag from the tensor C
@@ -402,25 +360,20 @@ def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> boo
 def _flags(s: State, L: RealSubspace, C: np.ndarray) -> list[bool]:
     """The associator flag, then the center flag when rho is in span(L).
 
-    The first step tries the quantum bounds, which need no bracket stack,
-    then forms the r brackets ``[rho, e_j]`` only for a classical bound
-    still needed. A flag no bound settles goes to the second step
-    (``_associator_flag``, ``_center_flag``). ``contains`` runs once, and
-    both steps use its result.
+    Each flag tries its quantum bound, which needs no bracket stack, then
+    its classical bound, then takes its criterion's own verdict. The r
+    brackets ``[rho, e_j]`` are formed once, unless both quantum bounds
+    settle. ``contains`` runs once, and the center flag uses its result.
     """
     in_span = L.contains(s.rho)
     cn, x1 = _row_norms(C), float(np.abs(L.coeffs(s.rho)).sum())
-    assoc = False if _associator_quantum(cn, x1) else None
-    center = False if in_span and _center_quantum(s, L, cn, x1) else None
-    if assoc is None or (in_span and center is None):
-        hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
-        if assoc is None and _associator_classical(cn, hs):
-            assoc = True
-        if in_span and center is None and _center_classical(hs):
-            center = True
-    flags = [_associator_flag(s, L, C) if assoc is None else assoc]
+    quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(s, L, cn, x1)] if in_span else [])
+    if all(quantum):
+        return [False] * len(quantum)
+    hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
+    flags = [not quantum[0] and (_associator_classical(cn, hs) or _associator_verdict(s, L, C).classical)]
     if in_span:
-        flags.append(_center_flag(s, L, in_span=True) if center is None else center)
+        flags.append(not quantum[1] and (_center_classical(hs) or _center_verdict(s, L).classical))
     return flags
 
 
@@ -432,11 +385,11 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     (pair certificate) is returned. The bracket tensor C that the
     associator and commutator criteria share is built once. The associator
     and center criteria enter only through their ``classical`` flags
-    (``_flags``), settled in two steps: four certified bounds from C, rho's
-    coordinates and the brackets ``[rho, e_j]``, then, for a state near a
-    threshold, the bracket table and the derived algebra
-    (``_associator_flag``, ``_center_flag``). Their full verdicts are
-    computed only to report a disagreement.
+    (``_flags``): four certified bounds from C, rho's coordinates and the
+    brackets ``[rho, e_j]`` settle a clear state, and a flag none settles
+    is its criterion's own verdict, which builds the bracket table or the
+    derived algebra. Their full verdicts are computed only to report a
+    disagreement.
     """
     C = _bracket_tensor(s, L)
     verdict = _verdict("commutator", C, L.basis)
@@ -445,7 +398,7 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
         return verdict
     verdicts = [_associator_verdict(s, L, C), verdict]
     if len(flags) == 2:  # rho is in span(L)
-        verdicts.append(is_classical_center(s, L))
+        verdicts.append(_center_verdict(s, L))
     detail = ", ".join(
         f"{v.criterion}={v.classical} (violation {v.max_violation:.3e})"
         for v in verdicts

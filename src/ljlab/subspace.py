@@ -621,15 +621,13 @@ class _BracketTable(NamedTuple):
 
     Row p of ``coords`` (P, r) holds the coordinates of ``lie(e_i, e_k)`` for
     the pair ``i = i[p] < k = k[p]``; pairs run in row-major (i, k) order.
-    ``delta`` bounds the HS norm of every bracket part the rows leave out,
-    and ``norm`` is the largest HS norm of a row of ``coords``.
+    ``delta`` bounds the HS norm of every bracket part the rows leave out.
     """
 
     i: np.ndarray
     k: np.ndarray
     coords: np.ndarray
     delta: float
-    norm: float
 
 
 def _structure_constants(L: RealSubspace) -> _BracketTable:
@@ -662,9 +660,7 @@ def _structure_constants(L: RealSubspace) -> _BracketTable:
         pairs.append(np.stack((a[keep], b[keep])))
         coords.append(c)
     i, k = np.concatenate(pairs, axis=1)
-    coords = np.concatenate(coords)
-    norm = float(_row_norms(coords).max(initial=0.0))
-    return _BracketTable(i, k, coords, delta, norm)
+    return _BracketTable(i, k, np.concatenate(coords), delta)
 
 
 def _stored_structure_constants(L: RealSubspace) -> _BracketTable:

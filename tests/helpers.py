@@ -39,6 +39,7 @@ from ljlab import (
     is_classical_commutator,
     jordan,
     lie,
+    random_state,
     span,
 )
 from ljlab.linalg import (
@@ -831,6 +832,18 @@ DISAGREEMENTS = {
     "zero-tensor": ("_bracket_expectations", _zero_tensor),
     "zero-brackets": ("_rho_brackets", _zero_brackets),
 }
+
+
+def split_state() -> State:
+    """rho_t = (1 - t) I / 3 + t sigma at t = 10^-7.5, sigma = ``random_state(3, seed=3)``.
+
+    On ``full_hermitian_space(3)`` it splits the criteria with no patch:
+    the commutator violation is just above ``CLASSICALITY_RTOL``, the
+    associator and center violations just below it. No first-step bound
+    settles either flag, so both are their criterion's own verdict.
+    """
+    t = 10**-7.5
+    return State((1 - t) * np.eye(3, dtype=complex) / 3 + t * random_state(3, seed=3).rho)
 
 
 def disagreement_message(s: State, L: RealSubspace) -> str:

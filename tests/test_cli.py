@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import DISAGREEMENTS, SX, SY, disagreement_message, loop_verify_checks
+from helpers import DISAGREEMENTS, SX, SY, disagreement_message, loop_verify_checks, split_state
 from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, random_state
 from ljlab import states as states_mod
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
@@ -643,3 +643,14 @@ def test_classify_disagreement_exits_three_with_the_full_verdicts_message(tmp_pa
     assert main(["classify", "--in", path]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {want}\n"
+
+
+def test_classify_of_a_near_threshold_state_exits_three_with_the_full_verdicts_message(tmp_path, capsys):
+    """The unpatched split of ``helpers.split_state``, through the CLI."""
+    s = split_state()
+    path = write_json(tmp_path / "s.json", matrix_to_json(s.rho))
+    want = disagreement_message(s, full_hermitian_space(3))
+    assert main(["classify", "--in", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {want}\n"
+

@@ -22,6 +22,7 @@ from helpers import (
     einsum_associator_values,
     einsum_bracket_expectations,
     random_unitary,
+    split_state,
 )
 from ljlab import (
     CriteriaDisagree,
@@ -509,7 +510,7 @@ def test_structure_constants_are_memoized_by_the_associator_criterion_only():
     classify(random_state(3, seed=2), alg)
     assert alg._memo["structure"] is memo
     # the table is the dense structure constants' nonzero i < k rows, bit for bit
-    i, k, coords, delta, norm = memo
+    i, k, coords, delta = memo
     assert np.all(i < k) and np.all(np.diff(i * alg.dim_span + k) > 0)
     F, ref_delta = dense_structure_constants(alg)
     dense = np.zeros_like(F)
@@ -769,58 +770,6 @@ def _flag_states(name: str, alg: RealSubspace) -> list[State]:
     return states + [_near_mixed(sigma, t) for sigma in sigmas for t in np.logspace(-12, -4, 17)]
 
 
-def _check_flags(monkeypatch, name: str) -> tuple[int, int, int]:
-    """Each flag against its public criterion, on the oracle states and on
-    rho_t = (1 - t) I / n + t sigma, whose values cross the threshold as t
-    runs over 1e-12..1e-4 and so land in the bands the bounds cannot settle.
-
-    Returns the spectral-norm calls the center flag made in its band, the
-    associator flags that fell back to the verdict, and the state count.
-    """
-    alg = _table_algebra(name)
-    states = _flag_states(name, alg)
-    calls: Counter[str] = Counter()
-
-    def counted(key, fn):
-        def wrapped(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapped
-
-    band = fallback = 0
-    with monkeypatch.context() as m:
-        for fn in ("_opnorm", "_associator_verdict"):
-            m.setattr(states_mod, fn, counted(fn, getattr(states_mod, fn)))
-        for s in states:
-            want = is_classical_associator(s, alg).classical
-            before = calls["_associator_verdict"]
-            assert states_mod._associator_flag(s, alg, _bracket_expectations(s, alg)) == want, name
-            fallback += calls["_associator_verdict"] - before
-            try:
-                want = is_classical_center(s, alg).classical
-            except NotInSpan:
-                with pytest.raises(NotInSpan):
-                    states_mod._center_flag(s, alg)
-                continue
-            before = calls["_opnorm"]
-            assert states_mod._center_flag(s, alg) == want, name
-            band += calls["_opnorm"] - before
-    return band, fallback, len(states)
-
-
-@pytest.mark.parametrize("name", _FLAG_ALGEBRAS)
-def test_each_flag_is_its_criterions_verdict(monkeypatch, name):
-    _check_flags(monkeypatch, name)
-
-
-def test_the_flag_oracle_reaches_both_fallbacks(monkeypatch):
-    """Both bands are reached, and they are thin: most flags settle from a bound."""
-    band, fallback, total = np.sum([_check_flags(monkeypatch, name) for name in _FLAG_ALGEBRAS], axis=0)
-    assert band > 0 and fallback > 0
-    assert band + fallback < total // 4
-
-
 # ---------------------------------------------------------------- classify's first step: bounds with no table
 
 
@@ -860,11 +809,12 @@ def test_classifys_flags_are_the_public_criteria_verdicts(name):
 
 def test_the_first_step_leaves_only_the_sweep_to_the_second(monkeypatch):
     """Of the 608 states of ``_flag_states`` on the 16 algebras, 199
-    associator and 192 center flags reach the second step (numpy 2.4 on
-    OpenBLAS): all from the rho_t sweep, none from a clear state, which
-    ``test_clear_states_build_no_table_and_no_derived_algebra`` checks."""
+    associator and 192 center flags fall to their criterion's verdict
+    (numpy 2.4 on OpenBLAS): all from the rho_t sweep, none from a clear
+    state, which ``test_clear_states_build_no_table_and_no_derived_algebra``
+    checks."""
     calls: Counter[str] = Counter()
-    for fn in ("_associator_flag", "_center_flag"):
+    for fn in ("_associator_verdict", "_center_verdict"):
 
         def counted(*args, fn=fn, original=getattr(states_mod, fn), **kwargs):
             calls[fn] += 1
@@ -876,8 +826,8 @@ def test_the_first_step_leaves_only_the_sweep_to_the_second(monkeypatch):
         for s in _flag_states(name, alg)[len(_CLEAR_KINDS) :]:
             states_mod._flags(s, alg, _bracket_expectations(s, alg))
     sweep = len(_FLAG_ALGEBRAS) * 34
-    assert 0 < calls["_associator_flag"] < sweep // 2
-    assert 0 < calls["_center_flag"] < sweep // 2
+    assert 0 < calls["_associator_verdict"] < sweep // 2
+    assert 0 < calls["_center_verdict"] < sweep // 2
 
 
 @pytest.mark.parametrize("kind", _CLEAR_KINDS)
@@ -887,9 +837,9 @@ def test_clear_states_build_no_table_and_no_derived_algebra(monkeypatch, name, k
     s = _table_state(name, alg.dim_ambient, kind)
 
     def forbidden(*args):
-        raise AssertionError("built in the second step")
+        raise AssertionError("settled by its criterion's verdict")
 
-    for fn in ("_stored_structure_constants", "derived_algebra", "_associator_flag", "_center_flag"):
+    for fn in ("_stored_structure_constants", "derived_algebra", "_associator_verdict", "_center_verdict"):
         monkeypatch.setattr(states_mod, fn, forbidden)
     verdict = classify(s, alg)
     assert "structure" not in alg._memo and "derived" not in alg._memo
@@ -962,3 +912,16 @@ def test_a_disagreement_raises_the_full_verdicts_message(monkeypatch, patch):
     with pytest.raises(CriteriaDisagree) as exc:
         classify(s, L)
     assert str(exc.value) == want
+
+
+def test_a_near_threshold_state_splits_the_criteria_with_no_patch():
+    """``helpers.split_state``: both flags fall to their criterion's verdict,
+    and classify reports the split the public verdicts give, "associator=True
+    (violation 5.304e-09), commutator=False (violation 1.061e-08),
+    center=True (violation 8.290e-09)" on numpy 2.4 with OpenBLAS."""
+    s = split_state()
+    want = disagreement_message(s, full_hermitian_space(3))
+    with pytest.raises(CriteriaDisagree) as exc:
+        classify(s, full_hermitian_space(3))
+    assert str(exc.value) == want
+
