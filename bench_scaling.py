@@ -40,6 +40,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "perfbench"))
 from speed import SpeedProbe  # noqa: E402
 
+ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstring says what each row times."
 SIZES = (8, 16, 24)
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
@@ -170,9 +171,9 @@ def main() -> None:
                         "peak_rss_mb": round(rss, 1),
                     })
                     print(json.dumps(rows[-1]), flush=True)
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"about": __doc__.splitlines()[0], "rows": []}
-    doc["rows"].extend(rows)
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"about": ABOUT, "rows": []}
+    lines = ",\n".join(json.dumps(row) for row in doc["rows"] + rows)
+    args.out.write_text(f'{{"about": {json.dumps(doc["about"])}, "rows": [\n{lines}\n]}}\n')
 
 
 if __name__ == "__main__":

@@ -653,4 +653,3 @@ def test_classify_of_a_near_threshold_state_exits_three_with_the_full_verdicts_m
     assert main(["classify", "--in", path]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {want}\n"
-

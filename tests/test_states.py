@@ -837,7 +837,7 @@ def test_clear_states_build_no_table_and_no_derived_algebra(monkeypatch, name, k
     s = _table_state(name, alg.dim_ambient, kind)
 
     def forbidden(*args):
-        raise AssertionError("settled by its criterion's verdict")
+        raise AssertionError("a clear state left the first step")
 
     for fn in ("_stored_structure_constants", "derived_algebra", "_associator_verdict", "_center_verdict"):
         monkeypatch.setattr(states_mod, fn, forbidden)
@@ -924,4 +924,3 @@ def test_a_near_threshold_state_splits_the_criteria_with_no_patch():
     with pytest.raises(CriteriaDisagree) as exc:
         classify(s, full_hermitian_space(3))
     assert str(exc.value) == want
-
