@@ -18,8 +18,8 @@ row is the median of 5 runs and carries the commit and the
 ``src/`` line count of the timed tree (``--tree``, default this checkout)
 and the peak RSS of the processes that ran it. A row whose verdict is not
 ``is_classical_commutator``'s (True for I/n) posts no time. Rows are
-appended to ``--out``, so the file keeps every session's rows; time the
-parent commit and the change in one session, one after the other.
+appended to ``--out``, so the file keeps every run's rows; time the
+parent commit and the change one after the other on the same machine.
 """
 
 from __future__ import annotations
