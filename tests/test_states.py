@@ -807,6 +807,17 @@ def test_classifys_flags_are_the_public_criteria_verdicts(name):
         assert _classify_agrees(s, alg) == _public_flags(s, alg), (name, q)
 
 
+@pytest.mark.parametrize("name", _FLAG_ALGEBRAS)
+def test_each_flag_is_its_criterions_verdict(name):
+    """The same 38 states on one algebra object, so the fallbacks reuse the
+    bracket table and derived algebra an earlier state memoized: each flag
+    is still its criterion's verdict on a fresh object."""
+    alg = _table_algebra(name)
+    for q, s in enumerate(_flag_states(name, alg)):
+        flags = states_mod._flags(s, alg, _bracket_expectations(s, alg))
+        assert flags == _public_flags(s, _table_algebra(name)), (name, q)
+
+
 def test_the_first_step_leaves_only_the_sweep_to_the_second(monkeypatch):
     """Of the 608 states of ``_flag_states`` on the 16 algebras, 199
     associator and 192 center flags fall to their criterion's verdict
