@@ -1,11 +1,19 @@
-"""Scaling rows for BENCH_scaling.json: full-algebra ``classify`` at n = 8, 16, 24.
+"""Scaling rows for BENCH_scaling.json: closures at n = 8..24, full-algebra ``classify`` at n = 8, 16, 24.
 
     python bench_scaling.py [--tree DIR] [--out BENCH_scaling.json]
 
-For each n it classifies four states against the default full algebra
-(dimension n^2): the pure state vv^T of the CI check, ``v_k`` proportional
-to k + 1; I/n; and rho_t = (1 - t) I/n + t vv^T at t = 1e-8 and 1e-6, whose
-cross-checks no first-step bound settles. Each state is timed two ways:
+Closure rows time ``lie_generate`` of a traceless pair and
+``jordan_generate_three`` of a pair at n = 8, 12, 16 and 24, each in its
+own process, warm: one untimed call, then the timed ones. The generators are
+``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``; a
+row whose closures do not all reach n^2 - 1 (lie) or n^2 (jordan) posts no
+time.
+
+Classify rows: for each n it classifies four states against the default
+full algebra (dimension n^2): the pure state vv^T of the CI check,
+``v_k`` proportional to k + 1; I/n; and rho_t = (1 - t) I/n + t vv^T at
+t = 1e-8 and 1e-6, whose cross-checks no first-step bound settles. Each
+state is timed two ways:
 
 - cold: one ``python -m ljlab classify --in FILE`` process per run, its wall
   time from start to exit, interpreter start and import included;
@@ -42,6 +50,9 @@ from speed import SpeedProbe  # noqa: E402
 
 ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstring says what each row times."
 SIZES = (8, 16, 24)
+CLOSURE_SIZES = (8, 12, 16, 24)
+#: The dimension each generator's closure must reach at n.
+CLOSURES = {"lie_generate": lambda n: n * n - 1, "jordan_generate_three": lambda n: n * n}
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
 STATES = {"pure": 1.0, "mixed": 0.0, "rho_t=1e-08": 1e-8, "rho_t=1e-06": 1e-6}
@@ -90,6 +101,28 @@ def warm_worker(tree: Path, path: str) -> None:
     print(json.dumps({"times": times, "classical": classical, "expected": expected, "rss_mb": rss}))
 
 
+def closure_worker(tree: Path, name: str, n: int) -> None:
+    """Print one generator's warm times and closure dimensions at n, and this process's peak RSS."""
+    import resource
+
+    sys.path.insert(0, str(tree / "src"))
+    from ljlab import jordan_generate_three, lie_generate, random_hermitian, traceless
+
+    a, b = random_hermitian(n, seed=n), random_hermitian(n, seed=n + 1)
+    if name == "lie_generate":
+        a, b = traceless(a), traceless(b)
+    generate = {"lie_generate": lie_generate, "jordan_generate_three": jordan_generate_three}[name]
+    probe = SpeedProbe()
+    dims = [generate(a, b).closure_dim]
+    times = []
+    for _ in range(RUNS):
+        dt, rep = timed(probe, lambda: generate(a, b))
+        times.append(dt)
+        dims.append(rep.closure_dim)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"times": times, "dims": dims, "rss_mb": rss}))
+
+
 def cold_runs(tree: Path, path: str, probe: SpeedProbe) -> tuple[list[float], set, float]:
     """Cold process times, the verdicts their reports give (None on a nonzero exit), and their peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -130,10 +163,13 @@ def main() -> None:
     ap.add_argument("--tree", type=Path, default=HERE, help="checkout whose src/ is timed")
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_scaling.json")
     ap.add_argument("--warm-worker", metavar="STATE_FILE", help=argparse.SUPPRESS)
+    ap.add_argument("--closure-worker", nargs=2, metavar=("GENERATOR", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
     if args.warm_worker:
         return warm_worker(tree, args.warm_worker)
+    if args.closure_worker:
+        return closure_worker(tree, args.closure_worker[0], int(args.closure_worker[1]))
 
     common = {
         **tree_facts(tree),
@@ -144,6 +180,22 @@ def main() -> None:
     }
     probe = SpeedProbe()
     rows = []
+    for n in CLOSURE_SIZES:
+        for name, dim in CLOSURES.items():
+            cmd = [sys.executable, __file__, "--tree", str(tree), "--closure-worker", name, str(n)]
+            got = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+            good = set(got["dims"]) == {dim(n)}
+            rows.append({
+                **common,
+                "bench": name,
+                "mode": "warm",
+                "n": n,
+                "closure_dim": dim(n),
+                "dim_ok": good,
+                "median_s": round(statistics.median(got["times"]), 6) if good else None,
+                "peak_rss_mb": round(got["rss_mb"], 1),
+            })
+            print(json.dumps(rows[-1]), flush=True)
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
             for name, t in STATES.items():

@@ -10,16 +10,20 @@ subalgebra as functions on its joint spectrum.
 
 Closures take the two products ``jordan`` and ``lie`` and run semi-naive
 rounds (``_round``): the basis only grows, and each round ranks just the
-products that involve a direction added in the previous round, in
-fixed-size blocks. The dimension bound (``_bound``) comes from the seeds:
-n^2, or su(n)'s n^2 - 1 under the bracket of seeds orthogonal to the
-identity. A round at the bound forms no products; one that ends above it
-raises ValidationError. A subspace is closed exactly when such a round adds
+products that involve a direction added in the previous round, in blocks.
+A round's first block holds twice the rows it still lacks (at least
+``_FIRST_BLOCK`` products) and each next block twice as many, up to
+``_BLOCK``, so a round that reaches its bound stops after the products it
+needs. The dimension bound (``_bound``) comes from the seeds: n^2, or
+su(n)'s n^2 - 1 under the bracket of seeds orthogonal to the identity. A
+round at the bound forms no products; one that ends above it raises
+ValidationError. A subspace is closed exactly when such a round adds
 nothing, and ``is_closed_under`` runs that round up to the first product
 block that keeps a row.
 
 Rounds and the pair queries (defects, centralizer, bracket table) form
-products with one Hermitian pair kernel (``_products``), and the i < k
+products with one Hermitian pair kernel (``_products``); a block of index
+pairs is formed in cache-sized chunks (``_block_products``), and the i < k
 basis brackets come from one stream (``_brackets``). The defects and the
 associator criterion take their maxima from one running first maximum
 (``_first_max``), which holds the one tie rule. Closedness verdicts and
@@ -254,8 +258,10 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     ``basis`` twice (BLAS-3) and rows already under their threshold are
     dropped. Survivors are then visited in order: each is projected off
     the pending panel (the rows kept since the last panel update), then
-    reorthogonalized against ``basis`` and every kept row, and kept or
-    dropped. Once the panel holds ``_PANEL`` rows, or after ``_DROP_RUN``
+    reorthogonalized in one pass against ``basis`` and every kept row, which
+    sit together in one contiguous buffer, and kept or dropped. With an
+    empty ``basis`` that pass is the one against the kept rows alone. Once
+    the panel holds ``_PANEL`` rows, or after ``_DROP_RUN``
     drops in a row, it is removed from the unvisited survivors as one
     BLAS-3 update ``v -= (v @ P^T) @ P`` (block Gram-Schmidt), and those
     left under their threshold are dropped together (``_sweep``). The kept
@@ -269,15 +275,17 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     v = np.array(cand)
     for _ in range(2 if len(basis) else 0):
         v -= (v @ basis.T) @ basis
-    out = np.empty((min(len(v), v.shape[1]), v.shape[1]))
+    b = len(basis)
+    q = np.empty((b + min(len(v), v.shape[1]), v.shape[1]))  # [basis; kept rows]
+    q[:b] = basis
+    out = q[b:]
     k = applied = 0  # out[:k] are kept, out[:applied] already removed from v
     while True:
         v, thr = _sweep(v, thr, out[applied:k])
         applied, run = k, 0
         for i, x in enumerate(v):
             x = x - (out[applied:k] @ x) @ out[applied:k]
-            x = x - (basis @ x) @ basis
-            x = x - (out[:k] @ x) @ out[:k]
+            x = x - (q[: b + k] @ x) @ q[: b + k]
             res = math.sqrt(x @ x)
             if res > thr[i]:
                 out[k] = x / res
@@ -351,9 +359,16 @@ def _product_pairs(r: int, product: Product) -> np.ndarray:
     return np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
 
 
-#: Products formed and ranked together in a closure round, and rows ``_sweep``
-#: updates at a time; bounds peak memory.
+#: Products in one block, at most: a closure round ranks a block at a time
+#: and ``_brackets`` yields one, so it bounds peak memory; also the rows
+#: ``_sweep`` updates at a time. A closure round's first block holds at
+#: least ``_FIRST_BLOCK`` products (``_round``).
 _BLOCK = 512
+_FIRST_BLOCK = 64
+
+#: Complex output bytes of one chunk of a block (``_block_products``): a
+#: chunk's gathered operands, its product and the temporaries stay in cache.
+_CHUNK_BYTES = 128 * 1024
 
 
 def _products(a: np.ndarray, b: np.ndarray, product: Product) -> np.ndarray:
@@ -367,17 +382,36 @@ def _products(a: np.ndarray, b: np.ndarray, product: Product) -> np.ndarray:
     return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
 
 
-def _round_products(e: np.ndarray, new: int, product: Product) -> Iterable[np.ndarray]:
+def _block_products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product: Product) -> np.ndarray:
+    """``_products(e[i], e[j], product)`` for a block of index pairs, bit for bit.
+
+    The operands are gathered and multiplied a chunk of about
+    ``_CHUNK_BYTES`` of output at a time, written into the block's buffer,
+    so no block-sized temporary falls out of cache (the blocking of small
+    products in Goto & van de Geijn, ACM TOMS 34, 2008).
+    """
+    n = e.shape[-1]
+    out = np.empty((len(i), n, n), dtype=complex)
+    step = max(1, _CHUNK_BYTES // out.itemsize // (n * n))
+    for s in range(0, len(i), step):
+        out[s : s + step] = _products(e[i[s : s + step]], e[j[s : s + step]], product)
+    return out
+
+
+def _round_products(e: np.ndarray, new: int, product: Product, first: int) -> Iterable[np.ndarray]:
     """Blocks of the products that involve a basis row ``>= new`` (semi-naive).
 
     Pairs of older rows were formed in an earlier round, so their products
-    already lie in the span.
+    already lie in the span. The first block holds ``first`` products and
+    each next one twice as many as the one before, up to ``_BLOCK``.
     """
     i, j = _product_pairs(len(e), product).T
     fresh = np.maximum(i, j) >= new
     i, j = i[fresh], j[fresh]
-    for s in range(0, len(i), _BLOCK):
-        yield _products(e[i[s : s + _BLOCK]], e[j[s : s + _BLOCK]], product)
+    s, size = 0, min(first, _BLOCK)
+    while s < len(i):
+        yield _block_products(e, i[s : s + size], j[s : s + size], product)
+        s, size = s + size, min(2 * size, _BLOCK)
 
 
 def _bound(s: RealSubspace, product: Product) -> int:
@@ -394,11 +428,14 @@ def _bound(s: RealSubspace, product: Product) -> int:
 
 
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
-    """The rows one closure round from ``rows`` adds, yielded block by block.
+    """The basis after each product block of one closure round that adds rows.
 
     The round ranks the products that involve a row ``>= new`` against the
     basis and the rows kept before them. It forms no product when ``rows``
-    is at ``bound`` already, and stops once the kept rows reach it. Lazy: a
+    is at ``bound`` already, and stops once the kept rows reach it. Its
+    first block holds ``max(_FIRST_BLOCK, 2 (bound - r))`` products: when
+    most products are independent, a round reaches the bound in that block
+    and forms no more. Lazy: a
     caller that only asks whether anything is added stops at the first kept
     block.
     """
@@ -406,11 +443,12 @@ def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator
     if r >= bound:
         return
     n = math.isqrt(rows.shape[1] // 2)
-    for block in _round_products(rows.view(complex).reshape(r, n, n), new, product):
+    first = max(_FIRST_BLOCK, 2 * (bound - r))
+    for block in _round_products(rows.view(complex).reshape(r, n, n), new, product, first):
         kept = _extend(rows, _rows(block))
         if len(kept):
-            yield kept
             rows = np.concatenate((rows, kept))
+            yield rows
             if len(rows) >= bound:
                 return
 
@@ -431,7 +469,8 @@ def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int,
     new = 0  # rows added by the previous round start here
     while True:
         r = len(rows)
-        rows = np.concatenate((rows, *_round(rows, new, product, bound)))
+        for rows in _round(rows, new, product, bound):
+            pass  # rows: the basis after the round's last block that added any
         if len(rows) > bound:  # roundoff kept a direction, e.g. I from traceless seeds
             raise ValidationError(
                 f"closure reached dim {len(rows)}, above its bound {bound}: ill-conditioned seeds"
@@ -465,7 +504,9 @@ def is_closed_under(s: RealSubspace, product: Product) -> bool:
     """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
     Runs that round (``_round``) up to the first product block that keeps a
-    row; that block is ranked whole, up to ``_BLOCK`` products. A product
+    row; that block is ranked whole. The round's first block holds
+    ``max(_FIRST_BLOCK, 2 (bound - r))`` products and each next one twice as
+    many, up to ``_BLOCK``; each is formed in cache-sized chunks. A product
     lies in the span when its residual is at most ``SPAN_RTOL * max(1,
     ||p||)``, the rule ``contains`` applies to a single matrix. A span at
     its dimension bound is closed without a product formed: the full
@@ -533,14 +574,15 @@ def _brackets(L: RealSubspace, f: Callable[[np.ndarray], np.ndarray]) -> Iterato
     """Blocks ``(f(brackets), i, k)`` of the basis brackets ``[e_i, e_k]``, i < k.
 
     The one bracket stream of the defects, the bracket table and the exact
-    pass: row-major (i, k) order, ``_BLOCK`` pairs a block. ``f`` maps each
-    block before it is yielded, so no bracket block outlives its step.
+    pass: row-major (i, k) order, ``_BLOCK`` pairs a block, each formed in
+    cache-sized chunks (``_block_products``). ``f`` maps each whole block
+    before it is yielded, so no bracket block outlives its step.
     """
     e = L._stacked
     i, k = np.triu_indices(L.dim_span, 1)
     for s in range(0, len(i), _BLOCK):
         a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
-        yield f(_products(e[a], e[b], lie)), a, b
+        yield f(_block_products(e, a, b, lie)), a, b
 
 
 def _first_max(blocks: Iterable[_Block]) -> tuple[float, tuple[int, int, int], float]:
@@ -584,21 +626,27 @@ def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
     By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
     only triples whose pair {i, k} is in the bracket table are formed: every
     other one has norm at most half of ``_DEFECT_FLOOR``. A block holds one
-    i, a chunk of its partners k and every j: at most max(``_BLOCK``, r) triples.
+    i, a run of its partners k and every j: at most max(``_BLOCK``, r)
+    triples, whose associators are formed into the block's buffer about
+    ``_CHUNK_BYTES`` at a time (r per partner) and normed together.
     """
     e, r = L._stacked, L.dim_span
     table = _structure_constants(L)
     partners = np.zeros((r, r), dtype=bool)
     partners[table.i, table.k] = partners[table.k, table.i] = True
     step = max(1, _BLOCK // max(r, 1))
+    chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
     for i in np.flatnonzero(partners.any(axis=1)):
         ks = np.flatnonzero(partners[i])
         eij = _products(e[i], e, jordan)  # eij[j] = e_i o e_j
         for s in range(0, len(ks), step):
             k = ks[s : s + step]
-            ek = e[k, None]
-            right = _products(e[i], _products(e, ek, jordan), jordan)
-            yield _opnorm(_products(eij, ek, jordan) - right), np.full(len(k), i), k
+            assoc = np.empty((len(k), *e.shape), dtype=complex)
+            for t in range(0, len(k), chunk):
+                ek = e[k[t : t + chunk], None]
+                right = _products(e[i], _products(e, ek, jordan), jordan)
+                np.subtract(_products(eij, ek, jordan), right, out=assoc[t : t + chunk])
+            yield _opnorm(assoc), np.full(len(k), i), k
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
@@ -644,23 +692,30 @@ def _structure_constants(L: RealSubspace) -> _BracketTable:
     about 1e-8, the size of the thresholds it serves), or a dropped bracket
     whole. Only the associator criterion stores the table on L
     (``_stored_structure_constants``, reused here): on a dense closure it
-    still has r^2 (r - 1) / 2 entries.
+    still has r^2 (r - 1) / 2 entries. The coordinates are written into one
+    buffer that ``ndarray.resize`` grows in place by a quarter at a time and
+    trims at the end, so the table is never held twice; a small factor
+    matters because ``resize`` zero-fills, so spare rows are resident too.
     """
     if "structure" in L._memo:
         return L._memo["structure"]
     r = L.dim_span
-    pairs, coords, delta = [np.zeros((2, 0), dtype=int)], [np.empty((0, r))], 0.0
+    pairs, coords, m, delta = [np.zeros((2, 0), dtype=int)], np.empty((_BLOCK, r)), 0, 0.0
     for p, a, b in _brackets(L, _rows):
         norms = np.linalg.norm(p, axis=1)
         keep = norms > 0.5 * _DEFECT_FLOOR
         p = p[keep]
-        c = p @ L.rows.T
-        residual = np.linalg.norm(p - c @ L.rows, axis=1)
+        if m + len(p) > len(coords):  # no view of coords is alive here
+            coords.resize((max(len(coords) * 5 // 4, m + len(p)), r), refcheck=False)
+        kept = slice(m, m + len(p))
+        np.matmul(p, L.rows.T, out=coords[kept])
+        residual = np.linalg.norm(p - coords[kept] @ L.rows, axis=1)
         delta = max(delta, float(norms[~keep].max(initial=0.0)), float(residual.max(initial=0.0)))
         pairs.append(np.stack((a[keep], b[keep])))
-        coords.append(c)
+        m += len(p)
+    coords.resize((m, r), refcheck=False)
     i, k = np.concatenate(pairs, axis=1)
-    return _BracketTable(i, k, np.concatenate(coords), delta)
+    return _BracketTable(i, k, coords, delta)
 
 
 def _stored_structure_constants(L: RealSubspace) -> _BracketTable:

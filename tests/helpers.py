@@ -7,7 +7,8 @@ the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, the blocked associator defect from its whole-stack form, the pair
 kernel and the derived algebra from their index-form and re-spanning copies,
 witness searches from their own multistart and refinement loops, the
-batched search driver from its one-step-at-a-time loop, the
+batched search driver from its one-step-at-a-time loop, the chunked
+bracket stream from its one-stack blocks, the
 associator criterion from its Jordan-tensor einsum, the bracket tensor
 from its three-operand einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
@@ -488,6 +489,16 @@ def dense_associator_expectations(s, L: RealSubspace, rtol: float, C: np.ndarray
         for i, j, k in np.argwhere(np.abs(vals) > rtol - delta):
             vals[i, j, k] = expect(s, associator(E[i], E[j], E[k]))
     return vals
+
+
+def stacked_bracket_blocks(L: RealSubspace):
+    """``(brackets, i, k)`` of the i < k basis pairs, ``_BLOCK`` pairs a block,
+    each block formed as one ``_products`` stack: the bracket stream from
+    before blocks were formed in cache-sized chunks."""
+    i, k = np.triu_indices(L.dim_span, 1)
+    for s in range(0, len(i), _BLOCK):
+        a, b = i[s : s + _BLOCK], k[s : s + _BLOCK]
+        yield _products(L._stacked[a], L._stacked[b], lie), a, b
 
 
 # Verbatim copies of the index-form pair kernel and of ``derived_algebra``

@@ -35,8 +35,8 @@ def _record_products(monkeypatch) -> list[int]:
     sizes: list[int] = []
     original = subspace_mod._round_products
 
-    def recorded(e, new, product):
-        for block in original(e, new, product):
+    def recorded(e, new, product, first):
+        for block in original(e, new, product, first):
             sizes.append(len(e))
             yield block
 
@@ -323,8 +323,9 @@ def test_confirming_round_at_the_dimension_bound_forms_no_products(monkeypatch):
 
 
 def test_a_round_stops_ranking_once_it_reaches_the_bound(monkeypatch):
-    """At n = 8 the last growing round spans several product blocks and
-    reaches the bound in one of them; the blocks after it are not ranked."""
+    """At n = 8 the last growing round has far more fresh products than it
+    needs and reaches the bound in its first block; the blocks after it
+    are neither formed nor ranked."""
     bases: list[int] = []
     original = subspace_mod._extend
 
@@ -339,6 +340,37 @@ def test_a_round_stops_ranking_once_it_reaches_the_bound(monkeypatch):
         rep = generate(x, y)
         assert rep.closure_dim == bound and rep.trajectory[-2:] == (bound, bound)
         assert max(bases) < bound
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_the_last_growing_round_forms_twice_the_rows_it_lacks(monkeypatch, n):
+    """The round that reaches the bound starts with a block of max(64, 2 (bound
+    - r)) products: one block suffices, so the round forms no more."""
+    rounds: list[tuple[int, int]] = []  # (basis size, products formed) per round
+    original = subspace_mod._round_products
+
+    def recorded(e, new, product, first):
+        rounds.append((len(e), 0))
+        for block in original(e, new, product, first):
+            rounds[-1] = (len(e), rounds[-1][1] + len(block))
+            yield block
+
+    monkeypatch.setattr(subspace_mod, "_round_products", recorded)
+    a, b = random_hermitian(n, seed=500 + n), random_hermitian(n, seed=600 + n)
+    x, y = traceless(a), traceless(b)
+    for generate, seeds, product, bound in (
+        (lie_generate, [x, y], lie, n * n - 1),
+        (jordan_generate_three, [a, b, lie(a, b), np.eye(n, dtype=complex)], jordan, n * n),
+    ):
+        rounds.clear()
+        rep = generate(seeds[0], seeds[1])
+        r, formed = rounds[-1]
+        pairs = subspace_mod._product_pairs
+        fresh = len(pairs(r, product)) - len(pairs(rep.trajectory[-4], product))  # rows >= new
+        assert rep.closure_dim == bound and rep.trajectory[-2:] == (bound, bound) and r < bound
+        assert formed <= max(64, 2 * (bound - r)) < fresh
+        _, ref_rounds, ref_trajectory = naive_close(sequential_span(seeds), product)
+        assert (rep.closure_dim, rep.rounds, list(rep.trajectory)) == (bound, ref_rounds, ref_trajectory)
 
 
 def test_closure_starting_at_the_bound_forms_no_products(monkeypatch):

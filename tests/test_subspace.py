@@ -27,6 +27,7 @@ from helpers import (
     stacked_associator_defect,
     rank_of,
     respan_derived_algebra,
+    stacked_bracket_blocks,
     vector_loop_centralizer,
 )
 from ljlab import (
@@ -68,6 +69,8 @@ from ljlab.subspace import (
     SPAN_RTOL,
     FunctionRepresentation,
     RealSubspace,
+    _block_products,
+    _brackets,
     _killing_matrix,
     _products,
     _rows,
@@ -1011,6 +1014,43 @@ def test_operand_pair_kernel_equals_the_index_form_bit_for_bit(n):
         # one matrix against a stack
         want = index_products(ef, np.full(len(f), 2), len(e) + np.arange(len(f)), product)
         assert _products(e[2], f, product).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("product", [jordan, lie])
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_chunked_block_products_equal_one_stack_bit_for_bit(monkeypatch, n, product):
+    """A full block and one whose pair count is not a multiple of the chunk:
+    both span several chunks, and the last chunk of the second is short."""
+    e = np.stack([random_hermitian(n, seed=60 * n + k) for k in range(24)])
+    rng = np.random.default_rng(n)
+    chunks: list[int] = []
+
+    def recorded(a, b, p):
+        chunks.append(len(a))
+        return _products(a, b, p)
+
+    monkeypatch.setattr(subspace_mod, "_products", recorded)
+    for count in (subspace_mod._BLOCK, 3 * subspace_mod._BLOCK // 4 + 1):
+        i, j = rng.integers(len(e), size=(2, count))
+        chunks.clear()
+        got = _block_products(e, i, j, product)
+        assert got.tobytes() == _products(e[i], e[j], product).tobytes()
+        assert len(chunks) > 1 and sum(chunks) == count
+        assert max(chunks) * 16 * n * n <= subspace_mod._CHUNK_BYTES
+    assert chunks[-1] < chunks[0]  # 385 pairs: not a multiple of 227, 81 or 32
+
+
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_bracket_stream_is_the_one_stack_blocks_bit_for_bit(n):
+    algs = [full_hermitian_space(n)]
+    if n == 6:
+        algs += _generated_closures(n)
+    for alg in algs:
+        got = list(_brackets(alg, lambda br: br))
+        want = list(stacked_bracket_blocks(alg))
+        assert len(got) == len(want) > 1
+        for (br, i, k), (ref, ri, rk) in zip(got, want):
+            assert (br.tobytes(), i.tobytes(), k.tobytes()) == (ref.tobytes(), ri.tobytes(), rk.tobytes())
 
 
 @pytest.mark.parametrize("product", [jordan, lie])
