@@ -5,9 +5,9 @@
 Closure rows time ``lie_generate`` of a traceless pair and
 ``jordan_generate_three`` of a pair at n = 8, 12, 16 and 24, each in its
 own process, warm: one untimed call, then the timed ones. The generators are
-``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``; a
-row whose closures do not all reach n^2 - 1 (lie) or n^2 (jordan) posts no
-time.
+``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``,
+their traceless parts for ``lie_generate``; a row whose closures do not all
+reach n^2 - 1 (lie) or n^2 (jordan) posts no time.
 
 Classify rows: for each n it classifies four states against the default
 full algebra (dimension n^2): the pure state vv^T of the CI check,
