@@ -1,4 +1,4 @@
-"""Scaling rows for BENCH_scaling.json: closures at n = 8..24, full-algebra ``classify`` at n = 8, 16, 24.
+"""Scaling rows for BENCH_scaling.json: closures at n = 8..24, ``centralizer`` and full-algebra ``classify``.
 
     python bench_scaling.py [--tree DIR] [--out BENCH_scaling.json]
 
@@ -7,7 +7,10 @@ Closure rows time ``lie_generate`` of a traceless pair and
 own process, warm: one untimed call, then the timed ones. The generators are
 ``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``,
 their traceless parts for ``lie_generate``; a row whose closures do not all
-reach n^2 - 1 (lie) or n^2 (jordan) posts no time.
+reach n^2 - 1 (lie) or n^2 (jordan) posts no time. Centralizer rows time
+``centralizer(L, L)`` of the full algebra L at n = 8, 12 and 16 the same
+way; a row whose centralizers do not all have dimension 1 (the multiples
+of I) posts no time.
 
 Classify rows: for each n it classifies four states against the default
 full algebra (dimension n^2): the pure state vv^T of the CI check,
@@ -51,8 +54,12 @@ from speed import SpeedProbe  # noqa: E402
 ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstring says what each row times."
 SIZES = (8, 16, 24)
 CLOSURE_SIZES = (8, 12, 16, 24)
-#: The dimension each generator's closure must reach at n.
-CLOSURES = {"lie_generate": lambda n: n * n - 1, "jordan_generate_three": lambda n: n * n}
+#: Each warm query's sizes, the row key of its result's dimension and the dimension it must have at n.
+QUERIES = {
+    "lie_generate": (CLOSURE_SIZES, "closure_dim", lambda n: n * n - 1),
+    "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", lambda n: n * n),
+    "centralizer": ((8, 12, 16), "dim_span", lambda n: 1),
+}
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
 STATES = {"pure": 1.0, "mixed": 0.0, "rho_t=1e-08": 1e-8, "rho_t=1e-06": 1e-6}
@@ -101,24 +108,35 @@ def warm_worker(tree: Path, path: str) -> None:
     print(json.dumps({"times": times, "classical": classical, "expected": expected, "rss_mb": rss}))
 
 
-def closure_worker(tree: Path, name: str, n: int) -> None:
-    """Print one generator's warm times and closure dimensions at n, and this process's peak RSS."""
+def query_worker(tree: Path, name: str, n: int) -> None:
+    """Print one query's warm times and result dimensions at n, and this process's peak RSS."""
     import resource
 
     sys.path.insert(0, str(tree / "src"))
-    from ljlab import jordan_generate_three, lie_generate, random_hermitian, traceless
+    from ljlab import centralizer, full_hermitian_space, jordan_generate_three, lie_generate, random_hermitian, traceless
 
-    a, b = random_hermitian(n, seed=n), random_hermitian(n, seed=n + 1)
-    if name == "lie_generate":
-        a, b = traceless(a), traceless(b)
-    generate = {"lie_generate": lie_generate, "jordan_generate_three": jordan_generate_three}[name]
+    if name == "centralizer":
+        L = full_hermitian_space(n)
+
+        def query() -> int:
+            return centralizer(L, L).dim_span
+
+    else:
+        a, b = random_hermitian(n, seed=n), random_hermitian(n, seed=n + 1)
+        if name == "lie_generate":
+            a, b = traceless(a), traceless(b)
+        generate = {"lie_generate": lie_generate, "jordan_generate_three": jordan_generate_three}[name]
+
+        def query() -> int:
+            return generate(a, b).closure_dim
+
     probe = SpeedProbe()
-    dims = [generate(a, b).closure_dim]
+    dims = [query()]
     times = []
     for _ in range(RUNS):
-        dt, rep = timed(probe, lambda: generate(a, b))
+        dt, dim = timed(probe, query)
         times.append(dt)
-        dims.append(rep.closure_dim)
+        dims.append(dim)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"times": times, "dims": dims, "rss_mb": rss}))
 
@@ -163,13 +181,13 @@ def main() -> None:
     ap.add_argument("--tree", type=Path, default=HERE, help="checkout whose src/ is timed")
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_scaling.json")
     ap.add_argument("--warm-worker", metavar="STATE_FILE", help=argparse.SUPPRESS)
-    ap.add_argument("--closure-worker", nargs=2, metavar=("GENERATOR", "N"), help=argparse.SUPPRESS)
+    ap.add_argument("--query-worker", nargs=2, metavar=("QUERY", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
     if args.warm_worker:
         return warm_worker(tree, args.warm_worker)
-    if args.closure_worker:
-        return closure_worker(tree, args.closure_worker[0], int(args.closure_worker[1]))
+    if args.query_worker:
+        return query_worker(tree, args.query_worker[0], int(args.query_worker[1]))
 
     common = {
         **tree_facts(tree),
@@ -180,9 +198,9 @@ def main() -> None:
     }
     probe = SpeedProbe()
     rows = []
-    for n in CLOSURE_SIZES:
-        for name, dim in CLOSURES.items():
-            cmd = [sys.executable, __file__, "--tree", str(tree), "--closure-worker", name, str(n)]
+    for name, (sizes, key, dim) in QUERIES.items():
+        for n in sizes:
+            cmd = [sys.executable, __file__, "--tree", str(tree), "--query-worker", name, str(n)]
             got = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
             good = set(got["dims"]) == {dim(n)}
             rows.append({
@@ -190,7 +208,7 @@ def main() -> None:
                 "bench": name,
                 "mode": "warm",
                 "n": n,
-                "closure_dim": dim(n),
+                key: dim(n),
                 "dim_ok": good,
                 "median_s": round(statistics.median(got["times"]), 6) if good else None,
                 "peak_rss_mb": round(got["rss_mb"], 1),

@@ -34,9 +34,9 @@ the Lie structure constants, which in the canonical basis are a fraction of
 them. It gives the derived algebra, the Killing form, the triples
 ``associator_defect`` forms and the associator criterion's contraction.
 
-``SPAN_RTOL`` is the one rank threshold; ``DEFAULT_TOL`` decides
-tracelessness, vanishing defects, the centralizer's null space, the Killing
-form's rank and positivity.
+``SPAN_RTOL`` is the one rank threshold, the centralizer's null space and
+the generation targets included; ``DEFAULT_TOL`` decides span input
+Hermiticity, vanishing defects, the Killing form's rank and positivity.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from .linalg import (
     _opnorm,
     as_matrix,
     derive_seed,
-    hs_norm,
     same_dim,
     spectral_norm,
 )
@@ -421,10 +420,10 @@ def _bound(s: RealSubspace, product: Product) -> int:
     within ``SPAN_RTOL``: brackets are traceless, so the closure stays there.
     """
     n = s.dim_ambient
+    if product is not lie:
+        return n * n
     unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
-    if product is lie and float(np.linalg.norm(s.rows @ unit)) <= SPAN_RTOL:
-        return n * n - 1
-    return n * n
+    return n * n - 1 if float(np.linalg.norm(s.rows @ unit)) <= SPAN_RTOL else n * n
 
 
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
@@ -540,11 +539,12 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
 def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     """Elements of L whose bracket with every element of S vanishes.
 
-    Solved as a null space: stack the real and imaginary parts of
-    [e_i, s_j] for each basis element e_i of L, then read the null space
-    off an SVD: singular values at most ``DEFAULT_TOL.threshold`` of the
-    largest count as zero. Its vectors are coordinates against L's
-    orthonormal rows, so the returned rows are orthonormal too.
+    A null space in coordinates against L's orthonormal rows: each real
+    entry of [e_i, s_j], taken over i, is a constraint row. The rank kernel
+    (``_extend``, so ``SPAN_RTOL``) ranks them ``max(1, _BLOCK // 2n^2)``
+    elements s_j at a time, so no more brackets are held at once. The null
+    space is the kept rows' orthonormal complement, extended from the
+    identity's rows; the returned rows are orthonormal.
     """
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(
@@ -552,12 +552,13 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
         )
     if L.dim_span == 0 or S.dim_span == 0:
         return L
-    # column i: Re and Im of [e_i, s_j] for each j in turn
-    br = _products(L._stacked[:, None], S._stacked[None], lie)
-    cols = np.stack((br.real, br.imag), axis=2).reshape(L.dim_span, -1).T
-    _, sv, vh = np.linalg.svd(cols, full_matrices=False)
-    cut = DEFAULT_TOL.threshold(sv[0])
-    return RealSubspace(L.dim_ambient, vh[~(sv > cut)] @ L.rows)
+    r, n = L.dim_span, L.dim_ambient
+    step = max(1, _BLOCK // (2 * n * n))
+    kept = np.empty((0, r))
+    for s in range(0, S.dim_span, step):
+        br = _products(L._stacked[:, None], S._stacked[None, s : s + step], lie)
+        kept = np.concatenate((kept, _extend(kept, _rows(br).reshape(r, -1).T)))
+    return RealSubspace(n, _extend(kept, np.eye(r)) @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
@@ -782,14 +783,14 @@ class GenerationReport:
     closure: RealSubspace
 
 
-def _is_traceless(m: np.ndarray) -> bool:
-    n = m.shape[0]
-    return abs(complex(np.trace(m))) <= DEFAULT_TOL.threshold(hs_norm(m) * math.sqrt(n))
+def _generation_report(seeds: list[np.ndarray], product: Product) -> GenerationReport:
+    """Close span(seeds) under product; the generators are the first two seeds.
 
-
-def _generation_report(seeds: list[np.ndarray], product: Product, target: int) -> GenerationReport:
-    """Close span(seeds) under product; the generators are the first two seeds."""
-    closed, rounds, trajectory = _close_rounds(span(seeds), product)
+    The target is the closure's dimension bound (``_bound``).
+    """
+    s = span(seeds)
+    closed, rounds, trajectory = _close_rounds(s, product)
+    target = _bound(s, product)
     return GenerationReport(
         generators=tuple(seeds[:2]),
         closure_dim=closed.dim_span,
@@ -804,16 +805,12 @@ def _generation_report(seeds: list[np.ndarray], product: Product, target: int) -
 def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     """Bracket closure of span{a, b}.
 
-    Target dimension is n^2 - 1 (the traceless Hermitian space) when both
-    generators are traceless, n^2 otherwise. A generic traceless pair
-    generates the full target; degenerate pairs simply report generated
-    False.
+    The target is the closure's bound: n^2 - 1 (su(n), the traceless
+    Hermitian space) when span{a, b} is orthogonal to the identity within
+    ``SPAN_RTOL``, n^2 otherwise. A generic traceless pair generates the
+    full target; degenerate pairs simply report generated False.
     """
-    x = as_matrix(a)
-    y = as_matrix(b)
-    n = same_dim(x, y)
-    target = n * n - 1 if (_is_traceless(x) and _is_traceless(y)) else n * n
-    return _generation_report([x, y], lie, target)
+    return _generation_report([as_matrix(a), as_matrix(b)], lie)
 
 
 def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
@@ -821,7 +818,7 @@ def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
-    return _generation_report([x, y, lie(x, y), np.eye(n, dtype=complex)], jordan, n * n)
+    return _generation_report([x, y, lie(x, y), np.eye(n, dtype=complex)], jordan)
 
 
 @dataclass(frozen=True, eq=False)

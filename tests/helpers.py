@@ -159,13 +159,6 @@ def conjugated(L: RealSubspace, u: np.ndarray) -> RealSubspace:
     return span([u @ e @ u.conj().T for e in L.basis])
 
 
-def embed_block(small: np.ndarray) -> np.ndarray:
-    """Embed a 2x2 Hermitian matrix into the upper block of a 3x3 zero matrix."""
-    m = np.zeros((3, 3), dtype=complex)
-    m[:2, :2] = small
-    return m
-
-
 def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> RealSubspace:
     """Per-matrix Gram-Schmidt span: the reference for the blocked rank kernel.
 

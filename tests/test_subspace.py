@@ -349,6 +349,27 @@ def test_centralizer_rows_equal_its_per_vector_loop(n):
         np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
 
 
+def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
+    # S's basis is taken max(1, _BLOCK // 2n^2) = 7 elements at a time, so no
+    # call forms more than r * 7 = 252 of the r * s = 1296 brackets
+    n = 6
+    full = full_hermitian_space(n)
+    original = subspace_mod._products
+    counts: list[int] = []
+
+    def counted(a, b, product):
+        counts.append(int(np.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))))
+        return original(a, b, product)
+
+    monkeypatch.setattr(subspace_mod, "_products", counted)
+    got = centralizer(full, full)
+    step = max(1, subspace_mod._BLOCK // (2 * n * n))
+    assert max(counts) <= full.dim_span * step == 252
+    assert sum(counts) == full.dim_span**2
+    assert got.dim_span == 1
+    np.testing.assert_allclose(_projector(got), _projector(loop_centralizer(full, full)), rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- commutativity / associativity
 
 
@@ -699,6 +720,18 @@ def test_lie_generate_full_target_with_trace():
     rep = lie_generate(a, b)
     assert rep.target_dim == 4
     assert rep.generated
+
+
+@pytest.mark.parametrize("eps", [3e-10, 3e-9, 3e-8])
+def test_lie_generate_targets_the_bound_its_closure_is_held_to(eps):
+    # a traceless pair with a small identity part added to a: the target is
+    # the closure's own bound, su(3) or the full algebra, never one of each
+    a = traceless(random_hermitian(3, seed=1))
+    b = traceless(random_hermitian(3, seed=2))
+    x = a + eps * np.linalg.norm(a) * np.eye(3)
+    rep = lie_generate(x, b)
+    assert rep.target_dim == subspace_mod._bound(span([x, b]), lie)
+    assert rep.generated, (rep.closure_dim, rep.target_dim)
 
 
 def test_jordan_generate_three_pauli_pair():
