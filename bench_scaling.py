@@ -1,4 +1,4 @@
-"""Scaling rows for BENCH_scaling.json: closures at n = 8..24, ``centralizer`` and full-algebra ``classify``.
+"""Scaling rows for BENCH_scaling.json: closures at n = 8..24, the algebra queries, ``verify`` and ``classify``.
 
     python bench_scaling.py [--tree DIR] [--out BENCH_scaling.json]
 
@@ -10,7 +10,13 @@ their traceless parts for ``lie_generate``; a row whose closures do not all
 reach n^2 - 1 (lie) or n^2 (jordan) posts no time. Centralizer rows time
 ``centralizer(L, L)`` of the full algebra L at n = 8, 12 and 16 the same
 way; a row whose centralizers do not all have dimension 1 (the multiples
-of I) posts no time.
+of I) posts no time. ``associator_defect`` rows time the full algebra at
+n = 8 and 12 the same way; a row posts a time only when every call returns
+2^(-3/2), as 0.3535533905932737, and names a triple.
+
+The verify row times a cold ``python -m ljlab verify --trials 1000``
+process, the n = 2..6 sweep, from start to exit; it posts a time only when
+every run passes all 25 checks.
 
 Classify rows: for each n it classifies four states against the default
 full algebra (dimension n^2): the pure state vv^T of the CI check,
@@ -54,11 +60,13 @@ from speed import SpeedProbe  # noqa: E402
 ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstring says what each row times."
 SIZES = (8, 16, 24)
 CLOSURE_SIZES = (8, 12, 16, 24)
-#: Each warm query's sizes, the row key of its result's dimension and the dimension it must have at n.
+#: Each warm query's sizes, the row keys of its result and of that result's
+#: check, and the result it must give at n.
 QUERIES = {
-    "lie_generate": (CLOSURE_SIZES, "closure_dim", lambda n: n * n - 1),
-    "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", lambda n: n * n),
-    "centralizer": ((8, 12, 16), "dim_span", lambda n: 1),
+    "lie_generate": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n - 1),
+    "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n),
+    "centralizer": ((8, 12, 16), "dim_span", "dim_ok", lambda n: 1),
+    "associator_defect": ((8, 12), "defect", "value_ok", lambda n: 0.3535533905932737),
 }
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
@@ -109,17 +117,32 @@ def warm_worker(tree: Path, path: str) -> None:
 
 
 def query_worker(tree: Path, name: str, n: int) -> None:
-    """Print one query's warm times and result dimensions at n, and this process's peak RSS."""
+    """Print one query's warm times and results at n, and this process's peak RSS."""
     import resource
 
     sys.path.insert(0, str(tree / "src"))
-    from ljlab import centralizer, full_hermitian_space, jordan_generate_three, lie_generate, random_hermitian, traceless
+    from ljlab import (
+        associator_defect,
+        centralizer,
+        full_hermitian_space,
+        jordan_generate_three,
+        lie_generate,
+        random_hermitian,
+        traceless,
+    )
 
     if name == "centralizer":
         L = full_hermitian_space(n)
 
         def query() -> int:
             return centralizer(L, L).dim_span
+
+    elif name == "associator_defect":
+        L = full_hermitian_space(n)
+
+        def query() -> float | None:
+            value, triple = associator_defect(L)
+            return value if triple is not None else None
 
     else:
         a, b = random_hermitian(n, seed=n), random_hermitian(n, seed=n + 1)
@@ -131,25 +154,25 @@ def query_worker(tree: Path, name: str, n: int) -> None:
             return generate(a, b).closure_dim
 
     probe = SpeedProbe()
-    dims = [query()]
+    results = [query()]
     times = []
     for _ in range(RUNS):
-        dt, dim = timed(probe, query)
+        dt, result = timed(probe, query)
         times.append(dt)
-        dims.append(dim)
+        results.append(result)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"times": times, "dims": dims, "rss_mb": rss}))
+    print(json.dumps({"times": times, "results": results, "rss_mb": rss}))
 
 
-def cold_runs(tree: Path, path: str, probe: SpeedProbe) -> tuple[list[float], set, float]:
-    """Cold process times, the verdicts their reports give (None on a nonzero exit), and their peak RSS."""
+def cold_runs(tree: Path, args: list[str], probe: SpeedProbe, verdict) -> tuple[list[float], set, float]:
+    """Cold ``python -m ljlab *args`` times, ``verdict`` of each report (None on a nonzero exit), and their peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     times, verdicts, rss = [], set(), 0.0
     for _ in range(RUNS):
         with tempfile.TemporaryFile() as out:
 
             def run():
-                cmd = [sys.executable, "-m", "ljlab", "classify", "--in", path]
+                cmd = [sys.executable, "-m", "ljlab", *args]
                 proc = subprocess.Popen(cmd, stdout=out, stderr=subprocess.DEVNULL, env=env)
                 _, status, usage = os.wait4(proc.pid, 0)
                 proc.returncode = os.waitstatus_to_exitcode(status)
@@ -157,7 +180,7 @@ def cold_runs(tree: Path, path: str, probe: SpeedProbe) -> tuple[list[float], se
 
             dt, (code, child_rss) = timed(probe, run)
             out.seek(0)
-            verdicts.add(json.load(out)["summary"]["classical"] if code == 0 else None)
+            verdicts.add(verdict(json.load(out)) if code == 0 else None)
         times.append(dt)
         rss = max(rss, child_rss)
     return times, verdicts, rss
@@ -198,22 +221,38 @@ def main() -> None:
     }
     probe = SpeedProbe()
     rows = []
-    for name, (sizes, key, dim) in QUERIES.items():
+    for name, (sizes, key, ok_key, want) in QUERIES.items():
         for n in sizes:
             cmd = [sys.executable, __file__, "--tree", str(tree), "--query-worker", name, str(n)]
             got = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-            good = set(got["dims"]) == {dim(n)}
+            good = set(got["results"]) == {want(n)}
             rows.append({
                 **common,
                 "bench": name,
                 "mode": "warm",
                 "n": n,
-                key: dim(n),
-                "dim_ok": good,
+                key: want(n),
+                ok_key: good,
                 "median_s": round(statistics.median(got["times"]), 6) if good else None,
                 "peak_rss_mb": round(got["rss_mb"], 1),
             })
             print(json.dumps(rows[-1]), flush=True)
+    def sweep(report: dict) -> bool:
+        return report["summary"]["all_passed"] is True and report["summary"]["checks_total"] == 25
+
+    times, verdicts, rss = cold_runs(tree, ["verify", "--trials", "1000"], probe, sweep)
+    good = verdicts == {True}
+    rows.append({
+        **common,
+        "bench": "verify",
+        "mode": "cold",
+        "dims": [2, 3, 4, 5, 6],
+        "trials": 1000,
+        "passed_ok": good,
+        "median_s": round(statistics.median(times), 6) if good else None,
+        "peak_rss_mb": round(rss, 1),
+    })
+    print(json.dumps(rows[-1]), flush=True)
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
             for name, t in STATES.items():
@@ -223,7 +262,9 @@ def main() -> None:
                 warm = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
                 expected = warm["expected"]
                 ok = name != "mixed" or expected is True
-                cold, verdicts, cold_rss = cold_runs(tree, path, probe)
+                cold, verdicts, cold_rss = cold_runs(
+                    tree, ["classify", "--in", path], probe, lambda report: report["summary"]["classical"]
+                )
                 for mode, times, got, rss in (
                     ("warm", warm["times"], {warm["classical"]}, warm["rss_mb"]),
                     ("cold", cold, verdicts, cold_rss),

@@ -47,7 +47,9 @@ from .linalg import (
     Tolerance,
     _gaussian_stack,
     _hermitian_part,
+    _hs_norms,
     _opnorm,
+    _screened_opnorm,
     _trial_rngs,
     derive_seed,
     random_hermitian,
@@ -217,15 +219,27 @@ def cmd_verify(cfg: SessionConfig) -> Outcome:
             g = _gaussian_stack(rngs, n, 3)
             # (3, trials, n, n): slot-major, so each operand is one contiguous stack
             abc = _hermitian_part(np.ascontiguousarray(g.swapaxes(0, 1)))
-            norms = _opnorm(abc)
-            for i, (_, identity, arity) in enumerate(_IDENTITIES):
-                residual, scale = identity(*abc[:arity], *norms[:arity])
-                # like residual.max() over all trials, np.maximum propagates a NaN
+            norms_ab = _opnorm(abc[:2])
+            for i, (_, formula, scale, arity) in enumerate(_IDENTITIES):
+                if scale is None:  # norm-axioms: a difference of norms, each taken exactly
+                    residual, s = formula(*abc[:2], *norms_ab)
+                    # like residual.max() over all trials, np.maximum propagates a NaN
+                    worst[i] = np.maximum(worst[i], residual.max())
+                    passed[i] = passed[i] and bool(np.all(residual <= cfg.tol.threshold(s)))
+                    continue
+                defect = formula(*abc[:arity])
+                # exact wherever a residual can reach the maximum, which is at least the norm of the
+                # largest HS norm's defect, or exceed zero_tol, below which it passes at any scale
+                top = _opnorm(defect[np.argmax(_hs_norms(defect))])
+                residual = _screened_opnorm(defect, min(top, cfg.tol.zero_tol))
                 worst[i] = np.maximum(worst[i], residual.max())
-                passed[i] = passed[i] and bool(np.all(residual <= cfg.tol.threshold(scale)))
+                t = np.flatnonzero(~(residual <= cfg.tol.zero_tol))
+                if len(t):
+                    s = scale(*(*norms_ab[:, t], _opnorm(abc[2, t]))[:arity])
+                    passed[i] = passed[i] and bool(np.all(residual[t] <= cfg.tol.threshold(s)))
         checks += [
             {"name": name, "dim": n, "max_residual": float(worst[i]), "passed": passed[i]}
-            for i, (name, _, _) in enumerate(_IDENTITIES)
+            for i, (name, *_) in enumerate(_IDENTITIES)
         ]
     all_passed = all(c["passed"] for c in checks)
     summary = {

@@ -112,6 +112,47 @@ def _opnorm(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
+#: Rounding slack of norm bounds, each widened by ``1 + _NORM_SLACK``: the
+#: relative error allowed for a computed norm or inner product against its
+#: exact value on the computed inputs. SVDs, sums of squares and dot products
+#: are accurate to a few hundred ulps at the sizes the package handles, far
+#: inside it.
+_NORM_SLACK = 1e-6
+
+#: Below this floor a sum of squares may have lost its smaller terms to
+#: underflow, so an HS norm no longer bounds the operator norm from above.
+_SQUARES_FLOOR = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
+
+
+def _hs_norms(x: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norm of each matrix in an (m, n, n) stack: the root of its sum of squares."""
+    v = np.ascontiguousarray(x).reshape(len(x), x.shape[1] * x.shape[2]).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
+    """``_opnorm`` of each matrix in an (..., n, n) stack that can reach floor, 0.0 for the rest.
+
+    ``||X||_2 <= ||X||_HS``, so a matrix whose HS norm times ``1 +
+    _NORM_SLACK`` is below floor has an operator norm below floor, and gets
+    no SVD. The others take one ``_opnorm`` call, whose values are the
+    whole stack's bit for bit. A stack with a non-finite HS norm (so a NaN
+    or an inf still reaches the SVD), or a floor below ``_SQUARES_FLOOR``,
+    takes the whole-stack ``_opnorm``.
+    """
+    if x.size == 0:
+        return _opnorm(x)
+    flat = x.reshape(-1, *x.shape[-2:])
+    hs = _hs_norms(flat)
+    if not (np.isfinite(hs).all() and floor >= _SQUARES_FLOOR):
+        return _opnorm(x)
+    out = np.zeros(len(flat))
+    keep = np.flatnonzero(hs * (1 + _NORM_SLACK) >= floor)
+    if len(keep):
+        out[keep] = _opnorm(flat[keep])
+    return out.reshape(x.shape[:-2])
+
+
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value. Valid for any square matrix."""
     return float(_opnorm(as_matrix(m)))

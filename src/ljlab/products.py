@@ -14,8 +14,8 @@ product of the operand norms, one factor per slot of the identity.
 
 The products and the identity defects broadcast over leading axes: operands
 may be ``(..., n, n)`` stacks, and each identity has one formula, listed
-with its report name and arity in ``_IDENTITIES``, which ``ljlab verify``
-evaluates on stacks of random trials. The tests require a
+with its report name, norm scale and arity in ``_IDENTITIES``, which
+``ljlab verify`` evaluates on stacks of random trials. The tests require a
 stacked result to be bit-equal, slice by slice, to the same call on single
 matrices.
 """
@@ -101,31 +101,38 @@ class IdentityReport:
     passed: bool
 
 
-# Each identity maps its operands, single matrices or (..., n, n) stacks, and
-# their operator norms to the defect norm and the norm scale of each slice.
+# Each defect identity maps its operands, single matrices or (..., n, n)
+# stacks, to its defect matrices, and its scale maps their operator norms to
+# the norm scale of each slice. The norm-axioms residual is a difference of
+# norms, not the norm of a defect, so that formula maps the operands and
+# their norms to the residual and the scale itself, and has no scale entry.
 
 
-def _jacobi(a, b, c, na, nb, nc):
-    defect = lie(lie(a, b), c) + lie(lie(b, c), a) + lie(lie(c, a), b)
-    return _opnorm(defect), na * nb * nc
+def _jacobi(a, b, c):
+    return lie(lie(a, b), c) + lie(lie(b, c), a) + lie(lie(c, a), b)
 
 
-def _leibniz(a, b, c, na, nb, nc):
-    defect = lie(a, jordan(b, c)) - jordan(lie(a, b), c) - jordan(b, lie(a, c))
-    return _opnorm(defect), na * nb * nc
+def _leibniz(a, b, c):
+    return lie(a, jordan(b, c)) - jordan(lie(a, b), c) - jordan(b, lie(a, c))
 
 
-def _associator_identity(a, b, c, na, nb, nc):
-    defect = associator(a, b, c) - lie(b, lie(c, a))
-    return _opnorm(defect), na * nb * nc
+def _associator_identity(a, b, c):
+    return associator(a, b, c) - lie(b, lie(c, a))
 
 
-def _weak_associativity(a, b, na, nb):
+def _weak_associativity(a, b):
     sq = jordan(a, a)
-    defect = jordan(jordan(sq, b), a) - jordan(sq, jordan(b, a))
+    return jordan(jordan(sq, b), a) - jordan(sq, jordan(b, a))
+
+
+def _product_scale(na, nb, nc):
+    return na * nb * nc
+
+
+def _cube_scale(na, nb):
     # the builtin float power: numpy's vectorized power may round the cube differently
     cube = np.reshape([x**3 for x in np.ravel(na).tolist()], np.shape(na))
-    return _opnorm(defect), cube * nb
+    return cube * nb
 
 
 def _norm_axioms(a, b, na, nb):
@@ -140,22 +147,31 @@ def _norm_axioms(a, b, na, nb):
     return residual, scale
 
 
-#: The identities in ``ljlab verify``'s report order: report name, defect
-#: formula, arity. The ``check_*`` functions take their names from here.
+#: The identities in ``ljlab verify``'s report order: report name, formula,
+#: scale (None for norm-axioms), arity. The ``check_*`` functions take their
+#: names from here.
 _IDENTITIES = (
-    ("jacobi", _jacobi, 3),
-    ("leibniz", _leibniz, 3),
-    ("associator-identity", _associator_identity, 3),
-    ("weak-associativity", _weak_associativity, 2),
-    ("norm-axioms", _norm_axioms, 2),
+    ("jacobi", _jacobi, _product_scale, 3),
+    ("leibniz", _leibniz, _product_scale, 3),
+    ("associator-identity", _associator_identity, _product_scale, 3),
+    ("weak-associativity", _weak_associativity, _cube_scale, 2),
+    ("norm-axioms", _norm_axioms, None, 2),
 )
+
+
+def _residual_and_scale(row: int, operands, norms) -> tuple:
+    """``_IDENTITIES[row]``'s residual and norm scale on operands whose operator norms are norms."""
+    _, formula, scale, _ = _IDENTITIES[row]
+    if scale is None:
+        return formula(*operands, *norms)
+    return _opnorm(formula(*operands)), scale(*norms)
 
 
 def _check(row: int, operands: tuple) -> IdentityReport:
     """Judge ``_IDENTITIES[row]`` on single matrices, against ``DEFAULT_TOL`` at its norm scale."""
-    name, identity, _ = _IDENTITIES[row]
+    name = _IDENTITIES[row][0]
     xs = [as_matrix(m) for m in operands]
-    residual, scale = identity(*xs, *(_opnorm(x) for x in xs))
+    residual, scale = _residual_and_scale(row, xs, [_opnorm(x) for x in xs])
     residual = float(residual)
     threshold = DEFAULT_TOL.threshold(scale)
     return IdentityReport(name=name, residual=residual, threshold=threshold, passed=residual <= threshold)

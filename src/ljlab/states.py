@@ -45,7 +45,7 @@ from .errors import (
     NotInSpan,
     ValidationError,
 )
-from .linalg import _opnorm, as_matrix, random_density
+from .linalg import _NORM_SLACK, _opnorm, as_matrix, random_density
 from .products import jordan, lie
 from .subspace import (
     _BLOCK,
@@ -271,14 +271,6 @@ def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
     if not L.contains(s.rho):
         raise NotInSpan("state is not an element of the subalgebra's span")
     return _center_verdict(s, L)
-
-
-#: Rounding slack of classify's first-step bounds, each widened by ``1 +
-#: _NORM_SLACK``: the relative error allowed for a computed norm or inner
-#: product against its exact value on the computed inputs. SVDs, sums of
-#: squares and dot products are accurate to a few hundred ulps at the sizes
-#: the package handles, far inside it.
-_NORM_SLACK = 1e-6
 
 
 # classify's first step: four bounds that settle a flag from the tensor C

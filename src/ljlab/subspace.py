@@ -26,7 +26,9 @@ products with one Hermitian pair kernel (``_products``); a block of index
 pairs is formed in cache-sized chunks (``_block_products``), and the i < k
 basis brackets come from one stream (``_brackets``). The defects and the
 associator criterion take their maxima from one running first maximum
-(``_first_max``), which holds the one tie rule. Closedness verdicts and
+(``_first_max``), which holds the one tie rule; the defects take an SVD
+only of a bracket or associator whose HS norm can reach the running
+maximum (``_running_screen``). Closedness verdicts and
 derived algebras are memoized on the (immutable) subspace. The bracket
 table (``_structure_constants``) holds the coordinates of the basis
 brackets ``[e_i, e_k]``, i < k, that are not roundoff: the nonzero rows of
@@ -58,7 +60,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _opnorm,
+    _screened_opnorm,
     as_matrix,
     derive_seed,
     same_dim,
@@ -542,8 +544,9 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     A null space in coordinates against L's orthonormal rows: each real
     entry of [e_i, s_j], taken over i, is a constraint row. The rank kernel
     (``_extend``, so ``SPAN_RTOL``) ranks them ``max(1, _BLOCK // 2n^2)``
-    elements s_j at a time, so no more brackets are held at once. The null
-    space is the kept rows' orthonormal complement, extended from the
+    elements s_j at a time, so no more brackets are held at once; rows that
+    are identically zero, most of them in the canonical basis, skip it. The
+    null space is the kept rows' orthonormal complement, extended from the
     identity's rows; the returned rows are orthonormal.
     """
     if L.dim_ambient != S.dim_ambient:
@@ -557,7 +560,8 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     kept = np.empty((0, r))
     for s in range(0, S.dim_span, step):
         br = _products(L._stacked[:, None], S._stacked[None, s : s + step], lie)
-        kept = np.concatenate((kept, _extend(kept, _rows(br).reshape(r, -1).T)))
+        rows = _rows(br).reshape(r, -1).T
+        kept = np.concatenate((kept, _extend(kept, rows[rows.any(axis=1)])))
     return RealSubspace(n, _extend(kept, np.eye(r)) @ L.rows)
 
 
@@ -609,19 +613,40 @@ def _first_max(blocks: Iterable[_Block]) -> tuple[float, tuple[int, int, int], f
     return best, idx, value
 
 
+def _running_screen(floor: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Norms of stacks by ``_screened_opnorm`` against a running best: floor, then the largest so far.
+
+    A norm below the running best is below the final best, so 0.0 stands
+    for it; a norm that equals the final best always passes the screen, so
+    ``_first_max`` sees every tie of the maximum, and a yes-or-no query that
+    starts at its floor sees every norm above it.
+    """
+    best = floor
+
+    def norms(x: np.ndarray) -> np.ndarray:
+        nonlocal best
+        out = _screened_opnorm(x, best)
+        best = max(best, float(out.max(initial=0.0)))
+        return out
+
+    return norms
+
+
 def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     """Largest bracket norm over basis pairs and the index pair attaining it.
 
     The pair is the first largest by ``_first_max``'s tie rule, and None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned): below that every bracket is roundoff and
-    which one is largest is noise.
+    which one is largest is noise. Only brackets whose HS norm can reach
+    the running maximum get an SVD (``_running_screen``).
     """
-    best, (i, _, k), _ = _first_max(_brackets(L, lambda br: _opnorm(br)[:, None]))
+    screen = _running_screen(0.0)
+    best, (i, _, k), _ = _first_max(_brackets(L, lambda br: screen(br)[:, None]))
     return best, (i, k) if best > _DEFECT_FLOOR else None
 
 
-def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
+def _associator_norms(L: RealSubspace, floor: float) -> Iterator[_Block]:
     """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``.
 
     By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
@@ -629,7 +654,10 @@ def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
     other one has norm at most half of ``_DEFECT_FLOOR``. A block holds one
     i, a run of its partners k and every j: at most max(``_BLOCK``, r)
     triples, whose associators are formed into the block's buffer about
-    ``_CHUNK_BYTES`` at a time (r per partner) and normed together.
+    ``_CHUNK_BYTES`` at a time (r per partner) and normed together. Norms
+    below the running best, which starts at floor, are 0.0
+    (``_running_screen``): only associators whose HS norm can reach it get
+    an SVD.
     """
     e, r = L._stacked, L.dim_span
     table = _structure_constants(L)
@@ -637,6 +665,7 @@ def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
     partners[table.i, table.k] = partners[table.k, table.i] = True
     step = max(1, _BLOCK // max(r, 1))
     chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
+    screen = _running_screen(floor)
     for i in np.flatnonzero(partners.any(axis=1)):
         ks = np.flatnonzero(partners[i])
         eij = _products(e[i], e, jordan)  # eij[j] = e_i o e_j
@@ -647,7 +676,7 @@ def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
                 ek = e[k[t : t + chunk], None]
                 right = _products(e[i], _products(e, ek, jordan), jordan)
                 np.subtract(_products(eij, ek, jordan), right, out=assoc[t : t + chunk])
-            yield _opnorm(assoc), np.full(len(k), i), k
+            yield screen(assoc), np.full(len(k), i), k
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
@@ -661,7 +690,7 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     triple are those of all r^3 triples whenever a triple is named, and 0.0
     stands for roundoff otherwise.
     """
-    best, idx, _ = _first_max(_associator_norms(L))
+    best, idx, _ = _first_max(_associator_norms(L, 0.0))
     return best, idx if best > _DEFECT_FLOOR else None
 
 
@@ -738,11 +767,15 @@ def _killing_matrix(L: RealSubspace) -> np.ndarray:
 
 
 def is_commutative(L: RealSubspace) -> bool:
-    """Whether all brackets vanish on L. Requires closure under both products."""
+    """Whether all brackets vanish on L. Requires closure under both products.
+
+    ``commutator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
+    block of bracket norms above the floor.
+    """
     require_closed(L, jordan)
     require_closed(L, lie)
-    defect, _ = commutator_defect(L)
-    return defect <= _DEFECT_FLOOR
+    screen = _running_screen(_DEFECT_FLOOR)
+    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:
@@ -753,7 +786,7 @@ def is_jordan_associative(L: RealSubspace) -> bool:
     """
     require_closed(L, jordan)
     require_closed(L, lie)
-    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _associator_norms(L))
+    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _associator_norms(L, _DEFECT_FLOOR))
 
 
 def is_semisimple_lie(L: RealSubspace) -> bool:

@@ -111,6 +111,67 @@ def test_verify_across_a_trial_chunk_boundary_equals_per_trial_loop_bit_for_bit(
     assert all_passed == all(c["passed"] for c in ref)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_svd_does(bad, monkeypatch):
+    # the screen must not hide a non-finite defect: the maximum is NaN and the check fails, or the
+    # SVD raises, as it does on the whole stack (LAPACK may reject a NaN matrix outright)
+    from ljlab import products
+
+    def poisoned(a, b, c):
+        d = products._jacobi(a, b, c)
+        d[1, 0, 0] = bad
+        return d
+
+    monkeypatch.setattr(cli, "_IDENTITIES", (("jacobi", poisoned, products._product_scale, 3),))
+    cfg = SessionConfig(command="verify", dim=3, trials=5, seed=0)
+    try:
+        whole = cli._opnorm(np.full((2, 3, 3), bad, dtype=complex))
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            cmd_verify(cfg)
+        return
+    assert np.isnan(whole).all()
+    checks, _, all_passed = cmd_verify(cfg)
+    assert np.isnan(checks[0]["max_residual"])
+    assert checks[0]["passed"] is False and all_passed is False
+
+
+def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
+    # trial 0 holds the largest defect and passes at its large scale; trial 1's smaller defect fails at
+    # scale 1, so the screen must keep every defect above zero_tol, not only those near the maximum
+    def defects(a, b, c):
+        d = np.zeros_like(a)
+        d[0], d[1] = 1e-3 * np.eye(3), 1e-8 * np.eye(3)
+        return d
+
+    def scales(na, nb, nc):
+        return np.where(np.arange(len(na)) == 0, 1e9, 1.0)  # trial 0 is always the first judged
+
+    monkeypatch.setattr(cli, "_IDENTITIES", (("jacobi", defects, scales, 3),))
+    checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=3, trials=4, seed=0))
+    assert checks[0]["max_residual"] == 1e-3
+    assert checks[0]["passed"] is False and all_passed is False
+
+
+def test_verify_takes_an_svd_only_of_defects_that_can_reach_the_maximum(monkeypatch):
+    # 4 defect identities x 25 trials: the parent took 100 defect SVDs per dimension
+    import ljlab.linalg
+
+    svds = [0]
+    opnorm = ljlab.linalg._opnorm
+
+    def counted(x):
+        svds[0] += int(np.prod(x.shape[:-2]))
+        return opnorm(x)
+
+    monkeypatch.setattr(ljlab.linalg, "_opnorm", counted)
+    for n in SWEEP_DIMS:
+        svds[0] = 0
+        checks, _, _ = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=3))
+        assert all(c["passed"] for c in checks)
+        assert svds[0] <= 40, (n, svds[0])
+
+
 def test_verify_rejects_zero_trials():
     res = run_cli("verify", "--trials", "0")
     assert res.returncode == 2

@@ -28,7 +28,14 @@ from ljlab import (
     spectral_norm,
     traceless,
 )
-from ljlab.linalg import _gaussian_stack, _hermitian_part, _opnorm
+from ljlab.linalg import (
+    _NORM_SLACK,
+    _gaussian_stack,
+    _hermitian_part,
+    _hs_norms,
+    _opnorm,
+    _screened_opnorm,
+)
 
 
 def test_tolerance_threshold_scaling():
@@ -280,16 +287,131 @@ def test_spectral_norm_on_non_finite_input_behaves_as_numpy_two_norm(bad, where)
 
 
 def test_opnorm_of_a_stack_equals_per_slice_calls():
+    # the screened norms take SVDs of subsets: any subset, in any order, must give each matrix's own bits
     rng = np.random.default_rng(77)
-    for n in range(1, 9):
+    for n in range(1, 13):
         stack = np.stack([m for _ in range(3) for m in _norm_fixtures(n, rng)])
         got = _opnorm(stack)
         assert got.shape == (len(stack),)
         assert got.tobytes() == np.array([spectral_norm(m) for m in stack]).tobytes()
         nested = _opnorm(stack.reshape(2, -1, n, n))
         assert nested.tobytes() == got.tobytes()
+        subsets = [
+            np.arange(len(stack))[::-1],
+            np.arange(0, len(stack), 2),
+            np.sort(rng.choice(len(stack), size=5, replace=False)),
+            rng.permutation(len(stack))[:7],
+            *([t] for t in range(len(stack))),
+        ]
+        for rows in subsets:
+            assert _opnorm(stack[rows]).tobytes() == got[rows].tobytes(), (n, rows)
     assert _opnorm(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
     assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
+def _max_opnorm(x: np.ndarray) -> float:
+    """The largest norm as ``verify`` takes it: the SVD of the largest HS norm is the screen's floor."""
+    return _screened_opnorm(x, _opnorm(x[np.argmax(_hs_norms(x))])).max()
+
+
+def _assert_screened(x: np.ndarray, floor: float) -> np.ndarray:
+    """``_screened_opnorm(x, floor)``: every norm at or above floor exact, every other one exact or 0.0."""
+    got, ref = _screened_opnorm(x, floor), _opnorm(x)
+    assert got.shape == ref.shape
+    reached = ref >= floor
+    assert got[reached].tobytes() == ref[reached].tobytes()
+    assert np.all((got[~reached] == 0.0) | (got[~reached] == ref[~reached]))
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_screened_opnorm_is_exact_wherever_a_norm_reaches_the_floor(n):
+    rng = np.random.default_rng(500 + n)
+    # norms spread over many decades, so the screen skips some and keeps others
+    scales = 10.0 ** rng.uniform(-12, 3, size=40)
+    x = scales[:, None, None] * np.stack([m for _ in range(10) for m in _norm_fixtures(n, rng)])
+    ref = _opnorm(x)
+    for floor in (0.0, *np.sort(ref)[::7], ref.max(), 2 * ref.max()):
+        got = _assert_screened(x, floor)
+        assert got[ref < floor / 2].tolist() == [0.0] * int(np.sum(ref < floor / 2))
+    assert _screened_opnorm(x.reshape(4, 10, n, n), ref[3]).tobytes() == _screened_opnorm(x, ref[3]).tobytes()
+    assert _max_opnorm(x).hex() == ref.max().hex()
+    for t in range(len(x)):
+        assert _max_opnorm(x[t : t + 1]).hex() == ref[t].hex()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_screened_opnorm_keeps_rank_one_matrices_at_their_own_norm(n):
+    # a rank-1 matrix has operator norm equal to its HS norm, so only the slack keeps it when the floor is its norm
+    rng = np.random.default_rng(600 + n)
+    u = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
+    v = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
+    x = u[:, :, None] * v[:, None, :].conj()
+    ref = _opnorm(x)
+    for t in range(len(x)):
+        assert _screened_opnorm(x, ref[t])[t].hex() == ref[t].hex()
+    assert _max_opnorm(x).hex() == ref.max().hex()
+    # just above the slack the screen drops every matrix
+    hs = np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
+    assert _screened_opnorm(x, hs.max() * (1 + 3 * _NORM_SLACK)).tolist() == [0.0] * len(x)
+
+
+def test_screened_opnorm_of_zero_and_empty_stacks():
+    zeros = np.zeros((5, 3, 3), dtype=complex)
+    for floor in (0.0, 1e-300, 1.0):
+        assert _screened_opnorm(zeros, floor).tolist() == [0.0] * 5
+    assert _max_opnorm(zeros) == 0.0
+    assert _screened_opnorm(np.zeros((0, 3, 3), dtype=complex), 1.0).shape == (0,)
+    assert _screened_opnorm(np.zeros((4, 0, 0), dtype=complex), 1.0).tolist() == [0.0] * 4
+
+
+def test_screened_opnorm_at_a_floor_equal_to_a_norm():
+    x = np.stack([random_hermitian(4, seed=s) for s in range(12)]).astype(complex)
+    ref = _opnorm(x)
+    for t in range(len(x)):
+        got = _assert_screened(x, ref[t])
+        assert got[t].hex() == ref[t].hex()
+        assert got[ref == ref[t]].tobytes() == ref[ref == ref[t]].tobytes()
+
+
+def test_screened_opnorm_below_the_squares_floor_takes_every_svd():
+    # squares of 1e-170 underflow, so an HS norm there bounds nothing: the whole stack takes its SVD
+    x = 1e-170 * np.stack([random_hermitian(3, seed=s) for s in range(4)]).astype(complex)
+    ref = _opnorm(x)
+    assert ref.min() > 0.0
+    assert _screened_opnorm(x, ref.max()).tobytes() == ref.tobytes()
+    assert _max_opnorm(x).hex() == ref.max().hex()
+
+
+def _outcome(f, *args):
+    try:
+        return "value", np.asarray(f(*args)).tobytes()
+    except Exception as exc:  # the kind of failure is what is compared
+        return "raised", type(exc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_screened_opnorm_of_a_non_finite_matrix_takes_the_whole_stack(bad, monkeypatch):
+    x = np.stack([random_hermitian(3, seed=s) for s in range(6)]).astype(complex)
+    x[2, 0, 1] = bad
+    whole = _outcome(_opnorm, x)
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return _opnorm(m)
+
+    monkeypatch.setattr(ljlab.linalg, "_opnorm", counted)
+    for floor in (0.0, 1e300):
+        calls.clear()
+        assert _outcome(_screened_opnorm, x, floor) == whole
+        assert calls == [x.shape]
+    # the maximum propagates the NaN, or raises as the whole-stack SVD does
+    got = _outcome(_max_opnorm, x)
+    ref = _outcome(lambda m: _opnorm(m).max(), x)
+    assert got == ref
+    if ref[0] == "value":
+        assert np.isnan(np.frombuffer(ref[1])[0])
 
 
 def test_threshold_broadcasts_over_scales():

@@ -35,13 +35,7 @@ from ljlab import (
     span,
 )
 from ljlab.linalg import _opnorm
-from ljlab.products import (
-    _associator_identity,
-    _jacobi,
-    _leibniz,
-    _norm_axioms,
-    _weak_associativity,
-)
+from ljlab.products import _IDENTITIES, _residual_and_scale
 
 
 def test_jordan_pauli_fixtures():
@@ -258,18 +252,12 @@ def test_checkers_keep_their_single_matrix_contract():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_identity_defects_and_scales_equal_per_slice_calls(n):
     a, b, c = (_stack(n, 25, 70 * n + k) for k in range(3))
-    for identity, arity in (
-        (_jacobi, 3),
-        (_leibniz, 3),
-        (_associator_identity, 3),
-        (_weak_associativity, 2),
-        (_norm_axioms, 2),
-    ):
+    for row, (_, _, _, arity) in enumerate(_IDENTITIES):
         operands = (a, b, c)[:arity]
         norms = [_opnorm(m) for m in operands]
-        residual, scale = identity(*operands, *norms)
+        residual, scale = _residual_and_scale(row, operands, norms)
         per_slice = [
-            identity(*(m[t] for m in operands), *(_opnorm(m[t]) for m in operands))
+            _residual_and_scale(row, [m[t] for m in operands], [_opnorm(m[t]) for m in operands])
             for t in range(len(a))
         ]
         assert residual.tobytes() == np.array([r for r, _ in per_slice]).tobytes()

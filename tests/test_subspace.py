@@ -63,7 +63,7 @@ from ljlab import (
 from ljlab import subspace as subspace_mod
 from ljlab.products import associator
 from ljlab.states import State, classify, random_state
-from ljlab.linalg import DEFAULT_TOL, _opnorm, spectral_norm
+from ljlab.linalg import DEFAULT_TOL, _opnorm, _screened_opnorm, spectral_norm
 from ljlab.subspace import (
     _DEFECT_FLOOR,
     SPAN_RTOL,
@@ -633,16 +633,45 @@ def test_associator_defect_is_the_whole_stack_formula_bit_for_bit(monkeypatch, k
 def test_is_jordan_associative_stops_at_the_first_block_above_the_floor(monkeypatch):
     calls = [0]
 
-    def counted(x):
+    def counted(x, floor):
         calls[0] += 1
-        return _opnorm(x)
+        return _screened_opnorm(x, floor)
 
-    monkeypatch.setattr(subspace_mod, "_opnorm", counted)
+    monkeypatch.setattr(subspace_mod, "_screened_opnorm", counted)
     assert not is_jordan_associative(full_hermitian_space(6))
     assert calls[0] == 1
     calls[0] = 0
     associator_defect(full_hermitian_space(6))
     assert calls[0] > 1
+
+
+def test_defects_take_an_svd_only_where_the_hs_norm_can_reach_the_running_best(monkeypatch):
+    import ljlab.linalg
+
+    svds, formed = [0], [0]
+    opnorm, screened = ljlab.linalg._opnorm, subspace_mod._screened_opnorm
+
+    def counted_svd(x):
+        svds[0] += int(np.prod(x.shape[:-2]))
+        return opnorm(x)
+
+    def counted_formed(x, floor):
+        formed[0] += int(np.prod(x.shape[:-2]))
+        return screened(x, floor)
+
+    monkeypatch.setattr(ljlab.linalg, "_opnorm", counted_svd)
+    monkeypatch.setattr(subspace_mod, "_screened_opnorm", counted_formed)
+    alg = full_hermitian_space(8)
+    # 2^(-3/2) and 1/2 are tied by many triples and pairs; the first in row-major order is named
+    assert associator_defect(alg) == (0.3535533905932737, (8, 8, 9))
+    assert 0 < svds[0] < formed[0] // 50, (svds[0], formed[0])
+    svds[0] = formed[0] = 0
+    assert commutator_defect(alg) == (0.4999999999999999, (8, 9))
+    assert 0 < svds[0] < formed[0] // 3, (svds[0], formed[0])
+    # the yes-or-no query starts at the floor and stops at the first block above it
+    svds[0] = formed[0] = 0
+    assert not is_commutative(alg)
+    assert 0 < svds[0] < formed[0] == subspace_mod._BLOCK
 
 
 def test_associator_defect_forms_no_r2_n2_jordan_stack():
