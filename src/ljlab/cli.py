@@ -49,6 +49,7 @@ from .linalg import (
     _hermitian_part,
     _hs_norms,
     _opnorm,
+    _require_seed,
     _screened_opnorm,
     _trial_rngs,
     derive_seed,
@@ -181,16 +182,12 @@ def _config_from_args(args: argparse.Namespace) -> SessionConfig:
     """The flags as a SessionConfig; a flag the command lacks keeps its field default."""
     seed = getattr(args, "seed", None)
     if seed is None:
-        env = os.environ.get("LJLAB_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ValidationError(f"LJLAB_SEED must be an integer, got {env!r}") from exc
-        else:
-            seed = 0
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+        env = os.environ.get("LJLAB_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ValidationError(f"LJLAB_SEED must be an integer, got {env!r}") from exc
+    seed = _require_seed(seed)
 
     tol = DEFAULT_TOL
     tol_arg = getattr(args, "tol", None)

@@ -2,9 +2,10 @@
 
 Hermitian spectral queries, Hilbert-Schmidt geometry, and seeded random
 ensembles. Everything works on plain square numpy arrays with complex dtype.
-All functions are pure; random draws take an explicit non-negative integer
-seed, so results are reproducible and independent of call order, and any
-other seed raises ValidationError.
+All functions are pure. Every seeded entry point takes a non-negative
+integer seed by one rule (``_require_seed``, else ValidationError), and trial
+t draws from ``derive_seed(seed, t)``: results are reproducible, independent
+of call order, and distinct for distinct seeds.
 
 ``DEFAULT_TOL`` is the package's zero threshold. Every threshold the
 package uses, with its value, whether it scales with a norm and the
@@ -215,16 +216,33 @@ def traceless(m: np.ndarray) -> np.ndarray:
     return a - (np.trace(a) / n) * np.eye(n)
 
 
+def _require_seed(seed: int) -> int:
+    """seed as an int; ValidationError unless it is a non-negative integer, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+def _require_count(name: str, value: int, low: int) -> int:
+    """A count (samples, budget, dimension) as an int; ValidationError unless an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Per-trial seed: XOR with the trial index, folded to 64 bits.
+    """Per-trial seed ``seed ^ index``, under ``_require_seed``'s rule.
 
-    Keeps trials independent of scheduling so batch runs replay exactly.
+    Injective in the seed, with no fold to 64 bits, and independent of
+    scheduling, so batch runs replay exactly.
     """
-    return (int(seed) ^ int(index)) & 0xFFFFFFFFFFFFFFFF
+    return _require_seed(seed) ^ int(index)
 
 
-#: Trials drawn and evaluated as one stack by ``verify`` and the witness
-#: searches, which bounds the memory a large trial count takes.
+#: Trials drawn at a time by ``verify``, the witness searches and positivity
+#: sampling, which bounds the memory a large trial count takes.
 _TRIAL_CHUNK = 1024
 
 
@@ -265,13 +283,6 @@ def gaussian_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     return _gaussian_stack([rng], n, 1)[0, 0]
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """``default_rng(seed)``; ValidationError unless seed is a non-negative integer, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
 def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """GUE-style sample (G + G^dagger) / 2; ``seed`` may also be a Generator.
 
@@ -282,7 +293,7 @@ def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else _seeded_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_require_seed(seed))
     return _hermitian_part(gaussian_complex(rng, n))
 
 
@@ -290,6 +301,6 @@ def random_density(n: int, seed: int) -> np.ndarray:
     """Wishart-normalized density matrix G G^dagger / Tr(G G^dagger)."""
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    g = gaussian_complex(_seeded_rng(seed), n)
+    g = gaussian_complex(np.random.default_rng(_require_seed(seed)), n)
     w = g @ dagger(g)
     return w / float(np.real(np.trace(w)))

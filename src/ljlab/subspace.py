@@ -60,11 +60,13 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _opnorm,
+    _require_count,
+    _require_seed,
     _screened_opnorm,
+    _trial_rngs,
     as_matrix,
-    derive_seed,
     same_dim,
-    spectral_norm,
 )
 from .products import jordan, lie
 
@@ -193,13 +195,14 @@ class RealSubspace:
 
 
 def _combination(c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """``sum_k c[k] stacked[k]`` for an (r, n, n) stack.
+    """``sum_k c[..., k] stacked[k]`` for an (r, n, n) stack: one (n, n) matrix per row of c.
 
-    The one matrix product ``np.tensordot(c, stacked, axes=1)`` makes,
-    without its axis bookkeeping, so the result is the same bit for bit.
+    Each row is one (1, r) by (r, n^2) matrix product, the one
+    ``np.tensordot(c, stacked, axes=1)`` makes for a single row, so a row's
+    matrix is the same bit for bit in any stack of rows.
     """
     r, n, _ = stacked.shape
-    return np.dot(c.reshape(1, r), stacked.reshape(r, n * n)).reshape(n, n)
+    return np.matmul(c[..., None, :], stacked.reshape(r, n * n)).reshape(*c.shape[:-1], n, n)
 
 
 def full_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -983,41 +986,33 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     Candidates are squares x @ x of random basis combinations, so they are
     PSD and stay inside the subspace. Associative subalgebras produce no
     violations; the full Hermitian algebra produces both kinds. Raises
-    ValidationError for ``samples < 0``.
+    ValidationError unless ``samples`` is an integer >= 0 and ``seed`` a
+    valid seed. Sample t draws x, y and z from trial t of ``_trial_rngs``;
+    the samples are scored in sub-stacks of about ``_CHUNK_BYTES`` a product.
     """
-    if samples < 0:
-        raise ValidationError(f"samples must be >= 0, got {samples}")
+    samples = _require_count("samples", samples, 0)
+    seed = _require_seed(seed)
     require_closed(L, jordan)
-    r = L.dim_span
-    stacked = L._stacked
-    jordan_count = 0
-    square_count = 0
-    worst_jordan: tuple[np.ndarray, np.ndarray, float] | None = None
-    worst_square: tuple[np.ndarray, np.ndarray, float] | None = None
-    best_j = 0.0
-    best_s = 0.0
-    for t in range(samples if r > 0 else 0):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        x = _combination(rng.standard_normal(r), stacked)
-        y = _combination(rng.standard_normal(r), stacked)
-        z = _combination(rng.standard_normal(r), stacked)
-        a = x @ x
-        b = y @ y
-        lam = float(np.linalg.eigvalsh(jordan(a, b))[0])
-        if lam < -DEFAULT_TOL.threshold(spectral_norm(a) * spectral_norm(b)):
-            jordan_count += 1
-            if lam < best_j:
-                best_j, worst_jordan = lam, (a, b, lam)
-        big = b + z @ z
-        lam2 = float(np.linalg.eigvalsh(big @ big - b @ b)[0])
-        if lam2 < -DEFAULT_TOL.threshold(spectral_norm(big) ** 2 + spectral_norm(b) ** 2):
-            square_count += 1
-            if lam2 < best_s:
-                best_s, worst_square = lam2, (big, b, lam2)
-    return PositivityReport(
-        samples=samples,
-        jordan_violations=jordan_count,
-        square_order_violations=square_count,
-        worst_jordan=worst_jordan,
-        worst_square_order=worst_square,
-    )
+    r, n = L.dim_span, L.dim_ambient
+    step = max(1, _CHUNK_BYTES // np.dtype(complex).itemsize // (n * n))
+    # per kind (Jordan product, square order): violations, lowest eigenvalue, first violation at it
+    counts, lowest = [0, 0], [0.0, 0.0]
+    worst: list[tuple[np.ndarray, np.ndarray, float] | None] = [None, None]
+    for rngs in _trial_rngs(seed, 0, samples if r > 0 else 0):
+        for lo in range(0, len(rngs), step):
+            coords = np.stack([rng.standard_normal((3, r)) for rng in rngs[lo : lo + step]])
+            xyz = _combination(coords, L._stacked)
+            sq = xyz @ xyz
+            sq[:, 2] += sq[:, 1]
+            a, b, big = sq[:, 0], sq[:, 1], sq[:, 2]
+            na, nb, nbig = _opnorm(sq).T
+            tests = ((a, b, jordan(a, b), na * nb), (big, b, big @ big - b @ b, nbig**2 + nb**2))
+            for kind, (p, q, m, scale) in enumerate(tests):
+                lam = np.linalg.eigvalsh(m)[:, 0]
+                hit = lam < -DEFAULT_TOL.threshold(scale)
+                counts[kind] += int(np.count_nonzero(hit))
+                k = int(np.argmin(np.where(hit, lam, np.inf)))
+                if hit[k] and lam[k] < lowest[kind]:
+                    lowest[kind] = float(lam[k])
+                    worst[kind] = (p[k].copy(), q[k].copy(), lowest[kind])
+    return PositivityReport(samples, *counts, *worst)

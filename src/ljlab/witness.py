@@ -17,13 +17,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _gaussian_stack,
     _hermitian_part,
     _opnorm,
+    _require_count,
+    _require_seed,
     _trial_rngs,
     derive_seed,
     spectral_norm,
@@ -55,10 +56,6 @@ class WitnessReport:
     inputs: tuple[np.ndarray, ...]
     violation: float
     found: bool
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
 
 
 def associator_witness(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> WitnessReport:
@@ -141,7 +138,7 @@ def _search(
     which of them are usable (a step with an unusable one is skipped: it
     counts toward the 6000 but not as a reject). ``score`` maps a stack of
     k candidates to k scores; NaN is never kept. None for ``n == 1``, where
-    all observables commute.
+    all observables commute, once the arguments pass their checks.
 
     The refinement is speculative and batched, and its result is the
     sequential loop's, bit for bit. Slot and move draws never depend on the
@@ -152,10 +149,9 @@ def _search(
     the first accept or skip; the moves drawn after it wait in a queue and
     are rebuilt on the new best.
     """
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
+    n = _require_count("dimension", n, 1)
+    budget = _require_count("budget", budget, 1)
+    seed = _require_seed(seed)
     if n == 1:
         return None
     best, best_val = None, np.inf
@@ -237,7 +233,7 @@ def avr_witness_search(
         return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
     a, b = best[:, 1]
     witness = jordan(a, b)
-    violation = _min_eig(witness)
+    violation = float(np.linalg.eigvalsh(witness)[0])
     return WitnessReport(
         kind="avr",
         witness=witness,

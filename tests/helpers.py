@@ -12,7 +12,8 @@ bracket stream from its one-stack blocks, the
 associator criterion from its Jordan-tensor einsum, the bracket tensor
 from its three-operand einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
-loop, the batched subspace helpers from their per-basis loops,
+loop, positivity sampling from its per-sample loop, the batched subspace
+helpers from their per-basis loops,
 operator norms from ``np.linalg.norm(a, 2)``, and ``classify``'s
 disagreement report from the three public verdicts.
 """
@@ -28,6 +29,7 @@ from ljlab import (
     EmptyInput,
     IdentityReport,
     NotInSpan,
+    PositivityReport,
     State,
     ValidationError,
     WitnessReport,
@@ -60,6 +62,7 @@ from ljlab.subspace import (
     _DEFECT_FLOOR,
     SPAN_RTOL,
     RealSubspace,
+    _combination,
     _products,
     _rows,
     _structure_constants,
@@ -858,3 +861,48 @@ def disagreement_message(s: State, L: RealSubspace) -> str:
         for name, v in zip(("associator", "commutator", "center"), verdicts)
     )
     return f"classicality criteria disagree: {detail}"
+
+
+# Verbatim copy of ``check_positivity_closure`` from before it drew its
+# samples from the trial stream and scored them in sub-stacks: the
+# bit-for-bit reference for the stacked form. Norms come from this module's
+# ``spectral_norm``.
+
+
+def loop_positivity_closure(L: RealSubspace, samples: int, seed: int) -> PositivityReport:
+    if samples < 0:
+        raise ValidationError(f"samples must be >= 0, got {samples}")
+    require_closed(L, jordan)
+    r = L.dim_span
+    stacked = L._stacked
+    jordan_count = 0
+    square_count = 0
+    worst_jordan: tuple[np.ndarray, np.ndarray, float] | None = None
+    worst_square: tuple[np.ndarray, np.ndarray, float] | None = None
+    best_j = 0.0
+    best_s = 0.0
+    for t in range(samples if r > 0 else 0):
+        rng = np.random.default_rng(derive_seed(seed, t))
+        x = _combination(rng.standard_normal(r), stacked)
+        y = _combination(rng.standard_normal(r), stacked)
+        z = _combination(rng.standard_normal(r), stacked)
+        a = x @ x
+        b = y @ y
+        lam = float(np.linalg.eigvalsh(jordan(a, b))[0])
+        if lam < -DEFAULT_TOL.threshold(spectral_norm(a) * spectral_norm(b)):
+            jordan_count += 1
+            if lam < best_j:
+                best_j, worst_jordan = lam, (a, b, lam)
+        big = b + z @ z
+        lam2 = float(np.linalg.eigvalsh(big @ big - b @ b)[0])
+        if lam2 < -DEFAULT_TOL.threshold(spectral_norm(big) ** 2 + spectral_norm(b) ** 2):
+            square_count += 1
+            if lam2 < best_s:
+                best_s, worst_square = lam2, (big, b, lam2)
+    return PositivityReport(
+        samples=samples,
+        jordan_violations=jordan_count,
+        square_order_violations=square_count,
+        worst_jordan=worst_jordan,
+        worst_square_order=worst_square,
+    )

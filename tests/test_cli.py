@@ -202,6 +202,23 @@ def test_env_seed_matches_flag_seed():
     assert bad_env.returncode == 2
 
 
+@pytest.mark.parametrize("argv, env", [(["--seed", "-1"], None), ([], {"LJLAB_SEED": "-3"})], ids=["flag", "env"])
+def test_verify_rejects_a_negative_seed_by_the_seed_rule(argv, env):
+    res = run_cli("verify", "--dim", "2", "--trials", "3", *argv, env=env)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: seed must be a non-negative integer" in res.stderr
+
+
+def test_verify_seeds_at_and_above_2_to_the_64_do_not_alias(fresh_parser):
+    outs = {}
+    for seed in (0, 1, 2**64, 2**64 + 1):
+        code, out = _main_output(["verify", "--dim", "2", "--trials", "3", "--seed", str(seed)])
+        assert code == 0
+        outs[seed] = json.loads(out)["checks"]
+    assert outs[2**64] != outs[0] and outs[2**64 + 1] != outs[1] and outs[2**64] != outs[2**64 + 1]
+
+
 # ---------------------------------------------------------------- classify
 
 

@@ -218,7 +218,28 @@ def test_random_density_properties():
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, True, False, np.float64(1.0), np.int64(-2)])
-@pytest.mark.parametrize("sampler", [random_hermitian, random_density, ljlab.random_state])
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        random_hermitian,
+        random_density,
+        ljlab.random_state,
+        # every other seeded entry point, also where nothing is drawn (n = 1, samples = 0)
+        pytest.param(lambda _, seed: derive_seed(seed, 3), id="derive_seed"),
+        pytest.param(lambda _, seed: ljlab.avr_witness_search(1, seed, 5), id="avr-n1"),
+        pytest.param(lambda _, seed: ljlab.avr_witness_search(2, seed, 5), id="avr-n2"),
+        pytest.param(lambda _, seed: ljlab.associator_witness_search(1, seed, 5), id="associator-n1"),
+        pytest.param(lambda _, seed: ljlab.associator_witness_search(2, seed, 5), id="associator-n2"),
+        pytest.param(
+            lambda _, seed: ljlab.check_positivity_closure(ljlab.full_hermitian_space(2), 0, seed),
+            id="positivity-samples0",
+        ),
+        pytest.param(
+            lambda _, seed: ljlab.check_positivity_closure(ljlab.full_hermitian_space(2), 5, seed),
+            id="positivity-samples5",
+        ),
+    ],
+)
 def test_samplers_reject_a_seed_that_is_not_a_non_negative_integer(sampler, seed):
     with pytest.raises(ValidationError, match="non-negative integer"):
         sampler(3, seed)
@@ -241,6 +262,13 @@ def test_derive_seed_is_injective_over_trials():
     seeds = {derive_seed(42, t) for t in range(2000)}
     assert len(seeds) == 2000
     assert all(0 <= s < 2**64 for s in seeds)
+
+
+def test_derive_seed_does_not_fold_seeds_at_and_above_2_to_the_64():
+    assert [derive_seed(2**64 + s, t) for s in (0, 5) for t in (0, 7)] == [2**64, 2**64 + 7, 2**64 + 5, 2**64 + 2]
+    assert derive_seed(np.uint64(2**64 - 1), 1) == 2**64 - 2
+    big = {derive_seed(s, t) for s in (0, 2**64, 2**65, 2**64 + 2**63) for t in range(64)}
+    assert len(big) == 4 * 64
 
 
 def test_traceless_removes_identity_component():

@@ -22,6 +22,7 @@ from helpers import (
     loop_commutator_defect,
     loop_evaluate,
     loop_full_hermitian_basis,
+    loop_positivity_closure,
     loop_reconstruct,
     random_unitary,
     stacked_associator_defect,
@@ -60,6 +61,7 @@ from ljlab import (
     span,
     traceless,
 )
+from ljlab import linalg as linalg_mod
 from ljlab import subspace as subspace_mod
 from ljlab.products import associator
 from ljlab.states import State, classify, random_state
@@ -951,6 +953,69 @@ def test_positivity_closure_rejects_negative_samples(samples):
     with pytest.raises(ValidationError, match="samples must be >= 0"):
         check_positivity_closure(full_hermitian_space(2), samples=samples, seed=0)
     assert check_positivity_closure(full_hermitian_space(2), samples=0, seed=0).samples == 0
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "3", None])
+def test_positivity_closure_rejects_samples_that_are_not_integers(samples):
+    with pytest.raises(ValidationError, match="samples must be an integer"):
+        check_positivity_closure(full_hermitian_space(2), samples=samples, seed=0)
+
+
+def test_positivity_closure_takes_numpy_integers_as_their_value():
+    full = full_hermitian_space(2)
+    rep = check_positivity_closure(full, samples=np.int64(20), seed=np.uint64(4))
+    ref = check_positivity_closure(full, samples=20, seed=4)
+    assert type(rep.samples) is int and rep.samples == 20
+    assert rep.worst_jordan[0].tobytes() == ref.worst_jordan[0].tobytes()
+
+
+def _positivity_algebras() -> dict[str, RealSubspace]:
+    a, b = random_hermitian(3, seed=1), random_hermitian(3, seed=2)
+    return {
+        "full2": full_hermitian_space(2),
+        "full3": full_hermitian_space(3),
+        "full5": full_hermitian_space(5),
+        "block-2-1": block_algebra((2, 1)),
+        # a closure in a random basis: a real product on the rows, or a complex one on the stack, loses bits
+        "closure": jordan_generate_three(a, b).closure,
+    }
+
+
+def _same_positivity_report(got, ref) -> None:
+    assert (got.samples, got.jordan_violations, got.square_order_violations) == (
+        ref.samples,
+        ref.jordan_violations,
+        ref.square_order_violations,
+    )
+    for g, r in ((got.worst_jordan, ref.worst_jordan), (got.worst_square_order, ref.worst_square_order)):
+        assert (g is None) == (r is None)
+        if g is not None:
+            assert (g[0].tobytes(), g[1].tobytes(), g[2]) == (r[0].tobytes(), r[1].tobytes(), r[2])
+
+
+@pytest.mark.parametrize("name", ["full2", "full3", "full5", "block-2-1", "closure"])
+def test_positivity_closure_equals_the_per_sample_loop(name, monkeypatch):
+    L = _positivity_algebras()[name]
+    # trial chunks of 7: 8 and 50 samples cross chunk boundaries
+    monkeypatch.setattr(linalg_mod, "_TRIAL_CHUNK", 7)
+    for seed in (0, 5):
+        for samples in (0, 1, 7, 8, 50):
+            got = check_positivity_closure(L, samples, seed)
+            _same_positivity_report(got, loop_positivity_closure(L, samples, seed))
+    # sub-stacks of 3 samples within each chunk of 7
+    n = L.dim_ambient
+    monkeypatch.setattr(subspace_mod, "_CHUNK_BYTES", 3 * 16 * n * n)
+    for seed in (0, 5):
+        _same_positivity_report(check_positivity_closure(L, 50, seed), loop_positivity_closure(L, 50, seed))
+
+
+def test_positivity_closure_crosses_a_sub_stack_boundary_at_its_own_sizes():
+    # n = 5: sub-stacks of 327 samples, so 400 samples take two in one trial chunk
+    L = full_hermitian_space(5)
+    assert subspace_mod._CHUNK_BYTES // 16 // 25 == 327 < 400 < linalg_mod._TRIAL_CHUNK
+    rep = check_positivity_closure(L, 400, 3)
+    _same_positivity_report(rep, loop_positivity_closure(L, 400, 3))
+    assert rep.jordan_violations > 0 and rep.square_order_violations > 0
 
 
 def test_positivity_report_on_zero_subspace():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,15 @@ def test_search_argument_validation():
         avr_witness_search(1, seed=0, budget=0)
     with pytest.raises(ValidationError):
         associator_witness_search(0, seed=0, budget=10)
+    # a budget that is not an integer, bools included, is not truncated or run as one trial
+    for budget, n in itertools.product((2.5, True), (1, 2)):
+        for search in (avr_witness_search, associator_witness_search):
+            with pytest.raises(ValidationError, match="budget must be an integer"):
+                search(n, seed=0, budget=budget)
+    assert avr_witness_search(2, seed=0, budget=np.int64(3)).violation == avr_witness_search(2, 0, 3).violation
+    for n in (2.5, True):
+        with pytest.raises(ValidationError, match="dimension must be an integer"):
+            avr_witness_search(n, seed=0, budget=5)
 
 
 def _bytes(m: np.ndarray | None) -> bytes | None:
