@@ -195,14 +195,13 @@ class RealSubspace:
 
 
 def _combination(c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """``sum_k c[..., k] stacked[k]`` for an (r, n, n) stack: one (n, n) matrix per row of c.
+    """``sum_k c[k] stacked[k]`` for an (r, n, n) stack.
 
-    Each row is one (1, r) by (r, n^2) matrix product, the one
-    ``np.tensordot(c, stacked, axes=1)`` makes for a single row, so a row's
-    matrix is the same bit for bit in any stack of rows.
+    The one matrix product ``np.tensordot(c, stacked, axes=1)`` makes,
+    without its axis bookkeeping, so the result is the same bit for bit.
     """
     r, n, _ = stacked.shape
-    return np.matmul(c[..., None, :], stacked.reshape(r, n * n)).reshape(*c.shape[:-1], n, n)
+    return np.dot(c.reshape(1, r), stacked.reshape(r, n * n)).reshape(n, n)
 
 
 def full_hermitian_basis(n: int) -> list[np.ndarray]:
@@ -1001,7 +1000,8 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     for rngs in _trial_rngs(seed, 0, samples if r > 0 else 0):
         for lo in range(0, len(rngs), step):
             coords = np.stack([rng.standard_normal((3, r)) for rng in rngs[lo : lo + step]])
-            xyz = _combination(coords, L._stacked)
+            # one (1, r) by (r, n^2) product per row, so each matrix is _combination's bit for bit
+            xyz = np.matmul(coords[..., None, :], L._stacked.reshape(r, n * n)).reshape(-1, 3, n, n)
             sq = xyz @ xyz
             sq[:, 2] += sq[:, 1]
             a, b, big = sq[:, 0], sq[:, 1], sq[:, 2]
