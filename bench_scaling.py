@@ -8,11 +8,14 @@ own process, warm: one untimed call, then the timed ones. The generators are
 ``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``,
 their traceless parts for ``lie_generate``; a row whose closures do not all
 reach n^2 - 1 (lie) or n^2 (jordan) posts no time. Centralizer rows time
-``centralizer(L, L)`` of the full algebra L at n = 8, 12 and 16 the same
-way; a row whose centralizers do not all have dimension 1 (the multiples
-of I) posts no time. ``associator_defect`` rows time the full algebra at
-n = 8 and 12 the same way; a row posts a time only when every call returns
-2^(-3/2), as 0.3535533905932737, and names a triple.
+``centralizer(L, L)`` of the full algebra L at n = 8, 12, 16 and 24 the
+same way; a row whose centralizers do not all have dimension 1 (the
+multiples of I) posts no time. ``is_semisimple_lie`` rows time the
+``lie_generate`` closure of the traceless pair above, built untimed, at
+n = 16 and 24; a row posts a time only when every call returns True.
+``associator_defect`` rows time the full algebra at n = 8 and 12 the same
+way; a row posts a time only when every call returns 2^(-3/2), as
+0.3535533905932737, and names a triple.
 
 The verify row times a cold ``python -m ljlab verify --trials 1000``
 process, the n = 2..6 sweep, from start to exit; it posts a time only when
@@ -65,7 +68,8 @@ CLOSURE_SIZES = (8, 12, 16, 24)
 QUERIES = {
     "lie_generate": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n - 1),
     "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n),
-    "centralizer": ((8, 12, 16), "dim_span", "dim_ok", lambda n: 1),
+    "centralizer": ((8, 12, 16, 24), "dim_span", "dim_ok", lambda n: 1),
+    "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
     "associator_defect": ((8, 12), "defect", "value_ok", lambda n: 0.3535533905932737),
 }
 RUNS = 5
@@ -125,6 +129,7 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         associator_defect,
         centralizer,
         full_hermitian_space,
+        is_semisimple_lie,
         jordan_generate_three,
         lie_generate,
         random_hermitian,
@@ -143,6 +148,12 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         def query() -> float | None:
             value, triple = associator_defect(L)
             return value if triple is not None else None
+
+    elif name == "is_semisimple_lie":
+        L = lie_generate(traceless(random_hermitian(n, seed=n)), traceless(random_hermitian(n, seed=n + 1))).closure
+
+        def query() -> bool:
+            return is_semisimple_lie(L)
 
     else:
         a, b = random_hermitian(n, seed=n), random_hermitian(n, seed=n + 1)

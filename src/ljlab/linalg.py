@@ -232,13 +232,20 @@ def _require_count(name: str, value: int, low: int) -> int:
     return int(value)
 
 
+def _require_dim(n: int) -> int:
+    """A matrix dimension as an int: DimensionMismatch for an integer below 1, else ``_require_count``'s rule."""
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n < 1:
+        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+    return _require_count("dimension", n, 1)
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Per-trial seed ``seed ^ index``, under ``_require_seed``'s rule.
+    """Per-trial seed ``seed ^ index``, under ``_require_seed``'s rule and an index >= 0.
 
     Injective in the seed, with no fold to 64 bits, and independent of
     scheduling, so batch runs replay exactly.
     """
-    return _require_seed(seed) ^ int(index)
+    return _require_seed(seed) ^ _require_count("index", index, 0)
 
 
 #: Trials drawn at a time by ``verify``, the witness searches and positivity
@@ -289,18 +296,16 @@ def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
     G is ``gaussian_complex(default_rng(seed), n)``, so k calls on one
     Generator give the Hermitian parts of ``_gaussian_stack([rng], n, k)[0]``.
     Any other seed than a non-negative integer or a Generator raises
-    ValidationError.
+    ValidationError, as does an n that is not an integer (``_require_dim``).
     """
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+    n = _require_dim(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_require_seed(seed))
     return _hermitian_part(gaussian_complex(rng, n))
 
 
 def random_density(n: int, seed: int) -> np.ndarray:
     """Wishart-normalized density matrix G G^dagger / Tr(G G^dagger)."""
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+    n = _require_dim(n)
     g = gaussian_complex(np.random.default_rng(_require_seed(seed)), n)
     w = g @ dagger(g)
     return w / float(np.real(np.trace(w)))

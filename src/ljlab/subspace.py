@@ -4,7 +4,7 @@ A subspace is stored once, as Hilbert-Schmidt-orthonormal real rows (the
 matrices viewed as interleaved real and imaginary parts) built by one
 blocked rank kernel (``_extend``); its basis matrices are views of them.
 On top of that sit product closures, derived algebras, centralizers,
-commutativity and associativity tests, a Killing form nondegeneracy test,
+commutativity and associativity tests, semisimplicity as a zero center,
 generation experiments, and the realization of a commuting associative
 subalgebra as functions on its joint spectrum.
 
@@ -33,12 +33,12 @@ derived algebras are memoized on the (immutable) subspace. The bracket
 table (``_structure_constants``) holds the coordinates of the basis
 brackets ``[e_i, e_k]``, i < k, that are not roundoff: the nonzero rows of
 the Lie structure constants, which in the canonical basis are a fraction of
-them. It gives the derived algebra, the Killing form, the triples
-``associator_defect`` forms and the associator criterion's contraction.
+them. It gives the derived algebra, the triples ``associator_defect``
+forms and the associator criterion's contraction.
 
-``SPAN_RTOL`` is the one rank threshold, the centralizer's null space and
-the generation targets included; ``DEFAULT_TOL`` decides span input
-Hermiticity, vanishing defects, the Killing form's rank and positivity.
+``SPAN_RTOL`` is the one rank threshold, the centralizer's null space,
+semisimplicity and the generation targets included; ``DEFAULT_TOL``
+decides span input Hermiticity, vanishing defects and positivity.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .linalg import (
     DEFAULT_TOL,
     _opnorm,
     _require_count,
+    _require_dim,
     _require_seed,
     _screened_opnorm,
     _trial_rngs,
@@ -209,10 +210,9 @@ def full_hermitian_basis(n: int) -> list[np.ndarray]:
 
     Diagonal units first, then for each i < j the symmetric and the
     antisymmetric (imaginary) unit, both scaled by 1/sqrt(2). The matrices
-    are read-only views of one stack.
+    are read-only views of one stack. n is checked by ``_require_dim``.
     """
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
+    n = _require_dim(n)
     mats = np.zeros((n * n, n, n), dtype=complex)
     d = np.arange(n)
     mats[d, d, d] = 1.0
@@ -548,8 +548,10 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     (``_extend``, so ``SPAN_RTOL``) ranks them ``max(1, _BLOCK // 2n^2)``
     elements s_j at a time, so no more brackets are held at once; rows that
     are identically zero, most of them in the canonical basis, skip it. The
-    null space is the kept rows' orthonormal complement, extended from the
-    identity's rows; the returned rows are orthonormal.
+    walk stops, as a closure round stops at ``_bound``, once the kept rows
+    reach r - 1 when L contains I (which commutes with all of S), else r.
+    The null space is the kept rows' orthonormal complement, extended from
+    the unit coordinate vectors; the returned rows are orthonormal.
     """
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(
@@ -558,9 +560,12 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     if L.dim_span == 0 or S.dim_span == 0:
         return L
     r, n = L.dim_span, L.dim_ambient
+    bound = r - 1 if L.contains(np.eye(n)) else r
     step = max(1, _BLOCK // (2 * n * n))
     kept = np.empty((0, r))
     for s in range(0, S.dim_span, step):
+        if len(kept) >= bound:
+            break
         br = _products(L._stacked[:, None], S._stacked[None, s : s + step], lie)
         rows = _rows(br).reshape(r, -1).T
         kept = np.concatenate((kept, _extend(kept, rows[rows.any(axis=1)])))
@@ -756,18 +761,6 @@ def _stored_structure_constants(L: RealSubspace) -> _BracketTable:
     return table
 
 
-def _killing_matrix(L: RealSubspace) -> np.ndarray:
-    """K[x, y] = Tr(ad_x ad_y) in the orthonormal basis, as ``-2 T^T T`` over the table rows T.
-
-    With ``ad_x[k, j] = F[x, j, k]``, K[x, y] = sum_jk F[x, j, k] F[y, k, j].
-    HS-orthonormal structure constants are totally antisymmetric, because
-    ``Tr([a, b] c) = Tr(a [b, c])``, so this is ``-sum_jk F[j, k, x] F[j, k,
-    y]``, and each i < k row of F appears twice in that sum.
-    """
-    T = _structure_constants(L).coords
-    return -2.0 * (T.T @ T)
-
-
 def is_commutative(L: RealSubspace) -> bool:
     """Whether all brackets vanish on L. Requires closure under both products.
 
@@ -792,17 +785,15 @@ def is_jordan_associative(L: RealSubspace) -> bool:
 
 
 def is_semisimple_lie(L: RealSubspace) -> bool:
-    """Nondegeneracy of the Killing form K(x, y) = Tr(ad_x ad_y) on L.
+    """Whether L, closed under ``lie``, is semisimple: whether its center is zero.
 
-    Judged by the singular value ratio of the Killing matrix in the
-    orthonormal basis: semisimple iff smallest > zero_tol * largest.
+    L times i is a compact Lie algebra, so L = Z(L) + [L, L] (Knapp, *Lie
+    Groups Beyond an Introduction*, ch. I). An L that holds the central I
+    is not; else its center is ``centralizer(L, L)``, which stops at rank r,
+    so ``SPAN_RTOL`` decides. The zero algebra is semisimple.
     """
     require_closed(L, lie)
-    if L.dim_span == 0:
-        return True
-    killing = _killing_matrix(L)
-    sv = np.linalg.svd(killing, compute_uv=False)
-    return float(sv[-1]) > DEFAULT_TOL.zero_tol * float(sv[0])
+    return not L.contains(np.eye(L.dim_ambient)) and centralizer(L, L).dim_span == 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -253,8 +253,8 @@ def associator_witness_search(
     Found when the associator's norm exceeds ``tol.zero_tol``, flat: the
     inputs have unit norm.
     """
-    # only for n > 1: _search must raise ValidationError for n < 1 first
-    dirs = np.array(full_hermitian_basis(n)) if n > 1 else None
+    n = _require_count("dimension", n, 1)  # _search's check, before the basis is built
+    dirs = np.array(full_hermitian_basis(n))
 
     def draw(rngs: list[np.random.Generator]) -> np.ndarray:
         return _unit(_hermitian_part(_gaussian_stack(rngs, n, 3)))[0]

@@ -249,6 +249,7 @@ def test_samplers_reject_a_seed_that_is_not_a_non_negative_integer(sampler, seed
 def test_samplers_take_numpy_integer_seeds_as_their_value(sampler):
     assert sampler(3, np.int64(5)).tobytes() == sampler(3, 5).tobytes()
     assert sampler(3, np.uint64(2**64 - 1)).tobytes() == sampler(3, 2**64 - 1).tobytes()
+    assert sampler(np.uint8(3), 5).tobytes() == sampler(3, 5).tobytes()  # and dimensions too
 
 
 def test_random_rejects_bad_dim():
@@ -258,10 +259,29 @@ def test_random_rejects_bad_dim():
         random_density(-2, seed=1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: ljlab.full_hermitian_space(2.5), id="full_hermitian_space"),
+        pytest.param(lambda: random_hermitian(2.5, 0), id="random_hermitian"),
+        pytest.param(lambda: random_density(2.5, 0), id="random_density"),
+        pytest.param(lambda: ljlab.random_state(True, 0), id="random_state"),
+        pytest.param(lambda: ljlab.associator_witness_search(2.5, 0, 5), id="associator_witness_search"),
+    ],
+)
+def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
+    with pytest.raises(ValidationError, match="dimension must be an integer"):
+        call()
+
+
 def test_derive_seed_is_injective_over_trials():
     seeds = {derive_seed(42, t) for t in range(2000)}
     assert len(seeds) == 2000
     assert all(0 <= s < 2**64 for s in seeds)
+    # a negative index gave the seed -1, which every sampler rejects, and 2.5 gave 2
+    for index, message in ((-1, "index must be >= 0"), (2.5, "index must be an integer")):
+        with pytest.raises(ValidationError, match=message):
+            derive_seed(0, index)
 
 
 def test_derive_seed_does_not_fold_seeds_at_and_above_2_to_the_64():

@@ -20,9 +20,11 @@ from ljlab import (
     DEFAULT_TOL,
     State,
     associator_witness,
+    centralizer,
     classify,
     close_under,
     full_hermitian_space,
+    is_semisimple_lie,
     jordan,
     jordan_generate_three,
     lie,
@@ -135,6 +137,13 @@ def test_closure_dims_are_invariant_under_unitary_conjugation(kind, n, seed):
     u = random_unitary(n, np.random.default_rng(2000 + seed))
     ua, ub = (u @ m @ u.conj().T for m in (a, b))
     assert _closure_dims(ua, ub) == _closure_dims(a, b)
+    for close in (
+        lambda x, y: lie_generate(traceless(x), traceless(y)).closure,
+        lambda x, y: close_under(span([x, y]), lie),
+    ):
+        L, UL = close(a, b), close(ua, ub)
+        assert is_semisimple_lie(UL) == is_semisimple_lie(L)
+        assert centralizer(UL, UL).dim_span == centralizer(L, L).dim_span
 
 
 @pytest.mark.parametrize("scale", ((0.05, 1.0), (3.0, 0.2), (40.0, 40.0)))

@@ -73,7 +73,6 @@ from ljlab.subspace import (
     RealSubspace,
     _block_products,
     _brackets,
-    _killing_matrix,
     _products,
     _rows,
     require_closed,
@@ -353,7 +352,9 @@ def test_centralizer_rows_equal_its_per_vector_loop(n):
 
 def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
     # S's basis is taken max(1, _BLOCK // 2n^2) = 7 elements at a time, so no
-    # call forms more than r * 7 = 252 of the r * s = 1296 brackets
+    # call forms more than r * 7 = 252 of the r * s = 1296 brackets; L holds
+    # I, so the walk stops once the kept rows reach r - 1 = 35, after three
+    # calls, 756 brackets
     n = 6
     full = full_hermitian_space(n)
     original = subspace_mod._products
@@ -367,9 +368,48 @@ def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
     got = centralizer(full, full)
     step = max(1, subspace_mod._BLOCK // (2 * n * n))
     assert max(counts) <= full.dim_span * step == 252
-    assert sum(counts) == full.dim_span**2
+    assert sum(counts) == 756
     assert got.dim_span == 1
     np.testing.assert_allclose(_projector(got), _projector(loop_centralizer(full, full)), rtol=0, atol=1e-12)
+
+
+def test_an_algebra_holding_the_identity_keeps_it_in_every_centralizer():
+    # the walk stops at r - 1 kept rows, so no roundoff row can drop I
+    for n in (2, 3, 5):
+        rng = np.random.default_rng(70 + n)
+        full = full_hermitian_space(n)
+        algs = [full, conjugated(full, random_unitary(n, rng)), block_algebra((1, n - 1))]
+        algs.append(jordan_generate_three(random_hermitian(n, rng), random_hermitian(n, rng)).closure)
+        for L in algs:
+            assert L.contains(np.eye(n))
+            for S in (L, span([random_hermitian(n, rng)]), commutative_algebra(n, seed=n)):
+                assert centralizer(L, S).contains(np.eye(n))
+
+
+def test_is_semisimple_lie_asks_the_centralizer_and_builds_no_table(monkeypatch):
+    def no_table(L):
+        raise AssertionError("is_semisimple_lie built the bracket table")
+
+    monkeypatch.setattr(subspace_mod, "_structure_constants", no_table)
+    verdicts = [is_semisimple_lie(_su2_plus_su3(central)) for central in (False, True)]
+    verdicts += [is_semisimple_lie(alg) for alg in _generated_closures(4)]
+    assert verdicts == [True, False, True, False, False]
+
+
+def test_is_semisimple_lie_forms_no_bracket_when_the_algebra_holds_the_identity(monkeypatch):
+    algs = [full_hermitian_space(6), span([I2, SX, SY, SZ]), block_algebra((2, 1))]
+    for L in algs:
+        require_closed(L, lie)  # the closedness proof may form products; the verdict may not
+    original = subspace_mod._products
+    formed = []
+
+    def counted(a, b, product):
+        formed.append(product)
+        return original(a, b, product)
+
+    monkeypatch.setattr(subspace_mod, "_products", counted)
+    assert [is_semisimple_lie(L) for L in algs] == [False] * 3
+    assert formed == []
 
 
 # ---------------------------------------------------------------- commutativity / associativity
@@ -535,7 +575,22 @@ def test_is_semisimple_lie_fixtures():
     assert is_semisimple_lie(span([np.zeros((2, 2))]))  # vacuous
 
 
+def _su2_plus_su3(central: bool) -> RealSubspace:
+    """su(2) + su(3) as 5 x 5 blocks, and with the central diag(3, 3, -2, -2, -2) added."""
+    blocks = []
+    for k, m in ((2, 0), (3, 2)):
+        for e in full_hermitian_basis(k):
+            x = np.zeros((5, 5), dtype=complex)
+            x[m : m + k, m : m + k] = traceless(e)
+            blocks.append(x)
+    if central:
+        blocks.append(np.diag([3.0, 3.0, -2.0, -2.0, -2.0]).astype(complex))
+    return span(blocks)
+
+
 def test_killing_matrix_matches_ad_grid_oracle():
+    # is_semisimple_lie asks for a zero center; the oracle's verdict is the
+    # Killing form's nondegeneracy, judged by its singular value ratio
     algs = [
         span([SX, SY, SZ]),
         span([I2, SX, SY, SZ]),
@@ -543,6 +598,8 @@ def test_killing_matrix_matches_ad_grid_oracle():
         span([traceless(m) for m in full_hermitian_basis(3)]),
         full_hermitian_space(4),
         block_algebra((2, 1)),
+        _su2_plus_su3(central=False),
+        _su2_plus_su3(central=True),
     ]
     for n in (2, 3, 4):
         for k in range(3):
@@ -551,10 +608,7 @@ def test_killing_matrix_matches_ad_grid_oracle():
             algs.append(close_under(span([a, b]), lie))
     semisimple = set()
     for alg in algs:
-        killing = _killing_matrix(alg)
-        ref = ad_killing_matrix(alg)
-        np.testing.assert_allclose(killing, ref, rtol=0, atol=1e-12)
-        sv = np.linalg.svd(ref, compute_uv=False)
+        sv = np.linalg.svd(ad_killing_matrix(alg), compute_uv=False)
         expected = float(sv[-1]) > DEFAULT_TOL.zero_tol * float(sv[0])
         assert is_semisimple_lie(alg) == expected
         semisimple.add(expected)
@@ -573,13 +627,10 @@ def _generated_closures(n: int) -> list[RealSubspace]:
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_structure_constants_are_totally_antisymmetric(n):
     """F[x, j, k] = F[j, k, x], from Tr([a, b] c) = Tr(a [b, c]): the
-    identity behind the Killing matrix ``-2 T^T T``."""
+    HS inner product is ad-invariant."""
     for alg in _generated_closures(n):
         F, _ = dense_structure_constants(alg)
         np.testing.assert_allclose(F, F.transpose(1, 2, 0), rtol=0, atol=1e-13)
-        np.testing.assert_allclose(
-            _killing_matrix(alg), np.einsum("xjk,ykj->xy", F, F), rtol=0, atol=1e-12
-        )
 
 
 def test_derived_algebra_ranks_the_dense_structure_constants_rows_bit_for_bit():
@@ -704,11 +755,10 @@ def test_basis_combination_is_tensordot_bit_for_bit(seed):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_a_commuting_algebra_is_not_semisimple(n):
-    # its Killing form vanishes; the dense form read roundoff ratios instead
+    # it is its own center
     alg = commutative_algebra(n, seed=90 + n, count=n)
     assert alg.dim_span == n
     assert not is_semisimple_lie(alg)
-    assert np.all(_killing_matrix(alg) == 0.0)
 
 
 def test_semisimple_requires_closure():
