@@ -15,7 +15,16 @@ multiples of I) posts no time. ``is_semisimple_lie`` rows time the
 n = 16 and 24; a row posts a time only when every call returns True.
 ``associator_defect`` rows time the full algebra at n = 8 and 12 the same
 way; a row posts a time only when every call returns 2^(-3/2), as
-0.3535533905932737, and names a triple.
+0.3535533905932737, and names a triple. ``derived_algebra`` rows time the
+``lie_generate`` closure above at n = 16 and 24, and
+``derived_algebra_full`` rows the full algebra at n = 24; each call gets a
+fresh copy of the algebra, whose closedness is proven at its bound with no
+product formed, so the memo does not answer it; a row posts a time only
+when every result has dimension n^2 - 1. The ``is_jordan_associative`` row
+times the full algebra at n = 24 and must read False. The witness rows
+time ``avr_witness_search(4, 0, 1000)`` and
+``associator_witness_search(6, 0, 1000)``, the searches of ``ljlab witness
+--budget 1000``; a row posts a time only when every search finds a witness.
 
 The verify row times a cold ``python -m ljlab verify --trials 1000``
 process, the n = 2..6 sweep, from start to exit; it posts a time only when
@@ -71,6 +80,11 @@ QUERIES = {
     "centralizer": ((8, 12, 16, 24), "dim_span", "dim_ok", lambda n: 1),
     "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
     "associator_defect": ((8, 12), "defect", "value_ok", lambda n: 0.3535533905932737),
+    "derived_algebra": ((16, 24), "dim_span", "dim_ok", lambda n: n * n - 1),
+    "derived_algebra_full": ((24,), "dim_span", "dim_ok", lambda n: n * n - 1),
+    "is_jordan_associative": ((24,), "associative", "verdict_ok", lambda n: False),
+    "avr_witness_search": ((4,), "found", "found_ok", lambda n: True),
+    "associator_witness_search": ((6,), "found", "found_ok", lambda n: True),
 }
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
@@ -126,9 +140,14 @@ def query_worker(tree: Path, name: str, n: int) -> None:
 
     sys.path.insert(0, str(tree / "src"))
     from ljlab import (
+        RealSubspace,
         associator_defect,
+        associator_witness_search,
+        avr_witness_search,
         centralizer,
+        derived_algebra,
         full_hermitian_space,
+        is_jordan_associative,
         is_semisimple_lie,
         jordan_generate_three,
         lie_generate,
@@ -136,7 +155,28 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         traceless,
     )
 
-    if name == "centralizer":
+    def su(n: int) -> RealSubspace:
+        return lie_generate(traceless(random_hermitian(n, seed=n)), traceless(random_hermitian(n, seed=n + 1))).closure
+
+    if name in ("derived_algebra", "derived_algebra_full"):
+        L = su(n) if name == "derived_algebra" else full_hermitian_space(n)
+
+        def query() -> int:
+            return derived_algebra(RealSubspace(L.dim_ambient, L.rows)).dim_span
+
+    elif name == "is_jordan_associative":
+        L = full_hermitian_space(n)
+
+        def query() -> bool:
+            return is_jordan_associative(L)
+
+    elif name in ("avr_witness_search", "associator_witness_search"):
+        search = {"avr_witness_search": avr_witness_search, "associator_witness_search": associator_witness_search}[name]
+
+        def query() -> bool:
+            return search(n, 0, 1000).found
+
+    elif name == "centralizer":
         L = full_hermitian_space(n)
 
         def query() -> int:
@@ -150,7 +190,7 @@ def query_worker(tree: Path, name: str, n: int) -> None:
             return value if triple is not None else None
 
     elif name == "is_semisimple_lie":
-        L = lie_generate(traceless(random_hermitian(n, seed=n)), traceless(random_hermitian(n, seed=n + 1))).closure
+        L = su(n)
 
         def query() -> bool:
             return is_semisimple_lie(L)

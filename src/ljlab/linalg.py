@@ -154,16 +154,41 @@ def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
     return out.reshape(x.shape[:-2])
 
 
+#: Largest entry modulus that ``span`` and the closure generators accept:
+#: its square times 2n^2 stays finite for any n below 10^7, so no HS norm
+#: or pair product of the raw input overflows.
+_ENTRY_LIMIT = 1e150
+
+
+def _require_finite(*mats: np.ndarray, limit: float = np.inf) -> None:
+    """ValidationError unless every entry of the matrices is finite and of modulus at most ``limit``.
+
+    NaN makes an SVD or eigensolver fail, inf a warning in any product.
+    """
+    for m in mats:
+        a = np.abs(m)
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix entries must be finite, got NaN or inf")
+        if a.max(initial=0.0) > limit:
+            raise ValidationError(f"matrix entries must have modulus at most {limit:g}, so no product overflows")
+
+
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value. Valid for any square matrix."""
-    return float(_opnorm(as_matrix(m)))
+    """Largest singular value. Valid for any square matrix; ValidationError for NaN or inf entries."""
+    a = as_matrix(m)
+    _require_finite(a)
+    return float(_opnorm(a))
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    """True when the max entry of m - m^dagger is at most ``DEFAULT_TOL`` at the spectral norm."""
+    """True when the max entry of m - m^dagger is at most ``DEFAULT_TOL`` at the spectral norm.
+
+    ValidationError for NaN or inf entries, so also the eigen queries built on it.
+    """
     a = as_matrix(m)
+    _require_finite(a)
     defect = float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-    return defect <= DEFAULT_TOL.threshold(spectral_norm(a))
+    return defect <= DEFAULT_TOL.threshold(float(_opnorm(a)))
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:

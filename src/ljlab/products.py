@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotInSpan
-from .linalg import DEFAULT_TOL, _opnorm, as_matrix, same_dim, spectral_norm
+from .linalg import DEFAULT_TOL, _opnorm, _require_finite, as_matrix, same_dim
 
 __all__ = [
     "jordan",
@@ -168,9 +168,13 @@ def _residual_and_scale(row: int, operands, norms) -> tuple:
 
 
 def _check(row: int, operands: tuple) -> IdentityReport:
-    """Judge ``_IDENTITIES[row]`` on single matrices, against ``DEFAULT_TOL`` at its norm scale."""
+    """Judge ``_IDENTITIES[row]`` on single matrices, against ``DEFAULT_TOL`` at its norm scale.
+
+    ValidationError for NaN or inf entries.
+    """
     name = _IDENTITIES[row][0]
     xs = [as_matrix(m) for m in operands]
+    _require_finite(*xs)
     residual, scale = _residual_and_scale(row, xs, [_opnorm(x) for x in xs])
     residual = float(residual)
     threshold = DEFAULT_TOL.threshold(scale)
@@ -216,11 +220,12 @@ def jordan_commute(a, b, ambient) -> bool:
     subspace, as one stacked defect, each against ``DEFAULT_TOL`` at the
     scale ``||a|| ||b||``. Equivalent to [a, b] = 0 whenever the ambient
     space is closed under the products. Raises NotInSpan when a or b leaves
-    the ambient span.
+    the ambient span, and ValidationError for NaN or inf entries.
     """
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
+    _require_finite(x, y)
     if ambient.dim_ambient != n:
         raise DimensionMismatch(
             f"ambient dimension {ambient.dim_ambient} does not match operands of dim {n}"
@@ -228,8 +233,7 @@ def jordan_commute(a, b, ambient) -> bool:
     for label, m in (("a", x), ("b", y)):
         if not ambient.contains(m):
             raise NotInSpan(f"operand {label} is not in the ambient subspace")
-    threshold = DEFAULT_TOL.threshold(spectral_norm(x) * spectral_norm(y))
+    threshold = DEFAULT_TOL.threshold(float(_opnorm(x)) * float(_opnorm(y)))
     e = ambient._stacked
     defect = jordan(x, jordan(y, e)) - jordan(y, jordan(x, e))
-    # "none above" rather than "all at or below", so a NaN defect passes
     return not (_opnorm(defect) > threshold).any()

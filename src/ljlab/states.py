@@ -330,11 +330,18 @@ def _center_classical(hs: np.ndarray) -> bool:
 def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> bool:
     """Whether ``||[rho, y]||_HS / sqrt(n)``, ``y = R_j*``, proves the center flag quantum.
 
-    For rho in span(L). y lies within ``eps = (2 ||x||_1 + 1) d`` of span [L, L]. rho lies
-    within d of ``P rho = sum_i x_i e_i`` (``contains``' rule), which moves
-    y by at most d. Each ``[e_i, e_j*]`` lies within d of L (closedness, the
-    table's ``delta``), and its coordinates within d of the derived
-    algebra's (``_extend``'s drop rule). If every ``||[rho, d_k]||_op`` were
+    For rho in span(L). y lies within ``eps = (||x||_1 (1 + sqrt(2 n^2 + r))
+    + 1) d`` of span [L, L]. rho lies within d of ``P rho = sum_i x_i e_i``
+    (``contains``' rule), which moves y by at most d. Each ``[e_i, e_j*]``
+    lies within d of L (closedness, the table's ``delta``). Its coordinates
+    are ``-sum_t e_i[t] a_t`` over the 2n^2 constraint rows ``a_t`` that the
+    derived algebra's walk (``subspace._ad_rows``) forms for s = e_j*, with
+    ``sum_t ||a_t||^2 <= r``. The drop rule leaves each ``a_t`` it reaches
+    within ``d max(1, ||a_t||)`` of [L, L], so by Cauchy-Schwarz the
+    coordinates lie within ``sqrt(2 n^2 + r) d`` of it. Rows the walk never
+    reaches lie in it to roundoff: the walk stops only once its span has the
+    largest dimension [L, L] can have, r - 1 with I in L (brackets are
+    traceless), else r. If every ``||[rho, d_k]||_op`` were
     at most ``CLASSICALITY_RTOL``, ``z = [rho, y]`` would have operator norm
     at most ``sqrt(r) (||y|| + eps) CLASSICALITY_RTOL + eps``: y's part in
     [L, L] has at most r coordinates, of total square at most ``(||y|| +
@@ -344,7 +351,7 @@ def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> boo
     """
     y = _rho_brackets(s, L._stacked[int(cn.argmax())])
     z = _rho_brackets(s, y)
-    eps = (2 * x1 + 1) * SPAN_RTOL
+    eps = (x1 * (1 + math.sqrt(2 * s.dim**2 + len(cn))) + 1) * SPAN_RTOL
     bound = math.sqrt(len(cn)) * (math.sqrt(np.vdot(y, y).real) + eps) * CLASSICALITY_RTOL + eps
     return math.sqrt(np.vdot(z, z).real / s.dim) > bound * (1 + _NORM_SLACK)
 

@@ -10,31 +10,28 @@ subalgebra as functions on its joint spectrum.
 
 Closures take the two products ``jordan`` and ``lie`` and run semi-naive
 rounds (``_round``): the basis only grows, and each round ranks just the
-products that involve a direction added in the previous round, in blocks.
-A round's first block holds twice the rows it still lacks (at least
-``_FIRST_BLOCK`` products) and each next block twice as many, up to
-``_BLOCK``, so a round that reaches its bound stops after the products it
-needs. The dimension bound (``_bound``) comes from the seeds: n^2, or
-su(n)'s n^2 - 1 under the bracket of seeds orthogonal to the identity. A
-round at the bound forms no products; one that ends above it raises
-ValidationError. A subspace is closed exactly when such a round adds
-nothing, and ``is_closed_under`` runs that round up to the first product
-block that keeps a row.
+products that involve a direction added in the previous round, in growing
+blocks, and stops once it reaches its dimension bound (``_bound``), which
+comes from the seeds: n^2, or su(n)'s n^2 - 1 under the bracket of seeds
+orthogonal to the identity. A round at the bound forms no products; one
+that ends above it raises ValidationError. A subspace is closed exactly
+when such a round adds nothing, and ``is_closed_under`` runs that round
+up to the first product block that keeps a row.
 
 Rounds and the pair queries (defects, centralizer, bracket table) form
 products with one Hermitian pair kernel (``_products``); a block of index
 pairs is formed in cache-sized chunks (``_block_products``), and the i < k
-basis brackets come from one stream (``_brackets``). The defects and the
-associator criterion take their maxima from one running first maximum
-(``_first_max``), which holds the one tie rule; the defects take an SVD
-only of a bracket or associator whose HS norm can reach the running
-maximum (``_running_screen``). Closedness verdicts and
-derived algebras are memoized on the (immutable) subspace. The bracket
-table (``_structure_constants``) holds the coordinates of the basis
-brackets ``[e_i, e_k]``, i < k, that are not roundoff: the nonzero rows of
-the Lie structure constants, which in the canonical basis are a fraction of
-them. It gives the derived algebra, the triples ``associator_defect``
-forms and the associator criterion's contraction.
+basis brackets come from one stream (``_brackets``). The centralizer and
+the derived algebra share one walk over the constraints x -> [x, s]
+(``_ad_rows``). The defects and the associator criterion take their
+maxima from one running first maximum (``_first_max``), which holds the
+one tie rule; the defects take an SVD only of a bracket or associator
+whose HS norm can reach the running maximum (``_running_screen``).
+Closedness verdicts and derived algebras are memoized on the (immutable)
+subspace. The bracket table (``_structure_constants``), read by the
+associator criterion only, holds the coordinates of the basis brackets
+``[e_i, e_k]``, i < k, that are not roundoff (``_kept``): the nonzero rows
+of the Lie structure constants, in the canonical basis a fraction of them.
 
 ``SPAN_RTOL`` is the one rank threshold, the centralizer's null space,
 semisimplicity and the generation targets included; ``DEFAULT_TOL``
@@ -60,9 +57,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _ENTRY_LIMIT,
     _opnorm,
     _require_count,
     _require_dim,
+    _require_finite,
     _require_seed,
     _screened_opnorm,
     _trial_rngs,
@@ -269,11 +268,9 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     BLAS-3 update ``v -= (v @ P^T) @ P`` (block Gram-Schmidt), and those
     left under their threshold are dropped together (``_sweep``). The kept
     rows are at most the rank bound ``min(len(cand), cand.shape[1])``.
-    Raises ValidationError on non-finite candidates, whose residual test
-    would silently fail.
+    Candidates must be finite (``span`` checks its input), or the residual
+    test would silently fail.
     """
-    if not np.isfinite(cand).all():
-        raise ValidationError("span input contains NaN or infinite entries")
     thr = SPAN_RTOL * np.maximum(1.0, _row_norms(cand))
     v = np.array(cand)
     for _ in range(2 if len(basis) else 0):
@@ -329,19 +326,18 @@ def span(matrices: Sequence[np.ndarray]) -> RealSubspace:
     ||input||)``. Raises EmptyInput for an empty list, NotHermitian when
     a matrix m has ``max|m - m^H| > DEFAULT_TOL.threshold(||m||_HS)`` (the
     HS norm bounds the operator norm, so whatever ``is_hermitian`` accepts
-    passes), and ValidationError for NaN or infinite entries; an all-zero
-    list yields dim_span 0.
+    passes), and ValidationError for NaN or infinite entries and for an
+    entry of modulus above ``_ENTRY_LIMIT``, whose square could overflow;
+    an all-zero list yields dim_span 0.
     """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
         raise EmptyInput("span of an empty list is undefined; pass at least one matrix")
     n = same_dim(*mats)
     stack = np.stack(mats)
-    # non-finite input passes this test (its comparisons are False) and is
-    # rejected by _extend
-    with np.errstate(invalid="ignore"):
-        defect = np.abs(stack - np.conj(stack).swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-        scale = np.linalg.norm(stack, axis=(1, 2))
+    _require_finite(stack, limit=_ENTRY_LIMIT)
+    defect = np.abs(stack - np.conj(stack).swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    scale = np.linalg.norm(stack, axis=(1, 2))
     if np.any(defect > DEFAULT_TOL.threshold(scale)):
         raise NotHermitian("span input is not Hermitian within tolerance")
     return RealSubspace(n, _extend(np.empty((0, 2 * n * n)), _rows(stack)))
@@ -491,10 +487,9 @@ def close_under(s: RealSubspace, product: Product) -> RealSubspace:
 
     Breadth-first and semi-naive: each round ranks only the products that
     involve a basis element added in the previous round, appending the new
-    directions to the basis, and the loop stops when a round adds none.
-    Once the span reaches its dimension bound (n^2, or n^2 - 1 under ``lie``
-    from seeds orthogonal to the identity) the final round forms no
-    products. Raises ValidationError for any other product, and when a
+    directions to the basis, and the loop stops when a round adds none (at
+    the dimension bound, ``_bound``, with no product formed). Raises
+    ValidationError for any other product, and when a
     round ends above the bound, which only roundoff can cause. Idempotent;
     the closure is proven closed by its last round, so ``is_closed_under``
     answers for it from the memo.
@@ -507,14 +502,12 @@ def is_closed_under(s: RealSubspace, product: Product) -> bool:
     """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
     Runs that round (``_round``) up to the first product block that keeps a
-    row; that block is ranked whole. The round's first block holds
-    ``max(_FIRST_BLOCK, 2 (bound - r))`` products and each next one twice as
-    many, up to ``_BLOCK``; each is formed in cache-sized chunks. A product
-    lies in the span when its residual is at most ``SPAN_RTOL * max(1,
-    ||p||)``, the rule ``contains`` applies to a single matrix. A span at
-    its dimension bound is closed without a product formed: the full
-    algebra under both products, su(n) under ``lie``. Verdicts are memoized
-    on s. Raises ValidationError for any other product.
+    row; that block is ranked whole. A product lies in the span when its
+    residual is at most ``SPAN_RTOL * max(1, ||p||)``, the rule ``contains``
+    applies to a single matrix. A span at its dimension bound is closed
+    without a product formed: the full algebra under both products, su(n)
+    under ``lie``. Verdicts are memoized on s. Raises ValidationError for
+    any other product.
     """
     _check_product(product)
     if product not in s._memo:
@@ -527,38 +520,14 @@ def require_closed(s: RealSubspace, product: Product) -> None:
         raise NotClosed(f"subspace of dim {s.dim_span} is not closed under {product.__name__}")
 
 
-def derived_algebra(L: RealSubspace) -> RealSubspace:
-    """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
+def _ad_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
+    """Orthonormal rows, in coordinates against L, that span the constraints x -> [x, s], s in S.
 
-    The bracket table's rows are the coordinates of the basis brackets that
-    are not roundoff: their row space, ranked in coordinates, is [L, L].
+    Each real entry of [e_i, s_j], over i, is a constraint row; ``_extend``
+    ranks them ``max(1, _BLOCK // 2n^2)`` elements s_j at a time, skipping
+    all-zero rows. The walk stops, as a closure round stops at ``_bound``,
+    once the kept rows reach r - 1 when L contains I (central), else r.
     """
-    require_closed(L, lie)
-    if "derived" not in L._memo:
-        coords = _extend(np.empty((0, L.dim_span)), _structure_constants(L).coords)
-        L._memo["derived"] = RealSubspace(L.dim_ambient, coords @ L.rows)
-    return L._memo["derived"]
-
-
-def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
-    """Elements of L whose bracket with every element of S vanishes.
-
-    A null space in coordinates against L's orthonormal rows: each real
-    entry of [e_i, s_j], taken over i, is a constraint row. The rank kernel
-    (``_extend``, so ``SPAN_RTOL``) ranks them ``max(1, _BLOCK // 2n^2)``
-    elements s_j at a time, so no more brackets are held at once; rows that
-    are identically zero, most of them in the canonical basis, skip it. The
-    walk stops, as a closure round stops at ``_bound``, once the kept rows
-    reach r - 1 when L contains I (which commutes with all of S), else r.
-    The null space is the kept rows' orthonormal complement, extended from
-    the unit coordinate vectors; the returned rows are orthonormal.
-    """
-    if L.dim_ambient != S.dim_ambient:
-        raise DimensionMismatch(
-            f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}"
-        )
-    if L.dim_span == 0 or S.dim_span == 0:
-        return L
     r, n = L.dim_span, L.dim_ambient
     bound = r - 1 if L.contains(np.eye(n)) else r
     step = max(1, _BLOCK // (2 * n * n))
@@ -569,13 +538,47 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
         br = _products(L._stacked[:, None], S._stacked[None, s : s + step], lie)
         rows = _rows(br).reshape(r, -1).T
         kept = np.concatenate((kept, _extend(kept, rows[rows.any(axis=1)])))
-    return RealSubspace(n, _extend(kept, np.eye(r)) @ L.rows)
+    return kept
+
+
+def derived_algebra(L: RealSubspace) -> RealSubspace:
+    """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
+
+    L times i is compact, so [L, L] is Z(L)'s complement (Knapp, *Lie Groups
+    Beyond an Introduction*, ch. I): the span of ``centralizer(L, L)``'s
+    constraint rows, which holds each ``[e_i, e_j]``'s coordinates,
+    ``-A_j^T e_i`` by the trace form's ad-invariance. Its basis is the kept
+    rows of that walk (``_ad_rows``) times ``L.rows``.
+    """
+    require_closed(L, lie)
+    if "derived" not in L._memo:
+        L._memo["derived"] = RealSubspace(L.dim_ambient, _ad_rows(L, L) @ L.rows)
+    return L._memo["derived"]
+
+
+def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
+    """Elements of L whose bracket with every element of S vanishes.
+
+    In coordinates against L, the complement of the constraint rows
+    ``_ad_rows`` keeps, extended from the unit vectors; its rows are orthonormal.
+    """
+    if L.dim_ambient != S.dim_ambient:
+        raise DimensionMismatch(f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}")
+    if L.dim_span == 0 or S.dim_span == 0:
+        return L
+    return RealSubspace(L.dim_ambient, _extend(_ad_rows(L, S), np.eye(L.dim_span)) @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
 #: index for them, and ``is_commutative`` and ``is_jordan_associative``
 #: count them as zero.
 _DEFECT_FLOOR = DEFAULT_TOL.threshold(1.0)
+
+
+def _kept(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HS norms of a block of bracket rows, and the bracket table's keep rule: above ``_DEFECT_FLOOR / 2``."""
+    norms = np.linalg.norm(rows, axis=1)
+    return norms, norms > 0.5 * _DEFECT_FLOOR
 
 
 #: A block of values over index triples: ``vals[p, j]`` belongs to ``(i[p], j, k[p])``.
@@ -657,19 +660,18 @@ def _associator_norms(L: RealSubspace, floor: float) -> Iterator[_Block]:
     """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``.
 
     By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
-    only triples whose pair {i, k} is in the bracket table are formed: every
-    other one has norm at most half of ``_DEFECT_FLOOR``. A block holds one
-    i, a run of its partners k and every j: at most max(``_BLOCK``, r)
-    triples, whose associators are formed into the block's buffer about
-    ``_CHUNK_BYTES`` at a time (r per partner) and normed together. Norms
-    below the running best, which starts at floor, are 0.0
-    (``_running_screen``): only associators whose HS norm can reach it get
-    an SVD.
+    only triples whose pair {i, k} the bracket table's rule (``_kept``)
+    keeps are formed, found by one ``_brackets`` pass: every other one has
+    norm at most half of ``_DEFECT_FLOOR``. A block holds one i, a run of
+    its partners k and every j: at most max(``_BLOCK``, r) triples, formed
+    into the block's buffer about ``_CHUNK_BYTES`` at a time and normed
+    together. Norms below the running best, which starts at floor, are 0.0
+    (``_running_screen``): only associators that can reach it get an SVD.
     """
     e, r = L._stacked, L.dim_span
-    table = _structure_constants(L)
     partners = np.zeros((r, r), dtype=bool)
-    partners[table.i, table.k] = partners[table.k, table.i] = True
+    for keep, i, k in _brackets(L, lambda br: _kept(_rows(br))[1]):
+        partners[i[keep], k[keep]] = partners[k[keep], i[keep]] = True
     step = max(1, _BLOCK // max(r, 1))
     chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
     screen = _running_screen(floor)
@@ -692,7 +694,7 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     The triple is the first largest by ``_first_max``'s tie rule, and None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned), as in ``commutator_defect``. Only triples
-    whose pair {i, k} is in the bracket table are formed (``_associator_norms``):
+    whose pair {i, k} the bracket table keeps are formed (``_associator_norms``):
     every other one has norm at most half the floor, so the value and the
     triple are those of all r^3 triples whenever a triple is named, and 0.0
     stands for roundoff otherwise.
@@ -718,29 +720,24 @@ class _BracketTable(NamedTuple):
 def _structure_constants(L: RealSubspace) -> _BracketTable:
     """The bracket table of L: the Lie structure constants' nonzero rows.
 
-    The i < k brackets come from ``_brackets``; a pair is kept when its
-    bracket's HS norm exceeds ``_DEFECT_FLOOR / 2``, and only kept brackets
-    are given coordinates. In the canonical basis most pairs
-    drop out (``E_ab E_cd = delta_bc E_ad``): 812 of 2016 are kept at n=8.
-    The dense structure constants are ``F[i, k] = coords[p] = -F[k, i]``,
+    Its one reader is the associator criterion, which stores it on L
+    (``_stored_structure_constants``). The i < k brackets come from
+    ``_brackets``, and only those ``_kept`` keeps get coordinates: in the
+    canonical basis (``E_ab E_cd = delta_bc E_ad``) 812 of 2016 at n=8.
+    ``F[i, k] = coords[p] = -F[k, i]`` are the dense structure constants,
     zero elsewhere. ``delta`` is the largest HS norm of a bracket part the
-    table leaves out: the residual off L of a kept bracket, taken from the
-    explicit difference (``||p||^2 - ||coords||^2`` loses everything below
-    about 1e-8, the size of the thresholds it serves), or a dropped bracket
-    whole. Only the associator criterion stores the table on L
-    (``_stored_structure_constants``, reused here): on a dense closure it
-    still has r^2 (r - 1) / 2 entries. The coordinates are written into one
-    buffer that ``ndarray.resize`` grows in place by a quarter at a time and
-    trims at the end, so the table is never held twice; a small factor
-    matters because ``resize`` zero-fills, so spare rows are resident too.
+    table leaves out: a kept bracket's residual off L, from the explicit
+    difference (``||p||^2 - ||coords||^2`` loses everything below about
+    1e-8, the size of the thresholds it serves), or a dropped bracket whole.
+    The coordinates, r^2 (r - 1) / 2 entries on a dense closure, go into
+    one buffer that ``ndarray.resize`` grows in place by a quarter and trims
+    at the end, so the table is never held twice; the factor is small
+    because ``resize`` zero-fills, so spare rows are resident too.
     """
-    if "structure" in L._memo:
-        return L._memo["structure"]
     r = L.dim_span
     pairs, coords, m, delta = [np.zeros((2, 0), dtype=int)], np.empty((_BLOCK, r)), 0, 0.0
     for p, a, b in _brackets(L, _rows):
-        norms = np.linalg.norm(p, axis=1)
-        keep = norms > 0.5 * _DEFECT_FLOOR
+        norms, keep = _kept(p)
         p = p[keep]
         if m + len(p) > len(coords):  # no view of coords is alive here
             coords.resize((max(len(coords) * 5 // 4, m + len(p)), r), refcheck=False)
@@ -757,8 +754,9 @@ def _structure_constants(L: RealSubspace) -> _BracketTable:
 
 def _stored_structure_constants(L: RealSubspace) -> _BracketTable:
     """``_structure_constants(L)``, stored on L for the per-state criteria."""
-    L._memo["structure"] = table = _structure_constants(L)  # the stored table, once there is one
-    return table
+    if "structure" not in L._memo:
+        L._memo["structure"] = _structure_constants(L)
+    return L._memo["structure"]
 
 
 def is_commutative(L: RealSubspace) -> bool:
@@ -840,10 +838,14 @@ def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
 
 
 def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
-    """Jordan closure of span{a, b, [a, b], I}; target is the full n^2."""
+    """Jordan closure of span{a, b, [a, b], I}; target is the full n^2.
+
+    a and b pass ``span``'s entry check before their bracket is formed.
+    """
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
+    _require_finite(x, y, limit=_ENTRY_LIMIT)
     return _generation_report([x, y, lie(x, y), np.eye(n, dtype=complex)], jordan)
 
 

@@ -24,6 +24,7 @@ from .linalg import (
     _hermitian_part,
     _opnorm,
     _require_count,
+    _require_finite,
     _require_seed,
     _trial_rngs,
     derive_seed,
@@ -62,7 +63,9 @@ def associator_witness(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> WitnessRe
     """Witness q = (a o b) o c - a o (b o c); violation is its norm.
 
     Found when the norm exceeds ``DEFAULT_TOL`` at the scale ``||a|| ||b|| ||c||``.
+    ValidationError for NaN or inf entries.
     """
+    _require_finite(a, b, c)
     q = associator(a, b, c)
     violation = spectral_norm(q)
     scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
@@ -79,7 +82,9 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
     """PSD witness q o q; vanishes exactly when q does.
 
     Found when its norm exceeds ``DEFAULT_TOL`` at the scale ``||q||^2``.
+    ValidationError for NaN or inf entries.
     """
+    _require_finite(q)
     w = jordan(q, q)
     violation = spectral_norm(w)
     scale = spectral_norm(q) ** 2

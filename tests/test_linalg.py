@@ -274,6 +274,40 @@ def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
         call()
 
 
+A3, B3 = random_hermitian(3, seed=6), random_hermitian(3, seed=7)
+
+
+def _poisoned(bad) -> np.ndarray:
+    m = random_hermitian(3, seed=5)
+    m[0, 2] = m[2, 0] = bad
+    return m
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda m: spectral_norm(m), id="spectral_norm"),
+        pytest.param(lambda m: operator_norm(m), id="operator_norm"),
+        pytest.param(lambda m: is_psd(m), id="is_psd"),
+        pytest.param(lambda m: is_hermitian(m), id="is_hermitian"),
+        pytest.param(lambda m: min_eigenvalue(m), id="min_eigenvalue"),
+        pytest.param(lambda m: ljlab.check_jacobi(m, A3, B3), id="check_jacobi"),
+        pytest.param(lambda m: ljlab.check_norm_axioms(A3, m), id="check_norm_axioms"),
+        pytest.param(lambda m: ljlab.associator_witness(A3, m, B3), id="associator_witness"),
+        pytest.param(lambda m: ljlab.squared_witness(m), id="squared_witness"),
+        pytest.param(lambda m: ljlab.jordan_generate_three(A3, m), id="jordan_generate_three"),
+        pytest.param(
+            lambda m: ljlab.jordan_commute(m, A3, ljlab.full_hermitian_space(3)), id="jordan_commute"
+        ),
+    ],
+)
+def test_non_finite_input_raises_validation_error(call, bad):
+    # warnings are errors here, so a RuntimeWarning would fail the call as LinAlgError would
+    with pytest.raises(ValidationError, match="must be finite"):
+        call(_poisoned(bad))
+
+
 def test_derive_seed_is_injective_over_trials():
     seeds = {derive_seed(42, t) for t in range(2000)}
     assert len(seeds) == 2000
@@ -316,7 +350,7 @@ def test_spectral_norm_is_bit_equal_to_numpy_two_norm(n):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "everywhere"])
-def test_spectral_norm_on_non_finite_input_behaves_as_numpy_two_norm(bad, where):
+def test_opnorm_on_non_finite_input_behaves_as_numpy_two_norm_and_spectral_norm_raises(bad, where):
     m = random_hermitian(3, seed=5)
     if where == "diagonal":
         m[1, 1] = bad
@@ -331,7 +365,9 @@ def test_spectral_norm_on_non_finite_input_behaves_as_numpy_two_norm(bad, where)
         except Exception as exc:  # the kind of failure is what is compared
             return "raised", type(exc)
 
-    assert outcome(spectral_norm) == outcome(lambda x: np.linalg.norm(x, 2))
+    assert outcome(lambda x: _opnorm(x)) == outcome(lambda x: np.linalg.norm(x, 2))
+    with pytest.raises(ValidationError, match="must be finite"):
+        spectral_norm(m)
 
 
 def test_opnorm_of_a_stack_equals_per_slice_calls():

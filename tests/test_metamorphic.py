@@ -23,6 +23,7 @@ from ljlab import (
     centralizer,
     classify,
     close_under,
+    derived_algebra,
     full_hermitian_space,
     is_semisimple_lie,
     jordan,
@@ -144,6 +145,7 @@ def test_closure_dims_are_invariant_under_unitary_conjugation(kind, n, seed):
         L, UL = close(a, b), close(ua, ub)
         assert is_semisimple_lie(UL) == is_semisimple_lie(L)
         assert centralizer(UL, UL).dim_span == centralizer(L, L).dim_span
+        assert derived_algebra(UL).dim_span == derived_algebra(L).dim_span
 
 
 @pytest.mark.parametrize("scale", ((0.05, 1.0), (3.0, 0.2), (40.0, 40.0)))

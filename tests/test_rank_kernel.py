@@ -14,6 +14,7 @@ from helpers import SX, SY, naive_close, rank_of, sequential_span
 from ljlab import (
     ValidationError,
     close_under,
+    commutator_defect,
     derived_algebra,
     full_hermitian_basis,
     full_hermitian_space,
@@ -27,6 +28,7 @@ from ljlab import (
     traceless,
 )
 from ljlab import subspace as subspace_mod
+from ljlab.linalg import _ENTRY_LIMIT
 from ljlab.subspace import SPAN_RTOL, RealSubspace
 
 
@@ -218,6 +220,24 @@ def test_span_rejects_non_finite_input():
             lie_generate(m, SY)
         with pytest.raises(ValidationError), np.errstate(invalid="ignore"):
             jordan_generate_three(SX, m)
+
+
+def test_an_entry_above_the_entry_limit_raises_before_a_product_overflows():
+    # near 1e200 a square overflows; the check runs first, so no overflow warning is raised
+    big = 1e200 * SY
+    for call in (
+        lambda: span([SX, big]),
+        lambda: lie_generate(SX, big),
+        lambda: jordan_generate_three(SX, big),
+        lambda: commutator_defect(span([SX, big])),
+    ):
+        with pytest.raises(ValidationError, match="modulus at most 1e\\+150"):
+            call()
+    # at the limit every square and pair product stays finite
+    edge = _ENTRY_LIMIT * SY
+    assert span([SX, edge]).dim_span == 2
+    assert lie_generate(SX, edge).closure_dim == 3
+    assert jordan_generate_three(SX, edge).closure_dim == 4
 
 
 # ---------------------------------------------------------------- closure

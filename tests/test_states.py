@@ -911,7 +911,7 @@ def test_the_first_step_bounds_settle_up_to_their_documented_edges():
         # center, quantum: ||x||_1 sets eps so that ||[rho, y]||_HS / sqrt(n), y = [rho, e_7],
         # is f times (sqrt(r) (||y|| + eps) threshold + eps) (1 + _NORM_SLACK)
         eps = (z / (slack * f) - math.sqrt(r) * float(np.linalg.norm(y)) * rtol) / (1 + math.sqrt(r) * rtol)
-        assert states_mod._center_quantum(s, L, cn, (eps / d - 1) / 2) is (side > 0)
+        assert states_mod._center_quantum(s, L, cn, (eps / d - 1) / (1 + math.sqrt(2 * n * n + r))) is (side > 0)
 
 
 @pytest.mark.parametrize("patch", DISAGREEMENTS)

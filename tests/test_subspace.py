@@ -633,14 +633,28 @@ def test_structure_constants_are_totally_antisymmetric(n):
         np.testing.assert_allclose(F, F.transpose(1, 2, 0), rtol=0, atol=1e-13)
 
 
-def test_derived_algebra_ranks_the_dense_structure_constants_rows_bit_for_bit():
-    algs = [full_hermitian_space(n) for n in (2, 3, 5)] + [block_algebra((1, 2, 2))]
-    algs += _generated_closures(3) + [commutative_algebra(4, seed=3)]
+def test_derived_algebra_is_the_centers_complement_and_holds_every_bracket(monkeypatch):
+    """L is reductive, so [L, L] is the orthogonal complement of Z(L) =
+    centralizer(L, L) in L, and every basis bracket's coordinates lie within
+    ``SPAN_RTOL`` of it. Neither it nor the associator queries build the
+    bracket table."""
+
+    def no_table(L):
+        raise AssertionError("built the bracket table")
+
+    monkeypatch.setattr(subspace_mod, "_structure_constants", no_table)
+    algs = _derived_cases() + [full_hermitian_space(5)] + _generated_closures(5)[::2]
     for alg in algs:
-        F, _ = dense_structure_constants(alg)
+        d, z = derived_algebra(alg), centralizer(alg, alg)
+        assert d.dim_span + z.dim_span == alg.dim_span
+        assert np.abs(d.rows @ z.rows.T).max(initial=0.0) <= 1e-12
+        coords = d.rows @ alg.rows.T
         i, k = np.triu_indices(alg.dim_span, 1)
-        want = subspace_mod._extend(np.empty((0, alg.dim_span)), F[i, k]) @ alg.rows
-        assert derived_algebra(alg).rows.tobytes() == want.tobytes()
+        c = _rows(_products(alg._stacked[i], alg._stacked[k], lie)) @ alg.rows.T
+        assert np.linalg.norm(c - (c @ coords.T) @ coords, axis=1).max(initial=0.0) <= SPAN_RTOL
+        associator_defect(alg)
+        if is_closed_under(alg, jordan):
+            is_jordan_associative(alg)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -1261,7 +1275,7 @@ def test_second_classify_forms_no_pair_products(monkeypatch):
         return State((1 - 1e-6) * np.eye(3, dtype=complex) / 3 + 1e-6 * random_state(3, seed=seed).rho)
 
     first = classify(near_mixed(5), full)
-    # the table and the derived algebra come from the structure constants, not a closure
+    # the table comes from the bracket stream and the derived algebra from the ad walk, not a closure
     assert pairs[0] > 0 and rounds[0] == 0
     assert "structure" in full._memo and "derived" in full._memo
     pairs[0] = 0
