@@ -326,9 +326,8 @@ def span(matrices: Sequence[np.ndarray]) -> RealSubspace:
     ||input||)``. Raises EmptyInput for an empty list, NotHermitian when
     a matrix m has ``max|m - m^H| > DEFAULT_TOL.threshold(||m||_HS)`` (the
     HS norm bounds the operator norm, so whatever ``is_hermitian`` accepts
-    passes), and ValidationError for NaN or infinite entries and for an
-    entry of modulus above ``_ENTRY_LIMIT``, whose square could overflow;
-    an all-zero list yields dim_span 0.
+    passes), and ValidationError for NaN or infinite entries or an entry of
+    modulus above ``_ENTRY_LIMIT``; an all-zero list yields dim_span 0.
     """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
@@ -545,10 +544,10 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
     L times i is compact, so [L, L] is Z(L)'s complement (Knapp, *Lie Groups
-    Beyond an Introduction*, ch. I): the span of ``centralizer(L, L)``'s
-    constraint rows, which holds each ``[e_i, e_j]``'s coordinates,
-    ``-A_j^T e_i`` by the trace form's ad-invariance. Its basis is the kept
-    rows of that walk (``_ad_rows``) times ``L.rows``.
+    Beyond an Introduction*, ch. I): the span of the constraint rows that
+    ``centralizer(L, L)`` ranks, which by the trace form's ad-invariance
+    hold each bracket's coordinates as a unit combination. Its basis is the
+    kept rows of that walk (``_ad_rows``) times ``L.rows``.
     """
     require_closed(L, lie)
     if "derived" not in L._memo:
@@ -838,10 +837,7 @@ def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
 
 
 def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
-    """Jordan closure of span{a, b, [a, b], I}; target is the full n^2.
-
-    a and b pass ``span``'s entry check before their bracket is formed.
-    """
+    """Jordan closure of span{a, b, [a, b], I}, target n^2; a and b pass ``span``'s check first."""
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
