@@ -221,17 +221,20 @@ def is_psd(m: np.ndarray) -> bool:
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt inner product Tr(a b), real for Hermitian operands."""
+    """Hilbert-Schmidt inner product Tr(a b), real for Hermitian operands; ValidationError for NaN or inf."""
     x = as_matrix(a)
     y = as_matrix(b)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shapes differ: {x.shape} vs {y.shape}")
+    _require_finite(x, y)
     return float(np.real(np.sum(x * y.T)))
 
 
 def hs_norm(a: np.ndarray) -> float:
-    """Frobenius norm; equals sqrt(hs_inner(a, a)) for Hermitian a."""
-    return float(np.linalg.norm(as_matrix(a)))
+    """Frobenius norm; equals sqrt(hs_inner(a, a)) for Hermitian a. ValidationError for NaN or inf."""
+    x = as_matrix(a)
+    _require_finite(x)
+    return float(np.linalg.norm(x))
 
 
 def traceless(m: np.ndarray) -> np.ndarray:

@@ -45,7 +45,7 @@ from .errors import (
     NotInSpan,
     ValidationError,
 )
-from .linalg import _NORM_SLACK, _opnorm, as_matrix, random_density
+from .linalg import _NORM_SLACK, _opnorm, _require_finite, as_matrix, random_density
 from .products import jordan, lie
 from .subspace import (
     _BLOCK,
@@ -126,10 +126,11 @@ def random_state(n: int, seed: int) -> State:
 
 
 def expect(s: State, a: np.ndarray) -> float:
-    """Expectation value Tr(rho a), real for Hermitian observables."""
+    """Expectation value Tr(rho a), real for Hermitian observables; ValidationError for NaN or inf."""
     m = as_matrix(a)
     if m.shape[0] != s.dim:
         raise DimensionMismatch(f"observable dim {m.shape[0]} != state dim {s.dim}")
+    _require_finite(m)
     return float(np.real(np.sum(s.rho * m.T)))
 
 

@@ -259,11 +259,13 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     ``SPAN_RTOL * max(1, ||c||)``. The whole block is first projected off
     ``basis`` twice (BLAS-3) and rows already under their threshold are
     dropped. Survivors are then visited in order: each is projected off
-    the pending panel (the rows kept since the last panel update), then
+    the pending panel (the rows kept since the last panel update; no pass
+    while it is empty, which would subtract exact zeros), then
     reorthogonalized in one pass against ``basis`` and every kept row, which
-    sit together in one contiguous buffer, and kept or dropped. With an
-    empty ``basis`` that pass is the one against the kept rows alone. Once
-    the panel holds ``_PANEL`` rows, or after ``_DROP_RUN``
+    sit together in one contiguous buffer, and kept, normalized in place
+    into that buffer, or dropped; thresholds are compared as Python floats.
+    With an empty ``basis`` that pass is the one against the kept rows
+    alone. Once the panel holds ``_PANEL`` rows, or after ``_DROP_RUN``
     drops in a row, it is removed from the unvisited survivors as one
     BLAS-3 update ``v -= (v @ P^T) @ P`` (block Gram-Schmidt), and those
     left under their threshold are dropped together (``_sweep``). The kept
@@ -282,13 +284,14 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     k = applied = 0  # out[:k] are kept, out[:applied] already removed from v
     while True:
         v, thr = _sweep(v, thr, out[applied:k])
-        applied, run = k, 0
+        applied, run, limits = k, 0, thr.tolist()
         for i, x in enumerate(v):
-            x = x - (out[applied:k] @ x) @ out[applied:k]
+            if k > applied:
+                x = x - (out[applied:k] @ x) @ out[applied:k]
             x = x - (q[: b + k] @ x) @ q[: b + k]
             res = math.sqrt(x @ x)
-            if res > thr[i]:
-                out[k] = x / res
+            if res > limits[i]:
+                np.divide(x, res, out=out[k])
                 k, run = k + 1, 0
             else:
                 run += 1
@@ -303,8 +306,9 @@ def _sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np.ndarra
     """Remove ``panel`` from the rows of v and drop those at or under ``thr``.
 
     Works in place, ``_BLOCK`` rows at a time, moving the rows it keeps to
-    the front, so no temporary grows with v. Returns the views of v and
-    ``thr`` that hold them.
+    the front, so no temporary grows with v; a block that drops nothing and
+    already sits in place is not copied. Returns the views of v and ``thr``
+    that hold them.
     """
     m = 0
     for s in range(0, len(v), _BLOCK):
@@ -313,7 +317,8 @@ def _sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np.ndarra
             w -= (w @ panel.T) @ panel
         keep = _row_norms(w) > t
         c = int(np.count_nonzero(keep))
-        v[m : m + c], thr[m : m + c] = w[keep], t[keep]
+        if c < len(w) or m < s:
+            v[m : m + c], thr[m : m + c] = w[keep], t[keep]
         m += c
     return v[:m], thr[:m]
 
@@ -347,14 +352,36 @@ def _check_product(product: Product) -> None:
         raise ValidationError(f"closures take the products jordan and lie, got {product!r}")
 
 
-def _product_pairs(r: int, product: Product) -> np.ndarray:
-    """Basis index pairs ``(i, j)`` whose products a closure round forms, as (k, 2).
+def _triangle(r: int, off: int) -> np.ndarray:
+    """The read-only (k, 2) pairs of ``np.tril_indices(r, -off)``, in row-major order."""
+    tri = np.array(np.tril_indices(r, -off)).T
+    tri.setflags(write=False)
+    return tri
+
+
+#: One index triangle per product (jordan, lie), grown on demand and kept
+#: for the process (``_product_pairs``). Its slices depend on r alone, so
+#: sharing it across callers and threads changes no result.
+_TRIANGLES = [_triangle(0, 0), _triangle(0, 1)]
+
+
+def _product_pairs(r: int, product: Product, new: int = 0) -> np.ndarray:
+    """Basis index pairs ``(i, j)``, i < r, with max(i, j) >= new that a closure round forms, as (k, 2).
 
     ``jordan`` is symmetric and ``lie`` antisymmetric with ``[e, e] = 0``,
     so they need i >= j and i > j. Closure rounds and ``is_closed_under``
     share this rule, so closedness is exactly "a closure round adds nothing".
+    In row-major order the pairs of i < r are the first r(r + 1)/2 (jordan)
+    or r(r - 1)/2 (lie) rows of any larger triangle, and those of a round's
+    fresh rows i >= new follow the pairs of i < new: the result is a
+    read-only row slice of one triangle per product, kept for the process.
     """
-    return np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
+    off = 0 if product is jordan else 1
+    lo, hi = new * (new + 1 - 2 * off) // 2, r * (r + 1 - 2 * off) // 2
+    tri = _TRIANGLES[off]  # read once: another thread may swap in a smaller one
+    if len(tri) < hi:
+        tri = _TRIANGLES[off] = _triangle(r, off)
+    return tri[lo:hi]
 
 
 #: Products in one block, at most: a closure round ranks a block at a time
@@ -400,12 +427,12 @@ def _round_products(e: np.ndarray, new: int, product: Product, first: int) -> It
     """Blocks of the products that involve a basis row ``>= new`` (semi-naive).
 
     Pairs of older rows were formed in an earlier round, so their products
-    already lie in the span. The first block holds ``first`` products and
-    each next one twice as many as the one before, up to ``_BLOCK``.
+    already lie in the span; the fresh pairs are one slice of the product's
+    index triangle (``_product_pairs``). The first block holds ``first``
+    products and each next one twice as many as the one before, up to
+    ``_BLOCK``.
     """
-    i, j = _product_pairs(len(e), product).T
-    fresh = np.maximum(i, j) >= new
-    i, j = i[fresh], j[fresh]
+    i, j = _product_pairs(len(e), product, new).T
     s, size = 0, min(first, _BLOCK)
     while s < len(i):
         yield _block_products(e, i[s : s + size], j[s : s + size], product)

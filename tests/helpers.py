@@ -7,7 +7,8 @@ the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, the blocked associator defect from its whole-stack form, the pair
 kernel and the derived algebra from their index-form and re-spanning copies,
 witness searches from their own multistart and refinement loops, the
-batched search driver from its one-step-at-a-time loop, the chunked
+batched search driver from its one-step-at-a-time loop, the rank
+kernel's visit loop from its pinned copy, the chunked
 bracket stream from its one-stack blocks, the
 associator criterion from its Jordan-tensor einsum, the bracket tensor
 from its three-operand einsum, the Killing matrix
@@ -60,10 +61,13 @@ from ljlab.linalg import (
 from ljlab.subspace import (
     _BLOCK,
     _DEFECT_FLOOR,
+    _DROP_RUN,
+    _PANEL,
     SPAN_RTOL,
     RealSubspace,
     _combination,
     _products,
+    _row_norms,
     _rows,
     _structure_constants,
     require_closed,
@@ -721,6 +725,55 @@ def loop_search(n, seed, budget, draw, move, perturb, score):
                 step *= 0.5
                 rejects = 0
     return best
+
+
+# Verbatim copies of the rank kernel ``subspace._extend`` and its ``_sweep``
+# from before the visit loop skipped the pass against an empty pending
+# panel, compared thresholds as floats and normalized in place, and before
+# ``_sweep`` skipped the copy of a block that stays in place: the bit-for-bit
+# reference for those edits.
+
+
+def pinned_extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    thr = SPAN_RTOL * np.maximum(1.0, _row_norms(cand))
+    v = np.array(cand)
+    for _ in range(2 if len(basis) else 0):
+        v -= (v @ basis.T) @ basis
+    b = len(basis)
+    q = np.empty((b + min(len(v), v.shape[1]), v.shape[1]))  # [basis; kept rows]
+    q[:b] = basis
+    out = q[b:]
+    k = applied = 0  # out[:k] are kept, out[:applied] already removed from v
+    while True:
+        v, thr = _pinned_sweep(v, thr, out[applied:k])
+        applied, run = k, 0
+        for i, x in enumerate(v):
+            x = x - (out[applied:k] @ x) @ out[applied:k]
+            x = x - (q[: b + k] @ x) @ q[: b + k]
+            res = math.sqrt(x @ x)
+            if res > thr[i]:
+                out[k] = x / res
+                k, run = k + 1, 0
+            else:
+                run += 1
+            if k - applied == _PANEL or (run == _DROP_RUN and k > applied):
+                break
+        else:  # every survivor visited
+            return out[:k]
+        v, thr = v[i + 1 :], thr[i + 1 :]
+
+
+def _pinned_sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = 0
+    for s in range(0, len(v), _BLOCK):
+        w, t = v[s : s + _BLOCK], thr[s : s + _BLOCK]
+        if len(panel):
+            w -= (w @ panel.T) @ panel
+        keep = _row_norms(w) > t
+        c = int(np.count_nonzero(keep))
+        v[m : m + c], thr[m : m + c] = w[keep], t[keep]
+        m += c
+    return v[:m], thr[:m]
 
 
 # Verbatim copies of the identity checkers and the per-trial ``cmd_verify``

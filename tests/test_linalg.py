@@ -292,6 +292,9 @@ def _poisoned(bad) -> np.ndarray:
         pytest.param(lambda m: is_psd(m), id="is_psd"),
         pytest.param(lambda m: is_hermitian(m), id="is_hermitian"),
         pytest.param(lambda m: min_eigenvalue(m), id="min_eigenvalue"),
+        pytest.param(lambda m: hs_inner(A3, m), id="hs_inner"),
+        pytest.param(lambda m: hs_norm(m), id="hs_norm"),
+        pytest.param(lambda m: ljlab.expect(ljlab.random_state(3, 0), m), id="expect"),
         pytest.param(lambda m: ljlab.check_jacobi(m, A3, B3), id="check_jacobi"),
         pytest.param(lambda m: ljlab.check_norm_axioms(A3, m), id="check_norm_axioms"),
         pytest.param(lambda m: ljlab.associator_witness(A3, m, B3), id="associator_witness"),

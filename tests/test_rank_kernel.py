@@ -7,10 +7,13 @@ closure dimension, round count and trajectory must match them.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from helpers import SX, SY, naive_close, rank_of, sequential_span
+from helpers import SX, SY, naive_close, pinned_extend, rank_of, sequential_span
 from ljlab import (
     ValidationError,
     close_under,
@@ -200,6 +203,126 @@ def test_extend_decisions_around_panel_updates_match_sequential_oracle(monkeypat
     ref = [sequential_span(mats[: j + 1]).dim_span for j in range(len(mats))]
     assert np.diff([0] + got).astype(bool).tolist() == keep
     assert np.diff([0] + ref).astype(bool).tolist() == keep
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extend_equals_its_pinned_copy_bit_for_bit_around_panel_updates(seed):
+    """Full-panel updates and drop runs, from an empty basis and from the first rows as basis."""
+    mats, _ = _panel_boundary_candidates(10, seed)
+    cand = subspace_mod._rows(np.stack(mats))
+    empty = np.empty((0, cand.shape[1]))
+    got = subspace_mod._extend(empty, cand)
+    assert got.tobytes() == pinned_extend(empty, cand).tobytes()
+    head = got[:5]
+    assert subspace_mod._extend(head, cand[5:]).tobytes() == pinned_extend(head, cand[5:]).tobytes()
+
+
+def test_extend_equals_its_pinned_copy_when_a_sweep_moves_an_undropped_block():
+    """The first ``_BLOCK`` candidates hold dependent rows and the next block none, so the
+    sweep must move that block forward; the kernel takes any real rows."""
+    rng = np.random.default_rng(5)
+    basis = np.eye(800)[:50]
+    cand = rng.standard_normal((620, 800))
+    cand[:100, 50:] = 0.0  # in the basis's span
+    cand[100:200:7] = cand[200:300:7]  # dependent on later rows
+    got = subspace_mod._extend(basis, cand)
+    assert subspace_mod._BLOCK < len(cand) and len(got) == 520 - len(range(100, 200, 7))
+    assert got.tobytes() == pinned_extend(basis, cand).tobytes()
+
+
+def _pinning(monkeypatch) -> list[int]:
+    """Patch ``_extend`` to compare every call with ``pinned_extend``; returns each call's basis size."""
+    bases: list[int] = []
+    original = subspace_mod._extend
+
+    def compared(basis, cand):
+        got = original(basis, cand)
+        assert got.tobytes() == pinned_extend(basis, np.array(cand)).tobytes()
+        bases.append(len(basis))
+        return got
+
+    monkeypatch.setattr(subspace_mod, "_extend", compared)
+    return bases
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_extend_equals_its_pinned_copy_on_closure_round_blocks(monkeypatch, n):
+    """Every product block of the closure rounds, ranked against a non-empty basis, and the ad walk."""
+    bases = _pinning(monkeypatch)
+    a, b = random_hermitian(n, seed=700 + n), random_hermitian(n, seed=800 + n)
+    L = lie_generate(traceless(a), traceless(b)).closure
+    jordan_generate_three(a, b)
+    close_under(span([a, b, a @ a]), lie)
+    assert is_closed_under(span([traceless(a), traceless(b)]), lie) is False
+    derived_algebra(RealSubspace(n, L.rows))
+    assert sum(1 for size in bases if size > 0) >= 10
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_closures_with_the_pinned_kernel_patched_in_have_the_same_rows(monkeypatch, n):
+    a, b = random_hermitian(n, seed=900 + n), random_hermitian(n, seed=1000 + n)
+    calls = [(lie_generate, traceless(a), traceless(b)), (lie_generate, a, b), (jordan_generate_three, a, b)]
+    got = [generate(x, y) for generate, x, y in calls]
+    monkeypatch.setattr(subspace_mod, "_extend", pinned_extend)
+    ref = [generate(x, y) for generate, x, y in calls]
+    for g, r in zip(got, ref):
+        assert g.closure.rows.tobytes() == r.closure.rows.tobytes()
+        assert (g.closure_dim, g.rounds, g.trajectory) == (r.closure_dim, r.rounds, r.trajectory)
+
+
+def _parent_pairs(r: int, product, new: int) -> np.ndarray:
+    """Every pair of ``np.tril_indices``, masked by ``max(i, j) >= new``."""
+    pairs = np.array(np.tril_indices(r, 0 if product is jordan else -1)).T
+    return pairs[np.maximum(pairs[:, 0], pairs[:, 1]) >= new]
+
+
+def test_product_pairs_are_slices_of_one_triangle_in_the_masked_order(monkeypatch):
+    monkeypatch.setattr(subspace_mod, "_TRIANGLES", [subspace_mod._triangle(0, 0), subspace_mod._triangle(0, 1)])
+    sizes = [*range(41), *range(40, -1, -1), 7, 33, 12, 40, 0]  # grow, then slices of the grown triangle
+    for r in sizes:
+        for product in (jordan, lie):
+            for new in range(r + 1):
+                got = subspace_mod._product_pairs(r, product, new)
+                ref = _parent_pairs(r, product, new)
+                assert got.dtype == ref.dtype and got.shape == ref.shape, (r, product, new)
+                assert np.array_equal(got, ref), (r, product, new)
+                assert not got.flags.writeable
+    assert [len(t) for t in subspace_mod._TRIANGLES] == [40 * 41 // 2, 40 * 39 // 2]
+    with pytest.raises(ValueError):
+        subspace_mod._product_pairs(6, jordan)[0, 0] = 1
+    # the benchmark's self-test counts these
+    assert len(subspace_mod._product_pairs(4, jordan)) == 10
+    assert len(subspace_mod._product_pairs(4, lie)) == 6
+
+
+def test_product_pairs_stay_whole_while_threads_grow_the_triangle(monkeypatch):
+    """Four threads, more than the cores, ask for random slices while the shared triangles grow."""
+    fresh = [subspace_mod._triangle(0, 0), subspace_mod._triangle(0, 1)]
+    monkeypatch.setattr(subspace_mod, "_TRIANGLES", fresh)
+    wrong: list[tuple[int, int]] = []
+
+    def work(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        for step in range(400):
+            if step % 50 == 0:
+                fresh[:] = [subspace_mod._triangle(0, 0), subspace_mod._triangle(0, 1)]
+            r = int(rng.integers(0, 80))
+            new, product = int(rng.integers(0, r + 1)), (jordan, lie)[step % 2]
+            if not np.array_equal(subspace_mod._product_pairs(r, product, new), _parent_pairs(r, product, new)):
+                wrong.append((r, new))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_derived_algebra_of_the_full_algebra_at_n10_is_su10():
