@@ -51,7 +51,7 @@ def matrix_from_json(obj: Any) -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise ValidationError(f"matrix payload not numeric: {exc}") from exc
     if dim < 1:
         raise ValidationError(f"matrix dim must be >= 1, got {dim}")
@@ -98,7 +98,7 @@ def load_json_file(path: str) -> Any:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -11,24 +11,23 @@ tries bounds that read only the tensor C, rho's coordinates x against L
 and the r brackets ``R_j = [rho, e_j]``. These four certified bounds
 (``_associator_classical``, ``_associator_quantum``, ``_center_classical``,
 ``_center_quantum``) use ``SPAN_RTOL`` as the distance of a basis bracket
-from the closed L, and settle a clear state with no bracket table and no
+from the closed L, and settle a clear state with no basis bracket and no
 derived algebra. A flag no bound settles, for a state near a threshold,
 is its criterion's own verdict, so every flag equals its criterion's
 ``classical``.
 
 The associator criterion needs no Jordan products. By the Jordan-Lie
-identity ``(a o b) o c - a o (b o c) = [b, [c, a]]``, on a Lie-closed L
+identity ``(a o b) o c - a o (b o c) = [b, [c, a]]`` and ``Tr(a [b, c]) =
+Tr([a, b] c)``, for any Hermitian matrices
 
-    Tr(rho assoc(e_i, e_j, e_k)) = -sum_m c_p[m] C[j, m],
+    Tr(rho assoc(e_i, e_j, e_k)) = -<[rho, e_j], [e_i, e_k]>_HS,
 
-where ``c_p`` are the coordinates of ``[e_i, e_k]``, i < k, and ``C[j, m] =
-Tr(rho [e_j, e_m])`` is the tensor of the commutator criterion. The rows
-``c_p`` form the algebra's bracket table (``subspace._structure_constants``,
-built once and memoized on L): only pairs whose bracket is not roundoff
-have one, so in the canonical basis most of the r^3 triples are zero
-without being formed. Swapping i and k flips the sign, and a state with
-C = 0 is associator-classical exactly. Per state the criterion is one real
-matrix product per block of table rows, reduced to a running maximum.
+one inner product of two brackets with roundoff as its only error
+(``_exact_values``). Swapping i and k flips the sign, so only i < k pairs
+are formed, from the basis bracket stream (``subspace._brackets``); a pair
+whose bracket is exactly zero, most of them in the canonical basis, gives
+exact zeros and is skipped. Per state the criterion is one real matrix
+product per block of nonzero brackets, reduced to a running maximum.
 """
 
 from __future__ import annotations
@@ -48,17 +47,14 @@ from .errors import (
 from .linalg import _NORM_SLACK, _opnorm, _require_finite, as_matrix, random_density
 from .products import jordan, lie
 from .subspace import (
-    _BLOCK,
     _DEFECT_FLOOR,
     SPAN_RTOL,
     RealSubspace,
     _Block,
     _brackets,
-    _BracketTable,
     _first_max,
     _row_norms,
     _rows,
-    _stored_structure_constants,
     derived_algebra,
     require_closed,
 )
@@ -192,66 +188,56 @@ def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
     return np.real(0.5j * (t - t.T))
 
 
-def _pair_values(table: _BracketTable, C: np.ndarray) -> Iterator[_Block]:
-    """The values of the triples ``(i, j, k)``, i < k, over the table's pairs, block by block."""
-    minus_ct = -C.T  # negating the r x r factor negates each product exactly
-    for s in range(0, len(table.i), _BLOCK):
-        rows = slice(s, s + _BLOCK)
-        yield table.coords[rows] @ minus_ct, table.i[rows], table.k[rows]
-
-
 def _rho_brackets(s: State, e: np.ndarray) -> np.ndarray:
     """``[rho, e_k]`` over an (r, n, n) stack; rho is Hermitian within ``STATE_ATOL``, so both products."""
     return 0.5j * (s.rho @ e - e @ s.rho)
 
 
 def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
-    """The values of the triples ``(i, j, k)``, i < k, over every pair, block by block.
+    """The values of the triples ``(i, j, k)``, i < k, over every nonzero bracket, block by block.
 
-    By the Jordan-Lie identity and ``Tr(a [b, c]) = Tr([a, b] c)``, for any
-    Hermitian matrices ``Tr(rho assoc(e_i, e_j, e_k)) = -<[rho, e_j], [e_i,
-    e_k]>_HS``: each value is one inner product of two brackets, with
-    roundoff as its only error, and the (k, j, i) value is its exact negative.
+    Each value is ``-<[rho, e_j], [e_i, e_k]>_HS`` (module docstring), and
+    the (k, j, i) value is its exact negative. Bracket rows that are exactly
+    zero give exact zeros, so they are dropped before the matrix product
+    and a block left empty is not yielded: ``_first_max`` reads a triple in
+    no block as 0.0, so its value and triple are those of every pair.
     """
     minus_bt = -_rows(_rho_brackets(s, L._stacked)).T
-    return _brackets(L, lambda br: _rows(br) @ minus_bt)
+    for br, i, k in _brackets(L, _rows):
+        nonzero = br.any(axis=1)
+        if nonzero.any():
+            yield br[nonzero] @ minus_bt, i[nonzero], k[nonzero]
 
 
-def _bracket_tensor(s: State, L: RealSubspace) -> np.ndarray:
-    """The checks both bracket criteria make, then their shared tensor C."""
+def _check_algebra(s: State, L: RealSubspace) -> None:
+    """The checks both bracket criteria make: matching dimensions, L closed under both products."""
     _check_dims(s, L)
     require_closed(L, jordan)
     require_closed(L, lie)
-    return _bracket_expectations(s, L)
 
 
-def _associator_verdict(s: State, L: RealSubspace, C: np.ndarray) -> ClassicalityVerdict:
-    table = _stored_structure_constants(L)
-    top = _first_max(_pair_values(table, C))
-    if abs(top[0] - CLASSICALITY_RTOL) <= table.delta:
-        top = _first_max(_exact_values(s, L))
-    return _ruling("associator", *top, L.basis)
+def _associator_verdict(s: State, L: RealSubspace) -> ClassicalityVerdict:
+    return _ruling("associator", *_first_max(_exact_values(s, L)), L.basis)
 
 
 def is_classical_associator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """Expectation of every basis Jordan associator vanishes.
 
     Evaluates Tr(rho * ((e_i o e_j) o e_k - e_i o (e_j o e_k))) over all
-    basis triples from the bracket table (module docstring), memoized on L,
-    block by block into ``_first_max``, whose tie rule picks the certificate
-    (i < k, by antisymmetry); no r^3 array is formed. Triples whose pair has
-    no table row read 0.0, as do i == k. Since ``|Tr(rho [e_j, R])| <=
-    ||R||_HS``, each value is within the table's ``delta`` of the exact one;
-    when the largest lies within delta of ``CLASSICALITY_RTOL``, the maximum
-    is taken again from ``_exact_values``, whose values carry roundoff only,
-    so no verdict rests on that error.
+    basis triples as inner products of brackets (module docstring, with
+    roundoff as their only error), block by block into ``_first_max``,
+    whose tie rule picks the certificate (i < k, by antisymmetry); no r^3
+    array is formed. Triples whose bracket ``[e_i, e_k]`` is zero read 0.0,
+    as do i == k.
     """
-    return _associator_verdict(s, L, _bracket_tensor(s, L))
+    _check_algebra(s, L)
+    return _associator_verdict(s, L)
 
 
 def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """Expectation of every basis bracket vanishes."""
-    return _verdict("commutator", _bracket_tensor(s, L), L.basis)
+    _check_algebra(s, L)
+    return _verdict("commutator", _bracket_expectations(s, L), L.basis)
 
 
 def _center_verdict(s: State, L: RealSubspace) -> ClassicalityVerdict:
@@ -279,19 +265,21 @@ def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
 # L and the brackets ``R_j = [rho, e_j]``, with no basis bracket formed.
 # Their premises: ``require_closed(L, lie)`` has passed, so each ``[e_i,
 # e_k]`` (HS norm at most 1 for orthonormal e) lies within d = ``SPAN_RTOL``
-# of span(L), and d bounds the table's ``delta``; and ``||rho||_HS <= 1``.
-# j* maximizes ``||C[j]||``; each bound is widened by ``1 + _NORM_SLACK``.
+# of span(L); and ``||rho||_HS <= 1``, so ``||R_j||_HS <= 1``. C[j] holds
+# the coordinates of R_j against L, so with ``c_p`` the coordinates of
+# ``[e_i, e_k]`` the associator value ``-<R_j, [e_i, e_k]>`` lies within
+# ``||R_j|| d <= d`` of ``t(i, j, k) = -<c_p, C[j]>``: the bracket's part
+# off L is at most d. j* maximizes ``||C[j]||``; each bound is widened by
+# ``1 + _NORM_SLACK``.
 
 
 def _associator_classical(cn: np.ndarray, hs: np.ndarray) -> bool:
     """Whether ``max ||C[j]|| + max ||R_j|| d`` proves the associator flag classical.
 
-    A table value ``<c_p, C[j]>`` is at most ``||C[j]||``, since ``||c_p||
-    <= 1``. An exact-pass value ``<R_j, [e_i, e_k]>`` is at most ``||C[j]||
-    + ||R_j|| d``: C[j] holds the coordinates of R_j against L, and the
-    bracket's part off L is at most d. Below ``CLASSICALITY_RTOL`` that
-    bounds whichever maximum the verdict takes, in the recheck band or out.
-    ``hs[j]`` is ``||R_j||_HS``.
+    ``|t(i, j, k)| <= ||C[j]||``, since ``||c_p|| <= 1``, so each value
+    ``-<R_j, [e_i, e_k]>`` is at most ``||C[j]|| + ||R_j|| d``. Below
+    ``CLASSICALITY_RTOL`` that bounds the criterion's maximum. ``hs[j]`` is
+    ``||R_j||_HS``.
     """
     top = float(cn.max(initial=0.0)) + float(hs.max(initial=0.0)) * SPAN_RTOL
     return top * (1 + _NORM_SLACK) < CLASSICALITY_RTOL
@@ -300,17 +288,15 @@ def _associator_classical(cn: np.ndarray, hs: np.ndarray) -> bool:
 def _associator_quantum(cn: np.ndarray, x1: float) -> bool:
     """Whether ``(||C[j*]||^2 - eta ||C[j*]||) / ||x||_1`` proves the associator flag quantum.
 
-    With ``t(i, j, k)`` the table's values, ``sum_i x_i t(i, j*, j*) = -<g,
-    C[j*]>``, where g sums x_i times the table row of ``[e_i, e_j*]`` (zero
-    for a pair not in the table). Exactly, ``g[m] = Tr(P rho [e_j*, e_m])``
-    for the projection P onto L, while ``C[j*, m] = Tr(rho [e_j*, e_m])``:
-    they differ by rho's part off L against the bracket's part off L, at
-    most d each, and a pair left out of the table has norm at most
-    ``_DEFECT_FLOOR / 2``. So ``||g - C[j*]|| <= eta = sqrt(r) d + ||x||_1
-    _DEFECT_FLOOR / 2``, and the table's maximum is at least the quotient.
-    Above ``CLASSICALITY_RTOL + d``, which is at least the threshold plus
-    ``delta``, the verdict is quantum outside the recheck band. x1 is
-    ``||x||_1``.
+    ``sum_i x_i t(i, j*, j*) = -<g, C[j*]>``, where g sums x_i times the
+    coordinates of ``[e_i, e_j*]``. Exactly, ``g[m] = Tr(P rho [e_j*,
+    e_m])`` for the projection P onto L, while ``C[j*, m] = Tr(rho [e_j*,
+    e_m])``: they differ by rho's part off L, at most 1, against the
+    bracket's part off L, at most d. So ``||g - C[j*]|| <= sqrt(r) d``,
+    which eta bounds (its ``||x||_1 _DEFECT_FLOOR / 2`` term only widens
+    it), and some ``|t(i, j*, j*)|`` is at least the quotient. Its value
+    lies within d of it, so above ``CLASSICALITY_RTOL + d`` the criterion's
+    maximum is above the threshold. x1 is ``||x||_1``.
     """
     c = float(cn.max(initial=0.0))
     eta = math.sqrt(len(cn)) * SPAN_RTOL + x1 * _DEFECT_FLOOR / 2
@@ -334,7 +320,7 @@ def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> boo
     For rho in span(L). y lies within ``eps = (||x||_1 (1 + sqrt(2 n^2 + r))
     + 1) d`` of span [L, L]. rho lies within d of ``P rho = sum_i x_i e_i``
     (``contains``' rule), which moves y by at most d. Each ``[e_i, e_j*]``
-    lies within d of L (closedness, the table's ``delta``). Its coordinates
+    lies within d of L (closedness). Its coordinates
     are ``-sum_t e_i[t] a_t`` over the 2n^2 constraint rows ``a_t`` that the
     derived algebra's walk (``subspace._ad_rows``) forms for s = e_j*, with
     ``sum_t ||a_t||^2 <= r``. The drop rule leaves each ``a_t`` it reaches
@@ -362,8 +348,9 @@ def _flags(s: State, L: RealSubspace, C: np.ndarray) -> list[bool]:
 
     Each flag tries its quantum bound, which needs no bracket stack, then
     its classical bound, then takes its criterion's own verdict. The r
-    brackets ``[rho, e_j]`` are formed once, unless both quantum bounds
-    settle. ``contains`` runs once, and the center flag uses its result.
+    brackets ``[rho, e_j]`` of the classical bounds are formed once, and
+    not at all when both quantum bounds settle. ``contains`` runs once, and
+    the center flag uses its result.
     """
     in_span = L.contains(s.rho)
     cn, x1 = _row_norms(C), float(np.abs(L.coeffs(s.rho)).sum())
@@ -371,7 +358,7 @@ def _flags(s: State, L: RealSubspace, C: np.ndarray) -> list[bool]:
     if all(quantum):
         return [False] * len(quantum)
     hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
-    flags = [not quantum[0] and (_associator_classical(cn, hs) or _associator_verdict(s, L, C).classical)]
+    flags = [not quantum[0] and (_associator_classical(cn, hs) or _associator_verdict(s, L).classical)]
     if in_span:
         flags.append(not quantum[1] and (_center_classical(hs) or _center_verdict(s, L).classical))
     return flags
@@ -382,21 +369,22 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
 
     The center criterion participates only when rho lies in span(L). Any
     disagreement raises CriteriaDisagree; otherwise the commutator verdict
-    (pair certificate) is returned. The bracket tensor C that the
-    associator and commutator criteria share is built once. The associator
+    (pair certificate) is returned. The commutator criterion's tensor C,
+    which the first-step bounds read too, is built once. The associator
     and center criteria enter only through their ``classical`` flags
     (``_flags``): four certified bounds from C, rho's coordinates and the
     brackets ``[rho, e_j]`` settle a clear state, and a flag none settles
-    is its criterion's own verdict, which builds the bracket table or the
+    is its criterion's own verdict, which forms the basis brackets or the
     derived algebra. Their full verdicts are computed only to report a
     disagreement.
     """
-    C = _bracket_tensor(s, L)
+    _check_algebra(s, L)
+    C = _bracket_expectations(s, L)
     verdict = _verdict("commutator", C, L.basis)
     flags = _flags(s, L, C)
     if all(f == verdict.classical for f in flags):
         return verdict
-    verdicts = [_associator_verdict(s, L, C), verdict]
+    verdicts = [_associator_verdict(s, L), verdict]
     if len(flags) == 2:  # rho is in span(L)
         verdicts.append(_center_verdict(s, L))
     detail = ", ".join(

@@ -18,20 +18,18 @@ that ends above it raises ValidationError. A subspace is closed exactly
 when such a round adds nothing, and ``is_closed_under`` runs that round
 up to the first product block that keeps a row.
 
-Rounds and the pair queries (defects, centralizer, bracket table) form
-products with one Hermitian pair kernel (``_products``); a block of index
-pairs is formed in cache-sized chunks (``_block_products``), and the i < k
-basis brackets come from one stream (``_brackets``). The centralizer and
-the derived algebra share one walk over the constraints x -> [x, s]
-(``_ad_rows``). The defects and the associator criterion take their
-maxima from one running first maximum (``_first_max``), which holds the
-one tie rule; the defects take an SVD only of a bracket or associator
-whose HS norm can reach the running maximum (``_running_screen``).
-Closedness verdicts and derived algebras are memoized on the (immutable)
-subspace. The bracket table (``_structure_constants``), read by the
-associator criterion only, holds the coordinates of the basis brackets
-``[e_i, e_k]``, i < k, that are not roundoff (``_kept``): the nonzero rows
-of the Lie structure constants, in the canonical basis a fraction of them.
+Rounds and the pair queries (defects, centralizer) form products with one
+Hermitian pair kernel (``_products``); a block of index pairs is formed in
+cache-sized chunks (``_block_products``), and the i < k basis brackets come
+from one stream (``_brackets``), which the associator criterion reads
+too. The centralizer and the derived algebra share one walk over the
+constraints x -> [x, s] (``_ad_rows``). The defects and the associator
+criterion take their maxima from one running first maximum
+(``_first_max``), which holds the one tie rule; the defects take an SVD
+only of a bracket or associator whose HS norm can reach the running
+maximum (``_running_screen``). Closedness verdicts and derived algebras
+are memoized on the (immutable) subspace; no table of structure
+constants is kept.
 
 ``SPAN_RTOL`` is the one rank threshold, the centralizer's null space,
 semisimplicity and the generation targets included; ``DEFAULT_TOL``
@@ -43,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,9 +125,7 @@ class RealSubspace:
     closedness and classicality tests would misjudge without a word.
     ``_stacked`` (r, n, n) and ``basis`` are views of the copy. Immutability
     makes ``_memo`` sound: it holds closedness verdicts keyed by the product
-    (``jordan``, ``lie``), the derived algebra by ``"derived"`` and, once
-    the associator criterion has asked for it, the bracket table
-    (``_structure_constants``) by ``"structure"``.
+    (``jordan``, ``lie``) and the derived algebra by ``"derived"``.
     """
 
     dim_ambient: int
@@ -601,10 +597,9 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
 _DEFECT_FLOOR = DEFAULT_TOL.threshold(1.0)
 
 
-def _kept(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HS norms of a block of bracket rows, and the bracket table's keep rule: above ``_DEFECT_FLOOR / 2``."""
-    norms = np.linalg.norm(rows, axis=1)
-    return norms, norms > 0.5 * _DEFECT_FLOOR
+def _kept(rows: np.ndarray) -> np.ndarray:
+    """Which rows of a block of brackets are not roundoff: HS norm above ``_DEFECT_FLOOR / 2``."""
+    return np.linalg.norm(rows, axis=1) > 0.5 * _DEFECT_FLOOR
 
 
 #: A block of values over index triples: ``vals[p, j]`` belongs to ``(i[p], j, k[p])``.
@@ -614,10 +609,11 @@ _Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _brackets(L: RealSubspace, f: Callable[[np.ndarray], np.ndarray]) -> Iterator[_Block]:
     """Blocks ``(f(brackets), i, k)`` of the basis brackets ``[e_i, e_k]``, i < k.
 
-    The one bracket stream of the defects, the bracket table and the exact
-    pass: row-major (i, k) order, ``_BLOCK`` pairs a block, each formed in
-    cache-sized chunks (``_block_products``). ``f`` maps each whole block
-    before it is yielded, so no bracket block outlives its step.
+    The one bracket stream of the defects, the associator queries' pair
+    pass and the associator criterion: row-major (i, k) order, ``_BLOCK``
+    pairs a block, each formed in cache-sized chunks (``_block_products``).
+    ``f`` maps each whole block before it is yielded, so no bracket block
+    outlives its step.
     """
     e = L._stacked
     i, k = np.triu_indices(L.dim_span, 1)
@@ -686,9 +682,9 @@ def _associator_norms(L: RealSubspace, floor: float) -> Iterator[_Block]:
     """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``.
 
     By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
-    only triples whose pair {i, k} the bracket table's rule (``_kept``)
-    keeps are formed, found by one ``_brackets`` pass: every other one has
-    norm at most half of ``_DEFECT_FLOOR``. A block holds one i, a run of
+    only triples whose pair {i, k} ``_kept`` keeps are formed, found by one
+    ``_brackets`` pass: every other one has norm at most half of
+    ``_DEFECT_FLOOR``. A block holds one i, a run of
     its partners k and every j: at most max(``_BLOCK``, r) triples, formed
     into the block's buffer about ``_CHUNK_BYTES`` at a time and normed
     together. Norms below the running best, which starts at floor, are 0.0
@@ -696,7 +692,7 @@ def _associator_norms(L: RealSubspace, floor: float) -> Iterator[_Block]:
     """
     e, r = L._stacked, L.dim_span
     partners = np.zeros((r, r), dtype=bool)
-    for keep, i, k in _brackets(L, lambda br: _kept(_rows(br))[1]):
+    for keep, i, k in _brackets(L, lambda br: _kept(_rows(br))):
         partners[i[keep], k[keep]] = partners[k[keep], i[keep]] = True
     step = max(1, _BLOCK // max(r, 1))
     chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
@@ -720,69 +716,13 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     The triple is the first largest by ``_first_max``'s tie rule, and None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned), as in ``commutator_defect``. Only triples
-    whose pair {i, k} the bracket table keeps are formed (``_associator_norms``):
+    whose pair {i, k} ``_kept`` keeps are formed (``_associator_norms``):
     every other one has norm at most half the floor, so the value and the
     triple are those of all r^3 triples whenever a triple is named, and 0.0
     stands for roundoff otherwise.
     """
     best, idx, _ = _first_max(_associator_norms(L, 0.0))
     return best, idx if best > _DEFECT_FLOOR else None
-
-
-class _BracketTable(NamedTuple):
-    """The basis brackets of L that are not roundoff, as coordinates against L.
-
-    Row p of ``coords`` (P, r) holds the coordinates of ``lie(e_i, e_k)`` for
-    the pair ``i = i[p] < k = k[p]``; pairs run in row-major (i, k) order.
-    ``delta`` bounds the HS norm of every bracket part the rows leave out.
-    """
-
-    i: np.ndarray
-    k: np.ndarray
-    coords: np.ndarray
-    delta: float
-
-
-def _structure_constants(L: RealSubspace) -> _BracketTable:
-    """The bracket table of L: the Lie structure constants' nonzero rows.
-
-    Its one reader is the associator criterion, which stores it on L
-    (``_stored_structure_constants``). The i < k brackets come from
-    ``_brackets``, and only those ``_kept`` keeps get coordinates: in the
-    canonical basis (``E_ab E_cd = delta_bc E_ad``) 812 of 2016 at n=8.
-    ``F[i, k] = coords[p] = -F[k, i]`` are the dense structure constants,
-    zero elsewhere. ``delta`` is the largest HS norm of a bracket part the
-    table leaves out: a kept bracket's residual off L, from the explicit
-    difference (``||p||^2 - ||coords||^2`` loses everything below about
-    1e-8, the size of the thresholds it serves), or a dropped bracket whole.
-    The coordinates, r^2 (r - 1) / 2 entries on a dense closure, go into
-    one buffer that ``ndarray.resize`` grows in place by a quarter and trims
-    at the end, so the table is never held twice; the factor is small
-    because ``resize`` zero-fills, so spare rows are resident too.
-    """
-    r = L.dim_span
-    pairs, coords, m, delta = [np.zeros((2, 0), dtype=int)], np.empty((_BLOCK, r)), 0, 0.0
-    for p, a, b in _brackets(L, _rows):
-        norms, keep = _kept(p)
-        p = p[keep]
-        if m + len(p) > len(coords):  # no view of coords is alive here
-            coords.resize((max(len(coords) * 5 // 4, m + len(p)), r), refcheck=False)
-        kept = slice(m, m + len(p))
-        np.matmul(p, L.rows.T, out=coords[kept])
-        residual = np.linalg.norm(p - coords[kept] @ L.rows, axis=1)
-        delta = max(delta, float(norms[~keep].max(initial=0.0)), float(residual.max(initial=0.0)))
-        pairs.append(np.stack((a[keep], b[keep])))
-        m += len(p)
-    coords.resize((m, r), refcheck=False)
-    i, k = np.concatenate(pairs, axis=1)
-    return _BracketTable(i, k, coords, delta)
-
-
-def _stored_structure_constants(L: RealSubspace) -> _BracketTable:
-    """``_structure_constants(L)``, stored on L for the per-state criteria."""
-    if "structure" not in L._memo:
-        L._memo["structure"] = _structure_constants(L)
-    return L._memo["structure"]
 
 
 def is_commutative(L: RealSubspace) -> bool:

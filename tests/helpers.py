@@ -36,7 +36,6 @@ from ljlab import (
     WitnessReport,
     associator,
     close_under,
-    expect,
     full_hermitian_basis,
     is_classical_associator,
     is_classical_center,
@@ -69,7 +68,6 @@ from ljlab.subspace import (
     _products,
     _row_norms,
     _rows,
-    _structure_constants,
     require_closed,
 )
 
@@ -258,14 +256,17 @@ def stacked_associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, i
     """``associator_defect`` as it was with the whole r^2 n^2 Jordan stack ``ejk``.
 
     The reference for the blocked query, bit for bit: the same products
-    and norms, one first index at a time, read off the stack.
+    and norms, one first index at a time, read off the stack. Its pairs
+    {i, k} are those whose bracket has HS norm above half of
+    ``_DEFECT_FLOOR``, from one stack of the i < k brackets.
     """
     e, r = L._stacked, L.dim_span
-    table = _structure_constants(L)
-    if not len(table.i):
+    i, k = np.triu_indices(r, 1)
+    keep = np.linalg.norm(_rows(_products(e[i], e[k], lie)), axis=1) > 0.5 * _DEFECT_FLOOR
+    if not keep.any():
         return 0.0, None
     partners = np.zeros((r, r), dtype=bool)
-    partners[table.i, table.k] = partners[table.k, table.i] = True
+    partners[i[keep], k[keep]] = partners[k[keep], i[keep]] = True
     ejk = _products(e[:, None], e[None], jordan)  # ejk[j, k] = e_j o e_k
     best, arg = 0.0, None
     for i in np.flatnonzero(partners.any(axis=1)):
@@ -443,10 +444,8 @@ def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
     return np.einsum("xij,yji->xy", ad, ad)
 
 
-# Verbatim copies of the dense structure constants and of the associator
-# criterion's contraction with them, from before both became the bracket
-# table: the reference for the table and its consumers. The structure
-# constants copy leaves out the memo, which would hand it the table it judges.
+# The dense Lie structure constants, from before the library dropped them:
+# the reference for their total antisymmetry.
 
 
 def dense_structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
@@ -471,24 +470,6 @@ def dense_structure_constants(L: RealSubspace) -> tuple[np.ndarray, float]:
         F[b, a] = -c
         delta = max(delta, float(np.linalg.norm(_rows(p) - c @ L.rows, axis=1).max()))
     return F, delta
-
-
-def dense_associator_expectations(s, L: RealSubspace, rtol: float, C: np.ndarray) -> np.ndarray:
-    """vals[i, j, k] = Tr(rho assoc(e_i, e_j, e_k)) on a nonempty L, given C.
-
-    Within delta of ``rtol`` the triples above ``rtol - delta`` are
-    recomputed directly from ``associator``, so that the verdict, like the
-    criterion's, does not rest on the structure constants' error.
-    """
-    F, delta = dense_structure_constants(L)
-    r = L.dim_span
-    vals = (F.reshape(r * r, r) @ C.T).reshape(r, r, r)
-    vals = np.ascontiguousarray(vals.transpose(1, 2, 0))
-    if abs(float(np.abs(vals).max()) - rtol) <= delta:
-        E = L.basis
-        for i, j, k in np.argwhere(np.abs(vals) > rtol - delta):
-            vals[i, j, k] = expect(s, associator(E[i], E[j], E[k]))
-    return vals
 
 
 def stacked_bracket_blocks(L: RealSubspace):
@@ -884,10 +865,10 @@ def _zero_brackets(s, e):
 
 
 #: Patches that make the criteria split on a random state of the full
-#: algebra: a zero bracket tensor C makes the associator and commutator
-#: criteria classical; zero brackets ``[rho, e]`` leave C intact and make
-#: the center criterion classical, in classify's bounds and in the full
-#: verdict alike.
+#: algebra: a zero bracket tensor C makes the commutator criterion
+#: classical; zero brackets ``[rho, e]`` leave C intact and make the
+#: associator and center criteria classical, in classify's bounds and in
+#: the full verdicts alike.
 DISAGREEMENTS = {
     "zero-tensor": ("_bracket_expectations", _zero_tensor),
     "zero-brackets": ("_rho_brackets", _zero_brackets),

@@ -263,6 +263,21 @@ def test_classify_rejects_bad_trace(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"dim": 1, "re": [[1' + "0" * 400 + ']], "im": [[0]]}', "[" * 100_000],
+    ids=["integer-beyond-float", "nested-100000"],
+)
+def test_classify_rejects_input_that_python_cannot_convert(tmp_path, text):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    res = run_cli("classify", "--in", str(path))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_classify_rejects_missing_file(tmp_path):
     res = run_cli("classify", "--in", str(tmp_path / "absent.json"))
     assert res.returncode == 2

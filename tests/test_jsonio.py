@@ -50,6 +50,10 @@ def test_matrix_from_json_validation():
     nonfinite = {"dim": 1, "re": [[float("nan")]], "im": [[0.0]]}
     with pytest.raises(ValidationError):
         matrix_from_json(nonfinite)
+    # a JSON integer beyond float range: float() raises OverflowError
+    huge = json.loads('{"dim": 1, "re": [[1' + "0" * 400 + ']], "im": [[0]]}')
+    with pytest.raises(ValidationError, match="not numeric"):
+        matrix_from_json(huge)
 
 
 def test_subspace_roundtrip():
@@ -105,6 +109,13 @@ def test_load_json_file_missing(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         load_json_file(str(bad))
+
+
+def test_load_json_file_rejects_nesting_too_deep_to_decode(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(ValidationError, match="invalid JSON"):
+        load_json_file(str(deep))
 
 
 def test_load_json_file_rejects_non_utf8(tmp_path):

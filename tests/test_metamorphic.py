@@ -25,6 +25,7 @@ from ljlab import (
     close_under,
     derived_algebra,
     full_hermitian_space,
+    is_classical_associator,
     is_semisimple_lie,
     jordan,
     jordan_generate_three,
@@ -107,11 +108,29 @@ def test_classify_is_invariant_under_unitary_conjugation(name, seed):
         _same_verdict(classify(State(rho), L), classify(State(u @ rho @ u.conj().T), UL))
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_associator_criterion_is_invariant_under_unitary_conjugation(name, seed):
+    """Conjugation keeps the basis orthonormal, so each triple's value is
+    kept; the conjugated basis has few zero brackets, so its exact pass
+    multiplies pairs the canonical one skips."""
+    L = _algebra(name)
+    n = L.dim_ambient
+    u = random_unitary(n, np.random.default_rng(3000 + seed))
+    UL = conjugated(L, u)
+    for rho in _states(n, seed):
+        first = is_classical_associator(State(rho), L)
+        second = is_classical_associator(State(u @ rho @ u.conj().T), UL)
+        assert first.classical == second.classical
+        assert abs(second.max_violation - first.max_violation) <= DEFAULT_TOL.threshold(first.max_violation)
+
+
 @pytest.mark.parametrize("kind", ["pure", "wishart", "mixed"])
 def test_classify_on_the_full_12x12_algebra_is_invariant_under_unitary_conjugation(kind):
-    """At n = 12 the bracket table would hold 2970 rows in the canonical
-    basis and 10296 in the conjugated one; classify settles both cross-checks
-    from its bounds on either basis and builds neither."""
+    """At n = 12 the associator criterion's exact pass would multiply 2970
+    nonzero brackets in the canonical basis and 10296 in the conjugated one;
+    classify settles both cross-checks from its bounds on either basis and
+    forms neither."""
     n = 12
     rng = np.random.default_rng(1200)
     L = full_hermitian_space(n)
@@ -127,7 +146,7 @@ def test_classify_on_the_full_12x12_algebra_is_invariant_under_unitary_conjugati
     assert first.criterion == second.criterion
     assert abs(second.max_violation - first.max_violation) <= DEFAULT_TOL.threshold(first.max_violation)
     for alg in (L, UL):
-        assert "structure" not in alg._memo and "derived" not in alg._memo
+        assert "derived" not in alg._memo
 
 
 @pytest.mark.parametrize("seed", range(3))

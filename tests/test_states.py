@@ -16,8 +16,6 @@ from helpers import (
     block_algebra,
     commutative_algebra,
     conjugated,
-    dense_associator_expectations,
-    dense_structure_constants,
     disagreement_message,
     einsum_associator_values,
     einsum_bracket_expectations,
@@ -38,7 +36,6 @@ from ljlab import (
     is_classical_center,
     is_classical_commutator,
     is_closed_under,
-    is_semisimple_lie,
     jordan,
     jordan_generate_three,
     lie,
@@ -53,9 +50,9 @@ from ljlab.states import (
     CLASSICALITY_RTOL,
     _bracket_expectations,
     _exact_values,
-    _pair_values,
+    _rho_brackets,
 )
-from ljlab.subspace import _DEFECT_FLOOR, SPAN_RTOL, RealSubspace, _first_max, _structure_constants
+from ljlab.subspace import _DEFECT_FLOOR, SPAN_RTOL, RealSubspace, _brackets, _first_max, _rows
 
 
 def diag_state(*entries: float) -> State:
@@ -385,8 +382,8 @@ def _assembled(blocks, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _associator_values(s, alg):
-    """vals[i, j, k] from the bracket table's blocks, each i < k pair in both orientations."""
-    blocks = list(_pair_values(_structure_constants(alg), _bracket_expectations(s, alg)))
+    """vals[i, j, k] from the exact pass's blocks, each i < k pair in both orientations."""
+    blocks = list(_exact_values(s, alg))
     vals, seen = _assembled(blocks + [(-v, k, i) for v, i, k in blocks], alg.dim_span)
     assert seen.max(initial=0) <= 1
     return vals
@@ -425,98 +422,91 @@ def test_associator_values_vanish_where_brackets_do():
             assert is_classical_associator(State(rho), alg).classical
 
 
-def _count_exact(monkeypatch) -> list[int]:
-    calls = [0]
-
-    def counted(s, L):
-        calls[0] += 1
-        return _exact_values(s, L)
-
-    monkeypatch.setattr(states_mod, "_exact_values", counted)
-    return calls
+def _brackets_are_nonzero(alg) -> np.ndarray:
+    """(r, r) mask of the pairs i != k whose bracket ``[e_i, e_k]`` has a nonzero entry."""
+    nonzero = np.zeros((alg.dim_span,) * 2, dtype=bool)
+    for any_entry, i, k in _brackets(alg, lambda br: _rows(br).any(axis=1)):
+        nonzero[i, k] = nonzero[k, i] = any_entry
+    return nonzero
 
 
 @pytest.mark.parametrize("name", ["full3", "block22", "rot33"])
-def test_large_residual_bound_takes_the_exact_pass(monkeypatch, name):
+def test_the_exact_pass_sees_every_nonzero_bracket_pair_once(name):
+    """The values the exact pass scans, with their negatives: every i != k
+    triple whose bracket is nonzero once, and no other."""
     alg = {a: L for a, L, _ in _oracle_algebras()}[name]
     s = _oracle_states(alg.dim_ambient, seed=7)[0]
-    fast = is_classical_associator(s, alg)
-    alg._memo["structure"] = alg._memo["structure"]._replace(delta=1.0)
-    calls = _count_exact(monkeypatch)
-    exact = is_classical_associator(s, alg)
-    assert calls[0] == 1
-    # the values the exact pass scans, with their negatives: every i != k triple once
     r = alg.dim_span
     blocks = list(_exact_values(s, alg))
     vals, seen = _assembled(blocks + [(-v, k, i) for v, i, k in blocks], r)
-    i, _, k = np.indices((r, r, r))
-    assert np.array_equal(seen, (i != k).astype(int))
+    nonzero = _brackets_are_nonzero(alg)
+    assert np.array_equal(seen, np.broadcast_to(nonzero[:, None, :], (r, r, r)).astype(int))
+    assert (name == "rot33") == nonzero[~np.eye(r, dtype=bool)].all()  # a conjugated basis skips no pair
     np.testing.assert_allclose(vals, einsum_associator_values(s, alg), rtol=0, atol=1e-12)
-    assert exact.classical == fast.classical
-    assert exact.max_violation == pytest.approx(fast.max_violation, abs=1e-12)
+    verdict = is_classical_associator(s, alg)
+    assert verdict.max_violation == _first_max(blocks)[0]
 
 
-def test_exact_pass_runs_only_when_the_bound_reaches_the_threshold(monkeypatch):
-    alg = full_hermitian_space(3)
-    s = random_state(3, seed=12)
-    peak = float(np.abs(einsum_associator_values(s, alg)).max())
-    calls = _count_exact(monkeypatch)
-    table = _structure_constants(alg)
-    for rtol in (peak * (1 - 1e-3), peak * (1 + 1e-3)):
-        monkeypatch.setattr(states_mod, "CLASSICALITY_RTOL", rtol)
-        margin = abs(peak - rtol)
-        for delta, runs in ((0.5 * margin, 0), (2.0 * margin, 1)):
-            alg._memo["structure"] = table._replace(delta=delta)
-            calls[0] = 0
-            v = is_classical_associator(s, alg)
-            assert calls[0] == runs
-            assert v.classical == (rtol > peak)
-            assert v.max_violation == pytest.approx(peak, abs=1e-12)
+def _unskipped_values(s, alg):
+    """The exact pass without its zero-row skip: one matrix product per whole bracket block."""
+    minus_bt = -_rows(_rho_brackets(s, alg._stacked)).T
+    return _brackets(alg, lambda br: _rows(br) @ minus_bt)
+
+
+def test_the_zero_row_skip_leaves_the_exact_maximum_and_triple_as_they_were():
+    algs = [full_hermitian_space(n) for n in range(1, 7)]
+    algs.append(conjugated(full_hermitian_space(4), random_unitary(4, np.random.default_rng(44))))
+    algs += [block_algebra(sizes) for sizes in ((2, 1), (2, 2), (3, 1), (1, 2, 2), (3, 3))]
+    skipped = 0
+    for q, alg in enumerate(algs):
+        n = alg.dim_ambient
+        states = _oracle_states(n, seed=900 + q)
+        for s in states + [_near_mixed(states[0], 1e-6), State(np.eye(n, dtype=complex) / n)]:
+            want = _first_max(_unskipped_values(s, alg))
+            assert _first_max(_exact_values(s, alg)) == want, (q, want)
+        skipped += int((~_brackets_are_nonzero(alg)).sum()) - alg.dim_span
+    assert skipped > 0  # the skip is not vacuous
 
 
 def test_a_barely_closed_algebra_reaches_the_exact_pass():
     """The (2, 2) block basis plus 1e-9 Hermitian noise is closed under both
-    products, but its brackets leave the span by a few 1e-9, so the table's
-    delta is about 0.3 ``CLASSICALITY_RTOL``. On rho_t = (1 - t) I / n +
-    t sigma every value is t times sigma's (I / n sees no associator), so t
-    puts the largest value at ``CLASSICALITY_RTOL (1 +- 0.05)``: inside the
-    band on both sides of the threshold, where the verdict is the exact pass's."""
+    products, but its brackets leave the span by a few 1e-9, about 0.3
+    ``CLASSICALITY_RTOL``. On rho_t = (1 - t) I / n + t sigma every value is
+    t times sigma's (I / n sees no associator), so t puts the largest value
+    at ``CLASSICALITY_RTOL (1 +- 0.05)``, on both sides of the threshold:
+    the verdict is the exact pass's, and the einsum oracle's."""
     noisy = [e + 1e-9 * random_hermitian(4, seed=90 + q) for q, e in enumerate(block_algebra((2, 2)).basis)]
     alg = span(noisy)
     assert is_closed_under(alg, jordan) and is_closed_under(alg, lie)
-    table = _structure_constants(alg)
-    assert 0.05 * CLASSICALITY_RTOL < table.delta < 0.5 * CLASSICALITY_RTOL
     sigma = random_state(4, seed=3)
     peak = float(np.abs(einsum_associator_values(sigma, alg)).max())
     for f in (0.95, 1.05):
         t = CLASSICALITY_RTOL * f / peak
         s = State((1.0 - t) * np.eye(4, dtype=complex) / 4 + t * sigma.rho)
         want = float(np.abs(einsum_associator_values(s, alg)).max())
-        top, _, _ = _first_max(_pair_values(table, _bracket_expectations(s, alg)))
-        assert abs(top - CLASSICALITY_RTOL) <= table.delta
         got = is_classical_associator(s, alg)
         assert got.classical == (want <= CLASSICALITY_RTOL) == (f < 1)
         assert got.max_violation == _first_max(_exact_values(s, alg))[0]
         assert got.max_violation == pytest.approx(want, rel=1e-9)
 
 
-def test_structure_constants_are_memoized_by_the_associator_criterion_only():
+def test_the_memo_holds_only_closedness_and_the_derived_algebra(monkeypatch):
+    """The associator criterion and a near-threshold classify, which takes
+    both criteria's own verdicts, memoize nothing else on L."""
+    calls: Counter[str] = Counter()
+    for fn in ("_associator_verdict", "_center_verdict"):
+
+        def counted(*args, fn=fn, original=getattr(states_mod, fn)):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(states_mod, fn, counted)
     alg = full_hermitian_space(3)
-    assert is_semisimple_lie(alg) is False
-    assert derived_algebra(alg).dim_span == 8
-    assert "structure" not in alg._memo
     is_classical_associator(random_state(3, seed=1), alg)
-    memo = alg._memo["structure"]
-    classify(random_state(3, seed=2), alg)
-    assert alg._memo["structure"] is memo
-    # the table is the dense structure constants' nonzero i < k rows, bit for bit
-    i, k, coords, delta = memo
-    assert np.all(i < k) and np.all(np.diff(i * alg.dim_span + k) > 0)
-    F, ref_delta = dense_structure_constants(alg)
-    dense = np.zeros_like(F)
-    dense[i, k], dense[k, i] = coords, -coords
-    assert np.array_equal(dense, F)
-    assert delta == ref_delta and delta <= 1e-15
+    assert set(alg._memo) == {jordan, lie}
+    assert not classify(_near_mixed(random_state(3, seed=5), 1e-6), alg).classical
+    assert calls == {"_associator_verdict": 2, "_center_verdict": 1}
+    assert set(alg._memo) == {jordan, lie, "derived"}
 
 
 # ---------------------------------------------------------------- bracket table vs the dense structure constants
@@ -567,25 +557,24 @@ def _table_state(name: str, n: int, kind: str) -> State:
 @pytest.mark.parametrize("kind", ["wishart", "pure", "block-scalar", "mixed"])
 @pytest.mark.parametrize("name", _TABLE_ALGEBRAS)
 def test_associator_verdict_matches_the_dense_structure_constants(name, kind):
+    """Against the dense r^3 values of the einsum oracle: the exact pass's
+    values and the verdict's maximum within 1e-12, and the certificate's
+    triple wherever the oracle's top two triples are more than 1e-12 apart."""
     alg = _table_algebra(name)
     s = _table_state(name, alg.dim_ambient, kind)
     got = is_classical_associator(s, alg)
-    ref_vals = dense_associator_expectations(s, alg, CLASSICALITY_RTOL, _bracket_expectations(s, alg))
-    flat = np.abs(ref_vals).ravel()
-    arg = int(np.argmax(flat))
-    ref_max, ref_idx = float(flat[arg]), np.unravel_index(arg, ref_vals.shape)
+    vals, ref = _associator_values(s, alg), einsum_associator_values(s, alg)
+    np.testing.assert_allclose(vals, ref, rtol=0, atol=1e-12)
+    ref_max = float(np.abs(ref).max())
     assert got.classical == (ref_max <= CLASSICALITY_RTOL)
-    if name.startswith("full"):
-        assert got.max_violation == ref_max
-    elif ref_max > _DEFECT_FLOOR:
-        assert got.max_violation == pytest.approx(ref_max, rel=1e-14, abs=0)
-    else:  # roundoff: pairs without a table row read 0.0
-        assert got.max_violation <= ref_max * (1 + 1e-14)
+    assert got.max_violation == pytest.approx(ref_max, rel=0, abs=1e-12)
     if not got.classical:
         basis = alg.basis
         idx = tuple(next(q for q, e in enumerate(basis) if e is m) for m in got.certificate.observables)
-        assert idx == tuple(int(x) for x in ref_idx)
-        assert got.certificate.value == pytest.approx(float(ref_vals[ref_idx]), rel=1e-14, abs=0)
+        assert got.certificate.value == vals[idx] and abs(got.certificate.value) == got.max_violation
+        top, gap = _first_top_triple(ref)
+        if gap > 1e-12:
+            assert idx == top
 
 
 def _tie_blocks(seed: int) -> tuple[list, int]:
@@ -641,45 +630,16 @@ def test_the_table_oracle_sees_both_verdicts():
 # ---------------------------------------------------------------- no r^3 array
 
 
-@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-6, 1e-2])
-def test_bracket_table_delta_bounds_what_the_table_leaves_out(eps):
-    """span{diag(1, -1, 0), diag(0, 0, 1) + eps X_01}: its one bracket, of
-    norm about eps, points along Y_01, off the span. Below the cut it is
-    dropped whole; above it, it is kept with zero coordinates and its whole
-    norm as the residual. Either way delta is its HS norm."""
-    x01 = np.zeros((3, 3), dtype=complex)
-    x01[0, 1] = x01[1, 0] = 1.0
-    alg = span([np.diag([1.0, -1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]) + eps * x01])
-    e0, e1 = alg.basis
-    norm = float(np.linalg.norm(lie(e0, e1)))
-    table = _structure_constants(alg)
-    assert len(table.i) == (1 if norm > 0.5 * _DEFECT_FLOOR else 0)
-    assert table.delta == pytest.approx(norm, rel=1e-6)
-    assert np.abs(table.coords).max(initial=0.0) <= 1e-15
-
-
 @pytest.mark.parametrize("n,rows", [(8, 812), (12, 2970)])
 def test_bracket_table_of_the_full_algebra_holds_its_nonzero_brackets_only(n, rows):
+    """The exact pass multiplies only the nonzero basis brackets, 812 of the
+    2016 i < k pairs at n = 8, and the memo holds the closedness verdicts only."""
     alg = full_hermitian_space(n)
     s = random_state(n, seed=n)
     assert not classify(s, alg).classical
-    assert "structure" not in alg._memo  # classify settled its flags from bounds
     assert not is_classical_associator(s, alg).classical
-    table = alg._memo["structure"]
-    assert len(table.i) == len(table.k) == len(table.coords) == rows
-    r = alg.dim_span
-
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            return [value]
-        if isinstance(value, RealSubspace):
-            return [value.rows]
-        if isinstance(value, tuple):
-            return [a for v in value for a in arrays(v)]
-        return []
-
-    sizes = [a.size for v in alg._memo.values() for a in arrays(v)]
-    assert sizes and max(sizes) < r**3
+    assert sum(len(i) for _, i, _ in _exact_values(s, alg)) == rows
+    assert set(alg._memo) == {jordan, lie}
 
 
 def test_no_source_file_allocates_the_dense_structure_constants():
@@ -850,7 +810,7 @@ def test_clear_states_build_no_table_and_no_derived_algebra(monkeypatch, name, k
     def forbidden(*args):
         raise AssertionError("a clear state left the first step")
 
-    for fn in ("_stored_structure_constants", "derived_algebra", "_associator_verdict", "_center_verdict"):
+    for fn in ("derived_algebra", "_associator_verdict", "_center_verdict"):
         monkeypatch.setattr(states_mod, fn, forbidden)
     verdict = classify(s, alg)
     assert "structure" not in alg._memo and "derived" not in alg._memo

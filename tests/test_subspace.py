@@ -386,11 +386,7 @@ def test_an_algebra_holding_the_identity_keeps_it_in_every_centralizer():
                 assert centralizer(L, S).contains(np.eye(n))
 
 
-def test_is_semisimple_lie_asks_the_centralizer_and_builds_no_table(monkeypatch):
-    def no_table(L):
-        raise AssertionError("is_semisimple_lie built the bracket table")
-
-    monkeypatch.setattr(subspace_mod, "_structure_constants", no_table)
+def test_is_semisimple_lie_asks_the_centralizer_and_builds_no_table():
     verdicts = [is_semisimple_lie(_su2_plus_su3(central)) for central in (False, True)]
     verdicts += [is_semisimple_lie(alg) for alg in _generated_closures(4)]
     assert verdicts == [True, False, True, False, False]
@@ -633,16 +629,10 @@ def test_structure_constants_are_totally_antisymmetric(n):
         np.testing.assert_allclose(F, F.transpose(1, 2, 0), rtol=0, atol=1e-13)
 
 
-def test_derived_algebra_is_the_centers_complement_and_holds_every_bracket(monkeypatch):
+def test_derived_algebra_is_the_centers_complement_and_holds_every_bracket():
     """L is reductive, so [L, L] is the orthogonal complement of Z(L) =
     centralizer(L, L) in L, and every basis bracket's coordinates lie within
-    ``SPAN_RTOL`` of it. Neither it nor the associator queries build the
-    bracket table."""
-
-    def no_table(L):
-        raise AssertionError("built the bracket table")
-
-    monkeypatch.setattr(subspace_mod, "_structure_constants", no_table)
+    ``SPAN_RTOL`` of it."""
     algs = _derived_cases() + [full_hermitian_space(5)] + _generated_closures(5)[::2]
     for alg in algs:
         d, z = derived_algebra(alg), centralizer(alg, alg)
@@ -652,9 +642,6 @@ def test_derived_algebra_is_the_centers_complement_and_holds_every_bracket(monke
         i, k = np.triu_indices(alg.dim_span, 1)
         c = _rows(_products(alg._stacked[i], alg._stacked[k], lie)) @ alg.rows.T
         assert np.linalg.norm(c - (c @ coords.T) @ coords, axis=1).max(initial=0.0) <= SPAN_RTOL
-        associator_defect(alg)
-        if is_closed_under(alg, jordan):
-            is_jordan_associative(alg)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -745,7 +732,6 @@ def test_associator_defect_forms_no_r2_n2_jordan_stack():
     """The whole-stack form peaked at about 47 MB here; its stack alone is
     r^2 n^2 complex entries (16 MB at n = 10)."""
     alg = full_hermitian_space(10)
-    subspace_mod._stored_structure_constants(alg)  # the table is not what is measured
     tracemalloc.start()
     try:
         associator_defect(alg)
@@ -1194,7 +1180,7 @@ def test_operand_pair_kernel_equals_the_index_form_bit_for_bit(n):
     f = np.stack([random_hermitian(n, seed=40 * n + 10 + k) for k in range(3)])
     ef = np.concatenate((e, f))
     for product in (jordan, lie):
-        # gathered pairs: closure rounds, defects, structure constants
+        # gathered pairs: closure rounds, defects, the associator criterion
         i, j = rng.integers(len(e), size=(2, 30))
         want = index_products(e, i, j, product)
         assert _products(e[i], e[j], product).tobytes() == want.tobytes()
@@ -1261,26 +1247,26 @@ def test_derived_algebra_is_memoized():
     assert derived_algebra(full_hermitian_space(3)) is not d
 
 
-def test_second_classify_forms_no_pair_products(monkeypatch):
+def test_second_classify_forms_no_closure_and_no_second_derived_algebra(monkeypatch):
     full = full_hermitian_space(3)
     pairs = _count_calls(monkeypatch, "_products")
     rounds = _count_calls(monkeypatch, "_close_rounds")
+    walks = _count_calls(monkeypatch, "_ad_rows")
     # a clear state is settled by classify's bounds: no pair product at all
     clear = classify(random_state(3, seed=5), full)
     assert pairs[0] == 0 and rounds[0] == 0
-    assert "structure" not in full._memo and "derived" not in full._memo
+    assert "derived" not in full._memo
 
     def near_mixed(seed):
         # 1e-6 of a random state: its values are about 1e-7, between the bounds
         return State((1 - 1e-6) * np.eye(3, dtype=complex) / 3 + 1e-6 * random_state(3, seed=seed).rho)
 
     first = classify(near_mixed(5), full)
-    # the table comes from the bracket stream and the derived algebra from the ad walk, not a closure
-    assert pairs[0] > 0 and rounds[0] == 0
-    assert "structure" in full._memo and "derived" in full._memo
-    pairs[0] = 0
+    # the exact pass reads the bracket stream and the derived algebra comes from the ad walk, not a closure
+    assert pairs[0] > 0 and rounds[0] == 0 and walks[0] == 1
     second = classify(near_mixed(6), full)
-    assert pairs[0] == 0 and rounds[0] == 0
+    # the exact pass forms its brackets again, but the derived algebra is the memoized one
+    assert rounds[0] == 0 and walks[0] == 1
     assert not clear.classical and not first.classical and not second.classical
 
 
