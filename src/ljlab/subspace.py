@@ -28,8 +28,7 @@ criterion take their maxima from one running first maximum
 (``_first_max``), which holds the one tie rule; the defects take an SVD
 only of a bracket or associator whose HS norm can reach the running
 maximum (``_running_screen``). Closedness verdicts and derived algebras
-are memoized on the (immutable) subspace; no table of structure
-constants is kept.
+are memoized on the (immutable) subspace.
 
 ``SPAN_RTOL`` is the one rank threshold, the centralizer's null space,
 semisimplicity and the generation targets included; ``DEFAULT_TOL``

@@ -509,7 +509,7 @@ def test_the_memo_holds_only_closedness_and_the_derived_algebra(monkeypatch):
     assert set(alg._memo) == {jordan, lie, "derived"}
 
 
-# ---------------------------------------------------------------- bracket table vs the dense structure constants
+# ---------------------------------------------------------------- associator verdict vs the dense einsum values
 
 
 def _table_algebra(name: str) -> RealSubspace:
