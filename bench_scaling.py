@@ -10,9 +10,17 @@ their traceless parts for ``lie_generate``; a row whose closures do not all
 reach n^2 - 1 (lie) or n^2 (jordan) posts no time. Centralizer rows time
 ``centralizer(L, L)`` of the full algebra L at n = 8, 12, 16 and 24 the
 same way; a row whose centralizers do not all have dimension 1 (the
-multiples of I) posts no time. ``is_semisimple_lie`` rows time the
+multiples of I) posts no time; the full algebra is at its dimension
+bound, so these rows time the closed form, with no bracket formed.
+``centralizer_blocks`` rows time the walk below the bound:
+``centralizer(L, L)`` of L = u(n/2) + u(n/2) conjugated by a fixed random
+unitary (``conjugated``) at n = 16 and 24, whose center, and so every
+result, must have dimension 2. ``is_semisimple_lie`` rows time the
 ``lie_generate`` closure of the traceless pair above, built untimed, at
-n = 16 and 24; a row posts a time only when every call returns True.
+n = 16 and 24, and the ``is_semisimple_lie_conjugated`` row su(24)
+spanned from conjugated rank-2 elements (the off-diagonal units and
+E_kk - E_(k+1)(k+1)); a row posts a time only when every call returns
+True.
 ``associator_defect`` rows time the full algebra at n = 8 and 12 the same
 way; a row posts a time only when every call returns 2^(-3/2), as
 0.3535533905932737, and names a triple. ``derived_algebra`` rows time the
@@ -79,7 +87,9 @@ QUERIES = {
     "lie_generate": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n - 1),
     "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n),
     "centralizer": ((8, 12, 16, 24), "dim_span", "dim_ok", lambda n: 1),
+    "centralizer_blocks": ((16, 24), "dim_span", "dim_ok", lambda n: 2),
     "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
+    "is_semisimple_lie_conjugated": ((24,), "semisimple", "verdict_ok", lambda n: True),
     "associator_defect": ((8, 12), "defect", "value_ok", lambda n: 0.3535533905932737),
     "derived_algebra": ((16, 24), "dim_span", "dim_ok", lambda n: n * n - 1),
     "derived_algebra_full": ((24,), "dim_span", "dim_ok", lambda n: n * n - 1),
@@ -140,6 +150,8 @@ def query_worker(tree: Path, name: str, n: int) -> None:
     import resource
 
     sys.path.insert(0, str(tree / "src"))
+    import numpy as np
+
     from ljlab import (
         RealSubspace,
         associator_defect,
@@ -147,17 +159,25 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         avr_witness_search,
         centralizer,
         derived_algebra,
+        full_hermitian_basis,
         full_hermitian_space,
         is_jordan_associative,
         is_semisimple_lie,
         jordan_generate_three,
         lie_generate,
         random_hermitian,
+        span,
         traceless,
     )
 
     def su(n: int) -> RealSubspace:
         return lie_generate(traceless(random_hermitian(n, seed=n)), traceless(random_hermitian(n, seed=n + 1))).closure
+
+    def conjugated(mats: list) -> RealSubspace:
+        """The span of u m u^H over mats, u the unitary factor of a complex Gaussian matrix from seed n."""
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return span([u @ m @ u.conj().T for m in mats])
 
     if name in ("derived_algebra", "derived_algebra_full"):
         L = su(n) if name == "derived_algebra" else full_hermitian_space(n)
@@ -190,8 +210,20 @@ def query_worker(tree: Path, name: str, n: int) -> None:
             value, triple = associator_defect(L)
             return value if triple is not None else None
 
-    elif name == "is_semisimple_lie":
-        L = su(n)
+    elif name == "centralizer_blocks":
+        blocks = []
+        for off, k in ((0, n // 2), (n // 2, n - n // 2)):
+            for e in full_hermitian_basis(k):
+                blocks.append(np.zeros((n, n), dtype=complex))
+                blocks[-1][off : off + k, off : off + k] = e
+        L = conjugated(blocks)
+
+        def query() -> int:
+            return centralizer(L, L).dim_span
+
+    elif name in ("is_semisimple_lie", "is_semisimple_lie_conjugated"):
+        steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]
+        L = su(n) if name == "is_semisimple_lie" else conjugated([*full_hermitian_basis(n)[n:], *steps])
 
         def query() -> bool:
             return is_semisimple_lie(L)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -328,13 +328,14 @@ def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> boo
     coordinates lie within ``sqrt(2 n^2 + r) d`` of it. Rows the walk never
     reaches lie in it to roundoff: the walk stops only once its span has the
     largest dimension [L, L] can have, r - 1 with I in L (brackets are
-    traceless), else r. If every ``||[rho, d_k]||_op`` were
-    at most ``CLASSICALITY_RTOL``, ``z = [rho, y]`` would have operator norm
-    at most ``sqrt(r) (||y|| + eps) CLASSICALITY_RTOL + eps``: y's part in
-    [L, L] has at most r coordinates, of total square at most ``(||y|| +
-    eps)^2``, and its other part, at most eps, moves z by at most eps. As
-    ``||z||_HS / sqrt(n) <= ||z||_op``, a larger value proves quantum, from
-    four matrix products. x1 is ``||x||_1``.
+    traceless), else r. At L's ``lie`` bound, with no walk, [L, L] is su(n)
+    or L and holds every bracket's coordinates to roundoff. If every
+    ``||[rho, d_k]||_op`` were at most ``CLASSICALITY_RTOL``, ``z = [rho, y]``
+    would have operator norm at most ``sqrt(r) (||y|| + eps)
+    CLASSICALITY_RTOL + eps``: y's part in [L, L] has at most r coordinates,
+    of total square at most ``(||y|| + eps)^2``, and its other part, at most
+    eps, moves z by at most eps. As ``||z||_HS / sqrt(n) <= ||z||_op``, a
+    larger value proves quantum, from four matrix products. x1 is ``||x||_1``.
     """
     y = _rho_brackets(s, L._stacked[int(cn.argmax())])
     z = _rho_brackets(s, y)
@@ -343,24 +344,30 @@ def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> boo
     return math.sqrt(np.vdot(z, z).real / s.dim) > bound * (1 + _NORM_SLACK)
 
 
-def _flags(s: State, L: RealSubspace, C: np.ndarray) -> list[bool]:
+def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = None) -> list[bool]:
     """The associator flag, then the center flag when rho is in span(L).
 
     Each flag tries its quantum bound, which needs no bracket stack, then
-    its classical bound, then takes its criterion's own verdict. The r
-    brackets ``[rho, e_j]`` of the classical bounds are formed once, and
-    not at all when both quantum bounds settle. ``contains`` runs once, and
-    the center flag uses its result.
+    its classical bound, then takes its criterion's own verdict, kept in
+    ``verdicts`` by criterion name. The r brackets ``[rho, e_j]`` of the
+    classical bounds are formed once, and not at all when both quantum
+    bounds settle. ``contains`` runs once; the center flag uses its result.
     """
+    verdicts = {} if verdicts is None else verdicts
+
+    def own(verdict: Callable[[State, RealSubspace], ClassicalityVerdict]) -> bool:
+        v = verdict(s, L)
+        verdicts[v.criterion] = v
+        return v.classical
     in_span = L.contains(s.rho)
     cn, x1 = _row_norms(C), float(np.abs(L.coeffs(s.rho)).sum())
     quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(s, L, cn, x1)] if in_span else [])
     if all(quantum):
         return [False] * len(quantum)
     hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
-    flags = [not quantum[0] and (_associator_classical(cn, hs) or _associator_verdict(s, L).classical)]
+    flags = [not quantum[0] and (_associator_classical(cn, hs) or own(_associator_verdict))]
     if in_span:
-        flags.append(not quantum[1] and (_center_classical(hs) or _center_verdict(s, L).classical))
+        flags.append(not quantum[1] and (_center_classical(hs) or own(_center_verdict)))
     return flags
 
 
@@ -375,18 +382,19 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     (``_flags``): four certified bounds from C, rho's coordinates and the
     brackets ``[rho, e_j]`` settle a clear state, and a flag none settles
     is its criterion's own verdict, which forms the basis brackets or the
-    derived algebra. Their full verdicts are computed only to report a
-    disagreement.
+    derived algebra. To report a disagreement it reuses those verdicts and
+    computes only the full verdicts a bound settled.
     """
     _check_algebra(s, L)
     C = _bracket_expectations(s, L)
     verdict = _verdict("commutator", C, L.basis)
-    flags = _flags(s, L, C)
+    kept: dict[str, ClassicalityVerdict] = {}
+    flags = _flags(s, L, C, kept)
     if all(f == verdict.classical for f in flags):
         return verdict
-    verdicts = [_associator_verdict(s, L), verdict]
+    verdicts = [kept.get("associator") or _associator_verdict(s, L), verdict]
     if len(flags) == 2:  # rho is in span(L)
-        verdicts.append(_center_verdict(s, L))
+        verdicts.append(kept.get("center") or _center_verdict(s, L))
     detail = ", ".join(
         f"{v.criterion}={v.classical} (violation {v.max_violation:.3e})"
         for v in verdicts

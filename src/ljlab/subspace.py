@@ -23,12 +23,12 @@ Hermitian pair kernel (``_products``); a block of index pairs is formed in
 cache-sized chunks (``_block_products``), and the i < k basis brackets come
 from one stream (``_brackets``), which the associator criterion reads
 too. The centralizer and the derived algebra share one walk over the
-constraints x -> [x, s] (``_ad_rows``). The defects and the associator
-criterion take their maxima from one running first maximum
-(``_first_max``), which holds the one tie rule; the defects take an SVD
-only of a bracket or associator whose HS norm can reach the running
-maximum (``_running_screen``). Closedness verdicts and derived algebras
-are memoized on the (immutable) subspace.
+constraints x -> [x, s] (``_ad_rows``), which an S spanning su(n) skips
+(Schur's lemma). The defects and the associator criterion take their
+maxima from one running first maximum (``_first_max``), which holds the
+one tie rule; the defects take an SVD only of a bracket or associator
+whose HS norm can reach the running maximum (``_running_screen``).
+Closedness verdicts and derived algebras are memoized on the subspace.
 
 ``SPAN_RTOL`` is the one rank threshold, the centralizer's null space,
 semisimplicity and the generation targets included; ``DEFAULT_TOL``
@@ -544,17 +544,23 @@ def require_closed(s: RealSubspace, product: Product) -> None:
 def _ad_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
     """Orthonormal rows, in coordinates against L, that span the constraints x -> [x, s], s in S.
 
-    Each real entry of [e_i, s_j], over i, is a constraint row; ``_extend``
+    An S at its ``lie`` bound, Herm(n) or su(n), has commutant RI (Schur's
+    lemma), so with no bracket formed the rows are the complement of I's
+    unit coordinate vector when L contains I, else the unit vectors. Below
+    it each real entry of [e_i, s_j], over i, is a constraint row; ``_extend``
     ranks them ``max(1, _BLOCK // 2n^2)`` elements s_j at a time, skipping
     all-zero rows. The walk stops, as a closure round stops at ``_bound``,
     once the kept rows reach r - 1 when L contains I (central), else r.
     """
     r, n = L.dim_span, L.dim_ambient
-    bound = r - 1 if L.contains(np.eye(n)) else r
+    central = L.contains(np.eye(n))
+    if S.dim_span == _bound(S, lie):
+        unit = L.coeffs(np.eye(n))
+        return _extend(unit[None] / math.sqrt(unit @ unit), np.eye(r)) if central else np.eye(r)
     step = max(1, _BLOCK // (2 * n * n))
     kept = np.empty((0, r))
     for s in range(0, S.dim_span, step):
-        if len(kept) >= bound:
+        if len(kept) >= r - central:
             break
         br = _products(L._stacked[:, None], S._stacked[None, s : s + step], lie)
         rows = _rows(br).reshape(r, -1).T
@@ -568,8 +574,9 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
     L times i is compact, so [L, L] is Z(L)'s complement (Knapp, *Lie Groups
     Beyond an Introduction*, ch. I): the span of the constraint rows that
     ``centralizer(L, L)`` ranks, which by the trace form's ad-invariance
-    hold each bracket's coordinates as a unit combination. Its basis is the
-    kept rows of that walk (``_ad_rows``) times ``L.rows``.
+    hold each bracket's coordinates as a unit combination. Its basis is
+    ``_ad_rows``' rows times ``L.rows``: L's own rows for su(n), L's rows
+    projected off I for Herm(n), else the kept rows of that walk.
     """
     require_closed(L, lie)
     if "derived" not in L._memo:
@@ -752,11 +759,11 @@ def is_semisimple_lie(L: RealSubspace) -> bool:
 
     L times i is a compact Lie algebra, so L = Z(L) + [L, L] (Knapp, *Lie
     Groups Beyond an Introduction*, ch. I). An L that holds the central I
-    is not; else its center is ``centralizer(L, L)``, which stops at rank r,
-    so ``SPAN_RTOL`` decides. The zero algebra is semisimple.
+    is not; else its center is zero exactly when ``_ad_rows(L, L)`` has
+    rank r, so ``SPAN_RTOL`` decides. The zero algebra is semisimple.
     """
     require_closed(L, lie)
-    return not L.contains(np.eye(L.dim_ambient)) and centralizer(L, L).dim_span == 0
+    return not L.contains(np.eye(L.dim_ambient)) and len(_ad_rows(L, L)) == L.dim_span
 
 
 @dataclass(frozen=True, eq=False)

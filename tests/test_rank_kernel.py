@@ -13,7 +13,17 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import SX, SY, naive_close, pinned_extend, rank_of, sequential_span
+from helpers import (
+    SX,
+    SY,
+    block_algebra,
+    conjugated,
+    naive_close,
+    pinned_extend,
+    random_unitary,
+    rank_of,
+    sequential_span,
+)
 from ljlab import (
     ValidationError,
     close_under,
@@ -254,7 +264,8 @@ def test_extend_equals_its_pinned_copy_on_closure_round_blocks(monkeypatch, n):
     jordan_generate_three(a, b)
     close_under(span([a, b, a @ a]), lie)
     assert is_closed_under(span([traceless(a), traceless(b)]), lie) is False
-    derived_algebra(RealSubspace(n, L.rows))
+    # su(n) is at its bound, where the walk forms no bracket; u(n/2) + u(n/2) is not
+    derived_algebra(conjugated(block_algebra((n // 2, n // 2)), random_unitary(n, np.random.default_rng(n))))
     assert sum(1 for size in bases if size > 0) >= 10
 
 
@@ -325,12 +336,16 @@ def test_product_pairs_stay_whole_while_threads_grow_the_triangle(monkeypatch):
     assert wrong == []
 
 
-def test_derived_algebra_of_the_full_algebra_at_n10_is_su10():
-    """One kernel call over every nonzero bracket row, across many panels."""
-    d = derived_algebra(full_hermitian_space(10))
-    assert d.dim_span == 99
-    np.testing.assert_allclose(d.rows @ d.rows.T, np.eye(99), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.einsum("kaa->k", d._stacked), 0.0, rtol=0, atol=1e-12)
+def test_derived_algebra_of_a_conjugated_u5_plus_u5_is_su5_plus_su5():
+    """The ad walk below the bound, over dense bracket rows, across many panels."""
+    u = random_unitary(10, np.random.default_rng(10))
+    d = derived_algebra(conjugated(block_algebra((5, 5)), u))
+    assert d.dim_span == 48
+    np.testing.assert_allclose(d.rows @ d.rows.T, np.eye(48), rtol=0, atol=1e-12)
+    back = u.conj().T @ d._stacked @ u  # block-diagonal, each block traceless
+    np.testing.assert_allclose(back[:, :5, 5:], 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("kaa->k", back[:, :5, :5]), 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("kaa->k", back[:, 5:, 5:]), 0.0, rtol=0, atol=1e-12)
 
 
 def test_span_rejects_non_finite_input():

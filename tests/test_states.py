@@ -821,7 +821,7 @@ def test_clear_states_build_no_table_and_no_derived_algebra(monkeypatch, name, k
 
 def test_classifys_flags_on_a_barely_closed_algebra():
     """The algebra of ``test_a_barely_closed_algebra_reaches_the_exact_pass``,
-    whose table ``delta`` is about 0.3 ``CLASSICALITY_RTOL``. On rho_t =
+    whose brackets leave the span by about 0.3 ``CLASSICALITY_RTOL``. On rho_t =
     (1 - t) I / n + t sigma with the associator values (sigma outside the
     span) or the center values (sigma inside it) at ``CLASSICALITY_RTOL
     (1 +- 0.05)``, classify's flags are the public criteria's, and classify
@@ -895,3 +895,22 @@ def test_a_near_threshold_state_splits_the_criteria_with_no_patch():
     with pytest.raises(CriteriaDisagree) as exc:
         classify(s, full_hermitian_space(3))
     assert str(exc.value) == want
+
+
+def test_a_split_reuses_the_verdicts_its_flags_took(monkeypatch):
+    """``helpers.split_state`` on full(3): no bound settles either flag, so
+    classify takes both criteria's own verdicts once, one exact pass and
+    one center verdict, and its CriteriaDisagree message reuses them."""
+    calls: Counter[str] = Counter()
+    for fn in ("_exact_values", "_center_verdict"):
+
+        def counted(*args, fn=fn, original=getattr(states_mod, fn)):
+            calls[fn] += 1
+            return original(*args)
+
+        monkeypatch.setattr(states_mod, fn, counted)
+    L = full_hermitian_space(3)
+    for q in range(1, 3):
+        with pytest.raises(CriteriaDisagree):
+            classify(split_state(), L)
+        assert calls == {"_exact_values": q, "_center_verdict": q}

@@ -351,11 +351,17 @@ def test_centralizer_rows_equal_its_per_vector_loop(n):
 
 
 def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
-    # S's basis is taken max(1, _BLOCK // 2n^2) = 7 elements at a time, so no
-    # call forms more than r * 7 = 252 of the r * s = 1296 brackets; L holds
-    # I, so the walk stops once the kept rows reach r - 1 = 35, after three
-    # calls, 756 brackets
+    # below S's dimension bound the walk forms brackets: S's basis is taken
+    # max(1, _BLOCK // 2n^2) = 7 elements at a time, so no call forms more
+    # than r * 7 of the r * s brackets. U, a conjugated u(3) + u(3) (r = 18),
+    # has a 2-dimensional center, so its walk against itself never reaches
+    # r - 1 = 17 kept rows and forms all 324. Against S, one random element
+    # then U's basis (s = 19), full(6) holds I and the commutant is RI, so
+    # its walk stops once the kept rows reach r - 1 = 35: after one call,
+    # 252 of the 684 brackets
     n = 6
+    U = conjugated(block_algebra((3, 3)), random_unitary(n, np.random.default_rng(6)))
+    S = span([random_hermitian(n, seed=6), *U.basis])
     full = full_hermitian_space(n)
     original = subspace_mod._products
     counts: list[int] = []
@@ -365,12 +371,66 @@ def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
         return original(a, b, product)
 
     monkeypatch.setattr(subspace_mod, "_products", counted)
-    got = centralizer(full, full)
     step = max(1, subspace_mod._BLOCK // (2 * n * n))
-    assert max(counts) <= full.dim_span * step == 252
-    assert sum(counts) == 756
-    assert got.dim_span == 1
-    np.testing.assert_allclose(_projector(got), _projector(loop_centralizer(full, full)), rtol=0, atol=1e-12)
+    for L, T, formed, dim in ((U, U, 324, 2), (full, S, 252, 1)):
+        counts.clear()
+        got = centralizer(L, T)
+        assert max(counts) <= L.dim_span * step
+        assert sum(counts) == formed
+        assert got.dim_span == dim
+        np.testing.assert_allclose(_projector(got), _projector(loop_centralizer(L, T)), rtol=0, atol=1e-12)
+
+
+def _su_in_a_rank_two_basis(n: int, u: np.ndarray) -> RealSubspace:
+    """su(n) spanned from u e u^H over rank-2 e: the off-diagonal units, then E_kk - E_(k+1)(k+1)."""
+    steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]
+    return span([u @ e @ u.conj().T for e in [*full_hermitian_basis(n)[n:], *steps]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ad_constraints_of_an_s_at_its_bound_take_the_closed_form(monkeypatch, n):
+    """S at its lie bound: full(n), su(n) from lie_generate, su(n) in a
+    conjugated rank-2 basis. Its commutant is RI, so against each of them
+    the centralizer of those three and of a conjugated block algebra with
+    and without I is L's multiples of I, and the derived algebra of the
+    three is su(n), all equal to their oracles within 1e-12, and
+    is_semisimple_lie decides, with no product formed."""
+    rng = np.random.default_rng(90 + n)
+    a, b = random_hermitian(n, seed=910 + n), random_hermitian(n, seed=920 + n)
+    tops = [
+        full_hermitian_space(n),
+        lie_generate(traceless(a), traceless(b)).closure,
+        _su_in_a_rank_two_basis(n, random_unitary(n, rng)),
+    ]
+    blocks = conjugated(block_algebra((n // 2, n - n // 2)), random_unitary(n, rng))
+    algs = [*tops, blocks, span([traceless(e) for e in blocks.basis])]
+    assert [S.dim_span for S in tops] == [n * n, n * n - 1, n * n - 1]
+    cases = [(L, S, loop_centralizer(L, S)) for L in algs for S in tops]
+    derived = [(L, respan_derived_algebra(L)) for L in tops]
+
+    def forbidden(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(subspace_mod, "_products", forbidden)
+    for L, S, want in cases:
+        got = centralizer(L, S)
+        assert got.dim_span == want.dim_span == int(L.contains(np.eye(n)))
+        np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
+    for L, want in derived:
+        got = derived_algebra(L)
+        assert got.dim_span == want.dim_span == n * n - 1
+        np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
+    assert [is_semisimple_lie(L) for L in tops] == [False, True, True]
+
+
+def test_an_s_below_its_bound_still_walks():
+    """The diagonal algebra of full(2) has dimension n^2 - 2, below its
+    bound n^2: its centralizer is itself, not the multiples of I."""
+    full = full_hermitian_space(2)
+    diag = span([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
+    got = centralizer(full, diag)
+    assert got.dim_span == 2 and got.contains(SZ)
+    np.testing.assert_allclose(_projector(got), _projector(loop_centralizer(full, diag)), rtol=0, atol=1e-12)
 
 
 def test_an_algebra_holding_the_identity_keeps_it_in_every_centralizer():
