@@ -222,8 +222,11 @@ def query_worker(tree: Path, name: str, n: int) -> None:
             return centralizer(L, L).dim_span
 
     elif name in ("is_semisimple_lie", "is_semisimple_lie_conjugated"):
-        steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]
-        L = su(n) if name == "is_semisimple_lie" else conjugated([*full_hermitian_basis(n)[n:], *steps])
+        if name == "is_semisimple_lie":
+            L = su(n)
+        else:
+            steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]
+            L = conjugated([*full_hermitian_basis(n)[n:], *steps])
 
         def query() -> bool:
             return is_semisimple_lie(L)
