@@ -203,19 +203,34 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(require_hermitian(m))
 
 
+def _require_nonempty(a: np.ndarray) -> np.ndarray:
+    """a, or ValidationError when it is 0 x 0: it has no eigenvalue, and ``traceless`` would divide by 0."""
+    if not a.size:
+        raise ValidationError("expected a matrix of dimension >= 1, got a 0 x 0 matrix")
+    return a
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, after ``require_hermitian`` and ``_require_nonempty``."""
+    return np.linalg.eigvalsh(_require_nonempty(require_hermitian(m)))
+
+
 def min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(require_hermitian(m))[0])
+    """Smallest eigenvalue of a Hermitian matrix; ValidationError for a 0 x 0 one or NaN or inf entries."""
+    return float(_eigenvalues(m)[0])
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(require_hermitian(m))
-    return float(np.max(np.abs(w)))
+    """Largest absolute eigenvalue of a Hermitian matrix; ValidationError as ``min_eigenvalue``."""
+    return float(np.max(np.abs(_eigenvalues(m))))
 
 
 def is_psd(m: np.ndarray) -> bool:
-    """True when every eigenvalue is >= -``DEFAULT_TOL`` at the matrix's own scale."""
-    w = np.linalg.eigvalsh(require_hermitian(m))
+    """True when every eigenvalue is >= -``DEFAULT_TOL`` at the matrix's own scale.
+
+    ValidationError as ``min_eigenvalue``.
+    """
+    w = _eigenvalues(m)
     scale = float(np.max(np.abs(w)))
     return float(w[0]) >= -DEFAULT_TOL.threshold(scale)
 
@@ -238,8 +253,9 @@ def hs_norm(a: np.ndarray) -> float:
 
 
 def traceless(m: np.ndarray) -> np.ndarray:
-    """Remove the identity component."""
-    a = as_matrix(m)
+    """Remove the identity component; ValidationError for a 0 x 0 matrix or NaN or inf entries."""
+    a = _require_nonempty(as_matrix(m))
+    _require_finite(a)
     n = a.shape[0]
     return a - (np.trace(a) / n) * np.eye(n)
 

@@ -152,12 +152,12 @@ def _check_dims(s: State, L: RealSubspace) -> None:
 
 
 def _verdict(criterion: str, vals: np.ndarray, basis: tuple[np.ndarray, ...]) -> ClassicalityVerdict:
-    """The verdict on an array of values, at its first row-major maximum."""
+    """The verdict on a 1-D or 2-D array of values, at its first row-major maximum."""
     if vals.size == 0:
         return _ruling(criterion, 0.0, (), 0.0, basis)
     flat = np.abs(vals).ravel()
-    arg = int(np.argmax(flat))
-    idx = np.unravel_index(arg, vals.shape)
+    arg = int(flat.argmax())
+    idx = divmod(arg, vals.shape[1]) if vals.ndim == 2 else (arg,)
     return _ruling(criterion, float(flat[arg]), idx, float(vals[idx]), basis)
 
 
@@ -181,11 +181,17 @@ def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
     """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L.
 
     The pair table ``t[i, j] = Tr(rho e_i e_j)`` is one matrix product:
-    row i holds ``rho e_i`` flattened, column j ``e_j`` transposed.
+    row i holds ``rho e_i`` flattened, column j ``e_j`` transposed. With
+    ``[a, b] = (i/2)(ab - ba)``, C is ``0.5 (Im t^T - Im t)``, read from
+    the table's imaginary part with no complex temporary: entry for entry
+    ``Re(0.5j (t - t^T))``, up to the sign of an exact zero, which no
+    verdict reads (they read |C| and its row norms).
     """
     e, r, n = L._stacked, L.dim_span, L.dim_ambient
     t = (s.rho @ e).reshape(r, n * n) @ e.transpose(0, 2, 1).reshape(r, n * n).T
-    return np.real(0.5j * (t - t.T))
+    c = t.imag.T - t.imag
+    c *= 0.5
+    return c
 
 
 def _rho_brackets(s: State, e: np.ndarray) -> np.ndarray:
@@ -351,7 +357,8 @@ def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = Non
     its classical bound, then takes its criterion's own verdict, kept in
     ``verdicts`` by criterion name. The r brackets ``[rho, e_j]`` of the
     classical bounds are formed once, and not at all when both quantum
-    bounds settle. ``contains`` runs once; the center flag uses its result.
+    bounds settle. rho's coordinates x (for ``||x||_1``) and whether rho
+    lies in span(L) come from one ``L._coords`` product.
     """
     verdicts = {} if verdicts is None else verdicts
 
@@ -359,8 +366,8 @@ def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = Non
         v = verdict(s, L)
         verdicts[v.criterion] = v
         return v.classical
-    in_span = L.contains(s.rho)
-    cn, x1 = _row_norms(C), float(np.abs(L.coeffs(s.rho)).sum())
+    x, in_span = L._coords(s.rho)
+    cn, x1 = _row_norms(C), float(np.abs(x).sum())
     quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(s, L, cn, x1)] if in_span else [])
     if all(quantum):
         return [False] * len(quantum)

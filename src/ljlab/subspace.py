@@ -176,17 +176,22 @@ class RealSubspace:
     def project(self, m: np.ndarray) -> np.ndarray:
         return _combination(self.coeffs(m), self._stacked)
 
-    def _distance(self, row: np.ndarray) -> float:
+    def residual(self, m: np.ndarray) -> float:
+        """Distance from m to the subspace in Hilbert-Schmidt norm."""
+        row = self._row(m)
         d = row - (row @ self.rows.T) @ self.rows
         return math.sqrt(d @ d)
 
-    def residual(self, m: np.ndarray) -> float:
-        """Distance from m to the subspace in Hilbert-Schmidt norm."""
-        return self._distance(self._row(m))
+    def _coords(self, m: np.ndarray) -> tuple[np.ndarray, bool]:
+        """``coeffs(m)`` and ``contains(m)``, both from the one product ``row @ rows.T``."""
+        row = self._row(m)
+        x = row @ self.rows.T
+        d = row - x @ self.rows
+        return x, math.sqrt(d @ d) <= SPAN_RTOL * max(1.0, math.sqrt(row @ row))
 
     def contains(self, m: np.ndarray) -> bool:
-        row = self._row(m)
-        return self._distance(row) <= SPAN_RTOL * max(1.0, math.sqrt(row @ row))
+        """Whether m's ``residual`` is at most ``SPAN_RTOL * max(1, ||m||_HS)``; one ``_coords`` call."""
+        return self._coords(m)[1]
 
 
 def _combination(c: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -553,9 +558,8 @@ def _ad_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
     once the kept rows reach r - 1 when L contains I (central), else r.
     """
     r, n = L.dim_span, L.dim_ambient
-    central = L.contains(np.eye(n))
+    unit, central = L._coords(np.eye(n))
     if S.dim_span == _bound(S, lie):
-        unit = L.coeffs(np.eye(n))
         return _extend(unit[None] / math.sqrt(unit @ unit), np.eye(r)) if central else np.eye(r)
     step = max(1, _BLOCK // (2 * n * n))
     kept = np.empty((0, r))
@@ -572,11 +576,11 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
     L times i is compact, so [L, L] is Z(L)'s complement (Knapp, *Lie Groups
-    Beyond an Introduction*, ch. I): the span of the constraint rows that
-    ``centralizer(L, L)`` ranks, which by the trace form's ad-invariance
-    hold each bracket's coordinates as a unit combination. Its basis is
-    ``_ad_rows``' rows times ``L.rows``: L's own rows for su(n), L's rows
-    projected off I for Herm(n), else the kept rows of that walk.
+    Beyond an Introduction*, ch. I): the span of the centralizer's
+    constraint rows ``_ad_rows(L, L)``, which by the trace form's
+    ad-invariance hold each bracket's coordinates as a unit combination.
+    Its basis is those rows times ``L.rows``: L's own rows for su(n), L's
+    rows projected off I for Herm(n), else the kept rows of that walk.
     """
     require_closed(L, lie)
     if "derived" not in L._memo:
@@ -587,13 +591,20 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
 def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     """Elements of L whose bracket with every element of S vanishes.
 
-    In coordinates against L, the complement of the constraint rows
-    ``_ad_rows`` keeps, extended from the unit vectors; its rows are orthonormal.
+    An S at its ``lie`` bound has commutant RI (``_ad_rows``), so the answer
+    is L's part of RI with no rank pass: the unit row of I's coordinates
+    times ``L.rows`` when L contains I, else the zero subspace. Below it, in
+    coordinates against L, the complement of the constraint rows
+    ``_ad_rows`` keeps, extended from the unit vectors. Its rows are orthonormal.
     """
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}")
     if L.dim_span == 0 or S.dim_span == 0:
         return L
+    if S.dim_span == _bound(S, lie):
+        unit, central = L._coords(np.eye(L.dim_ambient))
+        rows = unit[None] / math.sqrt(unit @ unit) @ L.rows if central else L.rows[:0]
+        return RealSubspace(L.dim_ambient, rows)
     return RealSubspace(L.dim_ambient, _extend(_ad_rows(L, S), np.eye(L.dim_span)) @ L.rows)
 
 

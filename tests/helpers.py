@@ -431,6 +431,25 @@ def einsum_bracket_expectations(s, L: RealSubspace) -> np.ndarray:
     return np.real(0.5j * (t - t.T))
 
 
+def complex_bracket_expectations(s, L: RealSubspace) -> np.ndarray:
+    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L, from the complex pair table.
+
+    Verbatim body of ``states._bracket_expectations`` before it read C from
+    the pair table's imaginary part.
+    """
+    e, r, n = L._stacked, L.dim_span, L.dim_ambient
+    t = (s.rho @ e).reshape(r, n * n) @ e.transpose(0, 2, 1).reshape(r, n * n).T
+    return np.real(0.5j * (t - t.T))
+
+
+def residual_contains(L: RealSubspace, m: np.ndarray) -> bool:
+    """Verbatim rule of ``RealSubspace.contains`` before it came from ``_coords``: the residual
+    of m's row against L at most ``SPAN_RTOL * max(1, ||m||_HS)``."""
+    row = L._row(m)
+    d = row - (row @ L.rows.T) @ L.rows
+    return math.sqrt(d @ d) <= SPAN_RTOL * max(1.0, math.sqrt(row @ row))
+
+
 def ad_killing_matrix(L: RealSubspace) -> np.ndarray:
     """Killing matrix from the full r x r grid of ad operators.
 

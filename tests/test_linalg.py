@@ -334,6 +334,22 @@ def test_traceless_removes_identity_component():
         assert abs(np.trace(m)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        pytest.param(np.zeros((0, 0)), "dimension >= 1", id="empty"),
+        pytest.param(np.array([[np.inf, 0.0], [0.0, 1.0]]), "must be finite", id="inf"),
+        pytest.param(np.array([[1.0, 0.0], [0.0, -np.inf]]), "must be finite", id="-inf"),
+        pytest.param(np.array([[np.nan]]), "must be finite", id="nan"),
+    ],
+)
+@pytest.mark.parametrize("query", [min_eigenvalue, operator_norm, is_psd, traceless], ids=lambda f: f.__name__)
+def test_eigen_queries_and_traceless_raise_validation_error_on_empty_or_non_finite_input(query, m, message):
+    # warnings are errors here: an IndexError, a LinAlgError or a RuntimeWarning would fail the match
+    with pytest.raises(ValidationError, match=message):
+        query(m)
+
+
 def _norm_fixtures(n: int, rng: np.random.Generator) -> list[np.ndarray]:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)

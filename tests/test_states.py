@@ -15,6 +15,7 @@ from helpers import (
     block_2_1_algebra,
     block_algebra,
     commutative_algebra,
+    complex_bracket_expectations,
     conjugated,
     disagreement_message,
     einsum_associator_values,
@@ -333,17 +334,41 @@ def _oracle_algebras():
     return algs
 
 
-def test_bracket_tensor_matches_its_einsum_oracle():
+def _bracket_tensor_cases() -> list[tuple[RealSubspace, State]]:
+    """Full(1..8), block, commutative and zero algebras, each with its oracle states and I/n."""
     algs = [full_hermitian_space(n) for n in range(1, 9)]
     algs += [block_2_1_algebra(), block_algebra((2, 2)), block_algebra((1, 2, 3))]
     algs += [commutative_algebra(n, seed=n) for n in (2, 3, 4)]
     algs += [RealSubspace(dim_ambient=n, rows=np.empty((0, 2 * n * n))) for n in (1, 3)]
+    cases = []
     for k, alg in enumerate(algs):
-        n, r = alg.dim_ambient, alg.dim_span
-        for s in _oracle_states(n, seed=800 + k) + [State(np.eye(n, dtype=complex) / n)]:
-            got, want = _bracket_expectations(s, alg), einsum_bracket_expectations(s, alg)
-            assert got.shape == want.shape == (r, r)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        n = alg.dim_ambient
+        cases += [(alg, s) for s in _oracle_states(n, seed=800 + k) + [State(np.eye(n, dtype=complex) / n)]]
+    return cases
+
+
+def test_bracket_tensor_matches_its_einsum_oracle():
+    for alg, s in _bracket_tensor_cases():
+        got, want = _bracket_expectations(s, alg), einsum_bracket_expectations(s, alg)
+        assert got.shape == want.shape == (alg.dim_span, alg.dim_span)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_bracket_tensor_from_the_imaginary_part_equals_the_complex_table():
+    """``0.5 (Im t^T - Im t)`` against ``Re(0.5j (t - t^T))`` on the same pair table t.
+
+    Each entry is the same rounded difference halved, so the two are equal
+    entry for entry, but an exact zero may carry either sign: the complex
+    product's real part is ``0 * Re(t_ij - t_ji) - 0.5 * Im(t_ij - t_ji)``.
+    ``np.array_equal`` reads -0.0 == 0.0, and so does every verdict, which
+    reads |C| and its row norms.
+    """
+    nonzero = 0
+    for alg, s in _bracket_tensor_cases():
+        got, want = _bracket_expectations(s, alg), complex_bracket_expectations(s, alg)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        nonzero += bool(np.any(got))
+    assert nonzero >= 20  # the equality is not only among zero tables
 
 
 def _block_scalar(sizes, p: float) -> np.ndarray:
@@ -650,13 +675,13 @@ def test_no_source_file_allocates_the_dense_structure_constants():
 
 def test_classify_tests_membership_in_the_span_once(monkeypatch):
     calls = [0]
-    original = RealSubspace.contains
+    original = RealSubspace._coords
 
     def counted(self, m):
         calls[0] += 1
         return original(self, m)
 
-    monkeypatch.setattr(RealSubspace, "contains", counted)
+    monkeypatch.setattr(RealSubspace, "_coords", counted)
     block = block_2_1_algebra()
     inside, outside = diag_state(0.25, 0.25, 0.5), State(np.full((3, 3), 1 / 3, dtype=complex))
     for s, L, criteria in ((inside, block, 3), (outside, block, 2), (random_state(3, 4), full_hermitian_space(3), 3)):

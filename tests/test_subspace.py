@@ -27,6 +27,7 @@ from helpers import (
     random_unitary,
     stacked_associator_defect,
     rank_of,
+    residual_contains,
     respan_derived_algebra,
     stacked_bracket_blocks,
     vector_loop_centralizer,
@@ -421,6 +422,33 @@ def test_ad_constraints_of_an_s_at_its_bound_take_the_closed_form(monkeypatch, n
         assert got.dim_span == want.dim_span == n * n - 1
         np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
     assert [is_semisimple_lie(L) for L in tops] == [False, True, True]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_the_centralizer_of_an_s_at_its_bound_takes_no_rank_pass(monkeypatch, n):
+    """Against an S at its lie bound the centralizer is L's part of RI: the
+    unit row of I's coordinates times ``L.rows`` when L holds I, I/sqrt(n)
+    up to sign, else the zero subspace, with no ``_extend`` pass and no
+    product formed."""
+    rng = np.random.default_rng(80 + n)
+    full = full_hermitian_space(n)
+    su = derived_algebra(full)
+    blocks = conjugated(block_algebra((n // 2, n - n // 2)), random_unitary(n, rng))
+    tops = (full, su, conjugated(full, random_unitary(n, rng)))
+
+    def forbidden(*args):
+        raise AssertionError("a rank pass or a product was run")
+
+    monkeypatch.setattr(subspace_mod, "_extend", forbidden)
+    monkeypatch.setattr(subspace_mod, "_products", forbidden)
+    unit = np.eye(n) / np.sqrt(n)
+    for L in (full, su, blocks):
+        for S in tops:
+            got = centralizer(L, S)
+            assert got.dim_span == int(L is not su)
+            for e in got.basis:
+                assert abs(np.linalg.norm(e) - 1) <= 1e-14
+                assert abs(abs(hs_inner(e, unit)) - 1) <= 1e-14
 
 
 def test_an_s_below_its_bound_still_walks():
@@ -1451,6 +1479,49 @@ def test_residual_and_contains_agree_with_the_projection(name):
     for method in (L.residual, L.contains, L.coeffs):
         with pytest.raises(DimensionMismatch):
             method(np.eye(n + 1))
+
+
+def _coords_cases(L: RealSubspace, rng: np.random.Generator) -> list[tuple[np.ndarray, bool | None]]:
+    """Matrices with their expected membership: in-span ones (True), off-span ones (False) and
+    boundary ones, whose part off L has HS norm ``SPAN_RTOL * max(1, ||m||) * (1 -+ 1e-3)``
+    (True, then False); None where L leaves no direction off it."""
+    n = L.dim_ambient
+    inside = [np.tensordot(rng.standard_normal(L.dim_span), L._stacked, axes=1) for _ in range(3)]
+    cases: list[tuple[np.ndarray, bool | None]] = [(p, True) for p in inside] + [(np.zeros((n, n)), True)]
+    off = random_hermitian(n, seed=int(rng.integers(1 << 16)))
+    off = off - L.project(off)
+    if np.linalg.norm(off) < 1e-3:
+        return cases
+    off /= np.linalg.norm(off)
+    cases.append((off, False))
+    for p in [*inside, np.zeros((n, n))]:
+        norm = float(np.linalg.norm(p))
+        for size in (0.5, 3.0):  # ||m|| below and above the floor of 1
+            q = size * p / norm if norm else p
+            for f, want in ((1 - 1e-3, True), (1 + 1e-3, False)):
+                c = SPAN_RTOL * f
+                # ||off part|| = c max(1, ||m||), with ||m||^2 = ||q||^2 + ||off part||^2
+                delta = c * size / np.sqrt(1 - c * c) if norm and size > 1 else c
+                cases.append((q + delta * off, want))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["full3", "block21", "block22", "comm4", "rot33", "zero3"])
+def test_coords_are_coeffs_and_contains_from_one_product(name):
+    L = {
+        "full3": lambda: full_hermitian_space(3),
+        "block21": block_2_1_algebra,
+        "block22": lambda: block_algebra((2, 2)),
+        "comm4": lambda: commutative_algebra(4, seed=5),
+        "rot33": lambda: conjugated(block_algebra((3, 3)), random_unitary(6, np.random.default_rng(33))),
+        "zero3": lambda: RealSubspace(dim_ambient=3, rows=np.empty((0, 18))),
+    }[name]()
+    cases = _coords_cases(L, np.random.default_rng(len(name)))
+    assert len(cases) == (4 if name == "full3" else 21)
+    for m, want in cases:
+        x, inside = L._coords(m)
+        assert x.dtype == float and x.tobytes() == L.coeffs(m).tobytes()
+        assert inside is residual_contains(L, m) is L.contains(m) is want
 
 
 @pytest.mark.parametrize("n", range(1, 8))
