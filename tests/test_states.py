@@ -334,8 +334,22 @@ def _oracle_algebras():
     return algs
 
 
+def test_bracket_tensor_matches_its_einsum_oracle():
+    algs = [full_hermitian_space(n) for n in range(1, 9)]
+    algs += [block_2_1_algebra(), block_algebra((2, 2)), block_algebra((1, 2, 3))]
+    algs += [commutative_algebra(n, seed=n) for n in (2, 3, 4)]
+    algs += [RealSubspace(dim_ambient=n, rows=np.empty((0, 2 * n * n))) for n in (1, 3)]
+    for k, alg in enumerate(algs):
+        n, r = alg.dim_ambient, alg.dim_span
+        for s in _oracle_states(n, seed=800 + k) + [State(np.eye(n, dtype=complex) / n)]:
+            got, want = _bracket_expectations(s, alg), einsum_bracket_expectations(s, alg)
+            assert got.shape == want.shape == (r, r)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
 def _bracket_tensor_cases() -> list[tuple[RealSubspace, State]]:
-    """Full(1..8), block, commutative and zero algebras, each with its oracle states and I/n."""
+    """The cases of ``test_bracket_tensor_matches_its_einsum_oracle``: full(1..8), block,
+    commutative and zero algebras, each with its oracle states and I/n."""
     algs = [full_hermitian_space(n) for n in range(1, 9)]
     algs += [block_2_1_algebra(), block_algebra((2, 2)), block_algebra((1, 2, 3))]
     algs += [commutative_algebra(n, seed=n) for n in (2, 3, 4)]
@@ -345,13 +359,6 @@ def _bracket_tensor_cases() -> list[tuple[RealSubspace, State]]:
         n = alg.dim_ambient
         cases += [(alg, s) for s in _oracle_states(n, seed=800 + k) + [State(np.eye(n, dtype=complex) / n)]]
     return cases
-
-
-def test_bracket_tensor_matches_its_einsum_oracle():
-    for alg, s in _bracket_tensor_cases():
-        got, want = _bracket_expectations(s, alg), einsum_bracket_expectations(s, alg)
-        assert got.shape == want.shape == (alg.dim_span, alg.dim_span)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_bracket_tensor_from_the_imaginary_part_equals_the_complex_table():

@@ -1481,13 +1481,13 @@ def test_residual_and_contains_agree_with_the_projection(name):
             method(np.eye(n + 1))
 
 
-def _coords_cases(L: RealSubspace, rng: np.random.Generator) -> list[tuple[np.ndarray, bool | None]]:
-    """Matrices with their expected membership: in-span ones (True), off-span ones (False) and
+def _coords_cases(L: RealSubspace, rng: np.random.Generator) -> list[tuple[np.ndarray, bool]]:
+    """Matrices with their expected membership: in-span ones (True), an off-span one (False) and
     boundary ones, whose part off L has HS norm ``SPAN_RTOL * max(1, ||m||) * (1 -+ 1e-3)``
-    (True, then False); None where L leaves no direction off it."""
+    (True, then False). Only the in-span ones where L leaves no direction off it."""
     n = L.dim_ambient
     inside = [np.tensordot(rng.standard_normal(L.dim_span), L._stacked, axes=1) for _ in range(3)]
-    cases: list[tuple[np.ndarray, bool | None]] = [(p, True) for p in inside] + [(np.zeros((n, n)), True)]
+    cases = [(p, True) for p in inside] + [(np.zeros((n, n)), True)]
     off = random_hermitian(n, seed=int(rng.integers(1 << 16)))
     off = off - L.project(off)
     if np.linalg.norm(off) < 1e-3:
