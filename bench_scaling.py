@@ -23,7 +23,9 @@ E_kk - E_(k+1)(k+1)); a row posts a time only when every call returns
 True.
 ``associator_defect`` rows time the full algebra at n = 8 and 12 the same
 way; a row posts a time only when every call returns 2^(-3/2), as
-0.3535533905932737, and names a triple. ``derived_algebra`` rows time the
+0.3535533905932737, and names a triple. The ``commutator_defect`` row
+times the full algebra at n = 24 and must return 1/2 as 0.4999999999999999
+and name a pair. ``derived_algebra`` rows time the
 ``lie_generate`` closure above at n = 16 and 24, and
 ``derived_algebra_full`` rows the full algebra at n = 24; each call gets a
 fresh copy of the algebra, whose closedness is proven at its bound with no
@@ -50,6 +52,10 @@ Each state is timed two ways:
   state once, so its closedness proofs and derived algebra are memoized;
   the associator criterion's exact pass runs again on every call.
 
+A warm run, of a query or of classify, repeats its call k times and posts
+the time per call; k is the number of untimed calls, made after the first,
+that took 10 ms (k = 1 for calls that long). A warm row records k as
+``calls_per_run``; a cold classify row, one process per run, records 1.
 Times are at reference speed: each timed interval is scaled by
 ``perfbench/speed.py``'s probe, sampled just before and just after it. A
 row is the median of 5 runs and carries the commit and the
@@ -57,7 +63,9 @@ row is the median of 5 runs and carries the commit and the
 and the peak RSS of the processes that ran it. A row whose verdict is not
 ``is_classical_commutator``'s (True for I/n) posts no time. Rows are
 appended to ``--out``, so the file keeps every run's rows; time the
-parent commit and the change one after the other on the same machine.
+parent commit and the change one after the other on the same machine,
+from clones at paths of equal length (a checkout's path alone moves its
+warm rows).
 """
 
 from __future__ import annotations
@@ -91,6 +99,7 @@ QUERIES = {
     "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
     "is_semisimple_lie_conjugated": ((24,), "semisimple", "verdict_ok", lambda n: True),
     "associator_defect": ((8, 12), "defect", "value_ok", lambda n: 0.3535533905932737),
+    "commutator_defect": ((24,), "defect", "value_ok", lambda n: 0.4999999999999999),
     "derived_algebra": ((16, 24), "dim_span", "dim_ok", lambda n: n * n - 1),
     "derived_algebra_full": ((24,), "dim_span", "dim_ok", lambda n: n * n - 1),
     "is_jordan_associative": ((24,), "associative", "verdict_ok", lambda n: False),
@@ -108,14 +117,24 @@ def state_matrix(n: int, t: float) -> list[list[float]]:
     return [[(1 - t) * (a == b) / n + t * v[a] * v[b] for b in range(n)] for a in range(n)]
 
 
-def timed(probe: SpeedProbe, run) -> tuple[float, object]:
-    """``run()``'s wall time at reference speed, and its result."""
+def timed(probe: SpeedProbe, run, k: int = 1) -> tuple[float, object]:
+    """The wall time of k calls of ``run()`` at reference speed, per call, and the last result."""
     probe.sample()
     t0 = time.perf_counter()
-    out = run()
+    for _ in range(k):
+        out = run()
     t1 = time.perf_counter()
     probe.sample()
-    return (t1 - t0) * probe.factor(t0, t1), out
+    return (t1 - t0) * probe.factor(t0, t1) / k, out
+
+
+def calls_per_run(run) -> int:
+    """How many calls of ``run()`` take at least 10 ms, counted by making them."""
+    k, t0 = 0, time.perf_counter()
+    while time.perf_counter() - t0 < 0.01:
+        run()
+        k += 1
+    return k
 
 
 def warm_worker(tree: Path, path: str) -> None:
@@ -132,17 +151,18 @@ def warm_worker(tree: Path, path: str) -> None:
     L = full_hermitian_space(s.dim)
     expected = is_classical_commutator(s, L).classical
     probe = SpeedProbe()
-    times, classical = [], None
+    times, classical, k = [], None, None
     try:
         classify(s, L)
+        k = calls_per_run(lambda: classify(s, L))
         for _ in range(RUNS):
-            dt, verdict = timed(probe, lambda: classify(s, L))
+            dt, verdict = timed(probe, lambda: classify(s, L), k)
             times.append(dt)
         classical = verdict.classical
     except CriteriaDisagree as exc:
         print(f"classify {path}: {exc}", file=sys.stderr)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"times": times, "classical": classical, "expected": expected, "rss_mb": rss}))
+    print(json.dumps({"times": times, "calls": k, "classical": classical, "expected": expected, "rss_mb": rss}))
 
 
 def query_worker(tree: Path, name: str, n: int) -> None:
@@ -158,6 +178,7 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         associator_witness_search,
         avr_witness_search,
         centralizer,
+        commutator_defect,
         derived_algebra,
         full_hermitian_basis,
         full_hermitian_space,
@@ -203,12 +224,13 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         def query() -> int:
             return centralizer(L, L).dim_span
 
-    elif name == "associator_defect":
+    elif name in ("associator_defect", "commutator_defect"):
         L = full_hermitian_space(n)
+        defect = {"associator_defect": associator_defect, "commutator_defect": commutator_defect}[name]
 
         def query() -> float | None:
-            value, triple = associator_defect(L)
-            return value if triple is not None else None
+            value, where = defect(L)
+            return value if where is not None else None
 
     elif name == "centralizer_blocks":
         blocks = []
@@ -242,13 +264,14 @@ def query_worker(tree: Path, name: str, n: int) -> None:
 
     probe = SpeedProbe()
     results = [query()]
+    k = calls_per_run(query)
     times = []
     for _ in range(RUNS):
-        dt, result = timed(probe, query)
+        dt, result = timed(probe, query, k)
         times.append(dt)
         results.append(result)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"times": times, "results": results, "rss_mb": rss}))
+    print(json.dumps({"times": times, "calls": k, "results": results, "rss_mb": rss}))
 
 
 def cold_runs(tree: Path, args: list[str], probe: SpeedProbe, verdict) -> tuple[list[float], set, float]:
@@ -321,6 +344,7 @@ def main() -> None:
                 key: want(n),
                 ok_key: good,
                 "median_s": round(statistics.median(got["times"]), 6) if good else None,
+                "calls_per_run": got["calls"],
                 "peak_rss_mb": round(got["rss_mb"], 1),
             })
             print(json.dumps(rows[-1]), flush=True)
@@ -352,9 +376,9 @@ def main() -> None:
                 cold, verdicts, cold_rss = cold_runs(
                     tree, ["classify", "--in", path], probe, lambda report: report["summary"]["classical"]
                 )
-                for mode, times, got, rss in (
-                    ("warm", warm["times"], {warm["classical"]}, warm["rss_mb"]),
-                    ("cold", cold, verdicts, cold_rss),
+                for mode, times, got, rss, k in (
+                    ("warm", warm["times"], {warm["classical"]}, warm["rss_mb"], warm["calls"]),
+                    ("cold", cold, verdicts, cold_rss, 1),
                 ):
                     good = ok and got == {expected}
                     rows.append({
@@ -366,6 +390,7 @@ def main() -> None:
                         "classical": expected,
                         "verdict_ok": good,
                         "median_s": round(statistics.median(times), 6) if good else None,
+                        "calls_per_run": k,
                         "peak_rss_mb": round(rss, 1),
                     })
                     print(json.dumps(rows[-1]), flush=True)

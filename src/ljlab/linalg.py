@@ -15,6 +15,7 @@ decision it makes, is listed in the README's tolerance table.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +155,10 @@ def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
     return out.reshape(x.shape[:-2])
 
 
-#: Largest entry modulus that ``span`` and the closure generators accept:
-#: its square times 2n^2 stays finite for any n below 10^7, so no HS norm
-#: or pair product of the raw input overflows.
+#: Largest entry modulus that ``span``, the closure generators and the
+#: quadratic entry points (``hs_inner``, ``hs_norm``, ``jordan_commute``,
+#: ``squared_witness``) accept: its square times 2n^2 stays finite for any
+#: n below 9,000, so no HS norm or pair product of the raw input overflows.
 _ENTRY_LIMIT = 1e150
 
 
@@ -171,6 +173,20 @@ def _require_finite(*mats: np.ndarray, limit: float = np.inf) -> None:
             raise ValidationError("matrix entries must be finite, got NaN or inf")
         if a.max(initial=0.0) > limit:
             raise ValidationError(f"matrix entries must have modulus at most {limit:g}, so no product overflows")
+
+
+@contextmanager
+def _no_overflow(what: str) -> Iterator[None]:
+    """Run a block with float overflow raised as ValidationError.
+
+    For products of three or more operands, whose entries ``_ENTRY_LIMIT``
+    does not keep finite: the overflow itself is the error.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise ValidationError(f"{what} overflows: the matrix entries are too large") from exc
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -236,19 +252,25 @@ def is_psd(m: np.ndarray) -> bool:
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt inner product Tr(a b), real for Hermitian operands; ValidationError for NaN or inf."""
+    """Hilbert-Schmidt inner product Tr(a b), real for Hermitian operands.
+
+    ValidationError for NaN, inf or an entry above ``_ENTRY_LIMIT``.
+    """
     x = as_matrix(a)
     y = as_matrix(b)
     if x.shape != y.shape:
         raise DimensionMismatch(f"shapes differ: {x.shape} vs {y.shape}")
-    _require_finite(x, y)
+    _require_finite(x, y, limit=_ENTRY_LIMIT)
     return float(np.real(np.sum(x * y.T)))
 
 
 def hs_norm(a: np.ndarray) -> float:
-    """Frobenius norm; equals sqrt(hs_inner(a, a)) for Hermitian a. ValidationError for NaN or inf."""
+    """Frobenius norm; equals sqrt(hs_inner(a, a)) for Hermitian a.
+
+    ValidationError for NaN, inf or an entry above ``_ENTRY_LIMIT``.
+    """
     x = as_matrix(a)
-    _require_finite(x)
+    _require_finite(x, limit=_ENTRY_LIMIT)
     return float(np.linalg.norm(x))
 
 

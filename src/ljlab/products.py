@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotInSpan
-from .linalg import DEFAULT_TOL, _opnorm, _require_finite, as_matrix, same_dim
+from .linalg import DEFAULT_TOL, _ENTRY_LIMIT, _no_overflow, _opnorm, _require_finite, as_matrix, same_dim
 
 __all__ = [
     "jordan",
@@ -170,12 +170,14 @@ def _residual_and_scale(row: int, operands, norms) -> tuple:
 def _check(row: int, operands: tuple) -> IdentityReport:
     """Judge ``_IDENTITIES[row]`` on single matrices, against ``DEFAULT_TOL`` at its norm scale.
 
-    ValidationError for NaN or inf entries.
+    ValidationError for NaN or inf entries, and for entries so large that
+    the defect or its scale overflows.
     """
     name = _IDENTITIES[row][0]
     xs = [as_matrix(m) for m in operands]
     _require_finite(*xs)
-    residual, scale = _residual_and_scale(row, xs, [_opnorm(x) for x in xs])
+    with _no_overflow(name):
+        residual, scale = _residual_and_scale(row, xs, [_opnorm(x) for x in xs])
     residual = float(residual)
     threshold = DEFAULT_TOL.threshold(scale)
     return IdentityReport(name=name, residual=residual, threshold=threshold, passed=residual <= threshold)
@@ -220,12 +222,13 @@ def jordan_commute(a, b, ambient) -> bool:
     subspace, as one stacked defect, each against ``DEFAULT_TOL`` at the
     scale ``||a|| ||b||``. Equivalent to [a, b] = 0 whenever the ambient
     space is closed under the products. Raises NotInSpan when a or b leaves
-    the ambient span, and ValidationError for NaN or inf entries.
+    the ambient span, and ValidationError for NaN, inf or an entry above
+    ``_ENTRY_LIMIT``.
     """
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
-    _require_finite(x, y)
+    _require_finite(x, y, limit=_ENTRY_LIMIT)
     if ambient.dim_ambient != n:
         raise DimensionMismatch(
             f"ambient dimension {ambient.dim_ambient} does not match operands of dim {n}"

@@ -19,9 +19,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _ENTRY_LIMIT,
     Tolerance,
     _gaussian_stack,
     _hermitian_part,
+    _no_overflow,
     _opnorm,
     _require_count,
     _require_finite,
@@ -63,10 +65,12 @@ def associator_witness(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> WitnessRe
     """Witness q = (a o b) o c - a o (b o c); violation is its norm.
 
     Found when the norm exceeds ``DEFAULT_TOL`` at the scale ``||a|| ||b|| ||c||``.
-    ValidationError for NaN or inf entries.
+    ValidationError for NaN or inf entries, and for entries so large that
+    the associator overflows.
     """
     _require_finite(a, b, c)
-    q = associator(a, b, c)
+    with _no_overflow("associator"):
+        q = associator(a, b, c)
     violation = spectral_norm(q)
     scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
     return WitnessReport(
@@ -82,9 +86,9 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
     """PSD witness q o q; vanishes exactly when q does.
 
     Found when its norm exceeds ``DEFAULT_TOL`` at the scale ``||q||^2``.
-    ValidationError for NaN or inf entries.
+    ValidationError for NaN, inf or an entry above ``_ENTRY_LIMIT``.
     """
-    _require_finite(q)
+    _require_finite(q, limit=_ENTRY_LIMIT)
     w = jordan(q, q)
     violation = spectral_norm(w)
     scale = spectral_norm(q) ** 2
@@ -97,26 +101,23 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
     )
 
 
-def _unit(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each matrix of a (..., n, n) stack over its operator norm, and whether that norm is positive.
+def _unit(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a (..., n, n) stack over its operator norm.
 
     A zero-norm matrix comes back unchanged, with no division warning.
     """
     nrm = _opnorm(m)[..., None, None]
-    ok = nrm > 0.0
-    return np.divide(m, nrm, out=np.array(m), where=ok), ok[..., 0, 0]
+    return np.divide(m, nrm, out=np.array(m), where=nrm > 0.0)
 
 
 def _unit_psd(g: np.ndarray) -> np.ndarray:
     """The PSD form g g^H of each factor in a (..., n, n) stack, at unit operator norm."""
-    return _unit(g @ np.conj(g).swapaxes(-1, -2))[0]
+    return _unit(g @ np.conj(g).swapaxes(-1, -2))
 
 
 #: Refinement schedule: at most 6000 steps, the first at step 0.1, halved
-#: after 20 rejects in a row, stopping below 1e-6.
-_MAX_STEPS, _FIRST_STEP, _MIN_STEP, _HALVE_AFTER = 6000, 0.1, 1e-6, 20
-#: Proposals scored as one stack: 8 after an accept, doubling up to 32.
-_WIDTH, _MAX_WIDTH = 8, 32
+#: after 20 rejects in a row, stopping below 1e-6; 8 proposals a stack.
+_MAX_STEPS, _FIRST_STEP, _MIN_STEP, _HALVE_AFTER, _WIDTH = 6000, 0.1, 1e-6, 20, 8
 
 
 def _search(
@@ -125,7 +126,7 @@ def _search(
     budget: int,
     draw: Callable[[list[np.random.Generator]], np.ndarray],
     move: Callable[[np.random.Generator], Any],
-    perturb: Callable[[np.ndarray, np.ndarray, list[Any]], tuple[np.ndarray, np.ndarray]],
+    perturb: Callable[[np.ndarray, np.ndarray, list[Any]], np.ndarray],
     score: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray | None:
     """Seeded multistart, then greedy refinement; returns the candidate of least score.
@@ -139,20 +140,19 @@ def _search(
     6000 steps draws a slot and a ``move(rng)``, and perturbs that factor of
     the current best; a strictly lower score is kept. Twenty rejects in a
     row halve the step, 0.1 at first, until it is below 1e-6.
-    ``perturb(factors, steps, moves)`` returns the perturbed factors and
-    which of them are usable (a step with an unusable one is skipped: it
-    counts toward the 6000 but not as a reject). ``score`` maps a stack of
-    k candidates to k scores; NaN is never kept. None for ``n == 1``, where
-    all observables commute, once the arguments pass their checks.
+    ``perturb(factors, steps, moves)`` returns the perturbed factors.
+    ``score`` maps a stack of k candidates to k scores; NaN is never kept.
+    None for ``n == 1``, where all observables commute, once the arguments
+    pass their checks.
 
     The refinement is speculative and batched, and its result is the
     sequential loop's, bit for bit. Slot and move draws never depend on the
     current best, and after a reject only the step size changes, by the
     fixed halving rule. So the next proposals are drawn from the rng in the
-    sequential order, built with the step sizes they would have if every
-    one were rejected, and scored as one stack. Steps are committed up to
-    the first accept or skip; the moves drawn after it wait in a queue and
-    are rebuilt on the new best.
+    sequential order, 8 at a time, built with the step sizes they would
+    have if every one were rejected, and scored as one stack. Steps are
+    committed up to the first accept; the moves drawn after it wait in a
+    queue and are rebuilt on the new best.
     """
     n = _require_count("dimension", n, 1)
     budget = _require_count("budget", budget, 1)
@@ -168,31 +168,24 @@ def _search(
         if best is None or vals[first] < best_val:
             best, best_val = trials[first], vals[first]
     rng = np.random.default_rng(derive_seed(seed, budget))
-    step, rejects, done, width = _FIRST_STEP, 0, 0, _WIDTH
+    step, rejects, done = _FIRST_STEP, 0, 0
     queue: list[tuple[int, Any]] = []
     while done < _MAX_STEPS and step >= _MIN_STEP:
-        # the step sizes of the next proposals if each one is rejected
-        steps, s, r, limit = [], step, rejects, min(width, _MAX_STEPS - done)
-        while len(steps) < limit and s >= _MIN_STEP:
-            steps.append(s)
-            r += 1
-            if r >= _HALVE_AFTER:
-                s, r = s * 0.5, 0
+        # the step sizes of the next proposals if each one is rejected;
+        # halving is exact, so these are the sequential loop's bits
+        steps = [step * 0.5 ** ((rejects + i) // _HALVE_AFTER) for i in range(_WIDTH)]
+        steps = np.array([s for s in steps[: _MAX_STEPS - done] if s >= _MIN_STEP])
         while len(queue) < len(steps):
             queue.append((int(rng.integers(len(best))), move(rng)))
         batch, queue = queue[: len(steps)], queue[len(steps) :]
         slots = np.array([slot for slot, _ in batch])
-        factors, usable = perturb(best[slots], np.array(steps), [m for _, m in batch])
         cands = np.repeat(best[None], len(batch), axis=0)
-        cands[np.arange(len(batch)), slots] = factors
+        cands[np.arange(len(batch)), slots] = perturb(best[slots], steps, [m for _, m in batch])
         vals = score(cands)
-        width = min(2 * width, _MAX_WIDTH)
         for k in range(len(batch)):
             done += 1
-            if not usable[k]:
-                break
             if vals[k] < best_val:
-                best, best_val, rejects, width = cands[k], vals[k], 0, _WIDTH
+                best, best_val, rejects = cands[k], vals[k], 0
                 break
             rejects += 1
             if rejects >= _HALVE_AFTER:
@@ -228,7 +221,7 @@ def avr_witness_search(
         bump = steps * z
         g = factors[:, 0].copy()
         g[np.arange(len(g)), i, j] += np.where(imag, 1j * bump, bump)
-        return np.stack([g, _unit_psd(g)], axis=1), np.ones(len(g), dtype=bool)
+        return np.stack([g, _unit_psd(g)], axis=1)
 
     def score(cands: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(jordan(cands[:, 0, 1], cands[:, 1, 1]))[:, 0]
@@ -262,7 +255,7 @@ def associator_witness_search(
     dirs = np.array(full_hermitian_basis(n))
 
     def draw(rngs: list[np.random.Generator]) -> np.ndarray:
-        return _unit(_hermitian_part(_gaussian_stack(rngs, n, 3)))[0]
+        return _unit(_hermitian_part(_gaussian_stack(rngs, n, 3)))
 
     def move(rng: np.random.Generator) -> tuple[int, float]:
         return int(rng.integers(len(dirs))), rng.standard_normal()

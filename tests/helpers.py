@@ -711,9 +711,7 @@ def loop_search(n, seed, budget, draw, move, perturb, score):
         if step < 1e-6:
             break
         slot = int(rng.integers(len(best)))
-        factor, usable = perturb(best[slot][None], np.array([step]), [move(rng)])
-        if not usable[0]:
-            continue
+        factor = perturb(best[slot][None], np.array([step]), [move(rng)])
         cand = best.copy()
         cand[slot] = factor[0]
         val = score(cand[None])[0]

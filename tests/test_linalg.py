@@ -311,6 +311,38 @@ def test_non_finite_input_raises_validation_error(call, bad):
         call(_poisoned(bad))
 
 
+@pytest.mark.parametrize(
+    "call, scale, message",
+    [
+        pytest.param(lambda m: hs_norm(m), 1e200, "at most 1e\\+150", id="hs_norm"),
+        pytest.param(lambda m: hs_inner(A3, m), 1e200, "at most 1e\\+150", id="hs_inner"),
+        pytest.param(lambda m: ljlab.squared_witness(m), 1e200, "at most 1e\\+150", id="squared_witness"),
+        pytest.param(
+            lambda m: ljlab.jordan_commute(m, A3, ljlab.full_hermitian_space(3)),
+            1e200,
+            "at most 1e\\+150",
+            id="jordan_commute",
+        ),
+        pytest.param(lambda m: ljlab.check_norm_axioms(A3, m), 1e200, "norm-axioms overflows", id="check_norm_axioms"),
+        # cubic in a: the defect overflows below the entry limit
+        pytest.param(
+            lambda m: ljlab.check_weak_associativity(m, B3),
+            1e150,
+            "weak-associativity overflows",
+            id="check_weak_associativity",
+        ),
+        pytest.param(lambda m: ljlab.check_jacobi(m, m, m), 1e150, "jacobi overflows", id="check_jacobi"),
+        pytest.param(lambda m: ljlab.associator_witness(m, m, m), 1e150, "associator overflows", id="associator_witness"),
+    ],
+)
+def test_overflowing_input_raises_validation_error(call, scale, message):
+    # warnings are errors here, so an overflow RuntimeWarning would fail the match
+    with pytest.raises(ValidationError, match=message):
+        call(scale * A3)
+    # far below the overflow the same call answers
+    call(1e60 * A3)
+
+
 def test_derive_seed_is_injective_over_trials():
     seeds = {derive_seed(42, t) for t in range(2000)}
     assert len(seeds) == 2000

@@ -6,7 +6,9 @@ block-diagonal generators generates the direct sum of what its blocks
 generate. Verdicts and closure dimensions must respect all three, a
 block state on a direct sum of full blocks is classified block by block, and
 witness values must be unitarily invariant and homogeneous of the degree
-of their product. The tests are seeded parametrizations, so every case is
+of their product. An orthonormal re-basing of an algebra keeps the
+commutator verdict outside a band around the threshold, whose width the
+dimension sets. The tests are seeded parametrizations, so every case is
 reproducible.
 """
 
@@ -15,9 +17,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import block_algebra, commutative_algebra, conjugated, random_unitary
+from helpers import (
+    block_algebra,
+    commutative_algebra,
+    conjugated,
+    einsum_bracket_expectations,
+    random_unitary,
+)
 from ljlab import (
     DEFAULT_TOL,
+    RealSubspace,
     State,
     associator_witness,
     centralizer,
@@ -26,6 +35,7 @@ from ljlab import (
     derived_algebra,
     full_hermitian_space,
     is_classical_associator,
+    is_classical_commutator,
     is_semisimple_lie,
     jordan,
     jordan_generate_three,
@@ -37,6 +47,7 @@ from ljlab import (
     squared_witness,
     traceless,
 )
+from ljlab.states import CLASSICALITY_RTOL
 
 ALGEBRAS = ("full2", "full3", "full4", "block21", "block22", "comm3", "comm4")
 
@@ -123,6 +134,29 @@ def test_associator_criterion_is_invariant_under_unitary_conjugation(name, seed)
         second = is_classical_associator(State(u @ rho @ u.conj().T), UL)
         assert first.classical == second.classical
         assert abs(second.max_violation - first.max_violation) <= DEFAULT_TOL.threshold(first.max_violation)
+
+
+@pytest.mark.parametrize("n", (3, 4, 6, 8))
+def test_the_commutator_verdict_survives_a_rebasing_outside_its_band(n):
+    """Re-based rows Q L.rows, Q orthogonal, turn C into Q C Q^T. The largest
+    |entry| m of an r x r matrix lies in [sigma_1 / r, sigma_1], and sigma_1(C)
+    is basis-free, so both bases' maxima do: the verdicts agree when
+    m <= theta / r or m > r theta, and may differ only between."""
+    L = full_hermitian_space(n)
+    r, theta = L.dim_span, CLASSICALITY_RTOL
+    rng = np.random.default_rng(7000 + n)
+    rebased = [RealSubspace(n, np.linalg.qr(rng.standard_normal((r, r)))[0] @ L.rows) for _ in range(3)]
+    v = np.arange(1.0, n + 1) / np.sqrt(n * (n + 1) * (2 * n + 1) / 6)
+    for t in 10.0 ** (np.arange(-48, -11) / 4):
+        s = State((1 - t) * np.eye(n) / n + t * np.outer(v, v))
+        sigma = np.linalg.norm(einsum_bracket_expectations(s, L), 2)
+        first = is_classical_commutator(s, L)
+        m = first.max_violation
+        for R in rebased:
+            second = is_classical_commutator(s, R)
+            assert sigma / r * (1 - 1e-9) <= second.max_violation <= sigma * (1 + 1e-9)
+            if m <= theta / r or m > r * theta:
+                assert second.classical == first.classical
 
 
 @pytest.mark.parametrize("kind", ["pure", "wishart", "mixed"])

@@ -179,7 +179,7 @@ def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
 
     def perturb(factors, step, moves):
         steps.extend(step.tolist())
-        return factors + 1.0, np.ones(len(factors), dtype=bool)
+        return factors + 1.0
 
     # trials are told apart by a value the score ignores: every score ties,
     # so every refinement step is a reject
@@ -191,40 +191,16 @@ def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
     assert steps[::20] == [0.1 * 0.5**k for k in range(17)]
 
 
-def test_search_counts_skipped_steps_toward_the_step_cap_but_not_as_rejects():
-    def run(delta):
-        calls = []
-
-        def move(rng):
-            calls.append(None)
-            return len(calls)
-
-        def perturb(factors, step, moves):
-            # the odd-numbered proposals are skipped
-            return factors + delta, np.array(moves) % 2 == 0
-
-        draw = lambda rngs: np.zeros((len(rngs), 1, 1))
-        score = lambda cands: cands[:, 0, 0]
-        best = _search(2, seed=0, budget=1, draw=draw, move=move, perturb=perturb, score=score)
-        return best[0, 0], len(calls)
-
-    # every proposal improves, so only the 6000-step cap ends refinement
-    assert run(-1.0) == (-3000.0, 6000)
-    # no proposal improves; only the 340 proposals that are not skipped are rejects
-    assert run(+1.0) == (0.0, 2 * 17 * 20)
-
-
-def _scripted(accept=(), skip=(), nan=()):
+def _scripted(accept=(), nan=()):
     """One-slot search callbacks that script each proposal's fate by its draw index.
 
     A factor is ``[k, step, accepts, sum of accepted k]`` for the proposal k
-    that made it. Proposal k is skipped when k is in ``skip``, scores NaN
-    when in ``nan``, and improves on every earlier score when in ``accept``;
-    all others tie with the trial, which is a reject. Also returns the list
-    of drawn moves.
+    that made it. Proposal k scores NaN when in ``nan``, and improves on
+    every earlier score when in ``accept``; all others tie with the trial,
+    which is a reject. Also returns the list of drawn moves.
     """
     drawn = []
-    accept, skip, nan = (np.array(sorted(x), dtype=float) for x in (accept, skip, nan))
+    accept, nan = (np.array(sorted(x), dtype=float) for x in (accept, nan))
 
     def move(rng):
         drawn.append(len(drawn))
@@ -236,7 +212,7 @@ def _scripted(accept=(), skip=(), nan=()):
         out[:, 0], out[:, 1] = k, step
         out[:, 2] += 1.0
         out[:, 3] += k
-        return out, ~np.isin(k, skip)
+        return out
 
     def score(cands):
         k = cands[:, 0, 0]
@@ -256,7 +232,7 @@ def _run_both(**script):
     return got[0].tolist(), len(drawn)
 
 
-# batches are 8 wide from an accept, then 16 and 32 while nothing is accepted
+# batches are 8 wide: every position of the first batch, and the edges of later ones
 @pytest.mark.parametrize("k", list(range(8)) + [8, 15, 16, 23, 24, 31, 40, 55, 56, 87])
 def test_search_accept_at_each_batch_position_matches_the_one_step_loop(k):
     best, drawn = _run_both(accept={k})
@@ -273,22 +249,6 @@ def test_search_accept_runs_match_the_one_step_loop(accept):
     best, _ = _run_both(accept=accept)
     k = max(accept)
     assert best[0] == k and best[2:] == [len(accept), sum(accept)]
-
-
-def test_search_rebuilds_the_proposals_after_a_mid_batch_skip():
-    # five rejects, a skip and 14 rejects leave proposal 20 at step 0.1
-    best, drawn = _run_both(skip={5}, accept={20})
-    assert best == [20.0, 0.1, 1.0, 20.0]
-    # the same inside the 32-wide batch of proposals 24..55: after the first
-    # halving, 10 rejects, a skip and 9 rejects leave proposal 40 at step 0.05
-    best, drawn = _run_both(skip={30}, accept={40})
-    assert best == [40.0, 0.05, 1.0, 40.0]
-    # more skips, across the halving points and batch edges
-    # more skips, across a halving point and batch edges: 16 rejects before
-    # proposal 22, then 36 before 60, so one halving
-    best, drawn = _run_both(skip={3, 7, 8, 19, 20, 21, 50}, accept={22, 60})
-    assert best == [60.0, 0.05, 2.0, 82.0]
-    assert drawn == 61 + 16 * 20
 
 
 def test_search_stops_at_the_step_cap_in_mid_batch():
@@ -313,7 +273,7 @@ def test_search_never_keeps_a_nan_score():
             return np.array([(scores + [np.nan])[int(t)] for t in cands[:, 0, 0]])
 
         draw = lambda rngs: np.arange(len(rngs), dtype=float).reshape(-1, 1, 1)
-        perturb = lambda factors, step, moves: (factors * 0.0 + 4.0, np.ones(len(factors), bool))
+        perturb = lambda factors, step, moves: factors * 0.0 + 4.0
         best = _search(2, 0, 4, draw, lambda rng: None, perturb, score)
         assert best.tolist() == [[2.0]]
 
@@ -328,10 +288,9 @@ def test_stacked_unit_forms_equal_the_per_matrix_forms_bit_for_bit(n):
     for idx in np.ndindex(g.shape[:2]):
         assert units[idx].tobytes() == loop_unit_psd(g[idx]).tobytes()
     h = 0.5 * (g + np.conj(g).swapaxes(-1, -2))
-    normed, usable = _unit(h)
+    normed = _unit(h)
     for idx in np.ndindex(h.shape[:2]):
         nrm = spectral_norm(h[idx])
-        assert usable[idx] == (nrm != 0.0)
         assert normed[idx].tobytes() == (h[idx] / nrm if nrm != 0.0 else h[idx]).tobytes()
 
 
@@ -348,5 +307,5 @@ def test_search_scores_trials_in_chunks_with_the_same_winner(monkeypatch, chunk)
     draw = lambda rngs: np.array([[[rng.random()]] for rng in rngs])
     # every trial scores the same: the first one drawn wins
     score = lambda cands: np.zeros(len(cands))
-    best = _search(2, 9, 10, draw, lambda rng: None, lambda f, s, m: (f, np.ones(len(f), bool)), score)
+    best = _search(2, 9, 10, draw, lambda rng: None, lambda f, s, m: f, score)
     assert best[0, 0] == np.random.default_rng(derive_seed(9, 0)).random()
