@@ -47,9 +47,10 @@ from .linalg import (
     Tolerance,
     _gaussian_stack,
     _hermitian_part,
-    _hs_norms,
     _opnorm,
     _require_seed,
+    _row_norms,
+    _rows,
     _screened_opnorm,
     _trial_rngs,
     derive_seed,
@@ -227,7 +228,7 @@ def cmd_verify(cfg: SessionConfig) -> Outcome:
                 defect = formula(*abc[:arity])
                 # exact wherever a residual can reach the maximum, which is at least the norm of the
                 # largest HS norm's defect, or exceed zero_tol, below which it passes at any scale
-                top = _opnorm(defect[np.argmax(_hs_norms(defect))])
+                top = _opnorm(defect[np.argmax(_row_norms(_rows(defect)))])
                 residual = _screened_opnorm(defect, min(top, cfg.tol.zero_tol))
                 worst[i] = np.maximum(worst[i], residual.max())
                 t = np.flatnonzero(~(residual <= cfg.tol.zero_tol))

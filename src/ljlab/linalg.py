@@ -126,10 +126,18 @@ _NORM_SLACK = 1e-6
 _SQUARES_FLOOR = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
 
 
-def _hs_norms(x: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt norm of each matrix in an (m, n, n) stack: the root of its sum of squares."""
-    v = np.ascontiguousarray(x).reshape(len(x), x.shape[1] * x.shape[2]).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
+def _rows(mats: np.ndarray) -> np.ndarray:
+    """Real rows (..., 2n^2) of a (..., n, n) stack; a view when it is contiguous complex.
+
+    The dot product of two rows is Re Tr(a^H b), the Hilbert-Schmidt inner
+    product, which for a Hermitian a is Re Tr(a b).
+    """
+    a = np.ascontiguousarray(mats, dtype=complex)
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1]).view(float)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
 def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
@@ -145,7 +153,7 @@ def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
     if x.size == 0:
         return _opnorm(x)
     flat = x.reshape(-1, *x.shape[-2:])
-    hs = _hs_norms(flat)
+    hs = _row_norms(_rows(flat))
     if not (np.isfinite(hs).all() and floor >= _SQUARES_FLOOR):
         return _opnorm(x)
     out = np.zeros(len(flat))

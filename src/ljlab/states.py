@@ -44,7 +44,7 @@ from .errors import (
     NotInSpan,
     ValidationError,
 )
-from .linalg import _NORM_SLACK, _opnorm, _require_finite, as_matrix, random_density
+from .linalg import _NORM_SLACK, _opnorm, _require_finite, _row_norms, _rows, as_matrix, random_density
 from .products import jordan, lie
 from .subspace import (
     _DEFECT_FLOOR,
@@ -53,8 +53,6 @@ from .subspace import (
     _Block,
     _brackets,
     _first_max,
-    _row_norms,
-    _rows,
     derived_algebra,
     require_closed,
 )

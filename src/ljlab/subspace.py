@@ -60,6 +60,8 @@ from .linalg import (
     _require_dim,
     _require_finite,
     _require_seed,
+    _row_norms,
+    _rows,
     _screened_opnorm,
     _trial_rngs,
     as_matrix,
@@ -226,20 +228,6 @@ def full_hermitian_basis(n: int) -> list[np.ndarray]:
 
 def full_hermitian_space(n: int) -> RealSubspace:
     return RealSubspace(dim_ambient=n, rows=_rows(full_hermitian_basis(n)))
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
-
-
-def _rows(mats: np.ndarray) -> np.ndarray:
-    """Real rows (..., 2n^2) of a (..., n, n) stack; a view when it is contiguous complex.
-
-    The dot product of two rows is Re Tr(a^H b), the Hilbert-Schmidt inner
-    product, which for a Hermitian a is Re Tr(a b).
-    """
-    a = np.ascontiguousarray(mats, dtype=complex)
-    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1]).view(float)
 
 
 #: ``_extend`` removes its kept rows from the unvisited candidates as one
@@ -550,9 +538,10 @@ def _ad_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
     """Orthonormal rows, in coordinates against L, that span the constraints x -> [x, s], s in S.
 
     An S at its ``lie`` bound, Herm(n) or su(n), has commutant RI (Schur's
-    lemma), so with no bracket formed the rows are the complement of I's
-    unit coordinate vector when L contains I, else the unit vectors. Below
-    it each real entry of [e_i, s_j], over i, is a constraint row; ``_extend``
+    lemma), so with no bracket formed the rows are the unit vectors, or when
+    L contains I the complement of its unit coordinates u: rows 1.. of the
+    Householder reflection that maps u to a multiple of e_0. Below it each
+    real entry of [e_i, s_j], over i, is a constraint row; ``_extend``
     ranks them ``max(1, _BLOCK // 2n^2)`` elements s_j at a time, skipping
     all-zero rows. The walk stops, as a closure round stops at ``_bound``,
     once the kept rows reach r - 1 when L contains I (central), else r.
@@ -560,7 +549,11 @@ def _ad_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
     r, n = L.dim_span, L.dim_ambient
     unit, central = L._coords(np.eye(n))
     if S.dim_span == _bound(S, lie):
-        return _extend(unit[None] / math.sqrt(unit @ unit), np.eye(r)) if central else np.eye(r)
+        if not central:
+            return np.eye(r)
+        v = unit / math.sqrt(unit @ unit)
+        v[0] += math.copysign(1.0, v[0])  # the reflection is I - 2 v v^T / (v^T v)
+        return np.eye(r)[1:] - np.outer(v[1:] * (2.0 / (v @ v)), v)
     step = max(1, _BLOCK // (2 * n * n))
     kept = np.empty((0, r))
     for s in range(0, S.dim_span, step):
@@ -579,8 +572,8 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
     Beyond an Introduction*, ch. I): the span of the centralizer's
     constraint rows ``_ad_rows(L, L)``, which by the trace form's
     ad-invariance hold each bracket's coordinates as a unit combination.
-    Its basis is those rows times ``L.rows``: L's own rows for su(n), L's
-    rows projected off I for Herm(n), else the kept rows of that walk.
+    Its basis is those rows times ``L.rows``: L's own rows for su(n), a
+    Householder basis of I's complement for Herm(n), else the walk's rows.
     """
     require_closed(L, lie)
     if "derived" not in L._memo:
@@ -612,11 +605,6 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
 #: index for them, and ``is_commutative`` and ``is_jordan_associative``
 #: count them as zero.
 _DEFECT_FLOOR = DEFAULT_TOL.threshold(1.0)
-
-
-def _kept(rows: np.ndarray) -> np.ndarray:
-    """Which rows of a block of brackets are not roundoff: HS norm above ``_DEFECT_FLOOR / 2``."""
-    return np.linalg.norm(rows, axis=1) > 0.5 * _DEFECT_FLOOR
 
 
 #: A block of values over index triples: ``vals[p, j]`` belongs to ``(i[p], j, k[p])``.
@@ -695,25 +683,25 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     return best, (i, k) if best > _DEFECT_FLOOR else None
 
 
-def _associator_norms(L: RealSubspace, floor: float) -> Iterator[_Block]:
+def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
     """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``.
 
     By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
-    only triples whose pair {i, k} ``_kept`` keeps are formed, found by one
-    ``_brackets`` pass: every other one has norm at most half of
-    ``_DEFECT_FLOOR``. A block holds one i, a run of
+    only triples whose bracket [e_k, e_i] has HS norm above half of
+    ``_DEFECT_FLOOR`` are formed, found by one ``_brackets`` pass: every
+    other one has norm at most that. A block holds one i, a run of
     its partners k and every j: at most max(``_BLOCK``, r) triples, formed
     into the block's buffer about ``_CHUNK_BYTES`` at a time and normed
-    together. Norms below the running best, which starts at floor, are 0.0
-    (``_running_screen``): only associators that can reach it get an SVD.
+    together. Norms below the running best are 0.0 (``_running_screen``):
+    only associators that can reach it get an SVD.
     """
     e, r = L._stacked, L.dim_span
     partners = np.zeros((r, r), dtype=bool)
-    for keep, i, k in _brackets(L, lambda br: _kept(_rows(br))):
+    for keep, i, k in _brackets(L, lambda br: np.linalg.norm(_rows(br), axis=1) > 0.5 * _DEFECT_FLOOR):
         partners[i[keep], k[keep]] = partners[k[keep], i[keep]] = True
     step = max(1, _BLOCK // max(r, 1))
     chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
-    screen = _running_screen(floor)
+    screen = _running_screen(0.0)
     for i in np.flatnonzero(partners.any(axis=1)):
         ks = np.flatnonzero(partners[i])
         eij = _products(e[i], e, jordan)  # eij[j] = e_i o e_j
@@ -733,12 +721,12 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     The triple is the first largest by ``_first_max``'s tie rule, and None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
     value is still returned), as in ``commutator_defect``. Only triples
-    whose pair {i, k} ``_kept`` keeps are formed (``_associator_norms``):
-    every other one has norm at most half the floor, so the value and the
-    triple are those of all r^3 triples whenever a triple is named, and 0.0
-    stands for roundoff otherwise.
+    whose bracket [e_k, e_i] is above half the floor in HS norm are formed
+    (``_associator_norms``): every other one is at most that, so the value
+    and the triple are those of all r^3 triples whenever a triple is named,
+    and 0.0 stands for roundoff otherwise.
     """
-    best, idx, _ = _first_max(_associator_norms(L, 0.0))
+    best, idx, _ = _first_max(_associator_norms(L))
     return best, idx if best > _DEFECT_FLOOR else None
 
 
@@ -755,14 +743,15 @@ def is_commutative(L: RealSubspace) -> bool:
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:
-    """Whether the Jordan associator vanishes on L. Same closure requirements.
+    """Whether the Jordan associator vanishes on L: ``is_commutative(L)``, with its closure requirements.
 
-    ``associator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
-    block of associator norms above the floor.
+    ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]`` and ``||e_j||_op <= 1``, so no
+    associator exceeds the largest bracket; L times i is compact, so a nonzero
+    bracket lies in [L, L], which meets the center only in 0, and some e_j does
+    not commute with it. The rule reads the largest bracket against
+    ``_DEFECT_FLOOR``, so a largest associator under it can still read False.
     """
-    require_closed(L, jordan)
-    require_closed(L, lie)
-    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _associator_norms(L, _DEFECT_FLOOR))
+    return is_commutative(L)
 
 
 def is_semisimple_lie(L: RealSubspace) -> bool:

@@ -6,10 +6,10 @@ block-diagonal generators generates the direct sum of what its blocks
 generate. Verdicts and closure dimensions must respect all three, a
 block state on a direct sum of full blocks is classified block by block, and
 witness values must be unitarily invariant and homogeneous of the degree
-of their product. An orthonormal re-basing of an algebra keeps the
-commutator verdict outside a band around the threshold, whose width the
-dimension sets. The tests are seeded parametrizations, so every case is
-reproducible.
+of their product. An orthonormal re-basing of an algebra keeps each
+criterion's verdict outside a band around the threshold, whose width the
+dimension sets, and classify's outcome outside all of them. The tests are
+seeded parametrizations, so every case is reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from helpers import (
 )
 from ljlab import (
     DEFAULT_TOL,
+    CriteriaDisagree,
     RealSubspace,
     State,
     associator_witness,
@@ -35,6 +36,7 @@ from ljlab import (
     derived_algebra,
     full_hermitian_space,
     is_classical_associator,
+    is_classical_center,
     is_classical_commutator,
     is_semisimple_lie,
     jordan,
@@ -157,6 +159,54 @@ def test_the_commutator_verdict_survives_a_rebasing_outside_its_band(n):
             assert sigma / r * (1 - 1e-9) <= second.max_violation <= sigma * (1 + 1e-9)
             if m <= theta / r or m > r * theta:
                 assert second.classical == first.classical
+
+
+def _criteria(s: State, L: RealSubspace) -> dict:
+    verdicts = {"commutator": is_classical_commutator(s, L), "associator": is_classical_associator(s, L)}
+    if L.contains(s.rho):
+        verdicts["center"] = is_classical_center(s, L)
+    return verdicts
+
+
+def _outcome(s: State, L: RealSubspace) -> bool | None:
+    """classify's verdict, None when its criteria disagree."""
+    try:
+        return classify(s, L).classical
+    except CriteriaDisagree:
+        return None
+
+
+@pytest.mark.parametrize("name", ("full3", "full4", "full6", "block22"))
+def test_the_associator_and_center_verdicts_survive_a_rebasing_outside_their_bands(name):
+    """Re-based rows Q L.rows, Q orthogonal. The associator values form a
+    trilinear form with basis-free spectral norm sigma, and the largest
+    |entry| of an r x r x r array lies in [sigma / r^(3/2), sigma]. The center
+    values are ||[rho, d_k]||_op over an orthonormal basis of [L, L], of
+    dimension m: none exceeds M, the supremum over HS-unit d in [L, L], and
+    the largest is at least M / sqrt(m). So each verdict agrees in both bases
+    when its maximum lies outside (theta / b, b theta], b = r^(3/2) or
+    sqrt(m), and classify's outcome does when every maximum lies outside its
+    band (the commutator's, b = r, included). rho_t = (1 - t) I / n + t P,
+    with P the projection of v v^T onto L, is a state in span(L)."""
+    L = _algebra(name)
+    n, r, theta = L.dim_ambient, L.dim_span, CLASSICALITY_RTOL
+    bands = {"commutator": r, "associator": r**1.5, "center": np.sqrt(derived_algebra(L).dim_span)}
+    rng = np.random.default_rng(7100 + n)
+    rebased = [RealSubspace(n, np.linalg.qr(rng.standard_normal((r, r)))[0] @ L.rows) for _ in range(3)]
+    v = np.arange(1.0, n + 1) / np.sqrt(n * (n + 1) * (2 * n + 1) / 6)
+    p = L.project(np.outer(v, v))
+    for t in 10.0 ** (np.arange(-48, -11) / 4):
+        s = State((1 - t) * np.eye(n) / n + t * p)
+        first = _criteria(s, L)
+        assert set(first) == set(bands)
+        outside = {k: not theta / bands[k] < first[k].max_violation <= bands[k] * theta for k in first}
+        for R in rebased:
+            second = _criteria(s, R)
+            for k, out in outside.items():
+                if out:
+                    assert second[k].classical == first[k].classical, (k, t)
+            if all(outside.values()):
+                assert _outcome(s, R) == _outcome(s, L), t
 
 
 @pytest.mark.parametrize("kind", ["pure", "wishart", "mixed"])

@@ -271,6 +271,30 @@ def test_derived_algebra_matches_the_respanned_brackets():
     assert {0, 3, 6, 8, 15, 24} <= dims
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_the_complement_of_the_identity_at_the_lie_bound_is_one_reflection(monkeypatch, n):
+    """With S at its ``lie`` bound and I in L, ``_ad_rows`` takes rows 1.. of
+    the Householder reflection that maps I's unit coordinate vector u to a
+    multiple of e_0: orthonormal rows orthogonal to u, with no rank pass."""
+    algs = [full_hermitian_space(n)]
+    if n > 1:
+        a, b = random_hermitian(n, seed=70 + n), random_hermitian(n, seed=80 + n)
+        algs.append(jordan_generate_three(a, b).closure)  # another basis of Herm(n)
+
+    def forbidden(*args):
+        raise AssertionError("the closed form ran the rank kernel")
+
+    monkeypatch.setattr(subspace_mod, "_extend", forbidden)
+    for L in algs:
+        r = L.dim_span
+        assert r == n * n
+        u = L.coeffs(np.eye(n)) / np.sqrt(n)
+        rows = subspace_mod._ad_rows(L, L)
+        assert rows.shape == (r - 1, r)
+        assert np.abs(rows @ rows.T - np.eye(r - 1)).max(initial=0.0) <= 2e-15
+        assert np.abs(rows.T @ rows + np.outer(u, u) - np.eye(r)).max() <= 2e-15
+
+
 def test_derived_requires_lie_closure():
     with pytest.raises(NotClosed):
         derived_algebra(span([SX, SY]))
@@ -785,6 +809,43 @@ def test_is_jordan_associative_stops_at_the_first_block_above_the_floor(monkeypa
     calls[0] = 0
     associator_defect(full_hermitian_space(6))
     assert calls[0] > 1
+
+
+@pytest.mark.parametrize(
+    "kind, n", [("full", n) for n in range(1, 7)] + [("block", 0)] + [("closures", n) for n in (3, 4)]
+)
+def test_no_associator_exceeds_the_largest_bracket(kind, n):
+    """assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]], and the i/2 bracket with
+    ||e_j||_op <= 1 does not grow a norm: the direction of
+    ``is_jordan_associative``'s rule that holds at any size."""
+    for alg in _defect_algebras(kind, n):
+        assert associator_defect(alg)[0] <= commutator_defect(alg)[0]
+
+
+def test_near_roundoff_spans_differ_in_the_two_rules_only_between_them():
+    """span{E_kk + eps X_k} at n = 3, eps = 10^(q/4): ``is_jordan_associative``
+    reads the largest bracket, ``associator_defect`` the largest associator,
+    which is smaller. The two rules differ only where the floor lies between
+    them, at eps = 1e-9 here; from 10^-8.25 on the span is not closed."""
+    n = 3
+    rng = np.random.default_rng(0)
+    xs = [random_hermitian(n, rng) for _ in range(n)]
+    differ, not_closed = [], []
+    for q in range(-48, -23):
+        alg = span([np.diag(np.eye(n)[k]) + 10.0 ** (q / 4) * xs[k] for k in range(n)])
+        bracket, assoc = commutator_defect(alg)[0], associator_defect(alg)[0]
+        assert assoc <= bracket
+        try:
+            verdict = is_jordan_associative(alg)
+        except NotClosed:
+            not_closed.append(q)
+            continue
+        assert verdict == (bracket <= _DEFECT_FLOOR)
+        if verdict != (assoc <= _DEFECT_FLOOR):
+            assert assoc <= _DEFECT_FLOOR < bracket
+            differ.append(q)
+    assert differ == [-36]
+    assert not_closed == list(range(-33, -23))
 
 
 def test_defects_take_an_svd_only_where_the_hs_norm_can_reach_the_running_best(monkeypatch):
