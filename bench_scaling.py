@@ -35,6 +35,10 @@ times the full algebra at n = 24 and must read False. The witness rows
 time ``avr_witness_search(4, 0, 1000)`` and
 ``associator_witness_search(6, 0, 1000)``, the searches of ``ljlab witness
 --budget 1000``; a row posts a time only when every search finds a witness.
+The ``cmd_verify`` rows time ``cmd_verify`` of ``ljlab verify --dim n
+--trials 25 --seed 0``, in process, at n = 2, 4 and 6: the benchmark's
+verify ops without the report's JSON; a row posts a time only when all 5
+checks pass.
 
 The verify row times a cold ``python -m ljlab verify --trials 1000``
 process, the n = 2..6 sweep, from start to exit; it posts a time only when
@@ -105,6 +109,7 @@ QUERIES = {
     "is_jordan_associative": ((24,), "associative", "verdict_ok", lambda n: False),
     "avr_witness_search": ((4,), "found", "found_ok", lambda n: True),
     "associator_witness_search": ((6,), "found", "found_ok", lambda n: True),
+    "cmd_verify": ((2, 4, 6), "checks_passed", "passed_ok", lambda n: 5),
 }
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
@@ -217,6 +222,14 @@ def query_worker(tree: Path, name: str, n: int) -> None:
 
         def query() -> bool:
             return search(n, 0, 1000).found
+
+    elif name == "cmd_verify":
+        from ljlab.cli import SessionConfig, cmd_verify
+
+        cfg = SessionConfig(command="verify", dim=n, trials=25, seed=0)
+
+        def query() -> int:
+            return cmd_verify(cfg)[1]["checks_passed"]
 
     elif name == "centralizer":
         L = full_hermitian_space(n)

@@ -164,8 +164,9 @@ def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
 
 
 #: Largest entry modulus that ``span``, the closure generators and the
-#: quadratic entry points (``hs_inner``, ``hs_norm``, ``jordan_commute``,
-#: ``squared_witness``) accept: its square times 2n^2 stays finite for any
+#: quadratic entry points (``jordan``, ``lie``, ``recover_associative``,
+#: ``hs_inner``, ``hs_norm``, ``jordan_commute``, ``squared_witness``)
+#: accept: its square times 2n^2 stays finite for any
 #: n below 9,000, so no HS norm or pair product of the raw input overflows.
 _ENTRY_LIMIT = 1e150
 
@@ -327,14 +328,18 @@ def derive_seed(seed: int, index: int) -> int:
 _TRIAL_CHUNK = 1024
 
 
-def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[list[np.random.Generator]]:
-    """The generators of trials start to stop - 1, at most ``_TRIAL_CHUNK`` a list.
+def _trial_rngs(
+    seed: int, start: int, stop: int, chunk: int = _TRIAL_CHUNK
+) -> Iterator[list[np.random.Generator]]:
+    """The generators of trials start to stop - 1, at most ``chunk`` a list.
 
-    Trial t draws from ``default_rng(derive_seed(seed, t))``.
+    Trial t draws from ``default_rng(derive_seed(seed, t))``; the seed and
+    start pass ``derive_seed``'s checks once, not once a trial.
     """
-    for lo in range(start, stop, _TRIAL_CHUNK):
-        ts = range(lo, min(lo + _TRIAL_CHUNK, stop))
-        yield [np.random.default_rng(derive_seed(seed, t)) for t in ts]
+    seed = _require_seed(seed)
+    _require_count("index", start, 0)
+    for lo in range(start, stop, chunk):
+        yield [np.random.default_rng(seed ^ t) for t in range(lo, min(lo + chunk, stop))]
 
 
 def _gaussian_stack(rngs: list[np.random.Generator], n: int, k: int) -> np.ndarray:

@@ -15,9 +15,15 @@ product of the operand norms, one factor per slot of the identity.
 The products and the identity defects broadcast over leading axes: operands
 may be ``(..., n, n)`` stacks, and each identity has one formula, listed
 with its report name, norm scale and arity in ``_IDENTITIES``, which
-``ljlab verify`` evaluates on stacks of random trials. The tests require a
+``ljlab verify`` evaluates on stacks of random trials. A formula takes the
+``_Products`` of its operands, which forms each matrix product once per
+stack, so the five identities share their products. The tests require a
 stacked result to be bit-equal, slice by slice, to the same call on single
 matrices.
+
+Only the public products check their input; the package's own callers,
+on arrays it built itself, take the unchecked kernels ``_jordan``,
+``_lie`` and ``_associator``.
 """
 
 from __future__ import annotations
@@ -44,51 +50,112 @@ __all__ = [
 ]
 
 
-def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex square matrices, or stacks of them, with a common n and broadcastable lead axes."""
-    x = np.asarray(a, dtype=complex)
-    y = np.asarray(b, dtype=complex)
-    for m in (x, y):
+def _operands(*mats: np.ndarray, limit: float = _ENTRY_LIMIT) -> list[np.ndarray]:
+    """Complex square matrices, or stacks of them, with a common n and broadcastable lead axes.
+
+    ValidationError for NaN, inf or an entry of modulus above ``limit``.
+    """
+    xs = [np.asarray(m, dtype=complex) for m in mats]
+    for m in xs:
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise DimensionMismatch(
                 f"expected a square matrix or a stack of them, got shape {m.shape}"
             )
-    if x.shape[-1] != y.shape[-1]:
-        raise DimensionMismatch(f"dimensions differ: {x.shape[-1]} vs {y.shape[-1]}")
-    if x.shape[:-2] != y.shape[:-2]:
-        try:
-            np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-        except ValueError as exc:
-            raise DimensionMismatch(
-                f"stack shapes do not broadcast: {x.shape} vs {y.shape}"
-            ) from exc
-    return x, y
+    for m in xs[1:]:
+        if m.shape[-1] != xs[0].shape[-1]:
+            raise DimensionMismatch(f"dimensions differ: {xs[0].shape[-1]} vs {m.shape[-1]}")
+    try:
+        np.broadcast_shapes(*(m.shape[:-2] for m in xs))
+    except ValueError as exc:
+        shapes = " vs ".join(str(m.shape) for m in xs)
+        raise DimensionMismatch(f"stack shapes do not broadcast: {shapes}") from exc
+    _require_finite(*xs, limit=limit)
+    return xs
+
+
+# The unchecked kernels, for arrays the package built itself. ``mul`` forms
+# each ordered matrix product; ``_Products`` passes its memo.
+
+
+def _jordan(x: np.ndarray, y: np.ndarray, mul=np.matmul) -> np.ndarray:
+    return 0.5 * (mul(x, y) + mul(y, x))
+
+
+def _lie(x: np.ndarray, y: np.ndarray, mul=np.matmul) -> np.ndarray:
+    return 0.5j * (mul(x, y) - mul(y, x))
+
+
+def _associator(x: np.ndarray, y: np.ndarray, z: np.ndarray, jordan=_jordan) -> np.ndarray:
+    return jordan(jordan(x, y), z) - jordan(x, jordan(y, z))
 
 
 def jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetrized product (ab + ba) / 2."""
-    x, y = _operands(a, b)
-    return 0.5 * (x @ y + y @ x)
+    """Symmetrized product (ab + ba) / 2.
+
+    ValidationError for NaN, inf or an entry above ``_ENTRY_LIMIT``.
+    """
+    return _jordan(*_operands(a, b))
 
 
 def lie(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hermitian-valued bracket (i/2)(ab - ba)."""
-    x, y = _operands(a, b)
-    return 0.5j * (x @ y - y @ x)
+    """Hermitian-valued bracket (i/2)(ab - ba).
+
+    ValidationError for NaN, inf or an entry above ``_ENTRY_LIMIT``.
+    """
+    return _lie(*_operands(a, b))
 
 
 def associator(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Jordan associator (a o b) o c - a o (b o c)."""
-    return jordan(jordan(a, b), c) - jordan(a, jordan(b, c))
+    """Jordan associator (a o b) o c - a o (b o c).
+
+    ValidationError for NaN or inf entries, and for entries so large that
+    the associator overflows.
+    """
+    xs = _operands(a, b, c, limit=np.inf)
+    with _no_overflow("associator"):
+        return _associator(*xs)
 
 
 def recover_associative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ordinary matrix product rebuilt from the two Hermitian products.
 
     ab = a o b - i [a, b]; the checkers never need this, but it pins the
-    sign and scaling of the bracket convention.
+    sign and scaling of the bracket convention. ValidationError as ``jordan``.
     """
-    return jordan(a, b) - 1j * lie(a, b)
+    x, y = _operands(a, b)
+    return _jordan(x, y) - 1j * _lie(x, y)
+
+
+class _Products:
+    """The products of one stack of operands a, b and c (None for two), each formed once.
+
+    ``jordan`` and ``lie`` are the unchecked kernels, and every ordered
+    matrix product ``x @ y`` they take is formed once: ``x @ y`` and
+    ``y @ x`` stay two products, so each result is the kernel's, bit for bit.
+    A Jordan or Lie product is formed once too and returned as the same
+    array, so the products of shared intermediates (a o b, [c, a], ...) are
+    formed once as well. Keys are operand ids; each entry holds its
+    operands, so no other array takes their ids while the stack lives.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None):
+        self.a, self.b, self.c = a, b, c
+        self._formed: dict[tuple, tuple] = {}
+
+    def _once(self, kind: str, x: np.ndarray, y: np.ndarray, form) -> np.ndarray:
+        key = (kind, id(x), id(y))
+        if key not in self._formed:
+            self._formed[key] = (x, y, form())
+        return self._formed[key][2]
+
+    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._once("@", x, y, lambda: x @ y)
+
+    def jordan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._once("o", x, y, lambda: _jordan(x, y, self.mul))
+
+    def lie(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._once("[]", x, y, lambda: _lie(x, y, self.mul))
 
 
 @dataclass(frozen=True)
@@ -101,28 +168,33 @@ class IdentityReport:
     passed: bool
 
 
-# Each defect identity maps its operands, single matrices or (..., n, n)
-# stacks, to its defect matrices, and its scale maps their operator norms to
-# the norm scale of each slice. The norm-axioms residual is a difference of
-# norms, not the norm of a defect, so that formula maps the operands and
-# their norms to the residual and the scale itself, and has no scale entry.
+# Each defect identity maps the ``_Products`` of its operands, single
+# matrices or (..., n, n) stacks, to its defect matrices, and its scale maps
+# the operands' operator norms to the norm scale of each slice. The
+# norm-axioms residual is a difference of norms, not the norm of a defect,
+# so that formula maps the products and the operand norms to the residual
+# and the scale itself, and has no scale entry.
 
 
-def _jacobi(a, b, c):
-    return lie(lie(a, b), c) + lie(lie(b, c), a) + lie(lie(c, a), b)
+def _jacobi(p):
+    a, b, c = p.a, p.b, p.c
+    return p.lie(p.lie(a, b), c) + p.lie(p.lie(b, c), a) + p.lie(p.lie(c, a), b)
 
 
-def _leibniz(a, b, c):
-    return lie(a, jordan(b, c)) - jordan(lie(a, b), c) - jordan(b, lie(a, c))
+def _leibniz(p):
+    a, b, c = p.a, p.b, p.c
+    return p.lie(a, p.jordan(b, c)) - p.jordan(p.lie(a, b), c) - p.jordan(b, p.lie(a, c))
 
 
-def _associator_identity(a, b, c):
-    return associator(a, b, c) - lie(b, lie(c, a))
+def _associator_identity(p):
+    a, b, c = p.a, p.b, p.c
+    return _associator(a, b, c, p.jordan) - p.lie(b, p.lie(c, a))
 
 
-def _weak_associativity(a, b):
-    sq = jordan(a, a)
-    return jordan(jordan(sq, b), a) - jordan(sq, jordan(b, a))
+def _weak_associativity(p):
+    a, b = p.a, p.b
+    sq = p.jordan(a, a)
+    return p.jordan(p.jordan(sq, b), a) - p.jordan(sq, p.jordan(b, a))
 
 
 def _product_scale(na, nb, nc):
@@ -135,10 +207,11 @@ def _cube_scale(na, nb):
     return cube * nb
 
 
-def _norm_axioms(a, b, na, nb):
-    sq_a = jordan(a, a)
-    sq_b = jordan(b, b)
-    v_sub = _opnorm(jordan(a, b)) - na * nb
+def _norm_axioms(p, na, nb):
+    a, b = p.a, p.b
+    sq_a = p.jordan(a, a)
+    sq_b = p.jordan(b, b)
+    v_sub = _opnorm(p.jordan(a, b)) - na * nb
     norm_sq_a = _opnorm(sq_a)
     v_square = np.abs(norm_sq_a - na * na)
     v_dominance = norm_sq_a - _opnorm(sq_a + sq_b)
@@ -162,9 +235,10 @@ _IDENTITIES = (
 def _residual_and_scale(row: int, operands, norms) -> tuple:
     """``_IDENTITIES[row]``'s residual and norm scale on operands whose operator norms are norms."""
     _, formula, scale, _ = _IDENTITIES[row]
+    p = _Products(*operands)
     if scale is None:
-        return formula(*operands, *norms)
-    return _opnorm(formula(*operands)), scale(*norms)
+        return formula(p, *norms)
+    return _opnorm(formula(p)), scale(*norms)
 
 
 def _check(row: int, operands: tuple) -> IdentityReport:
@@ -238,5 +312,5 @@ def jordan_commute(a, b, ambient) -> bool:
             raise NotInSpan(f"operand {label} is not in the ambient subspace")
     threshold = DEFAULT_TOL.threshold(float(_opnorm(x)) * float(_opnorm(y)))
     e = ambient._stacked
-    defect = jordan(x, jordan(y, e)) - jordan(y, jordan(x, e))
+    defect = _jordan(x, _jordan(y, e)) - _jordan(y, _jordan(x, e))
     return not (_opnorm(defect) > threshold).any()

@@ -67,7 +67,7 @@ from .linalg import (
     as_matrix,
     same_dim,
 )
-from .products import jordan, lie
+from .products import _jordan, _lie, jordan, lie
 
 __all__ = [
     "SPAN_RTOL",
@@ -815,7 +815,7 @@ def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     y = as_matrix(b)
     n = same_dim(x, y)
     _require_finite(x, y, limit=_ENTRY_LIMIT)
-    return _generation_report([x, y, lie(x, y), np.eye(n, dtype=complex)], jordan)
+    return _generation_report([x, y, _lie(x, y), np.eye(n, dtype=complex)], jordan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -968,7 +968,7 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
             sq[:, 2] += sq[:, 1]
             a, b, big = sq[:, 0], sq[:, 1], sq[:, 2]
             na, nb, nbig = _opnorm(sq).T
-            tests = ((a, b, jordan(a, b), na * nb), (big, b, big @ big - b @ b, nbig**2 + nb**2))
+            tests = ((a, b, _jordan(a, b), na * nb), (big, b, big @ big - b @ b, nbig**2 + nb**2))
             for kind, (p, q, m, scale) in enumerate(tests):
                 lam = np.linalg.eigvalsh(m)[:, 0]
                 hit = lam < -DEFAULT_TOL.threshold(scale)

@@ -19,20 +19,18 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    _ENTRY_LIMIT,
     Tolerance,
     _gaussian_stack,
     _hermitian_part,
-    _no_overflow,
     _opnorm,
     _require_count,
-    _require_finite,
     _require_seed,
     _trial_rngs,
     derive_seed,
     spectral_norm,
 )
-from .products import associator, jordan
+from .errors import ValidationError
+from .products import _associator, _jordan, associator, jordan
 from .subspace import full_hermitian_basis
 
 __all__ = [
@@ -68,9 +66,7 @@ def associator_witness(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> WitnessRe
     ValidationError for NaN or inf entries, and for entries so large that
     the associator overflows.
     """
-    _require_finite(a, b, c)
-    with _no_overflow("associator"):
-        q = associator(a, b, c)
+    q = associator(a, b, c)
     violation = spectral_norm(q)
     scale = spectral_norm(a) * spectral_norm(b) * spectral_norm(c)
     return WitnessReport(
@@ -88,7 +84,6 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
     Found when its norm exceeds ``DEFAULT_TOL`` at the scale ``||q||^2``.
     ValidationError for NaN, inf or an entry above ``_ENTRY_LIMIT``.
     """
-    _require_finite(q, limit=_ENTRY_LIMIT)
     w = jordan(q, q)
     violation = spectral_norm(w)
     scale = spectral_norm(q) ** 2
@@ -99,6 +94,11 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
         violation=violation,
         found=violation > DEFAULT_TOL.threshold(scale),
     )
+
+
+def _require_tol(tol: Tolerance) -> None:
+    if not isinstance(tol, Tolerance):
+        raise ValidationError(f"tol must be a Tolerance, got {tol!r}")
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -204,7 +204,9 @@ def avr_witness_search(
     entries with a shrinking step. Found when the most negative eigenvalue
     is below ``-tol.zero_tol``, flat: the inputs have unit norm. Dimension 1
     is commutative, so the report comes back with found False.
+    ValidationError when tol is not a ``Tolerance``.
     """
+    _require_tol(tol)
 
     # a slot holds a factor g and its unit PSD form, so each form is computed once
     def draw(rngs: list[np.random.Generator]) -> np.ndarray:
@@ -224,13 +226,13 @@ def avr_witness_search(
         return np.stack([g, _unit_psd(g)], axis=1)
 
     def score(cands: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(jordan(cands[:, 0, 1], cands[:, 1, 1]))[:, 0]
+        return np.linalg.eigvalsh(_jordan(cands[:, 0, 1], cands[:, 1, 1]))[:, 0]
 
     best = _search(n, seed, budget, draw, move, perturb, score)
     if best is None:
         return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
     a, b = best[:, 1]
-    witness = jordan(a, b)
+    witness = _jordan(a, b)
     violation = float(np.linalg.eigvalsh(witness)[0])
     return WitnessReport(
         kind="avr",
@@ -249,8 +251,9 @@ def associator_witness_search(
     Trials draw unit-norm Hermitian triples; refinement perturbs along the
     canonical Hermitian basis directions, renormalizing after each step.
     Found when the associator's norm exceeds ``tol.zero_tol``, flat: the
-    inputs have unit norm.
+    inputs have unit norm. ValidationError when tol is not a ``Tolerance``.
     """
+    _require_tol(tol)
     n = _require_count("dimension", n, 1)  # _search's check, before the basis is built
     dirs = np.array(full_hermitian_basis(n))
 
@@ -267,13 +270,13 @@ def associator_witness_search(
     def score(cands: np.ndarray) -> np.ndarray:
         a, b, c = cands.swapaxes(0, 1)
         # _search minimizes; IEEE negation is exact, so the ranking is the norm's
-        return -_opnorm(associator(a, b, c))
+        return -_opnorm(_associator(a, b, c))
 
     best = _search(n, seed, budget, draw, move, perturb, score)
     if best is None:
         return WitnessReport(kind="associator", witness=None, inputs=(), violation=0.0, found=False)
     a, b, c = best
-    witness = associator(a, b, c)
+    witness = _associator(a, b, c)
     violation = spectral_norm(witness)
     return WitnessReport(
         kind="associator",

@@ -111,14 +111,32 @@ def test_verify_across_a_trial_chunk_boundary_equals_per_trial_loop_bit_for_bit(
     assert all_passed == all(c["passed"] for c in ref)
 
 
+def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_bit(monkeypatch):
+    # at n = 6 a stack holds _STACK_BYTES // 576 = 227 trials, so 230 trials take two stacks,
+    # and no operand of a stack exceeds the byte bound that keeps the evaluator's memory small
+    stacks = []
+
+    class Recorded(cli._Products):
+        def __init__(self, *operands):
+            stacks.append(operands[0].nbytes)
+            super().__init__(*operands)
+
+    monkeypatch.setattr(cli, "_Products", Recorded)
+    checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=6, trials=230, seed=5))
+    assert len(stacks) == 2 and max(stacks) <= cli._STACK_BYTES
+    ref = loop_verify_checks((6,), 230, 5)
+    assert _fields(checks) == _fields(ref)
+    assert all_passed == all(c["passed"] for c in ref)
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_svd_does(bad, monkeypatch):
     # the screen must not hide a non-finite defect: the maximum is NaN and the check fails, or the
     # SVD raises, as it does on the whole stack (LAPACK may reject a NaN matrix outright)
     from ljlab import products
 
-    def poisoned(a, b, c):
-        d = products._jacobi(a, b, c)
+    def poisoned(p):
+        d = products._jacobi(p)
         d[1, 0, 0] = bad
         return d
 
@@ -139,8 +157,8 @@ def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_svd_does(bad, 
 def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
     # trial 0 holds the largest defect and passes at its large scale; trial 1's smaller defect fails at
     # scale 1, so the screen must keep every defect above zero_tol, not only those near the maximum
-    def defects(a, b, c):
-        d = np.zeros_like(a)
+    def defects(p):
+        d = np.zeros_like(p.a)
         d[0], d[1] = 1e-3 * np.eye(3), 1e-8 * np.eye(3)
         return d
 

@@ -19,6 +19,7 @@ from ljlab import (
     DimensionMismatch,
     NotInSpan,
     Tolerance,
+    ValidationError,
     associator,
     check_associator_identity,
     check_jacobi,
@@ -35,7 +36,7 @@ from ljlab import (
     span,
 )
 from ljlab.linalg import _opnorm
-from ljlab.products import _IDENTITIES, _residual_and_scale
+from ljlab.products import _IDENTITIES, _Products, _residual_and_scale
 
 
 def test_jordan_pauli_fixtures():
@@ -86,6 +87,37 @@ def test_associator_pauli_fixture():
     # commuting diagonal triple associates
     d = [np.diag(v).astype(complex) for v in ([1, 2], [3, 4], [5, 6])]
     np.testing.assert_allclose(associator(*d), np.zeros((2, 2)), atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "fn, arity, huge, message",
+    [
+        (jordan, 2, 1e200, "at most 1e\\+150"),
+        (lie, 2, 1e200, "at most 1e\\+150"),
+        (recover_associative, 2, 1e200, "at most 1e\\+150"),
+        # cubic in the entries: it overflows below the entry limit
+        (associator, 3, 1e150, "associator overflows"),
+    ],
+    ids=["jordan", "lie", "recover_associative", "associator"],
+)
+def test_public_products_reject_non_finite_and_overflowing_input(fn, arity, huge, message):
+    # every warning is an error here: a matmul warning, or a silent NaN, fails the test
+    good = [random_hermitian(3, seed=k) for k in range(arity)]
+    cases = [("must be finite", k, bad) for k in range(arity) for bad in (np.nan, np.inf)]
+    for match, slot, bad in [*cases, (message, None, None)]:
+        operands = [huge * x for x in good]  # the overflow case scales every operand
+        if slot is not None:
+            operands = list(good)
+            operands[slot] = random_hermitian(3, seed=9)
+            operands[slot][0, 2] = operands[slot][2, 0] = bad
+        with pytest.raises(ValidationError, match=match):
+            fn(*operands)
+        # a stack is checked the same way
+        with pytest.raises(ValidationError, match=match):
+            fn(*(np.stack([x, x]) for x in operands))
+    # far below the overflow the same call answers
+    assert np.isfinite(fn(*(1e60 * x for x in good))).all()
 
 
 def test_recover_associative_matches_matmul():
@@ -262,6 +294,37 @@ def test_stacked_identity_defects_and_scales_equal_per_slice_calls(n):
         ]
         assert residual.tobytes() == np.array([r for r, _ in per_slice]).tobytes()
         assert scale.tobytes() == np.array([s for _, s in per_slice]).tobytes()
+
+
+class _Matmuls(np.ndarray):
+    """An array that counts the matmuls taken of it, and of every array computed from it."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Matmuls.count += 1
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        return out.view(_Matmuls) if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_one_stack_forms_each_matrix_product_of_the_five_identities_once(n):
+    # written out, the five formulas take 52 matmuls of 26 distinct ordered operand pairs:
+    # ab, ba, bc, cb, ca, ac, aa, bb, and 18 products of their Jordan and Lie products
+    a, b, c = (_stack(n, 25, 30 * n + k) for k in range(3))
+    p = _Products(*(m.view(_Matmuls) for m in (a, b, c)))
+    _Matmuls.count = 0
+    for _, formula, scale, _ in _IDENTITIES:
+        if scale is None:
+            formula(p, _opnorm(a), _opnorm(b))
+        else:
+            formula(p)
+    assert _Matmuls.count == 26  # at most 32, the operand products alone formed once
+    # a second pass over the same stack forms nothing new
+    for _, formula, scale, _ in _IDENTITIES[:4]:
+        formula(p)
+    assert _Matmuls.count == 26
 
 
 def test_checkers_equal_their_per_matrix_reference_bit_for_bit():

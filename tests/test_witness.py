@@ -125,6 +125,13 @@ def test_associator_search_dimension_one():
     assert rep.violation == 0.0
 
 
+@pytest.mark.parametrize("tol", [1e-9, None, "1e-9"], ids=["float", "none", "str"])
+def test_searches_reject_a_tol_that_is_not_a_tolerance(tol):
+    for search in (avr_witness_search, associator_witness_search):
+        with pytest.raises(ValidationError, match="tol must be a Tolerance"):
+            search(2, 0, 1, tol)
+
+
 def test_search_argument_validation():
     with pytest.raises(ValidationError):
         avr_witness_search(0, seed=0, budget=10)
