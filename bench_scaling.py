@@ -21,8 +21,8 @@ n = 16 and 24, and the ``is_semisimple_lie_conjugated`` row su(24)
 spanned from conjugated rank-2 elements (the off-diagonal units and
 E_kk - E_(k+1)(k+1)); a row posts a time only when every call returns
 True.
-``associator_defect`` rows time the full algebra at n = 8 and 12 the same
-way; a row posts a time only when every call returns 2^(-3/2), as
+``associator_defect`` rows time the full algebra at n = 8, 12 and 16 the
+same way; a row posts a time only when every call returns 2^(-3/2), as
 0.3535533905932737, and names a triple. The ``commutator_defect`` row
 times the full algebra at n = 24 and must return 1/2 as 0.4999999999999999
 and name a pair. ``derived_algebra`` rows time the
@@ -102,7 +102,7 @@ QUERIES = {
     "centralizer_blocks": ((16, 24), "dim_span", "dim_ok", lambda n: 2),
     "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
     "is_semisimple_lie_conjugated": ((24,), "semisimple", "verdict_ok", lambda n: True),
-    "associator_defect": ((8, 12), "defect", "value_ok", lambda n: 0.3535533905932737),
+    "associator_defect": ((8, 12, 16), "defect", "value_ok", lambda n: 0.3535533905932737),
     "commutator_defect": ((24,), "defect", "value_ok", lambda n: 0.4999999999999999),
     "derived_algebra": ((16, 24), "dim_span", "dim_ok", lambda n: n * n - 1),
     "derived_algebra_full": ((24,), "dim_span", "dim_ok", lambda n: n * n - 1),

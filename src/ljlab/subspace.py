@@ -22,9 +22,11 @@ Rounds and the pair queries (defects, centralizer) form products with one
 Hermitian pair kernel (``_products``); a block of index pairs is formed in
 cache-sized chunks (``_block_products``), and the i < k basis brackets come
 from one stream (``_brackets``), which the associator criterion reads
-too. The centralizer and the derived algebra share one walk over the
-constraints x -> [x, s] (``_ad_rows``), which an S spanning su(n) skips
-(Schur's lemma). The defects and the associator criterion take their
+too; ``associator_defect`` forms one bracket [e_j, B] per triple of a
+stream bracket B, by the Jordan-Lie associator identity. The
+centralizer and the derived algebra share one walk over the constraints
+x -> [x, s] (``_ad_rows``), which an S spanning su(n) skips (Schur's
+lemma). The defects and the associator criterion take their
 maxima from one running first maximum (``_first_max``), which holds the
 one tie rule; the defects take an SVD only of a bracket or associator
 whose HS norm can reach the running maximum (``_running_screen``).
@@ -121,7 +123,8 @@ class RealSubspace:
     its real and imaginary parts interleaved (``_rows``); ``dim_span`` r may
     be zero. The constructor keeps a read-only C-contiguous copy. It raises
     DimensionMismatch for an ambient dimension below 1 and for any other
-    row length, and ValidationError for complex rows, whose imaginary parts
+    row length, and ValidationError for a dimension that is not an integer
+    (``_require_dim``), for complex rows, whose imaginary parts
     a float copy would drop, and for NaN or infinite entries, which the
     closedness and classicality tests would misjudge without a word.
     ``_stacked`` (r, n, n) and ``basis`` are views of the copy. Immutability
@@ -134,9 +137,8 @@ class RealSubspace:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.dim_ambient
-        if n < 1:
-            raise DimensionMismatch(f"ambient dimension must be >= 1, got {n}")
+        n = _require_dim(self.dim_ambient)
+        object.__setattr__(self, "dim_ambient", n)
         shape = np.shape(self.rows)
         if len(shape) != 2 or shape[1] != 2 * n * n:
             raise DimensionMismatch(
@@ -614,8 +616,8 @@ _Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _brackets(L: RealSubspace, f: Callable[[np.ndarray], np.ndarray]) -> Iterator[_Block]:
     """Blocks ``(f(brackets), i, k)`` of the basis brackets ``[e_i, e_k]``, i < k.
 
-    The one bracket stream of the defects, the associator queries' pair
-    pass and the associator criterion: row-major (i, k) order, ``_BLOCK``
+    The one bracket stream of the defects, ``is_commutative`` and the
+    associator criterion: row-major (i, k) order, ``_BLOCK``
     pairs a block, each formed in cache-sized chunks (``_block_products``).
     ``f`` maps each whole block before it is yielded, so no bracket block
     outlives its step.
@@ -684,35 +686,26 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
 
 
 def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
-    """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``.
+    """Blocks of Jordan associator norms, ``vals[p, j] = ||assoc(e_i[p], e_j, e_k[p])||``, i < k.
 
-    By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``,
-    only triples whose bracket [e_k, e_i] has HS norm above half of
-    ``_DEFECT_FLOOR`` are formed, found by one ``_brackets`` pass: every
-    other one has norm at most that. A block holds one i, a run of
-    its partners k and every j: at most max(``_BLOCK``, r) triples, formed
-    into the block's buffer about ``_CHUNK_BYTES`` at a time and normed
-    together. Norms below the running best are 0.0 (``_running_screen``):
-    only associators that can reach it get an SVD.
+    By the Jordan-Lie identity ``assoc(e_i, e_j, e_k) = [e_j, [e_k, e_i]]``
+    each triple is one bracket ``[e_j, B]`` of a basis bracket B = [e_i, e_k]
+    (the sign leaves the norm), read off the one ``_brackets`` pass. Only
+    pairs whose B has HS norm above half of ``_DEFECT_FLOOR`` are formed:
+    every other triple has norm at most that (``||e_j||_op <= 1``). The
+    mirror (k, j, i) has the same norm and comes later in row-major order,
+    so it is never formed. A kept pair's r brackets are formed, and normed,
+    about ``_CHUNK_BYTES`` at a time. Norms below the running best are 0.0
+    (``_running_screen``): only associators that can reach it get an SVD.
     """
-    e, r = L._stacked, L.dim_span
-    partners = np.zeros((r, r), dtype=bool)
-    for keep, i, k in _brackets(L, lambda br: np.linalg.norm(_rows(br), axis=1) > 0.5 * _DEFECT_FLOOR):
-        partners[i[keep], k[keep]] = partners[k[keep], i[keep]] = True
-    step = max(1, _BLOCK // max(r, 1))
+    e = L._stacked
     chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
     screen = _running_screen(0.0)
-    for i in np.flatnonzero(partners.any(axis=1)):
-        ks = np.flatnonzero(partners[i])
-        eij = _products(e[i], e, jordan)  # eij[j] = e_i o e_j
-        for s in range(0, len(ks), step):
-            k = ks[s : s + step]
-            assoc = np.empty((len(k), *e.shape), dtype=complex)
-            for t in range(0, len(k), chunk):
-                ek = e[k[t : t + chunk], None]
-                right = _products(e[i], _products(e, ek, jordan), jordan)
-                np.subtract(_products(eij, ek, jordan), right, out=assoc[t : t + chunk])
-            yield screen(assoc), np.full(len(k), i), k
+    for br, i, k in _brackets(L, lambda br: br):
+        p = np.flatnonzero(np.linalg.norm(_rows(br), axis=1) > 0.5 * _DEFECT_FLOOR)
+        if len(p):
+            vals = [screen(_products(e, br[q, None], lie)) for q in np.split(p, range(chunk, len(p), chunk))]
+            yield np.concatenate(vals), i[p], k[p]
 
 
 def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
@@ -720,11 +713,14 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
 
     The triple is the first largest by ``_first_max``'s tie rule, and None
     when the largest norm is at most ``DEFAULT_TOL.threshold(1.0)`` (the
-    value is still returned), as in ``commutator_defect``. Only triples
-    whose bracket [e_k, e_i] is above half the floor in HS norm are formed
-    (``_associator_norms``): every other one is at most that, so the value
-    and the triple are those of all r^3 triples whenever a triple is named,
-    and 0.0 stands for roundoff otherwise.
+    value is still returned), as in ``commutator_defect``. Each triple is
+    one bracket [e_j, [e_k, e_i]], formed in one pass of the bracket
+    stream, only for pairs whose bracket [e_k, e_i] is above half the floor
+    in HS norm, and only with i < k (``_associator_norms``): a triple of
+    any other pair is at most that, and (k, j, i) has the norm of (i, j,
+    k), which comes first, so the value and the triple are those of all
+    r^3 triples whenever a triple is named, and 0.0 stands for roundoff
+    otherwise.
     """
     best, idx, _ = _first_max(_associator_norms(L))
     return best, idx if best > _DEFECT_FLOOR else None

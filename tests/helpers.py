@@ -4,7 +4,7 @@ Oracles here deliberately avoid the package's own span/closure machinery:
 ranks come from an SVD of stacked real vectorizations, 2x2 eigenvalues from
 the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
-loops, the blocked associator defect from its whole-stack form, the pair
+loops, the streamed associator defect from its whole-stack forms, the pair
 kernel and the derived algebra from their index-form and re-spanning copies,
 witness searches from their own multistart and refinement loops, the
 batched search driver from its one-step-at-a-time loop, the rank
@@ -277,6 +277,28 @@ def stacked_associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, i
         if norms[j, k] > best:
             best, arg = float(norms[j, k]), (int(i), int(j), int(ks[k]))
     return best, arg if best > _DEFECT_FLOOR else None
+
+
+def stacked_bracket_associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | None]:
+    """``associator_defect`` as one bracket per triple, over all kept pairs in one stack.
+
+    The reference for the streamed query, bit for bit: the associator of
+    (i, j, k), i < k, is ``lie(e_j, B)`` up to sign, B = ``lie(e_i, e_k)``,
+    for the pairs whose B has HS norm above half of ``_DEFECT_FLOOR``; the
+    first largest in row-major (i, j, k) order is named.
+    """
+    e, r = L._stacked, L.dim_span
+    i, k = np.triu_indices(r, 1)
+    br = _products(e[i], e[k], lie)
+    keep = np.linalg.norm(_rows(br), axis=1) > 0.5 * _DEFECT_FLOOR
+    if not keep.any():
+        return 0.0, None
+    norms = _opnorm(_products(e, br[keep, None], lie))  # norms[p, j] of (i[keep][p], j, k[keep][p])
+    best = float(norms.max())
+    p, j = np.nonzero(norms == best)
+    i, k = i[keep][p], k[keep][p]
+    q = int(np.lexsort((k, j, i))[0])
+    return best, (int(i[q]), int(j[q]), int(k[q])) if best > _DEFECT_FLOOR else None
 
 
 def loop_centralizer(

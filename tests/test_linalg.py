@@ -275,6 +275,58 @@ def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
         call()
 
 
+#: Malformed values of each kind of integer argument: a dimension or budget
+#: starts at 1, a count (samples, a trial index) at 0, so 0 is not among its values.
+_MALFORMED = {
+    "from 1": (0, -1, 2.5, True, "3", None),
+    "from 0": (-1, 2.5, True, "3", None),
+    "seed": (-1, 2.5, True, "1", None),
+}
+_FULL2 = ljlab.full_hermitian_space(2)
+#: (public callable, argument, kind, call with that argument x and the others valid)
+_BOUNDARY = [
+    ("random_hermitian", "n", "from 1", lambda x: random_hermitian(x, 0)),
+    ("random_hermitian", "seed", "seed", lambda x: random_hermitian(2, x)),
+    ("random_density", "n", "from 1", lambda x: random_density(x, 0)),
+    ("random_density", "seed", "seed", lambda x: random_density(2, x)),
+    ("random_state", "n", "from 1", lambda x: ljlab.random_state(x, 0)),
+    ("random_state", "seed", "seed", lambda x: ljlab.random_state(2, x)),
+    ("derive_seed", "seed", "seed", lambda x: derive_seed(x, 0)),
+    ("derive_seed", "index", "from 0", lambda x: derive_seed(0, x)),
+    ("full_hermitian_basis", "n", "from 1", lambda x: ljlab.full_hermitian_basis(x)),
+    ("full_hermitian_space", "n", "from 1", lambda x: ljlab.full_hermitian_space(x)),
+    ("RealSubspace", "dim_ambient", "from 1", lambda x: ljlab.RealSubspace(x, np.zeros((0, 8)))),
+    ("check_positivity_closure", "samples", "from 0", lambda x: ljlab.check_positivity_closure(_FULL2, x, 0)),
+    ("check_positivity_closure", "seed", "seed", lambda x: ljlab.check_positivity_closure(_FULL2, 1, x)),
+    ("avr_witness_search", "n", "from 1", lambda x: ljlab.avr_witness_search(x, 0, 5)),
+    ("avr_witness_search", "seed", "seed", lambda x: ljlab.avr_witness_search(2, x, 5)),
+    ("avr_witness_search", "budget", "from 1", lambda x: ljlab.avr_witness_search(2, 0, x)),
+    ("associator_witness_search", "n", "from 1", lambda x: ljlab.associator_witness_search(x, 0, 5)),
+    ("associator_witness_search", "seed", "seed", lambda x: ljlab.associator_witness_search(2, x, 5)),
+    ("associator_witness_search", "budget", "from 1", lambda x: ljlab.associator_witness_search(2, 0, x)),
+]
+
+
+@pytest.mark.parametrize("name, arg, kind, call", _BOUNDARY, ids=[f"{name}-{arg}" for name, arg, _, _ in _BOUNDARY])
+def test_a_malformed_dimension_count_or_seed_raises_an_ljlab_error(name, arg, kind, call):
+    for x in _MALFORMED[kind]:
+        with pytest.raises(ljlab.LJLabError):
+            call(x)
+
+
+def test_the_boundary_table_holds_every_public_dimension_count_and_seed():
+    """A public callable that gains such an argument must join ``_BOUNDARY``;
+    ``PositivityReport.samples`` is a result's field, not an input."""
+    ints = {"n", "dim_ambient", "seed", "index", "samples", "budget"}
+    found = set()
+    for name in ljlab.__all__:
+        obj = getattr(ljlab, name)
+        if not callable(obj) or obj is ljlab.PositivityReport or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        found |= {(name, arg) for arg in inspect.signature(obj).parameters if arg in ints}
+    assert found == {(name, arg) for name, arg, _, _ in _BOUNDARY}
+
+
 A3, B3 = random_hermitian(3, seed=6), random_hermitian(3, seed=7)
 
 

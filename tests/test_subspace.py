@@ -26,6 +26,7 @@ from helpers import (
     loop_reconstruct,
     random_unitary,
     stacked_associator_defect,
+    stacked_bracket_associator_defect,
     rank_of,
     residual_contains,
     respan_derived_algebra,
@@ -593,15 +594,22 @@ def test_defects_name_no_index_for_roundoff():
             assert cval == pytest.approx(loop_commutator_defect(alg)[0], abs=1e-12)
             assert aval == pytest.approx(loop_associator_defect(alg)[0], abs=1e-12)
             assert cval <= floor and aval <= floor
-    # the bracket of the two basis elements is sin(phi) / 2 * (-sy)
+    # the bracket of the two basis elements is sin(phi) / 2 * (-sy), of HS norm
+    # sqrt(2) factor floor: above half the floor, so associator_defect forms its
+    # triples, of which [e_0, [e_1, e_0]] is the largest, factor floor / sqrt(2)
     for factor, named in ((0.5, False), (1.0, False), (2.0, True)):
         phi = np.arcsin(2.0 * factor * floor)
         mats = [SZ / np.sqrt(2.0), (np.cos(phi) * I2 + np.sin(phi) * SX) / np.sqrt(2.0)]
         for m in mats:
             m.setflags(write=False)
-        value, pair = commutator_defect(RealSubspace(dim_ambient=2, rows=_rows(mats)))
+        alg = RealSubspace(dim_ambient=2, rows=_rows(mats))
+        value, pair = commutator_defect(alg)
         assert value == pytest.approx(factor * floor, rel=1e-6)
         assert pair == ((0, 1) if named else None)
+        value, triple = associator_defect(alg)
+        assert value == pytest.approx(factor * floor / np.sqrt(2.0), rel=1e-6, abs=0.0)
+        assert value == pytest.approx(loop_associator_defect(alg)[0], rel=1e-6, abs=0.0)
+        assert triple == ((0, 0, 1) if named else None)
 
 
 def _all_pairs_commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
@@ -772,6 +780,36 @@ def test_commuting_algebra_forms_no_jordan_triple(monkeypatch, n):
     assert is_jordan_associative(alg)
 
 
+@pytest.mark.parametrize("kind", ["full", "commuting"])
+def test_associator_defect_forms_one_bracket_per_triple_of_a_kept_pair(monkeypatch, kind):
+    """One pass of the bracket stream, then lie(e_j, B) for every j of each
+    pair i < k whose bracket B is above half the floor in HS norm: no Jordan
+    product, no mirror triple (k, j, i), no second pass."""
+    alg = full_hermitian_space(4) if kind == "full" else commutative_algebra(4, seed=84, count=4)
+    e, r = alg._stacked, alg.dim_span
+    i, k = np.triu_indices(r, 1)
+    kept = np.count_nonzero(np.linalg.norm(_rows(_products(e[i], e[k], lie)), axis=1) > 0.5 * _DEFECT_FLOOR)
+    formed, streams = [], [0]
+    products, brackets = subspace_mod._products, subspace_mod._brackets
+
+    def counted(a, b, product):
+        out = products(a, b, product)
+        formed.append((product, int(np.prod(out.shape[:-2]))))
+        return out
+
+    def counted_stream(L, f):
+        streams[0] += 1
+        return brackets(L, f)
+
+    monkeypatch.setattr(subspace_mod, "_products", counted)
+    monkeypatch.setattr(subspace_mod, "_brackets", counted_stream)
+    associator_defect(alg)
+    assert streams[0] == 1
+    assert {product for product, _ in formed} == {lie}
+    assert sum(count for _, count in formed) == len(i) + kept * r
+    assert (kept > 0) == (kind == "full")
+
+
 def _defect_algebras(kind: str, n: int) -> list[RealSubspace]:
     if kind == "full":
         return [full_hermitian_space(n)]
@@ -785,13 +823,24 @@ def _defect_algebras(kind: str, n: int) -> list[RealSubspace]:
     "kind, n", [("full", n) for n in range(1, 7)] + [("block", 0)] + [("closures", n) for n in (3, 4)]
 )
 def test_associator_defect_is_the_whole_stack_formula_bit_for_bit(monkeypatch, kind, n, block):
-    """Blocks of 7 pairs split each first index's (j, k) pairs, so ties at
-    the maximum (the full algebra has many) span block boundaries."""
+    """Blocks of 7 pairs split the kept pairs of the bracket stream, so ties
+    at the maximum (the full algebra has many) span block boundaries. The
+    full and block algebras give the three-Jordan-product stack's bits; the
+    closures are pinned to the one-bracket stack, whose last bit can differ
+    (closures-3 names (3, 3, 5) at 0x1.448a8204ceed3p-2, the three-product
+    stack the mirror (5, 3, 3) at ...ceed4p-2), and agree with the loop
+    oracle to 1e-12, at the named triple too."""
     monkeypatch.setattr(subspace_mod, "_BLOCK", block)
     for alg in _defect_algebras(kind, n):
         value, triple = associator_defect(alg)
-        want_value, want_triple = stacked_associator_defect(alg)
+        stacked = stacked_bracket_associator_defect if kind == "closures" else stacked_associator_defect
+        want_value, want_triple = stacked(alg)
         assert (value.hex(), triple) == (want_value.hex(), want_triple)
+        if kind == "closures":
+            ref_value, _ = loop_associator_defect(alg)
+            assert value == pytest.approx(ref_value, abs=1e-12)
+            at = spectral_norm(associator(*(alg.basis[x] for x in triple)))
+            assert at == pytest.approx(ref_value, abs=1e-12)
         if is_closed_under(alg, jordan):  # su(n) is not
             assert is_jordan_associative(alg) == (want_value <= _DEFECT_FLOOR)
 
