@@ -38,7 +38,14 @@ time ``avr_witness_search(4, 0, 1000)`` and
 The ``cmd_verify`` rows time ``cmd_verify`` of ``ljlab verify --dim n
 --trials 25 --seed 0``, in process, at n = 2, 4 and 6: the benchmark's
 verify ops without the report's JSON; a row posts a time only when all 5
-checks pass.
+checks pass. The ``classify_wishart`` rows time ``classify`` of the
+Wishart state ``random_state(n, seed=n)`` against the full algebra at
+n = 3, 4 and 8, and the ``classify_block_scalar`` row the state with
+weight 0.7 and 0.3 spread evenly over the two blocks of u(2) + u(2) at
+n = 4, against that algebra: the benchmark's library classify ops at its
+sizes, on an algebra object that has classified the state once. A
+Wishart row posts a time only when every verdict is False, the
+block-scalar row only when every verdict is True.
 
 The verify row times a cold ``python -m ljlab verify --trials 1000``
 process, the n = 2..6 sweep, from start to exit; it posts a time only when
@@ -110,6 +117,8 @@ QUERIES = {
     "avr_witness_search": ((4,), "found", "found_ok", lambda n: True),
     "associator_witness_search": ((6,), "found", "found_ok", lambda n: True),
     "cmd_verify": ((2, 4, 6), "checks_passed", "passed_ok", lambda n: 5),
+    "classify_wishart": ((3, 4, 8), "classical", "verdict_ok", lambda n: False),
+    "classify_block_scalar": ((4,), "classical", "verdict_ok", lambda n: True),
 }
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
@@ -179,10 +188,12 @@ def query_worker(tree: Path, name: str, n: int) -> None:
 
     from ljlab import (
         RealSubspace,
+        State,
         associator_defect,
         associator_witness_search,
         avr_witness_search,
         centralizer,
+        classify,
         commutator_defect,
         derived_algebra,
         full_hermitian_basis,
@@ -192,12 +203,22 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         jordan_generate_three,
         lie_generate,
         random_hermitian,
+        random_state,
         span,
         traceless,
     )
 
     def su(n: int) -> RealSubspace:
         return lie_generate(traceless(random_hermitian(n, seed=n)), traceless(random_hermitian(n, seed=n + 1))).closure
+
+    def two_blocks() -> list:
+        """The basis of u(n/2) + u(n - n/2): each block's canonical basis, padded with zeros."""
+        blocks = []
+        for off, k in ((0, n // 2), (n // 2, n - n // 2)):
+            for e in full_hermitian_basis(k):
+                blocks.append(np.zeros((n, n), dtype=complex))
+                blocks[-1][off : off + k, off : off + k] = e
+        return blocks
 
     def conjugated(mats: list) -> RealSubspace:
         """The span of u m u^H over mats, u the unitary factor of a complex Gaussian matrix from seed n."""
@@ -246,15 +267,22 @@ def query_worker(tree: Path, name: str, n: int) -> None:
             return value if where is not None else None
 
     elif name == "centralizer_blocks":
-        blocks = []
-        for off, k in ((0, n // 2), (n // 2, n - n // 2)):
-            for e in full_hermitian_basis(k):
-                blocks.append(np.zeros((n, n), dtype=complex))
-                blocks[-1][off : off + k, off : off + k] = e
-        L = conjugated(blocks)
+        L = conjugated(two_blocks())
 
         def query() -> int:
             return centralizer(L, L).dim_span
+
+    elif name in ("classify_wishart", "classify_block_scalar"):
+        if name == "classify_wishart":
+            L, s = full_hermitian_space(n), random_state(n, seed=n)
+        else:
+            L = span(two_blocks())
+            # weight 0.7 on the first block, 0.3 on the second, as a multiple of each block's identity
+            k = [n // 2, n - n // 2]
+            s = State(np.diag(np.repeat([0.7 / k[0], 0.3 / k[1]], k)).astype(complex))
+
+        def query() -> bool:
+            return classify(s, L).classical
 
     elif name in ("is_semisimple_lie", "is_semisimple_lie_conjugated"):
         if name == "is_semisimple_lie":

@@ -307,6 +307,12 @@ def _require_count(name: str, value: int, low: int) -> int:
     return int(value)
 
 
+def _require_type(name: str, value: object, cls: type) -> None:
+    """ValidationError naming the argument unless value is a cls (a ``State`` or ``RealSubspace``)."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _require_dim(n: int) -> int:
     """A matrix dimension as an int: DimensionMismatch for an integer below 1, else ``_require_count``'s rule."""
     if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n < 1:

@@ -29,11 +29,24 @@ on arrays it built itself, take the unchecked kernels ``_jordan``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotInSpan
-from .linalg import DEFAULT_TOL, _ENTRY_LIMIT, _no_overflow, _opnorm, _require_finite, as_matrix, same_dim
+from .linalg import (
+    DEFAULT_TOL,
+    _ENTRY_LIMIT,
+    _no_overflow,
+    _opnorm,
+    _require_finite,
+    _require_type,
+    as_matrix,
+    same_dim,
+)
+
+if TYPE_CHECKING:
+    from .subspace import RealSubspace
 
 __all__ = [
     "jordan",
@@ -289,7 +302,7 @@ def check_norm_axioms(a: np.ndarray, b: np.ndarray) -> IdentityReport:
     return _check(4, (a, b))
 
 
-def jordan_commute(a, b, ambient) -> bool:
+def jordan_commute(a, b, ambient: RealSubspace) -> bool:
     """Whether the Jordan multiplication operators of a and b commute.
 
     Tests a o (b o e) = b o (a o e) on every basis element e of the ambient
@@ -297,8 +310,11 @@ def jordan_commute(a, b, ambient) -> bool:
     scale ``||a|| ||b||``. Equivalent to [a, b] = 0 whenever the ambient
     space is closed under the products. Raises NotInSpan when a or b leaves
     the ambient span, and ValidationError for NaN, inf or an entry above
-    ``_ENTRY_LIMIT``.
+    ``_ENTRY_LIMIT``, or for an ambient that is not a RealSubspace.
     """
+    from .subspace import RealSubspace
+
+    _require_type("ambient", ambient, RealSubspace)
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)

@@ -7,14 +7,15 @@ algebra. The three criteria agree on closed subalgebras; ``classify`` runs
 all applicable ones and raises CriteriaDisagree if they ever split. It
 reports the commutator verdict, so it settles the other two as yes-or-no
 flags and forms their full maxima only to report a split. A flag first
-tries bounds that read only the tensor C, rho's coordinates x against L
-and the r brackets ``R_j = [rho, e_j]``. These four certified bounds
-(``_associator_classical``, ``_associator_quantum``, ``_center_classical``,
-``_center_quantum``) use ``SPAN_RTOL`` as the distance of a basis bracket
-from the closed L, and settle a clear state with no basis bracket and no
-derived algebra. A flag no bound settles, for a state near a threshold,
-is its criterion's own verdict, so every flag equals its criterion's
-``classical``.
+tries certified bounds: the quantum ones (``_associator_quantum``,
+``_center_quantum``) read only the tensor C and rho's coordinates x
+against L, and the classical ones (``_associator_classical``,
+``_center_classical``) also the r brackets ``R_j = [rho, e_j]``. All four
+use ``SPAN_RTOL`` as the distance of a basis bracket from the closed L,
+and settle a clear state with no basis bracket and no derived algebra; a
+clear quantum state forms no bracket at all. A flag no bound settles, for
+a state near a threshold, is its criterion's own verdict, so every flag
+equals its criterion's ``classical``.
 
 The associator criterion needs no Jordan products. By the Jordan-Lie
 identity ``(a o b) o c - a o (b o c) = [b, [c, a]]`` and ``Tr(a [b, c]) =
@@ -44,7 +45,7 @@ from .errors import (
     NotInSpan,
     ValidationError,
 )
-from .linalg import _NORM_SLACK, _opnorm, _require_finite, _row_norms, _rows, as_matrix, random_density
+from .linalg import _NORM_SLACK, _opnorm, _require_finite, _require_type, _row_norms, _rows, as_matrix, random_density
 from .products import jordan, lie
 from .subspace import (
     _DEFECT_FLOOR,
@@ -121,6 +122,7 @@ def random_state(n: int, seed: int) -> State:
 
 def expect(s: State, a: np.ndarray) -> float:
     """Expectation value Tr(rho a), real for Hermitian observables; ValidationError for NaN or inf."""
+    _require_type("s", s, State)
     m = as_matrix(a)
     if m.shape[0] != s.dim:
         raise DimensionMismatch(f"observable dim {m.shape[0]} != state dim {s.dim}")
@@ -145,6 +147,9 @@ class ClassicalityVerdict:
 
 
 def _check_dims(s: State, L: RealSubspace) -> None:
+    """ValidationError unless s is a State and L a RealSubspace; DimensionMismatch unless their dims agree."""
+    _require_type("s", s, State)
+    _require_type("L", L, RealSubspace)
     if s.dim != L.dim_ambient:
         raise DimensionMismatch(f"state dim {s.dim} != ambient dim {L.dim_ambient}")
 
@@ -179,14 +184,15 @@ def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
     """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L.
 
     The pair table ``t[i, j] = Tr(rho e_i e_j)`` is one matrix product:
-    row i holds ``rho e_i`` flattened, column j ``e_j`` transposed. With
+    row i holds ``rho e_i`` flattened, column j ``e_j`` transposed (L's
+    ``_transposed``, kept on the object). With
     ``[a, b] = (i/2)(ab - ba)``, C is ``0.5 (Im t^T - Im t)``, read from
     the table's imaginary part with no complex temporary: entry for entry
     ``Re(0.5j (t - t^T))``, up to the sign of an exact zero, which no
     verdict reads (they read |C| and its row norms).
     """
     e, r, n = L._stacked, L.dim_span, L.dim_ambient
-    t = (s.rho @ e).reshape(r, n * n) @ e.transpose(0, 2, 1).reshape(r, n * n).T
+    t = (s.rho @ e).reshape(r, n * n) @ L._transposed.T
     c = t.imag.T - t.imag
     c *= 0.5
     return c
@@ -265,16 +271,17 @@ def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
 
 
 # classify's first step: four bounds that settle a flag from the tensor C
-# (through its row norms ``cn[j] = ||C[j]||``), rho's coordinates x against
-# L and the brackets ``R_j = [rho, e_j]``, with no basis bracket formed.
-# Their premises: ``require_closed(L, lie)`` has passed, so each ``[e_i,
-# e_k]`` (HS norm at most 1 for orthonormal e) lies within d = ``SPAN_RTOL``
-# of span(L); and ``||rho||_HS <= 1``, so ``||R_j||_HS <= 1``. C[j] holds
-# the coordinates of R_j against L, so with ``c_p`` the coordinates of
-# ``[e_i, e_k]`` the associator value ``-<R_j, [e_i, e_k]>`` lies within
-# ``||R_j|| d <= d`` of ``t(i, j, k) = -<c_p, C[j]>``: the bracket's part
-# off L is at most d. j* maximizes ``||C[j]||``; each bound is widened by
-# ``1 + _NORM_SLACK``.
+# (through its row norms ``cn[j] = ||C[j]||``) and rho's coordinates x
+# against L, with no basis bracket formed; the classical bounds add the
+# brackets ``R_j = [rho, e_j]``. Their premises: ``require_closed(L, lie)``
+# has passed, so each ``[e_i, e_k]`` (HS norm at most 1 for orthonormal e)
+# lies within d = ``SPAN_RTOL`` of span(L); and ``||rho||_HS <= 1``, so
+# ``||R_j||_HS <= 1``. ``C[j, k] = Tr(rho [e_j, e_k]) = <e_k, R_j>``, so
+# C[j] holds the coordinates of R_j against L, and with ``c_p`` the
+# coordinates of ``[e_i, e_k]`` the associator value ``-<R_j, [e_i, e_k]>``
+# lies within ``||R_j|| d <= d`` of ``t(i, j, k) = -<c_p, C[j]>``: the
+# bracket's part off L is at most d. j* maximizes ``||C[j]||``; each bound
+# is widened by ``1 + _NORM_SLACK``.
 
 
 def _associator_classical(cn: np.ndarray, hs: np.ndarray) -> bool:
@@ -318,45 +325,66 @@ def _center_classical(hs: np.ndarray) -> bool:
     return math.sqrt(float(hs @ hs)) * (1 + _NORM_SLACK) <= CLASSICALITY_RTOL
 
 
-def _center_quantum(s: State, L: RealSubspace, cn: np.ndarray, x1: float) -> bool:
-    """Whether ``||[rho, y]||_HS / sqrt(n)``, ``y = R_j*``, proves the center flag quantum.
+def _center_quantum(C: np.ndarray, cn: np.ndarray, x1: float, n: int) -> bool:
+    """Whether ``(||C[j*] @ C|| - eta) / sqrt(n)`` proves the center flag quantum.
 
-    For rho in span(L). y lies within ``eps = (||x||_1 (1 + sqrt(2 n^2 + r))
-    + 1) d`` of span [L, L]. rho lies within d of ``P rho = sum_i x_i e_i``
-    (``contains``' rule), which moves y by at most d. Each ``[e_i, e_j*]``
-    lies within d of L (closedness). Its coordinates
-    are ``-sum_t e_i[t] a_t`` over the 2n^2 constraint rows ``a_t`` that the
-    derived algebra's walk (``subspace._ad_rows``) forms for s = e_j*, with
-    ``sum_t ||a_t||^2 <= r``. The drop rule leaves each ``a_t`` it reaches
-    within ``d max(1, ||a_t||)`` of [L, L], so by Cauchy-Schwarz the
-    coordinates lie within ``sqrt(2 n^2 + r) d`` of it. Rows the walk never
-    reaches lie in it to roundoff: the walk stops only once its span has the
-    largest dimension [L, L] can have, r - 1 with I in L (brackets are
-    traceless), else r. At L's ``lie`` bound, with no walk, [L, L] is su(n)
-    or L and holds every bracket's coordinates to roundoff. If every
-    ``||[rho, d_k]||_op`` were at most ``CLASSICALITY_RTOL``, ``z = [rho, y]``
-    would have operator norm at most ``sqrt(r) (||y|| + eps)
-    CLASSICALITY_RTOL + eps``: y's part in [L, L] has at most r coordinates,
-    of total square at most ``(||y|| + eps)^2``, and its other part, at most
-    eps, moves z by at most eps. As ``||z||_HS / sqrt(n) <= ||z||_op``, a
-    larger value proves quantum, from four matrix products. x1 is ``||x||_1``.
+    For rho in span(L), with ``y = R_j*`` and ``z = [rho, y]``, read from C
+    with no bracket formed. C[j*] holds the coordinates of y's part in L,
+    so ``C[j*] @ C`` holds those of ``[rho, P y]``'s part in L. y's part
+    off L is at most ``eta = (||x||_1 + 1) d``: rho lies within d of ``P
+    rho = sum_i x_i e_i`` (``contains``' rule), which moves y by at most d,
+    and each ``[e_i, e_j*]`` lies within d of L (closedness). As ``||[rho,
+    w]||_HS <= ||rho||_op ||w||_HS <= ||w||_HS``, ``||y||_HS <= ||C[j*]|| +
+    eta`` and ``||z||_HS >= ||P z|| >= ||C[j*] @ C|| - eta``.
+
+    y lies within ``eps = (||x||_1 (1 + sqrt(2 n^2 + r)) + 1) d`` of span
+    [L, L]: besides rho's part off L, each ``[e_i, e_j*]`` lies within d of
+    L, and its coordinates are ``-sum_t e_i[t] a_t`` over the 2n^2
+    constraint rows ``a_t`` that the derived algebra's walk
+    (``subspace._ad_rows``) forms for s = e_j*, with ``sum_t ||a_t||^2 <=
+    r``. The drop rule leaves each ``a_t`` it reaches within ``d max(1,
+    ||a_t||)`` of [L, L], so by Cauchy-Schwarz the coordinates lie within
+    ``sqrt(2 n^2 + r) d`` of it. Rows the walk never reaches lie in it to
+    roundoff: the walk stops only once its span has the largest dimension
+    [L, L] can have, r - 1 with I in L (brackets are traceless), else r. At
+    L's ``lie`` bound, with no walk, [L, L] is su(n) or L and holds every
+    bracket's coordinates to roundoff. If every ``||[rho, d_k]||_op`` were
+    at most ``CLASSICALITY_RTOL``, z would have operator norm at most
+    ``sqrt(r) (||y|| + eps) CLASSICALITY_RTOL + eps``: y's part in [L, L]
+    has at most r coordinates, of total square at most ``(||y|| +
+    eps)^2``, and its other part, at most eps, moves z by at most eps. As
+    ``||z||_HS / sqrt(n) <= ||z||_op``, a larger value proves quantum.
+
+    C's roundoff: a computed entry of C is within about ``n^2 u`` of its
+    exact value (u = 2^-53; an inner product of rows of HS norm at most 1),
+    and C's rows and C itself have norm at most 1, so the computed ``C[j*]
+    @ C`` is within about ``3 n^4 u`` of exact, 1.1e-10 at n = 24. That is
+    below ``d / 2`` for n up to about 60, and half of eta is spare: for a
+    state, ``0 <= rho <= I`` within ``STATE_ATOL``, so ``[rho, w] = [rho -
+    I/2, w]`` has HS norm at most about ``||w||_HS / 2``, and y's part off L
+    moves ``P z`` by at most eta / 2. ``||C[j*]||``'s roundoff, at most
+    ``sqrt(r) n^2 u``, enters the right side times ``sqrt(r)
+    CLASSICALITY_RTOL``, far inside the ``1 + _NORM_SLACK`` widening of a
+    right side of at least eps >= d. x1 is ``||x||_1``.
     """
-    y = _rho_brackets(s, L._stacked[int(cn.argmax())])
-    z = _rho_brackets(s, y)
-    eps = (x1 * (1 + math.sqrt(2 * s.dim**2 + len(cn))) + 1) * SPAN_RTOL
-    bound = math.sqrt(len(cn)) * (math.sqrt(np.vdot(y, y).real) + eps) * CLASSICALITY_RTOL + eps
-    return math.sqrt(np.vdot(z, z).real / s.dim) > bound * (1 + _NORM_SLACK)
+    j, r = int(cn.argmax()), len(cn)
+    v = C[j] @ C
+    eta = (x1 + 1) * SPAN_RTOL
+    eps = (x1 * (1 + math.sqrt(2 * n * n + r)) + 1) * SPAN_RTOL
+    bound = math.sqrt(r) * (float(cn[j]) + eta + eps) * CLASSICALITY_RTOL + eps
+    return (math.sqrt(v @ v) - eta) / math.sqrt(n) > bound * (1 + _NORM_SLACK)
 
 
 def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = None) -> list[bool]:
     """The associator flag, then the center flag when rho is in span(L).
 
-    Each flag tries its quantum bound, which needs no bracket stack, then
-    its classical bound, then takes its criterion's own verdict, kept in
+    Each flag tries its quantum bound, which reads only C and x, then its
+    classical bound, then takes its criterion's own verdict, kept in
     ``verdicts`` by criterion name. The r brackets ``[rho, e_j]`` of the
     classical bounds are formed once, and not at all when both quantum
-    bounds settle. rho's coordinates x (for ``||x||_1``) and whether rho
-    lies in span(L) come from one ``L._coords`` product.
+    bounds settle: a clear quantum state forms no bracket. rho's
+    coordinates x (for ``||x||_1``) and whether rho lies in span(L) come
+    from one ``L._coords`` product.
     """
     verdicts = {} if verdicts is None else verdicts
 
@@ -366,7 +394,7 @@ def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = Non
         return v.classical
     x, in_span = L._coords(s.rho)
     cn, x1 = _row_norms(C), float(np.abs(x).sum())
-    quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(s, L, cn, x1)] if in_span else [])
+    quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(C, cn, x1, s.dim)] if in_span else [])
     if all(quantum):
         return [False] * len(quantum)
     hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
@@ -384,10 +412,11 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     (pair certificate) is returned. The commutator criterion's tensor C,
     which the first-step bounds read too, is built once. The associator
     and center criteria enter only through their ``classical`` flags
-    (``_flags``): four certified bounds from C, rho's coordinates and the
-    brackets ``[rho, e_j]`` settle a clear state, and a flag none settles
-    is its criterion's own verdict, which forms the basis brackets or the
-    derived algebra. To report a disagreement it reuses those verdicts and
+    (``_flags``): four certified bounds settle a clear state, the quantum
+    ones from C and rho's coordinates alone, the classical ones with the
+    brackets ``[rho, e_j]`` too, and a flag none settles is its
+    criterion's own verdict, which forms the basis brackets or the derived
+    algebra. To report a disagreement it reuses those verdicts and
     computes only the full verdicts a bound settled.
     """
     _check_algebra(s, L)

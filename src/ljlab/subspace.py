@@ -32,6 +32,10 @@ one tie rule; the defects take an SVD only of a bracket or associator
 whose HS norm can reach the running maximum (``_running_screen``).
 Closedness verdicts and derived algebras are memoized on the subspace.
 
+Every public function checks that its subspace arguments are
+``RealSubspace`` objects (``_require_type``), raising ValidationError
+naming the argument otherwise.
+
 ``SPAN_RTOL`` is the one rank threshold, the centralizer's null space,
 semisimplicity and the generation targets included; ``DEFAULT_TOL``
 decides span input Hermiticity, vanishing defects and positivity.
@@ -62,6 +66,7 @@ from .linalg import (
     _require_dim,
     _require_finite,
     _require_seed,
+    _require_type,
     _row_norms,
     _rows,
     _screened_opnorm,
@@ -127,7 +132,9 @@ class RealSubspace:
     (``_require_dim``), for complex rows, whose imaginary parts
     a float copy would drop, and for NaN or infinite entries, which the
     closedness and classicality tests would misjudge without a word.
-    ``_stacked`` (r, n, n) and ``basis`` are views of the copy. Immutability
+    ``_stacked`` (r, n, n) and ``basis`` are views of the copy, and
+    ``_transposed`` (r, n^2) holds each element transposed, read-only,
+    built once per object for the pair table of ``classify``. Immutability
     makes ``_memo`` sound: it holds closedness verdicts keyed by the product
     (``jordan``, ``lie``) and the derived algebra by ``"derived"``.
     """
@@ -159,6 +166,12 @@ class RealSubspace:
     @cached_property
     def _stacked(self) -> np.ndarray:
         return self.rows.view(complex).reshape(-1, self.dim_ambient, self.dim_ambient)
+
+    @cached_property
+    def _transposed(self) -> np.ndarray:
+        t = self._stacked.transpose(0, 2, 1).reshape(self.dim_span, self.dim_ambient**2)
+        t.setflags(write=False)
+        return t
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, ...]:
@@ -510,6 +523,7 @@ def close_under(s: RealSubspace, product: Product) -> RealSubspace:
     the closure is proven closed by its last round, so ``is_closed_under``
     answers for it from the memo.
     """
+    _require_type("s", s, RealSubspace)
     closed, _, _ = _close_rounds(s, product)
     return closed
 
@@ -525,6 +539,7 @@ def is_closed_under(s: RealSubspace, product: Product) -> bool:
     under ``lie``. Verdicts are memoized on s. Raises ValidationError for
     any other product.
     """
+    _require_type("s", s, RealSubspace)
     _check_product(product)
     if product not in s._memo:
         s._memo[product] = next(_round(s.rows, 0, product, _bound(s, product)), None) is None
@@ -577,6 +592,7 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
     Its basis is those rows times ``L.rows``: L's own rows for su(n), a
     Householder basis of I's complement for Herm(n), else the walk's rows.
     """
+    _require_type("L", L, RealSubspace)
     require_closed(L, lie)
     if "derived" not in L._memo:
         L._memo["derived"] = RealSubspace(L.dim_ambient, _ad_rows(L, L) @ L.rows)
@@ -592,6 +608,8 @@ def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
     coordinates against L, the complement of the constraint rows
     ``_ad_rows`` keeps, extended from the unit vectors. Its rows are orthonormal.
     """
+    _require_type("L", L, RealSubspace)
+    _require_type("S", S, RealSubspace)
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}")
     if L.dim_span == 0 or S.dim_span == 0:
@@ -680,6 +698,7 @@ def commutator_defect(L: RealSubspace) -> tuple[float, tuple[int, int] | None]:
     which one is largest is noise. Only brackets whose HS norm can reach
     the running maximum get an SVD (``_running_screen``).
     """
+    _require_type("L", L, RealSubspace)
     screen = _running_screen(0.0)
     best, (i, _, k), _ = _first_max(_brackets(L, lambda br: screen(br)[:, None]))
     return best, (i, k) if best > _DEFECT_FLOOR else None
@@ -722,6 +741,7 @@ def associator_defect(L: RealSubspace) -> tuple[float, tuple[int, int, int] | No
     r^3 triples whenever a triple is named, and 0.0 stands for roundoff
     otherwise.
     """
+    _require_type("L", L, RealSubspace)
     best, idx, _ = _first_max(_associator_norms(L))
     return best, idx if best > _DEFECT_FLOOR else None
 
@@ -732,6 +752,7 @@ def is_commutative(L: RealSubspace) -> bool:
     ``commutator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
     block of bracket norms above the floor.
     """
+    _require_type("L", L, RealSubspace)
     require_closed(L, jordan)
     require_closed(L, lie)
     screen = _running_screen(_DEFECT_FLOOR)
@@ -758,6 +779,7 @@ def is_semisimple_lie(L: RealSubspace) -> bool:
     is not; else its center is zero exactly when ``_ad_rows(L, L)`` has
     rank r, so ``SPAN_RTOL`` decides. The zero algebra is semisimple.
     """
+    _require_type("L", L, RealSubspace)
     require_closed(L, lie)
     return not L.contains(np.eye(L.dim_ambient)) and len(_ad_rows(L, L)) == L.dim_span
 
@@ -947,6 +969,7 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     valid seed. Sample t draws x, y and z from trial t of ``_trial_rngs``;
     the samples are scored in sub-stacks of about ``_CHUNK_BYTES`` a product.
     """
+    _require_type("L", L, RealSubspace)
     samples = _require_count("samples", samples, 0)
     seed = _require_seed(seed)
     require_closed(L, jordan)

@@ -903,14 +903,20 @@ def _zero_brackets(s, e):
     return np.zeros(np.shape(e), dtype=complex)
 
 
-#: Patches that make the criteria split on a random state of the full
-#: algebra: a zero bracket tensor C makes the commutator criterion
-#: classical; zero brackets ``[rho, e]`` leave C intact and make the
-#: associator and center criteria classical, in classify's bounds and in
-#: the full verdicts alike.
+def _never(*args):
+    return False
+
+
+#: Patches of ``ljlab.states``, as (name, replacement) pairs, that make the
+#: criteria split on a random state of the full algebra: a zero bracket
+#: tensor C makes the commutator criterion classical; zero brackets ``[rho,
+#: e]`` leave C intact and make the associator and center criteria
+#: classical, in classify's classical bounds and in the full verdicts
+#: alike. The center quantum bound reads only C, so it is switched off
+#: too, and the center flag splits from the commutator verdict.
 DISAGREEMENTS = {
-    "zero-tensor": ("_bracket_expectations", _zero_tensor),
-    "zero-brackets": ("_rho_brackets", _zero_brackets),
+    "zero-tensor": (("_bracket_expectations", _zero_tensor),),
+    "zero-brackets": (("_rho_brackets", _zero_brackets), ("_center_quantum", _never)),
 }
 
 

@@ -749,7 +749,8 @@ def test_cli_stdout_matches_its_recorded_sha256(command, in_golden_dir):
 def test_classify_disagreement_exits_three_with_the_full_verdicts_message(tmp_path, monkeypatch, capsys, patch):
     s = random_state(3, seed=5)
     path = write_json(tmp_path / "s.json", matrix_to_json(s.rho))
-    monkeypatch.setattr(states_mod, *DISAGREEMENTS[patch])
+    for name, replacement in DISAGREEMENTS[patch]:
+        monkeypatch.setattr(states_mod, name, replacement)
     want = disagreement_message(s, full_hermitian_space(3))
     assert main(["classify", "--in", path]) == 3
     out, err = capsys.readouterr()

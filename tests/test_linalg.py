@@ -275,14 +275,19 @@ def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
         call()
 
 
-#: Malformed values of each kind of integer argument: a dimension or budget
-#: starts at 1, a count (samples, a trial index) at 0, so 0 is not among its values.
+#: Malformed values of each kind of argument: a dimension or budget starts
+#: at 1, a count (samples, a trial index) at 0, so 0 is not among its
+#: values; a ``State`` or ``RealSubspace`` argument takes no other object.
 _MALFORMED = {
     "from 1": (0, -1, 2.5, True, "3", None),
     "from 0": (-1, 2.5, True, "3", None),
     "seed": (-1, 2.5, True, "1", None),
+    "State": (None, np.eye(2) / 2, 3, "x"),
+    "RealSubspace": (None, np.eye(2), 3, "x"),
 }
+_TYPES = ("State", "RealSubspace")
 _FULL2 = ljlab.full_hermitian_space(2)
+_STATE2 = ljlab.State(np.eye(2) / 2)
 #: (public callable, argument, kind, call with that argument x and the others valid)
 _BOUNDARY = [
     ("random_hermitian", "n", "from 1", lambda x: random_hermitian(x, 0)),
@@ -304,14 +309,40 @@ _BOUNDARY = [
     ("associator_witness_search", "n", "from 1", lambda x: ljlab.associator_witness_search(x, 0, 5)),
     ("associator_witness_search", "seed", "seed", lambda x: ljlab.associator_witness_search(2, x, 5)),
     ("associator_witness_search", "budget", "from 1", lambda x: ljlab.associator_witness_search(2, 0, x)),
+    ("jordan_commute", "ambient", "RealSubspace", lambda x: ljlab.jordan_commute(np.eye(2), np.eye(2), x)),
+    ("close_under", "s", "RealSubspace", lambda x: ljlab.close_under(x, ljlab.lie)),
+    ("is_closed_under", "s", "RealSubspace", lambda x: ljlab.is_closed_under(x, ljlab.lie)),
+    ("derived_algebra", "L", "RealSubspace", lambda x: ljlab.derived_algebra(x)),
+    ("centralizer", "L", "RealSubspace", lambda x: ljlab.centralizer(x, _FULL2)),
+    ("centralizer", "S", "RealSubspace", lambda x: ljlab.centralizer(_FULL2, x)),
+    ("commutator_defect", "L", "RealSubspace", lambda x: ljlab.commutator_defect(x)),
+    ("associator_defect", "L", "RealSubspace", lambda x: ljlab.associator_defect(x)),
+    ("is_commutative", "L", "RealSubspace", lambda x: ljlab.is_commutative(x)),
+    ("is_jordan_associative", "L", "RealSubspace", lambda x: ljlab.is_jordan_associative(x)),
+    ("is_semisimple_lie", "L", "RealSubspace", lambda x: ljlab.is_semisimple_lie(x)),
+    ("function_representation", "L", "RealSubspace", lambda x: ljlab.function_representation(x)),
+    ("check_positivity_closure", "L", "RealSubspace", lambda x: ljlab.check_positivity_closure(x, 1, 0)),
+    ("expect", "s", "State", lambda x: ljlab.expect(x, np.eye(2))),
+    ("is_classical_associator", "s", "State", lambda x: ljlab.is_classical_associator(x, _FULL2)),
+    ("is_classical_associator", "L", "RealSubspace", lambda x: ljlab.is_classical_associator(_STATE2, x)),
+    ("is_classical_commutator", "s", "State", lambda x: ljlab.is_classical_commutator(x, _FULL2)),
+    ("is_classical_commutator", "L", "RealSubspace", lambda x: ljlab.is_classical_commutator(_STATE2, x)),
+    ("is_classical_center", "s", "State", lambda x: ljlab.is_classical_center(x, _FULL2)),
+    ("is_classical_center", "L", "RealSubspace", lambda x: ljlab.is_classical_center(_STATE2, x)),
+    ("classify", "s", "State", lambda x: ljlab.classify(x, _FULL2)),
+    ("classify", "L", "RealSubspace", lambda x: ljlab.classify(_STATE2, x)),
 ]
 
 
 @pytest.mark.parametrize("name, arg, kind, call", _BOUNDARY, ids=[f"{name}-{arg}" for name, arg, _, _ in _BOUNDARY])
 def test_a_malformed_dimension_count_or_seed_raises_an_ljlab_error(name, arg, kind, call):
+    """A ``State`` or ``RealSubspace`` argument's error is a ValidationError naming it."""
     for x in _MALFORMED[kind]:
-        with pytest.raises(ljlab.LJLabError):
+        with pytest.raises(ljlab.LJLabError) as exc:
             call(x)
+        if kind in _TYPES:
+            assert type(exc.value) is ValidationError
+            assert str(exc.value) == f"{arg} must be a {kind}, got {type(x).__name__}"
 
 
 def test_the_boundary_table_holds_every_public_dimension_count_and_seed():
@@ -324,7 +355,23 @@ def test_the_boundary_table_holds_every_public_dimension_count_and_seed():
         if not callable(obj) or obj is ljlab.PositivityReport or (isinstance(obj, type) and issubclass(obj, Exception)):
             continue
         found |= {(name, arg) for arg in inspect.signature(obj).parameters if arg in ints}
-    assert found == {(name, arg) for name, arg, _, _ in _BOUNDARY}
+    assert found == {(name, arg) for name, arg, kind, _ in _BOUNDARY if kind not in _TYPES}
+
+
+def test_the_boundary_table_holds_every_public_state_and_subspace_argument():
+    """A public callable that gains a parameter annotated ``State`` or
+    ``RealSubspace`` must join ``_BOUNDARY``; the fields of the result
+    classes ``GenerationReport`` and ``FunctionRepresentation`` are not inputs."""
+    results = (ljlab.GenerationReport, ljlab.FunctionRepresentation)
+    found = set()
+    for name in ljlab.__all__:
+        obj = getattr(ljlab, name)
+        if not callable(obj) or obj in results or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        found |= {(name, p.name, p.annotation) for p in params if p.annotation in _TYPES}
+    assert len(found) == 22 and len({name for name, _, _ in found}) == 17
+    assert found == {(name, arg, kind) for name, arg, kind, _ in _BOUNDARY if kind in _TYPES}
 
 
 A3, B3 = random_hermitian(3, seed=6), random_hermitian(3, seed=7)

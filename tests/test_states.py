@@ -871,18 +871,33 @@ def test_classifys_flags_on_a_barely_closed_algebra():
     assert len(seen) == 4
 
 
+def _center_quantum_x1(C: np.ndarray, f: float, spare: float = 0.0) -> float:
+    """The ||x||_1 at which ``_center_quantum``'s lower bound ``(||C[j*] @ C|| - eta) / sqrt(n)``, n = 4,
+    is f times its right side ``(sqrt(r) (||C[j*]|| + eta + eps) threshold + eps) (1 + _NORM_SLACK)``,
+    less ``spare`` times the right side's eta term; eta and eps grow with ||x||_1, both linearly."""
+    slack, d, rtol, n = 1 + states_mod._NORM_SLACK, SPAN_RTOL, CLASSICALITY_RTOL, 4
+    r = len(C)
+    cn = np.linalg.norm(C, axis=1)
+    j = int(cn.argmax())
+    z, y, k = float(np.linalg.norm(C[j] @ C)), float(cn[j]), 1 + math.sqrt(2 * n * n + r)
+    # lhs = a - b x1; the right side is p + q x1 before the slack, eta's term h + h x1 of it
+    a, b = (z - d) / math.sqrt(n), d / math.sqrt(n)
+    h = math.sqrt(r) * rtol * d
+    p = math.sqrt(r) * rtol * (y + 2 * d) + d - spare * h
+    q = d * (math.sqrt(r) * rtol * (1 + k) + k) - spare * h
+    return (a - f * slack * p) / (b + f * slack * q)
+
+
 def test_the_first_step_bounds_settle_up_to_their_documented_edges():
     """Each of the four first-step bounds on inputs that put its documented
     quantity 0.1% either side of its edge, where the terms that no test
     state makes large (the brackets' ``SPAN_RTOL`` margins, ``1 /
-    ||x||_1``, ``sqrt(n)``, eps, ``||R||_F`` against ``max ||R_j||``)
-    decide the side."""
+    ||x||_1``, ``sqrt(n)``, eta and eps, ``||R||_F`` against ``max
+    ||R_j||``) decide the side."""
     slack, d, rtol = 1 + states_mod._NORM_SLACK, SPAN_RTOL, CLASSICALITY_RTOL
     L = full_hermitian_space(4)
     r, n = L.dim_span, L.dim_ambient
-    s = random_state(n, seed=21)
-    y = lie(s.rho, L.basis[7])
-    z = float(np.linalg.norm(lie(s.rho, y))) / math.sqrt(n)
+    C = _bracket_expectations(random_state(n, seed=21), L)
     for side in (-1, 1):
         f = 1 + side * 1e-3
         # associator, classical: max ||C[j]|| is half the threshold, the brackets' margin the rest
@@ -900,17 +915,42 @@ def test_the_first_step_bounds_settle_up_to_their_documented_edges():
         assert states_mod._associator_quantum(cn, 3.0) is (side > 0)
         # center, classical: ||R||_F (1 + _NORM_SLACK) at f times the threshold; each ||R_j|| is a quarter of it
         assert states_mod._center_classical(np.full(r, rtol * f / slack / math.sqrt(r))) is (side < 0)
-        # center, quantum: ||x||_1 sets eps so that ||[rho, y]||_HS / sqrt(n), y = [rho, e_7],
-        # is f times (sqrt(r) (||y|| + eps) threshold + eps) (1 + _NORM_SLACK)
-        eps = (z / (slack * f) - math.sqrt(r) * float(np.linalg.norm(y)) * rtol) / (1 + math.sqrt(r) * rtol)
-        assert states_mod._center_quantum(s, L, cn, (eps / d - 1) / (1 + math.sqrt(2 * n * n + r))) is (side > 0)
+        # center, quantum: ||x||_1 sets eta = (||x||_1 + 1) d and eps so that (||C[j*] @ C|| - eta) / sqrt(n)
+        # is f times (sqrt(r) (||C[j*]|| + eta + eps) threshold + eps) (1 + _NORM_SLACK)
+        x1 = _center_quantum_x1(C, f)
+        assert x1 > 1e5
+        assert states_mod._center_quantum(C, np.linalg.norm(C, axis=1), x1, n) is (side > 0)
+        # y's eta enters the right side times sqrt(r) threshold, about 5e-9 of it, which no 0.1% edge
+        # sees: here the lower bound is half that term either side of the edge
+        x1 = _center_quantum_x1(C, 1.0, spare=-0.5 * side)
+        assert states_mod._center_quantum(C, np.linalg.norm(C, axis=1), x1, n) is (side > 0)
+
+
+@pytest.mark.parametrize("kind", ["wishart", "pure"])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_a_clear_in_span_state_forms_no_bracket_in_the_first_step(monkeypatch, n, kind):
+    """Both quantum bounds read only C and rho's coordinates, so classify
+    of a clear quantum state in span(L) forms no bracket ``[rho, e]``."""
+    name = f"full:{n}"
+    alg = _table_algebra(name)
+    s = _table_state(name, n, kind)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _rho_brackets(*args)
+
+    monkeypatch.setattr(states_mod, "_rho_brackets", counted)
+    assert classify(s, alg).classical is False
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("patch", DISAGREEMENTS)
 def test_a_disagreement_raises_the_full_verdicts_message(monkeypatch, patch):
     L = full_hermitian_space(3)
     s = random_state(3, seed=5)
-    monkeypatch.setattr(states_mod, *DISAGREEMENTS[patch])
+    for name, replacement in DISAGREEMENTS[patch]:
+        monkeypatch.setattr(states_mod, name, replacement)
     want = disagreement_message(s, full_hermitian_space(3))
     with pytest.raises(CriteriaDisagree) as exc:
         classify(s, L)
