@@ -1,6 +1,6 @@
 """Scaling rows for BENCH_scaling.json: closures at n = 8..24, the algebra queries, ``verify`` and ``classify``.
 
-    python bench_scaling.py [--tree DIR] [--out BENCH_scaling.json]
+    python bench_scaling.py [--tree DIR] [--out BENCH_scaling.json] [--only NAME ...]
 
 Closure rows time ``lie_generate`` of a traceless pair and
 ``jordan_generate_three`` of a pair at n = 8, 12, 16 and 24, each in its
@@ -15,8 +15,11 @@ bound, so these rows time the closed form, with no bracket formed.
 ``centralizer_blocks`` rows time the walk below the bound:
 ``centralizer(L, L)`` of L = u(n/2) + u(n/2) conjugated by a fixed random
 unitary (``conjugated``) at n = 16 and 24, whose center, and so every
-result, must have dimension 2. ``is_semisimple_lie`` rows time the
-``lie_generate`` closure of the traceless pair above, built untimed, at
+result, must have dimension 2. The ``closedness_blocks`` row times
+``is_closed_under(L, jordan)`` and ``is_closed_under(L, lie)`` of that
+algebra at n = 24, each call on a fresh copy, so the memo does not answer
+it; it posts a time only when both read True. ``is_semisimple_lie`` rows
+time the ``lie_generate`` closure of the traceless pair above, built untimed, at
 n = 16 and 24, and the ``is_semisimple_lie_conjugated`` row su(24)
 spanned from conjugated rank-2 elements (the off-diagonal units and
 E_kk - E_(k+1)(k+1)); a row posts a time only when every call returns
@@ -38,9 +41,11 @@ time ``avr_witness_search(4, 0, 1000)`` and
 The ``cmd_verify`` rows time ``cmd_verify`` of ``ljlab verify --dim n
 --trials 25 --seed 0``, in process, at n = 2, 4 and 6: the benchmark's
 verify ops without the report's JSON; a row posts a time only when all 5
-checks pass. The ``classify_wishart`` rows time ``classify`` of the
-Wishart state ``random_state(n, seed=n)`` against the full algebra at
-n = 3, 4 and 8, and the ``classify_block_scalar`` row the state with
+checks pass. The ``trial_rngs`` row times ``_trial_rngs(0, 0, 1024)``, the
+1024 trial generators of one full chunk, and must yield 1024. The
+``classify_wishart`` rows time ``classify`` of the Wishart state
+``random_state(n, seed=n)`` against the full algebra at n = 3, 4 and 8,
+and the ``classify_block_scalar`` row the state with
 weight 0.7 and 0.3 spread evenly over the two blocks of u(2) + u(2) at
 n = 4, against that algebra: the benchmark's library classify ops at its
 sizes, on an algebra object that has classified the state once. A
@@ -69,14 +74,16 @@ that took 10 ms (k = 1 for calls that long). A warm row records k as
 ``calls_per_run``; a cold classify row, one process per run, records 1.
 Times are at reference speed: each timed interval is scaled by
 ``perfbench/speed.py``'s probe, sampled just before and just after it. A
-row is the median of 5 runs and carries the commit and the
+row is the median of 5 runs, with their quartiles (``q1_s``, ``q3_s``),
+and carries the commit and the
 ``src/`` line count of the timed tree (``--tree``, default this checkout)
 and the peak RSS of the processes that ran it. A row whose verdict is not
 ``is_classical_commutator``'s (True for I/n) posts no time. Rows are
 appended to ``--out``, so the file keeps every run's rows; time the
 parent commit and the change one after the other on the same machine,
 from clones at paths of equal length (a checkout's path alone moves its
-warm rows).
+warm rows). ``--only NAME``, repeatable, takes only the rows of that bench
+name: a query above, ``verify`` or ``classify_full_algebra``.
 """
 
 from __future__ import annotations
@@ -107,6 +114,7 @@ QUERIES = {
     "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n),
     "centralizer": ((8, 12, 16, 24), "dim_span", "dim_ok", lambda n: 1),
     "centralizer_blocks": ((16, 24), "dim_span", "dim_ok", lambda n: 2),
+    "closedness_blocks": ((24,), "closed", "verdict_ok", lambda n: True),
     "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
     "is_semisimple_lie_conjugated": ((24,), "semisimple", "verdict_ok", lambda n: True),
     "associator_defect": ((8, 12, 16), "defect", "value_ok", lambda n: 0.3535533905932737),
@@ -117,6 +125,7 @@ QUERIES = {
     "avr_witness_search": ((4,), "found", "found_ok", lambda n: True),
     "associator_witness_search": ((6,), "found", "found_ok", lambda n: True),
     "cmd_verify": ((2, 4, 6), "checks_passed", "passed_ok", lambda n: 5),
+    "trial_rngs": ((1024,), "streams", "count_ok", lambda n: n),
     "classify_wishart": ((3, 4, 8), "classical", "verdict_ok", lambda n: False),
     "classify_block_scalar": ((4,), "classical", "verdict_ok", lambda n: True),
 }
@@ -129,6 +138,12 @@ def state_matrix(n: int, t: float) -> list[list[float]]:
     """The real matrix (1 - t) I/n + t vv^T."""
     v = [(k + 1) / (n * (n + 1) * (2 * n + 1) / 6) ** 0.5 for k in range(n)]
     return [[(1 - t) * (a == b) / n + t * v[a] * v[b] for b in range(n)] for a in range(n)]
+
+
+def spread(times: list[float], good: bool) -> dict:
+    """A row's median and quartiles of its run times, None unless its results are good."""
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {key: round(v, 6) if good else None for key, v in (("median_s", median), ("q1_s", q1), ("q3_s", q3))}
 
 
 def timed(probe: SpeedProbe, run, k: int = 1) -> tuple[float, object]:
@@ -198,9 +213,12 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         derived_algebra,
         full_hermitian_basis,
         full_hermitian_space,
+        is_closed_under,
         is_jordan_associative,
         is_semisimple_lie,
+        jordan,
         jordan_generate_three,
+        lie,
         lie_generate,
         random_hermitian,
         random_state,
@@ -271,6 +289,18 @@ def query_worker(tree: Path, name: str, n: int) -> None:
 
         def query() -> int:
             return centralizer(L, L).dim_span
+
+    elif name == "closedness_blocks":
+        L = conjugated(two_blocks())
+
+        def query() -> bool:
+            return all(is_closed_under(RealSubspace(L.dim_ambient, L.rows), p) for p in (jordan, lie))
+
+    elif name == "trial_rngs":
+        from ljlab.linalg import _trial_rngs
+
+        def query() -> int:
+            return sum(len(rngs) for rngs in _trial_rngs(0, 0, n))
 
     elif name in ("classify_wishart", "classify_block_scalar"):
         if name == "classify_wishart":
@@ -354,6 +384,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, default=HERE, help="checkout whose src/ is timed")
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_scaling.json")
+    ap.add_argument("--only", action="append", metavar="NAME", help="take only this bench's rows; repeatable")
     ap.add_argument("--warm-worker", metavar="STATE_FILE", help=argparse.SUPPRESS)
     ap.add_argument("--query-worker", nargs=2, metavar=("QUERY", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -370,10 +401,15 @@ def main() -> None:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "time": f"median of {RUNS} runs, seconds at reference speed (perfbench/speed.py)",
     }
+    names = [*QUERIES, "verify", "classify_full_algebra"]
+    unknown = set(args.only or ()) - set(names)
+    if unknown:
+        ap.error(f"unknown bench {sorted(unknown)}; choose from {names}")
+    taken = set(args.only or names)
     probe = SpeedProbe()
     rows = []
     for name, (sizes, key, ok_key, want) in QUERIES.items():
-        for n in sizes:
+        for n in sizes if name in taken else ():
             cmd = [sys.executable, __file__, "--tree", str(tree), "--query-worker", name, str(n)]
             got = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
             good = set(got["results"]) == {want(n)}
@@ -384,7 +420,7 @@ def main() -> None:
                 "n": n,
                 key: want(n),
                 ok_key: good,
-                "median_s": round(statistics.median(got["times"]), 6) if good else None,
+                **spread(got["times"], good),
                 "calls_per_run": got["calls"],
                 "peak_rss_mb": round(got["rss_mb"], 1),
             })
@@ -392,21 +428,22 @@ def main() -> None:
     def sweep(report: dict) -> bool:
         return report["summary"]["all_passed"] is True and report["summary"]["checks_total"] == 25
 
-    times, verdicts, rss = cold_runs(tree, ["verify", "--trials", "1000"], probe, sweep)
-    good = verdicts == {True}
-    rows.append({
-        **common,
-        "bench": "verify",
-        "mode": "cold",
-        "dims": [2, 3, 4, 5, 6],
-        "trials": 1000,
-        "passed_ok": good,
-        "median_s": round(statistics.median(times), 6) if good else None,
-        "peak_rss_mb": round(rss, 1),
-    })
-    print(json.dumps(rows[-1]), flush=True)
+    if "verify" in taken:
+        times, verdicts, rss = cold_runs(tree, ["verify", "--trials", "1000"], probe, sweep)
+        good = verdicts == {True}
+        rows.append({
+            **common,
+            "bench": "verify",
+            "mode": "cold",
+            "dims": [2, 3, 4, 5, 6],
+            "trials": 1000,
+            "passed_ok": good,
+            **spread(times, good),
+            "peak_rss_mb": round(rss, 1),
+        })
+        print(json.dumps(rows[-1]), flush=True)
     with tempfile.TemporaryDirectory() as work:
-        for n in SIZES:
+        for n in SIZES if "classify_full_algebra" in taken else ():
             for name, t in STATES.items():
                 path = f"{work}/{n}-{name}.json"
                 Path(path).write_text(json.dumps({"dim": n, "re": state_matrix(n, t), "im": [[0.0] * n] * n}))
@@ -430,7 +467,7 @@ def main() -> None:
                         "state": name,
                         "classical": expected,
                         "verdict_ok": good,
-                        "median_s": round(statistics.median(times), 6) if good else None,
+                        **spread(times, good),
                         "calls_per_run": k,
                         "peak_rss_mb": round(rss, 1),
                     })

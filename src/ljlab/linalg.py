@@ -324,7 +324,9 @@ def derive_seed(seed: int, index: int) -> int:
     """Per-trial seed ``seed ^ index``, under ``_require_seed``'s rule and an index >= 0.
 
     Injective in the seed, with no fold to 64 bits, and independent of
-    scheduling, so batch runs replay exactly.
+    scheduling, so batch runs replay exactly. Trial streams are
+    ``default_rng(derive_seed(seed, t))``; ``_trial_rngs`` builds a chunk of
+    them at once, in the same states.
     """
     return _require_seed(seed) ^ _require_count("index", index, 0)
 
@@ -339,13 +341,21 @@ def _trial_rngs(
 ) -> Iterator[list[np.random.Generator]]:
     """The generators of trials start to stop - 1, at most ``chunk`` a list.
 
-    Trial t draws from ``default_rng(derive_seed(seed, t))``; the seed and
-    start pass ``derive_seed``'s checks once, not once a trial.
+    Trial t draws from ``default_rng(derive_seed(seed, t))``: each
+    generator's state is that one's, bit for bit. Only the construction is
+    batched: ``seeding._generators`` seeds a chunk in one ``SeedSequence``
+    hash pass, not one ``SeedSequence`` a trial. The seed and start pass
+    ``derive_seed``'s checks once, not once a trial.
     """
+    # seeding imports numpy.random here, at the first draw, as default_rng
+    # did: importing ljlab, and so a cold CLI command that draws nothing,
+    # does not load it
+    from .seeding import _generators
+
     seed = _require_seed(seed)
     _require_count("index", start, 0)
     for lo in range(start, stop, chunk):
-        yield [np.random.default_rng(seed ^ t) for t in range(lo, min(lo + chunk, stop))]
+        yield _generators(seed, lo, min(lo + chunk, stop))
 
 
 def _gaussian_stack(rngs: list[np.random.Generator], n: int, k: int) -> np.ndarray:
