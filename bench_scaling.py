@@ -34,7 +34,11 @@ and name a pair. ``derived_algebra`` rows time the
 fresh copy of the algebra, whose closedness is proven at its bound with no
 product formed, so the memo does not answer it; a row posts a time only
 when every result has dimension n^2 - 1. The ``is_jordan_associative`` row
-times the full algebra at n = 24 and must read False. The witness rows
+times the full algebra at n = 24 and must read False. The
+``function_representation`` rows time ``function_representation`` of the
+span of the n rank-one projectors u E_kk u^H, with the unitary u of
+``conjugated`` below, at n = 12 and 24; a row posts a time only when every
+result has n points. The witness rows
 time ``avr_witness_search(4, 0, 1000)`` and
 ``associator_witness_search(6, 0, 1000)``, the searches of ``ljlab witness
 --budget 1000``; a row posts a time only when every search finds a witness.
@@ -122,6 +126,7 @@ QUERIES = {
     "derived_algebra": ((16, 24), "dim_span", "dim_ok", lambda n: n * n - 1),
     "derived_algebra_full": ((24,), "dim_span", "dim_ok", lambda n: n * n - 1),
     "is_jordan_associative": ((24,), "associative", "verdict_ok", lambda n: False),
+    "function_representation": ((12, 24), "num_points", "points_ok", lambda n: n),
     "avr_witness_search": ((4,), "found", "found_ok", lambda n: True),
     "associator_witness_search": ((6,), "found", "found_ok", lambda n: True),
     "cmd_verify": ((2, 4, 6), "checks_passed", "passed_ok", lambda n: 5),
@@ -213,6 +218,7 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         derived_algebra,
         full_hermitian_basis,
         full_hermitian_space,
+        function_representation,
         is_closed_under,
         is_jordan_associative,
         is_semisimple_lie,
@@ -255,6 +261,12 @@ def query_worker(tree: Path, name: str, n: int) -> None:
 
         def query() -> bool:
             return is_jordan_associative(L)
+
+    elif name == "function_representation":
+        L = conjugated([np.diag(np.eye(n)[k]).astype(complex) for k in range(n)])
+
+        def query() -> int:
+            return function_representation(L).num_points
 
     elif name in ("avr_witness_search", "associator_witness_search"):
         search = {"avr_witness_search": avr_witness_search, "associator_witness_search": associator_witness_search}[name]

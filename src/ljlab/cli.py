@@ -44,7 +44,6 @@ from .jsonio import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _TRIAL_CHUNK,
     Tolerance,
     _gaussian_stack,
     _hermitian_part,
@@ -53,6 +52,7 @@ from .linalg import (
     _row_norms,
     _rows,
     _screened_opnorm,
+    _stack_len,
     _trial_rngs,
     derive_seed,
     random_hermitian,
@@ -73,12 +73,6 @@ from .witness import associator_witness_search, avr_witness_search
 __all__ = ["SessionConfig", "build_parser", "main"]
 
 SWEEP_DIMS = (2, 3, 4, 5, 6)
-
-#: Complex bytes of one operand of a ``verify`` stack. The product evaluator
-#: keeps about 45 arrays of that size (26 matrix products, the Jordan and Lie
-#: products, the defects) until the stack is judged: whole 1024-trial
-#: stacks took 269 MB at n = 16, against 89 MB with no evaluator.
-_STACK_BYTES = 128 * 1024
 
 #: What a ``cmd_*`` returns: the report's checks and summary, and whether it passed.
 Outcome = tuple[list[dict[str, Any]], dict[str, Any], bool]
@@ -220,8 +214,7 @@ def cmd_verify(cfg: SessionConfig) -> Outcome:
     for d, n in enumerate(dims):
         worst = np.full(len(_IDENTITIES), -np.inf)
         passed = [True] * len(_IDENTITIES)
-        chunk = min(_TRIAL_CHUNK, max(1, _STACK_BYTES // np.dtype(complex).itemsize // (n * n)))
-        for rngs in _trial_rngs(cfg.seed, d * cfg.trials, (d + 1) * cfg.trials, chunk):
+        for rngs in _trial_rngs(cfg.seed, d * cfg.trials, (d + 1) * cfg.trials, _stack_len(n)):
             g = _gaussian_stack(rngs, n, 3)
             # (3, trials, n, n): slot-major, so each operand is one contiguous stack
             abc = _hermitian_part(np.ascontiguousarray(g.swapaxes(0, 1)))

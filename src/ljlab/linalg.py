@@ -331,9 +331,25 @@ def derive_seed(seed: int, index: int) -> int:
     return _require_seed(seed) ^ _require_count("index", index, 0)
 
 
-#: Trials drawn at a time by ``verify``, the witness searches and positivity
-#: sampling, which bounds the memory a large trial count takes.
+#: Trials drawn at a time, at most: the cap of ``_stack_len`` and
+#: ``_trial_rngs``'s default chunk.
 _TRIAL_CHUNK = 1024
+
+#: Complex bytes of one operand of a stack, at most: a slot of the trial
+#: stacks of ``verify``, the witness multistart and positivity sampling, and
+#: a chunk of block products. ``verify``'s product evaluator keeps about 45
+#: arrays of that size until a stack is judged (whole 1024-trial stacks took
+#: 269 MB at n = 16, against 89 MB with no evaluator); a chunk of products,
+#: its gathered operands and its temporaries stay in cache.
+_STACK_BYTES = 128 * 1024
+
+
+def _stack_len(n: int, k: int = 1) -> int:
+    """Items in one stack when each item puts k complex n x n matrices in an operand.
+
+    The operand stays within ``_STACK_BYTES``; the count is at most ``_TRIAL_CHUNK`` and at least 1.
+    """
+    return max(1, min(_TRIAL_CHUNK, _STACK_BYTES // (16 * k * n * n)))
 
 
 def _trial_rngs(

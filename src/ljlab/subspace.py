@@ -70,6 +70,7 @@ from .linalg import (
     _row_norms,
     _rows,
     _screened_opnorm,
+    _stack_len,
     _trial_rngs,
     as_matrix,
     same_dim,
@@ -108,15 +109,15 @@ Product = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: closure loops feed products of products back in, which amplifies roundoff.
 SPAN_RTOL = 1e-8
 
-#: Joint-spectrum points closer than this (sup distance) are merged; wide
-#: enough to absorb eigensolver jitter, far below generic point spacing.
+#: ``function_representation`` starts a new joint-spectrum point where two
+#: consecutive eigenvalues of its generic combination are more than this
+#: apart: wide enough to absorb eigensolver jitter, far below generic point
+#: spacing. A gap it misses merges two points, which the reconstruction
+#: check rejects.
 POINT_MERGE_TOL = 1e-6
 
-#: ``function_representation``: the rotated basis is diagonal when no
-#: off-diagonal entry exceeds ``_DIAGONAL_TOL`` times the largest diagonal
-#: one (floored at 1), and the projector table must rebuild every basis
-#: element to within ``_RECONSTRUCTION_TOL`` in HS norm.
-_DIAGONAL_TOL = 1e-10
+#: ``function_representation``: the projector table must rebuild every basis
+#: element to within this in HS norm.
 _RECONSTRUCTION_TOL = 1e-8
 
 
@@ -394,10 +395,6 @@ def _product_pairs(r: int, product: Product, new: int = 0) -> np.ndarray:
 _BLOCK = 512
 _FIRST_BLOCK = 64
 
-#: Complex output bytes of one chunk of a block (``_block_products``): a
-#: chunk's gathered operands, its product and the temporaries stay in cache.
-_CHUNK_BYTES = 128 * 1024
-
 
 def _products(a: np.ndarray, b: np.ndarray, product: Product) -> np.ndarray:
     """``product(a, b)`` of two Hermitian (..., n, n) stacks whose lead axes broadcast.
@@ -413,14 +410,14 @@ def _products(a: np.ndarray, b: np.ndarray, product: Product) -> np.ndarray:
 def _block_products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product: Product) -> np.ndarray:
     """``_products(e[i], e[j], product)`` for a block of index pairs, bit for bit.
 
-    The operands are gathered and multiplied a chunk of about
-    ``_CHUNK_BYTES`` of output at a time, written into the block's buffer,
+    The operands are gathered and multiplied a chunk of ``_stack_len(n)``
+    products at a time, written into the block's buffer,
     so no block-sized temporary falls out of cache (the blocking of small
     products in Goto & van de Geijn, ACM TOMS 34, 2008).
     """
     n = e.shape[-1]
     out = np.empty((len(i), n, n), dtype=complex)
-    step = max(1, _CHUNK_BYTES // out.itemsize // (n * n))
+    step = _stack_len(n)
     for s in range(0, len(i), step):
         out[s : s + step] = _products(e[i[s : s + step]], e[j[s : s + step]], product)
     return out
@@ -714,15 +711,15 @@ def _associator_norms(L: RealSubspace) -> Iterator[_Block]:
     every other triple has norm at most that (``||e_j||_op <= 1``). The
     mirror (k, j, i) has the same norm and comes later in row-major order,
     so it is never formed. A kept pair's r brackets are formed, and normed,
-    about ``_CHUNK_BYTES`` at a time. Norms below the running best are 0.0
+    ``_stack_len(n, r)`` pairs at a time. Norms below the running best are 0.0
     (``_running_screen``): only associators that can reach it get an SVD.
     """
     e = L._stacked
-    chunk = max(1, _CHUNK_BYTES // max(e.nbytes, 1))
     screen = _running_screen(0.0)
     for br, i, k in _brackets(L, lambda br: br):
         p = np.flatnonzero(np.linalg.norm(_rows(br), axis=1) > 0.5 * _DEFECT_FLOOR)
         if len(p):
+            chunk = _stack_len(L.dim_ambient, len(e))
             vals = [screen(_products(e, br[q, None], lie)) for q in np.split(p, range(chunk, len(p), chunk))]
             yield np.concatenate(vals), i[p], k[p]
 
@@ -884,12 +881,15 @@ class FunctionRepresentation:
 def function_representation(L: RealSubspace) -> FunctionRepresentation:
     """Simultaneous diagonalization of a commuting associative subalgebra.
 
-    Diagonalizes a generic random combination of the basis, verifies that it
-    diagonalizes every basis element, merges eigencolumns whose joint value
-    tuples agree within POINT_MERGE_TOL, and checks that the projector table
-    reconstructs each basis element to ``_RECONSTRUCTION_TOL``. Retries with
-    a fresh generic combination on failure; the internal seeds are fixed, so
-    the output is deterministic. Raises NotAssociative when the subalgebra is not
+    Diagonalizes a generic random combination of the basis once. Its
+    ascending eigencolumns fall into points at every gap between
+    consecutive eigenvalues above ``POINT_MERGE_TOL``; a basis element's
+    value at a point is the mean of its diagonal entries there in the
+    eigenbasis. The table is accepted when its projectors rebuild every
+    basis element to ``_RECONSTRUCTION_TOL``, the one test: a combination
+    that misses a gap, or a basis it does not diagonalize, fails it, and a
+    fresh combination is tried. The internal seeds are fixed, so the output
+    is deterministic. Raises NotAssociative when the subalgebra is not
     commuting and associative (also if diagonalization cannot converge).
     """
     try:
@@ -906,25 +906,9 @@ def function_representation(L: RealSubspace) -> FunctionRepresentation:
     last_err = math.inf
     for attempt in range(8):
         rng = np.random.default_rng(24251 + attempt)
-        c = rng.standard_normal(r)
-        _, vec = np.linalg.eigh(_combination(c, stacked))
-        rot = np.einsum("ak,iab,bl->ikl", vec.conj(), stacked, vec)
-        diag = np.einsum("ikk->ik", rot).real
-        off = np.abs(rot)
-        off[:, np.arange(n), np.arange(n)] = 0.0
-        if float(off.max()) > _DIAGONAL_TOL * max(1.0, float(np.max(np.abs(diag)))):
-            continue
-        groups: list[list[int]] = []
-        reps: list[np.ndarray] = []
-        for k in range(n):
-            t = diag[:, k]
-            for g, rep in enumerate(reps):
-                if float(np.max(np.abs(t - rep))) <= POINT_MERGE_TOL:
-                    groups[g].append(k)
-                    break
-            else:
-                groups.append([k])
-                reps.append(t)
+        w, vec = np.linalg.eigh(_combination(rng.standard_normal(r), stacked))
+        diag = np.einsum("ak,iab,bk->ik", vec.conj(), stacked, vec).real
+        groups = np.split(np.arange(n), np.flatnonzero(np.diff(w) > POINT_MERGE_TOL) + 1)
         projectors = np.stack([vec[:, idx] @ vec[:, idx].conj().T for idx in groups])
         points = np.stack([diag[:, idx].mean(axis=1) for idx in groups])
         recon = np.einsum("xi,xab->iab", points, projectors)
@@ -966,34 +950,32 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     PSD and stay inside the subspace. Associative subalgebras produce no
     violations; the full Hermitian algebra produces both kinds. Raises
     ValidationError unless ``samples`` is an integer >= 0 and ``seed`` a
-    valid seed. Sample t draws x, y and z from trial t of ``_trial_rngs``;
-    the samples are scored in sub-stacks of about ``_CHUNK_BYTES`` a product.
+    valid seed. Sample t draws x, y and z from trial t of ``_trial_rngs``,
+    ``_stack_len(n)`` samples a stack.
     """
     _require_type("L", L, RealSubspace)
     samples = _require_count("samples", samples, 0)
     seed = _require_seed(seed)
     require_closed(L, jordan)
     r, n = L.dim_span, L.dim_ambient
-    step = max(1, _CHUNK_BYTES // np.dtype(complex).itemsize // (n * n))
     # per kind (Jordan product, square order): violations, lowest eigenvalue, first violation at it
     counts, lowest = [0, 0], [0.0, 0.0]
     worst: list[tuple[np.ndarray, np.ndarray, float] | None] = [None, None]
-    for rngs in _trial_rngs(seed, 0, samples if r > 0 else 0):
-        for lo in range(0, len(rngs), step):
-            coords = np.stack([rng.standard_normal((3, r)) for rng in rngs[lo : lo + step]])
-            # one (1, r) by (r, n^2) product per row, so each matrix is _combination's bit for bit
-            xyz = np.matmul(coords[..., None, :], L._stacked.reshape(r, n * n)).reshape(-1, 3, n, n)
-            sq = xyz @ xyz
-            sq[:, 2] += sq[:, 1]
-            a, b, big = sq[:, 0], sq[:, 1], sq[:, 2]
-            na, nb, nbig = _opnorm(sq).T
-            tests = ((a, b, _jordan(a, b), na * nb), (big, b, big @ big - b @ b, nbig**2 + nb**2))
-            for kind, (p, q, m, scale) in enumerate(tests):
-                lam = np.linalg.eigvalsh(m)[:, 0]
-                hit = lam < -DEFAULT_TOL.threshold(scale)
-                counts[kind] += int(np.count_nonzero(hit))
-                k = int(np.argmin(np.where(hit, lam, np.inf)))
-                if hit[k] and lam[k] < lowest[kind]:
-                    lowest[kind] = float(lam[k])
-                    worst[kind] = (p[k].copy(), q[k].copy(), lowest[kind])
+    for rngs in _trial_rngs(seed, 0, samples if r > 0 else 0, _stack_len(n)):
+        coords = np.stack([rng.standard_normal((3, r)) for rng in rngs])
+        # one (1, r) by (r, n^2) product per row, so each matrix is _combination's bit for bit
+        xyz = np.matmul(coords[..., None, :], L._stacked.reshape(r, n * n)).reshape(-1, 3, n, n)
+        sq = xyz @ xyz
+        sq[:, 2] += sq[:, 1]
+        a, b, big = sq[:, 0], sq[:, 1], sq[:, 2]
+        na, nb, nbig = _opnorm(sq).T
+        tests = ((a, b, _jordan(a, b), na * nb), (big, b, big @ big - b @ b, nbig**2 + nb**2))
+        for kind, (p, q, m, scale) in enumerate(tests):
+            lam = np.linalg.eigvalsh(m)[:, 0]
+            hit = lam < -DEFAULT_TOL.threshold(scale)
+            counts[kind] += int(np.count_nonzero(hit))
+            k = int(np.argmin(np.where(hit, lam, np.inf)))
+            if hit[k] and lam[k] < lowest[kind]:
+                lowest[kind] = float(lam[k])
+                worst[kind] = (p[k].copy(), q[k].copy(), lowest[kind])
     return PositivityReport(samples, *counts, *worst)

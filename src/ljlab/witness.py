@@ -4,10 +4,10 @@ A witness is an observable whose behavior is impossible in a commutative
 algebra: a nonzero Jordan associator, its PSD square, or a Jordan product
 of two PSD observables with a negative eigenvalue. Both searches share one
 seeded multistart-and-refine schedule (``_search``) and differ only in draw,
-move, perturbation and score. The trials are scored as one stack, and the
-refinement is speculative and batched: it consumes its rng stream in the
-same order as a one-step-at-a-time loop and returns the same candidate,
-bit for bit. Results are deterministic in (n, seed, budget).
+move, perturbation and score. The trials are scored in stacks of at most
+``linalg._STACK_BYTES`` a slot, and the refinement is speculative and
+batched: it consumes its rng stream in the same order as a
+one-step-at-a-time loop and returns the same candidate, bit for bit. Results are deterministic in (n, seed, budget).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .linalg import (
     _opnorm,
     _require_count,
     _require_seed,
+    _stack_len,
     _trial_rngs,
     derive_seed,
     spectral_norm,
@@ -134,7 +135,7 @@ def _search(
     A candidate is an array with one factor per slot along its first axis.
     ``draw(rngs)`` returns a stack of trials, one per generator, for
     ``rngs`` from ``_trial_rngs`` (trial ``t`` draws from
-    ``derive_seed(seed, t)``, at most ``_TRIAL_CHUNK`` trials a call), and
+    ``derive_seed(seed, t)``, ``_stack_len(n)`` trials a call at most), and
     the first strictly lowest score wins.
     Refinement draws from ``derive_seed(seed, budget)``: each of at most
     6000 steps draws a slot and a ``move(rng)``, and perturbs that factor of
@@ -160,7 +161,7 @@ def _search(
     if n == 1:
         return None
     best, best_val = None, np.inf
-    for rngs in _trial_rngs(seed, 0, budget):
+    for rngs in _trial_rngs(seed, 0, budget, _stack_len(n)):
         trials = draw(rngs)
         vals = score(trials)
         vals = np.where(np.isnan(vals), np.inf, vals)

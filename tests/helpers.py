@@ -15,8 +15,9 @@ from its three-operand einsum, the Killing matrix
 from the full grid of ad operators, ``verify`` reports from the per-trial
 loop, positivity sampling from its per-sample loop, the batched subspace
 helpers from their per-basis loops,
-operator norms from ``np.linalg.norm(a, 2)``, and ``classify``'s
-disagreement report from the three public verdicts.
+operator norms from ``np.linalg.norm(a, 2)``, ``function_representation``
+from its joint-tuple merge loop, and ``classify``'s disagreement report
+from the three public verdicts.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ from ljlab.subspace import (
     _DEFECT_FLOOR,
     _DROP_RUN,
     _PANEL,
+    _RECONSTRUCTION_TOL,
+    POINT_MERGE_TOL,
     SPAN_RTOL,
     RealSubspace,
     _combination,
@@ -394,6 +397,45 @@ def loop_reconstruct(fr, i: int) -> np.ndarray:
     for x, p in enumerate(fr.projectors):
         out += fr.points[x, i] * p
     return out
+
+
+def loop_function_representation(L: RealSubspace) -> tuple[np.ndarray, np.ndarray]:
+    """Points and projector stack by the joint-tuple algorithm, for a commuting associative L with r > 0.
+
+    Each attempt rotates the whole basis into the eigenbasis of the same
+    generic combination, requires every rotated element to be diagonal
+    within 1e-10 of its largest diagonal entry, merges eigencolumns whose
+    value tuples agree within ``POINT_MERGE_TOL`` one column at a time, and
+    accepts the reconstruction test. AssertionError when no attempt passes.
+    """
+    stacked = L._stacked
+    n = L.dim_ambient
+    for attempt in range(8):
+        c = np.random.default_rng(24251 + attempt).standard_normal(L.dim_span)
+        _, vec = np.linalg.eigh(_combination(c, stacked))
+        rot = np.einsum("ak,iab,bl->ikl", vec.conj(), stacked, vec)
+        diag = np.einsum("ikk->ik", rot).real
+        off = np.abs(rot)
+        off[:, np.arange(n), np.arange(n)] = 0.0
+        if float(off.max()) > 1e-10 * max(1.0, float(np.max(np.abs(diag)))):
+            continue
+        groups: list[list[int]] = []
+        reps: list[np.ndarray] = []
+        for k in range(n):
+            t = diag[:, k]
+            for g, rep in enumerate(reps):
+                if float(np.max(np.abs(t - rep))) <= POINT_MERGE_TOL:
+                    groups[g].append(k)
+                    break
+            else:
+                groups.append([k])
+                reps.append(t)
+        projectors = np.stack([vec[:, idx] @ vec[:, idx].conj().T for idx in groups])
+        points = np.stack([diag[:, idx].mean(axis=1) for idx in groups])
+        recon = np.einsum("xi,xab->iab", points, projectors)
+        if float(np.max(np.linalg.norm(recon - stacked, axis=(1, 2)))) <= _RECONSTRUCTION_TOL:
+            return points, projectors
+    raise AssertionError("no attempt diagonalized the basis")
 
 
 def vector_loop_centralizer(

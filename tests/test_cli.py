@@ -19,7 +19,7 @@ from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, 
 from ljlab import states as states_mod
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
-from ljlab.linalg import _TRIAL_CHUNK, DEFAULT_TOL, Tolerance, derive_seed, random_hermitian, traceless
+from ljlab.linalg import _STACK_BYTES, _TRIAL_CHUNK, DEFAULT_TOL, Tolerance, derive_seed, random_hermitian, traceless
 
 
 def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -123,7 +123,7 @@ def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_b
 
     monkeypatch.setattr(cli, "_Products", Recorded)
     checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=6, trials=230, seed=5))
-    assert len(stacks) == 2 and max(stacks) <= cli._STACK_BYTES
+    assert len(stacks) == 2 and max(stacks) <= _STACK_BYTES
     ref = loop_verify_checks((6,), 230, 5)
     assert _fields(checks) == _fields(ref)
     assert all_passed == all(c["passed"] for c in ref)

@@ -21,6 +21,7 @@ from helpers import (
     loop_centralizer,
     loop_commutator_defect,
     loop_evaluate,
+    loop_function_representation,
     loop_full_hermitian_basis,
     loop_positivity_closure,
     loop_reconstruct,
@@ -70,6 +71,7 @@ from ljlab.states import State, classify, random_state
 from ljlab.linalg import DEFAULT_TOL, _opnorm, _screened_opnorm, spectral_norm
 from ljlab.subspace import (
     _DEFECT_FLOOR,
+    _RECONSTRUCTION_TOL,
     SPAN_RTOL,
     FunctionRepresentation,
     RealSubspace,
@@ -1155,6 +1157,70 @@ def test_evaluate_rejects_a_matrix_of_another_dimension():
             fr.evaluate(m)
 
 
+def _commuting_algebras() -> list[RealSubspace]:
+    """Conjugated diagonal algebras at n = 2..12: generic ones, and Jordan closures of one degenerate element."""
+    algs = [commutative_algebra(n, seed=340 + n) for n in range(2, 13)]
+    algs += [commutative_algebra(n, seed=360 + n, count=n) for n in range(2, 13)]
+    for n in range(3, 13):
+        u = random_unitary(n, np.random.default_rng(380 + n))
+        d = np.diag(np.repeat(np.arange(1.0, n), [2] + [1] * (n - 2)))
+        algs.append(close_under(span([u @ d @ u.conj().T]), jordan))
+    return algs
+
+
+def test_function_representation_equals_the_joint_tuple_loop_bit_for_bit():
+    frs = _representations() + [function_representation(alg) for alg in _commuting_algebras()]
+    for fr in frs:
+        points, projectors = loop_function_representation(fr.subspace)
+        assert fr.points.tobytes() == points.tobytes()
+        assert fr._stacked.tobytes() == projectors.tobytes()
+    assert {fr.subspace.dim_ambient for fr in frs} == set(range(2, 13))
+
+
+def test_function_representation_retries_a_combination_that_merges_points():
+    # basis e_k = u diag(h[k]) u^H with h the reflection taking the first attempt's
+    # coefficients c to the direction (1, 1, 1): that combination is |c| / sqrt(3) times I,
+    # so its one eigenvalue gap check merges all three points, the reconstruction rejects
+    # the table, and the next attempt separates them
+    c = np.random.default_rng(24251).standard_normal(3)
+    w = c / np.linalg.norm(c) - np.ones(3) / np.sqrt(3)
+    h = np.eye(3) - 2 * np.outer(w, w) / (w @ w)
+    u = random_unitary(3, np.random.default_rng(391))
+    rows = np.stack([_rows(u @ np.diag(h[k]) @ u.conj().T) for k in range(3)])
+    L = RealSubspace(dim_ambient=3, rows=rows)
+    assert np.ptp(np.linalg.eigvalsh(np.tensordot(c, L._stacked, axes=1))) < 1e-12
+    fr = function_representation(L)
+    assert fr.num_points == 3
+    points, projectors = loop_function_representation(L)
+    assert fr.points.tobytes() == points.tobytes() and fr._stacked.tobytes() == projectors.tobytes()
+
+
+@pytest.mark.parametrize("eps", [1e-10, 3e-10])
+def test_function_representation_of_a_near_commuting_algebra_below_the_floor(eps):
+    # four conjugated rank-one projectors, each plus eps H: the bracket defects sit below the
+    # 1e-9 commutativity floor, so the algebra is admitted, and its four points must rebuild
+    # the basis to within the reconstruction tolerance, though no rotated basis element is
+    # diagonal to better than about eps
+    L = _near_commuting_projectors(eps)
+    assert 0.0 < commutator_defect(L)[0] <= DEFAULT_TOL.threshold(1.0)
+    assert is_jordan_associative(L)
+    fr = function_representation(L)
+    assert fr.num_points == 4
+    for i in range(L.dim_span):
+        assert np.linalg.norm(fr.reconstruct(i) - L.basis[i]) <= _RECONSTRUCTION_TOL
+
+
+def test_function_representation_of_a_near_commuting_algebra_above_the_floor():
+    with pytest.raises(NotAssociative, match="not a commuting, Jordan-associative subalgebra"):
+        function_representation(_near_commuting_projectors(1e-9))
+
+
+def _near_commuting_projectors(eps: float) -> RealSubspace:
+    u = random_unitary(4, np.random.default_rng(4))
+    h = random_hermitian(4, seed=5)
+    return span([u @ np.diag(np.eye(4)[k]) @ u.conj().T + eps * h for k in range(4)])
+
+
 def test_function_representation_rejects_noncommutative():
     with pytest.raises(NotAssociative):
         function_representation(full_hermitian_space(2))
@@ -1250,17 +1316,18 @@ def test_positivity_closure_equals_the_per_sample_loop(name, monkeypatch):
         for samples in (0, 1, 7, 8, 50):
             got = check_positivity_closure(L, samples, seed)
             _same_positivity_report(got, loop_positivity_closure(L, samples, seed))
-    # sub-stacks of 3 samples within each chunk of 7
+    # stacks of 3 samples by the byte budget, below the chunk of 7
     n = L.dim_ambient
-    monkeypatch.setattr(subspace_mod, "_CHUNK_BYTES", 3 * 16 * n * n)
+    monkeypatch.setattr(linalg_mod, "_STACK_BYTES", 3 * 16 * n * n)
+    assert linalg_mod._stack_len(n) == 3
     for seed in (0, 5):
         _same_positivity_report(check_positivity_closure(L, 50, seed), loop_positivity_closure(L, 50, seed))
 
 
-def test_positivity_closure_crosses_a_sub_stack_boundary_at_its_own_sizes():
-    # n = 5: sub-stacks of 327 samples, so 400 samples take two in one trial chunk
+def test_positivity_closure_crosses_a_stack_boundary_at_its_own_sizes():
+    # n = 5: stacks of 327 samples by the byte budget, so 400 samples take two
     L = full_hermitian_space(5)
-    assert subspace_mod._CHUNK_BYTES // 16 // 25 == 327 < 400 < linalg_mod._TRIAL_CHUNK
+    assert linalg_mod._stack_len(5) == linalg_mod._STACK_BYTES // 16 // 25 == 327 < 400 < linalg_mod._TRIAL_CHUNK
     rep = check_positivity_closure(L, 400, 3)
     _same_positivity_report(rep, loop_positivity_closure(L, 400, 3))
     assert rep.jordan_violations > 0 and rep.square_order_violations > 0
@@ -1411,7 +1478,7 @@ def test_chunked_block_products_equal_one_stack_bit_for_bit(monkeypatch, n, prod
         got = _block_products(e, i, j, product)
         assert got.tobytes() == _products(e[i], e[j], product).tobytes()
         assert len(chunks) > 1 and sum(chunks) == count
-        assert max(chunks) * 16 * n * n <= subspace_mod._CHUNK_BYTES
+        assert max(chunks) * 16 * n * n <= linalg_mod._STACK_BYTES
     assert chunks[-1] < chunks[0]  # 385 pairs: not a multiple of 227, 81 or 32
 
 

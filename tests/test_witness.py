@@ -30,6 +30,7 @@ from ljlab import (
     squared_witness,
 )
 from ljlab import linalg
+from ljlab import witness as witness_mod
 from ljlab.linalg import _TRIAL_CHUNK, derive_seed, spectral_norm
 from ljlab.witness import _search, _unit, _unit_psd
 
@@ -179,6 +180,25 @@ def test_search_matches_own_loop_reference_bit_for_bit(search, reference, n):
             assert (got.kind, got.violation, got.found) == (ref.kind, ref.violation, ref.found)
             assert _bytes(got.witness) == _bytes(ref.witness)
             assert [_bytes(m) for m in got.inputs] == [_bytes(m) for m in ref.inputs]
+
+
+def test_search_draws_trial_stacks_within_the_byte_budget(monkeypatch):
+    # a stack holds _stack_len(n) trials: one stack at the identities benchmark's sizes
+    # (budget 100, n <= 6), and 128 KB a slot at n = 16, where 70 trials take three
+    assert min(linalg._stack_len(n) for n in range(2, 7)) >= 100
+    sizes = []
+    trial_rngs = witness_mod._trial_rngs
+
+    def recorded(*args):
+        for rngs in trial_rngs(*args):
+            sizes.append(len(rngs))
+            yield rngs
+
+    monkeypatch.setattr(witness_mod, "_trial_rngs", recorded)
+    for search in (avr_witness_search, associator_witness_search):
+        sizes.clear()
+        search(16, 0, 70)
+        assert sizes == [32, 32, 6] and 32 * 16 * 16 * 16 == linalg._STACK_BYTES
 
 
 def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
