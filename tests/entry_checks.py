@@ -1,4 +1,4 @@
-"""Checks of the installed ``ljlab`` entry point and of the library at sizes the benchmark never reaches.
+"""Checks of the installed ``ljlab`` entry point, and of the library at sizes the benchmark never reaches.
 
 Run ``python3 tests/entry_checks.py`` after ``pip install .``: it takes no
 argument. Each check runs its commands as child processes through ``_run``,
@@ -33,7 +33,8 @@ def _run(argv: list[str]) -> tuple[int, str, float]:
     with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as child:
         out = child.stdout.read()
         _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)  # so Popen's exit does not wait again
+        # set here, so Popen's exit does not wait a second time
+        child.returncode = os.waitstatus_to_exitcode(status)
     return child.returncode, out, usage.ru_maxrss / 1024
 
 
@@ -41,7 +42,8 @@ def _child(argv: list[str], code: int = 0, rss: float | None = None) -> str:
     got, out, peak = _run(argv)
     assert got == code, (argv, f"exit code {got}, expected {code}")
     if rss is not None:
-        print(f"    peak RSS {peak:.0f} MB (bound {rss} MB): {' '.join(argv)[:100]}")
+        shown = " ".join(argv).replace("\n", "; ")[:100]
+        print(f"    peak RSS {peak:.0f} MB (bound {rss} MB): {shown}")
         assert peak <= rss, (argv, f"peak RSS {peak:.0f} MB over {rss} MB")
     return out
 
@@ -53,9 +55,9 @@ def _cli(*args: str, code: int = 0, rss: float | None = None) -> dict:
     return report
 
 
-def _py(code: str, rss: float | None = None) -> list[str]:
-    """The words a ``python -c`` child prints; it must exit 0."""
-    return _child([sys.executable, "-c", code], 0, rss).split()
+def _py(*lines: str, rss: float | None = None) -> str:
+    """What a ``python -c`` child of the given lines prints, stripped; it must exit 0."""
+    return _child([sys.executable, "-c", "\n".join(lines)], 0, rss).strip()
 
 
 def _write(d: str, name: str, obj: dict) -> str:
@@ -75,7 +77,10 @@ def _mat(re: list, im: list = Z2) -> dict:
 
 
 def _near(n: int, t: float) -> list[list[float]]:
-    """rho_t = (1 - t) I/n + t vv^T, v_k proportional to k + 1: the pure state at t = 1, the maximally mixed at t = 0."""
+    """rho_t = (1 - t) I/n + t vv^T, v_k proportional to k + 1.
+
+    The pure state at t = 1, the maximally mixed state at t = 0.
+    """
     v = [(k + 1) / (n * (n + 1) * (2 * n + 1) / 6) ** 0.5 for k in range(n)]
     return [[(1 - t) * (a == b) / n + t * v[a] * v[b] for b in range(n)] for a in range(n)]
 
@@ -94,7 +99,12 @@ def check_small_reports(d: str) -> None:
 
 # the full 2x2 algebra is not associative: repr exits 1 and names the error in its report
 def check_repr_of_the_full_2x2_algebra(d: str) -> None:
-    mats = [_mat([[1, 0], [0, 0]]), _mat([[0, 0], [0, 1]]), _mat([[0, 1], [1, 0]]), _mat(Z2, [[0, -1], [1, 0]])]
+    mats = [
+        _mat([[1, 0], [0, 0]]),
+        _mat([[0, 0], [0, 1]]),
+        _mat([[0, 1], [1, 0]]),
+        _mat(Z2, [[0, -1], [1, 0]]),
+    ]
     r = _cli("repr", "--algebra", _write(d, "full2", {"dim": 2, "matrices": mats}), code=1)
     assert r["summary"]["error"] == "NotAssociative" and r["checks"][0]["passed"] is False, r["summary"]
 
@@ -102,13 +112,15 @@ def check_repr_of_the_full_2x2_algebra(d: str) -> None:
 # a commuting pair generates no more than its own span: generate exits 1
 def check_generate_from_a_commuting_pair(d: str) -> None:
     pair = _write(d, "commuting", {"a": _mat([[1, 0], [0, 2]]), "b": _mat([[3, 0], [0, 4]])})
-    assert _cli("generate", "--mode", "jordan3", "--in", pair, code=1)["summary"]["all_generated"] is False
+    report = _cli("generate", "--mode", "jordan3", "--in", pair, code=1)
+    assert report["summary"]["all_generated"] is False
 
 
 # closures at sizes the benchmark never reaches (it stops at n=10): su(16) and the full 12x12 algebra
 def check_closures_at_16_and_12(d: str) -> None:
-    assert _cli("generate", "--mode", "lie2", "--dim", "16", "--trials", "1")["checks"][0]["closure_dim"] == 255
-    assert _cli("generate", "--mode", "jordan3", "--dim", "12", "--trials", "1")["checks"][0]["closure_dim"] == 144
+    for mode, n, dim in (("lie2", "16", 255), ("jordan3", "12", 144)):
+        check = _cli("generate", "--mode", mode, "--dim", n, "--trials", "1")["checks"][0]
+        assert check["closure_dim"] == dim, (mode, check)
 
 
 # a 12x12 pure state against the default full algebra: the bracket table at a size the benchmark never reaches;
@@ -130,7 +142,11 @@ def check_classify_at_24(d: str) -> None:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w = g @ g.conj().T
     w = (w + w.conj().T) / (2 * np.trace(w).real)
-    states = {"pure": (_near(n, 1.0), None, False), "wishart": (w.real.tolist(), w.imag.tolist(), False), "mixed": (_near(n, 0.0), None, True)}
+    states = {
+        "pure": (_near(n, 1.0), None, False),
+        "wishart": (w.real.tolist(), w.imag.tolist(), False),
+        "mixed": (_near(n, 0.0), None, True),
+    }
     for name, (re, im, classical) in states.items():
         s = _cli("classify", "--in", _state(d, f"{name}24", re, im), rss=150)["summary"]
         assert s["algebra_dim"] == 576 and s["classical"] is classical, (name, s)
@@ -164,50 +180,71 @@ def check_closures_at_24(d: str) -> None:
 # the centralizer of the full 16x16 algebra in itself: S is at its lie dimension bound, so the constraint rows take
 # their closed form and none of the r * s = 65536 brackets is formed (1.3 GB as one stack); peak RSS at most 150 MB
 def check_centralizer_of_the_full_16x16_algebra(d: str) -> None:
-    code = "from ljlab import centralizer, full_hermitian_space; L = full_hermitian_space(16); print(centralizer(L, L).dim_span)"
-    assert _py(code, rss=150) == ["1"]
+    out = _py(
+        "from ljlab import centralizer, full_hermitian_space",
+        "L = full_hermitian_space(16)",
+        "print(centralizer(L, L).dim_span)",
+        rss=150,
+    )
+    assert out == "1", out
 
 
-SU24 = "L = lie_generate(traceless(random_hermitian(24, seed=24)), traceless(random_hermitian(24, seed=25))).closure; "
+SU24 = "L = lie_generate(traceless(random_hermitian(24, seed=24)), traceless(random_hermitian(24, seed=25))).closure"
 
 
 # is_semisimple_lie of su(24), the lie_generate closure of a traceless pair: the closure holds no I, so the verdict is
 # whether the constraint rows of centralizer(L, L) reach rank 575, which su(24) gives in closed form, with no bracket
 # table (the Killing matrix path took 842 MB); peak RSS at most 150 MB; the time has no bound
 def check_su24_is_semisimple(d: str) -> None:
-    code = "from ljlab import is_semisimple_lie, lie_generate, random_hermitian, traceless; " + SU24
-    assert _py(code + "print(L.dim_span, is_semisimple_lie(L))", rss=150) == ["575", "True"]
+    out = _py(
+        "from ljlab import is_semisimple_lie, lie_generate, random_hermitian, traceless",
+        SU24,
+        "print(L.dim_span, is_semisimple_lie(L))",
+        rss=150,
+    )
+    assert out == "575 True", out
 
 
 # derived_algebra of su(24), the lie_generate closure of a traceless pair: [L, L] is the span of the centralizer's
 # constraint rows, for su(24) L's own 575 rows, with no bracket table (1.5 GB with it); peak RSS at most 150 MB
 def check_derived_algebra_of_su24(d: str) -> None:
-    code = "from ljlab import derived_algebra, lie_generate, random_hermitian, traceless; " + SU24
-    assert _py(code + "print(derived_algebra(L).dim_span)", rss=150) == ["575"]
+    out = _py(
+        "from ljlab import derived_algebra, lie_generate, random_hermitian, traceless",
+        SU24,
+        "print(derived_algebra(L).dim_span)",
+        rss=150,
+    )
+    assert out == "575", out
 
 
 # derived_algebra of the full 24x24 algebra and is_semisimple_lie of su(24) spanned from conjugated rank-2 elements:
 # both algebras are at their lie dimension bound, where the ad constraints take their closed form (the commutant of
 # su(n) is RI) with no bracket formed, at a size the benchmark never reaches; peak RSS at most 150 MB
 def check_algebras_at_the_lie_bound_at_24(d: str) -> None:
-    code = (
-        "import numpy as np; "
-        "from ljlab import derived_algebra, full_hermitian_basis, full_hermitian_space, is_semisimple_lie, span; "
-        "n = 24; rng = np.random.default_rng(n); "
-        "u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))); "
-        "steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]; "
-        "S = span([u @ m @ u.conj().T for m in [*full_hermitian_basis(n)[n:], *steps]]); "
-        "print(derived_algebra(full_hermitian_space(n)).dim_span, S.dim_span, is_semisimple_lie(S))"
+    out = _py(
+        "import numpy as np",
+        "from ljlab import derived_algebra, full_hermitian_basis, full_hermitian_space, is_semisimple_lie, span",
+        "n = 24",
+        "rng = np.random.default_rng(n)",
+        "u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))",
+        "steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]",
+        "S = span([u @ m @ u.conj().T for m in [*full_hermitian_basis(n)[n:], *steps]])",
+        "print(derived_algebra(full_hermitian_space(n)).dim_span, S.dim_span, is_semisimple_lie(S))",
+        rss=150,
     )
-    assert _py(code, rss=150) == ["575", "575", "True"]
+    assert out == "575 575 True", out
 
 
 # is_jordan_associative of the full 24x24 algebra: it is the is_commutative call, which answers at the first bracket
 # block above the floor and forms no associator (the associator pass took 1.4 s and 71 MB, 184 MB with the bracket
 # table); peak RSS at most 60 MB (45 MB measured); the time has no bound
 def check_full_24x24_algebra_is_not_jordan_associative(d: str) -> None:
-    code = "from ljlab import full_hermitian_space, is_jordan_associative; print(is_jordan_associative(full_hermitian_space(24)))"
-    assert _py(code, rss=60) == ["False"]
+    out = _py(
+        "from ljlab import full_hermitian_space, is_jordan_associative",
+        "print(is_jordan_associative(full_hermitian_space(24)))",
+        rss=60,
+    )
+    assert out == "False", out
 
 
 # the associator defect of the full 10x10 and 12x12 algebras: the canonical basis ties many triples at 2^(-3/2), and
@@ -216,8 +253,11 @@ def check_full_24x24_algebra_is_not_jordan_associative(d: str) -> None:
 # 128 KB at a time, so the peak RSS stays at most 60 MB (about 36 MB; a whole bracket block's triples at once took
 # 283 MB at n = 12); the time has no bound
 def check_associator_defect_of_the_full_algebras(d: str) -> None:
-    code = "from ljlab import associator_defect, full_hermitian_space; print(*(repr(associator_defect(full_hermitian_space(n))) for n in (10, 12)), sep=';')"
-    out = _child([sys.executable, "-c", code], rss=60).strip()
+    out = _py(
+        "from ljlab import associator_defect, full_hermitian_space",
+        "print(*(repr(associator_defect(full_hermitian_space(n))) for n in (10, 12)), sep=';')",
+        rss=60,
+    )
     assert out == "(0.3535533905932737, (10, 10, 11));(0.3535533905932737, (12, 12, 13))", out
 
 
@@ -225,8 +265,13 @@ def check_associator_defect_of_the_full_algebras(d: str) -> None:
 # about 128 KB per product, so the peak RSS stays at most 80 MB (about 46 MB; whole 1024-sample stacks took 142 MB);
 # every sample violates both kinds; the time has no bound
 def check_positivity_on_the_full_24x24_algebra(d: str) -> None:
-    code = "from ljlab import check_positivity_closure, full_hermitian_space; r = check_positivity_closure(full_hermitian_space(24), 2048, 0); print(r.samples, r.jordan_violations, r.square_order_violations)"
-    assert _py(code, rss=80) == ["2048", "2048", "2048"]
+    out = _py(
+        "from ljlab import check_positivity_closure, full_hermitian_space",
+        "r = check_positivity_closure(full_hermitian_space(24), 2048, 0)",
+        "print(r.samples, r.jordan_violations, r.square_order_violations)",
+        rss=80,
+    )
+    assert out == "2048 2048 2048", out
 
 
 # the function representation of a conjugated diagonal algebra at n = 24 (dim 24): one eigendecomposition of a generic
@@ -237,7 +282,8 @@ def check_repr_of_a_conjugated_diagonal_algebra_at_24(d: str) -> None:
     rng = np.random.default_rng(n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     mats = [np.outer(u[:, k], u[:, k].conj()) for k in range(n)]
-    path = _write(d, "diag24", {"dim": n, "matrices": [{"dim": n, "re": m.real.tolist(), "im": m.imag.tolist()} for m in mats]})
+    matrices = [{"dim": n, "re": m.real.tolist(), "im": m.imag.tolist()} for m in mats]
+    path = _write(d, "diag24", {"dim": n, "matrices": matrices})
     s = _cli("repr", "--algebra", path)["summary"]
     assert s["algebra_dim"] == 24 and s["num_points"] == 24, (s.get("error"), s.get("detail"))
 
@@ -246,7 +292,8 @@ def check_repr_of_a_conjugated_diagonal_algebra_at_24(d: str) -> None:
 # (14 trials at n = 24), so the peak RSS stays at most 80 MB (about 45 MB; one 1000-trial stack took 123 MB), at a
 # size the benchmark never reaches (it stops at n = 4)
 def check_witness_search_at_24(d: str) -> None:
-    assert _cli("witness", "--kind", "associator", "--dim", "24", "--budget", "1000", rss=80)["summary"]["found"] is True
+    report = _cli("witness", "--kind", "associator", "--dim", "24", "--budget", "1000", rss=80)
+    assert report["summary"]["found"] is True
 
 
 # the n = 2..6 sweep at 1000 trials per dimension: 5,000 trials evaluated in chunks, a size the benchmark never
@@ -261,8 +308,11 @@ def check_verify_at_many_trials(d: str) -> None:
 
 # the public products check their input: an inf matrix raises ValidationError, not a matmul warning
 def check_products_reject_an_inf_matrix(d: str) -> None:
-    code = "import numpy as np, pytest, ljlab; pytest.raises(ljlab.ValidationError, ljlab.jordan, np.full((2, 2), np.inf), np.eye(2))"
-    _child([sys.executable, "-W", "error", "-c", code])
+    code = [
+        "import numpy as np, pytest, ljlab",
+        "pytest.raises(ljlab.ValidationError, ljlab.jordan, np.full((2, 2), np.inf), np.eye(2))",
+    ]
+    _child([sys.executable, "-W", "error", "-c", "\n".join(code)])
 
 
 # --tol is a flag of verify and witness only; it sets verify's zero tolerance (far below roundoff, every check fails)
@@ -272,7 +322,8 @@ def check_tol_flag(d: str) -> None:
     _child(["ljlab", "classify", "--in", state, "--tol", "1e-3"], code=2)
     strict = _cli("verify", "--dim", "3", "--trials", "5", "--tol", "1e-30", code=1)
     assert strict["config"]["tol"] == {"rel": True, "zero_tol": 1e-30}, strict["config"]
-    assert _cli("witness", "--kind", "associator", "--dim", "2", "--budget", "20", "--tol", "10", code=1)["summary"]["found"] is False
+    report = _cli("witness", "--kind", "associator", "--dim", "2", "--budget", "20", "--tol", "10", code=1)
+    assert report["summary"]["found"] is False
 
 
 def main() -> int:

@@ -1512,27 +1512,6 @@ def test_derived_algebra_is_memoized():
     assert derived_algebra(full_hermitian_space(3)) is not d
 
 
-def test_is_commutative_is_memoized_and_forms_no_second_bracket(monkeypatch):
-    brackets = _count_calls(monkeypatch, "_brackets")
-    for alg, associative in ((commutative_algebra(4, seed=3, count=4), True), (full_hermitian_space(3), False)):
-        first = is_commutative(alg)
-        assert brackets[0] == 1
-        assert is_commutative(alg) == first == associative
-        if associative:
-            assert function_representation(alg).points.shape == (4, 4)
-        else:
-            with pytest.raises(NotAssociative):
-                function_representation(alg)
-        assert brackets[0] == 1 and alg._memo["commutative"] is associative
-        brackets[0] = 0
-    # the verdict is stored only after both closedness checks: NotClosed raises on every call
-    open_alg = span([SX, SY])
-    for _ in range(2):
-        with pytest.raises(NotClosed):
-            is_commutative(open_alg)
-    assert "commutative" not in open_alg._memo and brackets[0] == 0
-
-
 def test_second_classify_forms_no_closure_and_no_second_derived_algebra(monkeypatch):
     full = full_hermitian_space(3)
     pairs = _count_calls(monkeypatch, "_products")
