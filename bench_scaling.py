@@ -2,92 +2,29 @@
 
     python bench_scaling.py [--tree DIR] [--out BENCH_scaling.json] [--only NAME ...]
 
-Closure rows time ``lie_generate`` of a traceless pair and
-``jordan_generate_three`` of a pair at n = 8, 12, 16 and 24, each in its
-own process, warm: one untimed call, then the timed ones. The generators are
-``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``,
-their traceless parts for ``lie_generate``; a row whose closures do not all
-reach n^2 - 1 (lie) or n^2 (jordan) posts no time. Centralizer rows time
-``centralizer(L, L)`` of the full algebra L at n = 8, 12, 16 and 24 the
-same way; a row whose centralizers do not all have dimension 1 (the
-multiples of I) posts no time; the full algebra is at its dimension
-bound, so these rows time the closed form, with no bracket formed.
-``centralizer_blocks`` rows time the walk below the bound:
-``centralizer(L, L)`` of L = u(n/2) + u(n/2) conjugated by a fixed random
-unitary (``conjugated``) at n = 16 and 24, whose center, and so every
-result, must have dimension 2. The ``closedness_blocks`` row times
-``is_closed_under(L, jordan)`` and ``is_closed_under(L, lie)`` of that
-algebra at n = 24, each call on a fresh copy, so the memo does not answer
-it; it posts a time only when both read True. ``is_semisimple_lie`` rows
-time the ``lie_generate`` closure of the traceless pair above, built untimed, at
-n = 16 and 24, and the ``is_semisimple_lie_conjugated`` row su(24)
-spanned from conjugated rank-2 elements (the off-diagonal units and
-E_kk - E_(k+1)(k+1)); a row posts a time only when every call returns
-True.
-``associator_defect`` rows time the full algebra at n = 8, 12 and 16 the
-same way; a row posts a time only when every call returns 2^(-3/2), as
-0.3535533905932737, and names a triple. The ``commutator_defect`` row
-times the full algebra at n = 24 and must return 1/2 as 0.4999999999999999
-and name a pair. ``derived_algebra`` rows time the
-``lie_generate`` closure above at n = 16 and 24, and
-``derived_algebra_full`` rows the full algebra at n = 24; each call gets a
-fresh copy of the algebra, whose closedness is proven at its bound with no
-product formed, so the memo does not answer it; a row posts a time only
-when every result has dimension n^2 - 1. The ``is_jordan_associative`` row
-times the full algebra at n = 24 and must read False. The
-``function_representation`` rows time ``function_representation`` of the
-span of the n rank-one projectors u E_kk u^H, with the unitary u of
-``conjugated`` below, at n = 12 and 24; a row posts a time only when every
-result has n points. The witness rows
-time ``avr_witness_search(4, 0, 1000)`` and
-``associator_witness_search(6, 0, 1000)``, the searches of ``ljlab witness
---budget 1000``; a row posts a time only when every search finds a witness.
-The ``cmd_verify`` rows time ``cmd_verify`` of ``ljlab verify --dim n
---trials 25 --seed 0``, in process, at n = 2, 4 and 6: the benchmark's
-verify ops without the report's JSON; a row posts a time only when all 5
-checks pass. The ``trial_rngs`` row times ``_trial_rngs(0, 0, 1024)``, the
-1024 trial generators of one full chunk, and must yield 1024. The
-``classify_wishart`` rows time ``classify`` of the Wishart state
-``random_state(n, seed=n)`` against the full algebra at n = 3, 4 and 8,
-and the ``classify_block_scalar`` row the state with
-weight 0.7 and 0.3 spread evenly over the two blocks of u(2) + u(2) at
-n = 4, against that algebra: the benchmark's library classify ops at its
-sizes, on an algebra object that has classified the state once. A
-Wishart row posts a time only when every verdict is False, the
-block-scalar row only when every verdict is True.
+A warm row times one call in its own process. The row's builder, named
+after its bench and listed in ``WARM`` with its sizes and row keys, makes
+the inputs untimed and returns the call and the result every call must
+give; its docstring says what the row times. After one untimed call, each
+run makes k calls and posts the time per call, k (``calls_per_run``) being
+the number of untimed calls that took 10 ms.
 
-The verify row times a cold ``python -m ljlab verify --trials 1000``
-process, the n = 2..6 sweep, from start to exit; it posts a time only when
-every run passes all 25 checks.
+``verify``, ``classify_full_algebra`` and ``classify_blocks`` rows time cold
+``python -m ljlab`` processes, start to exit: ``verify --trials 1000``,
+which must pass all 25 checks; ``classify`` of each of ``STATES`` against
+the full algebra at each n of ``SIZES`` (warm too, by its builder), whose
+verdict must be the commutator criterion's, True for I/n; and ``classify``
+of each of ``block_states`` against ``blocks`` at n = 24.
 
-Classify rows: for each n it classifies four states against the default
-full algebra (dimension n^2): the pure state vv^T of the CI check,
-``v_k`` proportional to k + 1; I/n; and rho_t = (1 - t) I/n + t vv^T at
-t = 1e-8, 1e-6 and 1e-4, whose cross-checks no first-step bound settles.
-Each state is timed two ways:
-
-- cold: one ``python -m ljlab classify --in FILE`` process per run, its wall
-  time from start to exit, interpreter start and import included;
-- warm: ``classify(s, L)`` on an algebra object that has classified the
-  state once, so its closedness proofs and derived algebra are memoized;
-  the associator criterion's exact pass runs again on every call.
-
-A warm run, of a query or of classify, repeats its call k times and posts
-the time per call; k is the number of untimed calls, made after the first,
-that took 10 ms (k = 1 for calls that long). A warm row records k as
-``calls_per_run``; a cold classify row, one process per run, records 1.
-Times are at reference speed: each timed interval is scaled by
-``perfbench/speed.py``'s probe, sampled just before and just after it. A
-row is the median of 5 runs, with their quartiles (``q1_s``, ``q3_s``),
-and carries the commit and the
-``src/`` line count of the timed tree (``--tree``, default this checkout)
-and the peak RSS of the processes that ran it. A row whose verdict is not
-``is_classical_commutator``'s (True for I/n) posts no time. Rows are
-appended to ``--out``, so the file keeps every run's rows; time the
-parent commit and the change one after the other on the same machine,
-from clones at paths of equal length (a checkout's path alone moves its
-warm rows). ``--only NAME``, repeatable, takes only the rows of that bench
-name: a query above, ``verify`` or ``classify_full_algebra``.
+Times are at reference speed: each interval is scaled by the probe of
+``perfbench/speed.py``, sampled just before and after it. A row is the
+median of 5 runs with their quartiles, None when a result is wrong, with
+the peak RSS and the timed tree's facts (``--tree``, default this
+checkout): commit, ``src/`` lines, and ``src_pycache``, whether its
+``src/ljlab`` held a ``__pycache__`` when the take began. Rows are appended
+to ``--out``. Time parent and change one after the other on one machine,
+from clones at paths of equal length: a checkout's path alone moves its
+warm rows. ``--only NAME``, repeatable, takes only that bench's rows.
 """
 
 from __future__ import annotations
@@ -97,6 +34,7 @@ import datetime
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -104,45 +42,238 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "perfbench"))
 from speed import SpeedProbe  # noqa: E402
 
-ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstring says what each row times."
+ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstrings say what each row times."
 SIZES = (8, 16, 24)
 CLOSURE_SIZES = (8, 12, 16, 24)
-#: Each warm query's sizes, the row keys of its result and of that result's
-#: check, and the result it must give at n.
-QUERIES = {
-    "lie_generate": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n - 1),
-    "jordan_generate_three": (CLOSURE_SIZES, "closure_dim", "dim_ok", lambda n: n * n),
-    "centralizer": ((8, 12, 16, 24), "dim_span", "dim_ok", lambda n: 1),
-    "centralizer_blocks": ((16, 24), "dim_span", "dim_ok", lambda n: 2),
-    "closedness_blocks": ((24,), "closed", "verdict_ok", lambda n: True),
-    "is_semisimple_lie": ((16, 24), "semisimple", "verdict_ok", lambda n: True),
-    "is_semisimple_lie_conjugated": ((24,), "semisimple", "verdict_ok", lambda n: True),
-    "associator_defect": ((8, 12, 16), "defect", "value_ok", lambda n: 0.3535533905932737),
-    "commutator_defect": ((24,), "defect", "value_ok", lambda n: 0.4999999999999999),
-    "derived_algebra": ((16, 24), "dim_span", "dim_ok", lambda n: n * n - 1),
-    "derived_algebra_full": ((24,), "dim_span", "dim_ok", lambda n: n * n - 1),
-    "is_jordan_associative": ((24,), "associative", "verdict_ok", lambda n: False),
-    "function_representation": ((12, 24), "num_points", "points_ok", lambda n: n),
-    "avr_witness_search": ((4,), "found", "found_ok", lambda n: True),
-    "associator_witness_search": ((6,), "found", "found_ok", lambda n: True),
-    "cmd_verify": ((2, 4, 6), "checks_passed", "passed_ok", lambda n: 5),
-    "trial_rngs": ((1024,), "streams", "count_ok", lambda n: n),
-    "classify_wishart": ((3, 4, 8), "classical", "verdict_ok", lambda n: False),
-    "classify_block_scalar": ((4,), "classical", "verdict_ok", lambda n: True),
-}
 RUNS = 5
 #: Each state is (1 - t) I/n + t vv^T at its t.
 STATES = {"pure": 1.0, "mixed": 0.0, "rho_t=1e-08": 1e-8, "rho_t=1e-06": 1e-6, "rho_t=1e-04": 1e-4}
 
 
 def state_matrix(n: int, t: float) -> list[list[float]]:
-    """The real matrix (1 - t) I/n + t vv^T."""
+    """The real matrix (1 - t) I/n + t vv^T, ``v_k`` proportional to k + 1."""
     v = [(k + 1) / (n * (n + 1) * (2 * n + 1) / 6) ** 0.5 for k in range(n)]
     return [[(1 - t) * (a == b) / n + t * v[a] * v[b] for b in range(n)] for a in range(n)]
+
+
+def pair(ljlab, n: int) -> tuple:
+    """The generators ``random_hermitian(n, seed=n)`` and ``random_hermitian(n, seed=n + 1)``."""
+    return ljlab.random_hermitian(n, seed=n), ljlab.random_hermitian(n, seed=n + 1)
+
+
+def su(ljlab, n: int):
+    """su(n) as the ``lie_generate`` closure of the traceless parts of ``pair``."""
+    return ljlab.lie_generate(*map(ljlab.traceless, pair(ljlab, n))).closure
+
+
+def fresh(L):
+    """A copy of L with nothing memoized, so a query on it proves closedness again."""
+    return type(L)(L.dim_ambient, L.rows)
+
+
+def rank_two_su(ljlab, k: int) -> list:
+    """A basis of su(k) of rank-2 elements: the off-diagonal units and E_jj - E_(j+1)(j+1)."""
+    steps = [np.diag(np.eye(k)[j] - np.eye(k)[j + 1]).astype(complex) for j in range(k - 1)]
+    return [*ljlab.full_hermitian_basis(k)[k:], *steps]
+
+
+def two_blocks(n: int, basis) -> list:
+    """``basis(k)`` of each diagonal block, k = n/2 and n - n/2, padded with zeros."""
+    return [np.pad(e, (off, n - off - k)) for off, k in ((0, n // 2), (n // 2, n - n // 2)) for e in basis(k)]
+
+
+def unitary(n: int) -> np.ndarray:
+    """The unitary factor of a complex Gaussian matrix from seed n."""
+    rng = np.random.default_rng(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u
+
+
+def conjugated(ljlab, mats: list):
+    """The span of u m u^H over mats, u = ``unitary(n)``."""
+    u = unitary(len(mats[0]))
+    return ljlab.span([u @ m @ u.conj().T for m in mats])
+
+
+def blocks(ljlab, n: int):
+    """u(n/2) + u(n - n/2), each block's canonical basis, ``conjugated``: its center has dimension 2."""
+    return conjugated(ljlab, two_blocks(n, ljlab.full_hermitian_basis))
+
+
+def block_states(ljlab, n: int) -> dict:
+    """The ``classify_blocks`` states and their verdicts: I/n is classical; W = ``random_state(n, seed=n)``
+    pinched to the blocks in the frame of ``unitary(n)``, inside ``blocks``, and W, outside it, are quantum."""
+    u, w = unitary(n), ljlab.random_state(n, seed=n).rho
+    first = np.arange(n) < n // 2
+    pinched = u @ np.where(first[:, None] == first, u.conj().T @ w @ u, 0) @ u.conj().T
+    return {"mixed": (np.eye(n) / n, True), "wishart_inside": (pinched, False), "wishart_outside": (w, False)}
+
+
+def lie_generate(ljlab, n: int):
+    """``lie_generate`` of the traceless parts of ``pair``, which must reach n^2 - 1."""
+    a, b = map(ljlab.traceless, pair(ljlab, n))
+    return lambda: ljlab.lie_generate(a, b).closure_dim, n * n - 1
+
+
+def jordan_generate_three(ljlab, n: int):
+    """``jordan_generate_three`` of ``pair``, which must reach n^2."""
+    a, b = pair(ljlab, n)
+    return lambda: ljlab.jordan_generate_three(a, b).closure_dim, n * n
+
+
+def centralizer(ljlab, n: int):
+    """``centralizer(L, L)`` of the full algebra, at its dimension bound: the closed form, no bracket formed; dim 1."""
+    L = ljlab.full_hermitian_space(n)
+    return lambda: ljlab.centralizer(L, L).dim_span, 1
+
+
+def centralizer_blocks(ljlab, n: int):
+    """``centralizer(L, L)`` of L = ``blocks``: the walk below the bound; its center has dimension 2."""
+    L = blocks(ljlab, n)
+    return lambda: ljlab.centralizer(L, L).dim_span, 2
+
+
+def closedness_blocks(ljlab, n: int):
+    """``is_closed_under`` ``blocks`` for jordan and for lie, each call on a ``fresh`` copy; both True."""
+    L = blocks(ljlab, n)
+    return lambda: all(ljlab.is_closed_under(fresh(L), p) for p in (ljlab.jordan, ljlab.lie)), True
+
+
+def is_semisimple_lie(ljlab, n: int):
+    """``is_semisimple_lie`` of ``su``, built untimed; True."""
+    L = su(ljlab, n)
+    return lambda: ljlab.is_semisimple_lie(L), True
+
+
+def is_semisimple_lie_conjugated(ljlab, n: int):
+    """``is_semisimple_lie`` of su(n) spanned from ``rank_two_su``, ``conjugated``; True."""
+    L = conjugated(ljlab, rank_two_su(ljlab, n))
+    return lambda: ljlab.is_semisimple_lie(L), True
+
+
+def associator_defect(ljlab, n: int):
+    """``associator_defect`` of the full algebra: 2^(-3/2) as 0.3535533905932737, with a triple named."""
+    L = ljlab.full_hermitian_space(n)
+    return lambda: defect(ljlab.associator_defect(L)), 0.3535533905932737
+
+
+def commutator_defect(ljlab, n: int):
+    """``commutator_defect`` of the full algebra: 1/2 as 0.4999999999999999, with a pair named."""
+    L = ljlab.full_hermitian_space(n)
+    return lambda: defect(ljlab.commutator_defect(L)), 0.4999999999999999
+
+
+def defect(value_where: tuple) -> float | None:
+    """A defect's value, None when it names no certificate."""
+    value, where = value_where
+    return value if where is not None else None
+
+
+def derived_algebra(ljlab, n: int):
+    """``derived_algebra`` of ``su`` on a ``fresh`` copy each call; dimension n^2 - 1."""
+    L = su(ljlab, n)
+    return lambda: ljlab.derived_algebra(fresh(L)).dim_span, n * n - 1
+
+
+def derived_algebra_full(ljlab, n: int):
+    """``derived_algebra`` of the full algebra on a ``fresh`` copy each call, closed at its bound; n^2 - 1."""
+    L = ljlab.full_hermitian_space(n)
+    return lambda: ljlab.derived_algebra(fresh(L)).dim_span, n * n - 1
+
+
+def derived_algebra_lie_blocks(ljlab, n: int):
+    """``derived_algebra`` of su(n/2) + su(n - n/2) from ``rank_two_su``, ``conjugated``, on a ``fresh`` copy: 286."""
+    L = conjugated(ljlab, two_blocks(n, lambda k: rank_two_su(ljlab, k)))
+    return lambda: ljlab.derived_algebra(fresh(L)).dim_span, (n // 2) ** 2 + (n - n // 2) ** 2 - 2
+
+
+def is_jordan_associative(ljlab, n: int):
+    """``is_jordan_associative`` of the full algebra; False."""
+    L = ljlab.full_hermitian_space(n)
+    return lambda: ljlab.is_jordan_associative(L), False
+
+
+def function_representation(ljlab, n: int):
+    """``function_representation`` of the span of the n projectors E_kk, ``conjugated``; n points."""
+    L = conjugated(ljlab, [np.diag(np.eye(n)[k]).astype(complex) for k in range(n)])
+    return lambda: ljlab.function_representation(L).num_points, n
+
+
+def avr_witness_search(ljlab, n: int):
+    """``avr_witness_search(n, 0, 1000)``, the search of ``ljlab witness --budget 1000``; it finds a witness."""
+    return lambda: ljlab.avr_witness_search(n, 0, 1000).found, True
+
+
+def associator_witness_search(ljlab, n: int):
+    """``associator_witness_search(n, 0, 1000)``, the search of ``ljlab witness --budget 1000``; it finds one."""
+    return lambda: ljlab.associator_witness_search(n, 0, 1000).found, True
+
+
+def cmd_verify(ljlab, n: int):
+    """``cmd_verify`` of ``verify --dim n --trials 25 --seed 0``, in process, the benchmark's verify ops; 5 passed."""
+    from ljlab import cli
+
+    cfg = cli.SessionConfig(command="verify", dim=n, trials=25, seed=0)
+    return lambda: cli.cmd_verify(cfg)[1]["checks_passed"], 5
+
+
+def trial_rngs(ljlab, n: int):
+    """``_trial_rngs(0, 0, n)``, at n = 1024 the trial generators of one full chunk; it yields n."""
+    return lambda: sum(len(rngs) for rngs in ljlab.linalg._trial_rngs(0, 0, n)), n
+
+
+def classify_wishart(ljlab, n: int):
+    """``classify`` of ``random_state(n, seed=n)`` against the full algebra, the benchmark's classify ops; False."""
+    L, s = ljlab.full_hermitian_space(n), ljlab.random_state(n, seed=n)
+    return lambda: ljlab.classify(s, L).classical, False
+
+
+def classify_block_scalar(ljlab, n: int):
+    """``classify`` of weights 0.7 and 0.3 spread evenly over the blocks of u(n/2) + u(n - n/2), against it; True."""
+    L = ljlab.span(two_blocks(n, ljlab.full_hermitian_basis))
+    k = [n // 2, n - n // 2]
+    s = ljlab.State(np.diag(np.repeat([0.7 / k[0], 0.3 / k[1]], k)).astype(complex))
+    return lambda: ljlab.classify(s, L).classical, True
+
+
+def classify_full_algebra(ljlab, n: int, state: str):
+    """``classify`` of ``STATES[state]`` against the full algebra: closedness proofs and derived algebra memoized,
+    the associator criterion's exact pass run again every call. Every verdict must be ``is_classical_commutator``'s."""
+    s = ljlab.State(np.array(state_matrix(n, STATES[state]), dtype=complex))
+    L = ljlab.full_hermitian_space(n)
+    return lambda: ljlab.classify(s, L).classical, ljlab.is_classical_commutator(s, L).classical
+
+
+#: Each warm row's builder, its sizes, and the row keys of its result and of that result's check.
+WARM = {
+    lie_generate: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
+    jordan_generate_three: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
+    centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),
+    centralizer_blocks: ((16, 24), "dim_span", "dim_ok"),
+    closedness_blocks: ((24,), "closed", "verdict_ok"),
+    is_semisimple_lie: ((16, 24), "semisimple", "verdict_ok"),
+    is_semisimple_lie_conjugated: ((24,), "semisimple", "verdict_ok"),
+    associator_defect: ((8, 12, 16), "defect", "value_ok"),
+    commutator_defect: ((24,), "defect", "value_ok"),
+    derived_algebra: ((16, 24), "dim_span", "dim_ok"),
+    derived_algebra_full: ((24,), "dim_span", "dim_ok"),
+    derived_algebra_lie_blocks: ((24,), "dim_span", "dim_ok"),
+    is_jordan_associative: ((24,), "associative", "verdict_ok"),
+    function_representation: ((12, 24), "num_points", "points_ok"),
+    avr_witness_search: ((4,), "found", "found_ok"),
+    associator_witness_search: ((6,), "found", "found_ok"),
+    cmd_verify: ((2, 4, 6), "checks_passed", "passed_ok"),
+    trial_rngs: ((1024,), "streams", "count_ok"),
+    classify_wishart: ((3, 4, 8), "classical", "verdict_ok"),
+    classify_block_scalar: ((4,), "classical", "verdict_ok"),
+}
+NAMES = [*(builder.__name__ for builder in WARM), "verify", "classify_full_algebra", "classify_blocks"]
 
 
 def spread(times: list[float], good: bool) -> dict:
@@ -171,196 +302,23 @@ def calls_per_run(run) -> int:
     return k
 
 
-def warm_worker(tree: Path, path: str) -> None:
-    """Print the warm times, classify's verdict and the commutator criterion's, and this process's peak RSS."""
-    import resource
-
+def worker(tree: Path, name: str, n: int, *args: str) -> None:
+    """Print a warm row's times and results at n, the result they must give, and this process's peak RSS."""
     sys.path.insert(0, str(tree / "src"))
-    import numpy as np
+    import ljlab
 
-    from ljlab import CriteriaDisagree, State, classify, full_hermitian_space, is_classical_commutator
-
-    doc = json.loads(Path(path).read_text())
-    s = State(np.array(doc["re"]) + 1j * np.array(doc["im"]))
-    L = full_hermitian_space(s.dim)
-    expected = is_classical_commutator(s, L).classical
-    probe = SpeedProbe()
-    times, classical, k = [], None, None
-    try:
-        classify(s, L)
-        k = calls_per_run(lambda: classify(s, L))
-        for _ in range(RUNS):
-            dt, verdict = timed(probe, lambda: classify(s, L), k)
-            times.append(dt)
-        classical = verdict.classical
-    except CriteriaDisagree as exc:
-        print(f"classify {path}: {exc}", file=sys.stderr)
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"times": times, "calls": k, "classical": classical, "expected": expected, "rss_mb": rss}))
-
-
-def query_worker(tree: Path, name: str, n: int) -> None:
-    """Print one query's warm times and results at n, and this process's peak RSS."""
-    import resource
-
-    sys.path.insert(0, str(tree / "src"))
-    import numpy as np
-
-    from ljlab import (
-        RealSubspace,
-        State,
-        associator_defect,
-        associator_witness_search,
-        avr_witness_search,
-        centralizer,
-        classify,
-        commutator_defect,
-        derived_algebra,
-        full_hermitian_basis,
-        full_hermitian_space,
-        function_representation,
-        is_closed_under,
-        is_jordan_associative,
-        is_semisimple_lie,
-        jordan,
-        jordan_generate_three,
-        lie,
-        lie_generate,
-        random_hermitian,
-        random_state,
-        span,
-        traceless,
-    )
-
-    def su(n: int) -> RealSubspace:
-        return lie_generate(traceless(random_hermitian(n, seed=n)), traceless(random_hermitian(n, seed=n + 1))).closure
-
-    def two_blocks() -> list:
-        """The basis of u(n/2) + u(n - n/2): each block's canonical basis, padded with zeros."""
-        blocks = []
-        for off, k in ((0, n // 2), (n // 2, n - n // 2)):
-            for e in full_hermitian_basis(k):
-                blocks.append(np.zeros((n, n), dtype=complex))
-                blocks[-1][off : off + k, off : off + k] = e
-        return blocks
-
-    def conjugated(mats: list) -> RealSubspace:
-        """The span of u m u^H over mats, u the unitary factor of a complex Gaussian matrix from seed n."""
-        rng = np.random.default_rng(n)
-        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return span([u @ m @ u.conj().T for m in mats])
-
-    if name in ("derived_algebra", "derived_algebra_full"):
-        L = su(n) if name == "derived_algebra" else full_hermitian_space(n)
-
-        def query() -> int:
-            return derived_algebra(RealSubspace(L.dim_ambient, L.rows)).dim_span
-
-    elif name == "is_jordan_associative":
-        L = full_hermitian_space(n)
-
-        def query() -> bool:
-            return is_jordan_associative(L)
-
-    elif name == "function_representation":
-        L = conjugated([np.diag(np.eye(n)[k]).astype(complex) for k in range(n)])
-
-        def query() -> int:
-            return function_representation(L).num_points
-
-    elif name in ("avr_witness_search", "associator_witness_search"):
-        search = {"avr_witness_search": avr_witness_search, "associator_witness_search": associator_witness_search}[name]
-
-        def query() -> bool:
-            return search(n, 0, 1000).found
-
-    elif name == "cmd_verify":
-        from ljlab.cli import SessionConfig, cmd_verify
-
-        cfg = SessionConfig(command="verify", dim=n, trials=25, seed=0)
-
-        def query() -> int:
-            return cmd_verify(cfg)[1]["checks_passed"]
-
-    elif name == "centralizer":
-        L = full_hermitian_space(n)
-
-        def query() -> int:
-            return centralizer(L, L).dim_span
-
-    elif name in ("associator_defect", "commutator_defect"):
-        L = full_hermitian_space(n)
-        defect = {"associator_defect": associator_defect, "commutator_defect": commutator_defect}[name]
-
-        def query() -> float | None:
-            value, where = defect(L)
-            return value if where is not None else None
-
-    elif name == "centralizer_blocks":
-        L = conjugated(two_blocks())
-
-        def query() -> int:
-            return centralizer(L, L).dim_span
-
-    elif name == "closedness_blocks":
-        L = conjugated(two_blocks())
-
-        def query() -> bool:
-            return all(is_closed_under(RealSubspace(L.dim_ambient, L.rows), p) for p in (jordan, lie))
-
-    elif name == "trial_rngs":
-        from ljlab.linalg import _trial_rngs
-
-        def query() -> int:
-            return sum(len(rngs) for rngs in _trial_rngs(0, 0, n))
-
-    elif name in ("classify_wishart", "classify_block_scalar"):
-        if name == "classify_wishart":
-            L, s = full_hermitian_space(n), random_state(n, seed=n)
-        else:
-            L = span(two_blocks())
-            # weight 0.7 on the first block, 0.3 on the second, as a multiple of each block's identity
-            k = [n // 2, n - n // 2]
-            s = State(np.diag(np.repeat([0.7 / k[0], 0.3 / k[1]], k)).astype(complex))
-
-        def query() -> bool:
-            return classify(s, L).classical
-
-    elif name in ("is_semisimple_lie", "is_semisimple_lie_conjugated"):
-        if name == "is_semisimple_lie":
-            L = su(n)
-        else:
-            steps = [np.diag(np.eye(n)[k] - np.eye(n)[k + 1]).astype(complex) for k in range(n - 1)]
-            L = conjugated([*full_hermitian_basis(n)[n:], *steps])
-
-        def query() -> bool:
-            return is_semisimple_lie(L)
-
-    else:
-        a, b = random_hermitian(n, seed=n), random_hermitian(n, seed=n + 1)
-        if name == "lie_generate":
-            a, b = traceless(a), traceless(b)
-        generate = {"lie_generate": lie_generate, "jordan_generate_three": jordan_generate_three}[name]
-
-        def query() -> int:
-            return generate(a, b).closure_dim
-
-    probe = SpeedProbe()
-    results = [query()]
+    query, want = {b.__name__: b for b in (*WARM, classify_full_algebra)}[name](ljlab, n, *args)
+    probe, first = SpeedProbe(), query()
     k = calls_per_run(query)
-    times = []
-    for _ in range(RUNS):
-        dt, result = timed(probe, query, k)
-        times.append(dt)
-        results.append(result)
+    times, results = zip(*(timed(probe, query, k) for _ in range(RUNS)))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(json.dumps({"times": times, "calls": k, "results": results, "rss_mb": rss}))
+    print(json.dumps({"times": times, "calls": k, "results": [first, *results], "want": want, "rss_mb": rss}))
 
 
-def cold_runs(tree: Path, args: list[str], probe: SpeedProbe, verdict) -> tuple[list[float], set, float]:
+def cold_runs(tree: Path, args: list[str], probe: SpeedProbe, verdict=lambda report: report["summary"]["classical"]):
     """Cold ``python -m ljlab *args`` times, ``verdict`` of each report (None on a nonzero exit), and their peak RSS."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    times, verdicts, rss = [], set(), 0.0
+    times, verdicts, rss = [], [], 0.0
     for _ in range(RUNS):
         with tempfile.TemporaryFile() as out:
 
@@ -373,10 +331,10 @@ def cold_runs(tree: Path, args: list[str], probe: SpeedProbe, verdict) -> tuple[
 
             dt, (code, child_rss) = timed(probe, run)
             out.seek(0)
-            verdicts.add(verdict(json.load(out)) if code == 0 else None)
+            verdicts.append(verdict(json.load(out)) if code == 0 else None)
         times.append(dt)
         rss = max(rss, child_rss)
-    return times, verdicts, rss
+    return {"times": times, "calls": 1, "results": verdicts, "rss_mb": rss}
 
 
 def tree_facts(tree: Path) -> dict:
@@ -389,22 +347,33 @@ def tree_facts(tree: Path) -> dict:
         "commit": git("rev-parse", "--short", "HEAD") or "unknown",
         "src_dirty": bool(git("status", "--porcelain", "--", "src")),
         "src_lines": lines,
+        "src_pycache": (tree / "src" / "ljlab" / "__pycache__").is_dir(),
     }
+
+
+def row(bench: str, mode: str, fields: dict, key: str, want, ok_key: str, run: dict, ok: bool = True) -> dict:
+    """A timed row after the tree facts: it is good when ``ok`` and every result of ``run`` is ``want``."""
+    good = ok and set(run["results"]) == {want}
+    head = {"bench": bench, "mode": mode, **fields, key: want, ok_key: good, **spread(run["times"], good)}
+    return {**head, "calls_per_run": run["calls"], "peak_rss_mb": round(run["rss_mb"], 1)}
+
+
+def matrix(m) -> dict:
+    """A matrix as ``ljlab``'s JSON files hold it."""
+    m = np.asarray(m, dtype=complex)
+    return {"dim": len(m), "re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", type=Path, default=HERE, help="checkout whose src/ is timed")
     ap.add_argument("--out", type=Path, default=HERE / "BENCH_scaling.json")
-    ap.add_argument("--only", action="append", metavar="NAME", help="take only this bench's rows; repeatable")
-    ap.add_argument("--warm-worker", metavar="STATE_FILE", help=argparse.SUPPRESS)
-    ap.add_argument("--query-worker", nargs=2, metavar=("QUERY", "N"), help=argparse.SUPPRESS)
+    ap.add_argument("--only", action="append", choices=NAMES, metavar="NAME", help="take only this bench's rows")
+    ap.add_argument("--worker", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args()
     tree = args.tree.resolve()
-    if args.warm_worker:
-        return warm_worker(tree, args.warm_worker)
-    if args.query_worker:
-        return query_worker(tree, args.query_worker[0], int(args.query_worker[1]))
+    if args.worker:
+        return worker(tree, args.worker[0], int(args.worker[1]), *args.worker[2:])
 
     common = {
         **tree_facts(tree),
@@ -413,79 +382,57 @@ def main() -> None:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "time": f"median of {RUNS} runs, seconds at reference speed (perfbench/speed.py)",
     }
-    names = [*QUERIES, "verify", "classify_full_algebra"]
-    unknown = set(args.only or ()) - set(names)
-    if unknown:
-        ap.error(f"unknown bench {sorted(unknown)}; choose from {names}")
-    taken = set(args.only or names)
+    taken = set(args.only or NAMES)
     probe = SpeedProbe()
     rows = []
-    for name, (sizes, key, ok_key, want) in QUERIES.items():
+
+    def post(fields: dict) -> None:
+        rows.append({**common, **fields})
+        print(json.dumps(rows[-1]), flush=True)
+
+    def warm(name: str, n: int, *args: str) -> dict:
+        cmd = [sys.executable, __file__, "--tree", str(tree), "--worker", name, str(n), *args]
+        return json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+
+    for builder, (sizes, key, ok_key) in WARM.items():
+        name = builder.__name__
         for n in sizes if name in taken else ():
-            cmd = [sys.executable, __file__, "--tree", str(tree), "--query-worker", name, str(n)]
-            got = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-            good = set(got["results"]) == {want(n)}
-            rows.append({
-                **common,
-                "bench": name,
-                "mode": "warm",
-                "n": n,
-                key: want(n),
-                ok_key: good,
-                **spread(got["times"], good),
-                "calls_per_run": got["calls"],
-                "peak_rss_mb": round(got["rss_mb"], 1),
-            })
-            print(json.dumps(rows[-1]), flush=True)
+            got = warm(name, n)
+            post(row(name, "warm", {"n": n}, key, got["want"], ok_key, got))
+
     def sweep(report: dict) -> bool:
         return report["summary"]["all_passed"] is True and report["summary"]["checks_total"] == 25
 
     if "verify" in taken:
-        times, verdicts, rss = cold_runs(tree, ["verify", "--trials", "1000"], probe, sweep)
-        good = verdicts == {True}
-        rows.append({
-            **common,
-            "bench": "verify",
-            "mode": "cold",
-            "dims": [2, 3, 4, 5, 6],
-            "trials": 1000,
-            "passed_ok": good,
-            **spread(times, good),
-            "peak_rss_mb": round(rss, 1),
-        })
-        print(json.dumps(rows[-1]), flush=True)
+        run = cold_runs(tree, ["verify", "--trials", "1000"], probe, sweep)
+        good = set(run["results"]) == {True}
+        head = {"bench": "verify", "mode": "cold", "dims": [2, 3, 4, 5, 6], "trials": 1000, "passed_ok": good}
+        post({**head, **spread(run["times"], good), "peak_rss_mb": round(run["rss_mb"], 1)})
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES if "classify_full_algebra" in taken else ():
-            for name, t in STATES.items():
-                path = f"{work}/{n}-{name}.json"
-                Path(path).write_text(json.dumps({"dim": n, "re": state_matrix(n, t), "im": [[0.0] * n] * n}))
-                cmd = [sys.executable, __file__, "--tree", str(tree), "--warm-worker", path]
-                warm = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
-                expected = warm["expected"]
-                ok = name != "mixed" or expected is True
-                cold, verdicts, cold_rss = cold_runs(
-                    tree, ["classify", "--in", path], probe, lambda report: report["summary"]["classical"]
-                )
-                for mode, times, got, rss, k in (
-                    ("warm", warm["times"], {warm["classical"]}, warm["rss_mb"], warm["calls"]),
-                    ("cold", cold, verdicts, cold_rss, 1),
-                ):
-                    good = ok and got == {expected}
-                    rows.append({
-                        **common,
-                        "bench": "classify_full_algebra",
-                        "mode": mode,
-                        "n": n,
-                        "state": name,
-                        "classical": expected,
-                        "verdict_ok": good,
-                        **spread(times, good),
-                        "calls_per_run": k,
-                        "peak_rss_mb": round(rss, 1),
-                    })
-                    print(json.dumps(rows[-1]), flush=True)
+            for state, t in STATES.items():
+                path = f"{work}/{n}-{state}.json"
+                Path(path).write_text(json.dumps(matrix(state_matrix(n, t))))
+                got = warm("classify_full_algebra", n, state)
+                want, fields = got["want"], {"n": n, "state": state}
+                ok = state != "mixed" or want is True
+                post(row("classify_full_algebra", "warm", fields, "classical", want, "verdict_ok", got, ok))
+                cold = cold_runs(tree, ["classify", "--in", path], probe)
+                post(row("classify_full_algebra", "cold", fields, "classical", want, "verdict_ok", cold, ok))
+        if "classify_blocks" in taken:
+            sys.path.insert(0, str(tree / "src"))
+            import ljlab
+
+            n = 24
+            algebra = f"{work}/blocks-{n}.json"
+            Path(algebra).write_text(json.dumps({"dim": n, "matrices": [matrix(m) for m in blocks(ljlab, n).basis]}))
+            for state, (rho, want) in block_states(ljlab, n).items():
+                path = f"{work}/blocks-{n}-{state}.json"
+                Path(path).write_text(json.dumps(matrix(rho)))
+                cold = cold_runs(tree, ["classify", "--in", path, "--algebra", algebra], probe)
+                post(row("classify_blocks", "cold", {"n": n, "state": state}, "classical", want, "verdict_ok", cold))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"about": ABOUT, "rows": []}
-    lines = ",\n".join(json.dumps(row) for row in doc["rows"] + rows)
+    lines = ",\n".join(json.dumps(r) for r in doc["rows"] + rows)
     args.out.write_text(f'{{"about": {json.dumps(doc["about"])}, "rows": [\n{lines}\n]}}\n')
 
 

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _NORM_SLACK, _opnorm, _require_finite, _require_type, _row_norms, _rows, as_matrix, random_density
-from .products import jordan, lie
+from .products import _lie, jordan, lie
 from .subspace import (
     _DEFECT_FLOOR,
     SPAN_RTOL,
@@ -198,11 +198,6 @@ def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
     return c
 
 
-def _rho_brackets(s: State, e: np.ndarray) -> np.ndarray:
-    """``[rho, e_k]`` over an (r, n, n) stack; rho is Hermitian within ``STATE_ATOL``, so both products."""
-    return 0.5j * (s.rho @ e - e @ s.rho)
-
-
 def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
     """The values of the triples ``(i, j, k)``, i < k, over every nonzero bracket, block by block.
 
@@ -212,7 +207,7 @@ def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
     and a block left empty is not yielded: ``_first_max`` reads a triple in
     no block as 0.0, so its value and triple are those of every pair.
     """
-    minus_bt = -_rows(_rho_brackets(s, L._stacked)).T
+    minus_bt = -_rows(_lie(s.rho, L._stacked)).T
     for br, i, k in _brackets(L, _rows):
         nonzero = br.any(axis=1)
         if nonzero.any():
@@ -253,7 +248,7 @@ def is_classical_commutator(s: State, L: RealSubspace) -> ClassicalityVerdict:
 def _center_verdict(s: State, L: RealSubspace) -> ClassicalityVerdict:
     """The center verdict for rho in span(L), from the brackets ``[rho, d_k]`` over the derived algebra d."""
     d = derived_algebra(L)
-    return _verdict("center", _opnorm(_rho_brackets(s, d._stacked)), d.basis)
+    return _verdict("center", _opnorm(_lie(s.rho, d._stacked)), d.basis)
 
 
 def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
@@ -397,7 +392,7 @@ def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = Non
     quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(C, cn, x1, s.dim)] if in_span else [])
     if all(quantum):
         return [False] * len(quantum)
-    hs = _row_norms(_rows(_rho_brackets(s, L._stacked)))
+    hs = _row_norms(_rows(_lie(s.rho, L._stacked)))
     flags = [not quantum[0] and (_associator_classical(cn, hs) or own(_associator_verdict))]
     if in_span:
         flags.append(not quantum[1] and (_center_classical(hs) or own(_center_verdict)))

@@ -958,7 +958,7 @@ def _never(*args):
 #: too, and the center flag splits from the commutator verdict.
 DISAGREEMENTS = {
     "zero-tensor": (("_bracket_expectations", _zero_tensor),),
-    "zero-brackets": (("_rho_brackets", _zero_brackets), ("_center_quantum", _never)),
+    "zero-brackets": (("_lie", _zero_brackets), ("_center_quantum", _never)),
 }
 
 

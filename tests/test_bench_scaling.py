@@ -1,0 +1,39 @@
+"""The scaling harness's builders at small n: each gives its row's result, so a library rename fails here."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import ljlab
+
+_spec = importlib.util.spec_from_file_location("bench_scaling", Path(__file__).parent.parent / "bench_scaling.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+@pytest.mark.parametrize("builder", bench.WARM, ids=lambda builder: builder.__name__)
+def test_every_warm_builder_gives_its_rows_result_at_small_n(builder):
+    query, want = builder(ljlab, 1024 if builder is bench.trial_rngs else 4)
+    assert query() == want
+
+
+@pytest.mark.parametrize("state", bench.STATES)
+def test_classify_full_algebra_gives_the_commutator_criterions_verdict(state):
+    query, want = bench.classify_full_algebra(ljlab, 4, state)
+    assert query() == want
+    assert want is True or state != "mixed"
+
+
+def test_the_block_states_read_their_verdicts_against_the_blocks():
+    L = bench.blocks(ljlab, 4)
+    assert L.dim_span == 8
+    for rho, want in bench.block_states(ljlab, 4).values():
+        assert ljlab.classify(ljlab.State(rho), L).classical is want
+
+
+def test_only_names_every_warm_builder_and_the_three_process_benches():
+    names = [builder.__name__ for builder in bench.WARM]
+    assert bench.NAMES == [*names, "verify", "classify_full_algebra", "classify_blocks"]

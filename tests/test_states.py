@@ -46,12 +46,11 @@ from ljlab import (
     span,
 )
 from ljlab import states as states_mod
-from ljlab.products import associator
+from ljlab.products import _lie, associator
 from ljlab.states import (
     CLASSICALITY_RTOL,
     _bracket_expectations,
     _exact_values,
-    _rho_brackets,
 )
 from ljlab.subspace import _DEFECT_FLOOR, SPAN_RTOL, RealSubspace, _brackets, _first_max, _rows
 
@@ -481,7 +480,7 @@ def test_the_exact_pass_sees_every_nonzero_bracket_pair_once(name):
 
 def _unskipped_values(s, alg):
     """The exact pass without its zero-row skip: one matrix product per whole bracket block."""
-    minus_bt = -_rows(_rho_brackets(s, alg._stacked)).T
+    minus_bt = -_rows(_lie(s.rho, alg._stacked)).T
     return _brackets(alg, lambda br: _rows(br) @ minus_bt)
 
 
@@ -938,9 +937,9 @@ def test_a_clear_in_span_state_forms_no_bracket_in_the_first_step(monkeypatch, n
 
     def counted(*args):
         calls[0] += 1
-        return _rho_brackets(*args)
+        return _lie(*args)
 
-    monkeypatch.setattr(states_mod, "_rho_brackets", counted)
+    monkeypatch.setattr(states_mod, "_lie", counted)
     assert classify(s, alg).classical is False
     assert calls[0] == 0
 
