@@ -5,161 +5,27 @@ Hermitian-valued bracket with an i/2 factor. The package checks the
 algebraic identities tying them together, computes subspace closures and
 derived algebras, tests states for classicality, and searches for
 quantumness witnesses. See the ``ljlab`` CLI for batch experiments.
-"""
 
-from __future__ import annotations
+The package root re-exports each module's ``__all__``, which is the one
+list of that module's public names.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CriteriaDisagree,
-    DimensionMismatch,
-    EmptyInput,
-    LJLabError,
-    NotAssociative,
-    NotClosed,
-    NotHermitian,
-    NotInSpan,
-    ValidationError,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    derive_seed,
-    eig_hermitian,
-    hs_inner,
-    hs_norm,
-    is_hermitian,
-    is_psd,
-    min_eigenvalue,
-    operator_norm,
-    random_density,
-    random_hermitian,
-    spectral_norm,
-    traceless,
-)
-from .products import (
-    IdentityReport,
-    associator,
-    check_associator_identity,
-    check_jacobi,
-    check_leibniz,
-    check_norm_axioms,
-    check_weak_associativity,
-    jordan,
-    jordan_commute,
-    lie,
-    recover_associative,
-)
-from .states import (
-    Certificate,
-    ClassicalityVerdict,
-    State,
-    classify,
-    expect,
-    is_classical_associator,
-    is_classical_center,
-    is_classical_commutator,
-    random_state,
-)
-from .subspace import (
-    FunctionRepresentation,
-    GenerationReport,
-    PositivityReport,
-    RealSubspace,
-    associator_defect,
-    centralizer,
-    check_positivity_closure,
-    close_under,
-    commutator_defect,
-    derived_algebra,
-    full_hermitian_basis,
-    full_hermitian_space,
-    function_representation,
-    is_closed_under,
-    is_commutative,
-    is_jordan_associative,
-    is_semisimple_lie,
-    jordan_generate_three,
-    lie_generate,
-    span,
-)
-from .witness import (
-    WitnessReport,
-    associator_witness,
-    associator_witness_search,
-    avr_witness_search,
-    squared_witness,
-)
+from . import errors, linalg, products, states, subspace, witness
+from .errors import *
+from .linalg import *
+from .products import *
+from .states import *
+from .subspace import *
+from .witness import *
 
 __all__ = [
     "__version__",
-    "LJLabError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NotInSpan",
-    "NotClosed",
-    "NotAssociative",
-    "EmptyInput",
-    "CriteriaDisagree",
-    "ValidationError",
-    "Tolerance",
-    "DEFAULT_TOL",
-    "is_hermitian",
-    "eig_hermitian",
-    "min_eigenvalue",
-    "operator_norm",
-    "spectral_norm",
-    "is_psd",
-    "hs_inner",
-    "hs_norm",
-    "traceless",
-    "derive_seed",
-    "random_hermitian",
-    "random_density",
-    "jordan",
-    "lie",
-    "associator",
-    "recover_associative",
-    "IdentityReport",
-    "check_jacobi",
-    "check_leibniz",
-    "check_associator_identity",
-    "check_weak_associativity",
-    "check_norm_axioms",
-    "jordan_commute",
-    "RealSubspace",
-    "full_hermitian_basis",
-    "full_hermitian_space",
-    "span",
-    "close_under",
-    "is_closed_under",
-    "derived_algebra",
-    "centralizer",
-    "commutator_defect",
-    "associator_defect",
-    "is_commutative",
-    "is_jordan_associative",
-    "is_semisimple_lie",
-    "GenerationReport",
-    "lie_generate",
-    "jordan_generate_three",
-    "FunctionRepresentation",
-    "function_representation",
-    "PositivityReport",
-    "check_positivity_closure",
-    "State",
-    "random_state",
-    "expect",
-    "Certificate",
-    "ClassicalityVerdict",
-    "is_classical_associator",
-    "is_classical_commutator",
-    "is_classical_center",
-    "classify",
-    "WitnessReport",
-    "associator_witness",
-    "squared_witness",
-    "avr_witness_search",
-    "associator_witness_search",
+    *errors.__all__,
+    *linalg.__all__,
+    *products.__all__,
+    *subspace.__all__,
+    *states.__all__,
+    *witness.__all__,
 ]

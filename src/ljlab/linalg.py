@@ -396,9 +396,9 @@ def gaussian_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     """n x n matrix with independent standard complex Gaussian entries.
 
     One ``standard_normal((1, 2, n, n))`` call: the real part, then the
-    imaginary part, in C order.
+    imaginary part, in C order. n follows ``_require_dim``'s rule.
     """
-    return _gaussian_stack([rng], n, 1)[0, 0]
+    return _gaussian_stack([rng], _require_dim(n), 1)[0, 0]
 
 
 def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:

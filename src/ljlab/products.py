@@ -257,11 +257,12 @@ def _residual_and_scale(row: int, operands, norms) -> tuple:
 def _check(row: int, operands: tuple) -> IdentityReport:
     """Judge ``_IDENTITIES[row]`` on single matrices, against ``DEFAULT_TOL`` at its norm scale.
 
-    ValidationError for NaN or inf entries, and for entries so large that
-    the defect or its scale overflows.
+    DimensionMismatch for operands of two sizes; ValidationError for NaN or
+    inf entries, and for entries so large that the defect or its scale overflows.
     """
     name = _IDENTITIES[row][0]
     xs = [as_matrix(m) for m in operands]
+    same_dim(*xs)
     _require_finite(*xs)
     with _no_overflow(name):
         residual, scale = _residual_and_scale(row, xs, [_opnorm(x) for x in xs])

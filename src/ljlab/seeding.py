@@ -2,11 +2,11 @@
 
 numpy's ``default_rng(x)`` is ``Generator(PCG64(SeedSequence(x)))``, and
 building one ``SeedSequence`` a trial costs more than the draws of a small
-trial. ``_generators`` runs ``SeedSequence``'s hash for a whole chunk of
-seeds as one vectorized numpy pass and hands each PCG64 its seed words
-through numpy's public ``ISeedSequence`` interface: every generator's state
-is ``default_rng(seed ^ t)``'s. ``linalg._trial_rngs`` imports this module
-at its first draw.
+trial. ``_generators`` runs ``SeedSequence``'s hash (O'Neill's ``seed_seq_fe``
+of the PCG report) for a whole chunk of seeds as one vectorized numpy pass and
+hands each PCG64 its seed words through numpy's public ``ISeedSequence``
+interface: every generator's state is ``default_rng(seed ^ t)``'s.
+``linalg._trial_rngs`` imports this module at its first draw.
 """
 
 from __future__ import annotations

@@ -950,8 +950,10 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     PSD and stay inside the subspace. Associative subalgebras produce no
     violations; the full Hermitian algebra produces both kinds. Raises
     ValidationError unless ``samples`` is an integer >= 0 and ``seed`` a
-    valid seed. Sample t draws x, y and z from trial t of ``_trial_rngs``,
-    ``_stack_len(n)`` samples a stack.
+    valid seed. Sample t draws the coordinates of x, y and z in one
+    ``standard_normal((3, r))`` call on trial t of ``_trial_rngs``; a stack
+    of ``_stack_len(n)`` samples is scored in one call per step, bit for bit
+    the per-sample loop's counts and worst cases.
     """
     _require_type("L", L, RealSubspace)
     samples = _require_count("samples", samples, 0)

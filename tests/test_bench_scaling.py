@@ -34,6 +34,35 @@ def test_the_block_states_read_their_verdicts_against_the_blocks():
         assert ljlab.classify(ljlab.State(rho), L).classical is want
 
 
+#: Each warm row's sizes, written out here so that a row dropped from ``WARM``, or resized, fails a test.
+_WARM_SIZES = {
+    "lie_generate": (8, 12, 16, 24),
+    "jordan_generate_three": (8, 12, 16, 24),
+    "centralizer": (8, 12, 16, 24),
+    "centralizer_blocks": (16, 24),
+    "closedness_blocks": (24,),
+    "is_semisimple_lie": (16, 24),
+    "is_semisimple_lie_conjugated": (24,),
+    "associator_defect": (8, 12, 16),
+    "commutator_defect": (24,),
+    "derived_algebra": (16, 24),
+    "derived_algebra_full": (24,),
+    "derived_algebra_lie_blocks": (24,),
+    "is_jordan_associative": (24,),
+    "function_representation": (12, 24),
+    "avr_witness_search": (4,),
+    "associator_witness_search": (6,),
+    "cmd_verify": (2, 4, 6),
+    "trial_rngs": (1024,),
+    "classify_wishart": (3, 4, 8),
+    "classify_block_scalar": (4,),
+}
+
+
+def test_warm_holds_every_row_at_its_sizes():
+    assert {builder.__name__: sizes for builder, (sizes, _, _) in bench.WARM.items()} == _WARM_SIZES
+
+
 def test_only_names_every_warm_builder_and_the_three_process_benches():
     names = [builder.__name__ for builder in bench.WARM]
     assert bench.NAMES == [*names, "verify", "classify_full_algebra", "classify_blocks"]

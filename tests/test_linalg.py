@@ -296,6 +296,7 @@ _BOUNDARY = [
     ("random_hermitian", "seed", "seed", lambda x: random_hermitian(2, x)),
     ("random_density", "n", "from 1", lambda x: random_density(x, 0)),
     ("random_density", "seed", "seed", lambda x: random_density(2, x)),
+    ("gaussian_complex", "n", "from 1", lambda x: ljlab.gaussian_complex(np.random.default_rng(0), x)),
     ("random_state", "n", "from 1", lambda x: ljlab.random_state(x, 0)),
     ("random_state", "seed", "seed", lambda x: ljlab.random_state(2, x)),
     ("derive_seed", "seed", "seed", lambda x: derive_seed(x, 0)),
@@ -314,6 +315,7 @@ _BOUNDARY = [
     ("jordan_commute", "ambient", "RealSubspace", lambda x: ljlab.jordan_commute(np.eye(2), np.eye(2), x)),
     ("close_under", "s", "RealSubspace", lambda x: ljlab.close_under(x, ljlab.lie)),
     ("is_closed_under", "s", "RealSubspace", lambda x: ljlab.is_closed_under(x, ljlab.lie)),
+    ("require_closed", "s", "RealSubspace", lambda x: ljlab.require_closed(x, ljlab.lie)),
     ("derived_algebra", "L", "RealSubspace", lambda x: ljlab.derived_algebra(x)),
     ("centralizer", "L", "RealSubspace", lambda x: ljlab.centralizer(x, _FULL2)),
     ("centralizer", "S", "RealSubspace", lambda x: ljlab.centralizer(_FULL2, x)),
@@ -372,8 +374,18 @@ def test_the_boundary_table_holds_every_public_state_and_subspace_argument():
             continue
         params = inspect.signature(obj).parameters.values()
         found |= {(name, p.name, p.annotation) for p in params if p.annotation in _TYPES}
-    assert len(found) == 22 and len({name for name, _, _ in found}) == 17
+    assert len(found) == 23 and len({name for name, _, _ in found}) == 18
     assert found == {(name, arg, kind) for name, arg, kind, _ in _BOUNDARY if kind in _TYPES}
+
+
+def test_the_root_exports_each_modules_public_names():
+    """``ljlab.__all__`` takes each module's list whole, names nothing twice and leaves out no public name."""
+    for module in (ljlab.errors, ljlab.linalg, ljlab.products, ljlab.subspace, ljlab.states, ljlab.witness):
+        for name in module.__all__:
+            assert name in ljlab.__all__ and getattr(ljlab, name) is getattr(module, name), (module.__name__, name)
+    assert len(set(ljlab.__all__)) == len(ljlab.__all__)
+    public = {name for name, obj in vars(ljlab).items() if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public - {"annotations"} <= set(ljlab.__all__)
 
 
 A3, B3 = random_hermitian(3, seed=6), random_hermitian(3, seed=7)

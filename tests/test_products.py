@@ -21,16 +21,20 @@ from ljlab import (
     Tolerance,
     ValidationError,
     associator,
+    associator_witness,
     check_associator_identity,
     check_jacobi,
     check_leibniz,
     check_norm_axioms,
     check_weak_associativity,
     full_hermitian_space,
+    hs_inner,
     is_hermitian,
     jordan,
     jordan_commute,
+    jordan_generate_three,
     lie,
+    lie_generate,
     random_hermitian,
     recover_associative,
     span,
@@ -74,11 +78,31 @@ def test_products_are_hermitian_and_symmetric():
         np.testing.assert_allclose(lie(a, b), -lie(b, a), atol=1e-12)
 
 
-def test_products_reject_mismatched_dims():
-    with pytest.raises(DimensionMismatch):
-        jordan(SX, np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        lie(SX, np.eye(3))
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x, y: jordan(x, y), id="jordan"),
+        pytest.param(lambda x, y: lie(x, y), id="lie"),
+        pytest.param(lambda x, y: associator(x, x, y), id="associator"),
+        pytest.param(lambda x, y: recover_associative(x, y), id="recover_associative"),
+        pytest.param(lambda x, y: hs_inner(x, y), id="hs_inner"),
+        pytest.param(lambda x, y: check_jacobi(x, x, y), id="check_jacobi"),
+        pytest.param(lambda x, y: check_leibniz(x, x, y), id="check_leibniz"),
+        pytest.param(lambda x, y: check_associator_identity(x, x, y), id="check_associator_identity"),
+        pytest.param(lambda x, y: check_weak_associativity(x, y), id="check_weak_associativity"),
+        pytest.param(lambda x, y: check_norm_axioms(x, y), id="check_norm_axioms"),
+        pytest.param(lambda x, y: jordan_commute(x, y, full_hermitian_space(2)), id="jordan_commute"),
+        pytest.param(lambda x, y: associator_witness(x, x, y), id="associator_witness"),
+        pytest.param(lambda x, y: lie_generate(x, y), id="lie_generate"),
+        pytest.param(lambda x, y: jordan_generate_three(x, y), id="jordan_generate_three"),
+        pytest.param(lambda x, y: span([x, y]), id="span"),
+    ],
+)
+def test_every_public_callable_of_several_matrices_rejects_two_sizes(call):
+    """A 2 x 2 and a 3 x 3 operand, in either order, raise DimensionMismatch, never numpy's own error."""
+    for x, y in ((SX, np.eye(3)), (np.eye(3), SX)):
+        with pytest.raises(DimensionMismatch):
+            call(x, y)
 
 
 def test_associator_pauli_fixture():
