@@ -42,23 +42,8 @@ from .jsonio import (
     matrix_to_json,
     subspace_from_json,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    _gaussian_stack,
-    _hermitian_part,
-    _opnorm,
-    _require_seed,
-    _row_norms,
-    _rows,
-    _screened_opnorm,
-    _stack_len,
-    _trial_rngs,
-    derive_seed,
-    random_hermitian,
-    traceless,
-)
-from .products import _IDENTITIES, _Products
+from .linalg import DEFAULT_TOL, Tolerance, _require_seed, derive_seed, random_hermitian, traceless
+from .products import _verify_trials
 from .states import State, classify
 from .subspace import (
     RealSubspace,
@@ -196,7 +181,7 @@ def _config_from_args(args: argparse.Namespace) -> SessionConfig:
     if tol_arg is not None:
         try:
             tol = Tolerance(zero_tol=tol_arg)
-        except ValueError as exc:
+        except ValidationError as exc:
             raise ValidationError(f"tol must be positive and finite, got {tol_arg}") from exc
 
     given = {f.name: getattr(args, f.name) for f in fields(SessionConfig) if hasattr(args, f.name)}
@@ -212,39 +197,9 @@ def cmd_verify(cfg: SessionConfig) -> Outcome:
     dims = (cfg.dim,) if cfg.dim is not None else SWEEP_DIMS
     checks: list[dict[str, Any]] = []
     for d, n in enumerate(dims):
-        worst = np.full(len(_IDENTITIES), -np.inf)
-        passed = [True] * len(_IDENTITIES)
-        for rngs in _trial_rngs(cfg.seed, d * cfg.trials, (d + 1) * cfg.trials, _stack_len(n)):
-            g = _gaussian_stack(rngs, n, 3)
-            # (3, trials, n, n): slot-major, so each operand is one contiguous stack
-            abc = _hermitian_part(np.ascontiguousarray(g.swapaxes(0, 1)))
-            norms_ab = _opnorm(abc[:2])
-            p = _Products(*abc)  # every identity's products, each formed once
-            defects = {}
-            for i, (_, formula, scale, _) in enumerate(_IDENTITIES):
-                if scale is not None:
-                    defects[i] = formula(p)
-                    continue
-                # norm-axioms: a difference of norms, each taken exactly
-                residual, s = formula(p, *norms_ab)
-                # like residual.max() over all trials, np.maximum propagates a NaN
-                worst[i] = np.maximum(worst[i], residual.max())
-                passed[i] = passed[i] and bool(np.all(residual <= cfg.tol.threshold(s)))
-            # each defect identity's matrix of largest HS norm, all in one SVD call
-            tops = _opnorm(np.stack([x[np.argmax(_row_norms(_rows(x)))] for x in defects.values()]))
-            for (i, defect), top in zip(defects.items(), tops):
-                _, _, scale, arity = _IDENTITIES[i]
-                # exact wherever a residual can reach the maximum, which is at least top, the norm of the
-                # largest HS norm's defect, or exceed zero_tol, below which it passes at any scale
-                residual = _screened_opnorm(defect, min(top, cfg.tol.zero_tol))
-                worst[i] = np.maximum(worst[i], residual.max())
-                t = np.flatnonzero(~(residual <= cfg.tol.zero_tol))
-                if len(t):
-                    s = scale(*(*norms_ab[:, t], _opnorm(abc[2, t]))[:arity])
-                    passed[i] = passed[i] and bool(np.all(residual[t] <= cfg.tol.threshold(s)))
         checks += [
-            {"name": name, "dim": n, "max_residual": float(worst[i]), "passed": passed[i]}
-            for i, (name, *_) in enumerate(_IDENTITIES)
+            {"name": name, "dim": n, "max_residual": worst, "passed": passed}
+            for name, worst, passed in _verify_trials(n, cfg.seed, d * cfg.trials, (d + 1) * cfg.trials, cfg.tol)
         ]
     all_passed = all(c["passed"] for c in checks)
     summary = {

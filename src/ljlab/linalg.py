@@ -47,18 +47,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Zero threshold for residual comparisons.
+    """Zero threshold for residual comparisons; ValidationError unless zero_tol is a positive finite number.
 
     A residual measured against operands of combined norm ``s`` passes when
     it is at most ``zero_tol * max(1, s)``; the floor keeps tiny operands
-    from demanding impossible absolute accuracy.
+    from demanding impossible absolute accuracy. A bool is not a number here.
     """
 
     zero_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.zero_tol < np.inf:
-            raise ValueError(f"zero_tol must be positive and finite, got {self.zero_tol!r}")
+        z = self.zero_tol
+        if isinstance(z, bool) or not isinstance(z, (int, float, np.integer, np.floating)) or not 0 < z < np.inf:
+            raise ValidationError(f"zero_tol must be a positive and finite number, got {z!r}")
 
     def threshold(self, scale: float | np.ndarray = 1.0) -> float | np.ndarray:
         """Effective threshold for a comparison at the given norm scale.
@@ -411,12 +412,12 @@ def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """
     n = _require_dim(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_require_seed(seed))
-    return _hermitian_part(gaussian_complex(rng, n))
+    return _hermitian_part(_gaussian_stack([rng], n, 1)[0, 0])
 
 
 def random_density(n: int, seed: int) -> np.ndarray:
     """Wishart-normalized density matrix G G^dagger / Tr(G G^dagger)."""
     n = _require_dim(n)
-    g = gaussian_complex(np.random.default_rng(_require_seed(seed)), n)
+    g = _gaussian_stack([np.random.default_rng(_require_seed(seed))], n, 1)[0, 0]
     w = g @ dagger(g)
     return w / float(np.real(np.trace(w)))

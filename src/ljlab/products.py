@@ -15,11 +15,11 @@ product of the operand norms, one factor per slot of the identity.
 The products and the identity defects broadcast over leading axes: operands
 may be ``(..., n, n)`` stacks, and each identity has one formula, listed
 with its report name, norm scale and arity in ``_IDENTITIES``, which
-``ljlab verify`` evaluates on stacks of random trials. A formula takes the
-``_Products`` of its operands, which forms each matrix product once per
-stack, so the five identities share their products. The tests require a
-stacked result to be bit-equal, slice by slice, to the same call on single
-matrices.
+``_verify_trials``, the judge of ``ljlab verify``, evaluates on stacks of
+random trials. A formula takes the ``_Products`` of its operands, which
+forms each matrix product once per stack, so the five identities share
+their products. The tests require a stacked result to be bit-equal, slice
+by slice, to the same call on single matrices.
 
 Only the public products check their input; the package's own callers,
 on arrays it built itself, take the unchecked kernels ``_jordan``,
@@ -37,10 +37,18 @@ from .errors import DimensionMismatch, NotInSpan
 from .linalg import (
     DEFAULT_TOL,
     _ENTRY_LIMIT,
+    Tolerance,
+    _gaussian_stack,
+    _hermitian_part,
     _no_overflow,
     _opnorm,
     _require_finite,
     _require_type,
+    _row_norms,
+    _rows,
+    _screened_opnorm,
+    _stack_len,
+    _trial_rngs,
     as_matrix,
     same_dim,
 )
@@ -269,6 +277,46 @@ def _check(row: int, operands: tuple) -> IdentityReport:
     residual = float(residual)
     threshold = DEFAULT_TOL.threshold(scale)
     return IdentityReport(name=name, residual=residual, threshold=threshold, passed=residual <= threshold)
+
+
+def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> list[tuple[str, float, bool]]:
+    """Each identity's name, largest residual over trials start to stop - 1 at dimension n, and verdict.
+
+    ``ljlab verify``'s judge, in ``_IDENTITIES`` order, on Hermitian trial stacks of ``_stack_len(n)``
+    drawn from ``_trial_rngs``. A defect's residual is its operator norm, passing at or below
+    ``tol.threshold`` of its norm scale; a NaN residual makes the maximum NaN and fails.
+    """
+    worst = np.full(len(_IDENTITIES), -np.inf)
+    passed = [True] * len(_IDENTITIES)
+    for rngs in _trial_rngs(seed, start, stop, _stack_len(n)):
+        g = _gaussian_stack(rngs, n, 3)
+        # (3, trials, n, n): slot-major, so each operand is one contiguous stack
+        abc = _hermitian_part(np.ascontiguousarray(g.swapaxes(0, 1)))
+        norms_ab = _opnorm(abc[:2])
+        p = _Products(*abc)  # every identity's products, each formed once
+        defects = {}
+        for i, (_, formula, scale, _) in enumerate(_IDENTITIES):
+            if scale is not None:
+                defects[i] = formula(p)
+                continue
+            # norm-axioms: a difference of norms, each taken exactly
+            residual, s = formula(p, *norms_ab)
+            # like residual.max() over all trials, np.maximum propagates a NaN
+            worst[i] = np.maximum(worst[i], residual.max())
+            passed[i] = passed[i] and bool(np.all(residual <= tol.threshold(s)))
+        # each defect identity's matrix of largest HS norm, all in one SVD call
+        tops = _opnorm(np.stack([x[np.argmax(_row_norms(_rows(x)))] for x in defects.values()]))
+        for (i, defect), top in zip(defects.items(), tops):
+            _, _, scale, arity = _IDENTITIES[i]
+            # exact wherever a residual can reach the maximum, which is at least top, the norm of the
+            # largest HS norm's defect, or exceed zero_tol, below which it passes at any scale
+            residual = _screened_opnorm(defect, min(top, tol.zero_tol))
+            worst[i] = np.maximum(worst[i], residual.max())
+            t = np.flatnonzero(~(residual <= tol.zero_tol))
+            if len(t):
+                s = scale(*(*norms_ab[:, t], _opnorm(abc[2, t]))[:arity])
+                passed[i] = passed[i] and bool(np.all(residual[t] <= tol.threshold(s)))
+    return [(name, float(worst[i]), passed[i]) for i, (name, *_) in enumerate(_IDENTITIES)]
 
 
 def check_jacobi(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> IdentityReport:

@@ -25,12 +25,12 @@ from .linalg import (
     _opnorm,
     _require_count,
     _require_seed,
+    _require_type,
     _stack_len,
     _trial_rngs,
     derive_seed,
     spectral_norm,
 )
-from .errors import ValidationError
 from .products import _associator, _jordan, associator, jordan
 from .subspace import full_hermitian_basis
 
@@ -95,11 +95,6 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
         violation=violation,
         found=violation > DEFAULT_TOL.threshold(scale),
     )
-
-
-def _require_tol(tol: Tolerance) -> None:
-    if not isinstance(tol, Tolerance):
-        raise ValidationError(f"tol must be a Tolerance, got {tol!r}")
 
 
 def _unit(m: np.ndarray) -> np.ndarray:
@@ -207,7 +202,7 @@ def avr_witness_search(
     is commutative, so the report comes back with found False.
     ValidationError when tol is not a ``Tolerance``.
     """
-    _require_tol(tol)
+    _require_type("tol", tol, Tolerance)
 
     # a slot holds a factor g and its unit PSD form, so each form is computed once
     def draw(rngs: list[np.random.Generator]) -> np.ndarray:
@@ -254,7 +249,7 @@ def associator_witness_search(
     Found when the associator's norm exceeds ``tol.zero_tol``, flat: the
     inputs have unit norm. ValidationError when tol is not a ``Tolerance``.
     """
-    _require_tol(tol)
+    _require_type("tol", tol, Tolerance)
     n = _require_count("dimension", n, 1)  # _search's check, before the basis is built
     dirs = np.array(full_hermitian_basis(n))
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import DISAGREEMENTS, SX, SY, disagreement_message, loop_verify_checks, split_state
-from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, random_state
+from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, linalg, products, random_state
 from ljlab import states as states_mod
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
@@ -116,12 +116,12 @@ def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_b
     # and no operand of a stack exceeds the byte bound that keeps the evaluator's memory small
     stacks = []
 
-    class Recorded(cli._Products):
+    class Recorded(products._Products):
         def __init__(self, *operands):
             stacks.append(operands[0].nbytes)
             super().__init__(*operands)
 
-    monkeypatch.setattr(cli, "_Products", Recorded)
+    monkeypatch.setattr(products, "_Products", Recorded)
     checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=6, trials=230, seed=5))
     assert len(stacks) == 2 and max(stacks) <= _STACK_BYTES
     ref = loop_verify_checks((6,), 230, 5)
@@ -133,17 +133,15 @@ def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_b
 def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_svd_does(bad, monkeypatch):
     # the screen must not hide a non-finite defect: the maximum is NaN and the check fails, or the
     # SVD raises, as it does on the whole stack (LAPACK may reject a NaN matrix outright)
-    from ljlab import products
-
     def poisoned(p):
         d = products._jacobi(p)
         d[1, 0, 0] = bad
         return d
 
-    monkeypatch.setattr(cli, "_IDENTITIES", (("jacobi", poisoned, products._product_scale, 3),))
+    monkeypatch.setattr(products, "_IDENTITIES", (("jacobi", poisoned, products._product_scale, 3),))
     cfg = SessionConfig(command="verify", dim=3, trials=5, seed=0)
     try:
-        whole = cli._opnorm(np.full((2, 3, 3), bad, dtype=complex))
+        whole = linalg._opnorm(np.full((2, 3, 3), bad, dtype=complex))
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
             cmd_verify(cfg)
@@ -165,29 +163,34 @@ def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
     def scales(na, nb, nc):
         return np.where(np.arange(len(na)) == 0, 1e9, 1.0)  # trial 0 is always the first judged
 
-    monkeypatch.setattr(cli, "_IDENTITIES", (("jacobi", defects, scales, 3),))
+    monkeypatch.setattr(products, "_IDENTITIES", (("jacobi", defects, scales, 3),))
     checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=3, trials=4, seed=0))
     assert checks[0]["max_residual"] == 1e-3
     assert checks[0]["passed"] is False and all_passed is False
 
 
 def test_verify_takes_an_svd_only_of_defects_that_can_reach_the_maximum(monkeypatch):
-    # 4 defect identities x 25 trials: the parent took 100 defect SVDs per dimension
-    import ljlab.linalg
+    # 4 defect identities x 25 trials: the parent took 100 defect SVDs per dimension; products' own SVDs
+    # are a's and b's norms, norm-axioms' three norms a trial and the four largest HS norms' defects, so
+    # no defect skips the screen
+    svds = {"screened": 0, "direct": 0}
+    opnorm = linalg._opnorm
 
-    svds = [0]
-    opnorm = ljlab.linalg._opnorm
+    def counting(key):
+        def counted(x):
+            svds[key] += int(np.prod(x.shape[:-2]))
+            return opnorm(x)
 
-    def counted(x):
-        svds[0] += int(np.prod(x.shape[:-2]))
-        return opnorm(x)
+        return counted
 
-    monkeypatch.setattr(ljlab.linalg, "_opnorm", counted)
+    monkeypatch.setattr(linalg, "_opnorm", counting("screened"))
+    monkeypatch.setattr(products, "_opnorm", counting("direct"))
     for n in SWEEP_DIMS:
-        svds[0] = 0
+        svds.update(screened=0, direct=0)
         checks, _, _ = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=3))
         assert all(c["passed"] for c in checks)
-        assert svds[0] <= 40, (n, svds[0])
+        assert svds["screened"] <= 40, (n, svds)
+        assert svds["direct"] == 2 * 25 + 3 * 25 + 4, (n, svds)
 
 
 def test_verify_rejects_zero_trials():

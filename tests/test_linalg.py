@@ -71,15 +71,15 @@ def test_the_cli_sets_the_only_public_tolerance_parameters():
 
 
 def test_tolerance_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Tolerance(zero_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Tolerance(zero_tol=-1e-9)
 
 
 @pytest.mark.parametrize("zero_tol", [np.inf, np.nan])
 def test_tolerance_rejects_non_finite(zero_tol):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValidationError, match="finite"):
         Tolerance(zero_tol=zero_tol)
 
 
@@ -279,11 +279,13 @@ def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
 
 #: Malformed values of each kind of argument: a dimension or budget starts
 #: at 1, a count (samples, a trial index) at 0, so 0 is not among its
-#: values; a ``State`` or ``RealSubspace`` argument takes no other object.
+#: values; a zero tolerance is a positive finite number, not a bool; a
+#: ``State`` or ``RealSubspace`` argument takes no other object.
 _MALFORMED = {
     "from 1": (0, -1, 2.5, True, "3", None),
     "from 0": (-1, 2.5, True, "3", None),
     "seed": (-1, 2.5, True, "1", None),
+    "zero_tol": (0, -1, np.nan, np.inf, "x", None, True),
     "State": (None, np.eye(2) / 2, 3, "x"),
     "RealSubspace": (None, np.eye(2), 3, "x"),
 }
@@ -292,6 +294,7 @@ _FULL2 = ljlab.full_hermitian_space(2)
 _STATE2 = ljlab.State(np.eye(2) / 2)
 #: (public callable, argument, kind, call with that argument x and the others valid)
 _BOUNDARY = [
+    ("Tolerance", "zero_tol", "zero_tol", lambda x: Tolerance(zero_tol=x)),
     ("random_hermitian", "n", "from 1", lambda x: random_hermitian(x, 0)),
     ("random_hermitian", "seed", "seed", lambda x: random_hermitian(2, x)),
     ("random_density", "n", "from 1", lambda x: random_density(x, 0)),
@@ -352,7 +355,7 @@ def test_a_malformed_dimension_count_or_seed_raises_an_ljlab_error(name, arg, ki
 def test_the_boundary_table_holds_every_public_dimension_count_and_seed():
     """A public callable that gains such an argument must join ``_BOUNDARY``;
     ``PositivityReport.samples`` is a result's field, not an input."""
-    ints = {"n", "dim_ambient", "seed", "index", "samples", "budget"}
+    ints = {"n", "dim_ambient", "seed", "index", "samples", "budget", "zero_tol"}
     found = set()
     for name in ljlab.__all__:
         obj = getattr(ljlab, name)
