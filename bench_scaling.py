@@ -127,6 +127,25 @@ def jordan_generate_three(ljlab, n: int):
     return lambda: ljlab.jordan_generate_three(a, b).closure_dim, n * n
 
 
+def block_pair(ljlab, n: int) -> tuple:
+    """Two block-diagonal matrices with blocks ``random_hermitian(n/2, seed)``, seeds n to n + 3 in order."""
+    k, z = n // 2, np.zeros((n // 2, n // 2))
+    a, b, c, d = (ljlab.random_hermitian(k, seed=n + j) for j in range(4))
+    return np.block([[a, z], [z, b]]), np.block([[c, z], [z, d]])
+
+
+def lie_generate_blocks(ljlab, n: int):
+    """``lie_generate`` of ``block_pair``, below the n^2 bound: it must reach u(n/2) + u(n/2), dimension n^2/2."""
+    a, b = block_pair(ljlab, n)
+    return lambda: ljlab.lie_generate(a, b).closure_dim, n * n // 2
+
+
+def jordan_generate_three_blocks(ljlab, n: int):
+    """``jordan_generate_three`` of ``block_pair``, below the n^2 bound: it must reach dimension n^2/2."""
+    a, b = block_pair(ljlab, n)
+    return lambda: ljlab.jordan_generate_three(a, b).closure_dim, n * n // 2
+
+
 def centralizer(ljlab, n: int):
     """``centralizer(L, L)`` of the full algebra, at its dimension bound: the closed form, no bracket formed; dim 1."""
     L = ljlab.full_hermitian_space(n)
@@ -137,6 +156,12 @@ def centralizer_blocks(ljlab, n: int):
     """``centralizer(L, L)`` of L = ``blocks``: the walk below the bound; its center has dimension 2."""
     L = blocks(ljlab, n)
     return lambda: ljlab.centralizer(L, L).dim_span, 2
+
+
+def centralizer_sub(ljlab, n: int):
+    """``centralizer(L, S)`` of the full algebra L and S = ``blocks`` != L: the walk; the center of S, dimension 2."""
+    L, S = ljlab.full_hermitian_space(n), blocks(ljlab, n)
+    return lambda: ljlab.centralizer(L, S).dim_span, 2
 
 
 def closedness_blocks(ljlab, n: int):
@@ -206,12 +231,12 @@ def function_representation(ljlab, n: int):
 
 
 def avr_witness_search(ljlab, n: int):
-    """``avr_witness_search(n, 0, 1000)``, the search of ``ljlab witness --budget 1000``; it finds a witness."""
+    """``avr_witness_search(n, 0, 1000)``, the witness of ``ljlab witness --budget 1000``, at its bound."""
     return lambda: ljlab.avr_witness_search(n, 0, 1000).found, True
 
 
 def associator_witness_search(ljlab, n: int):
-    """``associator_witness_search(n, 0, 1000)``, the search of ``ljlab witness --budget 1000``; it finds one."""
+    """``associator_witness_search(n, 0, 1000)``, the witness of ``ljlab witness --budget 1000``, at its bound."""
     return lambda: ljlab.associator_witness_search(n, 0, 1000).found, True
 
 
@@ -254,8 +279,11 @@ def classify_full_algebra(ljlab, n: int, state: str):
 WARM = {
     lie_generate: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
     jordan_generate_three: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
+    lie_generate_blocks: ((16, 24), "closure_dim", "dim_ok"),
+    jordan_generate_three_blocks: ((16, 24), "closure_dim", "dim_ok"),
     centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),
     centralizer_blocks: ((16, 24), "dim_span", "dim_ok"),
+    centralizer_sub: ((12, 16), "dim_span", "dim_ok"),
     closedness_blocks: ((24,), "closed", "verdict_ok"),
     is_semisimple_lie: ((16, 24), "semisimple", "verdict_ok"),
     is_semisimple_lie_conjugated: ((24,), "semisimple", "verdict_ok"),

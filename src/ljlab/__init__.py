@@ -3,7 +3,7 @@
 Observables carry two products: the symmetrized Jordan product and a
 Hermitian-valued bracket with an i/2 factor. The package checks the
 algebraic identities tying them together, computes subspace closures and
-derived algebras, tests states for classicality, and searches for
+derived algebras, tests states for classicality, and builds
 quantumness witnesses. See the ``ljlab`` CLI for batch experiments.
 
 The package root re-exports each module's ``__all__``, which is the one

@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Five subcommands: ``verify`` (identity checks on random observables),
-``classify`` (state classicality), ``witness`` (randomized witness search),
-``generate`` (two- and three-element generation experiments), and ``repr``
-(function representation of a commuting subalgebra). Every command prints a
-JSON report with sorted keys to stdout, so identical invocations produce
-byte-identical output; timing goes to stderr only. ``main`` builds every
-report from five keys: ``command``, ``version``, ``config`` (``echo``), and
-the ``checks`` and ``summary`` that the command's ``cmd_*`` returns. Exit
-codes: 0 success, 1 a check or search failed, 2 validation or config error,
-3 classicality criteria disagreement.
+``classify`` (state classicality), ``witness`` (the optimal witness of a
+kind, in a frame drawn from the seed), ``generate`` (two- and three-element
+generation experiments), and ``repr`` (function representation of a
+commuting subalgebra). Every command prints a JSON report with sorted keys
+to stdout, so identical invocations produce byte-identical output; timing
+goes to stderr only. ``main`` builds every report from five keys:
+``command``, ``version``, ``config`` (``echo``), and the ``checks`` and
+``summary`` that the command's ``cmd_*`` returns. Exit codes: 0 success, 1
+a check or search failed, 2 validation or config error, 3 classicality
+criteria disagreement.
 """
 
 from __future__ import annotations
@@ -133,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", **echoed_seed)
     add_common(p, "out")
 
-    p = sub.add_parser("witness", help="search for a quantumness witness")
+    p = sub.add_parser("witness", help="build the optimal quantumness witness of a kind")
     p.add_argument("--kind", choices=("avr", "associator"), required=True)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--budget", type=int, default=1000, help="random trials before refinement")
+    p.add_argument("--budget", type=int, default=1000, help="checked as an integer >= 1; has no effect on the report")
     add_common(p, "seed", "tol", "out")
 
     p = sub.add_parser("generate", help="run generation experiments")

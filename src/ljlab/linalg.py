@@ -337,7 +337,7 @@ def derive_seed(seed: int, index: int) -> int:
 _TRIAL_CHUNK = 1024
 
 #: Complex bytes of one operand of a stack, at most: a slot of the trial
-#: stacks of ``verify``, the witness multistart and positivity sampling, and
+#: stacks of ``verify`` and positivity sampling, and
 #: a chunk of block products. ``verify``'s product evaluator keeps about 45
 #: arrays of that size until a stack is judged (whole 1024-trial stacks took
 #: 269 MB at n = 16, against 89 MB with no evaluator); a chunk of products,

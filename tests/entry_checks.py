@@ -288,9 +288,9 @@ def check_repr_of_a_conjugated_diagonal_algebra_at_24(d: str) -> None:
     assert s["algebra_dim"] == 24 and s["num_points"] == 24, (s.get("error"), s.get("detail"))
 
 
-# the associator witness search at n = 24 with budget 1000: the multistart draws its trials in stacks of 128 KB a slot
-# (14 trials at n = 24), so the peak RSS stays at most 80 MB (about 45 MB; one 1000-trial stack took 123 MB), at a
-# size the benchmark never reaches (it stops at n = 4)
+# the associator witness at n = 24, a size the benchmark never reaches (it stops at n = 4): the search builds one
+# triple in a frame drawn from the seed and reads the budget of 1000 only as an argument to check, so its peak RSS
+# is the interpreter's and numpy's (about 40 MB, as at n = 2), within 80 MB
 def check_witness_search_at_24(d: str) -> None:
     report = _cli("witness", "--kind", "associator", "--dim", "24", "--budget", "1000", rss=80)
     assert report["summary"]["found"] is True
@@ -316,7 +316,7 @@ def check_products_reject_an_inf_matrix(d: str) -> None:
 
 
 # --tol is a flag of verify and witness only; it sets verify's zero tolerance (far below roundoff, every check fails)
-# and the witness search's threshold (no unit-norm triple has an associator of norm 10)
+# and the witness search's threshold: the associator of a unit-norm triple has norm at most 1 < 10, so none is found
 def check_tol_flag(d: str) -> None:
     state = _write(d, "state", {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": Z2})
     _child(["ljlab", "classify", "--in", state, "--tol", "1e-3"], code=2)

@@ -6,9 +6,7 @@ the quadratic formula, spans from per-matrix Gram-Schmidt, closures from
 the all-pairs round loop, bracket queries from per-pair and per-triple
 loops, the streamed associator defect from its whole-stack forms, the pair
 kernel and the derived algebra from their index-form and re-spanning copies,
-witness searches from their own multistart and refinement loops, the
-batched search driver from its one-step-at-a-time loop, the rank
-kernel's visit loop from its pinned copy, the chunked
+the rank kernel's visit loop from its pinned copy, the chunked
 bracket stream from its one-stack blocks, the
 associator criterion from its Jordan-tensor einsum, the bracket tensor
 from its three-operand einsum, the Killing matrix
@@ -34,7 +32,6 @@ from ljlab import (
     PositivityReport,
     State,
     ValidationError,
-    WitnessReport,
     associator,
     close_under,
     full_hermitian_basis,
@@ -51,9 +48,7 @@ from ljlab.linalg import (
     Tolerance,
     _opnorm,
     as_matrix,
-    dagger,
     derive_seed,
-    gaussian_complex,
     hs_norm,
     random_hermitian,
     same_dim,
@@ -598,195 +593,6 @@ def respan_derived_algebra(L: RealSubspace) -> RealSubspace:
         # brackets of basis pairs already span [L, L]; one closure round confirms
         d = close_under(span(list(brackets)), lie)
     return d
-
-
-# Verbatim copies of the two witness searches from before they shared one
-# driver: the bit-for-bit reference for ``_search``.
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(m)[0])
-
-
-def _unit_psd(g: np.ndarray) -> np.ndarray:
-    w = g @ dagger(g)
-    nrm = spectral_norm(w)
-    return w / nrm if nrm > 0.0 else w
-
-
-def _validate_search_args(n: int, budget: int) -> None:
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-
-
-def loop_avr_witness_search(
-    n: int, seed: int, budget: int, tol: Tolerance = DEFAULT_TOL
-) -> WitnessReport:
-    """Search for PSD observables a, b whose Jordan product is not PSD.
-
-    Candidates are unit-norm Wishart factors; the best trial (most negative
-    eigenvalue of a o b) is refined by greedy perturbation of single factor
-    entries with a shrinking step. Dimension 1 is commutative, so the report
-    comes back with found False.
-    """
-    _validate_search_args(n, budget)
-    if n == 1:
-        return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
-
-    def score(g: np.ndarray, h: np.ndarray) -> float:
-        return _min_eig(jordan(_unit_psd(g), _unit_psd(h)))
-
-    best_val = np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    for t in range(budget):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        g = gaussian_complex(rng, n)
-        h = gaussian_complex(rng, n)
-        val = score(g, h)
-        if val < best_val:
-            best_val, best = val, (g, h)
-    assert best is not None
-    g, h = best
-    cur = best_val
-    rng = np.random.default_rng(derive_seed(seed, budget))
-    step = 0.1
-    rejects = 0
-    for _ in range(6000):
-        if step < 1e-6:
-            break
-        target = g if rng.integers(2) == 0 else h
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        bump = step * rng.standard_normal()
-        if rng.integers(2) == 1:
-            bump = 1j * bump
-        cand = target.copy()
-        cand[i, j] += bump
-        cand_g, cand_h = (cand, h) if target is g else (g, cand)
-        val = score(cand_g, cand_h)
-        if val < cur:
-            g, h, cur = cand_g, cand_h, val
-            rejects = 0
-        else:
-            rejects += 1
-            if rejects >= 20:
-                step *= 0.5
-                rejects = 0
-    a = _unit_psd(g)
-    b = _unit_psd(h)
-    witness = jordan(a, b)
-    violation = _min_eig(witness)
-    return WitnessReport(
-        kind="avr",
-        witness=witness,
-        inputs=(a, b),
-        violation=violation,
-        found=violation < -tol.zero_tol,
-    )
-
-
-def loop_associator_witness_search(
-    n: int, seed: int, budget: int, tol: Tolerance = DEFAULT_TOL
-) -> WitnessReport:
-    """Search for a triple with a large Jordan associator.
-
-    Trials draw unit-norm Hermitian triples; refinement perturbs along the
-    canonical Hermitian basis directions, renormalizing after each step.
-    """
-    _validate_search_args(n, budget)
-    if n == 1:
-        return WitnessReport(
-            kind="associator", witness=None, inputs=(), violation=0.0, found=False
-        )
-    dirs = full_hermitian_basis(n)
-
-    def unit_herm(rng: np.random.Generator) -> np.ndarray:
-        g = gaussian_complex(rng, n)
-        m = 0.5 * (g + dagger(g))
-        return m / spectral_norm(m)
-
-    def score(triple: list[np.ndarray]) -> float:
-        return spectral_norm(associator(*triple))
-
-    best_val = -np.inf
-    best: list[np.ndarray] | None = None
-    for t in range(budget):
-        rng = np.random.default_rng(derive_seed(seed, t))
-        triple = [unit_herm(rng) for _ in range(3)]
-        val = score(triple)
-        if val > best_val:
-            best_val, best = val, triple
-    assert best is not None
-    triple = best
-    cur = best_val
-    rng = np.random.default_rng(derive_seed(seed, budget))
-    step = 0.1
-    rejects = 0
-    for _ in range(6000):
-        if step < 1e-6:
-            break
-        slot = int(rng.integers(3))
-        direction = dirs[int(rng.integers(len(dirs)))]
-        cand = triple[slot] + (step * rng.standard_normal()) * direction
-        nrm = spectral_norm(cand)
-        if nrm == 0.0:
-            continue
-        cand = cand / nrm
-        cand_triple = list(triple)
-        cand_triple[slot] = cand
-        val = score(cand_triple)
-        if val > cur:
-            triple, cur = cand_triple, val
-            rejects = 0
-        else:
-            rejects += 1
-            if rejects >= 20:
-                step *= 0.5
-                rejects = 0
-    a, b, c = triple
-    witness = associator(a, b, c)
-    violation = spectral_norm(witness)
-    return WitnessReport(
-        kind="associator",
-        witness=witness,
-        inputs=(a, b, c),
-        violation=violation,
-        found=violation > tol.zero_tol,
-    )
-
-
-def loop_search(n, seed, budget, draw, move, perturb, score):
-    """``witness._search`` as the one-step-at-a-time loop it was before it
-    scored proposals in batches, calling its callbacks on stacks of one."""
-    _validate_search_args(n, budget)
-    if n == 1:
-        return None
-    best_val, best = np.inf, None
-    for t in range(budget):
-        cand = draw([np.random.default_rng(derive_seed(seed, t))])[0]
-        val = score(cand[None])[0]
-        if val < best_val:
-            best_val, best = val, cand
-    rng = np.random.default_rng(derive_seed(seed, budget))
-    step, rejects = 0.1, 0
-    for _ in range(6000):
-        if step < 1e-6:
-            break
-        slot = int(rng.integers(len(best)))
-        factor = perturb(best[slot][None], np.array([step]), [move(rng)])
-        cand = best.copy()
-        cand[slot] = factor[0]
-        val = score(cand[None])[0]
-        if val < best_val:
-            best_val, best, rejects = val, cand, 0
-        else:
-            rejects += 1
-            if rejects >= 20:
-                step *= 0.5
-                rejects = 0
-    return best
 
 
 # Verbatim copies of the rank kernel ``subspace._extend`` and its ``_sweep``

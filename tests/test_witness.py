@@ -13,11 +13,8 @@ from helpers import (
     SX,
     SZ,
     eig2_oracle,
-    loop_associator_witness_search,
-    loop_avr_witness_search,
-    loop_search,
+    random_unitary,
 )
-from helpers import _unit_psd as loop_unit_psd
 from ljlab import (
     ValidationError,
     associator,
@@ -29,13 +26,13 @@ from ljlab import (
     min_eigenvalue,
     squared_witness,
 )
-from ljlab import linalg
-from ljlab import witness as witness_mod
-from ljlab.linalg import _TRIAL_CHUNK, derive_seed, spectral_norm
-from ljlab.witness import _search, _unit, _unit_psd
+from ljlab.linalg import DEFAULT_TOL, spectral_norm
 
 AVR_FIXTURE_MIN = (1.0 - np.sqrt(2.0)) / 4.0
 SQUARE_ORDER_MIN = (2.0 - np.sqrt(5.0)) / 2.0
+# the sharp bound of each search's violation: avr's least eigenvalue from below, the associator's norm from above
+BOUNDS = {"avr": -0.125, "associator": 1.0}
+SEARCHES = {"avr": avr_witness_search, "associator": associator_witness_search}
 
 
 def test_avr_fixture_value_against_quadratic_oracle():
@@ -156,183 +153,47 @@ def test_search_argument_validation():
             avr_witness_search(n, seed=0, budget=5)
 
 
-def _bytes(m: np.ndarray | None) -> bytes | None:
-    return None if m is None else m.tobytes()
+def test_avr_bound_identity_on_random_contractions():
+    # ab + ba = (a + b - I/2)^2 + (a - a^2) + (b - b^2) - I/4 with the last three terms' sum >= -I/4
+    # for 0 <= a, b <= I, so no Jordan product of two such observables has an eigenvalue below -1/8
+    rng = np.random.default_rng(46)
+    for n in (2, 3, 5):
+        eye = np.eye(n)
+        for _ in range(50):
+            a, b = (u @ np.diag(rng.random(n)) @ u.conj().T for u in (random_unitary(n, rng), random_unitary(n, rng)))
+            rest = (a + b - eye / 2) @ (a + b - eye / 2) + (a - a @ a) + (b - b @ b) - eye / 4
+            np.testing.assert_allclose(a @ b + b @ a, rest, atol=1e-12)
+            assert is_psd(a - a @ a) and is_psd(b - b @ b)
+            assert min_eigenvalue(jordan(a, b)) >= BOUNDS["avr"] - 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize(
-    "search, reference",
-    [
-        (avr_witness_search, loop_avr_witness_search),
-        (associator_witness_search, loop_associator_witness_search),
-    ],
-    ids=["avr", "associator"],
-)
-def test_search_matches_own_loop_reference_bit_for_bit(search, reference, n):
-    # the identities benchmark accepts any witness at least as good, so only
-    # this comparison catches a drift in the shared schedule or draw order
-    # at n = 2 one budget crosses a trial chunk
-    budgets = (1, 7, 100, _TRIAL_CHUNK + 6) if n == 2 else (1, 7, 100)
-    for seed in range(6):
-        for budget in budgets:
-            got, ref = search(n, seed, budget), reference(n, seed, budget)
-            assert (got.kind, got.violation, got.found) == (ref.kind, ref.violation, ref.found)
-            assert _bytes(got.witness) == _bytes(ref.witness)
-            assert [_bytes(m) for m in got.inputs] == [_bytes(m) for m in ref.inputs]
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["avr", "associator"])
+def test_search_attains_its_bound_with_unit_inputs(kind, n):
+    for seed in range(5):
+        rep = SEARCHES[kind](n, seed, 100)
+        assert (rep.kind, rep.found) == (kind, True)
+        assert abs(rep.violation - BOUNDS[kind]) <= 1e-12
+        # a violation past the bound, by more than the tolerance, is a wrong witness
+        if kind == "avr":
+            assert rep.violation >= BOUNDS[kind] - DEFAULT_TOL.zero_tol
+            assert all(is_psd(m) for m in rep.inputs)
+            assert np.array_equal(rep.witness, jordan(*rep.inputs))
+        else:
+            assert rep.violation <= BOUNDS[kind] + DEFAULT_TOL.zero_tol
+            assert np.array_equal(rep.witness, associator(*rep.inputs))
+        for m in rep.inputs:
+            assert abs(spectral_norm(m) - 1.0) <= 1e-12
 
 
-def test_search_draws_trial_stacks_within_the_byte_budget(monkeypatch):
-    # a stack holds _stack_len(n) trials: one stack at the identities benchmark's sizes
-    # (budget 100, n <= 6), and 128 KB a slot at n = 16, where 70 trials take three
-    assert min(linalg._stack_len(n) for n in range(2, 7)) >= 100
-    sizes = []
-    trial_rngs = witness_mod._trial_rngs
-
-    def recorded(*args):
-        for rngs in trial_rngs(*args):
-            sizes.append(len(rngs))
-            yield rngs
-
-    monkeypatch.setattr(witness_mod, "_trial_rngs", recorded)
-    for search in (avr_witness_search, associator_witness_search):
-        sizes.clear()
-        search(16, 0, 70)
-        assert sizes == [32, 32, 6] and 32 * 16 * 16 * 16 == linalg._STACK_BYTES
-
-
-def test_search_keeps_first_best_trial_and_halves_step_after_20_rejects():
-    steps = []
-
-    def perturb(factors, step, moves):
-        steps.extend(step.tolist())
-        return factors + 1.0
-
-    # trials are told apart by a value the score ignores: every score ties,
-    # so every refinement step is a reject
-    draw = lambda rngs: np.arange(len(rngs), dtype=float).reshape(-1, 1, 1)
-    score = lambda cands: np.zeros(len(cands))
-    best = _search(2, seed=0, budget=5, draw=draw, move=lambda rng: None, perturb=perturb, score=score)
-    assert best.tolist() == [[0.0]]
-    assert len(steps) == 17 * 20  # 0.1 * 0.5**17 < 1e-6
-    assert steps[::20] == [0.1 * 0.5**k for k in range(17)]
-
-
-def _scripted(accept=(), nan=()):
-    """One-slot search callbacks that script each proposal's fate by its draw index.
-
-    A factor is ``[k, step, accepts, sum of accepted k]`` for the proposal k
-    that made it. Proposal k scores NaN when in ``nan``, and improves on
-    every earlier score when in ``accept``; all others tie with the trial,
-    which is a reject. Also returns the list of drawn moves.
-    """
-    drawn = []
-    accept, nan = (np.array(sorted(x), dtype=float) for x in (accept, nan))
-
-    def move(rng):
-        drawn.append(len(drawn))
-        return drawn[-1]
-
-    def perturb(factors, step, moves):
-        k = np.array(moves, dtype=float)
-        out = factors.copy()
-        out[:, 0], out[:, 1] = k, step
-        out[:, 2] += 1.0
-        out[:, 3] += k
-        return out
-
-    def score(cands):
-        k = cands[:, 0, 0]
-        return np.where(np.isin(k, nan), np.nan, np.where(np.isin(k, accept), -(k + 2.0), 0.0))
-
-    draw = lambda rngs: np.tile([-1.0, 0.0, 0.0, 0.0], (len(rngs), 1, 1))
-    return (draw, move, perturb, score), drawn
-
-
-def _run_both(**script):
-    """The driver's and the one-step reference's result and drawn-move count."""
-    (callbacks, drawn), (ref_callbacks, ref_drawn) = _scripted(**script), _scripted(**script)
-    got = _search(2, 0, 1, *callbacks)
-    ref = loop_search(2, 0, 1, *ref_callbacks)
-    assert got.tobytes() == ref.tobytes()
-    assert len(drawn) == len(ref_drawn)
-    return got[0].tolist(), len(drawn)
-
-
-# batches are 8 wide: every position of the first batch, and the edges of later ones
-@pytest.mark.parametrize("k", list(range(8)) + [8, 15, 16, 23, 24, 31, 40, 55, 56, 87])
-def test_search_accept_at_each_batch_position_matches_the_one_step_loop(k):
-    best, drawn = _run_both(accept={k})
-    assert best == [k, 0.1 * 0.5 ** (k // 20), 1.0, k]
-    # an accept resets the reject count, not the step
-    assert drawn == k + 1 + 20 * (17 - k // 20)
-
-
-@pytest.mark.parametrize(
-    "accept",
-    [{0, 1, 2, 3}, {3, 5, 6, 40}, {7, 8, 23, 24}, set(range(0, 600, 3)), {100, 101, 300}],
-)
-def test_search_accept_runs_match_the_one_step_loop(accept):
-    best, _ = _run_both(accept=accept)
-    k = max(accept)
-    assert best[0] == k and best[2:] == [len(accept), sum(accept)]
-
-
-def test_search_stops_at_the_step_cap_in_mid_batch():
-    # an accept every 10 proposals keeps the step at 0.1, so only the cap ends
-    # refinement; it falls on the one proposal left after 5991..5998 fail
-    accept = set(range(0, 6000, 10))
-    best, drawn = _run_both(accept=accept)
-    assert best == [5990.0, 0.1, 600.0, float(sum(accept))]
-    assert drawn == 6000
-
-
-def test_search_never_keeps_a_nan_score():
-    # NaN proposals are rejects, even where they would otherwise improve
-    best, drawn = _run_both(nan={0, 1, 2, 5}, accept={1, 5, 9})
-    assert best == [9.0, 0.1, 1.0, 9.0]
-    assert drawn == 10 + 340
-    # a NaN trial never wins; the first strictly lowest does
-    for scores in ([np.nan, 1.0, 0.5, 0.5], [np.nan, np.nan, 2.0, np.nan]):
-
-        def score(cands):
-            # refinement proposals carry index 4 and score NaN
-            return np.array([(scores + [np.nan])[int(t)] for t in cands[:, 0, 0]])
-
-        draw = lambda rngs: np.arange(len(rngs), dtype=float).reshape(-1, 1, 1)
-        perturb = lambda factors, step, moves: factors * 0.0 + 4.0
-        best = _search(2, 0, 4, draw, lambda rng: None, perturb, score)
-        assert best.tolist() == [[2.0]]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_stacked_unit_forms_equal_the_per_matrix_forms_bit_for_bit(n):
-    rng = np.random.default_rng(n)
-    g = rng.standard_normal((6, 2, n, n)) + 1j * rng.standard_normal((6, 2, n, n))
-    g[2, 1] = 0.0  # zero-norm slices come back unchanged
-    g[4] = 0.0
-    units = _unit_psd(g)
-    for idx in np.ndindex(g.shape[:2]):
-        assert units[idx].tobytes() == loop_unit_psd(g[idx]).tobytes()
-    h = 0.5 * (g + np.conj(g).swapaxes(-1, -2))
-    normed = _unit(h)
-    for idx in np.ndindex(h.shape[:2]):
-        nrm = spectral_norm(h[idx])
-        assert normed[idx].tobytes() == (h[idx] / nrm if nrm != 0.0 else h[idx]).tobytes()
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_search_scores_trials_in_chunks_with_the_same_winner(monkeypatch, chunk):
-    # budgets across several chunks keep the first strictly lowest trial
-    monkeypatch.setattr(linalg, "_TRIAL_CHUNK", chunk)
-    for n, seed, budget in ((2, 0, 7), (3, 1, 100), (2, 4, 5)):
-        got, ref = avr_witness_search(n, seed, budget), loop_avr_witness_search(n, seed, budget)
-        assert got.witness.tobytes() == ref.witness.tobytes()
-        got = associator_witness_search(n, seed, budget)
-        ref = loop_associator_witness_search(n, seed, budget)
-        assert got.witness.tobytes() == ref.witness.tobytes()
-    draw = lambda rngs: np.array([[[rng.random()]] for rng in rngs])
-    # every trial scores the same: the first one drawn wins
-    score = lambda cands: np.zeros(len(cands))
-    best = _search(2, 9, 10, draw, lambda rng: None, lambda f, s, m: f, score)
-    assert best[0, 0] == np.random.default_rng(derive_seed(9, 0)).random()
+@pytest.mark.parametrize("kind", ["avr", "associator"])
+def test_search_bound_report_is_the_seeds_and_not_the_budgets(kind):
+    search = SEARCHES[kind]
+    seen = set()
+    for n, seed in itertools.product((2, 3, 6), range(5)):
+        one, many = (search(n, seed, budget) for budget in (1, 1000))
+        assert (one.violation, one.found) == (many.violation, many.found)
+        assert [m.tobytes() for m in (one.witness, *one.inputs)] == [m.tobytes() for m in (many.witness, *many.inputs)]
+        seen.add(one.inputs[-1].tobytes())
+    # every seed draws its own frame
+    assert len(seen) == 15
