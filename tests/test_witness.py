@@ -26,7 +26,8 @@ from ljlab import (
     min_eigenvalue,
     squared_witness,
 )
-from ljlab.linalg import DEFAULT_TOL, spectral_norm
+from ljlab.linalg import DEFAULT_TOL, derive_seed, gaussian_complex, random_hermitian, spectral_norm
+from ljlab.witness import _frame
 
 AVR_FIXTURE_MIN = (1.0 - np.sqrt(2.0)) / 4.0
 SQUARE_ORDER_MIN = (2.0 - np.sqrt(5.0)) / 2.0
@@ -197,3 +198,61 @@ def test_search_bound_report_is_the_seeds_and_not_the_budgets(kind):
         seen.add(one.inputs[-1].tobytes())
     # every seed draws its own frame
     assert len(seen) == 15
+
+
+def test_associator_bound_identity_on_random_unit_triples():
+    # assoc(a, b, c) = [b, [a, c]] / 4, so ||assoc|| <= 2 ||b|| ||[a, c]|| / 4 <= 1 for unit-norm inputs
+    rng = np.random.default_rng(46)
+    for n in (2, 3, 5):
+        for _ in range(50):
+            a, b, c = (m / spectral_norm(m) for m in (random_hermitian(n, rng) for _ in range(3)))
+            ac = a @ c - c @ a
+            q = associator(a, b, c)
+            np.testing.assert_allclose(q, (b @ ac - ac @ b) / 4, atol=1e-12)
+            assert spectral_norm(q) <= BOUNDS["associator"] + 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_search_frame_is_one_gram_schmidt_step_on_the_seeds_draw(n):
+    for seed in range(5):
+        x, y = _frame(n, seed, 1, DEFAULT_TOL)
+        g = gaussian_complex(np.random.default_rng(derive_seed(seed, 0)), n)
+        np.testing.assert_allclose(x, g[0] / np.linalg.norm(g[0]), atol=1e-14)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-14 and abs(np.linalg.norm(y) - 1.0) <= 1e-14
+        assert abs(np.vdot(x, y)) <= 1e-14
+        # y is the part of the second row orthogonal to x, with a positive real overlap
+        assert np.vdot(y, g[1]).real > 0 and abs(np.vdot(y, g[1]).imag) <= 1e-12
+        np.testing.assert_allclose(g[1], np.vdot(x, g[1]) * x + np.vdot(y, g[1]) * y, atol=1e-12)
+    assert _frame(1, 0, 1, DEFAULT_TOL) is None
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("kind", ["avr", "associator"])
+def test_search_witness_lives_on_its_frame_with_its_bound_spectrum(kind, n):
+    # avr: projectors at overlap 1/2 give eigenvalues -1/8 and 3/8; associator: (sx, sx, sy) gives sy itself
+    spectrum = {"avr": (-0.125, 0.375), "associator": (-1.0, 1.0)}[kind]
+    for seed in range(5):
+        rep = SEARCHES[kind](n, seed, 1)
+        x, y = _frame(n, seed, 1, DEFAULT_TOL)
+        outside = np.eye(n) - np.outer(x, x.conj()) - np.outer(y, y.conj())
+        expected = np.concatenate(([spectrum[0]], np.zeros(n - 2), [spectrum[1]]))
+        np.testing.assert_allclose(np.linalg.eigvalsh(rep.witness), expected, atol=1e-12)
+        for m in (rep.witness, *rep.inputs):
+            np.testing.assert_allclose(m @ outside, 0, atol=1e-12)
+        if kind == "associator":
+            np.testing.assert_allclose(rep.witness, rep.inputs[2], atol=1e-12)
+
+
+@pytest.mark.parametrize("stage", ["tol", "dimension", "budget", "seed"])
+@pytest.mark.parametrize("kind", ["avr", "associator"])
+def test_search_checks_tol_then_dimension_then_budget_then_seed(kind, stage):
+    # every argument from the stage on is malformed, so the first check to run names the stage;
+    # the good dimension is 1, so the checks run before dimension 1 short-circuits
+    good = {"tol": DEFAULT_TOL, "dimension": 1, "budget": 1, "seed": 0}
+    bad = {"tol": 1e-9, "dimension": 0, "budget": 0, "seed": -1}
+    order = list(good)
+    args = {k: (good if order.index(k) < order.index(stage) else bad)[k] for k in order}
+    message = {"tol": "tol must be a Tolerance", "dimension": "dimension must be",
+               "budget": "budget must be", "seed": "seed must be"}[stage]
+    with pytest.raises(ValidationError, match=message):
+        SEARCHES[kind](args["dimension"], args["seed"], args["budget"], args["tol"])
