@@ -17,7 +17,8 @@ verdict must be the commutator criterion's, True for I/n; and ``classify``
 of each of ``block_states`` against ``blocks`` at n = 24.
 
 Times are at reference speed: each interval is scaled by the probe of
-``perfbench/speed.py``, sampled just before and after it. A row is the
+``perfbench/speed.py``, sampled just before and after it. Every process a
+row times runs BLAS on one thread, as perfbench's runs do. A row is the
 median of 5 runs with their quartiles, None when a result is wrong, with
 the peak RSS and the timed tree's facts (``--tree``, default this
 checkout): commit, ``src/`` lines, and ``src_pycache``, whether its
@@ -46,6 +47,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE / "perfbench"))
+from bootstrap import BLAS_THREADS  # noqa: E402
 from speed import SpeedProbe  # noqa: E402
 
 ABOUT = "Rows appended by bench_scaling.py, one row a line; its docstrings say what each row times."
@@ -248,11 +250,6 @@ def cmd_verify(ljlab, n: int):
     return lambda: cli.cmd_verify(cfg)[1]["checks_passed"], 5
 
 
-def trial_rngs(ljlab, n: int):
-    """``_trial_rngs(0, 0, n)``, at n = 1024 the trial generators of one full chunk; it yields n."""
-    return lambda: sum(len(rngs) for rngs in ljlab.linalg._trial_rngs(0, 0, n)), n
-
-
 def classify_wishart(ljlab, n: int):
     """``classify`` of ``random_state(n, seed=n)`` against the full algebra, the benchmark's classify ops; False."""
     L, s = ljlab.full_hermitian_space(n), ljlab.random_state(n, seed=n)
@@ -297,7 +294,6 @@ WARM = {
     avr_witness_search: ((4,), "found", "found_ok"),
     associator_witness_search: ((6,), "found", "found_ok"),
     cmd_verify: ((2, 4, 6), "checks_passed", "passed_ok"),
-    trial_rngs: ((1024,), "streams", "count_ok"),
     classify_wishart: ((3, 4, 8), "classical", "verdict_ok"),
     classify_block_scalar: ((4,), "classical", "verdict_ok"),
 }
@@ -403,6 +399,9 @@ def main() -> None:
     if args.worker:
         return worker(tree, args.worker[0], int(args.worker[1]), *args.worker[2:])
 
+    # every process a row times runs BLAS on one thread, as perfbench's do (perfbench/bootstrap.py)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = BLAS_THREADS
     common = {
         **tree_facts(tree),
         "taken": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),

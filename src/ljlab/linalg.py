@@ -3,9 +3,11 @@
 Hermitian spectral queries, Hilbert-Schmidt geometry, and seeded random
 ensembles. Everything works on plain square numpy arrays with complex dtype.
 All functions are pure. Every seeded entry point takes a non-negative
-integer seed by one rule (``_require_seed``, else ValidationError), and trial
-t draws from ``derive_seed(seed, t)``: results are reproducible, independent
-of call order, and distinct for distinct seeds.
+integer seed by one rule (``_require_seed``, else ValidationError), and the
+trials start to stop - 1 of a call draw in trial order from one generator,
+``default_rng(derive_seed(seed, start))`` (``_trial_normals``): results are
+reproducible, independent of how the trials are stacked, and distinct for
+distinct seeds.
 
 ``DEFAULT_TOL`` is the package's zero threshold. Every threshold the
 package uses, with its value, whether it scales with a norm and the
@@ -322,18 +324,17 @@ def _require_dim(n: int) -> int:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Per-trial seed ``seed ^ index``, under ``_require_seed``'s rule and an index >= 0.
+    """The seed ``seed ^ index`` of the trials from index on, under ``_require_seed``'s rule and an index >= 0.
 
-    Injective in the seed, with no fold to 64 bits, and independent of
-    scheduling, so batch runs replay exactly. Trial streams are
-    ``default_rng(derive_seed(seed, t))``; ``_trial_rngs`` builds a chunk of
-    them at once, in the same states.
+    Injective in the seed, with no fold to 64 bits. A range of trials
+    from start draws from ``default_rng(derive_seed(seed, start))``
+    (``_trial_normals``), so ``verify``'s dimensions, each its own range,
+    draw from distinct generators.
     """
     return _require_seed(seed) ^ _require_count("index", index, 0)
 
 
-#: Trials drawn at a time, at most: the cap of ``_stack_len`` and
-#: ``_trial_rngs``'s default chunk.
+#: Trials drawn in one stack, at most: the cap of ``_stack_len``.
 _TRIAL_CHUNK = 1024
 
 #: Complex bytes of one operand of a stack, at most: a slot of the trial
@@ -353,39 +354,23 @@ def _stack_len(n: int, k: int = 1) -> int:
     return max(1, min(_TRIAL_CHUNK, _STACK_BYTES // (16 * k * n * n)))
 
 
-def _trial_rngs(
-    seed: int, start: int, stop: int, chunk: int = _TRIAL_CHUNK
-) -> Iterator[list[np.random.Generator]]:
-    """The generators of trials start to stop - 1, at most ``chunk`` a list.
+def _trial_normals(seed: int, start: int, stop: int, shape: tuple[int, ...], step: int) -> Iterator[np.ndarray]:
+    """Standard normal draws of trials start to stop - 1, as (m, *shape) stacks of at most step trials.
 
-    Trial t draws from ``default_rng(derive_seed(seed, t))``: each
-    generator's state is that one's, bit for bit. Only the construction is
-    batched: ``seeding._generators`` seeds a chunk in one ``SeedSequence``
-    hash pass, not one ``SeedSequence`` a trial. The seed and start pass
-    ``derive_seed``'s checks once, not once a trial.
+    The trials draw in trial order from one generator,
+    ``default_rng(derive_seed(seed, start))``, one ``standard_normal((m,
+    *shape))`` call a stack. A generator's draws are sequential, so trial
+    t's values do not depend on step. The draw policy of ``verify`` and
+    positivity sampling.
     """
-    # seeding imports numpy.random here, at the first draw, as default_rng
-    # did: importing ljlab, and so a cold CLI command that draws nothing,
-    # does not load it
-    from .seeding import _generators
-
-    seed = _require_seed(seed)
-    _require_count("index", start, 0)
-    for lo in range(start, stop, chunk):
-        yield _generators(seed, lo, min(lo + chunk, stop))
+    rng = np.random.default_rng(derive_seed(seed, start))
+    for lo in range(start, stop, step):
+        yield rng.standard_normal((min(step, stop - lo), *shape))
 
 
-def _gaussian_stack(rngs: list[np.random.Generator], n: int, k: int) -> np.ndarray:
-    """(len(rngs), k, n, n) stack of standard complex Gaussian matrices, k per generator.
-
-    Each generator makes one ``standard_normal((k, 2, n, n))`` call, and
-    matrix j is its real slice ``[j, 0]`` plus 1j times ``[j, 1]``: the
-    stream of k ``gaussian_complex`` calls, bit for bit.
-    """
-    z = np.empty((len(rngs), k, 2, n, n))
-    for t, rng in enumerate(rngs):
-        rng.standard_normal(out=z[t])
-    return z[:, :, 0] + 1j * z[:, :, 1]
+def _complex_draws(z: np.ndarray) -> np.ndarray:
+    """(..., n, n) complex matrices from a (..., 2, n, n) real draw: slice 0 plus 1j times slice 1."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def _hermitian_part(g: np.ndarray) -> np.ndarray:
@@ -396,28 +381,30 @@ def _hermitian_part(g: np.ndarray) -> np.ndarray:
 def gaussian_complex(rng: np.random.Generator, n: int) -> np.ndarray:
     """n x n matrix with independent standard complex Gaussian entries.
 
-    One ``standard_normal((1, 2, n, n))`` call: the real part, then the
+    One ``standard_normal((2, n, n))`` call: the real part, then the
     imaginary part, in C order. n follows ``_require_dim``'s rule.
     """
-    return _gaussian_stack([rng], _require_dim(n), 1)[0, 0]
+    n = _require_dim(n)
+    return _complex_draws(rng.standard_normal((2, n, n)))
 
 
 def random_hermitian(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """GUE-style sample (G + G^dagger) / 2; ``seed`` may also be a Generator.
 
     G is ``gaussian_complex(default_rng(seed), n)``, so k calls on one
-    Generator give the Hermitian parts of ``_gaussian_stack([rng], n, k)[0]``.
-    Any other seed than a non-negative integer or a Generator raises
-    ValidationError, as does an n that is not an integer (``_require_dim``).
+    Generator give the Hermitian parts of one ``standard_normal((k, 2, n,
+    n))`` draw. Any other seed than a non-negative integer or a Generator
+    raises ValidationError, as does an n that is not an integer
+    (``_require_dim``).
     """
     n = _require_dim(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(_require_seed(seed))
-    return _hermitian_part(_gaussian_stack([rng], n, 1)[0, 0])
+    return _hermitian_part(gaussian_complex(rng, n))
 
 
 def random_density(n: int, seed: int) -> np.ndarray:
     """Wishart-normalized density matrix G G^dagger / Tr(G G^dagger)."""
     n = _require_dim(n)
-    g = _gaussian_stack([np.random.default_rng(_require_seed(seed))], n, 1)[0, 0]
+    g = gaussian_complex(np.random.default_rng(_require_seed(seed)), n)
     w = g @ dagger(g)
     return w / float(np.real(np.trace(w)))

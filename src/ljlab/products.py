@@ -38,7 +38,7 @@ from .linalg import (
     DEFAULT_TOL,
     _ENTRY_LIMIT,
     Tolerance,
-    _gaussian_stack,
+    _complex_draws,
     _hermitian_part,
     _no_overflow,
     _opnorm,
@@ -48,7 +48,7 @@ from .linalg import (
     _rows,
     _screened_opnorm,
     _stack_len,
-    _trial_rngs,
+    _trial_normals,
     as_matrix,
     same_dim,
 )
@@ -282,16 +282,17 @@ def _check(row: int, operands: tuple) -> IdentityReport:
 def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> list[tuple[str, float, bool]]:
     """Each identity's name, largest residual over trials start to stop - 1 at dimension n, and verdict.
 
-    ``ljlab verify``'s judge, in ``_IDENTITIES`` order, on Hermitian trial stacks of ``_stack_len(n)``
-    drawn from ``_trial_rngs``. A defect's residual is its operator norm, passing at or below
-    ``tol.threshold`` of its norm scale; a NaN residual makes the maximum NaN and fails.
+    ``ljlab verify``'s judge, in ``_IDENTITIES`` order, on Hermitian trial stacks of ``_stack_len(n)``.
+    Trial t's operands a, b, c are the Hermitian parts of its ``(3, 2, n, n)`` draw of
+    ``_trial_normals``: slot j's real slice plus 1j times its imaginary slice. A defect's residual is
+    its operator norm, passing at or below ``tol.threshold`` of its norm scale; a NaN residual makes
+    the maximum NaN and fails.
     """
     worst = np.full(len(_IDENTITIES), -np.inf)
     passed = [True] * len(_IDENTITIES)
-    for rngs in _trial_rngs(seed, start, stop, _stack_len(n)):
-        g = _gaussian_stack(rngs, n, 3)
+    for z in _trial_normals(seed, start, stop, (3, 2, n, n), _stack_len(n)):
         # (3, trials, n, n): slot-major, so each operand is one contiguous stack
-        abc = _hermitian_part(np.ascontiguousarray(g.swapaxes(0, 1)))
+        abc = _hermitian_part(np.ascontiguousarray(_complex_draws(z).swapaxes(0, 1)))
         norms_ab = _opnorm(abc[:2])
         p = _Products(*abc)  # every identity's products, each formed once
         defects = {}

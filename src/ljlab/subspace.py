@@ -13,7 +13,8 @@ rounds (``_round``): the basis only grows, and each round ranks just the
 products that involve a direction added in the previous round, in growing
 blocks, and stops once it reaches its dimension bound (``_bound``), which
 comes from the seeds: n^2, or su(n)'s n^2 - 1 under the bracket of seeds
-orthogonal to the identity. A round at the bound forms no products; one
+orthogonal to the identity, whose identity part the closure then drops
+before its first round. A round at the bound forms no products; one
 that ends above it raises ValidationError. A subspace is closed exactly
 when such a round adds nothing, and ``is_closed_under`` runs that round
 up to the first product block that keeps a row.
@@ -71,7 +72,7 @@ from .linalg import (
     _rows,
     _screened_opnorm,
     _stack_len,
-    _trial_rngs,
+    _trial_normals,
     as_matrix,
     same_dim,
 )
@@ -439,6 +440,11 @@ def _round_products(e: np.ndarray, new: int, product: Product, first: int) -> It
         s, size = s + size, min(2 * size, _BLOCK)
 
 
+def _unit_identity(n: int) -> np.ndarray:
+    """The row of I / sqrt(n), the unit identity direction."""
+    return _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
+
+
 def _bound(s: RealSubspace, product: Product) -> int:
     """Largest dimension a closure of s under ``product`` can reach.
 
@@ -448,8 +454,7 @@ def _bound(s: RealSubspace, product: Product) -> int:
     n = s.dim_ambient
     if product is not lie:
         return n * n
-    unit = _rows(np.eye(n, dtype=complex)) / math.sqrt(n)
-    return n * n - 1 if float(np.linalg.norm(s.rows @ unit)) <= SPAN_RTOL else n * n
+    return n * n - 1 if float(np.linalg.norm(s.rows @ _unit_identity(n))) <= SPAN_RTOL else n * n
 
 
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
@@ -490,6 +495,12 @@ def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int,
         return s, 0, [0]
     bound = _bound(s, product)
     rows = s.rows
+    n = s.dim_ambient
+    if product is lie and bound == n * n - 1:
+        # the rows' identity part, at most SPAN_RTOL, goes: kept, the rank kernel could
+        # grow it into a direction of its own and the closure past su(n)
+        unit = _unit_identity(n)
+        rows = _extend(rows[:0], rows - np.outer(rows @ unit, unit))
     trajectory = [len(rows)]
     new = 0  # rows added by the previous round start here
     while True:
@@ -950,9 +961,9 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     PSD and stay inside the subspace. Associative subalgebras produce no
     violations; the full Hermitian algebra produces both kinds. Raises
     ValidationError unless ``samples`` is an integer >= 0 and ``seed`` a
-    valid seed. Sample t draws the coordinates of x, y and z in one
-    ``standard_normal((3, r))`` call on trial t of ``_trial_rngs``; a stack
-    of ``_stack_len(n)`` samples is scored in one call per step, bit for bit
+    valid seed. Sample t's coordinates of x, y and z are its ``(3, r)``
+    draw of ``_trial_normals``, from trial 0 on; a stack of
+    ``_stack_len(n)`` samples is scored in one call per step, bit for bit
     the per-sample loop's counts and worst cases.
     """
     _require_type("L", L, RealSubspace)
@@ -963,8 +974,7 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     # per kind (Jordan product, square order): violations, lowest eigenvalue, first violation at it
     counts, lowest = [0, 0], [0.0, 0.0]
     worst: list[tuple[np.ndarray, np.ndarray, float] | None] = [None, None]
-    for rngs in _trial_rngs(seed, 0, samples if r > 0 else 0, _stack_len(n)):
-        coords = np.stack([rng.standard_normal((3, r)) for rng in rngs])
+    for coords in _trial_normals(seed, 0, samples if r > 0 else 0, (3, r), _stack_len(n)):
         # one (1, r) by (r, n^2) product per row, so each matrix is _combination's bit for bit
         xyz = np.matmul(coords[..., None, :], L._stacked.reshape(r, n * n)).reshape(-1, 3, n, n)
         sq = xyz @ xyz

@@ -261,7 +261,7 @@ def check_associator_defect_of_the_full_algebras(d: str) -> None:
     assert out == "(0.3535533905932737, (10, 10, 11));(0.3535533905932737, (12, 12, 13))", out
 
 
-# positivity sampling on the full 24x24 algebra: 2048 samples drawn from the trial stream and scored in sub-stacks of
+# positivity sampling on the full 24x24 algebra: 2048 samples drawn from one generator and scored in sub-stacks of
 # about 128 KB per product, so the peak RSS stays at most 80 MB (about 46 MB; whole 1024-sample stacks took 142 MB);
 # every sample violates both kinds; the time has no bound
 def check_positivity_on_the_full_24x24_algebra(d: str) -> None:

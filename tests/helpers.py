@@ -647,7 +647,8 @@ def _pinned_sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np
 # Verbatim copies of the identity checkers and the per-trial ``cmd_verify``
 # loop from before ``verify`` evaluated its trials as stacks: the bit-for-bit
 # reference for the stacked identity kernels. Thresholds follow
-# ``Tolerance.threshold`` as it was then, with the builtin ``max``.
+# ``Tolerance.threshold`` as it was then, with the builtin ``max``. The loop
+# now draws a dimension's trials in order from one generator.
 
 
 def _loop_threshold(tol: Tolerance, scale: float) -> float:
@@ -719,13 +720,12 @@ def loop_verify_checks(
 ) -> list[dict]:
     """The ``checks`` list of a ``verify`` report, one trial and one identity at a time."""
     checks = []
-    trial_index = 0
-    for n in dims:
+    for d, n in enumerate(dims):
         worst = {name: 0.0 for name, _, _ in LOOP_CHECKERS}
         ok = {name: True for name, _, _ in LOOP_CHECKERS}
+        # a dimension's trials draw in order from one generator, seeded at its first trial's index
+        rng = np.random.default_rng(derive_seed(seed, d * trials))
         for _ in range(trials):
-            rng = np.random.default_rng(derive_seed(seed, trial_index))
-            trial_index += 1
             abc = tuple(random_hermitian(n, rng) for _ in range(3))
             for name, check, arity in LOOP_CHECKERS:
                 rep = check(*abc[:arity], tol)
@@ -790,10 +790,9 @@ def disagreement_message(s: State, L: RealSubspace) -> str:
     return f"classicality criteria disagree: {detail}"
 
 
-# Verbatim copy of ``check_positivity_closure`` from before it drew its
-# samples from the trial stream and scored them in sub-stacks: the
-# bit-for-bit reference for the stacked form. Norms come from this module's
-# ``spectral_norm``.
+# ``check_positivity_closure`` one sample at a time, every sample drawing
+# in order from one generator: the bit-for-bit reference for the stacked
+# form. Norms come from this module's ``spectral_norm``.
 
 
 def loop_positivity_closure(L: RealSubspace, samples: int, seed: int) -> PositivityReport:
@@ -808,8 +807,8 @@ def loop_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positiv
     worst_square: tuple[np.ndarray, np.ndarray, float] | None = None
     best_j = 0.0
     best_s = 0.0
-    for t in range(samples if r > 0 else 0):
-        rng = np.random.default_rng(derive_seed(seed, t))
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    for _ in range(samples if r > 0 else 0):
         x = _combination(rng.standard_normal(r), stacked)
         y = _combination(rng.standard_normal(r), stacked)
         z = _combination(rng.standard_normal(r), stacked)

@@ -16,7 +16,7 @@ _spec.loader.exec_module(bench)
 
 @pytest.mark.parametrize("builder", bench.WARM, ids=lambda builder: builder.__name__)
 def test_every_warm_builder_gives_its_rows_result_at_small_n(builder):
-    query, want = builder(ljlab, 1024 if builder is bench.trial_rngs else 4)
+    query, want = builder(ljlab, 4)
     assert query() == want
 
 
@@ -56,7 +56,6 @@ _WARM_SIZES = {
     "avr_witness_search": (4,),
     "associator_witness_search": (6,),
     "cmd_verify": (2, 4, 6),
-    "trial_rngs": (1024,),
     "classify_wishart": (3, 4, 8),
     "classify_block_scalar": (4,),
 }

@@ -30,15 +30,14 @@ from ljlab import (
 )
 from ljlab.linalg import (
     _NORM_SLACK,
-    _gaussian_stack,
+    _complex_draws,
     _hermitian_part,
     _opnorm,
     _row_norms,
     _rows,
     _screened_opnorm,
-    _trial_rngs,
+    _trial_normals,
 )
-from ljlab.seeding import _pcg64_seed_words
 
 
 def test_tolerance_threshold_scaling():
@@ -193,20 +192,22 @@ def _raw_draws(seed: int, n: int, k: int) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_gaussian_draws_follow_the_stream_contract_bit_for_bit(n):
-    seeds = [0, 1, 31, 2**40 + 3]
-    for k in (1, 2, 3):
-        got = _gaussian_stack([np.random.default_rng(s) for s in seeds], n, k)
-        assert got.shape == (len(seeds), k, n, n)
-        for t, seed in enumerate(seeds):
+    for seed in (0, 1, 31, 2**40 + 3):
+        for k in (1, 2, 3):
             raw = _raw_draws(seed, n, k)
+            # k trials of one (2, n, n) draw each, in stacks of 2
+            stacks = list(_trial_normals(seed, 0, k, (2, n, n), 2))
+            assert [len(z) for z in stacks] == [min(2, k - lo) for lo in range(0, k, 2)]
+            got = _complex_draws(np.concatenate(stacks))
+            assert got.shape == (k, n, n)
             rng, herm_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for j in range(k):
                 herm = 0.5 * (raw[j] + raw[j].conj().T)
-                assert got[t, j].tobytes() == raw[j].tobytes()
-                assert _hermitian_part(got[t, j]).tobytes() == herm.tobytes()
+                assert got[j].tobytes() == raw[j].tobytes()
+                assert _hermitian_part(got[j]).tobytes() == herm.tobytes()
                 assert ljlab.linalg.gaussian_complex(rng, n).tobytes() == raw[j].tobytes()
                 assert random_hermitian(n, herm_rng).tobytes() == herm.tobytes()
-            assert _hermitian_part(got[t]).tobytes() == _hermitian_part(np.array(raw)).tobytes()
+            assert _hermitian_part(got).tobytes() == _hermitian_part(np.array(raw)).tobytes()
             assert random_hermitian(n, seed).tobytes() == _hermitian_part(raw[0]).tobytes()
 
 
@@ -676,55 +677,21 @@ def test_threshold_broadcasts_over_scales():
     assert tol.threshold(np.nan) == 1e-9
 
 
-#: Seeds on each side of the 32-bit entropy word boundaries (1 to 4 words, where
-#: the pool is zero padded; 5 and more, where each word takes a mixing round),
-#: and numpy integers, which seed by value.
+#: Seeds of one to seven 32-bit words, on each side of the 64-bit word
+#: boundaries, and numpy integers, which seed by value.
 STREAM_SEEDS = [
     0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 3, 2**128 - 1, 2**128, 2**160 + 5, 3**200,
     np.int64(5), np.uint64(2**64 - 1), np.uint8(7),
 ]
 
 
-def _assert_default_rng_streams(rngs: list[np.random.Generator], seed: int, start: int) -> None:
-    for t, rng in enumerate(rngs, start):
-        ref = np.random.default_rng(derive_seed(seed, t))
-        assert rng.bit_generator.state == ref.bit_generator.state, (seed, t)
-        assert rng.standard_normal().hex() == ref.standard_normal().hex(), (seed, t)
-
-
 @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
-def test_trial_streams_are_default_rng_streams_bit_for_bit(seed):
-    (rngs,) = _trial_rngs(seed, 0, 6)
-    assert len(rngs) == 6
-    _assert_default_rng_streams(rngs, seed, 0)
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
-def test_pcg64_seed_words_are_seed_sequence_words(seed):
-    seed = int(seed)
-    for start in (0, 2**32 - 3, 2**128 - 2):
-        words = _pcg64_seed_words(seed, start, start + 5)
-        assert words.dtype == np.uint64 and words.flags.c_contiguous
-        for t, row in enumerate(words, start):
-            ref = np.random.SeedSequence(seed ^ t).generate_state(4, np.uint64)
-            assert row.tolist() == ref.tolist(), (seed, t)
-
-
-@pytest.mark.parametrize(
-    "seed, start, stop, chunk",
-    [
-        (0, 0, 1, 1),  # a one-trial chunk
-        (3, 5, 6, 1024),  # one trial at an offset
-        (7, 0, 14, 7),  # two full chunks
-        (7, 3, 18, 7),  # a chunk edge inside the range, a partial last chunk
-        (2**64 + 9, 1000, 1041, 20),
-        (0, 2**32 - 3, 2**32 + 3, 4),  # seeds of 1 and 2 words in one chunk
-        (0, 2**128 - 3, 2**128 + 3, 1024),  # 4 and 5 words: the mixing round for some seeds of a chunk
-        (2**160 + 5, 2**160, 2**160 + 8, 1024),  # the seeds 0..7, from a 6-word seed and start
-        (3**200, 12, 15, 2),
-    ],
-)
-def test_trial_streams_over_offsets_and_chunk_edges(seed, start, stop, chunk):
-    chunks = list(_trial_rngs(seed, start, stop, chunk))
-    assert [len(c) for c in chunks] == [min(chunk, stop - lo) for lo in range(start, stop, chunk)]
-    _assert_default_rng_streams([rng for c in chunks for rng in c], seed, start)
+def test_one_stream_per_trial_range_gives_the_same_bytes_at_stack_lengths_1_7_and_1024(seed):
+    # one generator a range, seeded at its start: the stacking never shows in the draws
+    ranges = [(0, 1, (3, 2, 1, 1)), (5, 1041, (3, 2, 2, 2)), (2**64, 2**64 + 30, (3, 4))]
+    for start, stop, shape in ranges:
+        ref = np.random.default_rng(derive_seed(seed, start)).standard_normal((stop - start, *shape))
+        for step in (1, 7, 1024):
+            stacks = list(_trial_normals(seed, start, stop, shape, step))
+            assert [len(z) for z in stacks] == [min(step, stop - lo) for lo in range(start, stop, step)]
+            assert np.concatenate(stacks).tobytes() == ref.tobytes(), (start, stop, step)

@@ -1015,6 +1015,37 @@ def test_lie_generate_targets_the_bound_its_closure_is_held_to(eps):
     assert rep.generated, (rep.closure_dim, rep.target_dim)
 
 
+def test_lie_closures_of_pairs_judged_traceless_reach_su_n():
+    # an identity part of at most SPAN_RTOL sets the su(n) bound; left in the rows, the
+    # rank kernel could keep it, and 138 of these 414 closures ended at n^2, above it
+    cases = 0
+    for n in range(3, 7):
+        for s in range(25):
+            a = traceless(random_hermitian(n, 1000 + s))
+            b = traceless(random_hermitian(n, 2000 + s))
+            for eps in (1e-9, 2e-9, 3e-9, 4e-9, 5e-9):
+                x = a + eps * np.linalg.norm(a) * np.eye(n)
+                if subspace_mod._bound(span([x, b]), lie) != n * n - 1:
+                    continue
+                cases += 1
+                rep = lie_generate(x, b)
+                assert rep.generated, (n, s, eps, rep.closure_dim)
+                assert rep.closure.contains(x), (n, s, eps)
+    assert cases == 414
+
+
+def test_commuting_family_closures_have_dimension_n_or_raise():
+    # a conjugated diagonal family closes to the n diagonal directions, never to another dimension
+    dims = []
+    for n in (8, 12, 16):
+        for s in range(20):
+            try:
+                dims.append(commutative_algebra(n, 7000 + s).dim_span == n)
+            except ValidationError:
+                continue
+    assert all(dims) and len(dims) >= 50, dims
+
+
 def test_jordan_generate_three_pauli_pair():
     rep = jordan_generate_three(SX, SY)
     assert rep.closure_dim == 4
