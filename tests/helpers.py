@@ -648,7 +648,7 @@ def _pinned_sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np
 # loop from before ``verify`` evaluated its trials as stacks: the bit-for-bit
 # reference for the stacked identity kernels. Thresholds follow
 # ``Tolerance.threshold`` as it was then, with the builtin ``max``. The loop
-# now draws a dimension's trials in order from one generator.
+# draws a dimension's trials in order from one generator, as ``verify`` does.
 
 
 def _loop_threshold(tol: Tolerance, scale: float) -> float:
