@@ -695,3 +695,50 @@ def test_one_stream_per_trial_range_gives_the_same_bytes_at_stack_lengths_1_7_an
             stacks = list(_trial_normals(seed, start, stop, shape, step))
             assert [len(z) for z in stacks] == [min(step, stop - lo) for lo in range(start, stop, step)]
             assert np.concatenate(stacks).tobytes() == ref.tobytes(), (start, stop, step)
+
+
+def _assert_default_rng_stream(stacks: list[np.ndarray], seed: int, start: int, shape: tuple[int, ...]) -> None:
+    # trial by trial, in trial order, from the one generator seeded at the range's start
+    rng = np.random.default_rng(derive_seed(seed, start))
+    for t, trial in enumerate((trial for z in stacks for trial in z), start):
+        assert trial.tobytes() == rng.standard_normal(shape).tobytes(), (seed, t)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=repr)
+def test_trial_streams_are_default_rng_streams_bit_for_bit(seed):
+    # the loop oracles' draws from one default_rng: three random_hermitian
+    # calls a verify trial, three standard_normal(r) calls a positivity sample
+    n, r = 3, 5
+    (z,) = _trial_normals(seed, 0, 6, (3, 2, n, n), 1024)
+    herm = _hermitian_part(_complex_draws(z))
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    for t in range(6):
+        for j in range(3):
+            assert herm[t, j].tobytes() == random_hermitian(n, rng).tobytes(), (seed, t, j)
+    (coords,) = _trial_normals(seed, 0, 6, (3, r), 1024)
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    for t in range(6):
+        for j in range(3):
+            assert coords[t, j].tobytes() == rng.standard_normal(r).tobytes(), (seed, t, j)
+
+
+@pytest.mark.parametrize(
+    "seed, start, stop, chunk",
+    [
+        (0, 0, 1, 1),  # a one-trial stack
+        (3, 5, 6, 1024),  # one trial at an offset
+        (7, 0, 14, 7),  # two full stacks
+        (7, 3, 18, 7),  # a stack edge inside the range, a partial last stack
+        (2**64 + 9, 1000, 1041, 20),
+        (0, 2**32 - 3, 2**32 + 3, 4),  # trial indices of one and two 32-bit words, one generator
+        (0, 2**128 - 3, 2**128 + 3, 1024),  # indices of four and five words in one stack
+        (2**160 + 5, 2**160, 2**160 + 8, 1024),  # a six-word seed and start whose generator is seeded at 5
+        (3**200, 12, 15, 2),
+    ],
+)
+def test_trial_streams_over_offsets_and_chunk_edges(seed, start, stop, chunk):
+    shape = (3, 2, 2, 2)
+    stacks = list(_trial_normals(seed, start, stop, shape, chunk))
+    assert [len(z) for z in stacks] == [min(chunk, stop - lo) for lo in range(start, stop, chunk)]
+    assert all(z.shape[1:] == shape for z in stacks)
+    _assert_default_rng_stream(stacks, seed, start, shape)
