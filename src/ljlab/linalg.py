@@ -117,11 +117,15 @@ def _opnorm(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
+def _hermitian_opnorm(x: np.ndarray) -> np.ndarray:
+    """Operator norm of each finite, exactly Hermitian matrix of a stack (``eigvalsh`` reads one triangle)."""
+    return np.abs(np.linalg.eigvalsh(x)).max(axis=-1, initial=0.0)
+
+
 #: Rounding slack of norm bounds, each widened by ``1 + _NORM_SLACK``: the
 #: relative error allowed for a computed norm or inner product against its
-#: exact value on the computed inputs. SVDs, sums of squares and dot products
-#: are accurate to a few hundred ulps at the sizes the package handles, far
-#: inside it.
+#: exact value on the computed inputs, far above the few hundred ulps of SVDs,
+#: eigensolvers, sums of squares and dot products at the package's sizes.
 _NORM_SLACK = 1e-6
 
 #: Below this floor a sum of squares may have lost its smaller terms to
@@ -143,26 +147,28 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def _screened_opnorm(x: np.ndarray, floor: float) -> np.ndarray:
-    """``_opnorm`` of each matrix in an (..., n, n) stack that can reach floor, 0.0 for the rest.
+def _screened_opnorm(x: np.ndarray, floor: float, norm=None) -> np.ndarray:
+    """``norm`` (``_opnorm`` if None) of each matrix in an (..., n, n) stack that can reach floor, 0.0 for the rest.
 
     ``||X||_2 <= ||X||_HS``, so a matrix whose HS norm times ``1 +
     _NORM_SLACK`` is below floor has an operator norm below floor, and gets
-    no SVD. The others take one ``_opnorm`` call, whose values are the
-    whole stack's bit for bit. A stack with a non-finite HS norm (so a NaN
-    or an inf still reaches the SVD), or a floor below ``_SQUARES_FLOOR``,
-    takes the whole-stack ``_opnorm``.
+    no norm call. The others take one ``norm`` call, whose values are the
+    whole stack's bit for bit. A floor below ``_SQUARES_FLOOR`` takes the
+    whole-stack ``norm``, and a stack with a non-finite HS norm the
+    whole-stack ``_opnorm``, so a NaN or an inf still reaches the SVD.
     """
+    norm = norm or _opnorm
     if x.size == 0:
-        return _opnorm(x)
+        return norm(x)
     flat = x.reshape(-1, *x.shape[-2:])
     hs = _row_norms(_rows(flat))
-    if not (np.isfinite(hs).all() and floor >= _SQUARES_FLOOR):
-        return _opnorm(x)
+    finite = np.isfinite(hs).all()
+    if not (finite and floor >= _SQUARES_FLOOR):
+        return norm(x) if finite else _opnorm(x)
     out = np.zeros(len(flat))
     keep = np.flatnonzero(hs * (1 + _NORM_SLACK) >= floor)
     if len(keep):
-        out[keep] = _opnorm(flat[keep])
+        out[keep] = norm(flat[keep])
     return out.reshape(x.shape[:-2])
 
 

@@ -16,14 +16,16 @@ The products and the identity defects broadcast over leading axes: operands
 may be ``(..., n, n)`` stacks, and each identity has one formula, listed
 with its report name, norm scale and arity in ``_IDENTITIES``, which
 ``_verify_trials``, the judge of ``ljlab verify``, evaluates on stacks of
-random trials. A formula takes the ``_Products`` of its operands, which
-forms each matrix product once per stack, so the five identities share
-their products. The tests require a stacked result to be bit-equal, slice
-by slice, to the same call on single matrices.
+random trials. A formula takes an evaluator of its operands, which forms
+each matrix product once per stack, so the five identities share their
+products: ``_Products`` (two matmuls a pair, SVD norms) for ``check_*``,
+``_HermitianProducts`` (one matmul, eigenvalue norms) for ``verify``'s
+exactly Hermitian trials. The tests require a stacked result to be
+bit-equal, slice by slice, to the same call on single matrices.
 
 Only the public products check their input; the package's own callers,
 on arrays it built itself, take the unchecked kernels ``_jordan``,
-``_lie`` and ``_associator``.
+``_lie``, ``_products`` (Hermitian operands) and ``_associator``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .linalg import (
     _ENTRY_LIMIT,
     Tolerance,
     _complex_draws,
+    _hermitian_opnorm,
     _hermitian_part,
     _no_overflow,
     _opnorm,
@@ -106,6 +109,13 @@ def _lie(x: np.ndarray, y: np.ndarray, mul=np.matmul) -> np.ndarray:
     return 0.5j * (mul(x, y) - mul(y, x))
 
 
+def _products(a: np.ndarray, b: np.ndarray, product, mul=np.matmul) -> np.ndarray:
+    """``product(a, b)`` of Hermitian (..., n, n) stacks from one matmul: ``b a`` is ``a b`` conjugate-transposed."""
+    p = mul(a, b)
+    ph = p.conj().swapaxes(-1, -2)
+    return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
+
+
 def _associator(x: np.ndarray, y: np.ndarray, z: np.ndarray, jordan=_jordan) -> np.ndarray:
     return jordan(jordan(x, y), z) - jordan(x, jordan(y, z))
 
@@ -150,12 +160,13 @@ def recover_associative(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Products:
     """The products of one stack of operands a, b and c (None for two), each formed once.
 
-    ``jordan`` and ``lie`` are the unchecked kernels, and every ordered
-    matrix product ``x @ y`` they take is formed once: ``x @ y`` and
-    ``y @ x`` stay two products, so each result is the kernel's, bit for bit.
-    A Jordan or Lie product is formed once too and returned as the same
-    array, so the products of shared intermediates (a o b, [c, a], ...) are
-    formed once as well. Keys are operand ids; each entry holds its
+    The general evaluator, for any square operands: ``jordan`` and ``lie``
+    are the unchecked kernels, and every ordered matrix product ``x @ y``
+    they take is formed once: ``x @ y`` and ``y @ x`` stay two products, so
+    each result is the kernel's, bit for bit, and ``norm`` is the SVD's
+    ``_opnorm``. A Jordan or Lie product is formed once too and returned as
+    the same array, so the products of shared intermediates (a o b, [c, a],
+    ...) are formed once as well. Keys are operand ids; each entry holds its
     operands, so no other array takes their ids while the stack lives.
     """
 
@@ -177,6 +188,20 @@ class _Products:
 
     def lie(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self._once("[]", x, y, lambda: _lie(x, y, self.mul))
+
+    norm = staticmethod(_opnorm)
+
+
+class _HermitianProducts(_Products):
+    """``_Products`` of exactly Hermitian operands, whose products and defects are too: one matmul a pair."""
+
+    def jordan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._once("o", x, y, lambda: _products(x, y, jordan, self.mul))
+
+    def lie(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self._once("[]", x, y, lambda: _products(x, y, lie, self.mul))
+
+    norm = staticmethod(_hermitian_opnorm)
 
 
 @dataclass(frozen=True)
@@ -232,10 +257,10 @@ def _norm_axioms(p, na, nb):
     a, b = p.a, p.b
     sq_a = p.jordan(a, a)
     sq_b = p.jordan(b, b)
-    v_sub = _opnorm(p.jordan(a, b)) - na * nb
-    norm_sq_a = _opnorm(sq_a)
+    v_sub = p.norm(p.jordan(a, b)) - na * nb
+    norm_sq_a = p.norm(sq_a)
     v_square = np.abs(norm_sq_a - na * na)
-    v_dominance = norm_sq_a - _opnorm(sq_a + sq_b)
+    v_dominance = norm_sq_a - p.norm(sq_a + sq_b)
     residual = np.maximum(np.maximum(v_sub, v_square), v_dominance)
     scale = np.maximum(np.maximum(na * nb, na * na), nb * nb)
     return residual, scale
@@ -284,17 +309,17 @@ def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> 
 
     ``ljlab verify``'s judge, in ``_IDENTITIES`` order, on Hermitian trial stacks of ``_stack_len(n)``.
     Trial t's operands a, b, c are the Hermitian parts of its ``(3, 2, n, n)`` draw of
-    ``_trial_normals``: slot j's real slice plus 1j times its imaginary slice. A defect's residual is
-    its operator norm, passing at or below ``tol.threshold`` of its norm scale; a NaN residual makes
-    the maximum NaN and fails.
+    ``_trial_normals``: slot j's real slice plus 1j times its imaginary slice, exactly Hermitian
+    (``_HermitianProducts``). A defect's residual is its operator norm, passing at or below
+    ``tol.threshold`` of its norm scale; a NaN residual makes the maximum NaN and fails.
     """
     worst = np.full(len(_IDENTITIES), -np.inf)
     passed = [True] * len(_IDENTITIES)
     for z in _trial_normals(seed, start, stop, (3, 2, n, n), _stack_len(n)):
         # (3, trials, n, n): slot-major, so each operand is one contiguous stack
         abc = _hermitian_part(np.ascontiguousarray(_complex_draws(z).swapaxes(0, 1)))
-        norms_ab = _opnorm(abc[:2])
-        p = _Products(*abc)  # every identity's products, each formed once
+        p = _HermitianProducts(*abc)  # every identity's products, each formed once
+        norms_ab = p.norm(abc[:2])
         defects = {}
         for i, (_, formula, scale, _) in enumerate(_IDENTITIES):
             if scale is not None:
@@ -305,17 +330,17 @@ def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> 
             # like residual.max() over all trials, np.maximum propagates a NaN
             worst[i] = np.maximum(worst[i], residual.max())
             passed[i] = passed[i] and bool(np.all(residual <= tol.threshold(s)))
-        # each defect identity's matrix of largest HS norm, all in one SVD call
-        tops = _opnorm(np.stack([x[np.argmax(_row_norms(_rows(x)))] for x in defects.values()]))
+        # each defect identity's matrix of largest HS norm, all in one norm call
+        tops = p.norm(np.stack([x[np.argmax(_row_norms(_rows(x)))] for x in defects.values()]))
         for (i, defect), top in zip(defects.items(), tops):
             _, _, scale, arity = _IDENTITIES[i]
             # exact wherever a residual can reach the maximum, which is at least top, the norm of the
             # largest HS norm's defect, or exceed zero_tol, below which it passes at any scale
-            residual = _screened_opnorm(defect, min(top, tol.zero_tol))
+            residual = _screened_opnorm(defect, min(top, tol.zero_tol), p.norm)
             worst[i] = np.maximum(worst[i], residual.max())
             t = np.flatnonzero(~(residual <= tol.zero_tol))
             if len(t):
-                s = scale(*(*norms_ab[:, t], _opnorm(abc[2, t]))[:arity])
+                s = scale(*(*norms_ab[:, t], p.norm(abc[2, t]))[:arity])
                 passed[i] = passed[i] and bool(np.all(residual[t] <= tol.threshold(s)))
     return [(name, float(worst[i]), passed[i]) for i, (name, *_) in enumerate(_IDENTITIES)]
 

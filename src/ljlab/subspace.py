@@ -20,7 +20,7 @@ when such a round adds nothing, and ``is_closed_under`` runs that round
 up to the first product block that keeps a row.
 
 Rounds and the pair queries (defects, centralizer) form products with one
-Hermitian pair kernel (``_products``); a block of index pairs is formed in
+Hermitian pair kernel (``products._products``); a block of index pairs is formed in
 cache-sized chunks (``_block_products``), and the i < k basis brackets come
 from one stream (``_brackets``), which the associator criterion reads
 too; ``associator_defect`` forms one bracket [e_j, B] per triple of a
@@ -76,7 +76,7 @@ from .linalg import (
     as_matrix,
     same_dim,
 )
-from .products import _jordan, _lie, jordan, lie
+from .products import _jordan, _lie, _products, jordan, lie
 
 __all__ = [
     "SPAN_RTOL",
@@ -395,17 +395,6 @@ def _product_pairs(r: int, product: Product, new: int = 0) -> np.ndarray:
 #: least ``_FIRST_BLOCK`` products (``_round``).
 _BLOCK = 512
 _FIRST_BLOCK = 64
-
-
-def _products(a: np.ndarray, b: np.ndarray, product: Product) -> np.ndarray:
-    """``product(a, b)`` of two Hermitian (..., n, n) stacks whose lead axes broadcast.
-
-    One matmul gives ``a b``; its conjugate transpose is ``b a`` because
-    both operands are Hermitian.
-    """
-    p = a @ b
-    ph = p.conj().swapaxes(-1, -2)
-    return 0.5 * (p + ph) if product is jordan else 0.5j * (p - ph)
 
 
 def _block_products(e: np.ndarray, i: np.ndarray, j: np.ndarray, product: Product) -> np.ndarray:

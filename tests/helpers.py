@@ -644,11 +644,10 @@ def _pinned_sweep(v: np.ndarray, thr: np.ndarray, panel: np.ndarray) -> tuple[np
     return v[:m], thr[:m]
 
 
-# Verbatim copies of the identity checkers and the per-trial ``cmd_verify``
-# loop from before ``verify`` evaluated its trials as stacks: the bit-for-bit
-# reference for the stacked identity kernels. Thresholds follow
-# ``Tolerance.threshold`` as it was then, with the builtin ``max``. The loop
-# draws a dimension's trials in order from one generator, as ``verify`` does.
+# Verbatim copies of the identity checkers from before they evaluated the
+# identities as stacks: the bit-for-bit reference for the public ``check_*``
+# functions. Thresholds follow ``Tolerance.threshold`` as it was then, with
+# the builtin ``max``.
 
 
 def _loop_threshold(tol: Tolerance, scale: float) -> float:
@@ -715,31 +714,61 @@ LOOP_CHECKERS = (
 )
 
 
+def _hermitian_trial(a, b, c) -> tuple[tuple[str, float, float], ...]:
+    """Each identity's name, residual and norm scale on one trial of Hermitian a, b and c.
+
+    The five formulas written out: each Jordan or Lie product from its one
+    matmul x @ y, whose conjugate transpose is y @ x, and each norm the
+    largest |eigenvalue|, with no screen.
+    """
+
+    def jo(x, y):
+        p = x @ y
+        return 0.5 * (p + p.conj().T)
+
+    def li(x, y):
+        p = x @ y
+        return 0.5j * (p - p.conj().T)
+
+    def norm(x):
+        return float(np.max(np.abs(np.linalg.eigvalsh(x))))
+
+    na, nb, nc = norm(a), norm(b), norm(c)
+    sq_a, sq_b = jo(a, a), jo(b, b)
+    norm_sq_a = norm(sq_a)
+    return (
+        ("jacobi", norm(li(li(a, b), c) + li(li(b, c), a) + li(li(c, a), b)), na * nb * nc),
+        ("leibniz", norm(li(a, jo(b, c)) - jo(li(a, b), c) - jo(b, li(a, c))), na * nb * nc),
+        ("associator-identity", norm(jo(jo(a, b), c) - jo(a, jo(b, c)) - li(b, li(c, a))), na * nb * nc),
+        ("weak-associativity", norm(jo(jo(sq_a, b), a) - jo(sq_a, jo(b, a))), na**3 * nb),
+        (
+            "norm-axioms",
+            max(norm(jo(a, b)) - na * nb, abs(norm_sq_a - na * na), norm_sq_a - norm(sq_a + sq_b)),
+            max(na * nb, na * na, nb * nb),
+        ),
+    )
+
+
 def loop_verify_checks(
     dims: tuple[int, ...], trials: int, seed: int, tol: Tolerance = DEFAULT_TOL
 ) -> list[dict]:
-    """The ``checks`` list of a ``verify`` report, one trial and one identity at a time."""
+    """The ``checks`` list of a ``verify`` report, one trial and one identity at a time.
+
+    The loop draws a dimension's trials in order from one generator, as
+    ``verify`` does, and judges each residual at ``_loop_threshold``.
+    """
     checks = []
     for d, n in enumerate(dims):
-        worst = {name: 0.0 for name, _, _ in LOOP_CHECKERS}
-        ok = {name: True for name, _, _ in LOOP_CHECKERS}
+        worst: dict[str, float] = {}
+        ok: dict[str, bool] = {}
         # a dimension's trials draw in order from one generator, seeded at its first trial's index
         rng = np.random.default_rng(derive_seed(seed, d * trials))
         for _ in range(trials):
             abc = tuple(random_hermitian(n, rng) for _ in range(3))
-            for name, check, arity in LOOP_CHECKERS:
-                rep = check(*abc[:arity], tol)
-                worst[name] = max(worst[name], rep.residual)
-                ok[name] = ok[name] and rep.passed
-        for name, _, _ in LOOP_CHECKERS:
-            checks.append(
-                {
-                    "name": name,
-                    "dim": n,
-                    "max_residual": worst[name],
-                    "passed": ok[name],
-                }
-            )
+            for name, residual, scale in _hermitian_trial(*abc):
+                worst[name] = max(worst.get(name, 0.0), residual)
+                ok[name] = ok.get(name, True) and residual <= _loop_threshold(tol, scale)
+        checks += [{"name": name, "dim": n, "max_residual": worst[name], "passed": ok[name]} for name in worst]
     return checks
 
 

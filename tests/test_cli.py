@@ -116,12 +116,12 @@ def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_b
     # and no operand of a stack exceeds the byte bound that keeps the evaluator's memory small
     stacks = []
 
-    class Recorded(products._Products):
+    class Recorded(products._HermitianProducts):
         def __init__(self, *operands):
             stacks.append(operands[0].nbytes)
             super().__init__(*operands)
 
-    monkeypatch.setattr(products, "_Products", Recorded)
+    monkeypatch.setattr(products, "_HermitianProducts", Recorded)
     checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=6, trials=230, seed=5))
     assert len(stacks) == 2 and max(stacks) <= _STACK_BYTES
     ref = loop_verify_checks((6,), 230, 5)
@@ -130,9 +130,9 @@ def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_b
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_svd_does(bad, monkeypatch):
+def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_norm_does(bad, monkeypatch):
     # the screen must not hide a non-finite defect: the maximum is NaN and the check fails, or the
-    # SVD raises, as it does on the whole stack (LAPACK may reject a NaN matrix outright)
+    # norm raises, as the eigenvalue norm does on the whole stack (LAPACK may reject a NaN matrix outright)
     def poisoned(p):
         d = products._jacobi(p)
         d[1, 0, 0] = bad
@@ -140,13 +140,15 @@ def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_svd_does(bad, 
 
     monkeypatch.setattr(products, "_IDENTITIES", (("jacobi", poisoned, products._product_scale, 3),))
     cfg = SessionConfig(command="verify", dim=3, trials=5, seed=0)
+    stack = np.stack([random_hermitian(3, s) for s in range(5)])
+    stack[1, 0, 0] = bad
     try:
-        whole = linalg._opnorm(np.full((2, 3, 3), bad, dtype=complex))
+        whole = linalg._hermitian_opnorm(stack)
     except np.linalg.LinAlgError:
         with pytest.raises(np.linalg.LinAlgError):
             cmd_verify(cfg)
         return
-    assert np.isnan(whole).all()
+    assert np.isnan(whole[1])
     checks, _, all_passed = cmd_verify(cfg)
     assert np.isnan(checks[0]["max_residual"])
     assert checks[0]["passed"] is False and all_passed is False
@@ -169,28 +171,40 @@ def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
     assert checks[0]["passed"] is False and all_passed is False
 
 
-def test_verify_takes_an_svd_only_of_defects_that_can_reach_the_maximum(monkeypatch):
-    # 4 defect identities x 25 trials: the parent took 100 defect SVDs per dimension; products' own SVDs
-    # are a's and b's norms, norm-axioms' three norms a trial and the four largest HS norms' defects, so
-    # no defect skips the screen
-    svds = {"screened": 0, "direct": 0}
-    opnorm = linalg._opnorm
+def test_verify_takes_a_norm_only_of_defects_that_can_reach_the_maximum(monkeypatch):
+    # 4 defect identities x 25 trials: before the screen, 100 defect norms per dimension; the evaluator's own
+    # norms are a's and b's, norm-axioms' three a trial and the four largest HS norms' defects, so no defect
+    # skips the screen. Each is the eigenvalue norm of the Hermitian evaluator: verify takes no SVD
+    norms = {"screened": 0, "direct": 0, "svd": 0}
+    eigen, screened, opnorm = linalg._hermitian_opnorm, products._screened_opnorm, linalg._opnorm
+    inside = []
 
-    def counting(key):
-        def counted(x):
-            svds[key] += int(np.prod(x.shape[:-2]))
-            return opnorm(x)
+    def counted(x):
+        norms["screened" if inside else "direct"] += int(np.prod(x.shape[:-2]))
+        return eigen(x)
 
-        return counted
+    def screen(x, floor, norm=None):
+        inside.append(x)
+        try:
+            return screened(x, floor, norm)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(linalg, "_opnorm", counting("screened"))
-    monkeypatch.setattr(products, "_opnorm", counting("direct"))
+    def svd(x):
+        norms["svd"] += int(np.prod(x.shape[:-2]))
+        return opnorm(x)
+
+    monkeypatch.setattr(products._HermitianProducts, "norm", staticmethod(counted))
+    monkeypatch.setattr(products, "_screened_opnorm", screen)
+    monkeypatch.setattr(products, "_opnorm", svd)
+    monkeypatch.setattr(linalg, "_opnorm", svd)
     for n in SWEEP_DIMS:
-        svds.update(screened=0, direct=0)
+        norms.update(screened=0, direct=0, svd=0)
         checks, _, _ = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=3))
         assert all(c["passed"] for c in checks)
-        assert svds["screened"] <= 40, (n, svds)
-        assert svds["direct"] == 2 * 25 + 3 * 25 + 4, (n, svds)
+        assert 4 <= norms["screened"] <= 40, (n, norms)
+        assert norms["direct"] == 2 * 25 + 3 * 25 + 4, (n, norms)
+        assert norms["svd"] == 0, (n, norms)
 
 
 def test_verify_rejects_zero_trials():

@@ -31,6 +31,7 @@ from ljlab import (
 from ljlab.linalg import (
     _NORM_SLACK,
     _complex_draws,
+    _hermitian_opnorm,
     _hermitian_part,
     _opnorm,
     _row_norms,
@@ -560,6 +561,56 @@ def test_opnorm_of_a_stack_equals_per_slice_calls():
             assert _opnorm(stack[rows]).tobytes() == got[rows].tobytes(), (n, rows)
     assert _opnorm(np.zeros((4, 0, 0))).tolist() == [0.0] * 4
     assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
+def _hermitian_fixtures(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Exactly Hermitian matrices (Hermitian parts): random, negative definite, rank one and zero."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    mats = [g, -(g @ g.conj().T) - np.eye(n), u @ u.conj().T, np.zeros((n, n), dtype=complex)]
+    return _hermitian_part(np.stack(mats))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hermitian_opnorm_agrees_with_the_svd_norm(n):
+    rng = np.random.default_rng(1300 + n)
+    stack = np.stack([m for _ in range(10) for m in _hermitian_fixtures(n, rng)])
+    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+    got, ref = _hermitian_opnorm(stack), _opnorm(stack)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * ref), (n, np.max(np.abs(got - ref) / ref))
+    # the negative definite ones: the norm is -lambda_min, above |lambda_max|
+    w = np.linalg.eigvalsh(stack[1::4])
+    assert np.all(-w[:, 0] >= np.abs(w[:, -1])) and np.all(got[1::4] == -w[:, 0])
+    assert got[3::4].tolist() == [0.0] * 10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hermitian_opnorm_of_a_stack_is_its_per_slice_calls_bit_for_bit(n):
+    stack = np.stack([m for s in range(3) for m in _hermitian_fixtures(n, np.random.default_rng(1400 + 10 * n + s))])
+    got = _hermitian_opnorm(stack)
+    assert got.tobytes() == np.array([_hermitian_opnorm(m) for m in stack]).tobytes()
+    assert _hermitian_opnorm(stack.reshape(3, 4, n, n)).tobytes() == got.tobytes()
+    for rows in (np.arange(len(stack))[::-1], np.arange(0, len(stack), 5)):
+        assert _hermitian_opnorm(stack[rows]).tobytes() == got[rows].tobytes()
+    # the screen takes the same norm on the kept matrices, and 0.0 on the rest
+    assert _screened_opnorm(stack, 0.0, _hermitian_opnorm).tobytes() == got.tobytes()
+
+
+def test_hermitian_opnorm_of_empty_stacks():
+    assert _hermitian_opnorm(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+    assert _hermitian_opnorm(np.zeros((4, 0, 0), dtype=complex)).tolist() == [0.0] * 4
+    assert _hermitian_opnorm(np.zeros((0, 0), dtype=complex)) == 0.0
+    assert _screened_opnorm(np.zeros((4, 0, 0), dtype=complex), 1.0, _hermitian_opnorm).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_screened_hermitian_opnorm_of_a_non_finite_stack_is_the_whole_stack_svd(bad):
+    # eigvalsh can drop a NaN on the diagonal of a diagonal matrix, so a non-finite stack takes the SVD
+    stack = _hermitian_fixtures(3, np.random.default_rng(1500))
+    stack[3] = np.diag([bad, 1.0, 2.0])
+    for floor in (0.0, 1e300):
+        assert _outcome(_screened_opnorm, stack, floor, _hermitian_opnorm) == _outcome(_opnorm, stack)
 
 
 def _max_opnorm(x: np.ndarray) -> float:

@@ -40,7 +40,7 @@ from ljlab import (
     span,
 )
 from ljlab.linalg import _opnorm
-from ljlab.products import _IDENTITIES, _Products, _residual_and_scale
+from ljlab.products import _IDENTITIES, _HermitianProducts, _Products, _residual_and_scale
 
 
 def test_jordan_pauli_fixtures():
@@ -349,6 +349,47 @@ def test_one_stack_forms_each_matrix_product_of_the_five_identities_once(n):
     for _, formula, scale, _ in _IDENTITIES[:4]:
         formula(p)
     assert _Matmuls.count == 26
+
+
+def _evaluate(p):
+    """Every identity of ``_IDENTITIES`` on the evaluator p: the defects, and norm-axioms' own values."""
+    return [
+        formula(p, p.norm(p.a), p.norm(p.b)) if scale is None else formula(p)
+        for _, formula, scale, _ in _IDENTITIES
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_hermitian_evaluator_forms_one_matrix_product_per_ordered_operand_pair(n):
+    # both products of an ordered pair share its one matmul x @ y: ab, bc, ca, ac, aa, bb, ba and 10
+    # products of their Jordan and Lie products, where the general evaluator forms 26
+    a, b, c = (_stack(n, 25, 30 * n + k) for k in range(3))
+    p = _HermitianProducts(*(m.view(_Matmuls) for m in (a, b, c)))
+    _Matmuls.count = 0
+    _evaluate(p)
+    assert _Matmuls.count == 17
+    _evaluate(p)  # a second pass over the same stack forms nothing new
+    assert _Matmuls.count == 17
+
+
+def _exactly_hermitian(x) -> bool:
+    """x equals its conjugate transpose, byte for byte once +0.0 is added (which maps -0.0 to +0.0)."""
+    x = np.asarray(x)
+    return (x + 0.0).tobytes() == (x.conj().swapaxes(-1, -2) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hermitian_evaluator_returns_exactly_hermitian_products_and_defects(n):
+    # eigvalsh reads one triangle, so its norm is the matrix's only if the other triangle mirrors it
+    a, b, c = (_stack(n, 25, 50 * n + k) for k in range(3))
+    assert all(_exactly_hermitian(m) for m in (a, b, c))
+    p = _HermitianProducts(a, b, c)
+    *defects, _ = _evaluate(p)
+    sq_a, sq_b = p.jordan(a, a), p.jordan(b, b)
+    products = [v for (kind, _, _), (_, _, v) in p._formed.items() if kind != "@"]
+    assert len(products) == 21  # 12 Jordan and 9 Lie products
+    for x in (*products, *defects, sq_a + sq_b):
+        assert _exactly_hermitian(x)
 
 
 def test_checkers_equal_their_per_matrix_reference_bit_for_bit():
