@@ -14,7 +14,7 @@ the number of untimed calls that took 10 ms.
 which must pass all 25 checks; ``classify`` of each of ``STATES`` against
 the full algebra at each n of ``SIZES`` (warm too, by its builder), whose
 verdict must be the commutator criterion's, True for I/n; and ``classify``
-of each of ``block_states`` against ``blocks`` at n = 24.
+of each of ``block_states`` against ``blocks`` at n = 16 and 24.
 
 Times are at reference speed: each interval is scaled by the probe of
 ``perfbench/speed.py``, sampled just before and after it. Every process a
@@ -281,7 +281,7 @@ WARM = {
     centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),
     centralizer_blocks: ((16, 24), "dim_span", "dim_ok"),
     centralizer_sub: ((12, 16), "dim_span", "dim_ok"),
-    closedness_blocks: ((24,), "closed", "verdict_ok"),
+    closedness_blocks: ((16, 24), "closed", "verdict_ok"),
     is_semisimple_lie: ((16, 24), "semisimple", "verdict_ok"),
     is_semisimple_lie_conjugated: ((24,), "semisimple", "verdict_ok"),
     associator_defect: ((8, 12, 16), "defect", "value_ok"),
@@ -450,14 +450,14 @@ def main() -> None:
             sys.path.insert(0, str(tree / "src"))
             import ljlab
 
-            n = 24
-            algebra = f"{work}/blocks-{n}.json"
-            Path(algebra).write_text(json.dumps({"dim": n, "matrices": [matrix(m) for m in blocks(ljlab, n).basis]}))
-            for state, (rho, want) in block_states(ljlab, n).items():
-                path = f"{work}/blocks-{n}-{state}.json"
-                Path(path).write_text(json.dumps(matrix(rho)))
-                cold = cold_runs(tree, ["classify", "--in", path, "--algebra", algebra], probe)
-                post(row("classify_blocks", "cold", {"n": n, "state": state}, "classical", want, "verdict_ok", cold))
+            for n in (16, 24):
+                algebra = f"{work}/blocks-{n}.json"
+                Path(algebra).write_text(json.dumps({"dim": n, "matrices": [matrix(m) for m in blocks(ljlab, n).basis]}))
+                for state, (rho, want) in block_states(ljlab, n).items():
+                    path = f"{work}/blocks-{n}-{state}.json"
+                    Path(path).write_text(json.dumps(matrix(rho)))
+                    cold = cold_runs(tree, ["classify", "--in", path, "--algebra", algebra], probe)
+                    post(row("classify_blocks", "cold", {"n": n, "state": state}, "classical", want, "verdict_ok", cold))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"about": ABOUT, "rows": []}
     lines = ",\n".join(json.dumps(r) for r in doc["rows"] + rows)
     args.out.write_text(f'{{"about": {json.dumps(doc["about"])}, "rows": [\n{lines}\n]}}\n')

@@ -17,7 +17,12 @@ orthogonal to the identity, whose identity part the closure then drops
 before its first round. A round at the bound forms no products; one
 that ends above it raises ValidationError. A subspace is closed exactly
 when such a round adds nothing, and ``is_closed_under`` runs that round
-up to the first product block that keeps a row.
+up to the first product block that keeps a row, or until the
+certificate passes: when a round's first block keeps no row, two
+generic elements whose products with the basis lie in the span prove it
+closed (``_certified``), in its own coordinates and with the rows they
+do not generate checked directly, and a pass ends the round as one that
+added nothing.
 
 Rounds and the pair queries (defects, centralizer) form products with one
 Hermitian pair kernel (``products._products``); a block of index pairs is formed in
@@ -446,6 +451,95 @@ def _bound(s: RealSubspace, product: Product) -> int:
     return n * n - 1 if float(np.linalg.norm(s.rows @ _unit_identity(n))) <= SPAN_RTOL else n * n
 
 
+def _generic_pair(r: int) -> np.ndarray:
+    """Coordinates (2, r) of the certificate's two generic elements: unit Gaussian vectors from a fixed seed."""
+    c = np.random.default_rng(24251).standard_normal((2, r))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
+def _coordinates(rows: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
+    """Coordinates against the orthonormal ``rows`` of each candidate row, or None when one lies off their span.
+
+    The rank kernel's rule with nothing kept yet: a residual above
+    ``SPAN_RTOL * max(1, ||c||)`` after two projection passes is off the
+    span. A second pass can only lower a residual, so only the rows that
+    the first leaves above their threshold take it.
+    """
+    x = cand @ rows.T
+    d = cand - x @ rows
+    thr = SPAN_RTOL * np.maximum(1.0, _row_norms(cand))
+    over = np.flatnonzero(_row_norms(d) > thr)
+    if len(over):
+        y = d[over] @ rows.T
+        if np.any(_row_norms(d[over] - y @ rows) > thr[over]):
+            return None
+        x[over] += y
+    return x
+
+
+def _pair_products(x: np.ndarray, e: np.ndarray, product: Product) -> np.ndarray:
+    """Rows of ``product(x_a, e_j)`` for every a and j, a-major, formed by ``_block_products``."""
+    a, j = np.divmod(np.arange(len(x) * len(e)), len(e))
+    return _rows(_block_products(np.concatenate((x, e)), a, j + len(x), product))
+
+
+def _generated(starts: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
+    """Orthonormal rows of the smallest subspace of R^r that holds ``starts`` and that each x -> x @ M preserves.
+
+    Block Krylov: each step maps the rows the step before kept by every
+    map and ranks them in one ``_extend`` call.
+    """
+    basis = new = _extend(starts[:0], starts)
+    while len(new) and len(basis) < starts.shape[1]:
+        new = _extend(basis, np.concatenate([new @ m for m in maps]))
+        basis = np.concatenate((basis, new))
+    return basis
+
+
+def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
+    """Whether two generic elements prove L = span(rows) closed under ``product`` at less cost than ``rest`` products.
+
+    Each p(g_i, e_j) must lie in L (``_coordinates``), for p = ``lie``, or
+    both products for ``jordan``; its coordinates make r x r maps M. Then
+    g_1, g_2 lie in the idealizer N = {x : p(x, L) in L for each p}: a Lie
+    algebra (Jacobi), or under both products the Hermitian part of the
+    associative idealizer of L + iL. So does K, the algebra they generate,
+    built from the maps in L's coordinates (``_generated``). Each row of L
+    minus K is checked against all of L under ``product``; when all pass,
+    L lies in N. Genericity decides only how many rows are left: none for a
+    semisimple Lie algebra (Kuranishi, *Nagoya Math. J.* 2, 1951) or a
+    *-algebra (Davidson, *C*-Algebras by Example*, ch. I), c - 2 for a Lie
+    center of dimension c > 2. It forms 2r products per product asked and
+    ranks at most as many candidates for K, so it runs only when ``rest``
+    exceeds the two together, and checks the rows left only when their r
+    products each still fit. False once a product lies off L or the count
+    does not fit: an L closed under ``jordan`` but not ``lie`` always fails.
+    """
+    r = len(rows)
+    asked = (lie,) if product is lie else (lie, jordan)
+    cost = 4 * r * len(asked)
+    if cost >= rest:
+        return False
+    n = math.isqrt(rows.shape[1] // 2)
+    c = _generic_pair(r)
+    e = rows.view(complex).reshape(r, n, n)
+    g = (c @ rows).view(complex).reshape(2, n, n)
+    maps = []
+    for p in asked:
+        coords = _coordinates(rows, _pair_products(g, e, p))
+        if coords is None:
+            return False
+        maps += [coords[:r], coords[r:]]
+    k = _generated(c, maps)
+    if len(k) == r:
+        return True
+    left = _extend(k, np.eye(r))
+    if cost + len(left) * r >= rest:
+        return False
+    x = (left @ rows).view(complex).reshape(-1, n, n)
+    return _coordinates(rows, _pair_products(x, e, product)) is not None
+
+
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
     """The basis after each product block of one closure round that adds rows.
 
@@ -454,22 +548,26 @@ def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator
     is at ``bound`` already, and stops once the kept rows reach it. Its
     first block holds ``max(_FIRST_BLOCK, 2 (bound - r))`` products: when
     most products are independent, a round reaches the bound in that block
-    and forms no more. Lazy: a
-    caller that only asks whether anything is added stops at the first kept
-    block.
+    and forms no more. When that block keeps no row and more blocks remain,
+    the certificate (``_certified``) runs first if it forms fewer products
+    than they hold, and a pass ends the round with nothing added; a fail
+    ranks the other blocks. Lazy: a caller that only asks whether anything
+    is added stops at the first kept block.
     """
     r = len(rows)
     if r >= bound:
         return
     n = math.isqrt(rows.shape[1] // 2)
     first = max(_FIRST_BLOCK, 2 * (bound - r))
-    for block in _round_products(rows.view(complex).reshape(r, n, n), new, product, first):
+    for k, block in enumerate(_round_products(rows.view(complex).reshape(r, n, n), new, product, first)):
         kept = _extend(rows, _rows(block))
         if len(kept):
             rows = np.concatenate((rows, kept))
             yield rows
             if len(rows) >= bound:
                 return
+        elif k == 0 and _certified(rows, product, len(_product_pairs(r, product, new)) - len(block)):
+            return
 
 
 def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int, list[int]]:
@@ -529,12 +627,16 @@ def is_closed_under(s: RealSubspace, product: Product) -> bool:
     """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
     Runs that round (``_round``) up to the first product block that keeps a
-    row; that block is ranked whole. A product lies in the span when its
-    residual is at most ``SPAN_RTOL * max(1, ||p||)``, the rule ``contains``
-    applies to a single matrix. A span at its dimension bound is closed
-    without a product formed: the full algebra under both products, su(n)
-    under ``lie``. Verdicts are memoized on s. Raises ValidationError for
-    any other product.
+    row, or until the certificate passes (``_certified``); a block is
+    ranked whole. A product lies in the span when its residual is at most
+    ``SPAN_RTOL * max(1, ||p||)``, the rule ``contains`` applies to a
+    single matrix. The certificate holds its products of two generic
+    elements to the same rule, so it can read closed a span whose worst
+    basis-pair product lies off it by up to about sqrt(dim s) times that
+    threshold (README's tolerance table). A span at its dimension bound
+    is closed without a product formed: the full algebra under both
+    products, su(n) under ``lie``. Verdicts are memoized on s. Raises
+    ValidationError for any other product.
     """
     _require_type("s", s, RealSubspace)
     _check_product(product)

@@ -43,7 +43,7 @@ _WARM_SIZES = {
     "centralizer": (8, 12, 16, 24),
     "centralizer_blocks": (16, 24),
     "centralizer_sub": (12, 16),
-    "closedness_blocks": (24,),
+    "closedness_blocks": (16, 24),
     "is_semisimple_lie": (16, 24),
     "is_semisimple_lie_conjugated": (24,),
     "associator_defect": (8, 12, 16),

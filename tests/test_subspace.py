@@ -1536,6 +1536,239 @@ def test_closedness_decision_at_the_span_tolerance(product):
     assert not is_closed_under(outside, product)
 
 
+# ---------------------------------------------------------------- closedness certificate
+
+
+def _unit(m: np.ndarray) -> np.ndarray:
+    return m / np.linalg.norm(m)
+
+
+def _worst_pair_ratio(L: RealSubspace, product) -> float:
+    """Oracle: the largest residual over threshold of a basis-pair product, one ``residual`` call each."""
+    worst = 0.0
+    for i, a in enumerate(L.basis):
+        for b in L.basis[: i + (product is jordan)]:
+            p = product(a, b)
+            worst = max(worst, L.residual(p) / (SPAN_RTOL * max(1.0, float(np.linalg.norm(p)))))
+    return worst
+
+
+def _asked(product) -> int:
+    """Products the certificate asks of its two elements: lie for lie, both for jordan."""
+    return 1 if product is lie else 2
+
+
+def _count_formed(monkeypatch) -> list[int]:
+    """Products the certificate forms, over all its ``_pair_products`` calls."""
+    formed = [0]
+    original = subspace_mod._pair_products
+
+    def counted(x, e, product):
+        formed[0] += len(x) * len(e)
+        return original(x, e, product)
+
+    monkeypatch.setattr(subspace_mod, "_pair_products", counted)
+    return formed
+
+
+def _count_passes(monkeypatch) -> list[int]:
+    """Certificates that passed."""
+    passes = [0]
+    original = subspace_mod._certified
+
+    def counted(rows, product, rest):
+        ok = original(rows, product, rest)
+        passes[0] += ok
+        return ok
+
+    monkeypatch.setattr(subspace_mod, "_certified", counted)
+    return passes
+
+
+def _idealized_span() -> RealSubspace:
+    """span{P, E_44, X_12, X_23} at n = 4, P = E_11 + E_22 + E_33, X_ij = E_ij + E_ji, orthonormal.
+
+    P and E_44 commute with the span, and their Jordan products with it lie in it:
+    both lie in the idealizer. X_12 and X_23 do not close it under either product.
+    """
+    e = np.eye(4, dtype=complex)
+    units = [np.diag([1, 1, 1, 0]), np.outer(e[3], e[3])]
+    units += [np.outer(e[i], e[i + 1]) + np.outer(e[i + 1], e[i]) for i in (0, 1)]
+    return RealSubspace(4, _rows([_unit(m.astype(complex)) for m in units]))
+
+
+def _herm4_in_three_copies_and_two_blocks() -> list[np.ndarray]:
+    """Herm(4) x 1_3 + u(4) + u(8) at n = 24: its Lie center has dimension 3."""
+    mats = [np.pad(np.kron(e, np.eye(3)), (0, 12)) for e in full_hermitian_basis(4)]
+    mats += [np.pad(e, (12, 8)) for e in full_hermitian_basis(4)]
+    mats += [np.pad(e, (16, 0)) for e in full_hermitian_basis(8)]
+    return mats
+
+
+def _tilted_blocks(k: int, eps: float) -> RealSubspace:
+    """Conjugated u(k) + u(k) with its last basis element tilted by eps times a unit off-block X."""
+    rng = np.random.default_rng(8100 + k)
+    u = random_unitary(2 * k, rng)
+    g = rng.standard_normal((2 * k, 2 * k)) + 1j * rng.standard_normal((2 * k, 2 * k))
+    x = np.zeros((2 * k, 2 * k), dtype=complex)
+    x[:k, k:] = g[:k, k:]
+    mats = list(block_algebra((k, k)).basis)
+    mats[-1] = mats[-1] + eps * _unit(x + x.conj().T)
+    return span([u @ m @ u.conj().T for m in mats])
+
+
+def _verdict_and_closure(build, product) -> tuple[bool, int | str]:
+    """``is_closed_under`` and the closure's dimension, or the closure's ValidationError message, each on a fresh build."""
+    try:
+        dim: int | str = close_under(build(), product).dim_span
+    except ValidationError as exc:
+        dim = str(exc)
+    return is_closed_under(build(), product), dim
+
+
+def _without_certificate(monkeypatch, f):
+    """f() with the certificate off, so every round runs in full."""
+    with monkeypatch.context() as m:
+        m.setattr(subspace_mod, "_certified", lambda rows, product, rest: False)
+        return f()
+
+
+@pytest.mark.parametrize("product", [jordan, lie])
+def test_certificate_rejects_a_span_through_the_rows_its_elements_leave(monkeypatch, product):
+    """Elements patched to P and E_44, which lie in the idealizer of a span that is not closed:
+    the maps pass, K is span{P, E_44}, and only the check of X_12 and X_23 against the span rejects it."""
+    L = _idealized_span()
+    assert not _pairwise_closed(L, product)
+    for e in L.basis[:2]:
+        for p in (lie, jordan)[: _asked(product)]:
+            assert all(L.contains(p(e, f)) for f in L.basis)
+    monkeypatch.setattr(subspace_mod, "_generic_pair", lambda r: np.eye(r)[:2])
+    formed = _count_formed(monkeypatch)
+    assert not subspace_mod._certified(L.rows, product, 10**6)
+    assert formed[0] == 2 * 4 * _asked(product) + 2 * 4  # the maps, then the two rows left, against all of L
+
+
+def _conjugated_blocks(k: int, special: bool) -> RealSubspace:
+    basis = (lambda m: [traceless(e) for e in full_hermitian_basis(m)[1:]]) if special else full_hermitian_basis
+    mats = [np.pad(e, (0, k)) for e in basis(k)] + [np.pad(e, (k, 0)) for e in basis(k)]
+    u = random_unitary(2 * k, np.random.default_rng(8000 + k))
+    return span([u @ m @ u.conj().T for m in mats])
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("special", [False, True])
+def test_certificate_of_a_semisimple_or_star_algebra_leaves_no_row(monkeypatch, k, special):
+    """Two generic elements generate su(k) + su(k), u(k) + u(k) with its center of dimension 2, and the
+    *-algebra: K is all of L, so no row is checked and the certificate forms just its 2r products per product."""
+    L = _conjugated_blocks(k, special)
+    r = L.dim_span
+    formed = _count_formed(monkeypatch)
+    for product in (lie,) if special else (lie, jordan):
+        formed[0] = 0
+        assert subspace_mod._certified(L.rows, product, 10**6)
+        assert formed[0] == 2 * r * _asked(product)
+
+
+def test_certificate_checks_the_center_rows_two_elements_leave(monkeypatch):
+    """Herm(4) x 1_3 + u(4) + u(8) has a Lie center of dimension 3: one row is left to check under lie, none
+    under both products, whose *-algebra two elements generate."""
+    L = span(_herm4_in_three_copies_and_two_blocks())
+    r = L.dim_span
+    formed = _count_formed(monkeypatch)
+    assert subspace_mod._certified(L.rows, lie, 10**6)
+    assert formed[0] == 2 * r + 1 * r
+    formed[0] = 0
+    assert subspace_mod._certified(L.rows, jordan, 10**6)
+    assert formed[0] == 2 * r * 2
+
+
+@pytest.mark.parametrize("product", [jordan, lie])
+def test_certificate_runs_only_when_the_rest_of_the_round_forms_more(monkeypatch, product):
+    """It forms 2r products per product asked and ranks at most as many candidates for K."""
+    L = _conjugated_blocks(4, False)
+    cost = 4 * L.dim_span * _asked(product)
+    formed = _count_formed(monkeypatch)
+    assert not subspace_mod._certified(L.rows, product, cost)
+    assert formed[0] == 0
+    assert subspace_mod._certified(L.rows, product, cost + 1)
+    # u(8) + u(8), r = 128: the certificate is cheaper than the rest of the round, which it ends
+    L = _conjugated_blocks(8, False)
+    pairs = _count_calls(monkeypatch, "_round_products")
+    formed[0] = 0
+    assert is_closed_under(L, product)
+    assert pairs[0] == 1 and formed[0] == 2 * L.dim_span * _asked(product)
+
+
+def test_certificate_fails_on_a_span_closed_under_jordan_but_not_lie(monkeypatch):
+    """Real symmetric 5 x 5 matrices: a Jordan algebra, not a Lie one, so both-products certificate fails
+    and the round decides, as it does at n = 8, where the certificate runs inside it."""
+    for n in (5, 8):
+        L = span([e for e in full_hermitian_basis(n) if not np.iscomplex(e).any()])
+        assert L.dim_span == n * (n + 1) // 2
+        assert not subspace_mod._certified(L.rows, jordan, 10**6)
+        formed = _count_formed(monkeypatch)
+        assert is_closed_under(L, jordan)
+        assert (formed[0] > 0) == (n == 8)  # at n = 5 the rest of the round is shorter than the certificate
+        assert not is_closed_under(L, lie)
+        assert _pairwise_closed(L, jordan) and not _pairwise_closed(L, lie)
+        monkeypatch.undo()
+
+
+def _agreement_cases():
+    for k in (4, 6, 8):
+        for special in (False, True):
+            yield f"{'su' if special else 'u'}({k})+{'su' if special else 'u'}({k})", lambda k=k, s=special: _conjugated_blocks(k, s)
+    yield "herm(4)x1_3+u(4)+u(8)", lambda: span(_herm4_in_three_copies_and_two_blocks())
+    yield "real symmetric 5x5", lambda: span([e for e in full_hermitian_basis(5) if not np.iscomplex(e).any()])
+
+
+@pytest.mark.parametrize("label,build", list(_agreement_cases()))
+def test_certificate_verdicts_and_closure_dimensions_equal_the_full_rounds(monkeypatch, label, build):
+    passes = _count_passes(monkeypatch)
+    for product in (jordan, lie):
+        got = _verdict_and_closure(build, product)
+        assert got == _without_certificate(monkeypatch, lambda: _verdict_and_closure(build, product)), label
+        L = build()
+        assert L.dim_ambient > 8 or got[0] == _pairwise_closed(L, product)
+    assert (passes[0] > 0) == ("symmetric" not in label)  # an su(k) + su(k) passes under lie alone
+
+
+@pytest.mark.parametrize("product", [jordan, lie])
+def test_certificate_on_tilted_blocks_agrees_with_the_rounds_outside_its_band(monkeypatch, product):
+    """u(4) + u(4), its last element tilted by eps = 1e-2 .. 1e-11: the verdict and the closure dimension are the
+    full rounds' wherever the worst basis-pair ratio lies outside the band (1, sqrt(r)]."""
+    passes = _count_passes(monkeypatch)
+    compared = 0
+    for q in range(2, 12):
+        eps = 10.0**-q
+        L = _tilted_blocks(4, eps)
+        ratio = _worst_pair_ratio(L, product)
+        if 1.0 < ratio <= np.sqrt(L.dim_span):
+            continue
+        compared += 1
+        got = _verdict_and_closure(lambda: _tilted_blocks(4, eps), product)
+        full = _without_certificate(monkeypatch, lambda: _verdict_and_closure(lambda: _tilted_blocks(4, eps), product))
+        assert got == full, eps
+        assert got[0] == (ratio <= 1.0), eps
+    assert compared >= 9 and passes[0] >= 3
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_certificate_leaves_generation_reports_as_the_full_rounds_give_them(monkeypatch, n):
+    """A round the certificate ends still counts as a round that added nothing."""
+    k = n // 2
+    a, b, c, d = (random_hermitian(k, seed=n + j) for j in range(4))
+    z = np.zeros((k, k))
+    x, y = np.block([[a, z], [z, b]]), np.block([[c, z], [z, d]])
+    calls = _count_calls(monkeypatch, "_certified")
+    for generate in (lie_generate, jordan_generate_three):
+        rep = generate(x, y)
+        full = _without_certificate(monkeypatch, lambda: generate(x, y))
+        assert (rep.closure_dim, rep.rounds, rep.trajectory) == (full.closure_dim, full.rounds, full.trajectory)
+        assert rep.closure_dim == n * n // 2
+    assert calls[0] >= 2
+
+
 def test_derived_algebra_is_memoized():
     full = full_hermitian_space(3)
     d = derived_algebra(full)
