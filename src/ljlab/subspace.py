@@ -477,10 +477,11 @@ def _coordinates(rows: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _pair_products(x: np.ndarray, e: np.ndarray, product: Product) -> np.ndarray:
-    """Rows of ``product(x_a, e_j)`` for every a and j, a-major, formed by ``_block_products``."""
+def _pair_products(x: np.ndarray, e: np.ndarray, asked: tuple[Product, ...]) -> np.ndarray:
+    """Rows of p(x_a, e_j) for each p in ``asked``, then each a, then each j, formed by ``_block_products``."""
     a, j = np.divmod(np.arange(len(x) * len(e)), len(e))
-    return _rows(_block_products(np.concatenate((x, e)), a, j + len(x), product))
+    xe = np.concatenate((x, e))
+    return _rows(np.concatenate([_block_products(xe, a, j + len(x), p) for p in asked]))
 
 
 def _generated(starts: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
@@ -524,20 +525,17 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     c = _generic_pair(r)
     e = rows.view(complex).reshape(r, n, n)
     g = (c @ rows).view(complex).reshape(2, n, n)
-    maps = []
-    for p in asked:
-        coords = _coordinates(rows, _pair_products(g, e, p))
-        if coords is None:
-            return False
-        maps += [coords[:r], coords[r:]]
-    k = _generated(c, maps)
+    coords = _coordinates(rows, _pair_products(g, e, asked))
+    if coords is None:
+        return False
+    k = _generated(c, list(coords.reshape(-1, r, r)))
     if len(k) == r:
         return True
     left = _extend(k, np.eye(r))
     if cost + len(left) * r >= rest:
         return False
     x = (left @ rows).view(complex).reshape(-1, n, n)
-    return _coordinates(rows, _pair_products(x, e, product)) is not None
+    return _coordinates(rows, _pair_products(x, e, (product,))) is not None
 
 
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:

@@ -1563,9 +1563,9 @@ def _count_formed(monkeypatch) -> list[int]:
     formed = [0]
     original = subspace_mod._pair_products
 
-    def counted(x, e, product):
-        formed[0] += len(x) * len(e)
-        return original(x, e, product)
+    def counted(x, e, asked):
+        formed[0] += len(x) * len(e) * len(asked)
+        return original(x, e, asked)
 
     monkeypatch.setattr(subspace_mod, "_pair_products", counted)
     return formed
