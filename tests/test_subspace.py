@@ -1715,14 +1715,17 @@ def test_certificate_fails_on_a_span_closed_under_jordan_but_not_lie(monkeypatch
 
 
 def _agreement_cases():
+    cases = {}
     for k in (4, 6, 8):
         for special in (False, True):
-            yield f"{'su' if special else 'u'}({k})+{'su' if special else 'u'}({k})", lambda k=k, s=special: _conjugated_blocks(k, s)
-    yield "herm(4)x1_3+u(4)+u(8)", lambda: span(_herm4_in_three_copies_and_two_blocks())
-    yield "real symmetric 5x5", lambda: span([e for e in full_hermitian_basis(5) if not np.iscomplex(e).any()])
+            u = "su" if special else "u"
+            cases[f"{u}({k})+{u}({k})"] = lambda k=k, s=special: _conjugated_blocks(k, s)
+    cases["herm(4)x1_3+u(4)+u(8)"] = lambda: span(_herm4_in_three_copies_and_two_blocks())
+    cases["real-symmetric(5)"] = lambda: span([e for e in full_hermitian_basis(5) if not np.iscomplex(e).any()])
+    return [pytest.param(label, build, id=label) for label, build in cases.items()]
 
 
-@pytest.mark.parametrize("label,build", list(_agreement_cases()))
+@pytest.mark.parametrize("label,build", _agreement_cases())
 def test_certificate_verdicts_and_closure_dimensions_equal_the_full_rounds(monkeypatch, label, build):
     passes = _count_passes(monkeypatch)
     for product in (jordan, lie):
