@@ -477,11 +477,10 @@ def _coordinates(rows: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _pair_products(x: np.ndarray, e: np.ndarray, asked: tuple[Product, ...]) -> np.ndarray:
-    """Rows of p(x_a, e_j) for each p in ``asked``, then each a, then each j, formed by ``_block_products``."""
+def _pair_products(x: np.ndarray, e: np.ndarray, product: Product) -> np.ndarray:
+    """Rows of ``product(x_a, e_j)`` for each a, then each j, formed by ``_block_products``."""
     a, j = np.divmod(np.arange(len(x) * len(e)), len(e))
-    xe = np.concatenate((x, e))
-    return _rows(np.concatenate([_block_products(xe, a, j + len(x), p) for p in asked]))
+    return _rows(_block_products(np.concatenate((x, e)), a, j + len(x), product))
 
 
 def _generated(starts: np.ndarray, maps: list[np.ndarray]) -> np.ndarray:
@@ -514,7 +513,11 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     ranks at most as many candidates for K, so it runs only when ``rest``
     exceeds the two together, and checks the rows left only when their r
     products each still fit. False once a product lies off L or the count
-    does not fit: an L closed under ``jordan`` but not ``lie`` always fails.
+    does not fit. Before the 2r products of each p, lie first, it forms
+    p(g_1, g_2): a combination of them, so in L when they are (up to the
+    band), and for generic g off L when L is not closed under p. A failing
+    certificate thus mostly costs one product: a span closed under
+    ``jordan`` but not ``lie`` fails at its first bracket.
     """
     r = len(rows)
     asked = (lie,) if product is lie else (lie, jordan)
@@ -525,17 +528,22 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     c = _generic_pair(r)
     e = rows.view(complex).reshape(r, n, n)
     g = (c @ rows).view(complex).reshape(2, n, n)
-    coords = _coordinates(rows, _pair_products(g, e, asked))
-    if coords is None:
-        return False
-    k = _generated(c, list(coords.reshape(-1, r, r)))
+    maps: list[np.ndarray] = []
+    for p in asked:  # p(g_1, g_2) first: one product that, off L, ends a failing certificate
+        coords = _coordinates(rows, _pair_products(g[:1], g[1:], p))
+        if coords is not None:
+            coords = _coordinates(rows, _pair_products(g, e, p))
+        if coords is None:
+            return False
+        maps += list(coords.reshape(-1, r, r))
+    k = _generated(c, maps)
     if len(k) == r:
         return True
     left = _extend(k, np.eye(r))
     if cost + len(left) * r >= rest:
         return False
     x = (left @ rows).view(complex).reshape(-1, n, n)
-    return _coordinates(rows, _pair_products(x, e, (product,))) is not None
+    return _coordinates(rows, _pair_products(x, e, product)) is not None
 
 
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
@@ -630,8 +638,12 @@ def is_closed_under(s: RealSubspace, product: Product) -> bool:
     ``SPAN_RTOL * max(1, ||p||)``, the rule ``contains`` applies to a
     single matrix. The certificate holds its products of two generic
     elements to the same rule, so it can read closed a span whose worst
-    basis-pair product lies off it by up to about sqrt(dim s) times that
-    threshold (README's tolerance table). A span at its dimension bound
+    basis-pair product lies off it by more than that threshold: typically
+    by up to about sqrt(dim s) times it, but that is not a bound. When
+    p(e_k, e_k) is the one product off the span, the factor is
+    1 / max_i |c_ik|, c the elements' fixed-seed coordinates, which at the
+    worst k reaches 40 to 200 for dim s = 32 to 288 (README's tolerance
+    table). A span at its dimension bound
     is closed without a product formed: the full algebra under both
     products, su(n) under ``lie``. Verdicts are memoized on s. Raises
     ValidationError for any other product.

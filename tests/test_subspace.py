@@ -1563,9 +1563,9 @@ def _count_formed(monkeypatch) -> list[int]:
     formed = [0]
     original = subspace_mod._pair_products
 
-    def counted(x, e, asked):
-        formed[0] += len(x) * len(e) * len(asked)
-        return original(x, e, asked)
+    def counted(x, e, product):
+        formed[0] += len(x) * len(e)
+        return original(x, e, product)
 
     monkeypatch.setattr(subspace_mod, "_pair_products", counted)
     return formed
@@ -1645,7 +1645,7 @@ def test_certificate_rejects_a_span_through_the_rows_its_elements_leave(monkeypa
     monkeypatch.setattr(subspace_mod, "_generic_pair", lambda r: np.eye(r)[:2])
     formed = _count_formed(monkeypatch)
     assert not subspace_mod._certified(L.rows, product, 10**6)
-    assert formed[0] == 2 * 4 * _asked(product) + 2 * 4  # the maps, then the two rows left, against all of L
+    assert formed[0] == (1 + 2 * 4) * _asked(product) + 2 * 4  # p(g_1, g_2) and the maps, then the two rows left
 
 
 def _conjugated_blocks(k: int, special: bool) -> RealSubspace:
@@ -1666,7 +1666,7 @@ def test_certificate_of_a_semisimple_or_star_algebra_leaves_no_row(monkeypatch, 
     for product in (lie,) if special else (lie, jordan):
         formed[0] = 0
         assert subspace_mod._certified(L.rows, product, 10**6)
-        assert formed[0] == 2 * r * _asked(product)
+        assert formed[0] == (1 + 2 * r) * _asked(product)
 
 
 def test_certificate_checks_the_center_rows_two_elements_leave(monkeypatch):
@@ -1676,10 +1676,10 @@ def test_certificate_checks_the_center_rows_two_elements_leave(monkeypatch):
     r = L.dim_span
     formed = _count_formed(monkeypatch)
     assert subspace_mod._certified(L.rows, lie, 10**6)
-    assert formed[0] == 2 * r + 1 * r
+    assert formed[0] == 1 + 2 * r + 1 * r
     formed[0] = 0
     assert subspace_mod._certified(L.rows, jordan, 10**6)
-    assert formed[0] == 2 * r * 2
+    assert formed[0] == (1 + 2 * r) * 2
 
 
 @pytest.mark.parametrize("product", [jordan, lie])
@@ -1696,19 +1696,23 @@ def test_certificate_runs_only_when_the_rest_of_the_round_forms_more(monkeypatch
     pairs = _count_calls(monkeypatch, "_round_products")
     formed[0] = 0
     assert is_closed_under(L, product)
-    assert pairs[0] == 1 and formed[0] == 2 * L.dim_span * _asked(product)
+    assert pairs[0] == 1 and formed[0] == (1 + 2 * L.dim_span) * _asked(product)
 
 
 def test_certificate_fails_on_a_span_closed_under_jordan_but_not_lie(monkeypatch):
     """Real symmetric 5 x 5 matrices: a Jordan algebra, not a Lie one, so both-products certificate fails
-    and the round decides, as it does at n = 8, where the certificate runs inside it."""
+    and the round decides, as it does at n = 8, where the certificate runs inside it. It fails on its first
+    bracket, [g_1, g_2], and forms no other product."""
     for n in (5, 8):
         L = span([e for e in full_hermitian_basis(n) if not np.iscomplex(e).any()])
-        assert L.dim_span == n * (n + 1) // 2
-        assert not subspace_mod._certified(L.rows, jordan, 10**6)
+        r = L.dim_span
+        assert r == n * (n + 1) // 2
         formed = _count_formed(monkeypatch)
+        assert not subspace_mod._certified(L.rows, jordan, 10**6)
+        assert formed[0] == 1
+        formed[0] = 0
         assert is_closed_under(L, jordan)
-        assert (formed[0] > 0) == (n == 8)  # at n = 5 the rest of the round is shorter than the certificate
+        assert formed[0] == (n == 8)  # at n = 5 the rest of the round is shorter than the certificate
         assert not is_closed_under(L, lie)
         assert _pairwise_closed(L, jordan) and not _pairwise_closed(L, lie)
         monkeypatch.undo()
@@ -1739,7 +1743,7 @@ def test_certificate_verdicts_and_closure_dimensions_equal_the_full_rounds(monke
 @pytest.mark.parametrize("product", [jordan, lie])
 def test_certificate_on_tilted_blocks_agrees_with_the_rounds_outside_its_band(monkeypatch, product):
     """u(4) + u(4), its last element tilted by eps = 1e-2 .. 1e-11: the verdict and the closure dimension are the
-    full rounds' wherever the worst basis-pair ratio lies outside the band (1, sqrt(r)]."""
+    full rounds' wherever the worst basis-pair ratio lies outside the typical band (1, sqrt(r)]."""
     passes = _count_passes(monkeypatch)
     compared = 0
     for q in range(2, 12):
@@ -1754,6 +1758,35 @@ def test_certificate_on_tilted_blocks_agrees_with_the_rounds_outside_its_band(mo
         assert got == full, eps
         assert got[0] == (ratio <= 1.0), eps
     assert compared >= 9 and passes[0] >= 3
+
+
+def _one_square_off(k: int, eps: float) -> RealSubspace:
+    """Herm(4) + Herm(3) + R t at n = 9, r = 26, with t = (E_88 + eps E_99) / norm as basis element k.
+
+    Every basis-pair product but t o t lies in the span exactly; t o t lies off it by eps (1 - eps) / (1 + eps^2)^(3/2).
+    """
+    mats = [np.pad(e, (0, 5)) for e in full_hermitian_basis(4)] + [np.pad(e, (4, 2)) for e in full_hermitian_basis(3)]
+    mats.insert(k, _unit(np.diag([0.0] * 7 + [1.0, eps]).astype(complex)))
+    return span(mats)
+
+
+def test_certificate_band_reaches_one_over_the_smallest_generic_coordinates(monkeypatch):
+    """The band (1, sqrt(r)] is typical, not a bound. With p(e_k, e_k) the one basis-pair product off L, at ratio rho,
+    p(g_i, e_k) lies off L at |c_ik| rho, so the certificate reads closed up to rho = 1 / max_i |c_ik|. At the k where
+    that is largest, for r = 26, it is 30: about 6 sqrt(r). The pair (k, k) lies outside the round's first block."""
+    r = 26
+    top = np.abs(subspace_mod._generic_pair(r)).max(axis=0)
+    k = int(np.argmin(top))
+    edge = 1.0 / top[k]
+    assert edge > 5 * np.sqrt(r)
+    for f, closed in ((0.9, True), (1.1, False)):
+        build = lambda: _one_square_off(k, f * edge * SPAN_RTOL)
+        L = build()
+        assert L.dim_span == r
+        assert _worst_pair_ratio(L, jordan) == pytest.approx(f * edge, rel=1e-4)
+        assert is_closed_under(build(), jordan) is closed
+        assert not _without_certificate(monkeypatch, lambda: is_closed_under(build(), jordan))
+        assert is_closed_under(L, lie)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
