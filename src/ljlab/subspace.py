@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -451,10 +451,13 @@ def _bound(s: RealSubspace, product: Product) -> int:
     return n * n - 1 if float(np.linalg.norm(s.rows @ _unit_identity(n))) <= SPAN_RTOL else n * n
 
 
+@lru_cache(maxsize=None)
 def _generic_pair(r: int) -> np.ndarray:
-    """Coordinates (2, r) of the certificate's two generic elements: unit Gaussian vectors from a fixed seed."""
+    """Coordinates (2, r) of the certificate's two generic elements: unit Gaussian vectors from a fixed seed, read-only."""
     c = np.random.default_rng(24251).standard_normal((2, r))
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    c.setflags(write=False)
+    return c
 
 
 def _coordinates(rows: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
@@ -530,7 +533,7 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     g = (c @ rows).view(complex).reshape(2, n, n)
     maps: list[np.ndarray] = []
     for p in asked:  # p(g_1, g_2) first: one product that, off L, ends a failing certificate
-        coords = _coordinates(rows, _pair_products(g[:1], g[1:], p))
+        coords = _coordinates(rows, _rows(_products(g[:1], g[1:], p)))
         if coords is not None:
             coords = _coordinates(rows, _pair_products(g, e, p))
         if coords is None:

@@ -1559,15 +1559,15 @@ def _asked(product) -> int:
 
 
 def _count_formed(monkeypatch) -> list[int]:
-    """Products the certificate forms, over all its ``_pair_products`` calls."""
+    """Products the pair kernel forms in subspace: the certificate's, and a round's blocks."""
     formed = [0]
-    original = subspace_mod._pair_products
+    original = subspace_mod._products
 
-    def counted(x, e, product):
-        formed[0] += len(x) * len(e)
-        return original(x, e, product)
+    def counted(a, b, product):
+        formed[0] += len(a)
+        return original(a, b, product)
 
-    monkeypatch.setattr(subspace_mod, "_pair_products", counted)
+    monkeypatch.setattr(subspace_mod, "_products", counted)
     return formed
 
 
@@ -1691,12 +1691,13 @@ def test_certificate_runs_only_when_the_rest_of_the_round_forms_more(monkeypatch
     assert not subspace_mod._certified(L.rows, product, cost)
     assert formed[0] == 0
     assert subspace_mod._certified(L.rows, product, cost + 1)
-    # u(8) + u(8), r = 128: the certificate is cheaper than the rest of the round, which it ends
+    # u(8) + u(8), r = 128: the certificate is cheaper than the rest of the round, which it ends after one block
     L = _conjugated_blocks(8, False)
-    pairs = _count_calls(monkeypatch, "_round_products")
+    r = L.dim_span
+    first = min(max(subspace_mod._FIRST_BLOCK, 2 * (16 * 16 - r)), subspace_mod._BLOCK)
     formed[0] = 0
     assert is_closed_under(L, product)
-    assert pairs[0] == 1 and formed[0] == (1 + 2 * L.dim_span) * _asked(product)
+    assert formed[0] == first + (1 + 2 * r) * _asked(product)
 
 
 def test_certificate_fails_on_a_span_closed_under_jordan_but_not_lie(monkeypatch):
@@ -1712,7 +1713,7 @@ def test_certificate_fails_on_a_span_closed_under_jordan_but_not_lie(monkeypatch
         assert formed[0] == 1
         formed[0] = 0
         assert is_closed_under(L, jordan)
-        assert formed[0] == (n == 8)  # at n = 5 the rest of the round is shorter than the certificate
+        assert formed[0] == r * (r + 1) // 2 + (n == 8)  # at n = 5 the rest of the round is shorter than the certificate
         assert not is_closed_under(L, lie)
         assert _pairwise_closed(L, jordan) and not _pairwise_closed(L, lie)
         monkeypatch.undo()
