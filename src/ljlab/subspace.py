@@ -466,7 +466,10 @@ def _coordinates(rows: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
     The rank kernel's rule with nothing kept yet: a residual above
     ``SPAN_RTOL * max(1, ||c||)`` after two projection passes is off the
     span. A second pass can only lower a residual, so only the rows that
-    the first leaves above their threshold take it.
+    the first leaves above their threshold take it. ``_extend(rows,
+    cand)`` decides the same, but projects every row twice and leaves the
+    coordinates to a third product: 119 ms against 51 ms on the 1152
+    products of a closed span of dimension 288 (one BLAS thread).
     """
     x = cand @ rows.T
     d = cand - x @ rows
