@@ -256,11 +256,11 @@ def _cube_scale(na, nb):
 def _norm_axioms(p, na, nb):
     a, b = p.a, p.b
     sq_a = p.jordan(a, a)
-    sq_b = p.jordan(b, b)
-    v_sub = p.norm(p.jordan(a, b)) - na * nb
-    norm_sq_a = p.norm(sq_a)
-    v_square = np.abs(norm_sq_a - na * na)
-    v_dominance = norm_sq_a - p.norm(sq_a + sq_b)
+    # one norm call on the stack [a o b, a^2, a^2 + b^2]
+    n_ab, n_sq_a, n_sum = p.norm(np.stack((p.jordan(a, b), sq_a, sq_a + p.jordan(b, b))))
+    v_sub = n_ab - na * nb
+    v_square = np.abs(n_sq_a - na * na)
+    v_dominance = n_sq_a - n_sum
     residual = np.maximum(np.maximum(v_sub, v_square), v_dominance)
     scale = np.maximum(np.maximum(na * nb, na * na), nb * nb)
     return residual, scale

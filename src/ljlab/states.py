@@ -270,13 +270,14 @@ def is_classical_center(s: State, L: RealSubspace) -> ClassicalityVerdict:
 # against L, with no basis bracket formed; the classical bounds add the
 # brackets ``R_j = [rho, e_j]``. Their premises: ``require_closed(L, lie)``
 # has passed, so each ``[e_i, e_k]`` (HS norm at most 1 for orthonormal e)
-# lies within d = ``SPAN_RTOL`` of span(L); and ``||rho||_HS <= 1``, so
-# ``||R_j||_HS <= 1``. ``C[j, k] = Tr(rho [e_j, e_k]) = <e_k, R_j>``, so
-# C[j] holds the coordinates of R_j against L, and with ``c_p`` the
-# coordinates of ``[e_i, e_k]`` the associator value ``-<R_j, [e_i, e_k]>``
-# lies within ``||R_j|| d <= d`` of ``t(i, j, k) = -<c_p, C[j]>``: the
-# bracket's part off L is at most d. j* maximizes ``||C[j]||``; each bound
-# is widened by ``1 + _NORM_SLACK``.
+# lies within d = ``SPAN_RTOL`` of span(L) (where the closedness certificate
+# decided: unless two or more brackets' residuals cancel in it); and
+# ``||rho||_HS <= 1``, so ``||R_j||_HS <= 1``. ``C[j, k] = Tr(rho [e_j,
+# e_k]) = <e_k, R_j>``, so C[j] holds the coordinates of R_j against L,
+# and with ``c_p`` the coordinates of ``[e_i, e_k]`` the associator value
+# ``-<R_j, [e_i, e_k]>`` lies within ``||R_j|| d <= d`` of ``t(i, j, k) =
+# -<c_p, C[j]>``: the bracket's part off L is at most d. j* maximizes
+# ``||C[j]||``; each bound is widened by ``1 + _NORM_SLACK``.
 
 
 def _associator_classical(cn: np.ndarray, hs: np.ndarray) -> bool:

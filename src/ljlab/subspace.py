@@ -452,34 +452,24 @@ def _bound(s: RealSubspace, product: Product) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generic_pair(r: int) -> np.ndarray:
-    """Coordinates (2, r) of the certificate's two generic elements: unit Gaussian vectors from a fixed seed, read-only."""
+def _generic_pair(r: int) -> tuple[np.ndarray, float]:
+    """Coordinates c (2, r) of the certificate's two generic elements, unit Gaussian vectors from a fixed seed,
+    read-only, and their weight w = min_k max_i |c_ik|, the least any basis element has in one of them."""
     c = np.random.default_rng(24251).standard_normal((2, r))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
     c.setflags(write=False)
-    return c
+    return c, float(np.abs(c).max(axis=0).min())
 
 
-def _coordinates(rows: np.ndarray, cand: np.ndarray) -> np.ndarray | None:
+def _coordinates(rows: np.ndarray, cand: np.ndarray, w: float) -> np.ndarray | None:
     """Coordinates against the orthonormal ``rows`` of each candidate row, or None when one lies off their span.
 
-    The rank kernel's rule with nothing kept yet: a residual above
-    ``SPAN_RTOL * max(1, ||c||)`` after two projection passes is off the
-    span. A second pass can only lower a residual, so only the rows that
-    the first leaves above their threshold take it. ``_extend(rows,
-    cand)`` decides the same, but projects every row twice and leaves the
-    coordinates to a third product: 119 ms against 51 ms on the 1152
-    products of a closed span of dimension 288 (one BLAS thread).
+    The certificate's rule: one projection, and a residual above ``w *
+    SPAN_RTOL * max(1, ||c||)`` is off the span (``_certified``).
     """
     x = cand @ rows.T
-    d = cand - x @ rows
-    thr = SPAN_RTOL * np.maximum(1.0, _row_norms(cand))
-    over = np.flatnonzero(_row_norms(d) > thr)
-    if len(over):
-        y = d[over] @ rows.T
-        if np.any(_row_norms(d[over] - y @ rows) > thr[over]):
-            return None
-        x[over] += y
+    if np.any(_row_norms(cand - x @ rows) > w * SPAN_RTOL * np.maximum(1.0, _row_norms(cand))):
+        return None
     return x
 
 
@@ -520,10 +510,16 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     exceeds the two together, and checks the rows left only when their r
     products each still fit. False once a product lies off L or the count
     does not fit. Before the 2r products of each p, lie first, it forms
-    p(g_1, g_2): a combination of them, so in L when they are (up to the
-    band), and for generic g off L when L is not closed under p. A failing
+    p(g_1, g_2): a combination of them, so near L when they lie in it, and
+    for generic g off L when L is not closed under p. A failing
     certificate thus mostly costs one product: a span closed under
     ``jordan`` but not ``lie`` fails at its first bracket.
+
+    Each product is held to w times the round's threshold (``_generic_pair``):
+    p(g_i, e_b) sums c_ia p(e_a, e_b), each e_a weighs at least w in g_1 or
+    g_2, and products of HS-unit elements have HS norm at most 1, so a lone
+    p(e_a, e_b) off L at rho times the round's threshold fails it unless
+    rho <= 1, where the round reads closed too.
     """
     r = len(rows)
     asked = (lie,) if product is lie else (lie, jordan)
@@ -531,14 +527,14 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     if cost >= rest:
         return False
     n = math.isqrt(rows.shape[1] // 2)
-    c = _generic_pair(r)
+    c, w = _generic_pair(r)
     e = rows.view(complex).reshape(r, n, n)
     g = (c @ rows).view(complex).reshape(2, n, n)
     maps: list[np.ndarray] = []
     for p in asked:  # p(g_1, g_2) first: one product that, off L, ends a failing certificate
-        coords = _coordinates(rows, _rows(_products(g[:1], g[1:], p)))
+        coords = _coordinates(rows, _rows(_products(g[:1], g[1:], p)), w)
         if coords is not None:
-            coords = _coordinates(rows, _pair_products(g, e, p))
+            coords = _coordinates(rows, _pair_products(g, e, p), w)
         if coords is None:
             return False
         maps += list(coords.reshape(-1, r, r))
@@ -549,7 +545,7 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     if cost + len(left) * r >= rest:
         return False
     x = (left @ rows).view(complex).reshape(-1, n, n)
-    return _coordinates(rows, _pair_products(x, e, product)) is not None
+    return _coordinates(rows, _pair_products(x, e, product), w) is not None
 
 
 def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
@@ -643,13 +639,11 @@ def is_closed_under(s: RealSubspace, product: Product) -> bool:
     ranked whole. A product lies in the span when its residual is at most
     ``SPAN_RTOL * max(1, ||p||)``, the rule ``contains`` applies to a
     single matrix. The certificate holds its products of two generic
-    elements to the same rule, so it can read closed a span whose worst
-    basis-pair product lies off it by more than that threshold: typically
-    by up to about sqrt(dim s) times it, but that is not a bound. When
-    p(e_k, e_k) is the one product off the span, the factor is
-    1 / max_i |c_ik|, c the elements' fixed-seed coordinates, which at the
-    worst k reaches 40 to 200 for dim s = 32 to 288 (README's tolerance
-    table). A span at its dimension bound
+    elements to that threshold times their weight w, so with one
+    basis-pair product off the span it reads what the round reads; only
+    residuals of two or more products off the span that cancel in the
+    generic elements can make it read closed where the round would not
+    (README's tolerance table). A span at its dimension bound
     is closed without a product formed: the full algebra under both
     products, su(n) under ``lie``. Verdicts are memoized on s. Raises
     ValidationError for any other product.

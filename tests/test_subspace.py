@@ -1642,7 +1642,7 @@ def test_certificate_rejects_a_span_through_the_rows_its_elements_leave(monkeypa
     for e in L.basis[:2]:
         for p in (lie, jordan)[: _asked(product)]:
             assert all(L.contains(p(e, f)) for f in L.basis)
-    monkeypatch.setattr(subspace_mod, "_generic_pair", lambda r: np.eye(r)[:2])
+    monkeypatch.setattr(subspace_mod, "_generic_pair", lambda r: (np.eye(r)[:2], 1.0))  # weight 1: P and E_44 alone
     formed = _count_formed(monkeypatch)
     assert not subspace_mod._certified(L.rows, product, 10**6)
     assert formed[0] == (1 + 2 * 4) * _asked(product) + 2 * 4  # p(g_1, g_2) and the maps, then the two rows left
@@ -1771,23 +1771,26 @@ def _one_square_off(k: int, eps: float) -> RealSubspace:
     return span(mats)
 
 
-def test_certificate_band_reaches_one_over_the_smallest_generic_coordinates(monkeypatch):
-    """The band (1, sqrt(r)] is typical, not a bound. With p(e_k, e_k) the one basis-pair product off L, at ratio rho,
-    p(g_i, e_k) lies off L at |c_ik| rho, so the certificate reads closed up to rho = 1 / max_i |c_ik|. At the k where
-    that is largest, for r = 26, it is 30: about 6 sqrt(r). The pair (k, k) lies outside the round's first block."""
+def test_certificate_with_one_square_off_reads_what_the_round_reads(monkeypatch):
+    """With p(e_k, e_k) the one basis-pair product off L, at ratio rho, p(g_i, e_k) lies off L at |c_ik| rho, held to
+    w = min_k max_i |c_ik| times the round's threshold: at every placement k of r = 26, and for rho on either side of
+    both 1 and 1 / max_i |c_ik| (30 at the k where w is reached), the certificate leaves the round's verdict."""
     r = 26
-    top = np.abs(subspace_mod._generic_pair(r)).max(axis=0)
-    k = int(np.argmin(top))
-    edge = 1.0 / top[k]
-    assert edge > 5 * np.sqrt(r)
-    for f, closed in ((0.9, True), (1.1, False)):
-        build = lambda: _one_square_off(k, f * edge * SPAN_RTOL)
-        L = build()
-        assert L.dim_span == r
-        assert _worst_pair_ratio(L, jordan) == pytest.approx(f * edge, rel=1e-4)
-        assert is_closed_under(build(), jordan) is closed
-        assert not _without_certificate(monkeypatch, lambda: is_closed_under(build(), jordan))
-        assert is_closed_under(L, lie)
+    c, w = subspace_mod._generic_pair(r)
+    top = np.abs(c).max(axis=0).tolist()
+    assert w == min(top) and 1.0 / w > 5 * np.sqrt(r)
+    passes = _count_passes(monkeypatch)
+    for k in range(r):
+        for rho in (0.9, 1.1, 0.9 / top[k], 1.1 / top[k]):
+            build = lambda: _one_square_off(k, rho * SPAN_RTOL)
+            L = build()
+            assert L.dim_span == r
+            assert _worst_pair_ratio(L, jordan) == pytest.approx(rho, rel=1e-4)
+            full = _without_certificate(monkeypatch, lambda: is_closed_under(build(), jordan))
+            assert full is (rho <= 1.0)
+            assert is_closed_under(L, jordan) is full, (k, rho)
+            assert is_closed_under(L, lie)
+    assert passes[0] > 0
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
