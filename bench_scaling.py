@@ -233,13 +233,13 @@ def function_representation(ljlab, n: int):
 
 
 def avr_witness_search(ljlab, n: int):
-    """``avr_witness_search(n, 0, 1000)``, the witness of ``ljlab witness --budget 1000``, at its bound."""
-    return lambda: ljlab.avr_witness_search(n, 0, 1000).found, True
+    """``avr_witness_search(n, 0)``, the witness of ``ljlab witness --kind avr --dim n``, at its bound."""
+    return lambda: ljlab.avr_witness_search(n, 0).found, True
 
 
 def associator_witness_search(ljlab, n: int):
-    """``associator_witness_search(n, 0, 1000)``, the witness of ``ljlab witness --budget 1000``, at its bound."""
-    return lambda: ljlab.associator_witness_search(n, 0, 1000).found, True
+    """``associator_witness_search(n, 0)``, the witness of ``ljlab witness --kind associator --dim n``, at its bound."""
+    return lambda: ljlab.associator_witness_search(n, 0).found, True
 
 
 def cmd_verify(ljlab, n: int):

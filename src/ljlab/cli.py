@@ -256,7 +256,7 @@ def cmd_classify(cfg: SessionConfig) -> Outcome:
 def cmd_witness(cfg: SessionConfig) -> Outcome:
     n = cfg.dim
     search = avr_witness_search if cfg.kind == "avr" else associator_witness_search
-    rep = search(n, cfg.seed, cfg.budget, cfg.tol)
+    rep = search(n, cfg.seed, cfg.tol)
     ok = rep.found or n == 1
     checks = [{"name": f"witness-{rep.kind}", "dim": n, "violation": rep.violation, "passed": ok}]
     summary = {

@@ -308,7 +308,7 @@ def _require_seed(seed: int) -> int:
 
 
 def _require_count(name: str, value: int, low: int) -> int:
-    """A count (samples, budget, dimension) as an int; ValidationError unless an integer >= low."""
+    """A count (samples, dimension) as an int; ValidationError unless an integer >= low."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < low:

@@ -16,13 +16,13 @@ comes from the seeds: n^2, or su(n)'s n^2 - 1 under the bracket of seeds
 orthogonal to the identity, whose identity part the closure then drops
 before its first round. A round at the bound forms no products; one
 that ends above it raises ValidationError. A subspace is closed exactly
-when such a round adds nothing, and ``is_closed_under`` runs that round
-up to the first product block that keeps a row, or until the
-certificate passes: when a round's first block keeps no row, two
-generic elements whose products with the basis lie in the span prove it
-closed (``_certified``), in its own coordinates and with the rows they
-do not generate checked directly, and a pass ends the round as one that
-added nothing.
+when such a round adds nothing. Before any block a round asks the
+certificate (``_certified``): two generic elements whose products with
+the basis lie in the span prove it closed, in its own coordinates and
+with the rows they do not generate checked directly. A pass ends the
+round as one that added nothing; under ``jordan`` it proves ``lie`` too,
+and both verdicts are recorded. Otherwise ``is_closed_under`` runs the
+round up to the first product block that keeps a row.
 
 Rounds and the pair queries (defects, centralizer) form products with one
 Hermitian pair kernel (``products._products``); a block of index pairs is formed in
@@ -501,19 +501,20 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     algebra (Jacobi), or under both products the Hermitian part of the
     associative idealizer of L + iL. So does K, the algebra they generate,
     built from the maps in L's coordinates (``_generated``). Each row of L
-    minus K is checked against all of L under ``product``; when all pass,
-    L lies in N. Genericity decides only how many rows are left: none for a
+    minus K is checked against all of L under each p asked; when all pass,
+    L lies in N, so a pass under ``jordan`` proves L closed under ``lie``
+    too. Genericity decides only how many rows are left: none for a
     semisimple Lie algebra (Kuranishi, *Nagoya Math. J.* 2, 1951) or a
     *-algebra (Davidson, *C*-Algebras by Example*, ch. I), c - 2 for a Lie
     center of dimension c > 2. It forms 2r products per product asked and
     ranks at most as many candidates for K, so it runs only when ``rest``
     exceeds the two together, and checks the rows left only when their r
-    products each still fit. False once a product lies off L or the count
-    does not fit. Before the 2r products of each p, lie first, it forms
-    p(g_1, g_2): a combination of them, so near L when they lie in it, and
-    for generic g off L when L is not closed under p. A failing
-    certificate thus mostly costs one product: a span closed under
-    ``jordan`` but not ``lie`` fails at its first bracket.
+    products per product asked still fit. False once a product lies off L
+    or the count does not fit. Before the 2r products of each p, lie
+    first, it forms p(g_1, g_2): a combination of them, so near L when
+    they lie in it, and for generic g off L when L is not closed under p.
+    A failing certificate thus mostly costs one product: a span closed
+    under ``jordan`` but not ``lie`` fails at its first bracket.
 
     Each product is held to w times the round's threshold (``_generic_pair``):
     p(g_i, e_b) sums c_ia p(e_a, e_b), each e_a weighs at least w in g_1 or
@@ -542,13 +543,13 @@ def _certified(rows: np.ndarray, product: Product, rest: int) -> bool:
     if len(k) == r:
         return True
     left = _extend(k, np.eye(r))
-    if cost + len(left) * r >= rest:
+    if cost + len(left) * r * len(asked) >= rest:
         return False
     x = (left @ rows).view(complex).reshape(-1, n, n)
-    return _coordinates(rows, _pair_products(x, e, product), w) is not None
+    return all(_coordinates(rows, _pair_products(x, e, p), w) is not None for p in asked)
 
 
-def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator[np.ndarray]:
+def _round(rows: np.ndarray, new: int, product: Product, bound: int, memo: dict) -> Iterator[np.ndarray]:
     """The basis after each product block of one closure round that adds rows.
 
     The round ranks the products that involve a row ``>= new`` against the
@@ -556,26 +557,28 @@ def _round(rows: np.ndarray, new: int, product: Product, bound: int) -> Iterator
     is at ``bound`` already, and stops once the kept rows reach it. Its
     first block holds ``max(_FIRST_BLOCK, 2 (bound - r))`` products: when
     most products are independent, a round reaches the bound in that block
-    and forms no more. When that block keeps no row and more blocks remain,
-    the certificate (``_certified``) runs first if it forms fewer products
-    than they hold, and a pass ends the round with nothing added; a fail
-    ranks the other blocks. Lazy: a caller that only asks whether anything
-    is added stops at the first kept block.
+    and forms no more. The certificate (``_certified``) is asked before any
+    block, to beat the products after the first, which is one rank-kernel
+    call; a pass ends the round with nothing added and sets ``memo[lie]``,
+    since it proves every product it asked, ``lie`` among them. Lazy: a
+    caller that only asks whether anything is added stops at the first
+    kept block.
     """
     r = len(rows)
     if r >= bound:
         return
-    n = math.isqrt(rows.shape[1] // 2)
     first = max(_FIRST_BLOCK, 2 * (bound - r))
-    for k, block in enumerate(_round_products(rows.view(complex).reshape(r, n, n), new, product, first)):
+    if _certified(rows, product, len(_product_pairs(r, product, new)) - first):
+        memo[lie] = True
+        return
+    n = math.isqrt(rows.shape[1] // 2)
+    for block in _round_products(rows.view(complex).reshape(r, n, n), new, product, first):
         kept = _extend(rows, _rows(block))
         if len(kept):
             rows = np.concatenate((rows, kept))
             yield rows
             if len(rows) >= bound:
                 return
-        elif k == 0 and _certified(rows, product, len(_product_pairs(r, product, new)) - len(block)):
-            return
 
 
 def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int, list[int]]:
@@ -583,7 +586,8 @@ def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int,
 
     Every round but the last adds a row and the dimension is bounded, so the
     loop ends. The last round added nothing, which is the closedness verdict
-    ``is_closed_under`` would reach, so the closure carries it in its memo.
+    ``is_closed_under`` would reach, so the closure carries it in its memo,
+    with ``lie``'s when a ``jordan`` certificate ended that round (``_round``).
     """
     _check_product(product)
     if s.dim_span == 0:
@@ -597,10 +601,11 @@ def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int,
         unit = _unit_identity(n)
         rows = _extend(rows[:0], rows - np.outer(rows @ unit, unit))
     trajectory = [len(rows)]
+    proofs = {product: True}
     new = 0  # rows added by the previous round start here
     while True:
         r = len(rows)
-        for rows in _round(rows, new, product, bound):
+        for rows in _round(rows, new, product, bound, proofs):
             pass  # rows: the basis after the round's last block that added any
         if len(rows) > bound:  # roundoff kept a direction, e.g. I from traceless seeds
             raise ValidationError(
@@ -609,7 +614,7 @@ def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int,
         trajectory.append(len(rows))
         if len(rows) == r:
             closed = RealSubspace(s.dim_ambient, rows)
-            closed._memo[product] = True
+            closed._memo.update(proofs)
             return closed, len(trajectory) - 1, trajectory
         new = r
 
@@ -634,24 +639,25 @@ def close_under(s: RealSubspace, product: Product) -> RealSubspace:
 def is_closed_under(s: RealSubspace, product: Product) -> bool:
     """Whether a closure round from s under ``jordan`` or ``lie`` would add nothing.
 
-    Runs that round (``_round``) up to the first product block that keeps a
-    row, or until the certificate passes (``_certified``); a block is
-    ranked whole. A product lies in the span when its residual is at most
-    ``SPAN_RTOL * max(1, ||p||)``, the rule ``contains`` applies to a
-    single matrix. The certificate holds its products of two generic
+    Runs that round (``_round``): the certificate first (``_certified``),
+    and when it does not pass, up to the first product block that keeps a
+    row; a block is ranked whole. A product lies in the span when its
+    residual is at most ``SPAN_RTOL * max(1, ||p||)``, the rule
+    ``contains`` applies to a single matrix. The certificate holds its products of two generic
     elements to that threshold times their weight w, so with one
     basis-pair product off the span it reads what the round reads; only
     residuals of two or more products off the span that cancel in the
     generic elements can make it read closed where the round would not
     (README's tolerance table). A span at its dimension bound
     is closed without a product formed: the full algebra under both
-    products, su(n) under ``lie``. Verdicts are memoized on s. Raises
+    products, su(n) under ``lie``. Verdicts are memoized on s; a
+    certificate that passes under ``jordan`` records ``lie``'s too. Raises
     ValidationError for any other product.
     """
     _require_type("s", s, RealSubspace)
     _check_product(product)
     if product not in s._memo:
-        s._memo[product] = next(_round(s.rows, 0, product, _bound(s, product)), None) is None
+        s._memo[product] = next(_round(s.rows, 0, product, _bound(s, product), s._memo), None) is None
     return s._memo[product]
 
 

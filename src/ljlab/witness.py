@@ -6,8 +6,8 @@ of two PSD observables with a negative eigenvalue. Both ``*_search``
 functions build the witness that attains its kind's bound, in an
 orthonormal pair x, y drawn from the seed (``_frame``): the least
 eigenvalue of a o b is -1/8 for 0 <= a, b <= I, and the associator of
-unit-norm inputs has norm 1. Nothing is searched, so ``budget`` is checked
-but has no effect. Results are deterministic in (n, seed).
+unit-norm inputs has norm 1. Nothing is searched, so no trial budget is
+taken. Results are deterministic in (n, seed).
 """
 
 from __future__ import annotations
@@ -92,18 +92,17 @@ def squared_witness(q: np.ndarray) -> WitnessReport:
     )
 
 
-def _frame(n: int, seed: int, budget: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray] | None:
+def _frame(n: int, seed: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray] | None:
     """The searches' argument checks, then orthonormal vectors x, y drawn from the seed.
 
-    The checks run in order: tol is a ``Tolerance``, then n and budget are
-    integers >= 1, then seed passes ``_require_seed``; budget is not used
-    further. x and y are one Gram-Schmidt step on the first two rows of
+    The checks run in order: tol is a ``Tolerance``, then n is an integer
+    >= 1, then seed passes ``_require_seed``. x and y are one Gram-Schmidt
+    step on the first two rows of
     ``gaussian_complex(default_rng(derive_seed(seed, 0)), n)``. None for
     ``n == 1``, where all observables commute.
     """
     _require_type("tol", tol, Tolerance)
     n = _require_count("dimension", n, 1)
-    _require_count("budget", budget, 1)
     seed = _require_seed(seed)
     if n == 1:
         return None
@@ -113,21 +112,18 @@ def _frame(n: int, seed: int, budget: int, tol: Tolerance) -> tuple[np.ndarray, 
     return x, y / np.linalg.norm(y)
 
 
-def avr_witness_search(
-    n: int, seed: int, budget: int, tol: Tolerance = DEFAULT_TOL
-) -> WitnessReport:
+def avr_witness_search(n: int, seed: int, tol: Tolerance = DEFAULT_TOL) -> WitnessReport:
     """PSD observables a, b of unit norm whose Jordan product has least eigenvalue -1/8.
 
     For 0 <= a, b <= I, ab + ba = (a + b - I/2)^2 + (a - a^2) + (b - b^2) - I/4
     >= -I/4, so -1/8 is the bound. The inputs attain it: a = xx^H and
     b = ww^H with w = x/2 + (sqrt(3)/2) y, projectors at overlap 1/2 in the
-    seed's frame x, y (``_frame``). ``budget`` is checked as an integer >= 1
-    and has no effect. Found when the least eigenvalue is below
+    seed's frame x, y (``_frame``). Found when the least eigenvalue is below
     ``-tol.zero_tol``, flat: the inputs have unit norm. Dimension 1 is
     commutative, so the report comes back with found False.
     ValidationError when tol is not a ``Tolerance``.
     """
-    frame = _frame(n, seed, budget, tol)
+    frame = _frame(n, seed, tol)
     if frame is None:
         return WitnessReport(kind="avr", witness=None, inputs=(), violation=0.0, found=False)
     x, y = frame
@@ -144,20 +140,17 @@ def avr_witness_search(
     )
 
 
-def associator_witness_search(
-    n: int, seed: int, budget: int, tol: Tolerance = DEFAULT_TOL
-) -> WitnessReport:
+def associator_witness_search(n: int, seed: int, tol: Tolerance = DEFAULT_TOL) -> WitnessReport:
     """A unit-norm Hermitian triple whose Jordan associator has norm 1.
 
     assoc(a, b, c) = [b, [a, c]] / 4 for the commutator [u, v] = uv - vu,
     so 1 bounds its norm on unit-norm inputs. The inputs (X, X, Y) attain
     it, with X = xy^H + yx^H and Y = -i xy^H + i yx^H: the Pauli triple
     (sigma_x, sigma_x, sigma_y) in the seed's frame x, y (``_frame``).
-    ``budget`` is checked as an integer >= 1 and has no effect. Found when
-    the associator's norm exceeds ``tol.zero_tol``, flat: the inputs have
-    unit norm. ValidationError when tol is not a ``Tolerance``.
+    Found when the associator's norm exceeds ``tol.zero_tol``, flat: the
+    inputs have unit norm. ValidationError when tol is not a ``Tolerance``.
     """
-    frame = _frame(n, seed, budget, tol)
+    frame = _frame(n, seed, tol)
     if frame is None:
         return WitnessReport(kind="associator", witness=None, inputs=(), violation=0.0, found=False)
     x, y = frame

@@ -177,10 +177,10 @@ def test_acceptance_06_avr_witness():
     fixture_ok = abs(fixture - expected) <= 1e-9
     search_ok = True
     for seed in (0, 1, 2):
-        rep = avr_witness_search(2, seed, 1000)
+        rep = avr_witness_search(2, seed)
         search_ok = search_ok and rep.found and rep.violation <= -0.05
-    r1 = avr_witness_search(2, 0, 1000)
-    r2 = avr_witness_search(2, 0, 1000)
+    r1 = avr_witness_search(2, 0)
+    r2 = avr_witness_search(2, 0)
     det_ok = (
         r1.violation == r2.violation
         and np.array_equal(r1.witness, r2.witness)

@@ -231,10 +231,10 @@ def test_random_density_properties():
         ljlab.random_state,
         # every other seeded entry point, also where nothing is drawn (n = 1, samples = 0)
         pytest.param(lambda _, seed: derive_seed(seed, 3), id="derive_seed"),
-        pytest.param(lambda _, seed: ljlab.avr_witness_search(1, seed, 5), id="avr-n1"),
-        pytest.param(lambda _, seed: ljlab.avr_witness_search(2, seed, 5), id="avr-n2"),
-        pytest.param(lambda _, seed: ljlab.associator_witness_search(1, seed, 5), id="associator-n1"),
-        pytest.param(lambda _, seed: ljlab.associator_witness_search(2, seed, 5), id="associator-n2"),
+        pytest.param(lambda _, seed: ljlab.avr_witness_search(1, seed), id="avr-n1"),
+        pytest.param(lambda _, seed: ljlab.avr_witness_search(2, seed), id="avr-n2"),
+        pytest.param(lambda _, seed: ljlab.associator_witness_search(1, seed), id="associator-n1"),
+        pytest.param(lambda _, seed: ljlab.associator_witness_search(2, seed), id="associator-n2"),
         pytest.param(
             lambda _, seed: ljlab.check_positivity_closure(ljlab.full_hermitian_space(2), 0, seed),
             id="positivity-samples0",
@@ -271,7 +271,7 @@ def test_random_rejects_bad_dim():
         pytest.param(lambda: random_hermitian(2.5, 0), id="random_hermitian"),
         pytest.param(lambda: random_density(2.5, 0), id="random_density"),
         pytest.param(lambda: ljlab.random_state(True, 0), id="random_state"),
-        pytest.param(lambda: ljlab.associator_witness_search(2.5, 0, 5), id="associator_witness_search"),
+        pytest.param(lambda: ljlab.associator_witness_search(2.5, 0), id="associator_witness_search"),
     ],
 )
 def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
@@ -279,8 +279,8 @@ def test_a_dimension_that_is_not_an_integer_raises_validation_error(call):
         call()
 
 
-#: Malformed values of each kind of argument: a dimension or budget starts
-#: at 1, a count (samples, a trial index) at 0, so 0 is not among its
+#: Malformed values of each kind of argument: a dimension starts at 1, a
+#: count (samples, a trial index) at 0, so 0 is not among its
 #: values; a zero tolerance is a positive finite number, not a bool; a
 #: ``State`` or ``RealSubspace`` argument takes no other object.
 _MALFORMED = {
@@ -311,12 +311,10 @@ _BOUNDARY = [
     ("RealSubspace", "dim_ambient", "from 1", lambda x: ljlab.RealSubspace(x, np.zeros((0, 8)))),
     ("check_positivity_closure", "samples", "from 0", lambda x: ljlab.check_positivity_closure(_FULL2, x, 0)),
     ("check_positivity_closure", "seed", "seed", lambda x: ljlab.check_positivity_closure(_FULL2, 1, x)),
-    ("avr_witness_search", "n", "from 1", lambda x: ljlab.avr_witness_search(x, 0, 5)),
-    ("avr_witness_search", "seed", "seed", lambda x: ljlab.avr_witness_search(2, x, 5)),
-    ("avr_witness_search", "budget", "from 1", lambda x: ljlab.avr_witness_search(2, 0, x)),
-    ("associator_witness_search", "n", "from 1", lambda x: ljlab.associator_witness_search(x, 0, 5)),
-    ("associator_witness_search", "seed", "seed", lambda x: ljlab.associator_witness_search(2, x, 5)),
-    ("associator_witness_search", "budget", "from 1", lambda x: ljlab.associator_witness_search(2, 0, x)),
+    ("avr_witness_search", "n", "from 1", lambda x: ljlab.avr_witness_search(x, 0)),
+    ("avr_witness_search", "seed", "seed", lambda x: ljlab.avr_witness_search(2, x)),
+    ("associator_witness_search", "n", "from 1", lambda x: ljlab.associator_witness_search(x, 0)),
+    ("associator_witness_search", "seed", "seed", lambda x: ljlab.associator_witness_search(2, x)),
     ("jordan_commute", "ambient", "RealSubspace", lambda x: ljlab.jordan_commute(np.eye(2), np.eye(2), x)),
     ("close_under", "s", "RealSubspace", lambda x: ljlab.close_under(x, ljlab.lie)),
     ("is_closed_under", "s", "RealSubspace", lambda x: ljlab.is_closed_under(x, ljlab.lie)),

@@ -1682,6 +1682,22 @@ def test_certificate_checks_the_center_rows_two_elements_leave(monkeypatch):
     assert formed[0] == (1 + 2 * r) * 2
 
 
+def test_certificate_checks_the_rows_left_under_each_product_it_asks(monkeypatch):
+    """Sym(3) + R E_44 at n = 4, closed under jordan but not lie, with the elements patched to P = E_11 + E_22 + E_33
+    and E_44: their maps pass under both products and K is span{P, E_44}. The five rows left close L under jordan
+    but not under lie, so the jordan certificate, which would prove lie too, fails at their brackets."""
+    e = np.eye(4, dtype=complex)
+    x = [np.outer(e[i], e[j]) + np.outer(e[j], e[i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    units = [np.diag([1, 1, 1, 0]), np.diag([0, 0, 0, 1]), np.diag([1, -1, 0, 0]), np.diag([1, 1, -2, 0]), *x]
+    L = RealSubspace(4, _rows([_unit(m.astype(complex)) for m in units]))
+    assert _pairwise_closed(L, jordan) and not _pairwise_closed(L, lie)
+    monkeypatch.setattr(subspace_mod, "_generic_pair", lambda r: (np.eye(r)[:2], 1.0))
+    formed = _count_formed(monkeypatch)
+    assert not subspace_mod._certified(L.rows, jordan, 10**6)
+    assert formed[0] == (1 + 2 * 7) * 2 + 5 * 7  # p(g_1, g_2) and the maps, then the five rows left under lie
+    assert not subspace_mod._certified(L.rows, lie, 10**6)
+
+
 @pytest.mark.parametrize("product", [jordan, lie])
 def test_certificate_runs_only_when_the_rest_of_the_round_forms_more(monkeypatch, product):
     """It forms 2r products per product asked and ranks at most as many candidates for K."""
@@ -1691,13 +1707,12 @@ def test_certificate_runs_only_when_the_rest_of_the_round_forms_more(monkeypatch
     assert not subspace_mod._certified(L.rows, product, cost)
     assert formed[0] == 0
     assert subspace_mod._certified(L.rows, product, cost + 1)
-    # u(8) + u(8), r = 128: the certificate is cheaper than the rest of the round, which it ends after one block
+    # u(8) + u(8), r = 128: the certificate is cheaper than the round, which it ends before any block
     L = _conjugated_blocks(8, False)
     r = L.dim_span
-    first = min(max(subspace_mod._FIRST_BLOCK, 2 * (16 * 16 - r)), subspace_mod._BLOCK)
     formed[0] = 0
     assert is_closed_under(L, product)
-    assert formed[0] == first + (1 + 2 * r) * _asked(product)
+    assert formed[0] == (1 + 2 * r) * _asked(product)
 
 
 def test_certificate_fails_on_a_span_closed_under_jordan_but_not_lie(monkeypatch):
@@ -1742,23 +1757,20 @@ def test_certificate_verdicts_and_closure_dimensions_equal_the_full_rounds(monke
 
 
 @pytest.mark.parametrize("product", [jordan, lie])
-def test_certificate_on_tilted_blocks_agrees_with_the_rounds_outside_its_band(monkeypatch, product):
-    """u(4) + u(4), its last element tilted by eps = 1e-2 .. 1e-11: the verdict and the closure dimension are the
-    full rounds' wherever the worst basis-pair ratio lies outside the typical band (1, sqrt(r)]."""
+def test_certificate_on_tilted_blocks_agrees_with_the_full_rounds(monkeypatch, product):
+    """u(4) + u(4), its last element tilted by eps = 1e-2 .. 1e-11: at every eps the verdict and the closure
+    dimension are the full rounds', and the verdict is whether the worst basis-pair ratio is at most 1."""
     passes = _count_passes(monkeypatch)
     compared = 0
     for q in range(2, 12):
         eps = 10.0**-q
-        L = _tilted_blocks(4, eps)
-        ratio = _worst_pair_ratio(L, product)
-        if 1.0 < ratio <= np.sqrt(L.dim_span):
-            continue
-        compared += 1
+        ratio = _worst_pair_ratio(_tilted_blocks(4, eps), product)
         got = _verdict_and_closure(lambda: _tilted_blocks(4, eps), product)
         full = _without_certificate(monkeypatch, lambda: _verdict_and_closure(lambda: _tilted_blocks(4, eps), product))
         assert got == full, eps
         assert got[0] == (ratio <= 1.0), eps
-    assert compared >= 9 and passes[0] >= 3
+        compared += 1
+    assert compared == 10 and passes[0] >= 3
 
 
 def _one_square_off(k: int, eps: float) -> RealSubspace:
@@ -1791,6 +1803,44 @@ def test_certificate_with_one_square_off_reads_what_the_round_reads(monkeypatch)
             assert is_closed_under(L, jordan) is full, (k, rho)
             assert is_closed_under(L, lie)
     assert passes[0] > 0
+
+
+@pytest.mark.parametrize("special", [False, True])
+def test_certificate_pass_under_jordan_records_lie_and_the_lie_query_forms_nothing(monkeypatch, special):
+    """A jordan pass checks lie too, the rows two elements leave included, so it proves L closed under both products:
+    on u(8) + u(8) and on Herm(4) x 1_3 + u(4) + u(8) (a Lie center of dimension 3) both memos are True after it."""
+    L = span(_herm4_in_three_copies_and_two_blocks()) if special else _conjugated_blocks(8, False)
+    passes = _count_passes(monkeypatch)
+    formed = _count_formed(monkeypatch)
+    assert is_closed_under(L, jordan) and passes[0] == 1
+    assert L._memo[lie] is True and L._memo[jordan] is True
+    formed[0] = 0
+    assert is_closed_under(L, lie) and formed[0] == 0 and passes[0] == 1
+
+
+def test_certificate_fail_under_jordan_leaves_lie_to_its_own_query(monkeypatch):
+    """Real symmetric 8 x 8: the round proves jordan after the certificate fails, so no lie verdict is recorded."""
+    L = span([e for e in full_hermitian_basis(8) if not np.iscomplex(e).any()])
+    assert is_closed_under(L, jordan) and lie not in L._memo
+    assert not is_closed_under(L, lie)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_certificate_that_ends_a_jordan_closure_records_lie_on_the_closure(monkeypatch, n):
+    """jordan_generate_three of a block pair: its last round ends by the certificate, so the closure, u(k) + u(k),
+    carries lie's verdict too, and the lie query forms no product. A closure whose last round is ranked in full
+    (the certificate off) carries only jordan's."""
+    k = n // 2
+    a, b, c, d = (random_hermitian(k, seed=n + j) for j in range(4))
+    z = np.zeros((k, k))
+    x, y = np.block([[a, z], [z, b]]), np.block([[c, z], [z, d]])
+    closure = jordan_generate_three(x, y).closure
+    assert closure.dim_span == n * n // 2 and closure._memo[lie] is True
+    formed = _count_formed(monkeypatch)
+    assert is_closed_under(closure, lie) and formed[0] == 0
+    full = _without_certificate(monkeypatch, lambda: jordan_generate_three(x, y).closure)
+    assert full.dim_span == closure.dim_span and lie not in full._memo
+    assert is_closed_under(full, lie)
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])

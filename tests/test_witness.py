@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -80,8 +78,8 @@ def test_squared_witness_is_psd_and_faithful():
 
 
 def test_avr_search_finds_violation_and_is_deterministic():
-    rep1 = avr_witness_search(2, seed=3, budget=300)
-    rep2 = avr_witness_search(2, seed=3, budget=300)
+    rep1 = avr_witness_search(2, seed=3)
+    rep2 = avr_witness_search(2, seed=3)
     assert rep1.kind == "avr"
     assert rep1.violation == rep2.violation
     np.testing.assert_array_equal(rep1.witness, rep2.witness)
@@ -95,13 +93,13 @@ def test_avr_search_finds_violation_and_is_deterministic():
 
 
 def test_avr_search_different_seeds_differ():
-    r1 = avr_witness_search(2, seed=1, budget=50)
-    r2 = avr_witness_search(2, seed=2, budget=50)
+    r1 = avr_witness_search(2, seed=1)
+    r2 = avr_witness_search(2, seed=2)
     assert not np.array_equal(r1.witness, r2.witness)
 
 
 def test_avr_search_dimension_one_reports_no_violation():
-    rep = avr_witness_search(1, seed=0, budget=10)
+    rep = avr_witness_search(1, seed=0)
     assert not rep.found
     assert rep.witness is None
     assert rep.violation == 0.0
@@ -109,8 +107,8 @@ def test_avr_search_dimension_one_reports_no_violation():
 
 
 def test_associator_search_finds_large_violation():
-    rep1 = associator_witness_search(2, seed=5, budget=200)
-    rep2 = associator_witness_search(2, seed=5, budget=200)
+    rep1 = associator_witness_search(2, seed=5)
+    rep2 = associator_witness_search(2, seed=5)
     assert rep1.violation == rep2.violation
     assert rep1.found
     assert rep1.violation >= 0.5
@@ -119,7 +117,7 @@ def test_associator_search_finds_large_violation():
 
 
 def test_associator_search_dimension_one():
-    rep = associator_witness_search(1, seed=0, budget=10)
+    rep = associator_witness_search(1, seed=0)
     assert not rep.found
     assert rep.violation == 0.0
 
@@ -128,30 +126,19 @@ def test_associator_search_dimension_one():
 def test_searches_reject_a_tol_that_is_not_a_tolerance(tol):
     for search in (avr_witness_search, associator_witness_search):
         with pytest.raises(ValidationError, match="tol must be a Tolerance"):
-            search(2, 0, 1, tol)
+            search(2, 0, tol)
 
 
 def test_search_argument_validation():
     with pytest.raises(ValidationError):
-        avr_witness_search(0, seed=0, budget=10)
+        avr_witness_search(0, seed=0)
     with pytest.raises(ValidationError):
-        avr_witness_search(2, seed=0, budget=0)
+        associator_witness_search(-1, seed=0)
     with pytest.raises(ValidationError):
-        associator_witness_search(-1, seed=0, budget=10)
-    # arguments are checked before dimension 1 short-circuits
-    with pytest.raises(ValidationError):
-        avr_witness_search(1, seed=0, budget=0)
-    with pytest.raises(ValidationError):
-        associator_witness_search(0, seed=0, budget=10)
-    # a budget that is not an integer, bools included, is not truncated or run as one trial
-    for budget, n in itertools.product((2.5, True), (1, 2)):
-        for search in (avr_witness_search, associator_witness_search):
-            with pytest.raises(ValidationError, match="budget must be an integer"):
-                search(n, seed=0, budget=budget)
-    assert avr_witness_search(2, seed=0, budget=np.int64(3)).violation == avr_witness_search(2, 0, 3).violation
+        associator_witness_search(0, seed=0)
     for n in (2.5, True):
         with pytest.raises(ValidationError, match="dimension must be an integer"):
-            avr_witness_search(n, seed=0, budget=5)
+            avr_witness_search(n, seed=0)
 
 
 def test_avr_bound_identity_on_random_contractions():
@@ -172,7 +159,7 @@ def test_avr_bound_identity_on_random_contractions():
 @pytest.mark.parametrize("kind", ["avr", "associator"])
 def test_search_attains_its_bound_with_unit_inputs(kind, n):
     for seed in range(5):
-        rep = SEARCHES[kind](n, seed, 100)
+        rep = SEARCHES[kind](n, seed)
         assert (rep.kind, rep.found) == (kind, True)
         assert abs(rep.violation - BOUNDS[kind]) <= 1e-12
         # a violation past the bound, by more than the tolerance, is a wrong witness
@@ -185,19 +172,6 @@ def test_search_attains_its_bound_with_unit_inputs(kind, n):
             assert np.array_equal(rep.witness, associator(*rep.inputs))
         for m in rep.inputs:
             assert abs(spectral_norm(m) - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("kind", ["avr", "associator"])
-def test_search_bound_report_is_the_seeds_and_not_the_budgets(kind):
-    search = SEARCHES[kind]
-    seen = set()
-    for n, seed in itertools.product((2, 3, 6), range(5)):
-        one, many = (search(n, seed, budget) for budget in (1, 1000))
-        assert (one.violation, one.found) == (many.violation, many.found)
-        assert [m.tobytes() for m in (one.witness, *one.inputs)] == [m.tobytes() for m in (many.witness, *many.inputs)]
-        seen.add(one.inputs[-1].tobytes())
-    # every seed draws its own frame
-    assert len(seen) == 15
 
 
 def test_associator_bound_identity_on_random_unit_triples():
@@ -215,7 +189,7 @@ def test_associator_bound_identity_on_random_unit_triples():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_search_frame_is_one_gram_schmidt_step_on_the_seeds_draw(n):
     for seed in range(5):
-        x, y = _frame(n, seed, 1, DEFAULT_TOL)
+        x, y = _frame(n, seed, DEFAULT_TOL)
         g = gaussian_complex(np.random.default_rng(derive_seed(seed, 0)), n)
         np.testing.assert_allclose(x, g[0] / np.linalg.norm(g[0]), atol=1e-14)
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-14 and abs(np.linalg.norm(y) - 1.0) <= 1e-14
@@ -223,7 +197,7 @@ def test_search_frame_is_one_gram_schmidt_step_on_the_seeds_draw(n):
         # y is the part of the second row orthogonal to x, with a positive real overlap
         assert np.vdot(y, g[1]).real > 0 and abs(np.vdot(y, g[1]).imag) <= 1e-12
         np.testing.assert_allclose(g[1], np.vdot(x, g[1]) * x + np.vdot(y, g[1]) * y, atol=1e-12)
-    assert _frame(1, 0, 1, DEFAULT_TOL) is None
+    assert _frame(1, 0, DEFAULT_TOL) is None
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -231,9 +205,11 @@ def test_search_frame_is_one_gram_schmidt_step_on_the_seeds_draw(n):
 def test_search_witness_lives_on_its_frame_with_its_bound_spectrum(kind, n):
     # avr: projectors at overlap 1/2 give eigenvalues -1/8 and 3/8; associator: (sx, sx, sy) gives sy itself
     spectrum = {"avr": (-0.125, 0.375), "associator": (-1.0, 1.0)}[kind]
+    seen = set()
     for seed in range(5):
-        rep = SEARCHES[kind](n, seed, 1)
-        x, y = _frame(n, seed, 1, DEFAULT_TOL)
+        rep = SEARCHES[kind](n, seed)
+        seen.add(rep.inputs[-1].tobytes())
+        x, y = _frame(n, seed, DEFAULT_TOL)
         outside = np.eye(n) - np.outer(x, x.conj()) - np.outer(y, y.conj())
         expected = np.concatenate(([spectrum[0]], np.zeros(n - 2), [spectrum[1]]))
         np.testing.assert_allclose(np.linalg.eigvalsh(rep.witness), expected, atol=1e-12)
@@ -241,18 +217,18 @@ def test_search_witness_lives_on_its_frame_with_its_bound_spectrum(kind, n):
             np.testing.assert_allclose(m @ outside, 0, atol=1e-12)
         if kind == "associator":
             np.testing.assert_allclose(rep.witness, rep.inputs[2], atol=1e-12)
+    assert len(seen) == 5  # every seed draws its own frame
 
 
-@pytest.mark.parametrize("stage", ["tol", "dimension", "budget", "seed"])
+@pytest.mark.parametrize("stage", ["tol", "dimension", "seed"])
 @pytest.mark.parametrize("kind", ["avr", "associator"])
-def test_search_checks_tol_then_dimension_then_budget_then_seed(kind, stage):
+def test_search_checks_tol_then_dimension_then_seed(kind, stage):
     # every argument from the stage on is malformed, so the first check to run names the stage;
     # the good dimension is 1, so the checks run before dimension 1 short-circuits
-    good = {"tol": DEFAULT_TOL, "dimension": 1, "budget": 1, "seed": 0}
-    bad = {"tol": 1e-9, "dimension": 0, "budget": 0, "seed": -1}
+    good = {"tol": DEFAULT_TOL, "dimension": 1, "seed": 0}
+    bad = {"tol": 1e-9, "dimension": 0, "seed": -1}
     order = list(good)
     args = {k: (good if order.index(k) < order.index(stage) else bad)[k] for k in order}
-    message = {"tol": "tol must be a Tolerance", "dimension": "dimension must be",
-               "budget": "budget must be", "seed": "seed must be"}[stage]
+    message = {"tol": "tol must be a Tolerance", "dimension": "dimension must be", "seed": "seed must be"}[stage]
     with pytest.raises(ValidationError, match=message):
-        SEARCHES[kind](args["dimension"], args["seed"], args["budget"], args["tol"])
+        SEARCHES[kind](args["dimension"], args["seed"], args["tol"])
