@@ -1707,7 +1707,7 @@ def test_certificate_runs_only_when_the_rest_of_the_round_forms_more(monkeypatch
     assert not subspace_mod._certified(L.rows, product, cost)
     assert formed[0] == 0
     assert subspace_mod._certified(L.rows, product, cost + 1)
-    # u(8) + u(8), r = 128: the certificate is cheaper than the round, which it ends before any block
+    # u(8) + u(8), r = 128: the certificate is cheaper than the round past its first block, and ends it before any block
     L = _conjugated_blocks(8, False)
     r = L.dim_span
     formed[0] = 0
@@ -1818,22 +1818,19 @@ def test_certificate_pass_under_jordan_records_lie_and_the_lie_query_forms_nothi
     assert is_closed_under(L, lie) and formed[0] == 0 and passes[0] == 1
 
 
-def test_certificate_fail_under_jordan_leaves_lie_to_its_own_query(monkeypatch):
-    """Real symmetric 8 x 8: the round proves jordan after the certificate fails, so no lie verdict is recorded."""
-    L = span([e for e in full_hermitian_basis(8) if not np.iscomplex(e).any()])
-    assert is_closed_under(L, jordan) and lie not in L._memo
-    assert not is_closed_under(L, lie)
+def _block_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two block-diagonal matrices with blocks ``random_hermitian(n / 2, seed)``, seeds n to n + 3: they generate u(n/2) + u(n/2)."""
+    k, z = n // 2, np.zeros((n // 2, n // 2))
+    a, b, c, d = (random_hermitian(k, seed=n + j) for j in range(4))
+    return np.block([[a, z], [z, b]]), np.block([[c, z], [z, d]])
 
 
-@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("n", [8, 12, 16])
 def test_certificate_that_ends_a_jordan_closure_records_lie_on_the_closure(monkeypatch, n):
     """jordan_generate_three of a block pair: its last round ends by the certificate, so the closure, u(k) + u(k),
     carries lie's verdict too, and the lie query forms no product. A closure whose last round is ranked in full
     (the certificate off) carries only jordan's."""
-    k = n // 2
-    a, b, c, d = (random_hermitian(k, seed=n + j) for j in range(4))
-    z = np.zeros((k, k))
-    x, y = np.block([[a, z], [z, b]]), np.block([[c, z], [z, d]])
+    x, y = _block_pair(n)
     closure = jordan_generate_three(x, y).closure
     assert closure.dim_span == n * n // 2 and closure._memo[lie] is True
     formed = _count_formed(monkeypatch)
@@ -1846,10 +1843,7 @@ def test_certificate_that_ends_a_jordan_closure_records_lie_on_the_closure(monke
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_certificate_leaves_generation_reports_as_the_full_rounds_give_them(monkeypatch, n):
     """A round the certificate ends still counts as a round that added nothing."""
-    k = n // 2
-    a, b, c, d = (random_hermitian(k, seed=n + j) for j in range(4))
-    z = np.zeros((k, k))
-    x, y = np.block([[a, z], [z, b]]), np.block([[c, z], [z, d]])
+    x, y = _block_pair(n)
     calls = _count_calls(monkeypatch, "_certified")
     for generate in (lie_generate, jordan_generate_three):
         rep = generate(x, y)
