@@ -276,8 +276,8 @@ def classify_full_algebra(ljlab, n: int, state: str):
 WARM = {
     lie_generate: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
     jordan_generate_three: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
-    lie_generate_blocks: ((16, 24), "closure_dim", "dim_ok"),
-    jordan_generate_three_blocks: ((16, 24), "closure_dim", "dim_ok"),
+    lie_generate_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
+    jordan_generate_three_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
     centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),
     centralizer_blocks: ((16, 24), "dim_span", "dim_ok"),
     centralizer_sub: ((12, 16), "dim_span", "dim_ok"),

@@ -263,25 +263,25 @@ _DROP_RUN = 4
 def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Orthonormal rows that extend the orthonormal ``basis`` to also span ``cand``.
 
-    The rank kernel behind ``span``, the closure rounds and the derived
-    algebra. Candidates are judged greedily in input order: one is kept
-    when its residual against ``basis`` and the rows kept before it exceeds
-    ``SPAN_RTOL * max(1, ||c||)``. The whole block is first projected off
-    ``basis`` twice (BLAS-3) and rows already under their threshold are
-    dropped. Survivors are then visited in order: each is projected off
-    the pending panel (the rows kept since the last panel update; no pass
-    while it is empty, which would subtract exact zeros), then
-    reorthogonalized in one pass against ``basis`` and every kept row, which
-    sit together in one contiguous buffer, and kept, normalized in place
-    into that buffer, or dropped; thresholds are compared as Python floats.
-    With an empty ``basis`` that pass is the one against the kept rows
-    alone. Once the panel holds ``_PANEL`` rows, or after ``_DROP_RUN``
-    drops in a row, it is removed from the unvisited survivors as one
-    BLAS-3 update ``v -= (v @ P^T) @ P`` (block Gram-Schmidt), and those
-    left under their threshold are dropped together (``_sweep``). The kept
-    rows are at most the rank bound ``min(len(cand), cand.shape[1])``.
-    Candidates must be finite (``span`` checks its input), or the residual
-    test would silently fail.
+    The rank kernel behind ``span``, the closure rounds, the certificate and
+    the derived algebra. Candidates are judged greedily in input order: one
+    is kept when its residual against ``basis`` and the rows kept before it
+    exceeds ``SPAN_RTOL * max(1, ||c||)``. The block is first projected off
+    ``basis`` twice (BLAS-3) and rows under their threshold are dropped.
+    Survivors are visited in order: each is projected off the pending panel
+    P (rows kept since the last panel update; skipped while empty), then
+    once off ``basis`` and every kept row, which sit in one contiguous
+    buffer, and kept, normalized in place into it, or dropped; thresholds
+    are Python floats. The visit calls ``np.dot`` (BLAS dgemv, ddot) on
+    views of P and the buffer sliced once per keep: at rows of a few
+    hundred floats numpy's per-call overhead is most of a visit, and on
+    these C-contiguous float64 operands ``@`` reaches the same routines, so
+    the bits are the same. Once P holds ``_PANEL`` rows, or after
+    ``_DROP_RUN`` drops in a row, it is removed from the unvisited rows as
+    one BLAS-3 update ``v -= (v @ P^T) @ P`` (block Gram-Schmidt, ``_sweep``,
+    which drops those left under their threshold). At most ``min(len(cand),
+    cand.shape[1])`` rows are kept. Candidates must be finite (``span``
+    checks its input), or the residual test would silently fail.
     """
     thr = SPAN_RTOL * np.maximum(1.0, _row_norms(cand))
     v = np.array(cand)
@@ -295,14 +295,16 @@ def _extend(basis: np.ndarray, cand: np.ndarray) -> np.ndarray:
     while True:
         v, thr = _sweep(v, thr, out[applied:k])
         applied, run, limits = k, 0, thr.tolist()
+        dot, pend, kept = np.dot, out[applied:k], q[: b + k]
         for i, x in enumerate(v):
             if k > applied:
-                x = x - (out[applied:k] @ x) @ out[applied:k]
-            x = x - (q[: b + k] @ x) @ q[: b + k]
-            res = math.sqrt(x @ x)
+                x = x - dot(dot(pend, x), pend)
+            x = x - dot(dot(kept, x), kept)
+            res = math.sqrt(dot(x, x))
             if res > limits[i]:
                 np.divide(x, res, out=out[k])
                 k, run = k + 1, 0
+                pend, kept = out[applied:k], q[: b + k]
             else:
                 run += 1
             if k - applied == _PANEL or (run == _DROP_RUN and k > applied):

@@ -38,8 +38,8 @@ def test_the_block_states_read_their_verdicts_against_the_blocks():
 _WARM_SIZES = {
     "lie_generate": (8, 12, 16, 24),
     "jordan_generate_three": (8, 12, 16, 24),
-    "lie_generate_blocks": (16, 24),
-    "jordan_generate_three_blocks": (16, 24),
+    "lie_generate_blocks": (8, 16, 24),
+    "jordan_generate_three_blocks": (8, 16, 24),
     "centralizer": (8, 12, 16, 24),
     "centralizer_blocks": (16, 24),
     "centralizer_sub": (12, 16),

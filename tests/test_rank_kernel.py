@@ -26,6 +26,7 @@ from helpers import (
 )
 from ljlab import (
     ValidationError,
+    centralizer,
     close_under,
     commutator_defect,
     derived_algebra,
@@ -240,25 +241,26 @@ def test_extend_equals_its_pinned_copy_when_a_sweep_moves_an_undropped_block():
     assert got.tobytes() == pinned_extend(basis, cand).tobytes()
 
 
-def _pinning(monkeypatch) -> list[int]:
-    """Patch ``_extend`` to compare every call with ``pinned_extend``; returns each call's basis size."""
-    bases: list[int] = []
+def _pinning(monkeypatch) -> list[tuple[int, np.ndarray]]:
+    """Patch ``_extend`` to compare every call with ``pinned_extend``; returns each call's basis size and candidates."""
+    calls: list[tuple[int, np.ndarray]] = []
     original = subspace_mod._extend
 
     def compared(basis, cand):
+        cand = np.array(cand)
         got = original(basis, cand)
-        assert got.tobytes() == pinned_extend(basis, np.array(cand)).tobytes()
-        bases.append(len(basis))
+        assert got.tobytes() == pinned_extend(basis, cand).tobytes()
+        calls.append((len(basis), cand))
         return got
 
     monkeypatch.setattr(subspace_mod, "_extend", compared)
-    return bases
+    return calls
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_extend_equals_its_pinned_copy_on_closure_round_blocks(monkeypatch, n):
     """Every product block of the closure rounds, ranked against a non-empty basis, and the ad walk."""
-    bases = _pinning(monkeypatch)
+    calls = _pinning(monkeypatch)
     a, b = random_hermitian(n, seed=700 + n), random_hermitian(n, seed=800 + n)
     L = lie_generate(traceless(a), traceless(b)).closure
     jordan_generate_three(a, b)
@@ -266,7 +268,55 @@ def test_extend_equals_its_pinned_copy_on_closure_round_blocks(monkeypatch, n):
     assert is_closed_under(span([traceless(a), traceless(b)]), lie) is False
     # su(n) is at its bound, where the walk forms no bracket; u(n/2) + u(n/2) is not
     derived_algebra(conjugated(block_algebra((n // 2, n // 2)), random_unitary(n, np.random.default_rng(n))))
-    assert sum(1 for size in bases if size > 0) >= 10
+    assert sum(1 for size, _ in calls if size > 0) >= 10
+
+
+def test_extend_equals_its_pinned_copy_on_certificate_rows(monkeypatch):
+    """Passing certificates: ``_generated``'s Krylov steps and the rows left beside K, all in L's coordinates.
+
+    Under ``jordan`` on conjugated u(4)+u(4) the two generic elements generate L itself; under ``lie``
+    on conjugated u(4)+u(4)+R^3 they generate su(4)+su(4) and a plane of the center, which leaves rows.
+    """
+    calls = _pinning(monkeypatch)
+    u = random_unitary(8, np.random.default_rng(41))
+    L = conjugated(block_algebra((4, 4)), u)
+    assert is_closed_under(L, jordan) is True
+    r = L.dim_span
+    assert r == 32 and any(cand.shape[1] == r for _, cand in calls)
+    assert all(cand.shape[1] in (r, 2 * 8 * 8) for _, cand in calls)
+    calls.clear()
+    M = conjugated(block_algebra((4, 4, 1, 1, 1)), random_unitary(11, np.random.default_rng(42)))
+    assert is_closed_under(M, lie) is True
+    r = M.dim_span
+    left = [(size, cand) for size, cand in calls if cand.shape == (r, r) and np.array_equal(cand, np.eye(r))]
+    assert r == 35 and left and all(0 < size < r for size, _ in left)
+
+
+def test_extend_equals_its_pinned_copy_on_centralizer_constraint_rows(monkeypatch):
+    """``centralizer(L, S)`` with S a proper subalgebra of L: ``_ad_rows``' walk over S, then its complement."""
+    calls = _pinning(monkeypatch)
+    u = random_unitary(8, np.random.default_rng(43))
+    L = conjugated(block_algebra((4, 4)), u)
+    S = span([u @ m @ u.conj().T for m in _block_pair(8, 44)] + [L.basis[j] for j in (3, 17, 30)])
+    Z = centralizer(L, S)
+    r = L.dim_span
+    assert Z.dim_span == 2 and S.dim_span == 5
+    assert len([c for _, c in calls if c.shape[1] == r]) >= 2
+    for z in Z.basis:
+        assert max(float(np.abs(z @ s - s @ z).max()) for s in S.basis) < 1e-12
+
+
+def test_extend_equals_its_pinned_copy_on_a_span_at_n16(monkeypatch):
+    """Rows of 512 floats: full-panel updates, drop runs and the rank bound of Herm(16)."""
+    calls = _pinning(monkeypatch)
+    mats = [random_hermitian(16, seed=4600 + j) for j in range(240)]
+    rng = np.random.default_rng(46)
+    for j in range(40):  # exactly dependent rows inside and after the independent ones
+        c = rng.standard_normal(5)
+        mats.insert(60 + 5 * j, sum(x * m for x, m in zip(c, mats[j : j + 5])))
+    mats += [random_hermitian(16, seed=4900 + j) for j in range(30)]
+    s = span(mats)
+    assert s.dim_span == 256 and [c.shape for _, c in calls] == [(310, 512)]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
