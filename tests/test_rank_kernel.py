@@ -293,7 +293,7 @@ def test_extend_equals_its_pinned_copy_on_certificate_rows(monkeypatch):
 
 
 def test_extend_equals_its_pinned_copy_on_centralizer_constraint_rows(monkeypatch):
-    """``centralizer(L, S)`` with S a proper subalgebra of L: ``_ad_rows``' walk over S, then its complement."""
+    """``centralizer(L, S)`` with S a 5-dimensional subspace of L: ``_ad_rows``' walk over S, then its complement."""
     calls = _pinning(monkeypatch)
     u = random_unitary(8, np.random.default_rng(43))
     L = conjugated(block_algebra((4, 4)), u)
@@ -311,7 +311,7 @@ def test_extend_equals_its_pinned_copy_on_a_span_at_n16(monkeypatch):
     calls = _pinning(monkeypatch)
     mats = [random_hermitian(16, seed=4600 + j) for j in range(240)]
     rng = np.random.default_rng(46)
-    for j in range(40):  # exactly dependent rows inside and after the independent ones
+    for j in range(40):  # exactly dependent rows among the independent ones; the last 30 lie past the rank
         c = rng.standard_normal(5)
         mats.insert(60 + 5 * j, sum(x * m for x, m in zip(c, mats[j : j + 5])))
     mats += [random_hermitian(16, seed=4900 + j) for j in range(30)]
