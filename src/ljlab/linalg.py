@@ -147,26 +147,27 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def _screened_opnorm(x: np.ndarray, floor: float, norm=None) -> np.ndarray:
-    """``norm`` (``_opnorm`` if None) of each matrix in an (..., n, n) stack that can reach floor, 0.0 for the rest.
+def _screened_opnorm(x: np.ndarray, floor, norm=None) -> np.ndarray:
+    """``norm`` (``_opnorm`` if None) of each matrix in an (..., n, n) stack that can reach its floor, 0.0 for the rest.
 
-    ``||X||_2 <= ||X||_HS``, so a matrix whose HS norm times ``1 +
-    _NORM_SLACK`` is below floor has an operator norm below floor, and gets
+    ``floor`` is one number or an array of the stack's lead shape, one floor a
+    matrix. ``||X||_2 <= ||X||_HS``, so a matrix whose HS norm times ``1 +
+    _NORM_SLACK`` is below its floor has an operator norm below it, and gets
     no norm call. The others take one ``norm`` call, whose values are the
-    whole stack's bit for bit. A floor below ``_SQUARES_FLOOR`` takes the
-    whole-stack ``norm``, and a stack with a non-finite HS norm the
-    whole-stack ``_opnorm``, so a NaN or an inf still reaches the SVD.
+    whole stack's bit for bit. A floor below ``_SQUARES_FLOOR`` takes its
+    matrix's norm, and a stack with a non-finite HS norm the whole-stack
+    ``_opnorm``, so a NaN or an inf still reaches the SVD.
     """
     norm = norm or _opnorm
     if x.size == 0:
         return norm(x)
     flat = x.reshape(-1, *x.shape[-2:])
     hs = _row_norms(_rows(flat))
-    finite = np.isfinite(hs).all()
-    if not (finite and floor >= _SQUARES_FLOOR):
-        return norm(x) if finite else _opnorm(x)
+    if not np.isfinite(hs).all():
+        return _opnorm(x)
+    floor = np.broadcast_to(floor, x.shape[:-2]).ravel()
     out = np.zeros(len(flat))
-    keep = np.flatnonzero(hs * (1 + _NORM_SLACK) >= floor)
+    keep = np.flatnonzero(~(floor >= _SQUARES_FLOOR) | (hs * (1 + _NORM_SLACK) >= floor))
     if len(keep):
         out[keep] = norm(flat[keep])
     return out.reshape(x.shape[:-2])

@@ -20,7 +20,9 @@ random trials. A formula takes an evaluator of its operands, which forms
 each matrix product once per stack, so the five identities share their
 products: ``_Products`` (two matmuls a pair, SVD norms) for ``check_*``,
 ``_HermitianProducts`` (one matmul, eigenvalue norms) for ``verify``'s
-exactly Hermitian trials. The tests require a stacked result to be
+exactly Hermitian trials, two norm calls a stack: the norms its screens
+need, then only those that can still move a residual or a verdict, by
+bounds widened by ``_NORM_SLACK``. The tests require a stacked result to be
 bit-equal, slice by slice, to the same call on single matrices.
 
 Only the public products check their input; the package's own callers,
@@ -39,6 +41,7 @@ from .errors import DimensionMismatch, NotInSpan
 from .linalg import (
     DEFAULT_TOL,
     _ENTRY_LIMIT,
+    _NORM_SLACK,
     Tolerance,
     _complex_draws,
     _hermitian_opnorm,
@@ -174,20 +177,23 @@ class _Products:
         self.a, self.b, self.c = a, b, c
         self._formed: dict[tuple, tuple] = {}
 
-    def _once(self, kind: str, x: np.ndarray, y: np.ndarray, form) -> np.ndarray:
-        key = (kind, id(x), id(y))
+    def _once(self, product, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        key = (product, id(x), id(y))
         if key not in self._formed:
-            self._formed[key] = (x, y, form())
+            self._formed[key] = (x, y, x @ y if product is None else self._form(x, y, product))
         return self._formed[key][2]
 
+    def _form(self, x: np.ndarray, y: np.ndarray, product) -> np.ndarray:
+        return (_jordan if product is jordan else _lie)(x, y, self.mul)
+
     def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._once("@", x, y, lambda: x @ y)
+        return self._once(None, x, y)
 
     def jordan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._once("o", x, y, lambda: _jordan(x, y, self.mul))
+        return self._once(jordan, x, y)
 
     def lie(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._once("[]", x, y, lambda: _lie(x, y, self.mul))
+        return self._once(lie, x, y)
 
     norm = staticmethod(_opnorm)
 
@@ -195,11 +201,8 @@ class _Products:
 class _HermitianProducts(_Products):
     """``_Products`` of exactly Hermitian operands, whose products and defects are too: one matmul a pair."""
 
-    def jordan(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._once("o", x, y, lambda: _products(x, y, jordan, self.mul))
-
-    def lie(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self._once("[]", x, y, lambda: _products(x, y, lie, self.mul))
+    def _form(self, x: np.ndarray, y: np.ndarray, product) -> np.ndarray:
+        return _products(x, y, product, self.mul)
 
     norm = staticmethod(_hermitian_opnorm)
 
@@ -253,17 +256,16 @@ def _cube_scale(na, nb):
     return cube * nb
 
 
-def _norm_axioms(p, na, nb):
-    a, b = p.a, p.b
-    sq_a = p.jordan(a, a)
-    # one norm call on the stack [a o b, a^2, a^2 + b^2]
-    n_ab, n_sq_a, n_sum = p.norm(np.stack((p.jordan(a, b), sq_a, sq_a + p.jordan(b, b))))
-    v_sub = n_ab - na * nb
+def _norm_axioms(p):
+    sq_a = p.jordan(p.a, p.a)
+    return p.jordan(p.a, p.b), sq_a, sq_a + p.jordan(p.b, p.b)
+
+
+def _axioms_residual(n_ab, n_sq_a, n_sum, na, nb):
+    """norm-axioms' residual, max(v_sub, v_square, v_dominance), and scale from the norms of its matrices, a and b."""
     v_square = np.abs(n_sq_a - na * na)
-    v_dominance = n_sq_a - n_sum
-    residual = np.maximum(np.maximum(v_sub, v_square), v_dominance)
-    scale = np.maximum(np.maximum(na * nb, na * na), nb * nb)
-    return residual, scale
+    residual = np.maximum(np.maximum(n_ab - na * nb, v_square), n_sq_a - n_sum)
+    return residual, np.maximum(np.maximum(na * nb, na * na), nb * nb)
 
 
 #: The identities in ``ljlab verify``'s report order: report name, formula,
@@ -283,7 +285,7 @@ def _residual_and_scale(row: int, operands, norms) -> tuple:
     _, formula, scale, _ = _IDENTITIES[row]
     p = _Products(*operands)
     if scale is None:
-        return formula(p, *norms)
+        return _axioms_residual(*_opnorm(np.stack(formula(p))), *norms)
     return _opnorm(formula(p)), scale(*norms)
 
 
@@ -311,7 +313,8 @@ def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> 
     Trial t's operands a, b, c are the Hermitian parts of its ``(3, 2, n, n)`` draw of
     ``_trial_normals``: slot j's real slice plus 1j times its imaginary slice, exactly Hermitian
     (``_HermitianProducts``). A defect's residual is its operator norm, passing at or below
-    ``tol.threshold`` of its norm scale; a NaN residual makes the maximum NaN and fails.
+    ``tol.threshold`` of its norm scale; a NaN residual makes the maximum NaN and fails. A norm
+    skipped by the screens (call 2) leaves every residual, maximum and verdict bit for bit.
     """
     worst = np.full(len(_IDENTITIES), -np.inf)
     passed = [True] * len(_IDENTITIES)
@@ -319,28 +322,40 @@ def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> 
         # (3, trials, n, n): slot-major, so each operand is one contiguous stack
         abc = _hermitian_part(np.ascontiguousarray(_complex_draws(z).swapaxes(0, 1)))
         p = _HermitianProducts(*abc)  # every identity's products, each formed once
-        norms_ab = p.norm(abc[:2])
-        defects = {}
-        for i, (_, formula, scale, _) in enumerate(_IDENTITIES):
-            if scale is not None:
-                defects[i] = formula(p)
-                continue
-            # norm-axioms: a difference of norms, each taken exactly
-            residual, s = formula(p, *norms_ab)
+        m = len(abc[0])
+        mats = [formula(p) for _, formula, _, _ in _IDENTITIES]
+        # norm call 1, exact: a, b, a^2 and each defect identity's matrix of largest HS norm
+        firsts = [x[1] if r[2] is None else x[None, _row_norms(_rows(x)).argmax()] for x, r in zip(mats, _IDENTITIES)]
+        split = np.cumsum([m, m, *map(len, firsts)])[:-1]
+        na, nb, *exact = np.split(p.norm(np.concatenate((*abc[:2], *firsts))), split)
+        # norm call 2, screened: each matrix whose exact norm can still change a residual or a verdict
+        stacks, floors = [], []
+        for x, e, (_, _, scale, _) in zip(mats, exact, _IDENTITIES):
+            if scale is None:
+                # v_sub can exceed v_square only where a o b's HS norm reaches ||a|| ||b|| + v_square, v_dominance
+                # only where ||a^2|| - v_square exceeds a^2 + b^2's largest diagonal entry, a lower bound of its norm
+                v_square = np.abs(e - na * na)
+                low = np.einsum("...ii->...i", x[2]).real.max(axis=-1) * (1 - _NORM_SLACK)
+                stacks += [x[0], x[2]]
+                floors += [na * nb + v_square, np.where(e - low <= v_square, np.inf, 0.0)]
+            else:
+                # a residual can reach the maximum, which is at least the norm of the largest HS norm's
+                # defect, or exceed zero_tol, below which it passes at any scale
+                stacks.append(x)
+                floors.append(np.full(m, min(e[0], tol.zero_tol)))
+        rows = iter(zip(_screened_opnorm(np.stack(stacks), np.stack(floors), p.norm), floors))
+        for i, (e, (_, _, scale, arity)) in enumerate(zip(exact, _IDENTITIES)):
+            if scale is None:
+                # a skipped a o b reads 0.0, a skipped a^2 + b^2 its floor, inf: their terms stay below v_square
+                (n_ab, _), (n_sum, inf) = next(rows), next(rows)
+                residual, s = _axioms_residual(n_ab, e, np.maximum(n_sum, inf), na, nb)
+            else:
+                (residual, _), s = next(rows), None
             # like residual.max() over all trials, np.maximum propagates a NaN
-            worst[i] = np.maximum(worst[i], residual.max())
-            passed[i] = passed[i] and bool(np.all(residual <= tol.threshold(s)))
-        # each defect identity's matrix of largest HS norm, all in one norm call
-        tops = p.norm(np.stack([x[np.argmax(_row_norms(_rows(x)))] for x in defects.values()]))
-        for (i, defect), top in zip(defects.items(), tops):
-            _, _, scale, arity = _IDENTITIES[i]
-            # exact wherever a residual can reach the maximum, which is at least top, the norm of the
-            # largest HS norm's defect, or exceed zero_tol, below which it passes at any scale
-            residual = _screened_opnorm(defect, min(top, tol.zero_tol), p.norm)
             worst[i] = np.maximum(worst[i], residual.max())
             t = np.flatnonzero(~(residual <= tol.zero_tol))
             if len(t):
-                s = scale(*(*norms_ab[:, t], p.norm(abc[2, t]))[:arity])
+                s = scale(*(na[t], nb[t], p.norm(abc[2, t]))[:arity]) if s is None else s[t]
                 passed[i] = passed[i] and bool(np.all(residual[t] <= tol.threshold(s)))
     return [(name, float(worst[i]), passed[i]) for i, (name, *_) in enumerate(_IDENTITIES)]
 

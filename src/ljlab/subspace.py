@@ -143,7 +143,8 @@ class RealSubspace:
     ``_transposed`` (r, n^2) holds each element transposed, read-only,
     built once per object for the pair table of ``classify``. Immutability
     makes ``_memo`` sound: it holds closedness verdicts keyed by the product
-    (``jordan``, ``lie``) and the derived algebra by ``"derived"``.
+    (``jordan``, ``lie``), the derived algebra by ``"derived"`` and the
+    ``is_commutative`` verdict by ``"commutative"``.
     """
 
     dim_ambient: int
@@ -867,13 +868,15 @@ def is_commutative(L: RealSubspace) -> bool:
     """Whether all brackets vanish on L. Requires closure under both products.
 
     ``commutator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
-    block of bracket norms above the floor.
+    block of bracket norms above the floor, once per object (``_memo``).
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, jordan)
     require_closed(L, lie)
-    screen = _running_screen(_DEFECT_FLOOR)
-    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
+    if "commutative" not in L._memo:
+        screen = _running_screen(_DEFECT_FLOOR)
+        L._memo["commutative"] = all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
+    return L._memo["commutative"]
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:

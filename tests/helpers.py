@@ -750,12 +750,13 @@ def _hermitian_trial(a, b, c) -> tuple[tuple[str, float, float], ...]:
 
 
 def loop_verify_checks(
-    dims: tuple[int, ...], trials: int, seed: int, tol: Tolerance = DEFAULT_TOL
+    dims: tuple[int, ...], trials: int, seed: int, tol: Tolerance = DEFAULT_TOL, operands=None
 ) -> list[dict]:
     """The ``checks`` list of a ``verify`` report, one trial and one identity at a time.
 
     The loop draws a dimension's trials in order from one generator, as
     ``verify`` does, and judges each residual at ``_loop_threshold``.
+    ``operands``, if given, maps each trial's a, b and c before they are judged.
     """
     checks = []
     for d, n in enumerate(dims):
@@ -765,7 +766,7 @@ def loop_verify_checks(
         rng = np.random.default_rng(derive_seed(seed, d * trials))
         for _ in range(trials):
             abc = tuple(random_hermitian(n, rng) for _ in range(3))
-            for name, residual, scale in _hermitian_trial(*abc):
+            for name, residual, scale in _hermitian_trial(*(operands(*abc) if operands else abc)):
                 worst[name] = max(worst.get(name, 0.0), residual)
                 ok[name] = ok.get(name, True) and residual <= _loop_threshold(tol, scale)
         checks += [{"name": name, "dim": n, "max_residual": worst[name], "passed": ok[name]} for name in worst]

@@ -129,6 +129,46 @@ def test_verify_across_an_operand_stack_boundary_equals_per_trial_loop_bit_for_b
     assert all_passed == all(c["passed"] for c in ref)
 
 
+def _doubled_b(a, b, c):
+    # a o b = 2 a^2 and ||b|| = 2 ||a||, exactly: v_sub = 2 (||a^2|| - ||a||^2) exceeds v_square wherever it is positive
+    return a, 2.0 * a, c
+
+
+def _diagonal_a(a, b, c):
+    # a diagonal, so v_square = 0, and b 2^-27 times smaller: b^2 moves a^2's entries by about an ulp, and the
+    # computed ||a^2 + b^2|| falls below ||a^2|| and below its own largest diagonal entry in many trials
+    return a * np.eye(a.shape[-1]), 2.0**-27 * b, c
+
+
+def _axiom_terms(n: int, trials: int, seed: int, operands) -> np.ndarray:
+    """(v_sub, v_square, v_dominance) of each trial of ``verify --dim n``, its operands mapped by ``operands``."""
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    terms = []
+    for _ in range(trials):
+        a, b, _ = operands(*(random_hermitian(n, rng) for _ in range(3)))
+        norm = lambda x: np.abs(np.linalg.eigvalsh(x)).max()  # noqa: E731
+        sq_a, sq_b = products._products(a, a, products.jordan), products._products(b, b, products.jordan)
+        ab = products._products(a, b, products.jordan)
+        terms.append((norm(ab) - norm(a) * norm(b), abs(norm(sq_a) - norm(a) ** 2), norm(sq_a) - norm(sq_a + sq_b)))
+    return np.array(terms)
+
+
+@pytest.mark.parametrize("operands, term", [(_doubled_b, 0), (_diagonal_a, 2)], ids=["v_sub", "v_dominance"])
+def test_verify_bit_for_bit_where_a_screened_norm_sets_the_norm_axioms_residual(operands, term, monkeypatch):
+    # the screen skips a o b or a^2 + b^2 only where its term cannot exceed v_square; here that term sets maxima
+    monkeypatch.setattr(products, "_hermitian_part", lambda g: np.stack(operands(*linalg._hermitian_part(g))))
+    set_by_term = 0
+    for n in SWEEP_DIMS:
+        for seed in range(6):
+            checks, _, _ = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=seed))
+            ref = loop_verify_checks((n,), 25, seed, operands=operands)
+            assert _fields(checks) == _fields(ref), (n, seed)
+            terms = _axiom_terms(n, 25, seed, operands)
+            top = terms[np.argmax(terms.max(axis=1))]
+            set_by_term += bool(top[term] > np.delete(top, term).max())
+    assert set_by_term >= 5, set_by_term
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_norm_does(bad, monkeypatch):
     # the screen must not hide a non-finite defect: the maximum is NaN and the check fails, or the
@@ -172,15 +212,16 @@ def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
 
 
 def test_verify_takes_a_norm_only_of_defects_that_can_reach_the_maximum(monkeypatch):
-    # 4 defect identities x 25 trials: before the screen, 100 defect norms per dimension; the evaluator's own
-    # norms are a's and b's, norm-axioms' three a trial and the four largest HS norms' defects, so no defect
-    # skips the screen. Each is the eigenvalue norm of the Hermitian evaluator: verify takes no SVD
-    norms = {"screened": 0, "direct": 0, "svd": 0}
+    # 25 trials make one stack, judged in two eigenvalue-norm calls. The first takes a's and b's norms, a^2's and
+    # the four largest HS norms' defects directly; the second, through the screen, only those of a o b, a^2 + b^2
+    # and the four defects (150 matrices) whose norm can still move a residual. Verify takes no SVD
+    norms = {"screened": 0, "direct": 0, "svd": 0, "calls": 0}
     eigen, screened, opnorm = linalg._hermitian_opnorm, products._screened_opnorm, linalg._opnorm
     inside = []
 
     def counted(x):
         norms["screened" if inside else "direct"] += int(np.prod(x.shape[:-2]))
+        norms["calls"] += 1
         return eigen(x)
 
     def screen(x, floor, norm=None):
@@ -199,11 +240,12 @@ def test_verify_takes_a_norm_only_of_defects_that_can_reach_the_maximum(monkeypa
     monkeypatch.setattr(products, "_opnorm", svd)
     monkeypatch.setattr(linalg, "_opnorm", svd)
     for n in SWEEP_DIMS:
-        norms.update(screened=0, direct=0, svd=0)
+        norms.update(screened=0, direct=0, svd=0, calls=0)
         checks, _, _ = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=3))
         assert all(c["passed"] for c in checks)
-        assert 4 <= norms["screened"] <= 40, (n, norms)
-        assert norms["direct"] == 2 * 25 + 3 * 25 + 4, (n, norms)
+        assert norms["calls"] == 2, (n, norms)
+        assert 4 <= norms["screened"] <= 60, (n, norms)
+        assert norms["direct"] == 2 * 25 + 25 + 4, (n, norms)
         assert norms["svd"] == 0, (n, norms)
 
 

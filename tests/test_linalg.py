@@ -658,6 +658,26 @@ def test_screened_opnorm_keeps_rank_one_matrices_at_their_own_norm(n):
     assert _screened_opnorm(x, hs.max() * (1 + 3 * _NORM_SLACK)).tolist() == [0.0] * len(x)
 
 
+def test_screened_opnorm_takes_one_floor_a_matrix_in_one_norm_call(monkeypatch):
+    # each matrix is screened as a call with its own floor would screen it: other matrices' norms, 0.0 (below the
+    # squares floor, so taken) and inf (never taken) as floors, and the lead shape of the stack kept
+    rng = np.random.default_rng(700)
+    x = (10.0 ** rng.uniform(-3, 3, size=40))[:, None, None] * np.stack([random_hermitian(3, seed=s) for s in range(40)])
+    ref = _opnorm(x)
+    floors = np.concatenate((rng.permutation(ref)[:30], np.zeros(5), np.full(5, np.inf)))
+    want = np.array([_screened_opnorm(x[t : t + 1], floors[t])[0] for t in range(len(x))])
+    calls = []
+
+    def counted(m):
+        calls.append(len(m))
+        return _opnorm(m)
+
+    monkeypatch.setattr(ljlab.linalg, "_opnorm", counted)
+    assert _screened_opnorm(x, floors).tobytes() == want.tobytes()
+    assert _screened_opnorm(x.reshape(4, 10, 3, 3), floors.reshape(4, 10)).tobytes() == want.tobytes()
+    assert len(calls) == 2 and np.all(want[30:35] == ref[30:35]) and not want[35:].any()
+
+
 def test_screened_opnorm_of_zero_and_empty_stacks():
     zeros = np.zeros((5, 3, 3), dtype=complex)
     for floor in (0.0, 1e-300, 1.0):

@@ -339,11 +339,8 @@ def test_one_stack_forms_each_matrix_product_of_the_five_identities_once(n):
     a, b, c = (_stack(n, 25, 30 * n + k) for k in range(3))
     p = _Products(*(m.view(_Matmuls) for m in (a, b, c)))
     _Matmuls.count = 0
-    for _, formula, scale, _ in _IDENTITIES:
-        if scale is None:
-            formula(p, _opnorm(a), _opnorm(b))
-        else:
-            formula(p)
+    for _, formula, _, _ in _IDENTITIES:
+        formula(p)
     assert _Matmuls.count == 26  # at most 32, the operand products alone formed once
     # a second pass over the same stack forms nothing new
     for _, formula, scale, _ in _IDENTITIES[:4]:
@@ -352,11 +349,8 @@ def test_one_stack_forms_each_matrix_product_of_the_five_identities_once(n):
 
 
 def _evaluate(p):
-    """Every identity of ``_IDENTITIES`` on the evaluator p: the defects, and norm-axioms' own values."""
-    return [
-        formula(p, p.norm(p.a), p.norm(p.b)) if scale is None else formula(p)
-        for _, formula, scale, _ in _IDENTITIES
-    ]
+    """Every identity of ``_IDENTITIES`` on the evaluator p: the defects, and norm-axioms' three matrices."""
+    return [formula(p) for _, formula, _, _ in _IDENTITIES]
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])
@@ -384,11 +378,10 @@ def test_hermitian_evaluator_returns_exactly_hermitian_products_and_defects(n):
     a, b, c = (_stack(n, 25, 50 * n + k) for k in range(3))
     assert all(_exactly_hermitian(m) for m in (a, b, c))
     p = _HermitianProducts(a, b, c)
-    *defects, _ = _evaluate(p)
-    sq_a, sq_b = p.jordan(a, a), p.jordan(b, b)
-    products = [v for (kind, _, _), (_, _, v) in p._formed.items() if kind != "@"]
+    *defects, axioms = _evaluate(p)
+    products = [v for (kind, _, _), (_, _, v) in p._formed.items() if kind is not None]
     assert len(products) == 21  # 12 Jordan and 9 Lie products
-    for x in (*products, *defects, sq_a + sq_b):
+    for x in (*products, *defects, *axioms):
         assert _exactly_hermitian(x)
 
 
