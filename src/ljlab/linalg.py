@@ -165,9 +165,9 @@ def _screened_opnorm(x: np.ndarray, floor, norm=None) -> np.ndarray:
     hs = _row_norms(_rows(flat))
     if not np.isfinite(hs).all():
         return _opnorm(x)
-    floor = np.broadcast_to(floor, x.shape[:-2]).ravel()
+    floor = np.ravel(floor)
     out = np.zeros(len(flat))
-    keep = np.flatnonzero(~(floor >= _SQUARES_FLOOR) | (hs * (1 + _NORM_SLACK) >= floor))
+    keep = np.flatnonzero((hs * (1 + _NORM_SLACK) >= floor) | ~(floor >= _SQUARES_FLOOR))
     if len(keep):
         out[keep] = norm(flat[keep])
     return out.reshape(x.shape[:-2])
