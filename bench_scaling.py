@@ -221,9 +221,14 @@ def derived_algebra_lie_blocks(ljlab, n: int):
 
 
 def is_jordan_associative(ljlab, n: int):
-    """``is_jordan_associative`` of the full algebra; False."""
+    """``is_jordan_associative`` of the full algebra, its bracket pass each call (the verdict's memo dropped); False."""
     L = ljlab.full_hermitian_space(n)
-    return lambda: ljlab.is_jordan_associative(L), False
+
+    def call():
+        L._memo.pop("commutative", None)
+        return ljlab.is_jordan_associative(L)
+
+    return call, False
 
 
 def function_representation(ljlab, n: int):

@@ -142,13 +142,15 @@ def _diagonal_a(a, b, c):
 
 def _axiom_terms(n: int, trials: int, seed: int, operands) -> np.ndarray:
     """(v_sub, v_square, v_dominance) of each trial of ``verify --dim n``, its operands mapped by ``operands``."""
+
+    def norm(x):
+        return np.abs(np.linalg.eigvalsh(x)).max()
+
     rng = np.random.default_rng(derive_seed(seed, 0))
     terms = []
     for _ in range(trials):
         a, b, _ = operands(*(random_hermitian(n, rng) for _ in range(3)))
-        norm = lambda x: np.abs(np.linalg.eigvalsh(x)).max()  # noqa: E731
-        sq_a, sq_b = products._products(a, a, products.jordan), products._products(b, b, products.jordan)
-        ab = products._products(a, b, products.jordan)
+        ab, sq_a, sq_b = (products._products(x, y, products.jordan) for x, y in ((a, b), (a, a), (b, b)))
         terms.append((norm(ab) - norm(a) * norm(b), abs(norm(sq_a) - norm(a) ** 2), norm(sq_a) - norm(sq_a + sq_b)))
     return np.array(terms)
 
