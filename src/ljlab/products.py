@@ -322,12 +322,11 @@ def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> 
         # (3, trials, n, n): slot-major, so each operand is one contiguous stack
         abc = _hermitian_part(np.ascontiguousarray(_complex_draws(z).swapaxes(0, 1)))
         p = _HermitianProducts(*abc)  # every identity's products, each formed once
-        m = len(abc[0])
         mats = [formula(p) for _, formula, _, _ in _IDENTITIES]
         # norm call 1, exact: a, b, a^2 and each defect identity's matrix of largest HS norm
         firsts = [x[1] if r[2] is None else x[None, _row_norms(_rows(x)).argmax()] for x, r in zip(mats, _IDENTITIES)]
-        split = np.cumsum([m, m, *map(len, firsts)])[:-1]
-        na, nb, *exact = np.split(p.norm(np.concatenate((*abc[:2], *firsts))), split)
+        heads = (*abc[:2], *firsts)
+        na, nb, *exact = np.split(p.norm(np.concatenate(heads)), np.cumsum([len(h) for h in heads])[:-1])
         # norm call 2, screened: each matrix whose exact norm can still change a residual or a verdict
         stacks, floors = [], []
         for x, e, (_, _, scale, _) in zip(mats, exact, _IDENTITIES):
@@ -342,7 +341,7 @@ def _verify_trials(n: int, seed: int, start: int, stop: int, tol: Tolerance) -> 
                 # a residual can reach the maximum, which is at least the norm of the largest HS norm's
                 # defect, or exceed zero_tol, below which it passes at any scale
                 stacks.append(x)
-                floors.append(np.full(m, min(e[0], tol.zero_tol)))
+                floors.append(np.full(len(x), min(e[0], tol.zero_tol)))
         rows = iter(zip(_screened_opnorm(np.stack(stacks), np.stack(floors), p.norm), floors))
         for i, (e, (_, _, scale, arity)) in enumerate(zip(exact, _IDENTITIES)):
             if scale is None:

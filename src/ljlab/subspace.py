@@ -143,8 +143,7 @@ class RealSubspace:
     ``_transposed`` (r, n^2) holds each element transposed, read-only,
     built once per object for the pair table of ``classify``. Immutability
     makes ``_memo`` sound: it holds closedness verdicts keyed by the product
-    (``jordan``, ``lie``), the derived algebra by ``"derived"`` and the
-    ``is_commutative`` verdict by ``"commutative"``.
+    (``jordan``, ``lie``) and the derived algebra by ``"derived"``.
     """
 
     dim_ambient: int
@@ -868,15 +867,13 @@ def is_commutative(L: RealSubspace) -> bool:
     """Whether all brackets vanish on L. Requires closure under both products.
 
     ``commutator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
-    block of bracket norms above the floor, once per object (``_memo``).
+    block of bracket norms above the floor.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, jordan)
     require_closed(L, lie)
-    if "commutative" not in L._memo:
-        screen = _running_screen(_DEFECT_FLOOR)
-        L._memo["commutative"] = all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
-    return L._memo["commutative"]
+    screen = _running_screen(_DEFECT_FLOOR)
+    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:

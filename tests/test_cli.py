@@ -196,6 +196,25 @@ def test_verify_with_a_non_finite_defect_fails_as_the_whole_stack_norm_does(bad,
     assert checks[0]["passed"] is False and all_passed is False
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_verify_bit_for_bit_beside_a_non_finite_defect(bad, monkeypatch):
+    # one non-finite jacobi defect takes its own stack's SVD (its eigenvalue norm reads NaN, not raising, on an
+    # infinite entry); the other four identities, judged in the same norm calls, keep the per-trial loop's bits
+    def poisoned(p):
+        d = products._jacobi(p)
+        d[1, 0, 0] = bad
+        return d
+
+    identities = products._IDENTITIES
+    monkeypatch.setattr(products, "_IDENTITIES", (("jacobi", poisoned, *identities[0][2:]), *identities[1:]))
+    for n in SWEEP_DIMS:
+        for seed in range(3):
+            checks, _, all_passed = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=seed))
+            ref = loop_verify_checks((n,), 25, seed)
+            assert _fields(checks)[1:] == _fields(ref)[1:], (n, seed)
+            assert np.isnan(checks[0]["max_residual"]) and checks[0]["passed"] is False and all_passed is False
+
+
 def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
     # trial 0 holds the largest defect and passes at its large scale; trial 1's smaller defect fails at
     # scale 1, so the screen must keep every defect above zero_tol, not only those near the maximum
@@ -215,9 +234,9 @@ def test_verify_judges_a_failing_trial_below_a_passing_maximum(monkeypatch):
 
 def test_verify_takes_a_norm_only_of_defects_that_can_reach_the_maximum(monkeypatch):
     # 25 trials make one stack, judged in two eigenvalue-norm calls. The first takes a's and b's norms, a^2's and
-    # the four largest HS norms' defects directly; the second, through the screen, only those of a o b, a^2 + b^2
-    # and the four defects (150 matrices) whose norm can still move a residual. Verify takes no SVD
-    norms = {"screened": 0, "direct": 0, "svd": 0, "calls": 0}
+    # the four largest HS norms' defects directly; the second, through the screen, only those of the four defects
+    # and of a o b and a^2 + b^2 (150 matrices) whose norm can still move a residual. Verify takes no SVD
+    norms = {"defects": 0, "axioms": 0, "screened": 0, "direct": 0, "svd": 0, "calls": 0}
     eigen, screened, opnorm = linalg._hermitian_opnorm, products._screened_opnorm, linalg._opnorm
     inside = []
 
@@ -227,6 +246,11 @@ def test_verify_takes_a_norm_only_of_defects_that_can_reach_the_maximum(monkeypa
         return eigen(x)
 
     def screen(x, floor, norm=None):
+        # each stack's own keep count, screened on its own: the four defects, then a o b and a^2 + b^2
+        for k, (s, f) in enumerate(zip(x, floor)):
+            kept = []
+            screened(s, f, lambda m: kept.append(len(m)) or eigen(m))
+            norms["defects" if k < 4 else "axioms"] += sum(kept)
         inside.append(x)
         try:
             return screened(x, floor, norm)
@@ -242,11 +266,13 @@ def test_verify_takes_a_norm_only_of_defects_that_can_reach_the_maximum(monkeypa
     monkeypatch.setattr(products, "_opnorm", svd)
     monkeypatch.setattr(linalg, "_opnorm", svd)
     for n in SWEEP_DIMS:
-        norms.update(screened=0, direct=0, svd=0, calls=0)
+        norms.update(defects=0, axioms=0, screened=0, direct=0, svd=0, calls=0)
         checks, _, _ = cmd_verify(SessionConfig(command="verify", dim=n, trials=25, seed=3))
         assert all(c["passed"] for c in checks)
         assert norms["calls"] == 2, (n, norms)
-        assert 4 <= norms["screened"] <= 60, (n, norms)
+        assert norms["defects"] + norms["axioms"] == norms["screened"], (n, norms)
+        assert 4 <= norms["defects"] <= 40, (n, norms)
+        assert norms["axioms"] <= 20, (n, norms)  # of 50: the two bounds skip most of a o b and a^2 + b^2
         assert norms["direct"] == 2 * 25 + 25 + 4, (n, norms)
         assert norms["svd"] == 0, (n, norms)
 

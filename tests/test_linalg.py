@@ -728,6 +728,12 @@ def test_screened_opnorm_of_a_non_finite_matrix_takes_the_whole_stack(bad, monke
         calls.clear()
         assert _outcome(_screened_opnorm, x, floor) == whole
         assert calls == [x.shape]
+    # in a stack of stacks only x's own stack takes the SVD; the clean one is screened as on its own
+    clean = np.stack([random_hermitian(3, seed=10 + s) for s in range(6)]).astype(complex)
+    floors = np.stack((np.zeros(6), np.r_[np.zeros(3), np.full(3, 1e300)]))
+    for y, f in (((x, clean), floors), ((clean, x), floors[::-1])):
+        want = _outcome(lambda: np.stack([_opnorm(m) if m is x else _screened_opnorm(m, g) for m, g in zip(y, f)]))
+        assert _outcome(_screened_opnorm, np.stack(y), f) == want
     # the maximum propagates the NaN, or raises as the whole-stack SVD does
     got = _outcome(_max_opnorm, x)
     ref = _outcome(lambda m: _opnorm(m).max(), x)

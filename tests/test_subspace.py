@@ -536,20 +536,6 @@ def test_commutative_iff_jordan_associative():
     assert not is_jordan_associative(full)
 
 
-def test_commutativity_verdict_is_formed_once_per_object(monkeypatch):
-    # the first query runs the bracket pass; is_jordan_associative and function_representation reuse its verdict
-    algs = [commutative_algebra(3, seed=0), full_hermitian_space(2)]
-    passes = _count_calls(monkeypatch, "_brackets")
-    assert [is_commutative(L) for L in algs] == [True, False] and passes[0] == 2
-    assert [is_jordan_associative(L) for L in algs] == [True, False]
-    first = function_representation(algs[0])
-    assert function_representation(algs[0]).points.tobytes() == first.points.tobytes()
-    with pytest.raises(NotAssociative):
-        function_representation(algs[1])
-    assert passes[0] == 2
-    assert [L._memo["commutative"] for L in algs] == [True, False]
-
-
 def test_defect_certificates_are_reproducible():
     full = full_hermitian_space(2)
     cres, cpair = commutator_defect(full)
