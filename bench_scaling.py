@@ -15,6 +15,8 @@ which must pass all 25 checks; ``classify`` of each of ``STATES`` against
 the full algebra at each n of ``SIZES`` (warm too, by its builder), whose
 verdict must be the commutator criterion's, True for I/n; and ``classify``
 of each of ``block_states`` against ``blocks`` at n = 16 and 24.
+``cli_start`` rows time the same cold processes for each command of
+``cli_start`` at its smallest input, whose report must pass its check.
 
 Times are at reference speed: each interval is scaled by the probe of
 ``perfbench/speed.py``, sampled just before and after it. Every process a
@@ -272,6 +274,26 @@ def classify_full_algebra(ljlab, n: int, state: str):
     return lambda: ljlab.classify(s, L).classical, ljlab.is_classical_commutator(s, L).classical
 
 
+def cli_start(work: str) -> dict:
+    """Each command at its smallest input, as ``ljlab`` arguments, and a check its report must pass.
+
+    classify takes I/2 against the full algebra, repr a diagonal 2x2 algebra; their files are written into ``work``.
+    """
+    half, diag = f"{work}/half.json", f"{work}/diag2.json"
+    Path(half).write_text(json.dumps(matrix(np.eye(2) / 2)))
+    Path(diag).write_text(json.dumps({"dim": 2, "matrices": [matrix(np.diag(e)) for e in np.eye(2)]}))
+    return {
+        "verify": (["verify", "--dim", "2", "--trials", "1"], lambda r: r["summary"]["all_passed"]),
+        "witness": (["witness", "--kind", "avr", "--dim", "2"], lambda r: r["summary"]["found"]),
+        "generate": (
+            ["generate", "--mode", "lie2", "--dim", "3", "--trials", "1"],
+            lambda r: r["summary"]["all_generated"],
+        ),
+        "classify": (["classify", "--in", half], lambda r: r["summary"]["classical"]),
+        "repr": (["repr", "--algebra", diag], lambda r: r["summary"]["num_points"] == 2),
+    }
+
+
 #: Each warm row's builder, its sizes, and the row keys of its result and of that result's check.
 WARM = {
     lie_generate: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
@@ -297,7 +319,7 @@ WARM = {
     classify_wishart: ((3, 4, 8), "classical", "verdict_ok"),
     classify_block_scalar: ((4,), "classical", "verdict_ok"),
 }
-NAMES = [*(builder.__name__ for builder in WARM), "verify", "classify_full_algebra", "classify_blocks"]
+NAMES = [*(builder.__name__ for builder in WARM), "verify", "classify_full_algebra", "classify_blocks", "cli_start"]
 
 
 def spread(times: list[float], good: bool) -> dict:
@@ -458,6 +480,9 @@ def main() -> None:
                     Path(path).write_text(json.dumps(matrix(rho)))
                     cold = cold_runs(tree, ["classify", "--in", path, "--algebra", algebra], probe)
                     post(row("classify_blocks", "cold", {"n": n, "state": state}, "classical", want, "verdict_ok", cold))
+        for command, (argv, check) in cli_start(work).items() if "cli_start" in taken else ():
+            cold = cold_runs(tree, argv, probe, check)
+            post(row("cli_start", "cold", {"command": command}, "check", True, "check_ok", cold))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"about": ABOUT, "rows": []}
     lines = ",\n".join(json.dumps(r) for r in doc["rows"] + rows)
     args.out.write_text(f'{{"about": {json.dumps(doc["about"])}, "rows": [\n{lines}\n]}}\n')

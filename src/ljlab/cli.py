@@ -10,7 +10,8 @@ goes to stderr only. ``main`` builds every report from five keys:
 ``command``, ``version``, ``config`` (``echo``), and the ``checks`` and
 ``summary`` that the command's ``cmd_*`` returns. Exit codes: 0 success, 1
 a check or search failed, 2 validation or config error, 3 classicality
-criteria disagreement.
+criteria disagreement. Each ``cmd_*`` imports the modules it calls when it
+runs, so ``verify`` and ``witness`` never load ``subspace`` or ``states``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -45,16 +46,9 @@ from .jsonio import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, _require_seed, derive_seed, random_hermitian, traceless
 from .products import _verify_trials
-from .states import State, classify
-from .subspace import (
-    RealSubspace,
-    full_hermitian_space,
-    function_representation,
-    jordan_generate_three,
-    lie_generate,
-    span,
-)
-from .witness import associator_witness_search, avr_witness_search
+
+if TYPE_CHECKING:
+    from .subspace import RealSubspace
 
 __all__ = ["SessionConfig", "build_parser", "main"]
 
@@ -215,11 +209,16 @@ def cmd_verify(cfg: SessionConfig) -> Outcome:
 
 def _load_algebra(path: str) -> RealSubspace:
     """The span of the matrices in a subspace JSON file."""
+    from .subspace import span
+
     _, mats = subspace_from_json(load_json_file(path))
     return span(mats)
 
 
 def cmd_classify(cfg: SessionConfig) -> Outcome:
+    from .states import State, classify
+    from .subspace import full_hermitian_space
+
     state = State(matrix_from_json(load_json_file(cfg.in_path)))
     if cfg.algebra_path is not None:
         algebra = _load_algebra(cfg.algebra_path)
@@ -254,6 +253,8 @@ def cmd_classify(cfg: SessionConfig) -> Outcome:
 
 
 def cmd_witness(cfg: SessionConfig) -> Outcome:
+    from .witness import associator_witness_search, avr_witness_search
+
     n = cfg.dim
     search = avr_witness_search if cfg.kind == "avr" else associator_witness_search
     rep = search(n, cfg.seed, cfg.tol)
@@ -275,6 +276,8 @@ def cmd_generate(cfg: SessionConfig) -> Outcome:
     Random pair t is ``draw(2t)`` and its one retry ``draw(0x10000 + 2t)``;
     a fixed ``--in`` pair is never retried.
     """
+    from .subspace import jordan_generate_three, lie_generate
+
     runner = lie_generate if cfg.mode == "lie2" else jordan_generate_three
 
     def draw(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +322,8 @@ def cmd_generate(cfg: SessionConfig) -> Outcome:
 
 
 def cmd_repr(cfg: SessionConfig) -> Outcome:
+    from .subspace import function_representation
+
     algebra = _load_algebra(cfg.algebra_path)
     try:
         fr = function_representation(algebra)

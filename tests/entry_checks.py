@@ -326,6 +326,50 @@ def check_tol_flag(d: str) -> None:
     assert report["summary"]["found"] is False
 
 
+def command_argvs(d: str) -> dict[str, list[str]]:
+    """Each command at its smallest input, as ``ljlab`` arguments; its input files are written into ``d``."""
+    state = _state(d, "half", [[0.5, 0], [0, 0.5]])
+    diag = _write(d, "diag2", {"dim": 2, "matrices": [_mat([[1, 0], [0, 0]]), _mat([[0, 0], [0, 1]])]})
+    return {
+        "verify": ["verify", "--dim", "2", "--trials", "1"],
+        "witness": ["witness", "--kind", "avr", "--dim", "2"],
+        "generate": ["generate", "--mode", "lie2", "--dim", "3", "--trials", "1"],
+        "classify": ["classify", "--in", state],
+        "repr": ["repr", "--algebra", diag],
+    }
+
+
+_LOADED = (
+    "import contextlib, io, json, sys",
+    "from ljlab import cli",
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+    "    code = cli.main(sys.argv[1:])",
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('ljlab.'))]))",
+)
+
+
+def command_modules(argv: list[str]) -> tuple[list[str], float]:
+    """The ``ljlab.*`` modules a child loads to run ``ljlab.cli.main(argv)``, which must exit 0, and their own import
+    time in ms: the sum of the self times ``python -X importtime`` gives the ``ljlab`` modules."""
+    cmd = [sys.executable, "-X", "importtime", "-c", "\n".join(_LOADED), *argv]
+    child = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    code, modules = json.loads(child.stdout)
+    assert code == 0, (argv, f"exit code {code}")
+    rows = [line.split("|") for line in child.stderr.splitlines() if line.startswith("import time:")]
+    own = sum(int(us.split(":")[1]) for us, _, name in rows if name.strip().split(".")[0] == "ljlab")
+    return modules, own / 1000
+
+
+# each command imports only the modules it calls: verify and witness never load the closure and state modules; the
+# modules and their import time are printed, the time with no bound
+def check_command_imports(d: str) -> None:
+    for name, argv in command_argvs(d).items():
+        modules, ms = command_modules(argv)
+        print(f"    {name}: {ms:.1f} ms importing {', '.join(modules)}")
+        if name in ("verify", "witness"):
+            assert not {"ljlab.subspace", "ljlab.states"} & set(modules), (name, modules)
+
+
 def main() -> int:
     failed = []
     with tempfile.TemporaryDirectory() as d:

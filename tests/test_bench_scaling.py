@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
 
 import ljlab
+from ljlab import cli
 
 _spec = importlib.util.spec_from_file_location("bench_scaling", Path(__file__).parent.parent / "bench_scaling.py")
 bench = importlib.util.module_from_spec(_spec)
@@ -65,6 +69,16 @@ def test_warm_holds_every_row_at_its_sizes():
     assert {builder.__name__: sizes for builder, (sizes, _, _) in bench.WARM.items()} == _WARM_SIZES
 
 
-def test_only_names_every_warm_builder_and_the_three_process_benches():
+def test_only_names_every_warm_builder_and_the_four_process_benches():
     names = [builder.__name__ for builder in bench.WARM]
-    assert bench.NAMES == [*names, "verify", "classify_full_algebra", "classify_blocks"]
+    assert bench.NAMES == [*names, "verify", "classify_full_algebra", "classify_blocks", "cli_start"]
+
+
+def test_each_cli_start_command_passes_its_check(tmp_path):
+    commands = bench.cli_start(str(tmp_path))
+    assert list(commands) == ["verify", "witness", "generate", "classify", "repr"]
+    for argv, check in commands.values():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+        assert check(json.loads(out.getvalue())) is True, argv

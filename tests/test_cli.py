@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import DISAGREEMENTS, SX, SY, disagreement_message, loop_verify_checks, split_state
-from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, linalg, products, random_state
+from ljlab import __version__, cli, full_hermitian_basis, full_hermitian_space, linalg, products, random_state, subspace
 from ljlab import states as states_mod
 from ljlab.cli import SWEEP_DIMS, SessionConfig, build_parser, cmd_verify, main
 from ljlab.jsonio import matrix_to_json, subspace_to_json
@@ -517,12 +517,13 @@ def test_generate_random_pairs():
 
 
 def _failing_runner(monkeypatch, mode: str, fails) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Replace ``mode``'s runner in ``cli`` by one whose k-th call (from 1) fails when ``fails(k)``.
+    """Replace ``mode``'s runner in ``subspace``, where ``cmd_generate`` reads it at call time, by one whose k-th
+    call (from 1) fails when ``fails(k)``.
 
     Returns the list of generator pairs the runner is called with.
     """
     name = "lie_generate" if mode == "lie2" else "jordan_generate_three"
-    real = getattr(cli, name)
+    real = getattr(subspace, name)
     seen: list[tuple[np.ndarray, np.ndarray]] = []
 
     def runner(a, b):
@@ -530,7 +531,7 @@ def _failing_runner(monkeypatch, mode: str, fails) -> list[tuple[np.ndarray, np.
         rep = real(a, b)
         return dataclasses.replace(rep, generated=False) if fails(len(seen)) else rep
 
-    monkeypatch.setattr(cli, name, runner)
+    monkeypatch.setattr(subspace, name, runner)
     return seen
 
 

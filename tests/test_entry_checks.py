@@ -30,6 +30,7 @@ CHECKS = [
     "check_verify_at_many_trials",
     "check_products_reject_an_inf_matrix",
     "check_tol_flag",
+    "check_command_imports",
 ]
 
 

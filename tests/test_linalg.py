@@ -382,10 +382,13 @@ def test_the_boundary_table_holds_every_public_state_and_subspace_argument():
 
 
 def test_the_root_exports_each_modules_public_names():
-    """``ljlab.__all__`` takes each module's list whole, names nothing twice and leaves out no public name."""
-    for module in (ljlab.errors, ljlab.linalg, ljlab.products, ljlab.subspace, ljlab.states, ljlab.witness):
+    """``ljlab.__all__`` takes each module's list whole and in order, names nothing twice and leaves out no public
+    name."""
+    modules = (ljlab.errors, ljlab.linalg, ljlab.products, ljlab.subspace, ljlab.states, ljlab.witness)
+    assert ljlab.__all__ == ["__version__", *(name for module in modules for name in module.__all__)]
+    for module in modules:
         for name in module.__all__:
-            assert name in ljlab.__all__ and getattr(ljlab, name) is getattr(module, name), (module.__name__, name)
+            assert getattr(ljlab, name) is getattr(module, name), (module.__name__, name)
     assert len(set(ljlab.__all__)) == len(ljlab.__all__)
     public = {name for name, obj in vars(ljlab).items() if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public - {"annotations"} <= set(ljlab.__all__)
