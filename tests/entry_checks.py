@@ -3,9 +3,10 @@
 Run ``python3 tests/entry_checks.py`` after ``pip install .``: it takes no
 argument. Each check runs its commands as child processes through ``_run``,
 which reads each child's own peak RSS; a check with a bound holds every
-child to it. Every ``ljlab`` report must be JSON with the envelope's five
-keys. One line is printed per check with its wall time, and the script
-exits 1 naming each failed check.
+child to it. ``check_command_imports`` alone runs its children through
+``command_modules``, which reads their stderr. Every ``ljlab`` report must
+be JSON with the envelope's five keys. One line is printed per check with
+its wall time, and the script exits 1 naming each failed check.
 """
 
 import json
