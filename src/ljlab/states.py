@@ -8,7 +8,8 @@ all applicable ones and raises CriteriaDisagree if they ever split. It
 reports the commutator verdict, so it settles the other two as yes-or-no
 flags and forms their full maxima only to report a split. A flag first
 tries certified bounds: the quantum ones (``_associator_quantum``,
-``_center_quantum``) read only the tensor C and rho's coordinates x
+``_center_quantum``) read only the tensor C (one real matrix product
+against L's rows, ``_bracket_expectations``) and rho's coordinates x
 against L, and the classical ones (``_associator_classical``,
 ``_center_classical``) also the r brackets ``R_j = [rho, e_j]``. All four
 use ``SPAN_RTOL`` as the distance of a basis bracket from the closed L,
@@ -181,21 +182,17 @@ def _ruling(
 
 
 def _bracket_expectations(s: State, L: RealSubspace) -> np.ndarray:
-    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L.
+    """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L, from one real matrix product.
 
-    The pair table ``t[i, j] = Tr(rho e_i e_j)`` is one matrix product:
-    row i holds ``rho e_i`` flattened, column j ``e_j`` transposed (L's
-    ``_transposed``, kept on the object). With
-    ``[a, b] = (i/2)(ab - ba)``, C is ``0.5 (Im t^T - Im t)``, read from
-    the table's imaginary part with no complex temporary: entry for entry
-    ``Re(0.5j (t - t^T))``, up to the sign of an exact zero, which no
-    verdict reads (they read |C| and its row norms).
+    Real rows dot to ``Re Tr(a^H b)``, so the rows of ``i rho e_i`` against
+    ``L.rows`` give ``c[i, j] = -Im Tr(rho e_i e_j)``, and ``0.5 (c - c^T)``
+    is ``Re Tr(rho [e_i, e_j])`` for any rho; for a Hermitian rho, c is C.
+    Antisymmetrizing drops the share of the anti-Hermitian part, up to
+    ``STATE_ATOL``, that ``State`` admits (that share of c is symmetric),
+    and makes C exactly antisymmetric in floating point.
     """
-    e, r, n = L._stacked, L.dim_span, L.dim_ambient
-    t = (s.rho @ e).reshape(r, n * n) @ L._transposed.T
-    c = t.imag.T - t.imag
-    c *= 0.5
-    return c
+    c = _rows(1j * (s.rho @ L._stacked)) @ L.rows.T
+    return 0.5 * (c - c.T)
 
 
 def _exact_values(s: State, L: RealSubspace) -> Iterator[_Block]:
@@ -351,17 +348,19 @@ def _center_quantum(C: np.ndarray, cn: np.ndarray, x1: float, n: int) -> bool:
     eps)^2``, and its other part, at most eps, moves z by at most eps. As
     ``||z||_HS / sqrt(n) <= ||z||_op``, a larger value proves quantum.
 
-    C's roundoff: a computed entry of C is within about ``n^2 u`` of its
-    exact value (u = 2^-53; an inner product of rows of HS norm at most 1),
-    and C's rows and C itself have norm at most 1, so the computed ``C[j*]
-    @ C`` is within about ``3 n^4 u`` of exact, 1.1e-10 at n = 24. That is
-    below ``d / 2`` for n up to about 60, and half of eta is spare: for a
-    state, ``0 <= rho <= I`` within ``STATE_ATOL``, so ``[rho, w] = [rho -
-    I/2, w]`` has HS norm at most about ``||w||_HS / 2``, and y's part off L
-    moves ``P z`` by at most eta / 2. ``||C[j*]||``'s roundoff, at most
-    ``sqrt(r) n^2 u``, enters the right side times ``sqrt(r)
-    CLASSICALITY_RTOL``, far inside the ``1 + _NORM_SLACK`` widening of a
-    right side of at least eps >= d. x1 is ``||x||_1``.
+    C's roundoff: a computed entry of C is within about ``2 n^2 u`` of exact
+    (u = 2^-53; inner products of length ``2 n^2`` of rows of HS norm at
+    most 1, after ``rho e_j``, which adds about ``2 n u``). C's rows and C
+    have norm at most 1, so the computed ``C[j*] @ C`` is within about ``(r
+    + sqrt(r)) 2 n^2 u + r^(3/2) u <= 5 n^4 u`` of exact (r <= n^2), 1.8e-10
+    at n = 24. That is below ``d / 2`` for n up to about 55, and half of eta
+    is spare: for a state, ``0 <= rho <= I`` within ``STATE_ATOL``, so
+    ``[rho, w] = [rho - I/2, w]`` has HS norm at most about ``||w||_HS /
+    2``, and y's part off L moves ``P z`` by at most eta / 2.
+    ``||C[j*]||``'s roundoff, at most ``2 sqrt(r) n^2 u``, enters the right
+    side times ``sqrt(r) CLASSICALITY_RTOL``, far inside the ``1 +
+    _NORM_SLACK`` widening of a right side of at least eps >= d. x1 is
+    ``||x||_1``.
     """
     j, r = int(cn.argmax()), len(cn)
     v = C[j] @ C

@@ -139,11 +139,10 @@ class RealSubspace:
     (``_require_dim``), for complex rows, whose imaginary parts
     a float copy would drop, and for NaN or infinite entries, which the
     closedness and classicality tests would misjudge without a word.
-    ``_stacked`` (r, n, n) and ``basis`` are views of the copy, and
-    ``_transposed`` (r, n^2) holds each element transposed, read-only,
-    built once per object for the pair table of ``classify``. Immutability
-    makes ``_memo`` sound: it holds closedness verdicts keyed by the product
-    (``jordan``, ``lie``) and the derived algebra by ``"derived"``.
+    ``_stacked`` (r, n, n) and ``basis`` are views of the copy, and no
+    other array is kept. Immutability makes ``_memo`` sound: it holds
+    closedness verdicts keyed by the product (``jordan``, ``lie``) and the
+    derived algebra by ``"derived"``.
     """
 
     dim_ambient: int
@@ -173,12 +172,6 @@ class RealSubspace:
     @cached_property
     def _stacked(self) -> np.ndarray:
         return self.rows.view(complex).reshape(-1, self.dim_ambient, self.dim_ambient)
-
-    @cached_property
-    def _transposed(self) -> np.ndarray:
-        t = self._stacked.transpose(0, 2, 1).reshape(self.dim_span, self.dim_ambient**2)
-        t.setflags(write=False)
-        return t
 
     @cached_property
     def basis(self) -> tuple[np.ndarray, ...]:

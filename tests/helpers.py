@@ -493,8 +493,12 @@ def einsum_bracket_expectations(s, L: RealSubspace) -> np.ndarray:
 def complex_bracket_expectations(s, L: RealSubspace) -> np.ndarray:
     """C[i, j] = Tr(rho [e_i, e_j]) over basis pairs of L, from the complex pair table.
 
-    Verbatim body of ``states._bracket_expectations`` before it read C from
-    the pair table's imaginary part.
+    The oracle of ``states._bracket_expectations``, which takes C from one
+    real product of the rows of ``i rho e_i`` against ``L.rows``. Here the
+    table ``t[i, j] = Tr(rho e_i e_j)`` is one complex product of ``rho
+    e_i`` flattened against each ``e_j`` transposed, and C is ``Re(0.5j (t -
+    t^T))``: the package's C before it dropped the transposed copy of L's
+    basis that this table needs.
     """
     e, r, n = L._stacked, L.dim_span, L.dim_ambient
     t = (s.rho @ e).reshape(r, n * n) @ e.transpose(0, 2, 1).reshape(r, n * n).T

@@ -49,6 +49,7 @@ from ljlab import states as states_mod
 from ljlab.products import _lie, associator
 from ljlab.states import (
     CLASSICALITY_RTOL,
+    STATE_ATOL,
     _bracket_expectations,
     _exact_values,
 )
@@ -360,21 +361,84 @@ def _bracket_tensor_cases() -> list[tuple[RealSubspace, State]]:
     return cases
 
 
-def test_bracket_tensor_from_the_imaginary_part_equals_the_complex_table():
-    """``0.5 (Im t^T - Im t)`` against ``Re(0.5j (t - t^T))`` on the same pair table t.
+#: Unit roundoff of float64.
+_U = 2.0**-53
 
-    Each entry is the same rounded difference halved, so the two are equal
-    entry for entry, but an exact zero may carry either sign: the complex
-    product's real part is ``0 * Re(t_ij - t_ji) - 0.5 * Im(t_ij - t_ji)``.
-    ``np.array_equal`` reads -0.0 == 0.0, and so does every verdict, which
-    reads |C| and its row norms.
+
+def test_bracket_contract_is_exactly_antisymmetric_and_near_the_complex_table():
+    """C is ``-C^T`` bit for bit, and within roundoff of the complex pair table.
+
+    Each of the two is within about ``2 n^2 u`` of the exact C: an entry is
+    an inner product of length ``2 n^2`` (real rows) or ``n^2`` (complex)
+    of rows of HS norm at most 1. So they differ by at most ``4 n^2 u``.
     """
     nonzero = 0
     for alg, s in _bracket_tensor_cases():
         got, want = _bracket_expectations(s, alg), complex_bracket_expectations(s, alg)
-        assert got.shape == want.shape and np.array_equal(got, want)
+        n = alg.dim_ambient
+        assert got.shape == want.shape and np.array_equal(got, -got.T)
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * n * n * _U)
         nonzero += bool(np.any(got))
-    assert nonzero >= 20  # the equality is not only among zero tables
+    assert nonzero >= 20  # the comparison is not only among zero tables
+
+
+def _skewed_states(n: int, rng: np.random.Generator) -> list[State]:
+    """A Wishart state, a pure state and I/n, each with an anti-Hermitian part
+    that ``State`` admits: entries up to ``0.49 STATE_ATOL``, so its
+    asymmetry ``|a - a^H|`` stays under ``STATE_ATOL``."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out = []
+    for rho in (random_state(n, seed=int(rng.integers(1 << 30))).rho, np.outer(v, v.conj()) / np.vdot(v, v).real,
+                np.eye(n) / n):
+        k = random_hermitian(n, rng)
+        out.append(State(rho + 1j * k * (0.49 * STATE_ATOL / np.abs(k).max())))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_bracket_contract_reads_only_the_hermitian_part_of_the_state(n):
+    """C of a state with an anti-Hermitian part equals C of its Hermitian part to roundoff.
+
+    That part moves ``Tr(rho e_i e_j)`` by about ``STATE_ATOL``, far above
+    roundoff, so a C that read it would miss the ``4 n^2 u`` bound by orders
+    of magnitude; the check that the part is really there guards the test.
+    """
+    rng = np.random.default_rng(550 + n)
+    u, q = random_unitary(n, rng), np.linalg.qr(rng.standard_normal((n * n, n * n)))[0]
+    algs = [RealSubspace(n, q @ full_hermitian_space(n).rows), conjugated(full_hermitian_space(n), u)]
+    algs.append(conjugated(block_algebra((n // 2, n - n // 2)), u))
+    for alg in algs:
+        for s in _skewed_states(n, rng):
+            hermitian = State(0.5 * (s.rho + s.rho.conj().T))
+            assert np.abs(s.rho - hermitian.rho).max() > 0.4 * STATE_ATOL
+            got, want = _bracket_expectations(s, alg), _bracket_expectations(hermitian, alg)
+            np.testing.assert_allclose(got, want, rtol=0, atol=4 * n * n * _U)
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """The arrays a value holds, directly or inside tuples, lists and dict values."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def test_bracket_contract_keeps_no_array_but_views_of_the_rows_after_classify():
+    """After ``classify``, every array on L is a view of ``L.rows``: one stored representation."""
+    rng = np.random.default_rng(551)
+    cases = [(full_hermitian_space(n), n) for n in (2, 4, 8)]
+    cases += [(block_2_1_algebra(), 3), (conjugated(block_algebra((2, 3)), random_unitary(5, rng)), 5)]
+    cases += [(commutative_algebra(4, seed=4), 4)]
+    for alg, n in cases:
+        states = _oracle_states(n, seed=552 + n) + [State(np.eye(n, dtype=complex) / n)]
+        for s in states:
+            classify(s, alg)
+        held = [a for value in vars(alg).values() for a in _arrays(value)]
+        assert any(a is alg.rows for a in held)
+        assert all(np.shares_memory(a, alg.rows) for a in held)
 
 
 def _block_scalar(sizes, p: float) -> np.ndarray:
