@@ -428,13 +428,11 @@ def _arrays(value) -> list[np.ndarray]:
 
 def test_bracket_contract_keeps_no_array_but_views_of_the_rows_after_classify():
     """After ``classify``, every array on L is a view of ``L.rows``: one stored representation."""
-    rng = np.random.default_rng(551)
-    cases = [(full_hermitian_space(n), n) for n in (2, 4, 8)]
-    cases += [(block_2_1_algebra(), 3), (conjugated(block_algebra((2, 3)), random_unitary(5, rng)), 5)]
-    cases += [(commutative_algebra(4, seed=4), 4)]
-    for alg, n in cases:
-        states = _oracle_states(n, seed=552 + n) + [State(np.eye(n, dtype=complex) / n)]
-        for s in states:
+    algs = [full_hermitian_space(n) for n in (2, 4, 8)] + [block_2_1_algebra(), commutative_algebra(4, seed=4)]
+    algs.append(conjugated(block_algebra((2, 3)), random_unitary(5, np.random.default_rng(551))))
+    for alg in algs:
+        n = alg.dim_ambient
+        for s in _oracle_states(n, seed=552 + n) + [State(np.eye(n, dtype=complex) / n)]:
             classify(s, alg)
         held = [a for value in vars(alg).values() for a in _arrays(value)]
         assert any(a is alg.rows for a in held)
