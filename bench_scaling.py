@@ -302,7 +302,7 @@ WARM = {
     jordan_generate_three_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
     centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),
     centralizer_blocks: ((16, 24), "dim_span", "dim_ok"),
-    centralizer_sub: ((12, 16), "dim_span", "dim_ok"),
+    centralizer_sub: ((12, 16, 24), "dim_span", "dim_ok"),
     closedness_blocks: ((16, 24), "closed", "verdict_ok"),
     is_semisimple_lie: ((16, 24), "semisimple", "verdict_ok"),
     is_semisimple_lie_conjugated: ((24,), "semisimple", "verdict_ok"),

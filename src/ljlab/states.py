@@ -330,21 +330,21 @@ def _center_quantum(C: np.ndarray, cn: np.ndarray, x1: float, n: int) -> bool:
     w]||_HS <= ||rho||_op ||w||_HS <= ||w||_HS``, ``||y||_HS <= ||C[j*]|| +
     eta`` and ``||z||_HS >= ||P z|| >= ||C[j*] @ C|| - eta``.
 
-    y lies within ``eps = (||x||_1 (1 + sqrt(2 n^2 + r)) + 1) d`` of span
-    [L, L]: besides rho's part off L, each ``[e_i, e_j*]`` lies within d of
-    L, and its coordinates are ``-sum_t e_i[t] a_t`` over the 2n^2
-    constraint rows ``a_t`` that the derived algebra's walk
-    (``subspace._ad_rows``) forms for s = e_j*, with ``sum_t ||a_t||^2 <=
-    r``. The drop rule leaves each ``a_t`` it reaches within ``d max(1,
-    ||a_t||)`` of [L, L], so by Cauchy-Schwarz the coordinates lie within
-    ``sqrt(2 n^2 + r) d`` of it. Rows the walk never reaches lie in it to
-    roundoff: the walk stops only once its span has the largest dimension
-    [L, L] can have, r - 1 with I in L (brackets are traceless), else r. At
-    L's ``lie`` bound, with no walk, [L, L] is su(n) or L and holds every
-    bracket's coordinates to roundoff. If every ``||[rho, d_k]||_op`` were
-    at most ``CLASSICALITY_RTOL``, z would have operator norm at most
-    ``sqrt(r) (||y|| + eps) CLASSICALITY_RTOL + eps``: y's part in [L, L]
-    has at most r coordinates, of total square at most ``(||y|| +
+    y lies within ``eps = eta + sqrt(2 n^2 + r) d`` of span [L, L], the
+    complement in L of the center Z (``subspace.derived_algebra``): over Z's
+    orthonormal coordinate rows w_k of elements z_k, its part in L lies
+    within ``||Z C[j*]||`` of it, and ``<C[j*], w_k> = Tr(rho [e_j*, z_k])``
+    (ad-invariance) is at most ``||[e_j*, z_k]||_HS`` (``||rho||_HS <= 1``).
+    The entries of ``[z_k, e_j*]`` are z_k's coordinates times the 2n^2 rows
+    ``a_t`` that the second walk of ``subspace._central_rows`` forms for s =
+    e_j*, ``sum_t ||a_t||^2 <= r``, each within ``d max(1, ||a_t||)`` of the
+    kept rows (the drop rule), to which the z_k are orthogonal: ``sum_k
+    ||[e_j*, z_k]||^2 <= (2 n^2 + r) d^2``. A walk that stops before e_j*
+    has kept all but I's direction (Z is 0 or I/sqrt(n) to roundoff, and
+    ``[e_j*, I] = 0``), as at L's ``lie`` bound. If every ``||[rho,
+    d_k]||_op`` were at most ``CLASSICALITY_RTOL``, z would have operator
+    norm at most ``sqrt(r) (||y|| + eps) CLASSICALITY_RTOL + eps``: y's part
+    in [L, L] has at most r coordinates, of total square at most ``(||y|| +
     eps)^2``, and its other part, at most eps, moves z by at most eps. As
     ``||z||_HS / sqrt(n) <= ||z||_op``, a larger value proves quantum.
 
@@ -365,7 +365,7 @@ def _center_quantum(C: np.ndarray, cn: np.ndarray, x1: float, n: int) -> bool:
     j, r = int(cn.argmax()), len(cn)
     v = C[j] @ C
     eta = (x1 + 1) * SPAN_RTOL
-    eps = (x1 * (1 + math.sqrt(2 * n * n + r)) + 1) * SPAN_RTOL
+    eps = eta + math.sqrt(2 * n * n + r) * SPAN_RTOL
     bound = math.sqrt(r) * (float(cn[j]) + eta + eps) * CLASSICALITY_RTOL + eps
     return (math.sqrt(v @ v) - eta) / math.sqrt(n) > bound * (1 + _NORM_SLACK)
 

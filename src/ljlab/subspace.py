@@ -29,13 +29,13 @@ Hermitian pair kernel (``products._products``); a block of index pairs is formed
 cache-sized chunks (``_block_products``), and the i < k basis brackets come
 from one stream (``_brackets``), which the associator criterion reads
 too; ``associator_defect`` forms one bracket [e_j, B] per triple of a
-stream bracket B, by the Jordan-Lie associator identity. The
-centralizer and the derived algebra share one walk over the constraints
-x -> [x, s] (``_ad_rows``), which an S spanning su(n) skips (Schur's
-lemma). The defects and the associator criterion take their
-maxima from one running first maximum (``_first_max``), which holds the
-one tie rule; the defects take an SVD only of a bracket or associator
-whose HS norm can reach the running maximum (``_running_screen``).
+stream bracket B, by the Jordan-Lie associator identity. The centralizer,
+the derived algebra (the center's complement) and semisimplicity read one
+commutant (``_central_rows``) from one walk over the constraints x -> [x, s]
+(``_ad_rows``). The defects and the associator criterion take their maxima
+from one running first maximum (``_first_max``), which holds the one tie
+rule; the defects take an SVD only of a bracket or associator whose HS norm
+can reach the running maximum (``_running_screen``).
 Closedness verdicts and derived algebras are memoized on the subspace.
 
 Every public function checks that its subspace arguments are
@@ -448,7 +448,7 @@ def _bound(s: RealSubspace, product: Product) -> int:
 
 @lru_cache(maxsize=None)
 def _generic_pair(r: int) -> tuple[np.ndarray, float]:
-    """Coordinates c (2, r) of the certificate's two generic elements, unit Gaussian vectors from a fixed seed,
+    """Coordinates c (2, r) of two generic elements (certificate, centralizer), unit Gaussian vectors from a fixed seed,
     read-only, and their weight w = min_k max_i |c_ik|, the least any basis element has in one of them."""
     c = np.random.default_rng(24251).standard_normal((2, r))
     c /= np.linalg.norm(c, axis=1, keepdims=True)
@@ -661,74 +661,73 @@ def require_closed(s: RealSubspace, product: Product) -> None:
         raise NotClosed(f"subspace of dim {s.dim_span} is not closed under {product.__name__}")
 
 
-def _ad_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
-    """Orthonormal rows, in coordinates against L, that span the constraints x -> [x, s], s in S.
+def _ad_rows(e: np.ndarray, s: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal rows, in coordinates against the stack e, spanning the constraints x -> [sum_i x_i e_i, s_j].
 
-    An S at its ``lie`` bound, Herm(n) or su(n), has commutant RI (Schur's
-    lemma), so with no bracket formed the rows are the unit vectors, or when
-    L contains I the complement of its unit coordinates u: rows 1.. of the
-    Householder reflection that maps u to a multiple of e_0. Below it each
-    real entry of [e_i, s_j], over i, is a constraint row; ``_extend``
-    ranks them ``max(1, _BLOCK // 2n^2)`` elements s_j at a time, skipping
-    all-zero rows. The walk stops, as a closure round stops at ``_bound``,
-    once the kept rows reach r - 1 when L contains I (central), else r.
+    Each real entry of [e_i, s_j], over i, is a row; ``_extend`` ranks them ``max(1, _BLOCK // 2n^2)``
+    elements s_j at a time, skipping all-zero rows, and the walk stops once the kept rows reach ``rank``.
+    """
+    k, step = len(e), max(1, _BLOCK // (2 * e.shape[-1] ** 2))
+    kept = np.empty((0, k))
+    for j in range(0, len(s), step):
+        if len(kept) >= rank:
+            break
+        rows = _rows(_products(e[:, None], s[None, j : j + step], lie)).reshape(k, -1).T
+        kept = np.concatenate((kept, _extend(kept, rows[rows.any(axis=1)])))
+    return kept
+
+
+def _central_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
+    """Orthonormal rows, in coordinates against L, spanning C_L(S) = {x in L : [x, s] = 0 for all s in S}.
+
+    An S at its ``lie`` bound, Herm(n) or su(n), has commutant RI (Schur's lemma): I's unit row when L
+    holds I, else none, with no bracket formed. Otherwise C_1, the centralizer in L of S's two generic
+    elements (``_generic_pair``), is the complement of one walk's rows (``_ad_rows``, then ``_extend``
+    from the unit vectors), and a second walk, with dim C_1 unknowns, imposes all of S inside it: C_1
+    holds C_L(S), so genericity only keeps C_1 small. A walk stops one row short when L holds I.
     """
     r, n = L.dim_span, L.dim_ambient
     unit, central = L._coords(np.eye(n))
     if S.dim_span == _bound(S, lie):
-        if not central:
-            return np.eye(r)
-        v = unit / math.sqrt(unit @ unit)
-        v[0] += math.copysign(1.0, v[0])  # the reflection is I - 2 v v^T / (v^T v)
-        return np.eye(r)[1:] - np.outer(v[1:] * (2.0 / (v @ v)), v)
-    step = max(1, _BLOCK // (2 * n * n))
-    kept = np.empty((0, r))
-    for s in range(0, S.dim_span, step):
-        if len(kept) >= r - central:
-            break
-        br = _products(L._stacked[:, None], S._stacked[None, s : s + step], lie)
-        rows = _rows(br).reshape(r, -1).T
-        kept = np.concatenate((kept, _extend(kept, rows[rows.any(axis=1)])))
-    return kept
+        return unit[None] / math.sqrt(unit @ unit) if central else np.empty((0, r))
+    if r == 0 or S.dim_span == 0:
+        return np.eye(r)
+    g = (_generic_pair(S.dim_span)[0] @ S.rows).view(complex).reshape(2, n, n)
+    c = _extend(_ad_rows(L._stacked, g, r - central), np.eye(r))
+    if len(c):
+        kept = _ad_rows((c @ L.rows).view(complex).reshape(-1, n, n), S._stacked, len(c) - central)
+        c = _extend(kept, np.eye(len(c))) @ c
+    return c
 
 
 def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
-    L times i is compact, so [L, L] is Z(L)'s complement (Knapp, *Lie Groups
-    Beyond an Introduction*, ch. I): the span of the centralizer's
-    constraint rows ``_ad_rows(L, L)``, which by the trace form's
-    ad-invariance hold each bracket's coordinates as a unit combination.
-    Its basis is those rows times ``L.rows``: L's own rows for su(n), a
-    Householder basis of I's complement for Herm(n), else the walk's rows.
+    L times i is compact, so [L, L] is the orthogonal complement in L of the center Z =
+    ``_central_rows(L, L)`` (Knapp, *Lie Groups Beyond an Introduction*, ch. I): L's own rows when Z = 0,
+    else rows c.. of Q^T ``L.rows`` for the complete QR Q R = Z^T of Z's c rows: its c Householder
+    reflections, applied to ``L.rows`` one at a time in O(c r n^2), with no Q formed.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
     if "derived" not in L._memo:
-        L._memo["derived"] = RealSubspace(L.dim_ambient, _ad_rows(L, L) @ L.rows)
+        z, rows = _central_rows(L, L), L.rows
+        if len(z):  # reflection k is I - t v v^T, v = (0_k, 1, h[k, k + 1:])
+            (h, tau), rows = np.linalg.qr(z.T, mode="raw"), rows.copy()
+            for k, t in enumerate(tau):
+                v = np.concatenate(([1.0], h[k, k + 1 :]))
+                rows[k:] -= t * np.outer(v, v @ rows[k:])
+        L._memo["derived"] = RealSubspace(L.dim_ambient, rows[len(z) :])
     return L._memo["derived"]
 
 
 def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
-    """Elements of L whose bracket with every element of S vanishes.
-
-    An S at its ``lie`` bound has commutant RI (``_ad_rows``), so the answer
-    is L's part of RI with no rank pass: the unit row of I's coordinates
-    times ``L.rows`` when L contains I, else the zero subspace. Below it, in
-    coordinates against L, the complement of the constraint rows
-    ``_ad_rows`` keeps, extended from the unit vectors. Its rows are orthonormal.
-    """
+    """Elements of L whose bracket with every element of S vanishes: ``_central_rows`` times ``L.rows``, orthonormal."""
     _require_type("L", L, RealSubspace)
     _require_type("S", S, RealSubspace)
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}")
-    if L.dim_span == 0 or S.dim_span == 0:
-        return L
-    if S.dim_span == _bound(S, lie):
-        unit, central = L._coords(np.eye(L.dim_ambient))
-        rows = unit[None] / math.sqrt(unit @ unit) @ L.rows if central else L.rows[:0]
-        return RealSubspace(L.dim_ambient, rows)
-    return RealSubspace(L.dim_ambient, _extend(_ad_rows(L, S), np.eye(L.dim_span)) @ L.rows)
+    return RealSubspace(L.dim_ambient, _central_rows(L, S) @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
@@ -886,12 +885,12 @@ def is_semisimple_lie(L: RealSubspace) -> bool:
 
     L times i is a compact Lie algebra, so L = Z(L) + [L, L] (Knapp, *Lie
     Groups Beyond an Introduction*, ch. I). An L that holds the central I
-    is not; else its center is zero exactly when ``_ad_rows(L, L)`` has
-    rank r, so ``SPAN_RTOL`` decides. The zero algebra is semisimple.
+    is not, with no bracket formed; else exactly when ``_central_rows(L,
+    L)``, under ``SPAN_RTOL``, is empty. The zero algebra is semisimple.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
-    return not L.contains(np.eye(L.dim_ambient)) and len(_ad_rows(L, L)) == L.dim_span
+    return not L.contains(np.eye(L.dim_ambient)) and len(_central_rows(L, L)) == 0
 
 
 @dataclass(frozen=True, eq=False)

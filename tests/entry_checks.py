@@ -178,8 +178,8 @@ def check_closures_at_24(d: str) -> None:
         assert check["closure_dim"] == dim, (mode, check)
 
 
-# the centralizer of the full 16x16 algebra in itself: S is at its lie dimension bound, so the constraint rows take
-# their closed form and none of the r * s = 65536 brackets is formed (1.3 GB as one stack); peak RSS at most 150 MB
+# the centralizer of the full 16x16 algebra in itself: S is at its lie dimension bound, so the commutant takes its
+# closed form and none of the r * s = 65536 brackets is formed (1.3 GB as one stack); peak RSS at most 150 MB
 def check_centralizer_of_the_full_16x16_algebra(d: str) -> None:
     out = _py(
         "from ljlab import centralizer, full_hermitian_space",
@@ -194,8 +194,8 @@ SU24 = "L = lie_generate(traceless(random_hermitian(24, seed=24)), traceless(ran
 
 
 # is_semisimple_lie of su(24), the lie_generate closure of a traceless pair: the closure holds no I, so the verdict is
-# whether the constraint rows of centralizer(L, L) reach rank 575, which su(24) gives in closed form, with no bracket
-# table (the Killing matrix path took 842 MB); peak RSS at most 150 MB; the time has no bound
+# whether its center is zero, which su(24) gives in closed form, with no bracket table (the Killing matrix path took
+# 842 MB); peak RSS at most 150 MB; the time has no bound
 def check_su24_is_semisimple(d: str) -> None:
     out = _py(
         "from ljlab import is_semisimple_lie, lie_generate, random_hermitian, traceless",
@@ -206,8 +206,8 @@ def check_su24_is_semisimple(d: str) -> None:
     assert out == "575 True", out
 
 
-# derived_algebra of su(24), the lie_generate closure of a traceless pair: [L, L] is the span of the centralizer's
-# constraint rows, for su(24) L's own 575 rows, with no bracket table (1.5 GB with it); peak RSS at most 150 MB
+# derived_algebra of su(24), the lie_generate closure of a traceless pair: [L, L] is the complement of the center,
+# for su(24) L's own 575 rows, with no bracket table (1.5 GB with it); peak RSS at most 150 MB
 def check_derived_algebra_of_su24(d: str) -> None:
     out = _py(
         "from ljlab import derived_algebra, lie_generate, random_hermitian, traceless",
@@ -219,8 +219,8 @@ def check_derived_algebra_of_su24(d: str) -> None:
 
 
 # derived_algebra of the full 24x24 algebra and is_semisimple_lie of su(24) spanned from conjugated rank-2 elements:
-# both algebras are at their lie dimension bound, where the ad constraints take their closed form (the commutant of
-# su(n) is RI) with no bracket formed, at a size the benchmark never reaches; peak RSS at most 150 MB
+# both algebras are at their lie dimension bound, where the commutant takes its closed form (the commutant of su(n)
+# is RI) with no bracket formed, at a size the benchmark never reaches; peak RSS at most 150 MB
 def check_algebras_at_the_lie_bound_at_24(d: str) -> None:
     out = _py(
         "import numpy as np",

@@ -46,7 +46,7 @@ _WARM_SIZES = {
     "jordan_generate_three_blocks": (8, 16, 24),
     "centralizer": (8, 12, 16, 24),
     "centralizer_blocks": (16, 24),
-    "centralizer_sub": (12, 16),
+    "centralizer_sub": (12, 16, 24),
     "closedness_blocks": (16, 24),
     "is_semisimple_lie": (16, 24),
     "is_semisimple_lie_conjugated": (24,),

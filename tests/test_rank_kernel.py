@@ -293,7 +293,8 @@ def test_extend_equals_its_pinned_copy_on_certificate_rows(monkeypatch):
 
 
 def test_extend_equals_its_pinned_copy_on_centralizer_constraint_rows(monkeypatch):
-    """``centralizer(L, S)`` with S a 5-dimensional subspace of L: ``_ad_rows``' walk over S, then its complement."""
+    """``centralizer(L, S)`` with S a 5-dimensional subspace of L: the walk over S's generic pair, its complement,
+    then the walk over S inside it (``_central_rows``)."""
     calls = _pinning(monkeypatch)
     u = random_unitary(8, np.random.default_rng(43))
     L = conjugated(block_algebra((4, 4)), u)

@@ -935,17 +935,18 @@ def test_classifys_flags_on_a_barely_closed_algebra():
 def _center_quantum_x1(C: np.ndarray, f: float, spare: float = 0.0) -> float:
     """The ||x||_1 at which ``_center_quantum``'s lower bound ``(||C[j*] @ C|| - eta) / sqrt(n)``, n = 4,
     is f times its right side ``(sqrt(r) (||C[j*]|| + eta + eps) threshold + eps) (1 + _NORM_SLACK)``,
-    less ``spare`` times the right side's eta term; eta and eps grow with ||x||_1, both linearly."""
+    less ``spare`` times the right side's eta term; eta = (||x||_1 + 1) d and eps = eta + k d, k = sqrt(2 n^2 + r),
+    grow with ||x||_1, both linearly."""
     slack, d, rtol, n = 1 + states_mod._NORM_SLACK, SPAN_RTOL, CLASSICALITY_RTOL, 4
     r = len(C)
     cn = np.linalg.norm(C, axis=1)
     j = int(cn.argmax())
-    z, y, k = float(np.linalg.norm(C[j] @ C)), float(cn[j]), 1 + math.sqrt(2 * n * n + r)
+    z, y, k = float(np.linalg.norm(C[j] @ C)), float(cn[j]), math.sqrt(2 * n * n + r)
     # lhs = a - b x1; the right side is p + q x1 before the slack, eta's term h + h x1 of it
     a, b = (z - d) / math.sqrt(n), d / math.sqrt(n)
     h = math.sqrt(r) * rtol * d
-    p = math.sqrt(r) * rtol * (y + 2 * d) + d - spare * h
-    q = d * (math.sqrt(r) * rtol * (1 + k) + k) - spare * h
+    p = math.sqrt(r) * rtol * (y + (2 + k) * d) + (1 + k) * d - spare * h
+    q = d * (2 * math.sqrt(r) * rtol + 1) - spare * h
     return (a - f * slack * p) / (b + f * slack * q)
 
 

@@ -276,9 +276,10 @@ def test_derived_algebra_matches_the_respanned_brackets():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_the_complement_of_the_identity_at_the_lie_bound_is_one_reflection(monkeypatch, n):
-    """With S at its ``lie`` bound and I in L, ``_ad_rows`` takes rows 1.. of
-    the Householder reflection that maps I's unit coordinate vector u to a
-    multiple of e_0: orthonormal rows orthogonal to u, with no rank pass."""
+    """With L at its ``lie`` bound and I in L, the center ``_central_rows(L,
+    L)`` is I's unit coordinate row u, and ``derived_algebra`` applies the
+    one Householder reflection of u's QR to L's rows and drops the first:
+    orthonormal rows orthogonal to u, hence to I, inside L, no rank pass."""
     algs = [full_hermitian_space(n)]
     if n > 1:
         a, b = random_hermitian(n, seed=70 + n), random_hermitian(n, seed=80 + n)
@@ -288,14 +289,19 @@ def test_the_complement_of_the_identity_at_the_lie_bound_is_one_reflection(monke
         raise AssertionError("the closed form ran the rank kernel")
 
     monkeypatch.setattr(subspace_mod, "_extend", forbidden)
+    unit = np.eye(n) / np.sqrt(n)
     for L in algs:
         r = L.dim_span
         assert r == n * n
-        u = L.coeffs(np.eye(n)) / np.sqrt(n)
-        rows = subspace_mod._ad_rows(L, L)
-        assert rows.shape == (r - 1, r)
-        assert np.abs(rows @ rows.T - np.eye(r - 1)).max(initial=0.0) <= 2e-15
-        assert np.abs(rows.T @ rows + np.outer(u, u) - np.eye(r)).max() <= 2e-15
+        u = L.coeffs(unit)
+        z = subspace_mod._central_rows(L, L)
+        assert z.shape == (1, r)
+        assert np.abs(z[0] - u).max() <= 2e-15
+        d = derived_algebra(L)
+        assert d.dim_span == r - 1
+        assert np.abs(d.rows @ d.rows.T - np.eye(r - 1)).max(initial=0.0) <= 2e-15
+        assert np.abs(d.rows @ L._row(unit)).max(initial=0.0) <= 2e-15
+        assert np.abs(d.rows - (d.rows @ L.rows.T) @ L.rows).max(initial=0.0) <= 2e-15
 
 
 def test_derived_requires_lie_closure():
@@ -320,6 +326,7 @@ def test_centralizer_with_trivial_constraint_set():
     full = full_hermitian_space(2)
     z = span([np.zeros((2, 2))])
     assert centralizer(full, z).dim_span == 4
+    assert centralizer(z, full).dim_span == centralizer(z, span([SZ])).dim_span == centralizer(z, z).dim_span == 0
 
 
 def test_centralizer_basis_is_orthonormal():
@@ -379,14 +386,15 @@ def test_centralizer_rows_equal_its_per_vector_loop(n):
 
 
 def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
-    # below S's dimension bound the walk forms brackets: S's basis is taken
-    # max(1, _BLOCK // 2n^2) = 7 elements at a time, so no call forms more
-    # than r * 7 of the r * s brackets. U, a conjugated u(3) + u(3) (r = 18),
-    # has a 2-dimensional center, so its walk against itself never reaches
-    # r - 1 = 17 kept rows and forms all 324. Against S, one random element
-    # then U's basis (s = 19), full(6) holds I and the commutant is RI, so
-    # its walk stops once the kept rows reach r - 1 = 35: after one call,
-    # 252 of the 684 brackets
+    # below S's dimension bound the walk forms brackets: the constraint
+    # elements are taken max(1, _BLOCK // 2n^2) = 7 at a time, so no call
+    # forms more than r * 7 brackets. U, a conjugated u(3) + u(3) (r = 18),
+    # against itself: S's two generic elements cost 36 brackets and leave
+    # C_1 = Z(U), dimension 2; its walk over all of U's basis, 2 unknowns
+    # each, never reaches 2 - 1 kept rows (I is in U), so it forms 36 more.
+    # Against S, one random element then U's basis (s = 19), full(6): the
+    # generic pair's 72 brackets leave C_1 = RI, where the walk stops at
+    # once (1 - 1 = 0 rows to keep), so 72 of the r * s = 684 are formed
     n = 6
     U = conjugated(block_algebra((3, 3)), random_unitary(n, np.random.default_rng(6)))
     S = span([random_hermitian(n, seed=6), *U.basis])
@@ -400,7 +408,7 @@ def test_centralizer_ranks_bounded_blocks_of_brackets(monkeypatch):
 
     monkeypatch.setattr(subspace_mod, "_products", counted)
     step = max(1, subspace_mod._BLOCK // (2 * n * n))
-    for L, T, formed, dim in ((U, U, 324, 2), (full, S, 252, 1)):
+    for L, T, formed, dim in ((U, U, 72, 2), (full, S, 72, 1)):
         counts.clear()
         got = centralizer(L, T)
         assert max(counts) <= L.dim_span * step
@@ -519,8 +527,77 @@ def test_is_semisimple_lie_forms_no_bracket_when_the_algebra_holds_the_identity(
         return original(a, b, product)
 
     monkeypatch.setattr(subspace_mod, "_products", counted)
+    centers = _count_calls(monkeypatch, "_central_rows")
     assert [is_semisimple_lie(L) for L in algs] == [False] * 3
-    assert formed == []
+    assert formed == [] and centers == [0]  # contains(I) decides before the center is asked
+
+
+def test_a_center_of_dimension_four_is_the_centralizer_and_the_derived_algebras_complement():
+    """A conjugated u(2)^4: its center has dimension 4, [L, L] is su(2)^4,
+    and the algebra is not semisimple, all as the oracles read them."""
+    L = conjugated(block_algebra((2, 2, 2, 2)), random_unitary(8, np.random.default_rng(44)))
+    z, d = centralizer(L, L), derived_algebra(L)
+    want_z, want_d = loop_centralizer(L, L), respan_derived_algebra(L)
+    assert (z.dim_span, d.dim_span) == (want_z.dim_span, want_d.dim_span) == (4, 12)
+    np.testing.assert_allclose(_projector(z), _projector(want_z), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_projector(d), _projector(want_d), rtol=0, atol=1e-12)
+    assert not is_semisimple_lie(L)
+
+
+@pytest.mark.parametrize("m, k", [(2, 2), (2, 3), (3, 2)])
+def test_the_centralizer_of_a_multiplicity_is_its_full_matrix_factor(m, k):
+    """S = I_m (x) Herm(k), conjugated, in full(mk): its centralizer is
+    Herm(m) (x) I_k, dimension m^2, each of S's blocks repeated m times."""
+    n = m * k
+    u = random_unitary(n, np.random.default_rng(10 * m + k))
+    S = span([u @ np.kron(np.eye(m), e) @ u.conj().T for e in full_hermitian_basis(k)])
+    L = full_hermitian_space(n)
+    got, want = centralizer(L, S), loop_centralizer(L, S)
+    assert got.dim_span == want.dim_span == m * m
+    np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
+
+
+def test_the_centralizer_of_an_s_that_is_not_closed():
+    """S = span{sx, sy} is not closed, yet its commutant is that of su(2);
+    so is the span of two basis elements of a conjugated u(2) + u(2), whose
+    centralizers in full(4) and in that algebra equal the oracle's."""
+    assert not is_closed_under(span([SX, SY]), lie)
+    full = full_hermitian_space(2)
+    got = centralizer(full, span([SX, SY]))
+    assert got.dim_span == 1 and got.contains(I2)
+    L = conjugated(block_algebra((2, 2)), random_unitary(4, np.random.default_rng(45)))
+    S = span(list(L.basis[2:4]))
+    assert not is_closed_under(S, lie)
+    for A in (full_hermitian_space(4), L):
+        got, want = centralizer(A, S), loop_centralizer(A, S)
+        assert got.dim_span == want.dim_span
+        np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
+
+
+def test_the_second_centralizer_stage_imposes_what_the_generic_pair_misses():
+    """S's rows are rotated so that both generic elements lie in the
+    diagonal span{x, y}: the rotation's third column is orthogonal to both
+    rows of ``_generic_pair(3)``. C_1, the centralizer of that pair, is
+    then the diagonal algebra, dimension 3, while w, the third direction,
+    cuts C_L(S) to diag(a, a, b), dimension 2."""
+    c, _ = subspace_mod._generic_pair(3)
+    v = np.cross(c[0], c[1])
+    q = np.linalg.qr(np.column_stack([v, np.random.default_rng(46).standard_normal((3, 2))]))[0]
+    rot = q[:, [1, 2, 0]]
+    assert np.abs(c @ rot[:, 2]).max() <= 1e-15
+    x = np.diag([1.0, -1.0, 0.0]).astype(complex) / np.sqrt(2)
+    y = np.diag([1.0, 1.0, -2.0]).astype(complex) / np.sqrt(6)
+    w = np.zeros((3, 3), dtype=complex)
+    w[0, 1] = w[1, 0] = 1 / np.sqrt(2)
+    S = RealSubspace(3, rot @ span([x, y, w]).rows)
+    L = full_hermitian_space(3)
+    g = (c @ S.rows).view(complex).reshape(2, 3, 3)
+    c1 = subspace_mod._extend(subspace_mod._ad_rows(L._stacked, g, L.dim_span - 1), np.eye(L.dim_span))
+    assert len(c1) == 3
+    got, want = centralizer(L, S), loop_centralizer(L, S)
+    assert got.dim_span == want.dim_span == 2
+    np.testing.assert_allclose(_projector(got), _projector(want), rtol=0, atol=1e-12)
+    assert got.contains(np.diag([1.0, 1.0, 0.0])) and not got.contains(x)
 
 
 # ---------------------------------------------------------------- commutativity / associativity
@@ -1111,6 +1188,13 @@ def test_function_representation_identity_only():
     np.testing.assert_allclose(fr.evaluate(np.eye(2)), [1.0], atol=1e-12)
 
 
+def test_function_representation_of_the_zero_algebra_has_no_point():
+    """The zero subspace is a commuting associative algebra with no function: no point, no projector."""
+    fr = function_representation(span([np.zeros((3, 3))]))
+    assert fr.subspace.dim_span == 0
+    assert fr.num_points == 0 and fr.points.shape == (0, 0) and fr.projectors == ()
+
+
 def test_function_representation_homomorphism_random():
     for seed in range(10):
         alg = commutative_algebra(3, seed=200 + seed)
@@ -1682,6 +1766,22 @@ def test_certificate_checks_the_center_rows_two_elements_leave(monkeypatch):
     assert formed[0] == (1 + 2 * r) * 2
 
 
+def test_certificate_fails_when_the_rows_left_cost_more_than_the_round(monkeypatch):
+    """The same center row under lie: the 2r maps and the 2r ranked candidates cost 4r, the row left r more. With
+    4r < rest <= 5r the certificate fails after p(g_1, g_2) and the maps, with no product of the row formed; one
+    product more of the round, and it checks the row and passes."""
+    L = span(_herm4_in_three_copies_and_two_blocks())
+    r = L.dim_span
+    formed = _count_formed(monkeypatch)
+    for rest in (4 * r + 1, 5 * r):
+        formed[0] = 0
+        assert not subspace_mod._certified(L.rows, lie, rest)
+        assert formed[0] == 1 + 2 * r
+    formed[0] = 0
+    assert subspace_mod._certified(L.rows, lie, 5 * r + 1)
+    assert formed[0] == 1 + 2 * r + 1 * r
+
+
 def test_certificate_checks_the_rows_left_under_each_product_it_asks(monkeypatch):
     """Sym(3) + R E_44 at n = 4, closed under jordan but not lie, with the elements patched to P = E_11 + E_22 + E_33
     and E_44: their maps pass under both products and K is span{P, E_44}. The five rows left close L under jordan
@@ -1864,7 +1964,7 @@ def test_second_classify_forms_no_closure_and_no_second_derived_algebra(monkeypa
     full = full_hermitian_space(3)
     pairs = _count_calls(monkeypatch, "_products")
     rounds = _count_calls(monkeypatch, "_close_rounds")
-    walks = _count_calls(monkeypatch, "_ad_rows")
+    walks = _count_calls(monkeypatch, "_central_rows")
     # a clear state is settled by classify's bounds: no pair product at all
     clear = classify(random_state(3, seed=5), full)
     assert pairs[0] == 0 and rounds[0] == 0
@@ -1875,7 +1975,7 @@ def test_second_classify_forms_no_closure_and_no_second_derived_algebra(monkeypa
         return State((1 - 1e-6) * np.eye(3, dtype=complex) / 3 + 1e-6 * random_state(3, seed=seed).rho)
 
     first = classify(near_mixed(5), full)
-    # the exact pass reads the bracket stream and the derived algebra comes from the ad walk, not a closure
+    # the exact pass reads the bracket stream and the derived algebra comes from the center, not a closure
     assert pairs[0] > 0 and rounds[0] == 0 and walks[0] == 1
     second = classify(near_mixed(6), full)
     # the exact pass forms its brackets again, but the derived algebra is the memoized one
