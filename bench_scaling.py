@@ -150,6 +150,14 @@ def jordan_generate_three_blocks(ljlab, n: int):
     return lambda: ljlab.jordan_generate_three(a, b).closure_dim, n * n // 2
 
 
+def jordan_generate_three_multiplicity(ljlab, n: int):
+    """``jordan_generate_three`` of I_2 (x) ``pair`` at n/2, ``conjugated`` by ``unitary(n)``: every eigenvalue repeats,
+    so the closure rounds decide; it must reach dimension n^2/4."""
+    u = unitary(n)
+    a, b = (u @ np.kron(np.eye(2), m) @ u.conj().T for m in pair(ljlab, n // 2))
+    return lambda: ljlab.jordan_generate_three(a, b).closure_dim, (n // 2) ** 2
+
+
 def centralizer(ljlab, n: int):
     """``centralizer(L, L)`` of the full algebra, at its dimension bound: the closed form, no bracket formed; dim 1."""
     L = ljlab.full_hermitian_space(n)
@@ -300,6 +308,7 @@ WARM = {
     jordan_generate_three: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
     lie_generate_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
     jordan_generate_three_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
+    jordan_generate_three_multiplicity: ((8, 16, 24), "closure_dim", "dim_ok"),
     centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),
     centralizer_blocks: ((16, 24), "dim_span", "dim_ok"),
     centralizer_sub: ((12, 16, 24), "dim_span", "dim_ok"),

@@ -36,7 +36,10 @@ commutant (``_central_rows``) from one walk over the constraints x -> [x, s]
 from one running first maximum (``_first_max``), which holds the one tie
 rule; the defects take an SVD only of a bracket or associator whose HS norm
 can reach the running maximum (``_running_screen``).
-Closedness verdicts and derived algebras are memoized on the subspace.
+Closedness and commutativity verdicts, centers and derived algebras are
+memoized on the subspace. ``jordan_generate_three`` reads its closure off
+the blocks of one generic element's eigenframe and runs the rounds only
+where that frame is unclear (``_eigenframe_close``).
 
 Every public function checks that its subspace arguments are
 ``RealSubspace`` objects (``_require_type``), raising ValidationError
@@ -141,8 +144,10 @@ class RealSubspace:
     closedness and classicality tests would misjudge without a word.
     ``_stacked`` (r, n, n) and ``basis`` are views of the copy, and no
     other array is kept. Immutability makes ``_memo`` sound: it holds
-    closedness verdicts keyed by the product (``jordan``, ``lie``) and the
-    derived algebra by ``"derived"``.
+    closedness verdicts keyed by the product (``jordan``, ``lie``), the
+    derived algebra by ``"derived"``, the center's coordinates by
+    ``"center"`` (``_center``) and ``is_commutative``'s verdict by
+    ``"commutative"``.
     """
 
     dim_ambient: int
@@ -226,23 +231,28 @@ def full_hermitian_basis(n: int) -> list[np.ndarray]:
 
     Diagonal units first, then for each i < j the symmetric and the
     antisymmetric (imaginary) unit, both scaled by 1/sqrt(2). The matrices
-    are read-only views of one stack. n is checked by ``_require_dim``.
+    are read-only views of one stack (``_full_stack``). n is checked by ``_require_dim``.
     """
+    return list(_full_stack(n))
+
+
+def _full_stack(n: int) -> np.ndarray:
+    """``full_hermitian_basis(n)`` as one read-only (n^2, n, n) stack."""
     n = _require_dim(n)
     mats = np.zeros((n * n, n, n), dtype=complex)
     d = np.arange(n)
     mats[d, d, d] = 1.0
-    i, j = np.triu_indices(n, 1)
+    i, j = np.nonzero(d[:, None] < d)  # np.triu_indices(n, 1), row-major, without its overhead
     s = n + 2 * np.arange(len(i))
     inv = 1.0 / math.sqrt(2.0)
     mats[s, i, j] = mats[s, j, i] = inv
     mats[s + 1, i, j], mats[s + 1, j, i] = -1j * inv, 1j * inv
     mats.setflags(write=False)
-    return list(mats)
+    return mats
 
 
 def full_hermitian_space(n: int) -> RealSubspace:
-    return RealSubspace(dim_ambient=n, rows=_rows(full_hermitian_basis(n)))
+    return RealSubspace(dim_ambient=n, rows=_rows(_full_stack(n)))
 
 
 #: ``_extend`` removes its kept rows from the unvisited candidates as one
@@ -700,18 +710,26 @@ def _central_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
     return c
 
 
+def _center(L: RealSubspace) -> np.ndarray:
+    """``_central_rows(L, L)``, the center's coordinates against L, solved once per L (memo ``"center"``), read-only."""
+    if "center" not in L._memo:
+        L._memo["center"] = z = _central_rows(L, L)
+        z.setflags(write=False)
+    return L._memo["center"]
+
+
 def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
     L times i is compact, so [L, L] is the orthogonal complement in L of the center Z =
-    ``_central_rows(L, L)`` (Knapp, *Lie Groups Beyond an Introduction*, ch. I): L's own rows when Z = 0,
+    ``_center(L)`` (Knapp, *Lie Groups Beyond an Introduction*, ch. I): L's own rows when Z = 0,
     else rows c.. of Q^T ``L.rows`` for the complete QR Q R = Z^T of Z's c rows: its c Householder
     reflections, applied to ``L.rows`` one at a time in O(c r n^2), with no Q formed.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
     if "derived" not in L._memo:
-        z, rows = _central_rows(L, L), L.rows
+        z, rows = _center(L), L.rows
         if len(z):  # reflection k is I - t v v^T, v = (0_k, 1, h[k, k + 1:])
             (h, tau), rows = np.linalg.qr(z.T, mode="raw"), rows.copy()
             for k, t in enumerate(tau):
@@ -722,12 +740,15 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
 
 
 def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
-    """Elements of L whose bracket with every element of S vanishes: ``_central_rows`` times ``L.rows``, orthonormal."""
+    """Elements of L whose bracket with every element of S vanishes: ``_central_rows`` times ``L.rows``, orthonormal.
+
+    For S = L, the center, the rows are ``_center``'s, solved once per L.
+    """
     _require_type("L", L, RealSubspace)
     _require_type("S", S, RealSubspace)
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}")
-    return RealSubspace(L.dim_ambient, _central_rows(L, S) @ L.rows)
+    return RealSubspace(L.dim_ambient, (_center(L) if S is L else _central_rows(L, S)) @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
@@ -859,13 +880,15 @@ def is_commutative(L: RealSubspace) -> bool:
     """Whether all brackets vanish on L. Requires closure under both products.
 
     ``commutator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
-    block of bracket norms above the floor.
+    block of bracket norms above the floor. Memoized on L.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, jordan)
     require_closed(L, lie)
-    screen = _running_screen(_DEFECT_FLOOR)
-    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
+    if "commutative" not in L._memo:
+        screen = _running_screen(_DEFECT_FLOOR)
+        L._memo["commutative"] = all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
+    return L._memo["commutative"]
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:
@@ -885,12 +908,12 @@ def is_semisimple_lie(L: RealSubspace) -> bool:
 
     L times i is a compact Lie algebra, so L = Z(L) + [L, L] (Knapp, *Lie
     Groups Beyond an Introduction*, ch. I). An L that holds the central I
-    is not, with no bracket formed; else exactly when ``_central_rows(L,
-    L)``, under ``SPAN_RTOL``, is empty. The zero algebra is semisimple.
+    is not, with no bracket formed; else exactly when ``_center(L)``, under
+    ``SPAN_RTOL``, is empty, solved once per L. The zero algebra is semisimple.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
-    return not L.contains(np.eye(L.dim_ambient)) and len(_central_rows(L, L)) == 0
+    return not L.contains(np.eye(L.dim_ambient)) and len(_center(L)) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -906,13 +929,13 @@ class GenerationReport:
     closure: RealSubspace
 
 
-def _generation_report(seeds: list[np.ndarray], product: Product) -> GenerationReport:
-    """Close span(seeds) under product; the generators are the first two seeds.
+def _generation_report(seeds: list[np.ndarray], product: Product, close=_close_rounds) -> GenerationReport:
+    """Close span(seeds) under product by ``close``, the rounds by default; the generators are the first two seeds.
 
     The target is the closure's dimension bound (``_bound``).
     """
     s = span(seeds)
-    closed, rounds, trajectory = _close_rounds(s, product)
+    closed, rounds, trajectory = close(s, product)
     target = _bound(s, product)
     return GenerationReport(
         generators=tuple(seeds[:2]),
@@ -936,13 +959,69 @@ def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     return _generation_report([as_matrix(a), as_matrix(b)], lie)
 
 
+def _eigenframe_close(s: RealSubspace, product: Product) -> tuple[RealSubspace, int, list[int]]:
+    """The ``jordan`` closure of s = span{a, b, i[a, b], I} from the eigenframe of one element, else ``_close_rounds``.
+
+    The closure J is Herm(W), W the *-algebra of a and b. ad a and ad b, x -> i[a, x], are derivations
+    of the Jordan product (Leibniz) that map the seeds into J ([a, [a, b]] = 4(a^2 o b - a o (a o b))),
+    so they preserve J; so does ad i[a, b] = [ad a, ad b] (Jacobi); and the z in J whose ad z preserves J
+    are closed under o by [x o y, z] = x o [y, z] + [x, z] o y, so they are all of J. Closed under both
+    products, J + iJ is a *-algebra, and it is W.
+
+    s's first two rows span a and b (or hold I when they are dependent), so their ``_generic_pair``
+    combinations g_1, g_2, of HS norm 1, generate W. When g_1 = V diag(w) V^H has a simple spectrum,
+    W holds its spectral projectors v_i v_i^H, hence v_i v_j^H whenever the coupling |V^H g_2 V|_ij is
+    nonzero, and everything in W is block-diagonal over the components of that graph: W = V (+) M_{n_k}
+    V^H. The closure's rows are ``full_hermitian_space(n)``'s for one component, else each block's
+    ``full_hermitian_basis`` conjugated by its columns V_k, and its memo holds ``jordan`` and ``lie``.
+    A gap or coupling eps >= sqrt(``SPAN_RTOL``) is one the rounds resolve too, as eps^2 >= ``SPAN_RTOL``
+    keeps its second-order products; a coupling at most ``SPAN_RTOL`` is roundoff to them. So the rounds
+    decide, with the report of ``_close_rounds``, when a gap of w is at most sqrt(``SPAN_RTOL``), which
+    a non-commutative commutant forces, and when a row of s lies off the blocks (``contains``). That
+    covers a coupling between ``SPAN_RTOL`` and its square root that joins two components: g_2's part
+    off the blocks has HS norm at least sqrt(2) times it, and g_2 is a unit combination of s's first two
+    rows, so one of them lies at least the coupling off. Else the report is one round, trajectory
+    [dim s, dim J].
+    """
+    n, edge = s.dim_ambient, math.sqrt(SPAN_RTOL)
+    g = (_generic_pair(min(2, s.dim_span))[0] @ s.rows[:2]).view(complex).reshape(2, n, n)
+    w, v = np.linalg.eigh(g[0])
+    if np.diff(w).min(initial=edge + 1.0) > edge:
+        reach = np.abs(v.conj().T @ g[1] @ v) >= edge
+        np.fill_diagonal(reach, True)
+        while not reach.all():  # components: square the reach matrix until it stops growing
+            grown = reach @ reach
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        first = reach.argmax(axis=1)  # each index's component, by its lowest member
+        comps = [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(n))]
+        closed = _block_space(v, comps)
+        if len(comps) == 1 or _coordinates(closed.rows, s.rows, 1.0) is not None:
+            closed._memo.update({jordan: True, lie: True})
+            return closed, 1, [s.dim_span, closed.dim_span]
+    return _close_rounds(s, product)
+
+
+def _block_space(v: np.ndarray, comps: list[np.ndarray]) -> RealSubspace:
+    """Herm of V (+) M_{n_k} V^H over the column sets ``comps`` of the unitary v; ``full_hermitian_space`` for one."""
+    if len(comps) == 1:
+        return full_hermitian_space(len(v))
+    mats = [v[:, c] @ _full_stack(len(c)) @ v[:, c].conj().T for c in comps]
+    return RealSubspace(len(v), _rows(np.concatenate(mats)))
+
+
 def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
-    """Jordan closure of span{a, b, [a, b], I}, target n^2; a and b pass ``span``'s check first."""
+    """Jordan closure of span{a, b, [a, b], I}, target n^2; a and b pass ``span``'s check first.
+
+    The closure comes from the blocks of the eigenframe of a generic combination of a and b, in one
+    reported round, or from the rounds where that frame is unclear (``_eigenframe_close``).
+    """
     x = as_matrix(a)
     y = as_matrix(b)
     n = same_dim(x, y)
     _require_finite(x, y, limit=_ENTRY_LIMIT)
-    return _generation_report([x, y, _lie(x, y), np.eye(n, dtype=complex)], jordan)
+    return _generation_report([x, y, _lie(x, y), np.eye(n, dtype=complex)], jordan, _eigenframe_close)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,8 +14,9 @@ from the full grid of ad operators, ``verify`` reports from the per-trial
 loop, positivity sampling from its per-sample loop, the batched subspace
 helpers from their per-basis loops,
 operator norms from ``np.linalg.norm(a, 2)``, ``function_representation``
-from its joint-tuple merge loop, and ``classify``'s disagreement report
-from the three public verdicts.
+from its joint-tuple merge loop, ``classify``'s disagreement report
+from the three public verdicts, and the Jordan closure of a pair from its
+constructing unitary and the support graph of its second element.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from ljlab.subspace import (
     SPAN_RTOL,
     RealSubspace,
     _combination,
+    _generation_report,
     _products,
     _row_norms,
     _rows,
@@ -188,6 +190,60 @@ def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> Real
             u.setflags(write=False)
             basis.append(u)
     return RealSubspace(dim_ambient=n, rows=np.array(basis, dtype=complex).reshape(len(basis), n * n).view(float))
+
+
+def jordan_rounds(a: np.ndarray, b: np.ndarray):
+    """``jordan_generate_three``'s report from the closure rounds alone: the seeds a, b, [a, b] and I it spans.
+
+    The rounds decide the inputs whose eigenframe is unclear; the tests of the rounds themselves run them here.
+    """
+    return _generation_report([a, b, lie(a, b), np.eye(len(a), dtype=complex)], jordan)
+
+
+#: ``generated_by_pair`` takes only spectra whose consecutive values are at least this far apart, relative
+#: to the largest: closer ones sit in the band where a numeric closure may read them either way.
+ORACLE_GAP = 1e-3
+
+
+def generated_by_pair(u: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Block sizes and orthonormal real rows of the Jordan closure of {I, a, b, i[a, b]}, in closed form.
+
+    The pair is a = u diag(w) u^H and b = u B u^H, u unitary, w simple, and B Hermitian with B_ij != 0 exactly
+    where the symmetric boolean ``support`` is True off the diagonal. The *-algebra W of a and b holds a's
+    spectral projectors u_i u_i^H, so u_i u_j^H wherever B_ij != 0, and it commutes with every projector onto
+    a component's columns: W = u (+) M_{n_k} u^H over the components of the support graph (von Neumann's
+    double commutant), and the closure is its Hermitian part, of dimension sum n_k^2. The rows are, per
+    component in order of its lowest index, u_i u_i^H, then (u_i u_j^H + u_j u_i^H)/sqrt(2) and
+    i(u_j u_i^H - u_i u_j^H)/sqrt(2) for i < j, Re and Im interleaved. Only u and the graph are read, with
+    no eigensolver. Raises ValueError when w has two values closer than ``ORACLE_GAP`` times max |w|.
+    """
+    w = np.sort(np.asarray(w, dtype=float))
+    if len(w) > 1 and np.diff(w).min() < ORACLE_GAP * np.abs(w).max():
+        raise ValueError("the oracle needs a's eigenvalues ORACLE_GAP apart")
+    n, seen, comps = len(u), set(), []
+    for start in range(n):  # components by a depth-first walk of the support graph
+        if start in seen:
+            continue
+        comp, todo = [], [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            comp.append(i)
+            for j in range(n):
+                if support[i, j] and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        comps.append(sorted(comp))
+    mats = []
+    for comp in comps:
+        for i in comp:
+            mats.append(np.outer(u[:, i], u[:, i].conj()))
+        for p, i in enumerate(comp):
+            for j in comp[p + 1 :]:
+                e = np.outer(u[:, i], u[:, j].conj())
+                mats += [(e + e.conj().T) / math.sqrt(2.0), 1j * (e.conj().T - e) / math.sqrt(2.0)]
+    rows = np.array(mats, dtype=complex).reshape(len(mats), n * n).view(float)
+    return [len(c) for c in comps], rows
 
 
 def _all_product_pairs(r: int, product) -> list[tuple[int, int]]:

@@ -44,6 +44,7 @@ _WARM_SIZES = {
     "jordan_generate_three": (8, 12, 16, 24),
     "lie_generate_blocks": (8, 16, 24),
     "jordan_generate_three_blocks": (8, 16, 24),
+    "jordan_generate_three_multiplicity": (8, 16, 24),
     "centralizer": (8, 12, 16, 24),
     "centralizer_blocks": (16, 24),
     "centralizer_sub": (12, 16, 24),

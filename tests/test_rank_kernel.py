@@ -18,6 +18,7 @@ from helpers import (
     SY,
     block_algebra,
     conjugated,
+    jordan_rounds,
     naive_close,
     pinned_extend,
     random_unitary,
@@ -263,7 +264,7 @@ def test_extend_equals_its_pinned_copy_on_closure_round_blocks(monkeypatch, n):
     calls = _pinning(monkeypatch)
     a, b = random_hermitian(n, seed=700 + n), random_hermitian(n, seed=800 + n)
     L = lie_generate(traceless(a), traceless(b)).closure
-    jordan_generate_three(a, b)
+    jordan_rounds(a, b)
     close_under(span([a, b, a @ a]), lie)
     assert is_closed_under(span([traceless(a), traceless(b)]), lie) is False
     # su(n) is at its bound, where the walk forms no bracket; u(n/2) + u(n/2) is not
@@ -323,7 +324,7 @@ def test_extend_equals_its_pinned_copy_on_a_span_at_n16(monkeypatch):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_closures_with_the_pinned_kernel_patched_in_have_the_same_rows(monkeypatch, n):
     a, b = random_hermitian(n, seed=900 + n), random_hermitian(n, seed=1000 + n)
-    calls = [(lie_generate, traceless(a), traceless(b)), (lie_generate, a, b), (jordan_generate_three, a, b)]
+    calls = [(lie_generate, traceless(a), traceless(b)), (lie_generate, a, b), (jordan_rounds, a, b)]
     got = [generate(x, y) for generate, x, y in calls]
     monkeypatch.setattr(subspace_mod, "_extend", pinned_extend)
     ref = [generate(x, y) for generate, x, y in calls]
@@ -477,7 +478,7 @@ def test_generation_reports_match_naive_rounds():
         rep = lie_generate(x, y)
         _, rounds, trajectory = naive_close(sequential_span([x, y]), lie)
         assert rep.generated and (rep.rounds, list(rep.trajectory)) == (rounds, trajectory)
-        rep = jordan_generate_three(a, b)
+        rep = jordan_rounds(a, b)
         seeds = [a, b, lie(a, b), np.eye(n, dtype=complex)]
         _, rounds, trajectory = naive_close(sequential_span(seeds), jordan)
         assert rep.generated and (rep.rounds, list(rep.trajectory)) == (rounds, trajectory)
@@ -522,7 +523,7 @@ def test_confirming_round_at_the_dimension_bound_forms_no_products(monkeypatch):
     for n in (2, 3, 4, 5):
         a, b = random_hermitian(n, seed=300 + n), random_hermitian(n, seed=400 + n)
         sizes.clear()
-        rep = jordan_generate_three(a, b)
+        rep = jordan_rounds(a, b)
         assert rep.closure_dim == n * n and rep.trajectory[-2:] == (n * n, n * n)
         assert max(sizes, default=0) < n * n
         sizes.clear()
@@ -544,7 +545,7 @@ def test_a_round_stops_ranking_once_it_reaches_the_bound(monkeypatch):
 
     monkeypatch.setattr(subspace_mod, "_extend", recorded)
     a, b = random_hermitian(8, seed=308), random_hermitian(8, seed=408)
-    for generate, x, y, bound in ((jordan_generate_three, a, b, 64), (lie_generate, traceless(a), traceless(b), 63)):
+    for generate, x, y, bound in ((jordan_rounds, a, b, 64), (lie_generate, traceless(a), traceless(b), 63)):
         bases.clear()
         rep = generate(x, y)
         assert rep.closure_dim == bound and rep.trajectory[-2:] == (bound, bound)
@@ -569,7 +570,7 @@ def test_the_last_growing_round_forms_twice_the_rows_it_lacks(monkeypatch, n):
     x, y = traceless(a), traceless(b)
     for generate, seeds, product, bound in (
         (lie_generate, [x, y], lie, n * n - 1),
-        (jordan_generate_three, [a, b, lie(a, b), np.eye(n, dtype=complex)], jordan, n * n),
+        (jordan_rounds, [a, b, lie(a, b), np.eye(n, dtype=complex)], jordan, n * n),
     ):
         rounds.clear()
         rep = generate(seeds[0], seeds[1])

@@ -17,6 +17,7 @@ from helpers import (
     conjugated,
     dense_structure_constants,
     index_products,
+    jordan_rounds,
     loop_associator_defect,
     loop_centralizer,
     loop_commutator_defect,
@@ -1931,11 +1932,11 @@ def test_certificate_that_ends_a_jordan_closure_records_lie_on_the_closure(monke
     carries lie's verdict too, and the lie query forms no product. A closure whose last round is ranked in full
     (the certificate off) carries only jordan's."""
     x, y = _block_pair(n)
-    closure = jordan_generate_three(x, y).closure
+    closure = jordan_rounds(x, y).closure
     assert closure.dim_span == n * n // 2 and closure._memo[lie] is True
     formed = _count_formed(monkeypatch)
     assert is_closed_under(closure, lie) and formed[0] == 0
-    full = _without_certificate(monkeypatch, lambda: jordan_generate_three(x, y).closure)
+    full = _without_certificate(monkeypatch, lambda: jordan_rounds(x, y).closure)
     assert full.dim_span == closure.dim_span and lie not in full._memo
     assert is_closed_under(full, lie)
 
@@ -1945,7 +1946,7 @@ def test_certificate_leaves_generation_reports_as_the_full_rounds_give_them(monk
     """A round the certificate ends still counts as a round that added nothing."""
     x, y = _block_pair(n)
     calls = _count_calls(monkeypatch, "_certified")
-    for generate in (lie_generate, jordan_generate_three):
+    for generate in (lie_generate, jordan_rounds):
         rep = generate(x, y)
         full = _without_certificate(monkeypatch, lambda: generate(x, y))
         assert (rep.closure_dim, rep.rounds, rep.trajectory) == (full.closure_dim, full.rounds, full.trajectory)
@@ -1953,11 +1954,110 @@ def test_certificate_leaves_generation_reports_as_the_full_rounds_give_them(monk
     assert calls[0] >= 2
 
 
+def _multiplicity_pair(k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugated I_2 (x) (a pair at k): every eigenvalue of every combination is double, the commutant is M_2."""
+    u = random_unitary(2 * k, np.random.default_rng(seed))
+    a, b = (np.kron(np.eye(2), random_hermitian(k, seed=seed + j)) for j in (1, 2))
+    return u @ a @ u.conj().T, u @ b @ u.conj().T
+
+
+def _jordan_report_cases():
+    """(label, a, b, whether the eigenframe path decides): random, block, commuting and multiplicity pairs."""
+    for n in range(1, 7):
+        yield f"random-n{n}", random_hermitian(n, seed=70 + n), random_hermitian(n, seed=80 + n), True
+    yield "blocks-n8", *_block_pair(8), True
+    yield "commuting-n3", np.diag([1.0, 2.0, 0.0]), np.diag([3.0, 4.0, 1.0]), True
+    yield "repeated-n3", np.diag([1.0, 1.0, 2.0]), np.diag([3.0, 3.0, 1.0]), False
+    for k in (2, 3):
+        yield f"multiplicity-n{2 * k}", *_multiplicity_pair(k, 60 + k), False
+
+
+@pytest.mark.parametrize("label,a,b,eigenframe", list(_jordan_report_cases()))
+def test_jordan_generate_three_report_contract(monkeypatch, label, a, b, eigenframe):
+    """The public jordan3 report: closure_dim, target_dim, generated and the closure's subspace are the rounds'. On
+    the eigenframe path rounds is 1, the trajectory is (dim span(seeds), closure_dim) and the closure's memo proves
+    both products; where g_1's eigenvalues repeat the report is the rounds' report, field for field."""
+    ref = jordan_rounds(a, b)
+    rounds = _count_calls(monkeypatch, "_close_rounds")
+    rep = jordan_generate_three(a, b)
+    assert (rounds[0] == 0) is eigenframe, label
+    assert (rep.closure_dim, rep.target_dim, rep.generated) == (ref.closure_dim, ref.target_dim, ref.generated)
+    assert rank_of(list(rep.closure.basis) + list(ref.closure.basis), tol=1e-10) == ref.closure_dim
+    np.testing.assert_allclose(rep.closure.rows @ rep.closure.rows.T, np.eye(rep.closure_dim), rtol=0, atol=1e-12)
+    n = len(a)
+    if eigenframe:
+        seeds = span([a, b, lie(a, b), np.eye(n, dtype=complex)])
+        assert (rep.rounds, rep.trajectory) == (1, (seeds.dim_span, rep.closure_dim))
+        assert rep.closure._memo == {jordan: True, lie: True}
+    else:
+        assert (rep.rounds, rep.trajectory) == (ref.rounds, ref.trajectory) and rep.closure._memo[jordan]
+    if "multiplicity" in label:
+        assert rep.closure_dim == (n // 2) ** 2
+
+
+def test_jordan_generate_three_hands_a_coupling_in_the_band_to_the_rounds(monkeypatch):
+    """A block pair tilted by 1e-6 off its blocks: the coupling lies between SPAN_RTOL and its square root, so the
+    eigenframe reads the blocks apart, a seed lies off them (``contains``), and the rounds decide: they join them."""
+    a, b = _block_pair(8)
+    x = random_hermitian(8, seed=99)
+    x[:4, :4] = x[4:, 4:] = 0.0
+    rounds = _count_calls(monkeypatch, "_close_rounds")
+    rep = jordan_generate_three(a + 1e-6 * x, b)
+    assert rounds[0] == 1 and rep.closure_dim == 64
+    ref = jordan_rounds(a + 1e-6 * x, b)
+    assert (rep.closure_dim, rep.rounds, rep.trajectory) == (ref.closure_dim, ref.rounds, ref.trajectory)
+
+
+def test_jordan_generate_three_hands_blocks_that_miss_a_seed_to_the_rounds(monkeypatch):
+    """Blocks that do not hold a and b (here: the last block one column short) fail ``contains``, and the rounds
+    decide."""
+    original = subspace_mod._block_space
+    monkeypatch.setattr(subspace_mod, "_block_space", lambda v, comps: original(v, [*comps[:-1], comps[-1][:-1]]))
+    a, b = _block_pair(8)
+    rounds = _count_calls(monkeypatch, "_close_rounds")
+    rep = jordan_generate_three(a, b)
+    assert rounds[0] == 1 and rep.closure_dim == 32
+
+
 def test_derived_algebra_is_memoized():
     full = full_hermitian_space(3)
     d = derived_algebra(full)
     assert derived_algebra(full) is d
     assert derived_algebra(full_hermitian_space(3)) is not d
+
+
+def test_the_center_is_solved_once_per_algebra(monkeypatch):
+    """derived_algebra, is_semisimple_lie and centralizer(L, L) share one center: after the first call no walk runs.
+    L is a conjugated traceless u(2) + u(2), which does not hold I and has a center of dimension 1."""
+    u = random_unitary(4, np.random.default_rng(57))
+    L = span([u @ traceless(m) @ u.conj().T for m in block_algebra((2, 2)).basis])
+    walks = _count_calls(monkeypatch, "_ad_rows")
+    assert L.dim_span == 7 and derived_algebra(L).dim_span == 6
+    first = walks[0]
+    assert first > 0
+    for _ in range(2):
+        assert is_semisimple_lie(L) is False
+        assert centralizer(L, L).dim_span == 1
+        assert derived_algebra(L).dim_span == 6
+    assert walks[0] == first
+    fresh = RealSubspace(L.dim_ambient, L.rows)  # the memo is per object: a copy solves its center again
+    assert is_semisimple_lie(fresh) is False and walks[0] == 2 * first
+
+
+def test_a_second_function_representation_forms_no_bracket(monkeypatch):
+    """is_commutative's verdict is memoized on L, so function_representation's precondition forms brackets once."""
+    u = random_unitary(6, np.random.default_rng(58))
+    L = span([u @ np.diag(np.eye(6)[k]).astype(complex) @ u.conj().T for k in range(6)])
+    brackets = _count_calls(monkeypatch, "_block_products")
+    assert function_representation(L).num_points == 6
+    assert brackets[0] > 0
+    brackets[0] = 0
+    assert function_representation(L).num_points == 6 and is_commutative(L) and is_jordan_associative(L)
+    assert brackets[0] == 0
+    full = full_hermitian_space(3)
+    assert is_commutative(full) is False and brackets[0] > 0
+    brackets[0] = 0
+    assert is_jordan_associative(full) is False and brackets[0] == 0
 
 
 def test_second_classify_forms_no_closure_and_no_second_derived_algebra(monkeypatch):
