@@ -36,8 +36,8 @@ commutant (``_central_rows``) from one walk over the constraints x -> [x, s]
 from one running first maximum (``_first_max``), which holds the one tie
 rule; the defects take an SVD only of a bracket or associator whose HS norm
 can reach the running maximum (``_running_screen``).
-Closedness and commutativity verdicts, centers and derived algebras are
-memoized on the subspace. ``jordan_generate_three`` reads its closure off
+Closedness verdicts and derived algebras are memoized on the subspace.
+``jordan_generate_three`` reads its closure off
 the blocks of one generic element's eigenframe and runs the rounds only
 where that frame is unclear (``_eigenframe_close``).
 
@@ -144,10 +144,8 @@ class RealSubspace:
     closedness and classicality tests would misjudge without a word.
     ``_stacked`` (r, n, n) and ``basis`` are views of the copy, and no
     other array is kept. Immutability makes ``_memo`` sound: it holds
-    closedness verdicts keyed by the product (``jordan``, ``lie``), the
-    derived algebra by ``"derived"``, the center's coordinates by
-    ``"center"`` (``_center``) and ``is_commutative``'s verdict by
-    ``"commutative"``.
+    closedness verdicts keyed by the product (``jordan``, ``lie``) and the
+    derived algebra by ``"derived"``.
     """
 
     dim_ambient: int
@@ -710,26 +708,18 @@ def _central_rows(L: RealSubspace, S: RealSubspace) -> np.ndarray:
     return c
 
 
-def _center(L: RealSubspace) -> np.ndarray:
-    """``_central_rows(L, L)``, the center's coordinates against L, solved once per L (memo ``"center"``), read-only."""
-    if "center" not in L._memo:
-        L._memo["center"] = z = _central_rows(L, L)
-        z.setflags(write=False)
-    return L._memo["center"]
-
-
 def derived_algebra(L: RealSubspace) -> RealSubspace:
     """Span of all brackets of L, the derived algebra [L, L]. Memoized on L.
 
     L times i is compact, so [L, L] is the orthogonal complement in L of the center Z =
-    ``_center(L)`` (Knapp, *Lie Groups Beyond an Introduction*, ch. I): L's own rows when Z = 0,
+    ``_central_rows(L, L)`` (Knapp, *Lie Groups Beyond an Introduction*, ch. I): L's own rows when Z = 0,
     else rows c.. of Q^T ``L.rows`` for the complete QR Q R = Z^T of Z's c rows: its c Householder
     reflections, applied to ``L.rows`` one at a time in O(c r n^2), with no Q formed.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
     if "derived" not in L._memo:
-        z, rows = _center(L), L.rows
+        z, rows = _central_rows(L, L), L.rows
         if len(z):  # reflection k is I - t v v^T, v = (0_k, 1, h[k, k + 1:])
             (h, tau), rows = np.linalg.qr(z.T, mode="raw"), rows.copy()
             for k, t in enumerate(tau):
@@ -740,15 +730,12 @@ def derived_algebra(L: RealSubspace) -> RealSubspace:
 
 
 def centralizer(L: RealSubspace, S: RealSubspace) -> RealSubspace:
-    """Elements of L whose bracket with every element of S vanishes: ``_central_rows`` times ``L.rows``, orthonormal.
-
-    For S = L, the center, the rows are ``_center``'s, solved once per L.
-    """
+    """Elements of L whose bracket with every element of S vanishes: ``_central_rows`` times ``L.rows``, orthonormal."""
     _require_type("L", L, RealSubspace)
     _require_type("S", S, RealSubspace)
     if L.dim_ambient != S.dim_ambient:
         raise DimensionMismatch(f"ambient dims differ: {L.dim_ambient} vs {S.dim_ambient}")
-    return RealSubspace(L.dim_ambient, (_center(L) if S is L else _central_rows(L, S)) @ L.rows)
+    return RealSubspace(L.dim_ambient, _central_rows(L, S) @ L.rows)
 
 
 #: Defects at or below this are roundoff, so the defect queries name no
@@ -880,15 +867,13 @@ def is_commutative(L: RealSubspace) -> bool:
     """Whether all brackets vanish on L. Requires closure under both products.
 
     ``commutator_defect(L)[0] <= _DEFECT_FLOOR``, answered at the first
-    block of bracket norms above the floor. Memoized on L.
+    block of bracket norms above the floor.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, jordan)
     require_closed(L, lie)
-    if "commutative" not in L._memo:
-        screen = _running_screen(_DEFECT_FLOOR)
-        L._memo["commutative"] = all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
-    return L._memo["commutative"]
+    screen = _running_screen(_DEFECT_FLOOR)
+    return all(norms.max() <= _DEFECT_FLOOR for norms, _, _ in _brackets(L, screen))
 
 
 def is_jordan_associative(L: RealSubspace) -> bool:
@@ -908,12 +893,12 @@ def is_semisimple_lie(L: RealSubspace) -> bool:
 
     L times i is a compact Lie algebra, so L = Z(L) + [L, L] (Knapp, *Lie
     Groups Beyond an Introduction*, ch. I). An L that holds the central I
-    is not, with no bracket formed; else exactly when ``_center(L)``, under
-    ``SPAN_RTOL``, is empty, solved once per L. The zero algebra is semisimple.
+    is not, with no bracket formed; else exactly when ``_central_rows(L,
+    L)``, under ``SPAN_RTOL``, is empty. The zero algebra is semisimple.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
-    return not L.contains(np.eye(L.dim_ambient)) and len(_center(L)) == 0
+    return not L.contains(np.eye(L.dim_ambient)) and len(_central_rows(L, L)) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -929,13 +914,14 @@ class GenerationReport:
     closure: RealSubspace
 
 
-def _generation_report(seeds: list[np.ndarray], product: Product, close=_close_rounds) -> GenerationReport:
-    """Close span(seeds) under product by ``close``, the rounds by default; the generators are the first two seeds.
+def _generation_report(seeds: list[np.ndarray], product: Product) -> GenerationReport:
+    """Close span(seeds) under product; the generators are the first two seeds.
 
+    ``jordan`` seeds are ``jordan_generate_three``'s, closed by ``_eigenframe_close``; ``lie`` seeds by the rounds.
     The target is the closure's dimension bound (``_bound``).
     """
     s = span(seeds)
-    closed, rounds, trajectory = close(s, product)
+    closed, rounds, trajectory = _eigenframe_close(s) if product is jordan else _close_rounds(s, product)
     target = _bound(s, product)
     return GenerationReport(
         generators=tuple(seeds[:2]),
@@ -959,7 +945,7 @@ def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     return _generation_report([as_matrix(a), as_matrix(b)], lie)
 
 
-def _eigenframe_close(s: RealSubspace, product: Product) -> tuple[RealSubspace, int, list[int]]:
+def _eigenframe_close(s: RealSubspace) -> tuple[RealSubspace, int, list[int]]:
     """The ``jordan`` closure of s = span{a, b, i[a, b], I} from the eigenframe of one element, else ``_close_rounds``.
 
     The closure J is Herm(W), W the *-algebra of a and b. ad a and ad b, x -> i[a, x], are derivations
@@ -1000,7 +986,7 @@ def _eigenframe_close(s: RealSubspace, product: Product) -> tuple[RealSubspace, 
         if len(comps) == 1 or _coordinates(closed.rows, s.rows, 1.0) is not None:
             closed._memo.update({jordan: True, lie: True})
             return closed, 1, [s.dim_span, closed.dim_span]
-    return _close_rounds(s, product)
+    return _close_rounds(s, jordan)
 
 
 def _block_space(v: np.ndarray, comps: list[np.ndarray]) -> RealSubspace:
@@ -1021,7 +1007,7 @@ def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     y = as_matrix(b)
     n = same_dim(x, y)
     _require_finite(x, y, limit=_ENTRY_LIMIT)
-    return _generation_report([x, y, _lie(x, y), np.eye(n, dtype=complex)], jordan, _eigenframe_close)
+    return _generation_report([x, y, _lie(x, y), np.eye(n, dtype=complex)], jordan)
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,9 +62,11 @@ from ljlab.subspace import (
     _RECONSTRUCTION_TOL,
     POINT_MERGE_TOL,
     SPAN_RTOL,
+    GenerationReport,
     RealSubspace,
+    _bound,
+    _close_rounds,
     _combination,
-    _generation_report,
     _products,
     _row_norms,
     _rows,
@@ -192,12 +194,15 @@ def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> Real
     return RealSubspace(dim_ambient=n, rows=np.array(basis, dtype=complex).reshape(len(basis), n * n).view(float))
 
 
-def jordan_rounds(a: np.ndarray, b: np.ndarray):
-    """``jordan_generate_three``'s report from the closure rounds alone: the seeds a, b, [a, b] and I it spans.
+def jordan_rounds(a: np.ndarray, b: np.ndarray) -> GenerationReport:
+    """``jordan_generate_three``'s report from the closure rounds alone (``_close_rounds``) on the span it takes.
 
     The rounds decide the inputs whose eigenframe is unclear; the tests of the rounds themselves run them here.
     """
-    return _generation_report([a, b, lie(a, b), np.eye(len(a), dtype=complex)], jordan)
+    s = span([a, b, lie(a, b), np.eye(len(a), dtype=complex)])
+    closed, rounds, trajectory = _close_rounds(s, jordan)
+    target = _bound(s, jordan)
+    return GenerationReport((a, b), closed.dim_span, target, closed.dim_span == target, rounds, tuple(trajectory), closed)
 
 
 #: ``generated_by_pair`` takes only spectra whose consecutive values are at least this far apart, relative

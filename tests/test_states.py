@@ -585,8 +585,7 @@ def test_a_barely_closed_algebra_reaches_the_exact_pass():
 
 def test_the_memo_holds_only_closedness_and_the_derived_algebra(monkeypatch):
     """The associator criterion and a near-threshold classify, which takes
-    both criteria's own verdicts, memoize nothing else on L: the derived
-    algebra and the center it is the complement of."""
+    both criteria's own verdicts, memoize nothing else on L."""
     calls: Counter[str] = Counter()
     for fn in ("_associator_verdict", "_center_verdict"):
 
@@ -600,7 +599,7 @@ def test_the_memo_holds_only_closedness_and_the_derived_algebra(monkeypatch):
     assert set(alg._memo) == {jordan, lie}
     assert not classify(_near_mixed(random_state(3, seed=5), 1e-6), alg).classical
     assert calls == {"_associator_verdict": 2, "_center_verdict": 1}
-    assert set(alg._memo) == {jordan, lie, "center", "derived"}
+    assert set(alg._memo) == {jordan, lie, "derived"}
 
 
 # ---------------------------------------------------------------- associator verdict vs the dense einsum values

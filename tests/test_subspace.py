@@ -2026,40 +2026,6 @@ def test_derived_algebra_is_memoized():
     assert derived_algebra(full_hermitian_space(3)) is not d
 
 
-def test_the_center_is_solved_once_per_algebra(monkeypatch):
-    """derived_algebra, is_semisimple_lie and centralizer(L, L) share one center: after the first call no walk runs.
-    L is a conjugated traceless u(2) + u(2), which does not hold I and has a center of dimension 1."""
-    u = random_unitary(4, np.random.default_rng(57))
-    L = span([u @ traceless(m) @ u.conj().T for m in block_algebra((2, 2)).basis])
-    walks = _count_calls(monkeypatch, "_ad_rows")
-    assert L.dim_span == 7 and derived_algebra(L).dim_span == 6
-    first = walks[0]
-    assert first > 0
-    for _ in range(2):
-        assert is_semisimple_lie(L) is False
-        assert centralizer(L, L).dim_span == 1
-        assert derived_algebra(L).dim_span == 6
-    assert walks[0] == first
-    fresh = RealSubspace(L.dim_ambient, L.rows)  # the memo is per object: a copy solves its center again
-    assert is_semisimple_lie(fresh) is False and walks[0] == 2 * first
-
-
-def test_a_second_function_representation_forms_no_bracket(monkeypatch):
-    """is_commutative's verdict is memoized on L, so function_representation's precondition forms brackets once."""
-    u = random_unitary(6, np.random.default_rng(58))
-    L = span([u @ np.diag(np.eye(6)[k]).astype(complex) @ u.conj().T for k in range(6)])
-    brackets = _count_calls(monkeypatch, "_block_products")
-    assert function_representation(L).num_points == 6
-    assert brackets[0] > 0
-    brackets[0] = 0
-    assert function_representation(L).num_points == 6 and is_commutative(L) and is_jordan_associative(L)
-    assert brackets[0] == 0
-    full = full_hermitian_space(3)
-    assert is_commutative(full) is False and brackets[0] > 0
-    brackets[0] = 0
-    assert is_jordan_associative(full) is False and brackets[0] == 0
-
-
 def test_second_classify_forms_no_closure_and_no_second_derived_algebra(monkeypatch):
     full = full_hermitian_space(3)
     pairs = _count_calls(monkeypatch, "_products")
