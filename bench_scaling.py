@@ -230,6 +230,21 @@ def derived_algebra_lie_blocks(ljlab, n: int):
     return lambda: ljlab.derived_algebra(fresh(L)).dim_span, (n // 2) ** 2 + (n - n // 2) ** 2 - 2
 
 
+#: ``check_positivity_closure`` rows: the Jordan and square-order violation counts of 256 samples, seed 0.
+POSITIVITY_COUNTS = {4: "247/199", 16: "256/256", 24: "256/256"}
+
+
+def check_positivity_closure(ljlab, n: int):
+    """``check_positivity_closure`` of the full algebra, 256 samples, seed 0; both counts, as ``POSITIVITY_COUNTS``."""
+    L = ljlab.full_hermitian_space(n)
+
+    def counts() -> str:
+        report = ljlab.check_positivity_closure(L, 256, 0)
+        return f"{report.jordan_violations}/{report.square_order_violations}"
+
+    return counts, POSITIVITY_COUNTS[n]
+
+
 def is_jordan_associative(ljlab, n: int):
     """``is_jordan_associative`` of the full algebra; False."""
     L = ljlab.full_hermitian_space(n)
@@ -321,6 +336,7 @@ WARM = {
     derived_algebra_full: ((24,), "dim_span", "dim_ok"),
     derived_algebra_lie_blocks: ((24,), "dim_span", "dim_ok"),
     is_jordan_associative: ((24,), "associative", "verdict_ok"),
+    check_positivity_closure: ((16, 24), "violations", "counts_ok"),
     function_representation: ((12, 24), "num_points", "points_ok"),
     avr_witness_search: ((4,), "found", "found_ok"),
     associator_witness_search: ((6,), "found", "found_ok"),

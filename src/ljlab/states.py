@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .errors import (
 from .linalg import _NORM_SLACK, _opnorm, _require_finite, _require_type, _row_norms, _rows, as_matrix, random_density
 from .products import _lie, jordan, lie
 from .subspace import (
-    _DEFECT_FLOOR,
     SPAN_RTOL,
     RealSubspace,
     _Block,
@@ -296,14 +295,13 @@ def _associator_quantum(cn: np.ndarray, x1: float) -> bool:
     coordinates of ``[e_i, e_j*]``. Exactly, ``g[m] = Tr(P rho [e_j*,
     e_m])`` for the projection P onto L, while ``C[j*, m] = Tr(rho [e_j*,
     e_m])``: they differ by rho's part off L, at most 1, against the
-    bracket's part off L, at most d. So ``||g - C[j*]|| <= sqrt(r) d``,
-    which eta bounds (its ``||x||_1 _DEFECT_FLOOR / 2`` term only widens
-    it), and some ``|t(i, j*, j*)|`` is at least the quotient. Its value
+    bracket's part off L, at most d. So ``||g - C[j*]|| <= eta = sqrt(r)
+    d``, and some ``|t(i, j*, j*)|`` is at least the quotient. Its value
     lies within d of it, so above ``CLASSICALITY_RTOL + d`` the criterion's
     maximum is above the threshold. x1 is ``||x||_1``.
     """
     c = float(cn.max(initial=0.0))
-    eta = math.sqrt(len(cn)) * SPAN_RTOL + x1 * _DEFECT_FLOOR / 2
+    eta = math.sqrt(len(cn)) * SPAN_RTOL
     return x1 > 0.0 and (c * c - eta * c) / x1 > (CLASSICALITY_RTOL + SPAN_RTOL) * (1 + _NORM_SLACK)
 
 
@@ -370,32 +368,25 @@ def _center_quantum(C: np.ndarray, cn: np.ndarray, x1: float, n: int) -> bool:
     return (math.sqrt(v @ v) - eta) / math.sqrt(n) > bound * (1 + _NORM_SLACK)
 
 
-def _flags(s: State, L: RealSubspace, C: np.ndarray, verdicts: dict | None = None) -> list[bool]:
+def _flags(s: State, L: RealSubspace, C: np.ndarray) -> list[bool]:
     """The associator flag, then the center flag when rho is in span(L).
 
     Each flag tries its quantum bound, which reads only C and x, then its
-    classical bound, then takes its criterion's own verdict, kept in
-    ``verdicts`` by criterion name. The r brackets ``[rho, e_j]`` of the
-    classical bounds are formed once, and not at all when both quantum
-    bounds settle: a clear quantum state forms no bracket. rho's
-    coordinates x (for ``||x||_1``) and whether rho lies in span(L) come
-    from one ``L._coords`` product.
+    classical bound, then reads its criterion's own verdict. The r
+    brackets ``[rho, e_j]`` of the classical bounds are formed once, and
+    not at all when both quantum bounds settle: a clear quantum state
+    forms no bracket. rho's coordinates x (for ``||x||_1``) and whether
+    rho lies in span(L) come from one ``L._coords`` product.
     """
-    verdicts = {} if verdicts is None else verdicts
-
-    def own(verdict: Callable[[State, RealSubspace], ClassicalityVerdict]) -> bool:
-        v = verdict(s, L)
-        verdicts[v.criterion] = v
-        return v.classical
     x, in_span = L._coords(s.rho)
     cn, x1 = _row_norms(C), float(np.abs(x).sum())
     quantum = [_associator_quantum(cn, x1)] + ([_center_quantum(C, cn, x1, s.dim)] if in_span else [])
     if all(quantum):
         return [False] * len(quantum)
     hs = _row_norms(_rows(_lie(s.rho, L._stacked)))
-    flags = [not quantum[0] and (_associator_classical(cn, hs) or own(_associator_verdict))]
+    flags = [not quantum[0] and (_associator_classical(cn, hs) or _associator_verdict(s, L).classical)]
     if in_span:
-        flags.append(not quantum[1] and (_center_classical(hs) or own(_center_verdict)))
+        flags.append(not quantum[1] and (_center_classical(hs) or _center_verdict(s, L).classical))
     return flags
 
 
@@ -411,19 +402,18 @@ def classify(s: State, L: RealSubspace) -> ClassicalityVerdict:
     ones from C and rho's coordinates alone, the classical ones with the
     brackets ``[rho, e_j]`` too, and a flag none settles is its
     criterion's own verdict, which forms the basis brackets or the derived
-    algebra. To report a disagreement it reuses those verdicts and
-    computes only the full verdicts a bound settled.
+    algebra. To report a disagreement it computes the full verdicts it
+    reports, so a split pays a flag's exact verdict twice.
     """
     _check_algebra(s, L)
     C = _bracket_expectations(s, L)
     verdict = _verdict("commutator", C, L.basis)
-    kept: dict[str, ClassicalityVerdict] = {}
-    flags = _flags(s, L, C, kept)
+    flags = _flags(s, L, C)
     if all(f == verdict.classical for f in flags):
         return verdict
-    verdicts = [kept.get("associator") or _associator_verdict(s, L), verdict]
+    verdicts = [_associator_verdict(s, L), verdict]
     if len(flags) == 2:  # rho is in span(L)
-        verdicts.append(kept.get("center") or _center_verdict(s, L))
+        verdicts.append(_center_verdict(s, L))
     detail = ", ".join(
         f"{v.criterion}={v.classical} (violation {v.max_violation:.3e})"
         for v in verdicts

@@ -892,13 +892,13 @@ def is_semisimple_lie(L: RealSubspace) -> bool:
     """Whether L, closed under ``lie``, is semisimple: whether its center is zero.
 
     L times i is a compact Lie algebra, so L = Z(L) + [L, L] (Knapp, *Lie
-    Groups Beyond an Introduction*, ch. I). An L that holds the central I
-    is not, with no bracket formed; else exactly when ``_central_rows(L,
-    L)``, under ``SPAN_RTOL``, is empty. The zero algebra is semisimple.
+    Groups Beyond an Introduction*, ch. I): semisimple exactly when
+    ``_central_rows(L, L)``, under ``SPAN_RTOL``, is empty. An L that holds
+    the central I is not. The zero algebra is semisimple.
     """
     _require_type("L", L, RealSubspace)
     require_closed(L, lie)
-    return not L.contains(np.eye(L.dim_ambient)) and len(_central_rows(L, L)) == 0
+    return len(_central_rows(L, L)) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -1129,8 +1129,9 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     ValidationError unless ``samples`` is an integer >= 0 and ``seed`` a
     valid seed. Sample t's coordinates of x, y and z are its ``(3, r)``
     draw of ``_trial_normals``, from trial 0 on; a stack of
-    ``_stack_len(n)`` samples is scored in one call per step, bit for bit
-    the per-sample loop's counts and worst cases.
+    ``_stack_len(n)`` samples forms its x, y and z in one real matrix
+    product on ``L.rows`` and is scored in one call per step. The counts
+    are the per-sample loop's, and the worst cases equal its to roundoff.
     """
     _require_type("L", L, RealSubspace)
     samples = _require_count("samples", samples, 0)
@@ -1141,8 +1142,7 @@ def check_positivity_closure(L: RealSubspace, samples: int, seed: int) -> Positi
     counts, lowest = [0, 0], [0.0, 0.0]
     worst: list[tuple[np.ndarray, np.ndarray, float] | None] = [None, None]
     for coords in _trial_normals(seed, 0, samples if r > 0 else 0, (3, r), _stack_len(n)):
-        # one (1, r) by (r, n^2) product per row, so each matrix is _combination's bit for bit
-        xyz = np.matmul(coords[..., None, :], L._stacked.reshape(r, n * n)).reshape(-1, 3, n, n)
+        xyz = (coords.reshape(-1, r) @ L.rows).view(complex).reshape(-1, 3, n, n)
         sq = xyz @ xyz
         sq[:, 2] += sq[:, 1]
         a, b, big = sq[:, 0], sq[:, 1], sq[:, 2]

@@ -57,6 +57,7 @@ _WARM_SIZES = {
     "derived_algebra_full": (24,),
     "derived_algebra_lie_blocks": (24,),
     "is_jordan_associative": (24,),
+    "check_positivity_closure": (16, 24),
     "function_representation": (12, 24),
     "avr_witness_search": (4,),
     "associator_witness_search": (6,),

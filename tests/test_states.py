@@ -53,7 +53,7 @@ from ljlab.states import (
     _bracket_expectations,
     _exact_values,
 )
-from ljlab.subspace import _DEFECT_FLOOR, SPAN_RTOL, RealSubspace, _brackets, _first_max, _rows
+from ljlab.subspace import SPAN_RTOL, RealSubspace, _brackets, _first_max, _rows
 
 
 def diag_state(*entries: float) -> State:
@@ -969,7 +969,7 @@ def test_the_first_step_bounds_settle_up_to_their_documented_edges():
         hs[5] = (rtol * f / slack - 0.5 * rtol) / d
         assert states_mod._associator_classical(cn, hs) is (side < 0)
         # associator, quantum: (top^2 - eta top) / ||x||_1 at f (threshold + d) (1 + _NORM_SLACK)
-        eta = math.sqrt(r) * d + 3.0 * _DEFECT_FLOOR / 2
+        eta = math.sqrt(r) * d
         q = 3.0 * (rtol + d) * slack * f
         top = (eta + math.sqrt(eta * eta + 4 * q)) / 2
         cn = np.full(r, 0.5 * top)
@@ -1029,22 +1029,3 @@ def test_a_near_threshold_state_splits_the_criteria_with_no_patch():
     with pytest.raises(CriteriaDisagree) as exc:
         classify(s, full_hermitian_space(3))
     assert str(exc.value) == want
-
-
-def test_a_split_reuses_the_verdicts_its_flags_took(monkeypatch):
-    """``helpers.split_state`` on full(3): no bound settles either flag, so
-    classify takes both criteria's own verdicts once, one exact pass and
-    one center verdict, and its CriteriaDisagree message reuses them."""
-    calls: Counter[str] = Counter()
-    for fn in ("_exact_values", "_center_verdict"):
-
-        def counted(*args, fn=fn, original=getattr(states_mod, fn)):
-            calls[fn] += 1
-            return original(*args)
-
-        monkeypatch.setattr(states_mod, fn, counted)
-    L = full_hermitian_space(3)
-    for q in range(1, 3):
-        with pytest.raises(CriteriaDisagree):
-            classify(split_state(), L)
-        assert calls == {"_exact_values": q, "_center_verdict": q}

@@ -516,21 +516,12 @@ def test_is_semisimple_lie_asks_the_centralizer_and_builds_no_table():
     assert verdicts == [True, False, True, False, False]
 
 
-def test_is_semisimple_lie_forms_no_bracket_when_the_algebra_holds_the_identity(monkeypatch):
+def test_is_semisimple_lie_reads_an_algebra_holding_the_identity_as_not_semisimple():
+    # the center solve is the one path: I's direction is the center it finds
     algs = [full_hermitian_space(6), span([I2, SX, SY, SZ]), block_algebra((2, 1))]
-    for L in algs:
-        require_closed(L, lie)  # the closedness proof may form products; the verdict may not
-    original = subspace_mod._products
-    formed = []
-
-    def counted(a, b, product):
-        formed.append(product)
-        return original(a, b, product)
-
-    monkeypatch.setattr(subspace_mod, "_products", counted)
-    centers = _count_calls(monkeypatch, "_central_rows")
-    assert [is_semisimple_lie(L) for L in algs] == [False] * 3
-    assert formed == [] and centers == [0]  # contains(I) decides before the center is asked
+    verdicts = [is_semisimple_lie(L) for L in algs]
+    assert verdicts == [False] * 3
+    assert verdicts == [centralizer(L, L).dim_span == 0 for L in algs]
 
 
 def test_a_center_of_dimension_four_is_the_centralizer_and_the_derived_algebras_complement():
@@ -1438,6 +1429,23 @@ def test_positivity_closure_equals_the_per_sample_loop(name, monkeypatch):
     assert linalg_mod._stack_len(n) == 3
     for seed in (0, 5):
         _same_positivity_report(check_positivity_closure(L, 50, seed), loop_positivity_closure(L, 50, seed))
+
+
+@pytest.mark.parametrize("blocks", [(4,), (2, 2)])
+def test_positivity_closure_in_a_conjugated_basis_equals_the_per_sample_loop_to_roundoff(blocks):
+    # one real GEMM on the rows sums in another order than the loop's per-sample products, so off the
+    # canonical basis the worst cases may differ in their last bits; the counts may not
+    L = conjugated(block_algebra(blocks), random_unitary(4, np.random.default_rng(46)))
+    for seed in (0, 5):
+        got, ref = check_positivity_closure(L, 200, seed), loop_positivity_closure(L, 200, seed)
+        assert got.jordan_violations > 0 and got.square_order_violations > 0
+        assert (got.jordan_violations, got.square_order_violations) == (
+            ref.jordan_violations,
+            ref.square_order_violations,
+        )
+        for g, r in ((got.worst_jordan, ref.worst_jordan), (got.worst_square_order, ref.worst_square_order)):
+            for a, b in zip(g, r):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_positivity_closure_crosses_a_stack_boundary_at_its_own_sizes():
