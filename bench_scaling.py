@@ -144,6 +144,15 @@ def lie_generate_blocks(ljlab, n: int):
     return lambda: ljlab.lie_generate(a, b).closure_dim, n * n // 2
 
 
+def lie_generate_so(ljlab, n: int):
+    """``lie_generate`` of i(x - x^T) and i(y - y^T), x and y real Gaussian from seed n: a pair in i so(n), whose
+    transitions repeat in every combination, so the rounds decide after one failed root-frame attempt; it must reach
+    i so(n), dimension n(n - 1)/2."""
+    x, y = np.random.default_rng(n).standard_normal((2, n, n))
+    a, b = 1j * (x - x.T), 1j * (y - y.T)
+    return lambda: ljlab.lie_generate(a, b).closure_dim, n * (n - 1) // 2
+
+
 def jordan_generate_three_blocks(ljlab, n: int):
     """``jordan_generate_three`` of ``block_pair``, below the n^2 bound: it must reach dimension n^2/2."""
     a, b = block_pair(ljlab, n)
@@ -322,6 +331,7 @@ WARM = {
     lie_generate: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
     jordan_generate_three: (CLOSURE_SIZES, "closure_dim", "dim_ok"),
     lie_generate_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
+    lie_generate_so: ((8, 16, 24), "closure_dim", "dim_ok"),
     jordan_generate_three_blocks: ((8, 16, 24), "closure_dim", "dim_ok"),
     jordan_generate_three_multiplicity: ((8, 16, 24), "closure_dim", "dim_ok"),
     centralizer: ((8, 12, 16, 24), "dim_span", "dim_ok"),

@@ -37,9 +37,9 @@ from one running first maximum (``_first_max``), which holds the one tie
 rule; the defects take an SVD only of a bracket or associator whose HS norm
 can reach the running maximum (``_running_screen``).
 Closedness verdicts and derived algebras are memoized on the subspace.
-``jordan_generate_three`` reads its closure off
-the blocks of one generic element's eigenframe and runs the rounds only
-where that frame is unclear (``_eigenframe_close``).
+``jordan_generate_three`` and ``lie_generate`` read their closures off
+the blocks of one generic element's eigenframe and run the rounds only
+where that frame is unclear (``_eigenframe_close``, ``_root_frame_close``).
 
 Every public function checks that its subspace arguments are
 ``RealSubspace`` objects (``_require_type``), raising ValidationError
@@ -234,14 +234,14 @@ def full_hermitian_basis(n: int) -> list[np.ndarray]:
     return list(_full_stack(n))
 
 
-def _full_stack(n: int) -> np.ndarray:
-    """``full_hermitian_basis(n)`` as one read-only (n^2, n, n) stack."""
+def _full_stack(n: int, traceless: bool = False) -> np.ndarray:
+    """``full_hermitian_basis(n)`` as one read-only stack, or su(n)'s, with Helmert diagonals, if ``traceless``."""
     n = _require_dim(n)
-    mats = np.zeros((n * n, n, n), dtype=complex)
-    d = np.arange(n)
-    mats[d, d, d] = 1.0
+    m, d, k = n - traceless, np.arange(n), np.arange(1, n)[:, None]  # m diagonal rows
+    mats = np.zeros((n * n - traceless, n, n), dtype=complex)
+    mats[:m, d, d] = ((d < k) - k * (d == k)) / np.sqrt(k * (k + 1)) if traceless else np.eye(n)
     i, j = np.nonzero(d[:, None] < d)  # np.triu_indices(n, 1), row-major, without its overhead
-    s = n + 2 * np.arange(len(i))
+    s = m + 2 * np.arange(len(i))
     inv = 1.0 / math.sqrt(2.0)
     mats[s, i, j] = mats[s, j, i] = inv
     mats[s + 1, i, j], mats[s + 1, j, i] = -1j * inv, 1j * inv
@@ -584,6 +584,13 @@ def _round(rows: np.ndarray, new: int, product: Product, bound: int, memo: dict)
                 return
 
 
+def _seed_rows(s: RealSubspace, bound: int) -> np.ndarray:
+    """s's rows, less their identity part, at most ``SPAN_RTOL``, at su(n)'s bound: kept, the rank kernel could grow
+    it into a direction of its own and the closure past su(n)."""
+    unit = _unit_identity(s.dim_ambient)
+    return s.rows - np.outer(s.rows @ unit, unit) if bound == s.dim_ambient**2 - 1 else s.rows
+
+
 def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int, list[int]]:
     """``close_under`` with its round count and the dimension after each round.
 
@@ -596,13 +603,9 @@ def _close_rounds(s: RealSubspace, product: Product) -> tuple[RealSubspace, int,
     if s.dim_span == 0:
         return s, 0, [0]
     bound = _bound(s, product)
-    rows = s.rows
-    n = s.dim_ambient
-    if product is lie and bound == n * n - 1:
-        # the rows' identity part, at most SPAN_RTOL, goes: kept, the rank kernel could
-        # grow it into a direction of its own and the closure past su(n)
-        unit = _unit_identity(n)
-        rows = _extend(rows[:0], rows - np.outer(rows @ unit, unit))
+    rows = _seed_rows(s, bound)
+    if rows is not s.rows:  # orthonormal again for the rank kernel
+        rows = _extend(rows[:0], rows)
     trajectory = [len(rows)]
     proofs = {product: True}
     new = 0  # rows added by the previous round start here
@@ -672,10 +675,10 @@ def require_closed(s: RealSubspace, product: Product) -> None:
 def _ad_rows(e: np.ndarray, s: np.ndarray, rank: int) -> np.ndarray:
     """Orthonormal rows, in coordinates against the stack e, spanning the constraints x -> [sum_i x_i e_i, s_j].
 
-    Each real entry of [e_i, s_j], over i, is a row; ``_extend`` ranks them ``max(1, _BLOCK // 2n^2)``
-    elements s_j at a time, skipping all-zero rows, and the walk stops once the kept rows reach ``rank``.
+    Each real entry of [e_i, s_j], over i, is a row; ``_extend`` ranks them ``max(1, _BLOCK // len(e))`` elements
+    s_j (about ``_BLOCK`` brackets) at a time, skipping all-zero rows, and stops once the kept rows reach ``rank``.
     """
-    k, step = len(e), max(1, _BLOCK // (2 * e.shape[-1] ** 2))
+    k, step = len(e), max(1, _BLOCK // len(e))
     kept = np.empty((0, k))
     for j in range(0, len(s), step):
         if len(kept) >= rank:
@@ -917,11 +920,11 @@ class GenerationReport:
 def _generation_report(seeds: list[np.ndarray], product: Product) -> GenerationReport:
     """Close span(seeds) under product; the generators are the first two seeds.
 
-    ``jordan`` seeds are ``jordan_generate_three``'s, closed by ``_eigenframe_close``; ``lie`` seeds by the rounds.
-    The target is the closure's dimension bound (``_bound``).
+    ``jordan`` seeds are ``jordan_generate_three``'s, closed by ``_eigenframe_close``; ``lie`` seeds are closed by
+    ``_root_frame_close``. The target is the closure's dimension bound (``_bound``).
     """
     s = span(seeds)
-    closed, rounds, trajectory = _eigenframe_close(s) if product is jordan else _close_rounds(s, product)
+    closed, rounds, trajectory = (_eigenframe_close if product is jordan else _root_frame_close)(s)
     target = _bound(s, product)
     return GenerationReport(
         generators=tuple(seeds[:2]),
@@ -940,9 +943,21 @@ def lie_generate(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     The target is the closure's bound: n^2 - 1 (su(n), the traceless
     Hermitian space) when span{a, b} is orthogonal to the identity within
     ``SPAN_RTOL``, n^2 otherwise. A generic traceless pair generates the
-    full target; degenerate pairs simply report generated False.
+    full target; degenerate pairs simply report generated False. The closure
+    comes from one generic element's root frame where it is clear (``_root_frame_close``).
     """
     return _generation_report([as_matrix(a), as_matrix(b)], lie)
+
+
+def _components(reach: np.ndarray) -> np.ndarray:
+    """Each vertex's component in the symmetric boolean graph ``reach``, named by its lowest member."""
+    np.fill_diagonal(reach, True)
+    while not reach.all():  # square the reach matrix until it stops growing
+        grown = reach @ reach
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return reach.argmax(axis=1)
 
 
 def _eigenframe_close(s: RealSubspace) -> tuple[RealSubspace, int, list[int]]:
@@ -958,8 +973,7 @@ def _eigenframe_close(s: RealSubspace) -> tuple[RealSubspace, int, list[int]]:
     combinations g_1, g_2, of HS norm 1, generate W. When g_1 = V diag(w) V^H has a simple spectrum,
     W holds its spectral projectors v_i v_i^H, hence v_i v_j^H whenever the coupling |V^H g_2 V|_ij is
     nonzero, and everything in W is block-diagonal over the components of that graph: W = V (+) M_{n_k}
-    V^H. The closure's rows are ``full_hermitian_space(n)``'s for one component, else each block's
-    ``full_hermitian_basis`` conjugated by its columns V_k, and its memo holds ``jordan`` and ``lie``.
+    V^H. The closure's rows are ``_block_space``'s, and its memo holds ``jordan`` and ``lie``.
     A gap or coupling eps >= sqrt(``SPAN_RTOL``) is one the rounds resolve too, as eps^2 >= ``SPAN_RTOL``
     keeps its second-order products; a coupling at most ``SPAN_RTOL`` is roundoff to them. So the rounds
     decide, with the report of ``_close_rounds``, when a gap of w is at most sqrt(``SPAN_RTOL``), which
@@ -973,28 +987,66 @@ def _eigenframe_close(s: RealSubspace) -> tuple[RealSubspace, int, list[int]]:
     g = (_generic_pair(min(2, s.dim_span))[0] @ s.rows[:2]).view(complex).reshape(2, n, n)
     w, v = np.linalg.eigh(g[0])
     if np.diff(w).min(initial=edge + 1.0) > edge:
-        reach = np.abs(v.conj().T @ g[1] @ v) >= edge
-        np.fill_diagonal(reach, True)
-        while not reach.all():  # components: square the reach matrix until it stops growing
-            grown = reach @ reach
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        first = reach.argmax(axis=1)  # each index's component, by its lowest member
-        comps = [np.flatnonzero(first == k) for k in np.flatnonzero(first == np.arange(n))]
-        closed = _block_space(v, comps)
+        first = _components(np.abs(v.conj().T @ g[1] @ v) >= edge)
+        comps = [np.flatnonzero(first == k) for k in np.unique(first)]
+        closed = RealSubspace(n, _block_space(v, comps))
         if len(comps) == 1 or _coordinates(closed.rows, s.rows, 1.0) is not None:
             closed._memo.update({jordan: True, lie: True})
             return closed, 1, [s.dim_span, closed.dim_span]
     return _close_rounds(s, jordan)
 
 
-def _block_space(v: np.ndarray, comps: list[np.ndarray]) -> RealSubspace:
-    """Herm of V (+) M_{n_k} V^H over the column sets ``comps`` of the unitary v; ``full_hermitian_space`` for one."""
+def _root_frame_close(s: RealSubspace) -> tuple[RealSubspace, int, list[int]]:
+    """The ``lie`` closure L of s = span{a, b} from the root frame of one element, else ``_close_rounds``.
+
+    g_1 = V diag(w) V^H and g_2 combine s's rows, stripped as the rounds strip them (``_seed_rows``).
+    ad g_1 scales E_ij = v_i v_j^H by w_i - w_j; at a lone transition (``_lone``) that line is its eigenspace,
+    whose spectral projector, a polynomial in ad g_1, maps g_2 into L + iL as (V^H g_2 V)_ij E_ij. So couplings
+    of at least sqrt(``SPAN_RTOL``) there join components C with su(C) in L, and L holds the Lie algebra R =
+    V (+) su(C) V^H plus the block-trace parts of g_1 and g_2 (``_extend`` in unit block projector coordinates).
+    R is L once it holds the seeds: always for one component, where R is su(n), or Herm(n) off su(n)'s bound.
+    The rounds decide, with their report, for seeds that span no plane, and when g_2, so a seed, lies off the
+    components or a seed row lies more than ``SPAN_RTOL`` off R (``_coordinates``), as for i so(n), spin-j and
+    +-symmetric spectra, whose transitions repeat; else the report is one round, trajectory [dim s, dim L].
+    """
+    n, edge, bound = s.dim_ambient, math.sqrt(SPAN_RTOL), _bound(s, lie)
+    rows = _seed_rows(s, bound)  # orthonormal to roundoff: what they lose is at most SPAN_RTOL
+    if len(rows) == 2:
+        g = (_generic_pair(2)[0] @ rows).view(complex).reshape(2, n, n)
+        w, v = np.linalg.eigh(g[0])
+        h = v.conj().T @ g[1] @ v
+        first = _components(_lone(w, edge) & (np.abs(h) >= edge))
+        if np.linalg.norm(h[first[:, None] != first]) <= 2.0 * SPAN_RTOL:  # else a seed lies SPAN_RTOL off
+            comps = [np.flatnonzero(first == k) for k in np.unique(first)]
+            block = _block_space(v, comps, traceless=len(comps) > 1 or bound < n * n)
+            if len(comps) > 1:
+                q = np.array([np.bincount(c, minlength=n) / math.sqrt(len(c)) for c in comps])  # unit projectors
+                d = _extend(np.empty((0, len(q))), np.stack((w, h.diagonal().real)) @ q.T) @ q
+                block = np.concatenate((block, _rows((v * d[:, None]) @ v.conj().T)))
+            if len(comps) == 1 or _coordinates(block, rows, 1.0) is not None:
+                closed = RealSubspace(n, block)
+                closed._memo[lie] = True
+                return closed, 1, [s.dim_span, closed.dim_span]
+    return _close_rounds(s, lie)
+
+
+def _lone(w: np.ndarray, edge: float) -> np.ndarray:
+    """The (n, n) mask of the transitions w_i - w_j more than ``edge`` from every other one and from 0."""
+    t = np.subtract.outer(w, w).ravel()  # the diagonal's n zeros among them
+    order = np.argsort(t)
+    near = np.diff(t[order]) <= edge
+    lone = np.ones(len(t), dtype=bool)
+    lone[order[:-1][near]] = lone[order[1:][near]] = False
+    return lone.reshape(len(w), len(w))
+
+
+def _block_space(v: np.ndarray, comps: list[np.ndarray], traceless: bool = False) -> np.ndarray:
+    """Rows of Herm of V (+) M_{n_k} V^H over the column sets ``comps`` of the unitary v, or of V (+) su(n_k) V^H
+    with ``traceless``; those of ``_full_stack(n, traceless)`` for one set."""
     if len(comps) == 1:
-        return full_hermitian_space(len(v))
-    mats = [v[:, c] @ _full_stack(len(c)) @ v[:, c].conj().T for c in comps]
-    return RealSubspace(len(v), _rows(np.concatenate(mats)))
+        return _rows(_full_stack(len(v), traceless))
+    mats = [v[:, c] @ _full_stack(len(c), traceless) @ v[:, c].conj().T for c in comps if len(c) > traceless]
+    return _rows(np.concatenate([np.empty((0, len(v), len(v)), dtype=complex), *mats]))
 
 
 def jordan_generate_three(a: np.ndarray, b: np.ndarray) -> GenerationReport:

@@ -170,8 +170,8 @@ def check_near_threshold_at_24(d: str) -> None:
     assert s["algebra_dim"] == 576 and s["classical"] is False, s
 
 
-# su(24), by closure rounds whose product blocks span many cache-sized chunks, and the full 24x24 algebra, from the
-# pair's eigenframe, at a size the benchmark never reaches (about 0.5 s and 75 MB per child); peak RSS at most 150 MB
+# su(24) and the full 24x24 algebra, from the pair's root frame and eigenframe, at a size the benchmark never reaches;
+# peak RSS at most 150 MB
 def check_closures_at_24(d: str) -> None:
     for mode, dim in (("lie2", 575), ("jordan3", 576)):
         check = _cli("generate", "--mode", mode, "--dim", "24", "--trials", "1", rss=150)["checks"][0]

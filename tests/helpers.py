@@ -15,8 +15,9 @@ loop, positivity sampling from its per-sample loop, the batched subspace
 helpers from their per-basis loops,
 operator norms from ``np.linalg.norm(a, 2)``, ``function_representation``
 from its joint-tuple merge loop, ``classify``'s disagreement report
-from the three public verdicts, and the Jordan closure of a pair from its
-constructing unitary and the support graph of its second element.
+from the three public verdicts, and the Jordan and Lie closures of a pair
+from its constructing unitary, its first element's spectrum and the support
+graph of its second element.
 """
 
 from __future__ import annotations
@@ -194,20 +195,70 @@ def sequential_span(matrices: list[np.ndarray], rtol: float = SPAN_RTOL) -> Real
     return RealSubspace(dim_ambient=n, rows=np.array(basis, dtype=complex).reshape(len(basis), n * n).view(float))
 
 
+def _rounds_report(seeds: list[np.ndarray], product) -> GenerationReport:
+    """The generation report of span(seeds) under ``product`` from the closure rounds alone (``_close_rounds``)."""
+    s = span(seeds)
+    closed, rounds, trajectory = _close_rounds(s, product)
+    target = _bound(s, product)
+    return GenerationReport(
+        tuple(seeds[:2]), closed.dim_span, target, closed.dim_span == target, rounds, tuple(trajectory), closed
+    )
+
+
 def jordan_rounds(a: np.ndarray, b: np.ndarray) -> GenerationReport:
     """``jordan_generate_three``'s report from the closure rounds alone (``_close_rounds``) on the span it takes.
 
     The rounds decide the inputs whose eigenframe is unclear; the tests of the rounds themselves run them here.
     """
-    s = span([a, b, lie(a, b), np.eye(len(a), dtype=complex)])
-    closed, rounds, trajectory = _close_rounds(s, jordan)
-    target = _bound(s, jordan)
-    return GenerationReport((a, b), closed.dim_span, target, closed.dim_span == target, rounds, tuple(trajectory), closed)
+    return _rounds_report([a, b, lie(a, b), np.eye(len(a), dtype=complex)], jordan)
+
+
+def lie_rounds(a: np.ndarray, b: np.ndarray) -> GenerationReport:
+    """``lie_generate``'s report from the closure rounds alone (``_close_rounds``) on span{a, b}.
+
+    The rounds decide the inputs whose root frame is unclear; the tests of the rounds themselves run them here.
+    """
+    return _rounds_report([a, b], lie)
 
 
 #: ``generated_by_pair`` takes only spectra whose consecutive values are at least this far apart, relative
 #: to the largest: closer ones sit in the band where a numeric closure may read them either way.
 ORACLE_GAP = 1e-3
+
+
+def _support_components(support: np.ndarray) -> list[list[int]]:
+    """The components of the graph whose edges are True in the symmetric boolean ``support``, each sorted, in order
+    of their lowest index, by a depth-first walk."""
+    n, seen, comps = len(support), set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        comp, todo = [], [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            comp.append(i)
+            for j in range(n):
+                if support[i, j] and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _off_diagonal_units(u: np.ndarray, comp: list[int]) -> list[np.ndarray]:
+    """(u_i u_j^H + u_j u_i^H)/sqrt(2) and i(u_j u_i^H - u_i u_j^H)/sqrt(2) for each i < j in ``comp``."""
+    mats = []
+    for p, i in enumerate(comp):
+        for j in comp[p + 1 :]:
+            e = np.outer(u[:, i], u[:, j].conj())
+            mats += [(e + e.conj().T) / math.sqrt(2.0), 1j * (e.conj().T - e) / math.sqrt(2.0)]
+    return mats
+
+
+def _real_rows(mats: list[np.ndarray], n: int) -> np.ndarray:
+    """The matrices as real rows, Re and Im interleaved."""
+    return np.array(mats, dtype=complex).reshape(len(mats), n * n).view(float)
 
 
 def generated_by_pair(u: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -225,30 +276,48 @@ def generated_by_pair(u: np.ndarray, w: np.ndarray, support: np.ndarray) -> tupl
     w = np.sort(np.asarray(w, dtype=float))
     if len(w) > 1 and np.diff(w).min() < ORACLE_GAP * np.abs(w).max():
         raise ValueError("the oracle needs a's eigenvalues ORACLE_GAP apart")
-    n, seen, comps = len(u), set(), []
-    for start in range(n):  # components by a depth-first walk of the support graph
-        if start in seen:
-            continue
-        comp, todo = [], [start]
-        seen.add(start)
-        while todo:
-            i = todo.pop()
-            comp.append(i)
-            for j in range(n):
-                if support[i, j] and j not in seen:
-                    seen.add(j)
-                    todo.append(j)
-        comps.append(sorted(comp))
-    mats = []
+    comps, mats = _support_components(support), []
     for comp in comps:
-        for i in comp:
-            mats.append(np.outer(u[:, i], u[:, i].conj()))
-        for p, i in enumerate(comp):
-            for j in comp[p + 1 :]:
-                e = np.outer(u[:, i], u[:, j].conj())
-                mats += [(e + e.conj().T) / math.sqrt(2.0), 1j * (e.conj().T - e) / math.sqrt(2.0)]
-    rows = np.array(mats, dtype=complex).reshape(len(mats), n * n).view(float)
-    return [len(c) for c in comps], rows
+        mats += [np.outer(u[:, i], u[:, i].conj()) for i in comp] + _off_diagonal_units(u, comp)
+    return [len(c) for c in comps], _real_rows(mats, len(u))
+
+
+def lie_generated_by_pair(u: np.ndarray, w: np.ndarray, support: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Component sizes and orthonormal real rows of the Lie closure L of {a, b} under i[x, y], in closed form.
+
+    The pair is a = u diag(w) u^H and b = u B u^H, u unitary, and B Hermitian, zero on its diagonal, with
+    B_ij != 0 exactly where the symmetric boolean ``support`` is True off the diagonal. When the transitions
+    w_i - w_j (i != j) are distinct and nonzero, ad a has the line of u_i u_j^H as an eigenspace for each, and
+    its spectral projector, a polynomial in ad a, maps b to B_ij u_i u_j^H: so L + iL holds u_i u_j^H wherever
+    B_ij != 0, and their brackets give each component C of the support graph its su(C). a and b are
+    block-diagonal over the components, so L is u (+) su(C) u^H plus the line of a's block-trace part c =
+    sum_C mean_C(w) P_C (b's vanish), of dimension sum (n_k^2 - 1) + (c != 0). The rows are, per component in
+    order of its lowest index, its Helmert diagonals sum_i h_i u_i u_i^H, h = (1, ..., 1, -k, 0, ...)/sqrt(k(k +
+    1)) over the component's indices, k = 1, ..., n_C - 1, then the off-diagonal units of ``generated_by_pair``;
+    last c / ||c||. Only u, w and the graph are read, with no eigensolver. Raises ValueError when two
+    transitions, or a transition and 0, lie closer than ``ORACLE_GAP`` times max |w|, or when ||c|| lies
+    between 1e-12 and ``ORACLE_GAP`` times max |w|, where it is neither clearly 0 nor clearly not.
+    """
+    w = np.asarray(w, dtype=float)
+    scale = np.abs(w).max()
+    t = np.sort(np.append(np.subtract.outer(w, w)[~np.eye(len(w), dtype=bool)], 0.0))
+    if len(w) > 1 and np.diff(t).min() < ORACLE_GAP * scale:
+        raise ValueError("the oracle needs a's transitions ORACLE_GAP apart")
+    n, comps, mats = len(u), _support_components(support), []
+    c = np.zeros((n, n), dtype=complex)
+    for comp in comps:
+        for k in range(1, len(comp)):
+            h = np.zeros(len(comp))
+            h[:k], h[k] = 1.0, -k
+            mats.append(sum(x * np.outer(u[:, i], u[:, i].conj()) for x, i in zip(h / math.sqrt(k * (k + 1)), comp)))
+        mats += _off_diagonal_units(u, comp)
+        c += w[comp].mean() * sum(np.outer(u[:, i], u[:, i].conj()) for i in comp)
+    norm = float(np.linalg.norm(c))
+    if 1e-12 * scale < norm < ORACLE_GAP * scale:
+        raise ValueError("the oracle needs a's block-trace part clearly zero or clearly not")
+    if norm > ORACLE_GAP * scale:
+        mats.append(c / norm)
+    return [len(comp) for comp in comps], _real_rows(mats, n)
 
 
 def _all_product_pairs(r: int, product) -> list[tuple[int, int]]:

@@ -43,6 +43,7 @@ _WARM_SIZES = {
     "lie_generate": (8, 12, 16, 24),
     "jordan_generate_three": (8, 12, 16, 24),
     "lie_generate_blocks": (8, 16, 24),
+    "lie_generate_so": (8, 16, 24),
     "jordan_generate_three_blocks": (8, 16, 24),
     "jordan_generate_three_multiplicity": (8, 16, 24),
     "centralizer": (8, 12, 16, 24),

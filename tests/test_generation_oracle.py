@@ -1,10 +1,12 @@
-"""The paper's generation claim against a closed form: the Jordan closure of {I, a, b, i[a, b]} for pairs built
-with a known answer.
+"""The paper's generation claim against a closed form: the Jordan closure of {I, a, b, i[a, b]} and the Lie closure
+of {a, b} for pairs built with a known answer.
 
-a = u diag(w) u^H has a simple spectrum and b = u B u^H a chosen support; ``generated_by_pair`` reads the closure
-off u and the support graph alone. Both ways ``jordan_generate_three`` can take, the eigenframe blocks (its path
-for clear inputs) and the closure rounds (``jordan_rounds``), must span the oracle's subspace, not only match its
-dimension.
+a = u diag(w) u^H has a simple spectrum and b = u B u^H a chosen support; ``generated_by_pair`` reads the Jordan
+closure off u and the support graph alone, ``lie_generated_by_pair`` the Lie closure off u, w and the graph when a's
+transitions w_i - w_j are distinct. Both ways each generator can take, the frame blocks (its path for clear inputs)
+and the closure rounds (``jordan_rounds``, ``lie_rounds``), must span the oracle's subspace, not only match its
+dimension. Pairs whose transitions repeat in every combination (i so(n), spin-j, +-symmetric spectra) have no
+closed form here: ``lie_generate`` must hand them to the rounds and report what the rounds report.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import ORACLE_GAP, generated_by_pair, jordan_rounds, random_unitary
-from ljlab import ValidationError, jordan_generate_three, lie, span
+from helpers import ORACLE_GAP, generated_by_pair, jordan_rounds, lie_generated_by_pair, lie_rounds, random_unitary
+from ljlab import ValidationError, jordan_generate_three, lie, lie_generate, span
 from ljlab import subspace as subspace_mod
 from ljlab.subspace import SPAN_RTOL
 
@@ -31,12 +33,13 @@ def _support(n: int, blocks: list[list[int]], extra: float, rng: np.random.Gener
     return s | s.T
 
 
-def _pair(u: np.ndarray, w: np.ndarray, support: np.ndarray, rng: np.random.Generator):
-    """a = u diag(w) u^H and b = u B u^H, B's off-diagonal entries of modulus 0.5 to 1.5 exactly on ``support``."""
+def _pair(u: np.ndarray, w: np.ndarray, support: np.ndarray, rng: np.random.Generator, diagonal: bool = True):
+    """a = u diag(w) u^H and b = u B u^H, B's off-diagonal entries of modulus 0.5 to 1.5 exactly on ``support``, its
+    diagonal standard normal, or zero without ``diagonal``."""
     n = len(w)
     z = rng.uniform(0.5, 1.5, (n, n)) * np.exp(2j * np.pi * rng.random((n, n)))
     upper = np.triu(np.where(support, z, 0.0), 1)
-    bb = upper + upper.conj().T + np.diag(rng.standard_normal(n))
+    bb = upper + upper.conj().T + (np.diag(rng.standard_normal(n)) if diagonal else 0.0)
     return (u * w) @ u.conj().T, u @ bb @ u.conj().T
 
 
@@ -89,7 +92,7 @@ def test_the_oracle_raises_on_a_spectrum_closer_than_its_gap():
 
 
 def _counting_rounds(monkeypatch) -> list[int]:
-    """Count the closures that run the rounds, which the eigenframe path falls back to."""
+    """Count the closures that run the rounds, which the eigenframe and root frame paths fall back to."""
     calls = [0]
     original = subspace_mod._close_rounds
 
@@ -240,3 +243,168 @@ def test_the_tilt_at_which_each_path_reads_two_blocks_apart(monkeypatch):
     apart = rounds.index(18)
     assert set(rounds[:apart]) <= {36, None} and set(rounds[apart:]) == {18}
     assert set(rounds[: list(_TILTS).index(7.0) + 1]) == {36} and 7.0 < _TILTS[apart] <= 10.0
+
+
+# ---------------------------------------------------------------- Lie generation
+
+
+def _sidon(n: int, rng: np.random.Generator, traceless: bool = False) -> np.ndarray:
+    """n values whose differences are distinct nonzero integers (Erdos and Turan: 2pk + (k^2 mod p), p prime, p >= n),
+    in random order, shifted by a random amount or to trace zero. Up to n = 16 every gap between transitions is at
+    least 1 and max |w| below 1 / ``ORACLE_GAP``."""
+    p = next(q for q in range(n, 2 * n + 2) if all(q % d for d in range(2, q)))
+    w = rng.permutation([2 * p * k + k * k % p for k in range(n)]).astype(float)
+    return w - w.mean() if traceless else w - rng.uniform(0.0, w.max())
+
+
+def _lie_cases():
+    """(label, u, w, support) with a's transitions distinct: random partitions at n = 2..10, paths, one block with
+    a traceless spectrum, and n = 16."""
+    for n in range(2, 11):
+        for seed in range(3):
+            rng = np.random.default_rng(500 + 100 * n + seed)
+            u, w = random_unitary(n, rng), _sidon(n, rng, traceless=seed == 2)
+            yield f"n{n}-s{seed}", u, w, _support(n, _blocks(n, rng), 0.3, rng)
+    for n in (5, 8):
+        rng = np.random.default_rng(11 * n)
+        u, w = random_unitary(n, rng), _sidon(n, rng)
+        yield f"path-n{n}", u, w, _support(n, [list(range(n))], 0.0, rng)
+        yield f"traceless-block-n{n}", u, _sidon(n, rng, traceless=True), _support(n, [list(range(n))], 0.5, rng)
+    rng = np.random.default_rng(1600)
+    u, w = random_unitary(16, rng), _sidon(16, rng)
+    yield "halves-n16", u, w, _support(16, [list(range(0, 16, 2)), list(range(1, 16, 2))], 0.2, rng)
+
+
+LIE_CASES = list(_lie_cases())
+
+
+def test_the_lie_oracle_raises_on_transitions_closer_than_its_gap():
+    u, support = np.eye(3), np.ones((3, 3), dtype=bool)
+    with pytest.raises(ValueError, match="transitions"):
+        lie_generated_by_pair(u, [0.0, 1.0, 2.0], support)  # 1 - 0 = 2 - 1
+    with pytest.raises(ValueError, match="transitions"):
+        lie_generated_by_pair(u, [0.0, 1.0, 1.0 + 0.5 * ORACLE_GAP], support)  # a transition near 0
+    sizes, rows = lie_generated_by_pair(u, [-1.0, -2.0, 3.0], support)  # traceless: su(3)
+    assert sizes == [3] and np.allclose(rows @ rows.T, np.eye(8), rtol=0, atol=1e-14)
+    sizes, rows = lie_generated_by_pair(u, [0.0, 1.0, 3.0], np.zeros((3, 3), dtype=bool))  # a's line alone
+    assert sizes == [1, 1, 1] and len(rows) == 1
+
+
+@pytest.mark.parametrize("label,u,w,support", LIE_CASES, ids=[c[0] for c in LIE_CASES])
+def test_both_lie_paths_span_the_oracles_closure(label, u, w, support):
+    sizes, ref = lie_generated_by_pair(u, w, support)
+    a, b = _pair(u, w, support, np.random.default_rng(len(w)), diagonal=False)
+    np.testing.assert_allclose(ref @ ref.T, np.eye(len(ref)), rtol=0, atol=1e-12)
+    for generate in (lie_generate, lie_rounds):
+        rep = generate(a, b)
+        assert rep.closure_dim == len(ref), (label, generate)
+        assert _same_subspace(rep.closure.rows, ref), (label, generate)
+
+
+def test_clear_lie_pairs_take_the_root_frame(monkeypatch):
+    """A lone transition of g_1 needs a gap of sqrt(SPAN_RTOL) to every other of its n(n - 1). With numpy 2.4.6 on
+    OpenBLAS every oracle pair has one on each edge its components need and takes the root frame; halves-n16, whose
+    least gap between two transitions is 8.4e-5, may fall back under another LAPACK."""
+    calls, fell = _counting_rounds(monkeypatch), []
+    for label, u, w, support in LIE_CASES:
+        a, b = _pair(u, w, support, np.random.default_rng(len(w)), diagonal=False)
+        before = calls[0]
+        rep = lie_generate(a, b)
+        if calls[0] > before:
+            fell.append(label)
+        else:
+            assert (rep.rounds, rep.trajectory) == (1, (2, rep.closure_dim)) and rep.closure._memo[lie], label
+    assert set(fell) <= {"halves-n16"}, fell
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_conjugation_keeps_the_lie_closure(seed):
+    rng = np.random.default_rng(600 + seed)
+    n = 5 + seed
+    u, w, q = random_unitary(n, rng), _sidon(n, rng), random_unitary(n, rng)
+    support = _support(n, _blocks(n, rng), 0.3, rng)
+    a, b = _pair(u, w, support, rng, diagonal=False)
+    _, moved = lie_generated_by_pair(q @ u, w, support)
+    qa, qb = q @ a @ q.conj().T, q @ b @ q.conj().T
+    for generate in (lie_generate, lie_rounds):
+        assert generate(qa, qb).closure_dim == generate(a, b).closure_dim == len(moved)
+        assert _same_subspace(generate(qa, qb).closure.rows, moved)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_lie_direct_sum_joins_the_components_and_shares_one_trace_line(seed):
+    """Two oracle pairs whose spectra split one Sidon set: the direct sum's components are both pairs' components,
+    and its closure is the oracle's, whose block-trace line is one, not one a summand."""
+    rng = np.random.default_rng(700 + seed)
+    n1, n2 = 3 + seed, 5 - seed % 2
+    n, w = n1 + n2, _sidon(n1 + n2, rng)
+    parts = []
+    for k, ws in ((n1, w[:n1]), (n2, w[n1:])):
+        u = random_unitary(k, rng)
+        support = _support(k, _blocks(k, rng), 0.3, rng)
+        parts.append((u, support, *_pair(u, ws, support, rng, diagonal=False)))
+    (u1, s1, a1, b1), (u2, s2, a2, b2) = parts
+
+    def dsum(x, y):
+        m = np.zeros((n, n), dtype=complex)
+        m[:n1, :n1], m[n1:, n1:] = x, y
+        return m
+
+    sizes, ref = lie_generated_by_pair(dsum(u1, u2), w, dsum(s1, s2).real.astype(bool))
+    assert sizes == lie_generated_by_pair(u1, w[:n1], s1)[0] + lie_generated_by_pair(u2, w[n1:], s2)[0]
+    assert len(ref) == sum(k * k - 1 for k in sizes) + 1
+    for generate in (lie_generate, lie_rounds):
+        got = generate(dsum(a1, a2), dsum(b1, b2))
+        assert _same_subspace(got.closure.rows, ref), generate
+
+
+def _spin(j2: int) -> tuple[np.ndarray, np.ndarray]:
+    """J_x and J_y of spin j = j2 / 2, dimension j2 + 1, from the ladder J_+ |m> = sqrt(j(j + 1) - m(m + 1)) |m + 1>."""
+    j, m = j2 / 2.0, np.arange(j2) - j2 / 2.0
+    up = np.diag(np.sqrt(j * (j + 1) - m * (m + 1)), -1).astype(complex)
+    return (up + up.T) / 2.0, (up - up.T) / 2j
+
+
+def _unclear_pairs():
+    """(label, a, b, closure dimension or None): pairs whose every combination repeats a transition. i so(n) closes
+    to itself, a spin-j representation to su(2)'s image; a chiral pair [[0, X], [X^H, 0]] has a +-symmetric
+    spectrum, and its closure is whatever the rounds read."""
+    for n in range(3, 9):
+        rng = np.random.default_rng(800 + n)
+        x, y = rng.standard_normal((2, n, n))
+        yield f"so-n{n}", 1j * (x - x.T), 1j * (y - y.T), n * (n - 1) // 2
+    for j2 in range(2, 6):
+        u = random_unitary(j2 + 1, np.random.default_rng(900 + j2))
+        jx, jy = _spin(j2)
+        yield f"spin-{j2}/2", u @ jx @ u.conj().T, u @ jy @ u.conj().T, 3
+    for k in (2, 3, 4):
+        rng = np.random.default_rng(950 + k)
+        u = random_unitary(2 * k, rng)
+        x, y = rng.standard_normal((2, k, k)) + 1j * rng.standard_normal((2, k, k))
+        z = np.zeros((k, k))
+        a, b = (u @ np.block([[z, m], [m.conj().T, z]]) @ u.conj().T for m in (x, y))
+        yield f"chiral-n{2 * k}", a, b, None
+
+
+UNCLEAR = list(_unclear_pairs())
+
+
+@pytest.mark.parametrize("label,a,b,dim", UNCLEAR, ids=[c[0] for c in UNCLEAR])
+def test_pairs_with_repeated_transitions_fall_back_to_the_rounds(monkeypatch, label, a, b, dim):
+    ref = lie_rounds(a, b)
+    calls = _counting_rounds(monkeypatch)
+    rep = lie_generate(a, b)
+    assert calls[0] == 1, label
+    assert (rep.closure_dim, rep.target_dim, rep.generated) == (ref.closure_dim, ref.target_dim, ref.generated)
+    assert (rep.rounds, rep.trajectory) == (ref.rounds, ref.trajectory)
+    assert rep.closure.rows.tobytes() == ref.closure.rows.tobytes()
+    assert dim is None or rep.closure_dim == dim
+
+
+def test_joining_every_coupling_without_the_lone_test_misreads_a_pair(monkeypatch):
+    """The mutation: every transition read as lone. Then g_1's repeated transitions pass couplings of g_2 that
+    belong to no single E_ij, the components join, and one component skips the seed check: i so(n) and spin-j
+    read su(n)."""
+    monkeypatch.setattr(subspace_mod, "_lone", lambda w, edge: np.ones((len(w), len(w)), dtype=bool))
+    wrong = [label for label, a, b, dim in UNCLEAR if lie_generate(a, b).closure_dim != lie_rounds(a, b).closure_dim]
+    assert wrong and all(label.startswith(("so", "spin")) for label in wrong), wrong

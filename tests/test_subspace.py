@@ -18,6 +18,7 @@ from helpers import (
     dense_structure_constants,
     index_products,
     jordan_rounds,
+    lie_rounds,
     loop_associator_defect,
     loop_centralizer,
     loop_commutator_defect,
@@ -1954,7 +1955,7 @@ def test_certificate_leaves_generation_reports_as_the_full_rounds_give_them(monk
     """A round the certificate ends still counts as a round that added nothing."""
     x, y = _block_pair(n)
     calls = _count_calls(monkeypatch, "_certified")
-    for generate in (lie_generate, jordan_rounds):
+    for generate in (lie_generate, lie_rounds, jordan_rounds):
         rep = generate(x, y)
         full = _without_certificate(monkeypatch, lambda: generate(x, y))
         assert (rep.closure_dim, rep.rounds, rep.trajectory) == (full.closure_dim, full.rounds, full.trajectory)
